@@ -15,11 +15,10 @@
 //!   bursts of pseudo-randomly timed events are pushed and then drained
 //!   in rounds, with every popped packet released back to the arena so
 //!   the free-list recycling path is on the measured hot loop.
-//! - `wheel-storm` — the timing wheel's own stress profile (explicitly
-//!   pinned to [`EngineKind::Wheel`] regardless of `NETSIM_SCHEDULER`):
-//!   deltas span every wheel level plus the far-future overflow heap, so
-//!   slot redistribution, horizon cascades, and overflow promotion all
-//!   sit on the measured path.
+//! - `wheel-storm` — the timing wheel's own stress profile: deltas span
+//!   every wheel level plus the far-future overflow heap, so slot
+//!   redistribution, horizon cascades, and overflow promotion all sit on
+//!   the measured path.
 //! - `incast-pase` / `incast-dctcp` — many-to-one incast on the paper's
 //!   32-host three-tier fat-tree at offered load 0.6, run end-to-end
 //!   through `Simulation::run` (tracing disabled: measures the pure
@@ -55,7 +54,7 @@ use std::time::Instant;
 
 use experiments::chaos::{run_case, FaultClass};
 use netsim::chaos::ChaosIntensity;
-use netsim::engine::{EngineKind, Scheduler};
+use netsim::engine::Scheduler;
 use netsim::event::EventKind;
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
@@ -145,8 +144,7 @@ impl BenchOpts {
                         .expect("--chaos-seeds: integer");
                 }
                 "--jobs" => {
-                    opts.jobs = take("--jobs").parse().expect("--jobs: integer");
-                    assert!(opts.jobs > 0, "--jobs must be positive");
+                    opts.jobs = workloads::parse_jobs(&take("--jobs"));
                 }
                 "--scenario" => {
                     for name in take("--scenario").split(',') {
@@ -218,26 +216,7 @@ pub struct BenchResult {
     pub peak_rss_bytes: u64,
 }
 
-/// Peak resident set size of this process in bytes: the `VmHWM` line of
-/// `/proc/self/status`, which the kernel reports in kB. Returns 0 when
-/// the file or field is unavailable (non-Linux platforms).
-pub fn read_peak_rss() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
+pub use workloads::read_peak_rss;
 
 /// What one timed iteration of a scenario produced.
 struct IterOut {
@@ -346,13 +325,11 @@ fn sched_storm(quick: bool) -> IterOut {
 /// (1 ns up to ~2^39 ns ahead of the drain clock) and every 64th event
 /// lands in the far-future overflow heap (2^41+ ns), so slot insertion
 /// at each level, horizon cascades across level boundaries, and
-/// overflow promotion are all exercised. The engine is pinned to the
-/// wheel regardless of `NETSIM_SCHEDULER`, making the scenario a stable
-/// per-engine yardstick next to `sched-storm`'s env-selected engine.
+/// overflow promotion are all exercised.
 fn wheel_storm(quick: bool) -> IterOut {
     let rounds = 8u64;
     let per_round: u64 = if quick { 10_000 } else { 100_000 };
-    let mut sched = Scheduler::with_engine(EngineKind::Wheel);
+    let mut sched = Scheduler::new();
     let mut rng = Rng::seed_from_u64(0x77ee_1b0a);
     let mut pops = 0u64;
     let mut clock = SimTime::ZERO;
@@ -846,19 +823,6 @@ mod tests {
         );
         assert_eq!(o.scenarios, vec!["scale-k4", "scale-k8", "scale-k16"]);
         assert_eq!(o.selected(), vec!["scale-k4", "scale-k8", "scale-k16"]);
-    }
-
-    /// The peak-RSS reader finds a positive high-water mark on Linux and
-    /// never decreases across calls (VmHWM is monotone by definition).
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn peak_rss_reader_is_positive_and_monotone() {
-        let a = read_peak_rss();
-        assert!(a > 0, "VmHWM must be readable on Linux");
-        let ballast = vec![1u8; 8 * 1024 * 1024];
-        std::hint::black_box(&ballast);
-        let b = read_peak_rss();
-        assert!(b >= a, "VmHWM went backwards: {a} -> {b}");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Usage: `netsim-bench [--quick] [--iters N] [--scenario NAME[,NAME]]
 //! [--chaos-seeds N] [--jobs N] [--out PATH]`. The JSON document goes to
 //! stdout, and additionally to `--out` when given; progress lines go to
-//! stderr. `--jobs` (default: detected cores, `NETSIM_JOBS` overrides)
-//! parallelizes chaos-storm/gray-storm case execution without changing
-//! the executed event sequence.
+//! stderr. `--jobs` (default: detected cores) parallelizes
+//! chaos-storm/gray-storm case execution without changing the executed
+//! event sequence.
 
 fn main() {
     let opts = bench::BenchOpts::from_args(std::env::args().skip(1));

@@ -4,9 +4,9 @@
 //! cargo run --release -p experiments --bin run_all -- [--quick] [--out results] [--jobs N]
 //! ```
 //!
-//! `--jobs` (default: detected cores; `NETSIM_JOBS` overrides the
-//! default) parallelizes case execution across every figure sweep;
-//! the emitted tables are byte-identical at any job count.
+//! `--jobs` (default: detected cores) parallelizes case execution
+//! across every figure sweep; the emitted tables are byte-identical at
+//! any job count.
 
 use std::fmt::Write as _;
 use std::time::Instant;

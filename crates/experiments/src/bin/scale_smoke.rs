@@ -20,24 +20,6 @@ use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 /// metric vectors that balloon with scale.
 const PEAK_RSS_BUDGET: u64 = 256 * 1024 * 1024;
 
-/// `VmHWM` from `/proc/self/status`, in bytes (0 when unavailable).
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| {
-            rest.trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse::<u64>()
-                .ok()
-        })
-        .map_or(0, |kb| kb * 1024)
-}
-
 /// One traced, invariant-checked incast run; returns the trace digest
 /// and the delivered-packet count.
 fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64) {
@@ -107,10 +89,9 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64) {
 }
 
 fn main() {
-    // Flags are accepted for ci.sh symmetry (`--jobs N`) but the smoke
-    // is two serial runs by construction — parallelism would only blur
-    // the peak-RSS attribution.
-    let _ = experiments::ExpOpts::from_env();
+    // Two serial runs by construction — parallelism would only blur the
+    // peak-RSS attribution — so there is nothing to configure.
+    assert_eq!(std::env::args().len(), 1, "scale_smoke takes no arguments");
     let scenario = Scenario {
         name: "scale-smoke",
         topo: TopologySpec::fat_tree(8),
@@ -132,7 +113,7 @@ fn main() {
         "dual-run trace digests diverged — determinism regression"
     );
 
-    let rss = peak_rss_bytes();
+    let rss = workloads::read_peak_rss();
     assert!(
         rss == 0 || rss <= PEAK_RSS_BUDGET,
         "peak RSS {} MiB exceeds the {} MiB smoke budget",

@@ -21,12 +21,15 @@
 //!    byte-identical event trace.
 //!
 //! The `chaos` binary sweeps seeds × intensity × scheme × fault class;
-//! `scripts/ci.sh` runs a fixed 8-seed smoke slice. A failing case prints
-//! the exact command line that replays just that seed.
+//! `scripts/ci.sh` runs a fixed 8-seed smoke slice, then the same slice
+//! once per scheduler engine (`engine_diff`), demanding identical hashes.
+//! A failing case prints the exact command line that replays just that
+//! seed.
 
 use std::collections::BTreeSet;
 
 use netsim::chaos::{self, ChaosConfig, ChaosIntensity};
+use netsim::engine::EngineKind;
 use netsim::fault::{FaultEvent, FaultPlan};
 use netsim::flow::FlowSpec;
 use netsim::invariants::InvariantConfig;
@@ -95,6 +98,10 @@ impl FaultClass {
     }
 }
 
+/// One cell of the sweep matrix; the seed drives both workload and fault
+/// schedule.
+pub type Case = (Scheme, FaultClass, ChaosIntensity, u64);
+
 /// Options for a chaos sweep (parsed by the `chaos` binary).
 #[derive(Debug, Clone)]
 pub struct ChaosOpts {
@@ -108,7 +115,7 @@ pub struct ChaosOpts {
     pub fault_classes: Vec<FaultClass>,
     /// Reduced scale (fewer flows): the CI smoke profile.
     pub quick: bool,
-    /// Per-case progress lines on stderr (also enabled by `CHAOS_LOG`).
+    /// Per-case progress lines on stderr.
     pub verbose: bool,
     /// Worker threads for case execution (`workloads::exec`); results
     /// and reporting stay in case order at any value.
@@ -136,8 +143,6 @@ impl ChaosOpts {
     /// `--scheme pase|dctcp|both`, `--intensity low|high|both`,
     /// `--faults fabric|host|gray|overload|both|all`, `--jobs N`, `--quick`,
     /// `--verbose`.
-    /// Setting the `CHAOS_LOG` environment variable (any non-empty
-    /// value) also enables verbose output.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> ChaosOpts {
         let mut opts = ChaosOpts::default();
         let mut args = args.into_iter();
@@ -189,20 +194,27 @@ impl ChaosOpts {
                         }
                     };
                 }
-                "--jobs" => {
-                    opts.jobs = take("--jobs").parse().expect("--jobs: integer");
-                    assert!(opts.jobs > 0, "--jobs must be positive");
-                }
+                "--jobs" => opts.jobs = workloads::parse_jobs(&take("--jobs")),
                 other => panic!("unknown argument: {other}"),
             }
         }
-        if std::env::var("CHAOS_LOG")
-            .map(|v| !v.is_empty())
-            .unwrap_or(false)
-        {
-            opts.verbose = true;
-        }
         opts
+    }
+
+    /// The sweep matrix in canonical case order: scheme → fault class →
+    /// intensity → seed.
+    pub fn cases(&self) -> CasePlan<Case> {
+        let mut cases = Vec::new();
+        for &scheme in &self.schemes {
+            for &fault_class in &self.fault_classes {
+                for &intensity in &self.intensities {
+                    for &seed in &self.seeds {
+                        cases.push((scheme, fault_class, intensity, seed));
+                    }
+                }
+            }
+        }
+        CasePlan::new(cases)
     }
 }
 
@@ -421,16 +433,11 @@ fn flash_crowd_flows(
     }
 }
 
-/// Execute one chaos case once and audit it.
-fn run_once(
-    scheme: Scheme,
-    intensity: ChaosIntensity,
-    fault_class: FaultClass,
-    seed: u64,
-    quick: bool,
-) -> CaseResult {
+/// Execute one chaos case once on `engine` and audit it.
+pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
+    let (scheme, fault_class, intensity, seed) = case;
     let scenario = chaos_scenario(quick);
-    let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
+    let (mut sim, hosts) = scheme.build_sim_on(engine, &scenario.topo);
     sim.enable_invariants(InvariantConfig::default());
     if fault_class.gray_faults() {
         // The gray class is the detection/recovery story: switches keep
@@ -556,8 +563,9 @@ pub fn run_case(
     seed: u64,
     quick: bool,
 ) -> CaseResult {
-    let mut first = run_once(scheme, intensity, fault_class, seed, quick);
-    let second = run_once(scheme, intensity, fault_class, seed, quick);
+    let case = (scheme, fault_class, intensity, seed);
+    let mut first = run_once(EngineKind::Wheel, case, quick);
+    let second = run_once(EngineKind::Wheel, case, quick);
     if first.trace_hash != second.trace_hash {
         first.violations.push(format!(
             "non-deterministic: trace hash {:#018x} != {:#018x} on replay",
@@ -573,8 +581,9 @@ pub fn run_case(
     first
 }
 
-/// The replay command for a failing case.
-pub fn replay_command(r: &CaseResult, quick: bool) -> String {
+/// The command replaying one case on `bin` (`chaos`, or `engine_diff`,
+/// which takes the same flags).
+pub fn replay_command(bin: &str, r: &CaseResult, quick: bool) -> String {
     let intensity = match r.intensity {
         ChaosIntensity::Low => "low",
         ChaosIntensity::High => "high",
@@ -587,7 +596,7 @@ pub fn replay_command(r: &CaseResult, quick: bool) -> String {
     // exactly: `--jobs 1` pins single-threaded execution (results are
     // identical at any job count, but the failure is easier to follow).
     format!(
-        "CHAOS_LOG=1 cargo run --release -p experiments --bin chaos -- \
+        "cargo run --release -p experiments --bin {bin} -- --verbose \
          --seed-list {} --scheme {} --intensity {} --faults {} --jobs 1{}",
         r.seed,
         scheme,
@@ -606,23 +615,11 @@ pub fn replay_command(r: &CaseResult, quick: bool) -> String {
 /// count: results come back ordered by case index and reporting happens
 /// afterwards, in that order.
 pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
-    let plan = CasePlan::new(
-        opts.schemes
-            .iter()
-            .flat_map(|&scheme| {
-                opts.fault_classes.iter().flat_map(move |&fault_class| {
-                    opts.intensities.iter().flat_map(move |&intensity| {
-                        opts.seeds
-                            .iter()
-                            .map(move |&seed| (scheme, fault_class, intensity, seed))
-                    })
-                })
-            })
-            .collect::<Vec<_>>(),
-    );
-    let out = plan.execute(opts.jobs, |&(scheme, fault_class, intensity, seed)| {
-        run_case(scheme, intensity, fault_class, seed, opts.quick)
-    });
+    let out = opts
+        .cases()
+        .execute(opts.jobs, |&(scheme, fault_class, intensity, seed)| {
+            run_case(scheme, intensity, fault_class, seed, opts.quick)
+        });
     for r in &out {
         if opts.verbose || !r.passed() {
             eprintln!(
@@ -649,7 +646,7 @@ pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
             for v in &r.violations {
                 eprintln!("  violation: {v}");
             }
-            eprintln!("  replay: {}", replay_command(r, opts.quick));
+            eprintln!("  replay: {}", replay_command("chaos", r, opts.quick));
         }
     }
     out
@@ -696,8 +693,9 @@ mod tests {
     }
 
     /// The replay line a failing case prints must parse back into exactly
-    /// that case's options — a drifted flag set would replay the wrong
-    /// configuration.
+    /// that one case, verbose and single-threaded, from its flags alone
+    /// (nothing for the shell to set) — a drifted flag set would replay
+    /// the wrong configuration.
     #[test]
     fn replay_command_round_trips_through_the_parser() {
         for (fault_class, quick) in [
@@ -727,7 +725,8 @@ mod tests {
                 arena_peak_outstanding: 0,
                 arena_recycled: 0,
             };
-            let cmd = replay_command(&r, quick);
+            let cmd = replay_command("chaos", &r, quick);
+            assert!(cmd.starts_with("cargo run "), "no env prefix: {cmd}");
             let args = cmd
                 .split_once(" -- ")
                 .expect("replay command has a `--` separator")
@@ -739,6 +738,11 @@ mod tests {
             assert_eq!(o.fault_classes, vec![fault_class]);
             assert_eq!(o.quick, quick);
             assert_eq!(o.jobs, 1, "replay pins single-threaded execution");
+            assert!(o.verbose, "replay prints the per-case line");
+            assert_eq!(
+                o.cases().cases(),
+                [(Scheme::Pase, fault_class, ChaosIntensity::High, 17)]
+            );
         }
     }
 
@@ -777,6 +781,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The reference heap engine and the wheel agree on a faulted PASE
+    /// case hash for hash (`engine_diff` holds the whole CI slice to
+    /// this in release mode).
+    #[test]
+    fn heap_and_wheel_engines_agree_on_a_chaos_case() {
+        let [heap, wheel] = [EngineKind::Heap, EngineKind::Wheel].map(|engine| {
+            let case = (Scheme::Pase, FaultClass::Overload, ChaosIntensity::High, 5);
+            let r = run_once(engine, case, true);
+            assert!(r.passed(), "{engine:?}: {}", r.violations.join("\n"));
+            (r.trace_hash, r.stats_hash, r.events)
+        });
+        assert_eq!(heap, wheel);
     }
 
     /// The overload class must actually exercise the shed path on PASE

@@ -18,8 +18,7 @@ pub struct ExpOpts {
     /// Quick mode (used by tests and smoke runs).
     pub quick: bool,
     /// Worker threads for case execution (`workloads::exec`). Defaults
-    /// to the machine's available parallelism, overridable with the
-    /// `NETSIM_JOBS` environment variable or `--jobs`.
+    /// to the machine's available parallelism, overridable with `--jobs`.
     pub jobs: usize,
 }
 
@@ -57,26 +56,24 @@ impl ExpOpts {
         Self::from_args(std::env::args().skip(1))
     }
 
-    /// Parse from an explicit argument iterator (testable).
+    /// Parse from an explicit argument iterator (testable). `--quick`
+    /// picks the defaults the other flags override, wherever it appears.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> ExpOpts {
-        let mut opts = ExpOpts::default();
-        let mut args = args.into_iter().peekable();
-        let mut explicit_flows = None;
+        let args: Vec<String> = args.into_iter().collect();
+        let mut opts = if args.iter().any(|a| a == "--quick") {
+            ExpOpts::quick()
+        } else {
+            ExpOpts::default()
+        };
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             let mut take = |name: &str| -> String {
                 args.next()
                     .unwrap_or_else(|| panic!("missing value for {name}"))
             };
             match arg.as_str() {
-                "--quick" => {
-                    let keep = opts.clone();
-                    opts = ExpOpts::quick();
-                    opts.seed = keep.seed;
-                    opts.jobs = keep.jobs;
-                }
-                "--flows" => {
-                    explicit_flows = Some(take("--flows").parse().expect("--flows: integer"));
-                }
+                "--quick" => {}
+                "--flows" => opts.flows = take("--flows").parse().expect("--flows: integer"),
                 "--seed" => opts.seed = take("--seed").parse().expect("--seed: integer"),
                 "--loads" => {
                     opts.loads = take("--loads")
@@ -90,15 +87,9 @@ impl ExpOpts {
                         .expect("--hosts-per-rack: integer");
                 }
                 "--out" => opts.out_dir = Some(PathBuf::from(take("--out"))),
-                "--jobs" => {
-                    opts.jobs = take("--jobs").parse().expect("--jobs: integer");
-                    assert!(opts.jobs > 0, "--jobs must be positive");
-                }
+                "--jobs" => opts.jobs = workloads::parse_jobs(&take("--jobs")),
                 other => panic!("unknown argument: {other}"),
             }
-        }
-        if let Some(f) = explicit_flows {
-            opts.flows = f;
         }
         assert!(!opts.loads.is_empty(), "need at least one load");
         assert!(
@@ -125,18 +116,29 @@ mod tests {
         assert!(!o.quick);
     }
 
+    /// Every explicit flag beats `--quick`'s defaults on either side of
+    /// it (`--quick` used to rebuild the struct and drop what came
+    /// before, restoring only the seed and the job count).
     #[test]
-    fn quick_mode_scales_down_but_keeps_seed() {
-        let o = parse("--seed 9 --quick");
-        assert!(o.quick);
-        assert_eq!(o.seed, 9);
-        assert!(o.flows < 500);
-    }
-
-    #[test]
-    fn explicit_flows_override_quick() {
-        let o = parse("--quick --flows 42");
-        assert_eq!(o.flows, 42);
+    fn explicit_flags_override_quick_in_either_order() {
+        type Check = fn(&ExpOpts) -> bool;
+        let table: [(&str, Check); 6] = [
+            ("--flows 42", |o| o.flows == 42),
+            ("--seed 9", |o| o.seed == 9),
+            ("--loads 0.5", |o| o.loads == [0.5]),
+            ("--hosts-per-rack 4", |o| o.hosts_per_rack == 4),
+            ("--out DIR", |o| o.out_dir == Some(PathBuf::from("DIR"))),
+            ("--jobs 3", |o| o.jobs == 3),
+        ];
+        for (flag, holds) in table {
+            for line in [format!("{flag} --quick"), format!("--quick {flag}")] {
+                let o = parse(&line);
+                assert!(o.quick, "{line}");
+                assert!(holds(&o), "`{line}` lost its explicit flag: {o:?}");
+            }
+        }
+        let q = parse("--quick");
+        assert_eq!((q.flows, q.hosts_per_rack), (150, 10), "quick defaults");
     }
 
     #[test]
@@ -146,10 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn jobs_parse_and_survive_quick() {
+    fn jobs_parse() {
         assert!(parse("").jobs >= 1, "default jobs must be positive");
         assert_eq!(parse("--jobs 3").jobs, 3);
-        assert_eq!(parse("--jobs 3 --quick").jobs, 3, "--quick keeps --jobs");
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! order over events keyed on `(time, seq)` — ties in simulated time fire
 //! in scheduling order:
 //!
-//! - [`EngineKind::Wheel`] (default): a hierarchical timing wheel
-//!   ([`crate::wheel`]) with O(1) amortized schedule/pop.
+//! - [`EngineKind::Wheel`]: a hierarchical timing wheel
+//!   ([`crate::wheel`]) with O(1) amortized schedule/pop. Every run uses
+//!   it ([`Scheduler::new`]).
 //! - [`EngineKind::Heap`]: the original binary heap, kept as the
-//!   reference implementation for differential tests and as an escape
-//!   hatch (`NETSIM_SCHEDULER=heap`).
+//!   reference implementation differential tests compare the wheel
+//!   against; reachable only through [`Scheduler::with_engine`].
 //!
 //! Both engines produce byte-identical traces; `scripts/ci.sh` holds them
-//! to that with a dual-engine chaos pass.
+//! to that with an in-process dual-engine chaos pass (`engine_diff`).
 //!
 //! The scheduler also owns the [`PacketArena`] that recycles packet boxes
 //! across the injection → wire → delivery lifecycle, so steady-state
@@ -23,7 +24,6 @@
 //! real network.
 
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 use crate::event::{EventKind, ScheduledEvent};
 use crate::ids::NodeId;
@@ -32,51 +32,15 @@ use crate::stats::StatsCollector;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimingWheel, DEFAULT_TICK_SHIFT};
 
-/// Which event-queue implementation a [`Scheduler`] runs on.
-///
-/// Selected by `NETSIM_SCHEDULER` (`heap` | `wheel`; unset means wheel)
-/// for whole-process runs, or explicitly via
-/// [`Scheduler::with_engine`] for differential tests.
+/// Which event-queue implementation a [`Scheduler`] runs on: a
+/// construction-time argument ([`Scheduler::with_engine`]), never
+/// process state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Reference binary heap: O(log n) per op, minimal constant factor.
     Heap,
     /// Hierarchical timing wheel: O(1) amortized schedule/pop.
     Wheel,
-}
-
-impl EngineKind {
-    /// The process-wide engine choice from `NETSIM_SCHEDULER`, cached on
-    /// first use so every scheduler in a run agrees.
-    pub fn from_env() -> EngineKind {
-        static CHOICE: OnceLock<EngineKind> = OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("NETSIM_SCHEDULER") {
-            Ok(v) if v == "heap" => EngineKind::Heap,
-            Ok(v) if v == "wheel" || v.is_empty() => EngineKind::Wheel,
-            Ok(v) => panic!("NETSIM_SCHEDULER must be `heap` or `wheel`, got `{v}`"),
-            Err(_) => EngineKind::Wheel,
-        })
-    }
-}
-
-/// Wheel tick granularity from `NETSIM_WHEEL_TICK_NS` (rounded up to a
-/// power of two, at most 2^20 ns), defaulting to 256 ns.
-fn tick_shift_from_env() -> u32 {
-    static SHIFT: OnceLock<u32> = OnceLock::new();
-    *SHIFT.get_or_init(|| match std::env::var("NETSIM_WHEEL_TICK_NS") {
-        Err(_) => DEFAULT_TICK_SHIFT,
-        Ok(v) if v.is_empty() => DEFAULT_TICK_SHIFT,
-        Ok(v) => {
-            let ns: u64 = v
-                .parse()
-                .unwrap_or_else(|_| panic!("NETSIM_WHEEL_TICK_NS must be an integer, got `{v}`"));
-            assert!(
-                (1..=1 << 20).contains(&ns),
-                "NETSIM_WHEEL_TICK_NS must be in 1..=2^20, got {ns}"
-            );
-            ns.next_power_of_two().trailing_zeros()
-        }
-    })
 }
 
 /// The two storage engines behind [`Scheduler`].
@@ -90,7 +54,6 @@ enum EventQueue {
 #[derive(Debug)]
 pub struct Scheduler {
     queue: EventQueue,
-    engine: EngineKind,
     next_seq: u64,
     now: SimTime,
     peak_pending: usize,
@@ -104,33 +67,26 @@ impl Default for Scheduler {
 }
 
 impl Scheduler {
-    /// An empty scheduler at time zero, on the engine `NETSIM_SCHEDULER`
-    /// selects (the timing wheel unless overridden).
+    /// An empty scheduler at time zero on the timing wheel.
     pub fn new() -> Self {
-        Scheduler::with_engine(EngineKind::from_env())
+        Scheduler::with_engine(EngineKind::Wheel)
     }
 
-    /// An empty scheduler at time zero on an explicit engine, bypassing
-    /// the environment: this is what the differential harness uses to run
-    /// heap and wheel side by side in one process.
+    /// An empty scheduler at time zero on an explicit engine: how the
+    /// differential harnesses run heap and wheel side by side in one
+    /// process.
     pub fn with_engine(engine: EngineKind) -> Self {
         let queue = match engine {
             EngineKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            EngineKind::Wheel => EventQueue::Wheel(TimingWheel::new(tick_shift_from_env())),
+            EngineKind::Wheel => EventQueue::Wheel(TimingWheel::new(DEFAULT_TICK_SHIFT)),
         };
         Scheduler {
             queue,
-            engine,
             next_seq: 0,
             now: SimTime::ZERO,
             peak_pending: 0,
             arena: PacketArena::new(),
         }
-    }
-
-    /// Which engine this scheduler runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     /// Current simulated time.
@@ -160,39 +116,6 @@ impl Scheduler {
     /// Mutable access to the packet arena (allocation and release sites).
     pub fn arena_mut(&mut self) -> &mut PacketArena {
         &mut self.arena
-    }
-
-    /// Pre-allocate room for `additional` more pending events.
-    ///
-    /// Bulk schedulers ([`Scheduler::schedule_batch`],
-    /// [`crate::sim::Simulation::add_flows`]) call this so an arrival
-    /// burst costs one allocation instead of a growth-doubling series.
-    /// The wheel engine spreads events over per-slot buckets and takes no
-    /// useful hint, so this is a no-op there.
-    pub fn reserve(&mut self, additional: usize) {
-        if let EventQueue::Heap(h) = &mut self.queue {
-            h.reserve(additional);
-        }
-    }
-
-    /// Schedule a batch of `(time, target, kind)` events, reserving
-    /// capacity up front. Semantically identical to calling
-    /// [`Scheduler::schedule_at`] per item in iteration order (the batch
-    /// members get consecutive sequence numbers, so same-instant ties
-    /// still fire in iteration order).
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, NodeId, EventKind)>,
-    {
-        let events = events.into_iter();
-        // Reserve only the lower bound: an upper bound can be inflated
-        // (or absent) for adapters and filters, and over-reserving by a
-        // huge hint aborts on capacity overflow. Growth handles the rest.
-        let (lo, _hi) = events.size_hint();
-        self.reserve(lo);
-        for (at, target, kind) in events {
-            self.schedule_at(at, target, kind);
-        }
     }
 
     /// Schedule `kind` to fire on `target` at absolute time `at`.
@@ -453,78 +376,6 @@ mod tests {
                 msg.contains(needle),
                 "panic message {msg:?} lacks {needle:?}"
             );
-        }
-    }
-
-    #[test]
-    fn schedule_batch_matches_sequential_semantics() {
-        let mut batched = Scheduler::new();
-        batched.schedule_batch((0..100u64).map(|i| {
-            (
-                SimTime::from_micros(i / 10), // ten-way ties per instant
-                NodeId((i % 7) as u32),
-                EventKind::PluginTimer(i),
-            )
-        }));
-        let mut sequential = Scheduler::new();
-        for i in 0..100u64 {
-            sequential.schedule_at(
-                SimTime::from_micros(i / 10),
-                NodeId((i % 7) as u32),
-                EventKind::PluginTimer(i),
-            );
-        }
-        loop {
-            match (batched.pop(), sequential.pop()) {
-                (None, None) => break,
-                (a, b) => {
-                    let (an, ak) = a.expect("batched drained early");
-                    let (bn, bk) = b.expect("sequential drained early");
-                    assert_eq!(an, bn);
-                    assert_eq!(batched.now(), sequential.now());
-                    match (ak, bk) {
-                        (EventKind::PluginTimer(x), EventKind::PluginTimer(y)) => {
-                            assert_eq!(x, y)
-                        }
-                        _ => panic!("unexpected event kind"),
-                    }
-                }
-            }
-        }
-    }
-
-    /// An adapter reporting a wildly inflated upper bound (as `chain`ed
-    /// or filtered iterators legitimately can). Before the lower-bound
-    /// fix, `schedule_batch` passed this straight to `reserve` and
-    /// aborted on capacity overflow.
-    struct InflatedHint<I>(I);
-
-    impl<I: Iterator> Iterator for InflatedHint<I> {
-        type Item = I::Item;
-        fn next(&mut self) -> Option<Self::Item> {
-            self.0.next()
-        }
-        fn size_hint(&self) -> (usize, Option<usize>) {
-            (0, Some(usize::MAX))
-        }
-    }
-
-    #[test]
-    fn schedule_batch_survives_inflated_size_hints() {
-        for engine in [EngineKind::Heap, EngineKind::Wheel] {
-            let mut s = Scheduler::with_engine(engine);
-            s.schedule_batch(InflatedHint((0..10u64).map(|i| {
-                (
-                    SimTime::from_micros(i),
-                    NodeId(0),
-                    EventKind::PluginTimer(i),
-                )
-            })));
-            for i in 0..10u64 {
-                let (_, k) = s.pop().expect("event scheduled");
-                assert!(matches!(k, EventKind::PluginTimer(t) if t == i));
-            }
-            assert!(s.pop().is_none());
         }
     }
 }

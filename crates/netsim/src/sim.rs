@@ -1,7 +1,7 @@
 //! The simulation façade: owns the network, the scheduler and the stats,
 //! and drives the event loop.
 
-use crate::engine::{Ctx, Scheduler};
+use crate::engine::{Ctx, EngineKind, Scheduler};
 use crate::event::EventKind;
 use crate::fault::{FaultDirective, FaultEvent, FaultPlan};
 use crate::flow::FlowSpec;
@@ -66,8 +66,15 @@ pub struct Simulation {
 impl Simulation {
     /// Wrap a constructed network.
     pub fn new(net: Network) -> Simulation {
+        Simulation::with_engine(net, EngineKind::Wheel)
+    }
+
+    /// Wrap a constructed network on an explicit scheduler engine (the
+    /// heap-vs-wheel differential; wiring schedules timers at build
+    /// time, so the engine is fixed here and not swappable later).
+    pub fn with_engine(net: Network, engine: EngineKind) -> Simulation {
         Simulation {
-            sched: Scheduler::new(),
+            sched: Scheduler::with_engine(engine),
             nodes: net.nodes,
             topo: net.topo,
             stats: StatsCollector::new(),
@@ -142,19 +149,11 @@ impl Simulation {
         self.sched.schedule_at(at, src, EventKind::flow_start(spec));
     }
 
-    /// Register many flows at once. Equivalent to calling
-    /// [`Simulation::add_flow`] per spec, but reserves scheduler capacity
-    /// up front so a workload's arrival burst doesn't grow the event heap
-    /// incrementally.
+    /// Register many flows at once: [`Simulation::add_flow`] per spec.
     pub fn add_flows<I>(&mut self, flows: I)
     where
         I: IntoIterator<Item = FlowSpec>,
     {
-        let flows = flows.into_iter();
-        // Lower bound only: upper bounds can be inflated or absent (see
-        // `Scheduler::schedule_batch`), and growth handles the remainder.
-        let (lo, _hi) = flows.size_hint();
-        self.sched.reserve(lo);
         for spec in flows {
             self.add_flow(spec);
         }

@@ -57,6 +57,28 @@ impl FlowRecord {
     }
 }
 
+/// Per-node tallies: one row of [`StatsCollector`]'s dense table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeCounters {
+    /// Corrupted data packets discarded at this destination host.
+    pub corrupted: u64,
+    /// Aborted flows sourced at this host.
+    pub aborts: u64,
+    /// Control messages processed by this arbitrator.
+    pub ctrl_processed: u64,
+    /// Control messages shed by this arbitrator.
+    pub ctrl_shed: u64,
+    /// Peak weighted inbox depth (messages per budget epoch).
+    pub ctrl_peak_epoch: u64,
+    /// Arbitration requests this arbitrator pruned (answered locally
+    /// instead of climbing to its parent, because the accumulated queue
+    /// already exceeded the early-pruning depth; paper §3.1.2).
+    pub arb_pruned: u64,
+    /// Arbitration requests this arbitrator forwarded up the hierarchy
+    /// (the complement of pruning at the same decision point).
+    pub arb_climbed: u64,
+}
+
 /// Global and per-flow measurement state for one simulation run.
 #[derive(Default)]
 pub struct StatsCollector {
@@ -84,10 +106,9 @@ pub struct StatsCollector {
     /// (see [`crate::invariants`]) so gray losses stay distinguishable
     /// from queue drops.
     pub data_pkts_corrupted: u64,
-    /// Corrupted-and-discarded data packets per destination host.
-    corrupted_by_host: BTreeMap<NodeId, u64>,
-    /// Aborted flows per source host, keyed by the flow's source.
-    aborts_by_host: BTreeMap<NodeId, u64>,
+    /// Per-node tallies indexed by [`NodeId::index`], grown on demand so
+    /// the collector needs no node count up front.
+    per_node: Vec<NodeCounters>,
     /// Data packets blackholed at switches (no surviving next hop).
     /// Counted separately from [`StatsCollector::data_pkts_dropped`].
     pub data_pkts_blackholed: u64,
@@ -116,21 +137,6 @@ pub struct StatsCollector {
     /// Control messages delivered to a node with no control plugin or
     /// host service installed to receive them.
     pub ctrl_unattended: u64,
-    /// Messages processed per arbitrator node.
-    ctrl_processed_by_node: BTreeMap<NodeId, u64>,
-    /// Messages shed per arbitrator node.
-    ctrl_shed_by_node: BTreeMap<NodeId, u64>,
-    /// Peak weighted inbox depth (messages per budget epoch) per
-    /// arbitrator node.
-    ctrl_peak_epoch_by_node: BTreeMap<NodeId, u64>,
-    /// Arbitration requests a ToR arbitrator pruned (answered locally
-    /// instead of climbing to its parent, because the accumulated queue
-    /// already exceeded the early-pruning depth; paper §3.1.2). Keyed by
-    /// the pruning arbitrator's node.
-    arb_pruned_by_node: BTreeMap<NodeId, u64>,
-    /// Arbitration requests an arbitrator forwarded up the hierarchy
-    /// (the complement of pruning at the same decision point).
-    arb_climbed_by_node: BTreeMap<NodeId, u64>,
     /// Total events executed (engine counter, for benchmarking).
     pub events_executed: u64,
     /// Packet-arena counters, published by [`crate::sim::Simulation::run`]
@@ -243,7 +249,8 @@ impl StatsCollector {
                 if rec.spec.measured {
                     self.completed_measured += 1;
                 }
-                *self.aborts_by_host.entry(rec.spec.src).or_insert(0) += 1;
+                let src = rec.spec.src;
+                self.node_mut(src).aborts += 1;
                 self.trace_event(
                     now,
                     &TraceEvent::FlowDone {
@@ -256,14 +263,36 @@ impl StatsCollector {
         }
     }
 
-    /// Number of aborted flows whose source was `host`.
-    pub fn aborts_on(&self, host: NodeId) -> u64 {
-        self.aborts_by_host.get(&host).copied().unwrap_or(0)
+    /// `node`'s row of the per-node table (all zero for a node no
+    /// `note_*` call has named).
+    pub fn node(&self, node: NodeId) -> NodeCounters {
+        self.per_node.get(node.index()).copied().unwrap_or_default()
     }
 
-    /// Per-source-host abort tallies, in node-id order (deterministic).
-    pub fn aborts_by_host(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.aborts_by_host.iter().map(|(&n, &c)| (n, c))
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeCounters {
+        let i = node.index();
+        if i >= self.per_node.len() {
+            self.per_node.resize(i + 1, NodeCounters::default());
+        }
+        &mut self.per_node[i]
+    }
+
+    /// One column of the per-node table: the nodes whose tally is
+    /// non-zero, in node-id order (deterministic).
+    fn by_node(
+        &self,
+        column: fn(&NodeCounters) -> u64,
+    ) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.per_node
+            .iter()
+            .enumerate()
+            .map(move |(i, c)| (NodeId(i as u32), column(c)))
+            .filter(|&(_, n)| n != 0)
+    }
+
+    /// Number of aborted flows whose source was `host`.
+    pub fn aborts_on(&self, host: NodeId) -> u64 {
+        self.node(host).aborts
     }
 
     /// Record a retransmission of `bytes` payload bytes.
@@ -340,7 +369,7 @@ impl StatsCollector {
     /// sender experiences it as loss) but to its own conservation term.
     pub fn note_data_corrupted(&mut self, host: NodeId, pkt: &Packet) {
         self.data_pkts_corrupted += 1;
-        *self.corrupted_by_host.entry(host).or_insert(0) += 1;
+        self.node_mut(host).corrupted += 1;
         if let Some(rec) = self.flows.get_mut(&pkt.flow) {
             rec.drops += 1;
         }
@@ -348,13 +377,7 @@ impl StatsCollector {
 
     /// Corrupted data packets discarded at `host`.
     pub fn corrupted_on(&self, host: NodeId) -> u64 {
-        self.corrupted_by_host.get(&host).copied().unwrap_or(0)
-    }
-
-    /// Per-destination-host corruption tallies, in node-id order
-    /// (deterministic).
-    pub fn corrupted_by_host(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.corrupted_by_host.iter().map(|(&n, &c)| (n, c))
+        self.node(host).corrupted
     }
 
     /// Record a packet consumed by a switch plugin instead of forwarded.
@@ -373,33 +396,33 @@ impl StatsCollector {
     /// Record a control message processed by the arbitrator on `node`.
     pub fn note_ctrl_processed(&mut self, node: NodeId) {
         self.ctrl_msgs_processed += 1;
-        *self.ctrl_processed_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).ctrl_processed += 1;
     }
 
     /// Record a control message shed by the overloaded arbitrator on
     /// `node` (its per-epoch budget was exhausted).
     pub fn note_ctrl_shed(&mut self, node: NodeId) {
         self.ctrl_msgs_shed += 1;
-        *self.ctrl_shed_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).ctrl_shed += 1;
     }
 
     /// Record the weighted inbox depth the arbitrator on `node` reached
     /// within one budget epoch; keeps the per-node peak.
     pub fn note_ctrl_epoch_depth(&mut self, node: NodeId, depth: u64) {
-        let peak = self.ctrl_peak_epoch_by_node.entry(node).or_insert(0);
-        *peak = (*peak).max(depth);
+        let c = self.node_mut(node);
+        c.ctrl_peak_epoch = c.ctrl_peak_epoch.max(depth);
     }
 
     /// Record an arbitration request pruned (answered locally) by the
     /// arbitrator on `node` instead of climbing to its parent.
     pub fn note_arb_pruned(&mut self, node: NodeId) {
-        *self.arb_pruned_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).arb_pruned += 1;
     }
 
     /// Record an arbitration request the arbitrator on `node` forwarded
     /// up the hierarchy.
     pub fn note_arb_climbed(&mut self, node: NodeId) {
-        *self.arb_climbed_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).arb_climbed += 1;
     }
 
     /// Record a corrupted control packet discarded at its destination.
@@ -419,57 +442,29 @@ impl StatsCollector {
         self.ctrl_unattended += 1;
     }
 
-    /// Messages processed by the arbitrator on `node`.
-    pub fn ctrl_processed_on(&self, node: NodeId) -> u64 {
-        self.ctrl_processed_by_node.get(&node).copied().unwrap_or(0)
-    }
-
     /// Messages shed by the arbitrator on `node`.
     pub fn ctrl_shed_on(&self, node: NodeId) -> u64 {
-        self.ctrl_shed_by_node.get(&node).copied().unwrap_or(0)
+        self.node(node).ctrl_shed
     }
 
-    /// Peak weighted per-epoch inbox depth seen on `node`.
-    pub fn ctrl_peak_epoch_on(&self, node: NodeId) -> u64 {
-        self.ctrl_peak_epoch_by_node
-            .get(&node)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Per-arbitrator processed tallies, in node-id order (deterministic).
+    /// Per-arbitrator processed tallies: non-zero rows in node-id order.
     pub fn ctrl_processed_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.ctrl_processed_by_node.iter().map(|(&n, &c)| (n, c))
+        self.by_node(|c| c.ctrl_processed)
     }
 
-    /// Per-arbitrator shed tallies, in node-id order (deterministic).
-    pub fn ctrl_shed_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.ctrl_shed_by_node.iter().map(|(&n, &c)| (n, c))
-    }
-
-    /// Per-arbitrator peak epoch depth, in node-id order (deterministic).
+    /// Per-arbitrator peak epoch depth: non-zero rows in node-id order.
     pub fn ctrl_peak_epoch_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.ctrl_peak_epoch_by_node.iter().map(|(&n, &c)| (n, c))
+        self.by_node(|c| c.ctrl_peak_epoch)
     }
 
-    /// Requests pruned by the arbitrator on `node`.
-    pub fn arb_pruned_on(&self, node: NodeId) -> u64 {
-        self.arb_pruned_by_node.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Requests climbed (forwarded up) by the arbitrator on `node`.
-    pub fn arb_climbed_on(&self, node: NodeId) -> u64 {
-        self.arb_climbed_by_node.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Per-arbitrator pruned tallies, in node-id order (deterministic).
+    /// Per-arbitrator pruned tallies: non-zero rows in node-id order.
     pub fn arb_pruned_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.arb_pruned_by_node.iter().map(|(&n, &c)| (n, c))
+        self.by_node(|c| c.arb_pruned)
     }
 
-    /// Per-arbitrator climbed tallies, in node-id order (deterministic).
+    /// Per-arbitrator climbed tallies: non-zero rows in node-id order.
     pub fn arb_climbed_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.arb_climbed_by_node.iter().map(|(&n, &c)| (n, c))
+        self.by_node(|c| c.arb_climbed)
     }
 
     /// Have all measured flows completed?
@@ -511,7 +506,7 @@ impl StatsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NodeId;
+    use crate::rng::Rng;
 
     fn spec(id: u64, measured: bool) -> FlowSpec {
         let mut s = FlowSpec::new(FlowId(id), NodeId(0), NodeId(1), 1000, SimTime::ZERO);
@@ -600,7 +595,6 @@ mod tests {
         assert_eq!(rec.completed, Some(SimTime::from_millis(1)));
         assert_eq!(st.aborts_on(NodeId(0)), 2, "both flows originate at n0");
         assert_eq!(st.aborts_on(NodeId(1)), 0);
-        assert_eq!(st.aborts_by_host().collect::<Vec<_>>(), [(NodeId(0), 2)]);
         assert!(st.all_measured_complete(), "aborts terminate the run");
     }
 
@@ -615,7 +609,6 @@ mod tests {
         assert_eq!(st.data_pkts_dropped, 0, "corruption is not a queue drop");
         assert_eq!(st.corrupted_on(NodeId(1)), 2);
         assert_eq!(st.corrupted_on(NodeId(0)), 0);
-        assert_eq!(st.corrupted_by_host().collect::<Vec<_>>(), [(NodeId(1), 2)]);
         assert_eq!(st.flow(FlowId(0)).unwrap().drops, 2, "sender sees loss");
     }
 
@@ -630,16 +623,115 @@ mod tests {
         st.note_ctrl_epoch_depth(NodeId(3), 4);
         assert_eq!(st.ctrl_msgs_processed, 3);
         assert_eq!(st.ctrl_msgs_shed, 1);
-        assert_eq!(st.ctrl_processed_on(NodeId(3)), 2);
-        assert_eq!(st.ctrl_processed_on(NodeId(5)), 1);
+        assert_eq!(st.node(NodeId(3)).ctrl_processed, 2);
+        assert_eq!(st.node(NodeId(5)).ctrl_processed, 1);
         assert_eq!(st.ctrl_shed_on(NodeId(3)), 1);
         assert_eq!(st.ctrl_shed_on(NodeId(5)), 0);
-        assert_eq!(st.ctrl_peak_epoch_on(NodeId(3)), 7, "peak, not last");
+        assert_eq!(st.node(NodeId(3)).ctrl_peak_epoch, 7, "peak, not last");
         assert_eq!(
             st.ctrl_processed_by_node().collect::<Vec<_>>(),
             [(NodeId(3), 2), (NodeId(5), 1)]
         );
-        assert_eq!(st.ctrl_shed_by_node().collect::<Vec<_>>(), [(NodeId(3), 1)]);
+    }
+
+    /// The dense per-node table against the keyed-map model it replaced:
+    /// random `note_*` sequences (zero-depth epochs and ids far past the
+    /// table's current length included) must read back identically per
+    /// node, in the global totals, and through the iterators, which
+    /// yield exactly the model's non-zero entries in node-id order.
+    #[test]
+    fn dense_node_table_matches_a_map_model() {
+        for seed in 0..16u64 {
+            let mut rng = Rng::seed_from_u64(0x57a7_0000 + seed);
+            let mut st = StatsCollector::new();
+            let mut model = BTreeMap::<_, NodeCounters>::new();
+            for f in 0..40 {
+                let src = NodeId(rng.gen_below(12) as u32);
+                let dst = NodeId(src.0 + 1);
+                st.register_flow(&FlowSpec::new(FlowId(f), src, dst, 1000, SimTime::ZERO));
+            }
+            for _ in 0..2_000 {
+                // Mostly a small id range (so tallies accumulate), with
+                // occasional jumps far beyond anything seen so far.
+                let far = rng.gen_below(50) == 0;
+                let node = NodeId(if far {
+                    1_000 + rng.gen_below(9_000)
+                } else {
+                    rng.gen_below(24)
+                } as u32);
+                let row = model.entry(node).or_default();
+                match rng.gen_below(7) {
+                    0 => {
+                        st.note_data_corrupted(
+                            node,
+                            &Packet::data(FlowId(0), NodeId(0), node, 0, 1460),
+                        );
+                        row.corrupted += 1;
+                    }
+                    1 => {
+                        let flow = FlowId(rng.gen_below(40));
+                        let rec = st.flow(flow).unwrap();
+                        let (src, fresh) = (rec.spec.src, rec.completed.is_none());
+                        st.flow_aborted(flow, SimTime::from_millis(1), AbortReason::HostCrash);
+                        model.entry(src).or_default().aborts += fresh as u64;
+                    }
+                    2 => {
+                        st.note_ctrl_processed(node);
+                        row.ctrl_processed += 1;
+                    }
+                    3 => {
+                        st.note_ctrl_shed(node);
+                        row.ctrl_shed += 1;
+                    }
+                    4 => {
+                        let depth = rng.gen_below(4) * rng.gen_below(100);
+                        st.note_ctrl_epoch_depth(node, depth);
+                        row.ctrl_peak_epoch = row.ctrl_peak_epoch.max(depth);
+                    }
+                    5 => {
+                        st.note_arb_pruned(node);
+                        row.arb_pruned += 1;
+                    }
+                    _ => {
+                        st.note_arb_climbed(node);
+                        row.arb_climbed += 1;
+                    }
+                }
+            }
+            let column = |f: fn(&NodeCounters) -> u64| -> Vec<(NodeId, u64)> {
+                let all = model.iter().map(|(&n, c)| (n, f(c)));
+                all.filter(|&(_, v)| v != 0).collect()
+            };
+            let total = |f: fn(&NodeCounters) -> u64| -> u64 { model.values().map(f).sum() };
+            assert_eq!(st.data_pkts_corrupted, total(|c| c.corrupted));
+            assert_eq!(st.ctrl_msgs_processed, total(|c| c.ctrl_processed));
+            assert_eq!(st.ctrl_msgs_shed, total(|c| c.ctrl_shed));
+            assert_eq!(
+                st.ctrl_processed_by_node().collect::<Vec<_>>(),
+                column(|c| c.ctrl_processed)
+            );
+            assert_eq!(
+                st.ctrl_peak_epoch_by_node().collect::<Vec<_>>(),
+                column(|c| c.ctrl_peak_epoch)
+            );
+            assert_eq!(
+                st.arb_pruned_by_node().collect::<Vec<_>>(),
+                column(|c| c.arb_pruned)
+            );
+            assert_eq!(
+                st.arb_climbed_by_node().collect::<Vec<_>>(),
+                column(|c| c.arb_climbed)
+            );
+            // Every touched node and its neighbour — untouched, or one
+            // past the end of the table.
+            for probe in model.keys().flat_map(|n| [*n, NodeId(n.0 + 1)]) {
+                let want = model.get(&probe).copied().unwrap_or_default();
+                assert_eq!(st.node(probe), want, "seed {seed} node {probe}");
+                assert_eq!(st.corrupted_on(probe), want.corrupted);
+                assert_eq!(st.aborts_on(probe), want.aborts);
+                assert_eq!(st.ctrl_shed_on(probe), want.ctrl_shed);
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@ fn ten_thousand_ties_pop_in_scheduling_order() {
     let mut sched = Scheduler::new();
     let t = SimTime::from_micros(5);
     const N: u64 = 10_000;
-    sched.reserve(N as usize);
     for i in 0..N {
         // Encode the scheduling order in both the target and the token so
         // the pop side recovers it from the event alone.
@@ -73,40 +72,15 @@ fn ordering_is_total_across_times_and_ties() {
     assert_eq!(got, expected, "pop order is not the stable time-sort");
 }
 
-/// `schedule_batch` preserves the same total order as sequential
-/// `schedule_at` calls, including tie-breaks.
-#[test]
-fn batch_scheduling_preserves_tie_order() {
-    let mut a = Scheduler::new();
-    let mut b = Scheduler::new();
-    let events: Vec<(SimTime, NodeId, u64)> = (0..500u64)
-        .map(|i| (SimTime::from_micros(i % 5), NodeId(0), i))
-        .collect();
-    for &(t, n, tok) in &events {
-        a.schedule_at(t, n, timer(tok));
-    }
-    b.schedule_batch(events.iter().map(|&(t, n, tok)| (t, n, timer(tok))));
-    loop {
-        match (a.pop(), b.pop()) {
-            (None, None) => break,
-            (Some((nx, kx)), Some((ny, ky))) => {
-                assert_eq!(a.now(), b.now());
-                assert_eq!(nx, ny);
-                assert_eq!(token_of(&kx), token_of(&ky));
-            }
-            (x, y) => panic!("schedulers diverged: {x:?} vs {y:?}"),
-        }
-    }
-}
-
 /// Drive the heap and wheel engines through one identical randomized op
 /// stream, asserting identical pop sequences and clocks after every op.
 ///
 /// The op mix covers everything the wheel handles specially: same-instant
 /// ties, near-future events spread across every wheel level, far-future
-/// timers that land in the overflow heap (hours to years out), batches,
-/// and schedule-during-pop (new events posted at the instant the clock
-/// just reached, below the wheel's served horizon).
+/// timers that land in the overflow heap (hours to years out), bursts
+/// with consecutive sequence numbers, and schedule-during-pop (new events
+/// posted at the instant the clock just reached, below the wheel's served
+/// horizon).
 fn differential_run(seed: u64, ops: usize) {
     let mut heap = Scheduler::with_engine(EngineKind::Heap);
     let mut wheel = Scheduler::with_engine(EngineKind::Wheel);
@@ -154,19 +128,16 @@ fn differential_run(seed: u64, ops: usize) {
                 wheel.schedule_at(at, NodeId(0), timer(tok));
                 pending += 1;
             }
-            // Batch with consecutive seqs and internal ties.
+            // Burst with consecutive seqs and internal ties.
             6 => {
                 let n = rng.gen_below(8) + 2;
                 let base = heap.now() + SimDuration::from_nanos(rng.gen_below(1 << 20));
-                let evs: Vec<(SimTime, NodeId, u64)> = (0..n)
-                    .map(|i| {
-                        let tok = next_token + i;
-                        (base + SimDuration::from_nanos(i / 2), NodeId(1), tok)
-                    })
-                    .collect();
+                for i in 0..n {
+                    let at = base + SimDuration::from_nanos(i / 2);
+                    heap.schedule_at(at, NodeId(1), timer(next_token + i));
+                    wheel.schedule_at(at, NodeId(1), timer(next_token + i));
+                }
                 next_token += n;
-                heap.schedule_batch(evs.iter().map(|&(t, nd, tok)| (t, nd, timer(tok))));
-                wheel.schedule_batch(evs.iter().map(|&(t, nd, tok)| (t, nd, timer(tok))));
                 pending += n as usize;
             }
             // Pop, then sometimes schedule at the just-reached instant

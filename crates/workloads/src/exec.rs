@@ -21,33 +21,46 @@
 //! printing, failure reporting) must happen *after* `execute` returns,
 //! over the ordered results, never inside the case closure.
 //!
-//! The worker count comes from [`default_jobs`]: the `NETSIM_JOBS`
-//! environment variable when set (CI pins it for reproducible timing),
-//! otherwise [`std::thread::available_parallelism`]. Binaries thread an
-//! explicit `--jobs` knob through to override both.
+//! The worker count is [`default_jobs`]
+//! ([`std::thread::available_parallelism`]) unless a binary's `--jobs`
+//! flag ([`parse_jobs`]) says otherwise.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "NETSIM_JOBS";
-
-/// The default number of worker threads: `NETSIM_JOBS` when set to a
-/// positive integer, otherwise the machine's available parallelism
-/// (falling back to 1 where that is unknown).
+/// The default number of worker threads: the machine's available
+/// parallelism (1 where that is unknown).
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var(JOBS_ENV) {
-        if !v.is_empty() {
-            let n: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("{JOBS_ENV} must be a positive integer, got {v:?}"));
-            assert!(n > 0, "{JOBS_ENV} must be positive");
-            return n;
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Parse the value of a `--jobs` flag: a positive integer.
+pub fn parse_jobs(value: &str) -> usize {
+    let jobs: usize = value.parse().expect("--jobs: integer");
+    assert!(jobs > 0, "--jobs must be positive");
+    jobs
+}
+
+/// Peak resident set size of this process in bytes: the `VmHWM` line of
+/// `/proc/self/status`, which the kernel reports in kB. Returns 0 when
+/// the file or field is unavailable (non-Linux platforms).
+pub fn read_peak_rss() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        })
+        .map_or(0, |kb| kb * 1024)
 }
 
 /// An ordered list of fully specified, independent cases.
@@ -190,5 +203,18 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
+    }
+
+    /// The peak-RSS reader finds a positive high-water mark on Linux and
+    /// never decreases across calls (VmHWM is monotone by definition).
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn peak_rss_reader_is_positive_and_monotone() {
+        let a = read_peak_rss();
+        assert!(a > 0, "VmHWM must be readable on Linux");
+        let ballast = vec![1u8; 8 * 1024 * 1024];
+        std::hint::black_box(&ballast);
+        let b = read_peak_rss();
+        assert!(b >= a, "VmHWM went backwards: {a} -> {b}");
     }
 }

@@ -19,7 +19,7 @@ pub mod scenarios;
 pub mod scheme;
 pub mod topologies;
 
-pub use exec::{default_jobs, run_cases, CasePlan};
+pub use exec::{default_jobs, parse_jobs, read_peak_rss, run_cases, CasePlan};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
 pub use metrics::{
     collect, collect_with, fct_cdf, percentile, MetricsMode, QuantileSketch, RunMetrics,

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use netsim::engine::EngineKind;
 use netsim::ids::NodeId;
 use netsim::queue::{DropTailQdisc, Qdisc, RedEcnQdisc};
 use netsim::sim::Simulation;
@@ -93,12 +94,22 @@ impl Scheme {
     /// Build a ready-to-run simulation on `topo`: endpoint factories,
     /// queue disciplines, switch plugins and control-plane timers.
     pub fn build_sim(&self, topo: &TopologySpec) -> (Simulation, Vec<NodeId>) {
+        self.build_sim_on(EngineKind::Wheel, topo)
+    }
+
+    /// [`Scheme::build_sim`] on an explicit scheduler engine, for the
+    /// heap-vs-wheel differential.
+    pub fn build_sim_on(
+        &self,
+        engine: EngineKind,
+        topo: &TopologySpec,
+    ) -> (Simulation, Vec<NodeId>) {
         let base_rtt = topo.base_rtt();
         match self {
             Scheme::Tcp => {
                 let q = |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(DropTailQdisc::new(225)) };
                 let (net, hosts) = topo.build(Arc::new(FamilyFactory::reno()), &q);
-                (Simulation::new(net), hosts)
+                (Simulation::with_engine(net, engine), hosts)
             }
             Scheme::Dctcp | Scheme::D2tcp | Scheme::L2dct => {
                 let factory = match self {
@@ -110,7 +121,7 @@ impl Scheme {
                     Box::new(RedEcnQdisc::new(225, Self::mark_thresh(spec.rate)))
                 };
                 let (net, hosts) = topo.build(Arc::new(factory), &q);
-                (Simulation::new(net), hosts)
+                (Simulation::with_engine(net, engine), hosts)
             }
             Scheme::Pdq => {
                 let cfg = PdqConfig {
@@ -119,7 +130,7 @@ impl Scheme {
                 };
                 let q = |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(DropTailQdisc::new(225)) };
                 let (net, hosts) = topo.build(Arc::new(PdqFactory::new(cfg)), &q);
-                let mut sim = Simulation::new(net);
+                let mut sim = Simulation::with_engine(net, engine);
                 pdq::install_switch_plugins(&mut sim, cfg);
                 (sim, hosts)
             }
@@ -137,9 +148,11 @@ impl Scheme {
                 };
                 let q = move |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(PFabricQdisc::new(76)) };
                 let (net, hosts) = topo.build(Arc::new(PFabricFactory::new(cfg)), &q);
-                (Simulation::new(net), hosts)
+                (Simulation::with_engine(net, engine), hosts)
             }
-            Scheme::Pase => Scheme::PaseWith(Self::pase_config_for(topo)).build_sim(topo),
+            Scheme::Pase => {
+                Scheme::PaseWith(Self::pase_config_for(topo)).build_sim_on(engine, topo)
+            }
             Scheme::PaseWith(cfg) => {
                 let cfg = *cfg;
                 // Table 3: qSize = 500 packets, shared across 8 bands; we
@@ -149,7 +162,7 @@ impl Scheme {
                     Box::new(pase::pase_qdisc(&cfg, 500, Self::mark_thresh(spec.rate)))
                 };
                 let (net, hosts) = topo.build(Arc::new(PaseFactory::new(cfg)), &q);
-                let mut sim = Simulation::new(net);
+                let mut sim = Simulation::with_engine(net, engine);
                 pase::install(&mut sim, cfg);
                 (sim, hosts)
             }

@@ -30,26 +30,16 @@ cargo test --workspace -q
 echo "== chaos smoke (8 seeds, fabric+host+gray+overload, quick, ${JOBS:-2} jobs) =="
 ./target/release/chaos --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
 
-# Scheduler-engine differential: the same 8-seed chaos slice under the
-# binary-heap engine and the timing-wheel engine must produce identical
-# per-case trace hashes and stats fingerprints — the wheel is a drop-in
-# replacement for the heap, not approximately one. The per-case stderr
-# lines (`--verbose`) carry both hashes, so a plain diff is the oracle.
-echo "== scheduler differential (heap vs wheel, 8 seeds, quick) =="
-difftmp="$(mktemp -d)"
-trap 'rm -rf "$difftmp"' EXIT
-NETSIM_SCHEDULER=heap ./target/release/chaos --seeds 8 --faults all --quick \
-    --jobs "${JOBS:-2}" --verbose 2>&1 | grep '^chaos ' > "$difftmp/heap.txt"
-NETSIM_SCHEDULER=wheel ./target/release/chaos --seeds 8 --faults all --quick \
-    --jobs "${JOBS:-2}" --verbose 2>&1 | grep '^chaos ' > "$difftmp/wheel.txt"
-if ! diff -u "$difftmp/heap.txt" "$difftmp/wheel.txt"; then
-    echo "FAIL: heap and wheel engines diverged (trace/stats hashes above)" >&2
-    exit 1
-fi
-echo "   $(wc -l < "$difftmp/heap.txt") cases byte-identical across engines"
+# Scheduler-engine differential: the same 8-seed chaos slice, each case
+# run once on the reference binary-heap engine and once on the timing
+# wheel inside one process, must produce identical per-case trace hashes
+# and stats fingerprints — the wheel is a drop-in replacement for the
+# heap, not approximately one. A diverging case prints its replay command.
+echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs) =="
+./target/release/engine_diff --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
 
-# Bench smoke: two quick scenarios end-to-end (the env-selected engine
-# and the pinned-wheel stress profile); asserts the harness still runs
+# Bench smoke: two quick scenarios end-to-end (the scheduler storm and
+# the wheel's all-levels stress profile); asserts the harness still runs
 # and emits a consistent report (throughput numbers are NOT checked here
 # — CI machines are too noisy for perf gates; see scripts/bench.sh). The
 # pinned job count is recorded in the emitted document's "jobs" field.
@@ -63,8 +53,15 @@ echo "== bench smoke (sched-storm + wheel-storm, quick) =="
 # byte-identical-trace discipline, and hold the process to a peak-RSS
 # budget. Catches scale regressions (dense route tables, per-flow metric
 # blowup) that the small-topology tests can't see.
-echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run, ${JOBS:-2} jobs) =="
-./target/release/scale_smoke --jobs "${JOBS:-2}"
+echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run) =="
+./target/release/scale_smoke
+
+# The repo benchmark is a package of its own compiled against the
+# crates' public API: build it and run its smoke tests here so API drift
+# fails this gate, not the benchmark run.
+echo "== perfbench (build + smoke tests) =="
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --manifest-path perfbench/Cargo.toml -q
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt --check =="
