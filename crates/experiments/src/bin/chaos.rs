@@ -2,7 +2,7 @@
 //! invariant oracle. Non-zero exit if any case fails; each failing case
 //! prints the command that replays just that seed.
 
-use experiments::chaos::{sweep, ChaosOpts};
+use experiments::chaos::{sweep, sweep_digest, ChaosOpts};
 
 fn main() {
     let opts = ChaosOpts::from_args(std::env::args().skip(1));
@@ -27,6 +27,7 @@ fn main() {
         blackholed,
         aborted
     );
+    println!("sweep_digest={:#018x}", sweep_digest(&results));
     if failed > 0 {
         eprintln!("chaos: {failed} case(s) FAILED");
         std::process::exit(1);

@@ -14,11 +14,13 @@ use netsim::trace::HashTracer;
 use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). The
-/// compact-FIB refactor keeps the k=8 world around 30 MiB; the budget
-/// leaves ~8x headroom for allocator and toolchain noise while still
-/// catching a return to dense per-switch route tables or per-flow
-/// metric vectors that balloon with scale.
-const PEAK_RSS_BUDGET: u64 = 256 * 1024 * 1024;
+/// smoke peaks under 10 MiB (compact FIBs, qdisc rings that start empty);
+/// the budget leaves ~3x headroom for allocator and toolchain noise
+/// while still catching a return to dense per-switch route tables,
+/// per-flow metric vectors, or any pre-touched per-port allocation
+/// (pre-sized rings alone took this smoke to 30 MiB: 768 ports x 8
+/// bands).
+const PEAK_RSS_BUDGET: u64 = 32 * 1024 * 1024;
 
 /// One traced, invariant-checked incast run; returns the trace digest
 /// and the delivered-packet count.

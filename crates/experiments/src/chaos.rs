@@ -37,7 +37,7 @@ use netsim::prelude::*;
 use netsim::rng::Rng;
 use netsim::sim::RunOutcome;
 use netsim::topology::NodeKind;
-use netsim::trace::TextTracer;
+use netsim::trace::{fnv1a, TextDigestTracer, FNV1A_OFFSET};
 use workloads::{CasePlan, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Which fault classes a chaos case injects.
@@ -325,16 +325,6 @@ impl CaseResult {
     }
 }
 
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a fingerprint of the run's [`netsim::stats::StatsCollector`]
 /// totals plus every flow's terminal record, serialized in a fixed
 /// little-endian order.
@@ -390,7 +380,7 @@ fn stats_fingerprint(sim: &Simulation) -> u64 {
         push(&mut bytes, rec.probes_sent);
         push(&mut bytes, rec.drops);
     }
-    fnv1a(&bytes)
+    fnv1a(FNV1A_OFFSET, &bytes)
 }
 
 /// Flash-crowd companions to the control storms: a deterministic burst of
@@ -433,8 +423,9 @@ fn flash_crowd_flows(
     }
 }
 
-/// Execute one chaos case once on `engine` and audit it.
-pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
+/// The world one chaos case runs in: the simulation (invariant monitor
+/// on, flows added, fault plan injected, no tracer yet) and the plan.
+fn build_case(engine: EngineKind, case: Case, quick: bool) -> (Simulation, FaultPlan) {
     let (scheme, fault_class, intensity, seed) = case;
     let scenario = chaos_scenario(quick);
     let (mut sim, hosts) = scheme.build_sim_on(engine, &scenario.topo);
@@ -444,10 +435,6 @@ pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
         // per-port health scores and re-hash flows off degraded siblings.
         sim.enable_health_aware_routing();
     }
-    let tracer = TextTracer::new();
-    let trace_buf = tracer.buffer();
-    sim.set_tracer(Box::new(tracer));
-
     let plan = chaos::generate(
         sim.topo(),
         &ChaosConfig {
@@ -464,11 +451,23 @@ pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
         flash_crowd_flows(&plan, &hosts, seed, quick, &mut flows);
     }
     sim.add_flows(flows);
+    sim.inject_faults(&plan);
+    (sim, plan)
+}
+
+/// Execute one chaos case once on `engine` and audit it.
+pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
+    let (scheme, fault_class, intensity, seed) = case;
+    let (mut sim, plan) = build_case(engine, case, quick);
+    // The harness only ever compares traces, so it keeps the digest of
+    // the text trace, not the (tens of megabytes of) text.
+    let tracer = TextDigestTracer::new();
+    let trace_digest = tracer.digest();
+    sim.set_tracer(Box::new(tracer));
     let mut violations: Vec<String> = Vec::new();
     if let Err(e) = plan.validate(sim.topo()) {
         violations.push(format!("generated fault plan invalid: {e}"));
     }
-    sim.inject_faults(&plan);
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
 
     let report = sim.check_invariants();
@@ -526,7 +525,7 @@ pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
         }
     }
 
-    let trace_hash = fnv1a(trace_buf.lock().expect("trace buffer poisoned").as_bytes());
+    let trace_hash = *trace_digest.lock().expect("trace digest poisoned");
     CaseResult {
         scheme: scheme.name(),
         intensity,
@@ -579,6 +578,16 @@ pub fn run_case(
         ));
     }
     first
+}
+
+/// One fingerprint for a whole sweep: FNV-1a over every case's
+/// `(trace_hash, stats_hash)` in case order, so "this sweep is identical
+/// to that one" is a one-line comparison.
+pub fn sweep_digest(results: &[CaseResult]) -> u64 {
+    results.iter().fold(FNV1A_OFFSET, |h, r| {
+        let h = fnv1a(h, &r.trace_hash.to_le_bytes());
+        fnv1a(h, &r.stats_hash.to_le_bytes())
+    })
 }
 
 /// The command replaying one case on `bin` (`chaos`, or `engine_diff`,
@@ -795,6 +804,44 @@ mod tests {
             (r.trace_hash, r.stats_hash, r.events)
         });
         assert_eq!(heap, wheel);
+    }
+
+    /// `run_once` keeps only the digest of its trace: that digest must be
+    /// the FNV-1a of the text a `TextTracer` keeps on the same run, for a
+    /// fault-free run of the chaos fabric and for a faulted case (whose
+    /// trace has the `FLT`, drop and abort lines the first lacks).
+    #[test]
+    fn trace_digest_is_the_hash_of_the_text_trace() {
+        let limit = || RunLimit::until_measured_done(SimTime::from_secs(120));
+        let text_hash = |mut sim: Simulation, has_faults: bool| {
+            let tracer = netsim::trace::TextTracer::new();
+            let text = tracer.buffer();
+            sim.set_tracer(Box::new(tracer));
+            sim.run(limit());
+            let text = text.lock().unwrap();
+            assert!(text.lines().count() > 1000, "trace too short to mean much");
+            assert_eq!(text.contains(" FLT "), has_faults);
+            fnv1a(FNV1A_OFFSET, text.as_bytes())
+        };
+
+        let fault_free = || {
+            let scenario = chaos_scenario(true);
+            let (mut sim, hosts) = Scheme::Pase.build_sim_on(EngineKind::Wheel, &scenario.topo);
+            sim.add_flows(scenario.generate_flows(0.5, 3, &hosts));
+            sim
+        };
+        let tracer = TextDigestTracer::new();
+        let digest = tracer.digest();
+        let mut sim = fault_free();
+        sim.set_tracer(Box::new(tracer));
+        sim.run(limit());
+        assert_eq!(*digest.lock().unwrap(), text_hash(fault_free(), false));
+
+        let case = (Scheme::Pase, FaultClass::Host, ChaosIntensity::High, 3);
+        assert_eq!(
+            run_once(EngineKind::Wheel, case, true).trace_hash,
+            text_hash(build_case(EngineKind::Wheel, case, true).0, true)
+        );
     }
 
     /// The overload class must actually exercise the shed path on PASE

@@ -23,7 +23,7 @@ impl DropTailQdisc {
     pub fn new(cap_pkts: usize) -> Self {
         assert!(cap_pkts > 0, "queue capacity must be positive");
         DropTailQdisc {
-            queue: VecDeque::with_capacity(cap_pkts.min(4096)),
+            queue: VecDeque::new(),
             cap_pkts,
             bytes: 0,
             stats: QdiscStats::default(),

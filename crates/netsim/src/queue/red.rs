@@ -34,7 +34,7 @@ impl RedEcnQdisc {
             "marking threshold {mark_thresh} exceeds capacity {cap_pkts}"
         );
         RedEcnQdisc {
-            queue: VecDeque::with_capacity(cap_pkts.min(4096)),
+            queue: VecDeque::new(),
             cap_pkts,
             mark_thresh,
             bytes: 0,

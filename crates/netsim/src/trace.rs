@@ -11,15 +11,35 @@
 //! construction on [`crate::stats::StatsCollector::tracing`] so no
 //! formatting or allocation happens either.
 //!
-//! The [`TextTracer`] renders into a thread-local `String` and only
-//! takes its shared-buffer lock once per [`FLUSH_THRESHOLD`] bytes, so
-//! per-event cost is a couple of `write!` calls rather than an
-//! allocation plus a mutex round trip. Buffered output reaches the
-//! shared handle on [`TraceSink::flush`] (called by
-//! [`crate::sim::Simulation::run`] before it returns) or when the
-//! tracer is dropped; read the buffer only after one of those points.
+//! # Cost of a line
+//!
+//! A traced run renders one line per transmitted packet, so the renderer
+//! is a per-event cost. Lines are written by one private function,
+//! `render`, straight into a byte buffer: static strings are copied,
+//! integers are written digit by digit, and the timestamp is rounded to
+//! microseconds in integer arithmetic. Nothing on that path goes through
+//! `core::fmt`, with two exceptions that keep the output byte-identical
+//! to the `{:.6}`/`{:?}` formatting the text format was defined by: a
+//! timestamp whose nanoseconds end in exactly 500 (or that is not
+//! exactly representable as an `f64`) is formatted by [`SimTime`]'s
+//! `Display`, because only there can integer and float rounding differ,
+//! and the rare `FLT` lines keep the directive's derived `Debug`.
+//!
+//! Both text sinks stage rendered lines in a private buffer and hand
+//! them on in [`FLUSH_THRESHOLD`]-byte batches:
+//!
+//! - [`TextTracer`] appends each batch to a shared `String` (one mutex
+//!   round trip per batch) for callers that want to read the trace;
+//! - [`TextDigestTracer`] folds each batch into an FNV-1a 64 digest
+//!   ([`fnv1a`]) and discards it, for harnesses that only compare traces:
+//!   the digest equals the hash of the text [`TextTracer`] would have
+//!   kept, and memory stays at one batch however long the run.
+//!
+//! Staged output reaches the shared handle on [`TraceSink::flush`]
+//! (called by [`crate::sim::Simulation::run`] before it returns) or when
+//! the sink is dropped; read the handle only after one of those points.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultDirective;
@@ -27,11 +47,24 @@ use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::time::SimTime;
 
-/// Bytes of locally rendered text the [`TextTracer`] accumulates before
-/// pushing a batch into the shared buffer. Large enough that the mutex
-/// and the shared `String` growth are amortized over thousands of
-/// lines; small enough that memory overhead per tracer is negligible.
+/// Bytes of rendered text a text sink stages before handing a batch on.
+/// Large enough that the mutex and the shared `String` growth are
+/// amortized over hundreds of lines; small enough that memory overhead
+/// per tracer is negligible.
 const FLUSH_THRESHOLD: usize = 32 * 1024;
+
+/// FNV-1a 64 offset basis: the `h` to start [`fnv1a`] from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a 64 state `h`. Hashing a byte string in
+/// pieces gives the same result as hashing it whole.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Why a flow ended in the terminal `Aborted` state instead of
 /// completing. Attached to the flow record and the `FlowDone` trace event
@@ -147,19 +180,170 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
+impl TraceEvent {
+    /// The flow the event concerns; `None` for injected faults, which
+    /// are part of the run's identity regardless of which flow is being
+    /// watched and so are never flow-filtered.
+    fn flow(&self) -> Option<FlowId> {
+        match *self {
+            TraceEvent::Tx { flow, .. }
+            | TraceEvent::Drop { flow, .. }
+            | TraceEvent::Blackhole { flow, .. }
+            | TraceEvent::FlowDone { flow, .. }
+            | TraceEvent::Corrupt { flow, .. }
+            | TraceEvent::Shed { flow, .. } => Some(flow),
+            TraceEvent::Fault { .. } => None,
+        }
+    }
+}
+
+/// `v` in decimal, zero-padded on the left to at least `min_digits`.
+fn push_uint(out: &mut Vec<u8>, mut v: u64, min_digits: usize) {
+    let mut buf = [b'0'; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i.min(buf.len() - min_digits)..]);
+}
+
+/// `now` exactly as [`SimTime`]'s `Display` prints it (`{:.6}` seconds).
+fn push_time(out: &mut Vec<u8>, now: SimTime) {
+    let ns = now.as_nanos();
+    // Below 2^53 ns the f64 quotient `ns / 1e9` is within 2^-30 s of the
+    // true value, under the 1 ns that separates any `ns % 1000 != 500`
+    // from a microsecond rounding boundary, so rounding the integer
+    // gives the digits `{:.6}` gives. On a boundary, or past 2^53, ask
+    // the float formatter itself.
+    if ns % 1000 == 500 || ns >= 1 << 53 {
+        let _ = write!(out, "{now}");
+        return;
+    }
+    let us = (ns + 500) / 1000;
+    push_uint(out, us / 1_000_000, 1);
+    out.push(b'.');
+    push_uint(out, us % 1_000_000, 6);
+    out.push(b's');
+}
+
+/// `kind` as its derived `Debug` prints it.
+fn kind_name(kind: PacketKind) -> &'static str {
+    match kind {
+        PacketKind::Data => "Data",
+        PacketKind::Ack => "Ack",
+        PacketKind::Probe => "Probe",
+        PacketKind::ProbeAck => "ProbeAck",
+        PacketKind::Ctrl => "Ctrl",
+    }
+}
+
+/// `tag` followed by `v` in decimal.
+fn push_field(out: &mut Vec<u8>, tag: &str, v: u64) {
+    out.extend_from_slice(tag.as_bytes());
+    push_uint(out, v, 1);
+}
+
+/// ` f<flow> <kind> seq=<seq>`: the tail four line types share.
+fn push_pkt(out: &mut Vec<u8>, flow: FlowId, kind: PacketKind, seq: u64) {
+    push_field(out, " f", flow.0);
+    out.push(b' ');
+    out.extend_from_slice(kind_name(kind).as_bytes());
+    push_field(out, " seq=", seq);
+}
+
+/// Append the text line for `event` at `now` to `out`. The single
+/// definition of the trace text format (see the module docs for why it
+/// does not use `core::fmt`); the test module keeps the `writeln!`
+/// rendering it replaced as an oracle.
+fn render(out: &mut Vec<u8>, now: SimTime, event: &TraceEvent) {
+    push_time(out, now);
+    match *event {
+        TraceEvent::Tx {
+            node,
+            port,
+            flow,
+            kind,
+            seq,
+            wire_bytes,
+            prio,
+        } => {
+            push_field(out, " TX   n", node.0 as u64);
+            push_field(out, ":p", port.0 as u64);
+            push_pkt(out, flow, kind, seq);
+            push_field(out, " len=", wire_bytes as u64);
+            push_field(out, " prio=", prio as u64);
+        }
+        TraceEvent::Drop { flow, kind, seq } => {
+            out.extend_from_slice(b" DROP");
+            push_pkt(out, flow, kind, seq);
+        }
+        TraceEvent::Blackhole {
+            node,
+            flow,
+            kind,
+            seq,
+        } => {
+            push_field(out, " BHOL n", node.0 as u64);
+            push_pkt(out, flow, kind, seq);
+        }
+        TraceEvent::FlowDone {
+            flow,
+            aborted,
+            reason,
+        } => {
+            push_field(out, if aborted { " ABRT f" } else { " DONE f" }, flow.0);
+            if let (true, Some(reason)) = (aborted, reason) {
+                out.extend_from_slice(match reason {
+                    AbortReason::EarlyTermination => b" reason=EarlyTermination",
+                    AbortReason::MaxRtosExceeded => b" reason=MaxRtosExceeded",
+                    AbortReason::HostCrash => b" reason=HostCrash",
+                });
+            }
+        }
+        TraceEvent::Fault { node, fault } => {
+            push_field(out, " FLT  n", node.0 as u64);
+            let _ = write!(out, " {fault:?}");
+        }
+        TraceEvent::Corrupt {
+            node,
+            flow,
+            kind,
+            seq,
+        } => {
+            push_field(out, " CRPT n", node.0 as u64);
+            push_pkt(out, flow, kind, seq);
+        }
+        TraceEvent::Shed { node, flow, stale } => {
+            push_field(out, " SHED n", node.0 as u64);
+            push_field(out, " f", flow.0);
+            out.extend_from_slice(if stale {
+                b" stale=true"
+            } else {
+                b" stale=false"
+            });
+        }
+    }
+    out.push(b'\n');
+}
+
 /// A sink that renders events as text lines into a shared buffer.
 ///
 /// The buffer is shared (`Arc<Mutex<String>>`) so the caller can keep a
-/// handle while the simulation owns the sink. Lines are staged in a
-/// private `String` and pushed to the shared buffer in
-/// [`FLUSH_THRESHOLD`]-byte batches; the staged remainder reaches the
-/// shared handle on [`TraceSink::flush`] or drop (cloned handles carry
-/// the shared buffer but never the staged lines).
+/// handle while the simulation owns the sink. Lines are staged privately
+/// and pushed to the shared buffer in [`FLUSH_THRESHOLD`]-byte batches;
+/// the staged remainder reaches the shared handle on
+/// [`TraceSink::flush`] or drop (cloned handles carry the shared buffer
+/// but never the staged lines).
 #[derive(Debug, Default)]
 pub struct TextTracer {
     shared: Arc<Mutex<String>>,
     /// Staged lines not yet pushed to `shared`.
-    local: String,
+    local: Vec<u8>,
     /// Only record events for this flow, when set.
     filter_flow: Option<FlowId>,
 }
@@ -174,7 +358,7 @@ impl TextTracer {
     pub fn for_flow(flow: FlowId) -> TextTracer {
         TextTracer {
             shared: Arc::default(),
-            local: String::new(),
+            local: Vec::new(),
             filter_flow: Some(flow),
         }
     }
@@ -184,16 +368,15 @@ impl TextTracer {
         Arc::clone(&self.shared)
     }
 
-    fn matches(&self, flow: FlowId) -> bool {
-        self.filter_flow.is_none_or(|f| f == flow)
-    }
-
     fn flush_local(&mut self) {
         if self.local.is_empty() {
             return;
         }
-        let mut buf = self.shared.lock().expect("tracer buffer poisoned");
-        buf.push_str(&self.local);
+        let text = std::str::from_utf8(&self.local).expect("rendered trace lines are UTF-8");
+        self.shared
+            .lock()
+            .expect("tracer buffer poisoned")
+            .push_str(text);
         self.local.clear();
     }
 }
@@ -205,7 +388,7 @@ impl Clone for TextTracer {
     fn clone(&self) -> TextTracer {
         TextTracer {
             shared: Arc::clone(&self.shared),
-            local: String::new(),
+            local: Vec::new(),
             filter_flow: self.filter_flow,
         }
     }
@@ -219,78 +402,12 @@ impl Drop for TextTracer {
 
 impl TraceSink for TextTracer {
     fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
-        match *event {
-            TraceEvent::Tx {
-                node,
-                port,
-                flow,
-                kind,
-                seq,
-                wire_bytes,
-                prio,
-            } => {
-                if !self.matches(flow) {
-                    return;
-                }
-                let _ = writeln!(
-                    self.local,
-                    "{now} TX   {node}:{port} {flow} {kind:?} seq={seq} len={wire_bytes} prio={prio}"
-                );
-            }
-            TraceEvent::Drop { flow, kind, seq } => {
-                if !self.matches(flow) {
-                    return;
-                }
-                let _ = writeln!(self.local, "{now} DROP {flow} {kind:?} seq={seq}");
-            }
-            TraceEvent::Blackhole {
-                node,
-                flow,
-                kind,
-                seq,
-            } => {
-                if !self.matches(flow) {
-                    return;
-                }
-                let _ = writeln!(self.local, "{now} BHOL {node} {flow} {kind:?} seq={seq}");
-            }
-            TraceEvent::FlowDone {
-                flow,
-                aborted,
-                reason,
-            } => {
-                if !self.matches(flow) {
-                    return;
-                }
-                let _ = match (aborted, reason) {
-                    (true, Some(r)) => writeln!(self.local, "{now} ABRT {flow} reason={r:?}"),
-                    (true, None) => writeln!(self.local, "{now} ABRT {flow}"),
-                    (false, _) => writeln!(self.local, "{now} DONE {flow}"),
-                };
-            }
-            // Faults are never flow-filtered: an injected fault is part of
-            // the run's identity regardless of which flow is being watched.
-            TraceEvent::Fault { node, fault } => {
-                let _ = writeln!(self.local, "{now} FLT  {node} {fault:?}");
-            }
-            TraceEvent::Corrupt {
-                node,
-                flow,
-                kind,
-                seq,
-            } => {
-                if !self.matches(flow) {
-                    return;
-                }
-                let _ = writeln!(self.local, "{now} CRPT {node} {flow} {kind:?} seq={seq}");
-            }
-            TraceEvent::Shed { node, flow, stale } => {
-                if !self.matches(flow) {
-                    return;
-                }
-                let _ = writeln!(self.local, "{now} SHED {node} {flow} stale={stale}");
+        if let (Some(watched), Some(flow)) = (self.filter_flow, event.flow()) {
+            if flow != watched {
+                return;
             }
         }
+        render(&mut self.local, now, event);
         if self.local.len() >= FLUSH_THRESHOLD {
             self.flush_local();
         }
@@ -298,6 +415,77 @@ impl TraceSink for TextTracer {
 
     fn flush(&mut self) {
         self.flush_local();
+    }
+}
+
+/// A sink that renders the same text lines as [`TextTracer::new`] but
+/// keeps only their FNV-1a 64 digest.
+///
+/// Each staged batch is folded into the running [`fnv1a`] state and
+/// discarded, so the published digest equals
+/// `fnv1a(FNV1A_OFFSET, text)` over the complete [`TextTracer`] buffer of
+/// the same run while the sink never holds more than one batch. This is
+/// what the chaos harness installs: it compares traces, never reads them.
+///
+/// The digest reaches the shared handle on [`TraceSink::flush`] (or
+/// drop), like the text tracer's buffer.
+#[derive(Debug)]
+pub struct TextDigestTracer {
+    shared: Arc<Mutex<u64>>,
+    /// Staged lines not yet folded into `hash`.
+    local: Vec<u8>,
+    hash: u64,
+}
+
+impl Default for TextDigestTracer {
+    fn default() -> Self {
+        TextDigestTracer::new()
+    }
+}
+
+impl TextDigestTracer {
+    /// A fresh tracer whose digest is that of the empty trace.
+    pub fn new() -> TextDigestTracer {
+        TextDigestTracer {
+            shared: Arc::new(Mutex::new(FNV1A_OFFSET)),
+            local: Vec::new(),
+            hash: FNV1A_OFFSET,
+        }
+    }
+
+    /// A handle to the digest (clone before installing the sink); valid
+    /// after [`TraceSink::flush`] or drop.
+    pub fn digest(&self) -> Arc<Mutex<u64>> {
+        Arc::clone(&self.shared)
+    }
+
+    fn fold_local(&mut self) {
+        self.hash = fnv1a(self.hash, &self.local);
+        self.local.clear();
+    }
+
+    fn publish(&mut self) {
+        self.fold_local();
+        *self.shared.lock().expect("digest tracer poisoned") = self.hash;
+    }
+}
+
+impl Drop for TextDigestTracer {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+impl TraceSink for TextDigestTracer {
+    fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
+        render(&mut self.local, now, event);
+        if self.local.len() >= FLUSH_THRESHOLD {
+            self.fold_local();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.publish();
     }
 }
 
@@ -484,6 +672,237 @@ mod tests {
             wire_bytes: 1500,
             prio: 3,
         }
+    }
+
+    /// The `core::fmt` rendering `render` replaced, kept as its oracle:
+    /// the text format is *defined* by these format strings.
+    fn render_reference(out: &mut String, now: SimTime, event: &TraceEvent) {
+        use std::fmt::Write as _;
+        let _ = match *event {
+            TraceEvent::Tx {
+                node,
+                port,
+                flow,
+                kind,
+                seq,
+                wire_bytes,
+                prio,
+            } => writeln!(
+                out,
+                "{now} TX   {node}:{port} {flow} {kind:?} seq={seq} len={wire_bytes} prio={prio}"
+            ),
+            TraceEvent::Drop { flow, kind, seq } => {
+                writeln!(out, "{now} DROP {flow} {kind:?} seq={seq}")
+            }
+            TraceEvent::Blackhole {
+                node,
+                flow,
+                kind,
+                seq,
+            } => writeln!(out, "{now} BHOL {node} {flow} {kind:?} seq={seq}"),
+            TraceEvent::FlowDone {
+                flow,
+                aborted,
+                reason,
+            } => match (aborted, reason) {
+                (true, Some(r)) => writeln!(out, "{now} ABRT {flow} reason={r:?}"),
+                (true, None) => writeln!(out, "{now} ABRT {flow}"),
+                (false, _) => writeln!(out, "{now} DONE {flow}"),
+            },
+            TraceEvent::Fault { node, fault } => writeln!(out, "{now} FLT  {node} {fault:?}"),
+            TraceEvent::Corrupt {
+                node,
+                flow,
+                kind,
+                seq,
+            } => writeln!(out, "{now} CRPT {node} {flow} {kind:?} seq={seq}"),
+            TraceEvent::Shed { node, flow, stale } => {
+                writeln!(out, "{now} SHED {node} {flow} stale={stale}")
+            }
+        };
+    }
+
+    fn assert_renders_like_reference(now: SimTime, event: &TraceEvent) {
+        let mut got = Vec::new();
+        render(&mut got, now, event);
+        let mut want = String::new();
+        render_reference(&mut want, now, event);
+        assert_eq!(
+            String::from_utf8(got).expect("rendered line is UTF-8"),
+            want,
+            "at {} ns, {event:?}",
+            now.as_nanos()
+        );
+    }
+
+    /// Every event variant, with every `PacketKind`, `AbortReason` and
+    /// bool it can carry, at the smallest, a typical and the largest
+    /// value of each numeric field.
+    fn every_event_shape() -> Vec<TraceEvent> {
+        use crate::fault::DegradeProfile;
+        let kinds = [
+            PacketKind::Data,
+            PacketKind::Ack,
+            PacketKind::Probe,
+            PacketKind::ProbeAck,
+            PacketKind::Ctrl,
+        ];
+        let reasons = [
+            None,
+            Some(AbortReason::EarlyTermination),
+            Some(AbortReason::MaxRtosExceeded),
+            Some(AbortReason::HostCrash),
+        ];
+        let profile = DegradeProfile {
+            seed: u64::MAX,
+            loss_ppm: 20_000,
+            corrupt_ppm: 0,
+            extra_delay_ns: 1_500,
+            jitter_ns: u32::MAX,
+        };
+        let faults = [
+            FaultDirective::PortDown(PortId(1)),
+            FaultDirective::PortUp(PortId(u32::MAX)),
+            FaultDirective::Crash,
+            FaultDirective::Restart,
+            FaultDirective::CtrlLossBurst {
+                port: PortId(3),
+                n: u64::MAX,
+            },
+            FaultDirective::HostCrash,
+            FaultDirective::HostRestart,
+            FaultDirective::PortDegrade {
+                port: PortId(2),
+                profile,
+            },
+            FaultDirective::PortRestore(PortId(0)),
+            FaultDirective::CtrlStormStart { amplify: 8 },
+            FaultDirective::CtrlStormEnd,
+        ];
+        let mut out = Vec::new();
+        for (small, mid, big) in [(0u64, 0u64, 0u64), (7, 1460, 123_456_789), (!0, !0, !0)] {
+            let node = NodeId(small as u32);
+            let port = PortId(mid as u32);
+            let flow = FlowId(big);
+            let seq = big.wrapping_mul(3) | mid;
+            for kind in kinds {
+                out.push(TraceEvent::Tx {
+                    node,
+                    port,
+                    flow,
+                    kind,
+                    seq,
+                    wire_bytes: mid as u32,
+                    prio: small as u8,
+                });
+                out.push(TraceEvent::Drop { flow, kind, seq });
+                out.push(TraceEvent::Blackhole {
+                    node,
+                    flow,
+                    kind,
+                    seq,
+                });
+                out.push(TraceEvent::Corrupt {
+                    node,
+                    flow,
+                    kind,
+                    seq,
+                });
+            }
+            for aborted in [false, true] {
+                for reason in reasons {
+                    out.push(TraceEvent::FlowDone {
+                        flow,
+                        aborted,
+                        reason,
+                    });
+                }
+                out.push(TraceEvent::Shed {
+                    node,
+                    flow,
+                    stale: aborted,
+                });
+            }
+            for fault in faults {
+                out.push(TraceEvent::Fault { node, fault });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn render_matches_the_fmt_reference_for_every_event_shape() {
+        let times = [0, 1, 999, 1_000, 25_250, 1_000_000_500, 1 << 53, u64::MAX];
+        for event in every_event_shape() {
+            for ns in times {
+                assert_renders_like_reference(SimTime::from_nanos(ns), &event);
+            }
+        }
+    }
+
+    /// Integer microsecond rounding against `{:.6}` of the float seconds:
+    /// around every rounding boundary of the first 200 µs, at seeded
+    /// random instants over the whole exactly-representable range, and
+    /// across the 2^53 hand-over to the float path.
+    #[test]
+    fn render_matches_the_fmt_reference_for_every_timestamp_shape() {
+        let event = tx(1);
+        let edge = [0, 1, 499, 500, 501, 999, 1_000, 1_500];
+        let top = [(1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX];
+        let mut rng = crate::rng::Rng::seed_from_u64(0x7e57_71e5);
+        let random = (0..100_000).map(|i| {
+            // Half uniform below 2^53, half uniform in magnitude (so short
+            // runs' timestamps are as dense as long ones').
+            let v = rng.gen_below(1 << 53);
+            if i % 2 == 0 {
+                v
+            } else {
+                v >> rng.gen_below(53)
+            }
+        });
+        for ns in edge
+            .into_iter()
+            .chain(0..200_000)
+            .chain(random.collect::<Vec<_>>())
+            .chain(top)
+        {
+            assert_renders_like_reference(SimTime::from_nanos(ns), &event);
+        }
+        // The last exactly-representable instants, where the float
+        // quotient is coarsest (2^-30 s) and the 1 ns margin tightest.
+        for ns in (1u64 << 53) - 20_000..1 << 53 {
+            assert_renders_like_reference(SimTime::from_nanos(ns), &event);
+        }
+    }
+
+    /// The digest sink hashes exactly the bytes the text sink keeps,
+    /// whether they were folded at a batch boundary or at the final flush.
+    #[test]
+    fn digest_tracer_hashes_the_text_tracers_buffer() {
+        let mut text = TextTracer::new();
+        let mut digest = TextDigestTracer::new();
+        let (buf, hash) = (text.buffer(), digest.digest());
+        assert_eq!(*hash.lock().unwrap(), fnv1a(FNV1A_OFFSET, b""));
+        let shapes = every_event_shape();
+        // Enough lines to cross FLUSH_THRESHOLD several times.
+        for (i, event) in shapes.iter().cycle().take(5_000).enumerate() {
+            let now = SimTime::from_nanos(i as u64 * 1_337);
+            text.on_event(now, event);
+            digest.on_event(now, event);
+        }
+        text.flush();
+        digest.flush();
+        let buf = buf.lock().unwrap();
+        assert!(buf.len() > 4 * FLUSH_THRESHOLD);
+        assert_eq!(*hash.lock().unwrap(), fnv1a(FNV1A_OFFSET, buf.as_bytes()));
+        // Split hashing is the same as whole hashing (what batching relies on).
+        let (a, b) = buf.as_bytes().split_at(12_345);
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_OFFSET, a), b),
+            fnv1a(FNV1A_OFFSET, buf.as_bytes())
+        );
+        drop(digest); // drop publishes again, and must agree
+        assert_eq!(*hash.lock().unwrap(), fnv1a(FNV1A_OFFSET, buf.as_bytes()));
     }
 
     #[test]

@@ -35,8 +35,32 @@
 //! nanosecond timestamps; that is fine because a drained slot is poured
 //! into `ready`, which re-establishes the exact `(time, seq)` order. The
 //! pop sequence is therefore *identical* to the binary heap's — the
-//! differential tests in `tests/scheduler_order.rs` and the dual-engine
+//! differential test in `engine::tests` (which also runs this module's
+//! structural `audit` after every operation) and the dual-engine
 //! chaos pass in `scripts/ci.sh` hold the two engines to byte-equality.
+//!
+//! # Memory
+//!
+//! Each level keeps a 256-bit map of its non-empty slots, so finding the
+//! next occupied slot is a few `trailing_zeros` instead of a scan over
+//! `Vec` headers.
+//!
+//! Level 0 recycles its buffers. `ready` is empty whenever a level-0
+//! slot is served, so the two trade buffers: the slot's `Vec` becomes the
+//! heap in place (no copy) and the slot receives the heap's previous,
+//! now empty, buffer for its next tick. In the steady state of a run
+//! (a handful of events per tick, the same 256 slots revisited every
+//! 65 µs) a push therefore never reaches the allocator. A buffer larger
+//! than `LEVEL0_RETAIN` events is not handed on but freed: for dense
+//! ticks the allocator's most recently freed block is the warmest memory
+//! there is, and retention would hold 256 buffers the size of the densest
+//! tick ever seen.
+//!
+//! Slots at levels >= 1 always give their buffer back when they are
+//! redistributed: one of them can hold a whole RTO horizon's worth of
+//! timers, is visited once per 17 ms or more, and retaining (or
+//! recycling) buffers of that size costs far more resident memory than
+//! the malloc it saves.
 
 use std::collections::BinaryHeap;
 
@@ -55,6 +79,10 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: u32 = 4;
 /// Mask extracting one base-`SLOTS` digit.
 const DIGIT_MASK: u64 = (SLOTS as u64) - 1;
+/// Largest buffer, in events, a level-0 slot keeps between ticks (module
+/// docs, "Memory"): 256 slots of 64 events are ~0.9 MB, about what stays
+/// cache-resident.
+const LEVEL0_RETAIN: usize = 64;
 
 /// The wheel proper. See the module docs for the structure and the
 /// invariants; [`crate::engine::Scheduler`] owns exactly one of these (or
@@ -64,8 +92,10 @@ pub(crate) struct TimingWheel {
     tick_shift: u32,
     /// `LEVELS * SLOTS` buckets, level-major.
     slots: Vec<Vec<ScheduledEvent>>,
-    /// Events per level, to skip empty levels without scanning 256 slots.
+    /// Events per level.
     occupancy: [usize; LEVELS as usize],
+    /// Per level, bit `d` is set iff slot `d` is non-empty.
+    occupied: [[u64; SLOTS / 64]; LEVELS as usize],
     /// Events with `tick < horizon`, in exact pop order (min-heap via
     /// `ScheduledEvent`'s reversed `Ord`).
     ready: BinaryHeap<ScheduledEvent>,
@@ -86,6 +116,7 @@ impl TimingWheel {
             tick_shift,
             slots: (0..LEVELS as usize * SLOTS).map(|_| Vec::new()).collect(),
             occupancy: [0; LEVELS as usize],
+            occupied: [[0; SLOTS / 64]; LEVELS as usize],
             ready: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             horizon: 0,
@@ -131,8 +162,36 @@ impl TimingWheel {
             self.overflow.push(ev);
             return;
         }
-        self.slots[level as usize * SLOTS + Self::digit(tick, level)].push(ev);
+        let d = Self::digit(tick, level);
+        self.slots[level as usize * SLOTS + d].push(ev);
         self.occupancy[level as usize] += 1;
+        self.occupied[level as usize][d / 64] |= 1 << (d % 64);
+    }
+
+    /// The first non-empty slot of `level` at digit `start` or later.
+    fn first_occupied(&self, level: u32, start: usize) -> Option<usize> {
+        let words = &self.occupied[level as usize];
+        let first = start / 64;
+        let masked = words[first] & (!0u64 << (start % 64));
+        if masked != 0 {
+            return Some(first * 64 + masked.trailing_zeros() as usize);
+        }
+        (first + 1..words.len())
+            .find(|&w| words[w] != 0)
+            .map(|w| w * 64 + words[w].trailing_zeros() as usize)
+    }
+
+    /// Bookkeeping for slot `(level, d)` having been emptied of `n` events.
+    fn mark_emptied(&mut self, level: u32, d: usize, n: usize) {
+        self.occupancy[level as usize] -= n;
+        self.occupied[level as usize][d / 64] &= !(1 << (d % 64));
+    }
+
+    /// Empty slot `(level, d)` for redistribution, giving up its buffer.
+    fn take_slot(&mut self, level: u32, d: usize) -> Vec<ScheduledEvent> {
+        let drained = std::mem::take(&mut self.slots[level as usize * SLOTS + d]);
+        self.mark_emptied(level, d, drained.len());
+        drained
     }
 
     /// Pop the earliest event (by `(time, seq)`), or `None` when empty.
@@ -176,32 +235,39 @@ impl TimingWheel {
             if self.occupancy[0] > 0 {
                 // Level-0 events all live at digits >= digit_0(H): they
                 // share the digits above with H and their tick is >= H.
-                let start = Self::digit(self.horizon, 0);
-                for d in start..SLOTS {
-                    if self.slots[d].is_empty() {
-                        continue;
-                    }
-                    let drained = std::mem::take(&mut self.slots[d]);
-                    self.occupancy[0] -= drained.len();
-                    self.ready.extend(drained);
-                    // The skipped slots were empty, so nothing pending
-                    // lives below the new horizon.
-                    self.horizon = (self.horizon & !DIGIT_MASK) + d as u64 + 1;
-                    if d + 1 == SLOTS {
-                        // The +1 carried into digit 1 (possibly further):
-                        // redistribute the slots the new horizon points
-                        // at before anything else is served, or a later
-                        // insert into a low level could leapfrog them.
-                        self.cascade();
-                        // If the carry rolled past the top level into a
-                        // new window, overflow events already inside it
-                        // must be filed into the wheel now for the same
-                        // reason (no-op when the prefix didn't change).
-                        self.promote_overflow_window();
-                    }
-                    return true;
+                let d = self
+                    .first_occupied(0, Self::digit(self.horizon, 0))
+                    .expect("level-0 occupancy is nonzero but no slot bit is set");
+                // `ready` is empty here (that is why we are refilling),
+                // so the slot and `ready` trade buffers: the slot's events
+                // become the heap where they lie, and the slot gets the
+                // heap's old buffer, empty, for its next tick. Nothing is
+                // copied and, while ticks stay sparse, nothing reaches
+                // the allocator.
+                assert!(self.ready.is_empty(), "refilling a non-empty ready heap");
+                let mut buf = std::mem::take(&mut self.ready).into_vec();
+                if buf.capacity() > LEVEL0_RETAIN {
+                    buf = Vec::new();
                 }
-                unreachable!("level-0 occupancy is nonzero but every slot scanned empty");
+                std::mem::swap(&mut buf, &mut self.slots[d]);
+                self.mark_emptied(0, d, buf.len());
+                self.ready = BinaryHeap::from(buf);
+                // The skipped slots were empty, so nothing pending
+                // lives below the new horizon.
+                self.horizon = (self.horizon & !DIGIT_MASK) + d as u64 + 1;
+                if d + 1 == SLOTS {
+                    // The +1 carried into digit 1 (possibly further):
+                    // redistribute the slots the new horizon points
+                    // at before anything else is served, or a later
+                    // insert into a low level could leapfrog them.
+                    self.cascade();
+                    // If the carry rolled past the top level into a
+                    // new window, overflow events already inside it
+                    // must be filed into the wheel now for the same
+                    // reason (no-op when the prefix didn't change).
+                    self.promote_overflow_window();
+                }
+                return true;
             }
             // Level 0 is dry. The earliest pending event is at the lowest
             // occupied level (higher levels differ from H in a higher
@@ -209,11 +275,10 @@ impl TimingWheel {
             // occupied slot and redistribute it downward.
             if let Some(level) = (1..LEVELS).find(|&l| self.occupancy[l as usize] > 0) {
                 let start = Self::digit(self.horizon, level);
-                let d = (start..SLOTS)
-                    .find(|&d| !self.slots[level as usize * SLOTS + d].is_empty())
-                    .expect("level occupancy is nonzero but every slot scanned empty");
-                let drained = std::mem::take(&mut self.slots[level as usize * SLOTS + d]);
-                self.occupancy[level as usize] -= drained.len();
+                let d = self
+                    .first_occupied(level, start)
+                    .expect("level occupancy is nonzero but no slot bit is set");
+                let drained = self.take_slot(level, d);
                 if d > start {
                     // Jump the horizon to the start of the slot's window:
                     // digit `level` becomes `d`, lower digits zero. The
@@ -264,19 +329,41 @@ impl TimingWheel {
     /// "slot `(l, digit_l(H))` is empty" invariant.
     fn cascade(&mut self) {
         for level in (1..LEVELS).rev() {
-            if self.occupancy[level as usize] == 0 {
+            let d = Self::digit(self.horizon, level);
+            if self.occupied[level as usize][d / 64] & (1 << (d % 64)) == 0 {
                 continue;
             }
-            let idx = level as usize * SLOTS + Self::digit(self.horizon, level);
-            if self.slots[idx].is_empty() {
-                continue;
-            }
-            let drained = std::mem::take(&mut self.slots[idx]);
-            self.occupancy[level as usize] -= drained.len();
-            for ev in drained {
+            for ev in self.take_slot(level, d) {
                 self.insert(ev);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl TimingWheel {
+    /// Structural audit of the bookkeeping the fast paths trust: a
+    /// level's bit `d` is set iff its slot `d` is non-empty,
+    /// `occupancy[l]` is the number of events stored at level `l`, and
+    /// `len` counts every stored event exactly once.
+    pub(crate) fn audit(&self) {
+        let mut stored = 0;
+        for level in 0..LEVELS as usize {
+            let mut at_level = 0;
+            for d in 0..SLOTS {
+                let n = self.slots[level * SLOTS + d].len();
+                let bit = self.occupied[level][d / 64] >> (d % 64) & 1 == 1;
+                assert_eq!(bit, n > 0, "level {level} slot {d}: bit {bit}, {n} events");
+                at_level += n;
+            }
+            assert_eq!(self.occupancy[level], at_level, "level {level} occupancy");
+            stored += at_level;
+        }
+        assert_eq!(
+            self.len,
+            self.ready.len() + stored + self.overflow.len(),
+            "len desynced from ready + slots + overflow"
+        );
     }
 }
 
@@ -296,9 +383,13 @@ mod tests {
     }
 
     fn drain(w: &mut TimingWheel) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| w.pop())
-            .map(|e| (e.time.as_nanos(), e.seq))
-            .collect()
+        std::iter::from_fn(|| {
+            let e = w.pop();
+            w.audit();
+            e
+        })
+        .map(|e| (e.time.as_nanos(), e.seq))
+        .collect()
     }
 
     #[test]
@@ -318,6 +409,7 @@ mod tests {
         ];
         for (seq, &t) in times.iter().enumerate() {
             w.push(ev(t, seq as u64));
+            w.audit();
         }
         let got = drain(&mut w);
         let mut want: Vec<(u64, u64)> = times
@@ -395,5 +487,44 @@ mod tests {
             assert_eq!(w.pop().unwrap().time, t);
         }
         assert_eq!(w.len(), 0);
+    }
+
+    /// What an empty wheel retains is bounded by construction, not by
+    /// the workload: after each round of 10^6 events of the `wheel-storm`
+    /// delta profile (every level plus overflow; the deltas under one
+    /// tick alone put ~25k events of a round into one slot;
+    /// `crates/bench`), only level-0 slots hold capacity and none
+    /// more than `LEVEL0_RETAIN` events. Retaining in place, or recycling
+    /// the upper levels' buffers into level 0, leaves buffers the size of
+    /// the densest tick behind and fails this by orders of magnitude.
+    #[test]
+    fn retained_slot_capacity_is_bounded() {
+        let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);
+        let mut rng = crate::rng::Rng::seed_from_u64(0x77ee_1b0a);
+        let (mut clock, mut seq) = (0u64, 0u64);
+        for _round in 0..8 {
+            for i in 0..125_000u64 {
+                let delta = if i % 64 == 63 {
+                    1u64 << (41 + rng.gen_below(4))
+                } else {
+                    1u64 << rng.gen_below(40)
+                };
+                w.push(ev(clock + delta, seq));
+                seq += 1;
+            }
+            while let Some(e) = w.pop() {
+                clock = e.time.as_nanos();
+            }
+            w.audit();
+            for (i, slot) in w.slots.iter().enumerate() {
+                let bound = if i < SLOTS { LEVEL0_RETAIN } else { 0 };
+                assert!(
+                    slot.capacity() <= bound,
+                    "empty slot {i} retains room for {} events",
+                    slot.capacity()
+                );
+            }
+        }
+        assert_eq!(seq, 1_000_000);
     }
 }

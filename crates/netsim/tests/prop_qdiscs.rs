@@ -189,3 +189,116 @@ fn red_marks_only_above_threshold() {
         }
     }
 }
+
+/// The three FIFO-ring disciplines at a given capacity; the strict-prio
+/// one is exercised through a single band (every packet below is
+/// `prio` 1), which is a `RedEcnQdisc` behind the classifier.
+fn ring_qdiscs(cap: usize) -> [(&'static str, Box<dyn Qdisc>); 3] {
+    [
+        ("droptail", Box::new(DropTailQdisc::new(cap))),
+        ("red", Box::new(RedEcnQdisc::new(cap, cap / 2))),
+        (
+            "strict-prio band",
+            Box::new(StrictPrioQdisc::new(3, cap, cap / 2)),
+        ),
+    ]
+}
+
+/// `cap_pkts` is the only bound on occupancy, whatever the ring's own
+/// capacity happens to be: exactly `cap_pkts` packets are accepted, the
+/// next is handed back, and one dequeue makes room for exactly one more.
+/// Capacities straddle the ring's growth steps and the 4096 the rings
+/// used to be pre-sized to at most.
+#[test]
+fn capacity_boundary_is_cap_pkts_exactly() {
+    let now = SimTime::ZERO;
+    for cap in [1usize, 2, 7, 8, 9, 225, 500, 4096, 5000] {
+        for (name, mut q) in ring_qdiscs(cap) {
+            for i in 0..cap {
+                assert!(
+                    matches!(q.enqueue(mk_pkt(i as u64, 1, 100), now), Enqueued::Ok),
+                    "{name} cap {cap}: packet {i} refused below capacity"
+                );
+            }
+            assert_eq!(q.len_pkts(), cap);
+            match q.enqueue(mk_pkt(9999, 1, 100), now) {
+                Enqueued::RejectedArrival(p) => assert_eq!(p.flow, FlowId(9999)),
+                other => panic!("{name} cap {cap}: full queue answered {other:?}"),
+            }
+            assert_eq!(q.dequeue(now).expect("full queue").flow, FlowId(0));
+            assert!(matches!(q.enqueue(mk_pkt(7, 1, 100), now), Enqueued::Ok));
+            assert!(matches!(
+                q.enqueue(mk_pkt(8, 1, 100), now),
+                Enqueued::RejectedArrival(_)
+            ));
+            assert_eq!(q.len_pkts(), cap);
+            assert_eq!(q.len_bytes(), cap as u64 * 140);
+            let st = q.stats();
+            assert_eq!((st.enqueued_pkts, st.dropped_pkts), (cap as u64 + 1, 2));
+        }
+    }
+}
+
+/// A fixed 20k-op sequence (seeded; bursts long enough to fill a
+/// 64-packet queue and drains long enough to empty it) must leave every
+/// observable — the `len_pkts`/`len_bytes` trajectory, the dequeue
+/// order, the final counters — exactly where the pre-sized rings left
+/// it. The constants were recorded on the parent commit.
+#[test]
+fn fixed_sequence_accounting_is_pinned() {
+    let now = SimTime::ZERO;
+    let mut observed = Vec::new();
+    for (name, mut q) in ring_qdiscs(64) {
+        let mut rng = Rng::seed_from_u64(0x91c_0de);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut enqueue_bias = 3;
+        for op in 0..20_000u64 {
+            if op % 500 == 0 {
+                // Alternate filling and draining phases.
+                enqueue_bias = 4 - enqueue_bias;
+            }
+            if rng.gen_below(4) < enqueue_bias {
+                let len = rng.gen_range_inclusive(1, 1459) as u16;
+                fold(match q.enqueue(mk_pkt(op, 1, len), now) {
+                    Enqueued::Ok => 1,
+                    Enqueued::RejectedArrival(_) => 2,
+                    Enqueued::Evicted(_) => 3,
+                });
+            } else {
+                fold(
+                    q.dequeue(now)
+                        .map_or(u64::MAX, |p| p.flow.0 << 1 | p.ecn_ce as u64),
+                );
+            }
+            fold(q.len_pkts() as u64);
+            fold(q.len_bytes());
+        }
+        let st = q.stats();
+        observed.push((
+            name,
+            h,
+            q.len_bytes(),
+            [
+                st.enqueued_pkts,
+                st.enqueued_bytes,
+                st.dropped_pkts,
+                st.dropped_bytes,
+                st.marked_pkts,
+                st.forced_drops,
+            ],
+        ));
+    }
+    let red = [6252, 4_843_286, 3678, 2_872_922, 3109, 0];
+    let pinned = [
+        (
+            "droptail",
+            9_424_791_011_941_112_161,
+            45_875,
+            [6252, 4_843_286, 3678, 2_872_922, 0, 0],
+        ),
+        ("red", 13_835_062_245_854_645_474, 45_875, red),
+        ("strict-prio band", 13_835_062_245_854_645_474, 45_875, red),
+    ];
+    assert_eq!(observed, pinned);
+}

@@ -11,6 +11,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+# Includes the oracles the fast paths are held to: the trace renderer
+# against the `core::fmt` formatting it replaced, the digest tracer
+# against the text tracer, and the wheel's structural audit after every
+# op of the heap-vs-wheel differential.
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
@@ -27,6 +31,9 @@ cargo test --workspace -q
 # case (all 128 cases run in well under a minute at one job).
 # JOBS is pinned (default 2) rather than auto-detected so CI timing is
 # reproducible across machines; results are byte-identical either way.
+# The last line, `sweep_digest=0x...`, hashes every case's trace and stats
+# hashes in case order: a change that claims "model identical" must print
+# the same line as its parent.
 echo "== chaos smoke (8 seeds, fabric+host+gray+overload, quick, ${JOBS:-2} jobs) =="
 ./target/release/chaos --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
 
