@@ -61,7 +61,7 @@ use netsim::packet::Packet;
 use netsim::rng::Rng;
 use netsim::sim::{RunLimit, RunOutcome};
 use netsim::time::{Rate, SimDuration, SimTime};
-use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::{cli, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Version tag of the emitted JSON document. Bumped whenever the
 /// scenario set or field shapes change (v2 added `gray-storm`, v3 added
@@ -117,37 +117,27 @@ impl Default for BenchOpts {
     }
 }
 
+/// What `netsim-bench` accepts (`scale` = scale-k4,scale-k8,scale-k16).
+pub const USAGE: &str = "\
+USAGE: netsim-bench [--quick] [--iters N>=1] [--scenario NAME[,NAME]]
+       [--chaos-seeds N>=1] [--jobs N>=1] [--out PATH]";
+
 impl BenchOpts {
-    /// Parse binary arguments. Recognized: `--quick`, `--iters N`,
-    /// `--scenario NAME` (repeatable or comma-separated),
-    /// `--chaos-seeds N`, `--jobs N`, `--out PATH`.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> BenchOpts {
+    /// Parse binary arguments (see [`USAGE`]).
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<BenchOpts, String> {
         let mut opts = BenchOpts::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let mut take = |name: &str| -> String {
-                args.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match arg.as_str() {
+        let mut args = cli::Args::new(args);
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
                 "--quick" => {
                     opts.quick = true;
                     opts.iters = 1;
                 }
-                "--iters" => {
-                    opts.iters = take("--iters").parse().expect("--iters: integer");
-                    assert!(opts.iters > 0, "--iters must be positive");
-                }
-                "--chaos-seeds" => {
-                    opts.chaos_seeds = take("--chaos-seeds")
-                        .parse()
-                        .expect("--chaos-seeds: integer");
-                }
-                "--jobs" => {
-                    opts.jobs = workloads::parse_jobs(&take("--jobs"));
-                }
+                "--iters" => opts.iters = args.in_range(&flag, 1..)?,
+                "--chaos-seeds" => opts.chaos_seeds = args.in_range(&flag, 1..)?,
+                "--jobs" => opts.jobs = args.in_range(&flag, 1..)?,
                 "--scenario" => {
-                    for name in take("--scenario").split(',') {
+                    for name in args.value(&flag)?.split(',') {
                         let name = name.trim();
                         // `scale` is an alias for the whole fat-tree
                         // sweep (scale-k4, scale-k8, scale-k16).
@@ -157,18 +147,20 @@ impl BenchOpts {
                             }
                             continue;
                         }
-                        assert!(
-                            ALL_SCENARIOS.contains(&name),
-                            "unknown scenario {name}; known: {ALL_SCENARIOS:?}"
-                        );
+                        if !ALL_SCENARIOS.contains(&name) {
+                            let known = ALL_SCENARIOS.join(" ");
+                            return Err(format!(
+                                "{flag}: unknown scenario '{name}'; known: {known}"
+                            ));
+                        }
                         opts.scenarios.push(name.to_string());
                     }
                 }
-                "--out" => opts.out = Some(PathBuf::from(take("--out"))),
-                other => panic!("unknown argument: {other}"),
+                "--out" => opts.out = Some(PathBuf::from(args.value(&flag)?)),
+                other => return Err(cli::unknown(other)),
             }
         }
-        opts
+        Ok(opts)
     }
 
     fn selected(&self) -> Vec<&'static str> {
@@ -701,6 +693,10 @@ pub fn validate_report(s: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn parse(s: &str) -> Result<BenchOpts, String> {
+        BenchOpts::from_args(s.split_whitespace().map(String::from))
+    }
+
     /// Every scenario runs at the smoke profile and the rendered document
     /// is valid JSON naming each of them with a positive events/sec.
     #[test]
@@ -816,22 +812,17 @@ mod tests {
     /// The `scale` scenario alias expands to every fat-tree sweep point.
     #[test]
     fn scale_alias_expands_to_sweep_points() {
-        let o = BenchOpts::from_args(
-            "--quick --scenario scale"
-                .split_whitespace()
-                .map(String::from),
-        );
+        let o = parse("--quick --scenario scale").unwrap();
         assert_eq!(o.scenarios, vec!["scale-k4", "scale-k8", "scale-k16"]);
         assert_eq!(o.selected(), vec!["scale-k4", "scale-k8", "scale-k16"]);
     }
 
     #[test]
     fn arg_parsing() {
-        let o = BenchOpts::from_args(
-            "--quick --scenario sched-storm,incast-pase --chaos-seeds 2 --jobs 2 --out /tmp/x.json"
-                .split_whitespace()
-                .map(String::from),
-        );
+        let o = parse(
+            "--quick --scenario sched-storm,incast-pase --chaos-seeds 2 --jobs 2 --out /tmp/x.json",
+        )
+        .unwrap();
         assert!(o.quick);
         assert_eq!(o.iters, 1);
         assert_eq!(o.scenarios, vec!["sched-storm", "incast-pase"]);
@@ -841,15 +832,23 @@ mod tests {
         assert_eq!(o.out, Some(PathBuf::from("/tmp/x.json")));
     }
 
+    /// Every flag x {missing value, non-number / unknown name, out of
+    /// range} is an `Err` naming the flag.
     #[test]
-    #[should_panic(expected = "--jobs must be positive")]
-    fn zero_jobs_rejected() {
-        BenchOpts::from_args(["--jobs".to_string(), "0".to_string()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown scenario")]
-    fn unknown_scenario_rejected() {
-        BenchOpts::from_args(["--scenario".to_string(), "bogus".to_string()]);
+    fn bad_input_is_an_error_naming_the_flag() {
+        let table: [(&str, &[&str]); 5] = [
+            ("--iters", &["", "abc", "0"]),
+            ("--chaos-seeds", &["", "abc", "0"]),
+            ("--jobs", &["", "abc", "0"]),
+            ("--scenario", &["", "bogus", "sched-storm,bogus"]),
+            ("--out", &[""]),
+        ];
+        for (flag, bad_values) in table {
+            for bad in bad_values {
+                let err = parse(&format!("{flag} {bad}")).unwrap_err();
+                assert!(err.starts_with(flag), "`{flag} {bad}`: {err}");
+            }
+        }
+        assert_eq!(parse("--bogus").unwrap_err(), "unknown argument: --bogus");
     }
 }

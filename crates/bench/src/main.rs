@@ -9,7 +9,8 @@
 //! event sequence.
 
 fn main() {
-    let opts = bench::BenchOpts::from_args(std::env::args().skip(1));
+    let opts = bench::BenchOpts::from_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| workloads::cli::exit_usage(&e, bench::USAGE));
     let results = bench::run(&opts);
     let json = bench::render_json(&results, &opts);
     bench::validate_report(&json).expect("rendered benchmark document must be a consistent report");

@@ -5,7 +5,7 @@
 use experiments::chaos::{sweep, sweep_digest, ChaosOpts};
 
 fn main() {
-    let opts = ChaosOpts::from_args(std::env::args().skip(1));
+    let opts = ChaosOpts::from_env();
     eprintln!(
         "chaos sweep: {} seeds x {} intensities x {} schemes x {} fault classes ({}, {} jobs)",
         opts.seeds.len(),

@@ -9,7 +9,7 @@ use experiments::chaos::{replay_command, run_once, ChaosOpts};
 use netsim::engine::EngineKind;
 
 fn main() {
-    let opts = ChaosOpts::from_args(std::env::args().skip(1));
+    let opts = ChaosOpts::from_env();
     let pairs = opts.cases().execute(opts.jobs, |&case| {
         [EngineKind::Heap, EngineKind::Wheel].map(|engine| run_once(engine, case, opts.quick))
     });

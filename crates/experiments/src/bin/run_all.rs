@@ -2,11 +2,14 @@
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin run_all -- [--quick] [--out results] [--jobs N]
+//! cargo run --release -p experiments --bin run_all -- --quick --only fig09a,ext_faults
 //! ```
 //!
 //! `--jobs` (default: detected cores) parallelizes case execution
 //! across every figure sweep; the emitted tables are byte-identical at
-//! any job count.
+//! any job count. `--only id[,id...]` (ids of `experiments::figs::FIGURES`)
+//! prints and saves just those figures and leaves `EXPERIMENTS.md` alone.
+//! Exits 1 when any figure cell comes from a run its backstop truncated.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -42,6 +45,23 @@ fn main() {
         if let Some(dir) = &opts.out_dir {
             fig.save_json(dir).expect("write JSON result");
         }
+    }
+    let truncated: Vec<&str> = figs
+        .iter()
+        .filter(|f| experiments::figs::common::hit_backstop(f))
+        .map(|f| f.id.as_str())
+        .collect();
+    let fail_if_truncated = || {
+        if !truncated.is_empty() {
+            eprintln!(
+                "run_all: cells from truncated runs (see the WARNING notes) in: {truncated:?}"
+            );
+            std::process::exit(1);
+        }
+    };
+    if !opts.only.is_empty() {
+        fail_if_truncated();
+        return;
     }
     // Non-figure acceptance experiments (run separately; pass/fail, no
     // table): keep EXPERIMENTS.md the single index of what we measure.
@@ -137,4 +157,5 @@ fn main() {
         figs.len(),
         started.elapsed().as_secs_f64()
     );
+    fail_if_truncated();
 }

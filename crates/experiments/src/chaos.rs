@@ -38,7 +38,7 @@ use netsim::rng::Rng;
 use netsim::sim::RunOutcome;
 use netsim::topology::NodeKind;
 use netsim::trace::{fnv1a, TextDigestTracer, FNV1A_OFFSET};
-use workloads::{CasePlan, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::{cli, CasePlan, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Which fault classes a chaos case injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,69 +136,61 @@ impl Default for ChaosOpts {
     }
 }
 
+/// What `chaos` and `engine_diff` accept.
+pub const USAGE: &str = "\
+USAGE: chaos|engine_diff [--seeds N>=1 | --seed-list a,b,c] [--scheme pase|dctcp|both]
+       [--intensity low|high|both] [--faults fabric|host|gray|overload|both|all]
+       [--jobs N>=1] [--quick] [--verbose]";
+
 impl ChaosOpts {
-    /// Parse the `chaos` binary's arguments.
-    ///
-    /// Recognized: `--seeds N` (sweep 0..N), `--seed-list a,b,c`,
-    /// `--scheme pase|dctcp|both`, `--intensity low|high|both`,
-    /// `--faults fabric|host|gray|overload|both|all`, `--jobs N`, `--quick`,
-    /// `--verbose`.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> ChaosOpts {
+    /// Parse the `chaos` binary's arguments (see [`USAGE`]).
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<ChaosOpts, String> {
         let mut opts = ChaosOpts::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let mut take = |name: &str| -> String {
-                args.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match arg.as_str() {
+        let mut args = cli::Args::new(args);
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
                 "--quick" => opts.quick = true,
                 "--verbose" => opts.verbose = true,
-                "--seeds" => {
-                    let n: u64 = take("--seeds").parse().expect("--seeds: integer");
-                    assert!(n > 0, "--seeds must be positive");
-                    opts.seeds = (0..n).collect();
-                }
-                "--seed-list" => {
-                    opts.seeds = take("--seed-list")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--seed-list: integers"))
-                        .collect();
-                }
+                "--seeds" => opts.seeds = (0..args.in_range(&flag, 1u64..)?).collect(),
+                "--seed-list" => opts.seeds = args.list(&flag, 0u64..)?,
                 "--scheme" => {
-                    opts.schemes = match take("--scheme").as_str() {
-                        "pase" => vec![Scheme::Pase],
-                        "dctcp" => vec![Scheme::Dctcp],
-                        "both" => vec![Scheme::Pase, Scheme::Dctcp],
-                        other => panic!("--scheme: pase|dctcp|both, got {other}"),
-                    };
+                    let (pase, dctcp) = (Scheme::Pase, Scheme::Dctcp);
+                    let table = [
+                        ("pase", vec![pase]),
+                        ("dctcp", vec![dctcp]),
+                        ("both", vec![pase, dctcp]),
+                    ];
+                    opts.schemes = args.lookup(&flag, &table)?;
                 }
                 "--intensity" => {
-                    opts.intensities = match take("--intensity").as_str() {
-                        "low" => vec![ChaosIntensity::Low],
-                        "high" => vec![ChaosIntensity::High],
-                        "both" => vec![ChaosIntensity::Low, ChaosIntensity::High],
-                        other => panic!("--intensity: low|high|both, got {other}"),
-                    };
+                    let (low, high) = (ChaosIntensity::Low, ChaosIntensity::High);
+                    let table = [
+                        ("low", vec![low]),
+                        ("high", vec![high]),
+                        ("both", vec![low, high]),
+                    ];
+                    opts.intensities = args.lookup(&flag, &table)?;
                 }
                 "--faults" => {
-                    opts.fault_classes = match take("--faults").as_str() {
-                        "fabric" => vec![FaultClass::Fabric],
-                        "host" => vec![FaultClass::Host],
-                        "gray" => vec![FaultClass::Gray],
-                        "overload" => vec![FaultClass::Overload],
-                        "both" => vec![FaultClass::Fabric, FaultClass::Host],
-                        "all" => FaultClass::all().to_vec(),
-                        other => {
-                            panic!("--faults: fabric|host|gray|overload|both|all, got {other}")
-                        }
-                    };
+                    let mut table: Vec<_> = FaultClass::all()
+                        .iter()
+                        .map(|c| (c.name(), vec![*c]))
+                        .collect();
+                    table.push(("both", vec![FaultClass::Fabric, FaultClass::Host]));
+                    table.push(("all", FaultClass::all().to_vec()));
+                    opts.fault_classes = args.lookup(&flag, &table)?;
                 }
-                "--jobs" => opts.jobs = workloads::parse_jobs(&take("--jobs")),
-                other => panic!("unknown argument: {other}"),
+                "--jobs" => opts.jobs = args.in_range(&flag, 1..)?,
+                other => return Err(cli::unknown(other)),
             }
         }
-        opts
+        Ok(opts)
+    }
+
+    /// Parse the process arguments; on a bad flag print the error and
+    /// [`USAGE`], and exit with status 2.
+    pub fn from_env() -> ChaosOpts {
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE))
     }
 
     /// The sweep matrix in canonical case order: scheme → fault class →
@@ -665,8 +657,12 @@ pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> ChaosOpts {
+    fn try_parse(s: &str) -> Result<ChaosOpts, String> {
         ChaosOpts::from_args(s.split_whitespace().map(String::from))
+    }
+
+    fn parse(s: &str) -> ChaosOpts {
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -755,22 +751,34 @@ mod tests {
         }
     }
 
+    /// Every flag x {missing value, non-number / unknown name, out of
+    /// range} is an `Err` naming the flag.
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_flag_rejected() {
-        parse("--bogus");
+    fn bad_input_is_an_error_naming_the_flag() {
+        let table: [(&str, &[&str]); 6] = [
+            ("--seeds", &["", "abc", "0", "-1"]),
+            ("--seed-list", &["", "abc", "1,x", "1,,2"]),
+            ("--scheme", &["", "tcp"]),
+            ("--intensity", &["", "medium"]),
+            ("--faults", &["", "everything"]),
+            ("--jobs", &["", "abc", "0"]),
+        ];
+        for (flag, bad_values) in table {
+            for bad in bad_values {
+                let err = try_parse(&format!("{flag} {bad}")).unwrap_err();
+                assert!(err.starts_with(flag), "`{flag} {bad}`: {err}");
+            }
+        }
+        assert_eq!(
+            try_parse("--bogus").unwrap_err(),
+            "unknown argument: --bogus"
+        );
     }
 
     #[test]
     fn jobs_flag_parses() {
         assert_eq!(parse("--jobs 3").jobs, 3);
         assert!(parse("--quick").jobs > 0, "default comes from the engine");
-    }
-
-    #[test]
-    #[should_panic(expected = "--jobs must be positive")]
-    fn zero_jobs_rejected() {
-        parse("--jobs 0");
     }
 
     /// A miniature slice of the CI smoke sweep: one seed per scheme and

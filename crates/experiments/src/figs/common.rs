@@ -43,32 +43,28 @@ pub fn sweep_grid(
         .collect()
 }
 
-/// Run `scheme` over `loads` on `scenario`, extracting one y per load.
-pub fn load_sweep(
-    scheme: Scheme,
-    scenario: Scenario,
-    loads: &[f64],
-    opts: &ExpOpts,
-    metric: impl Fn(&RunMetrics) -> f64,
-) -> Vec<f64> {
-    let row = sweep_grid(&[("", scheme)], scenario, loads, opts)
-        .pop()
-        .expect("one row");
-    row.iter().map(metric).collect()
-}
+/// How a [`note_backstops`] note starts.
+const BACKSTOP_WARNING: &str = "WARNING: ";
 
 /// Append a note for every truncated cell in a row, so a sweep never
-/// silently averages a run the backstop cut short.
+/// silently averages a run the backstop cut short. `run_all` and the
+/// experiment-harness test fail on such a note ([`hit_backstop`]).
 pub fn note_backstops(fig: &mut FigResult, label: &str, loads: &[f64], row: &[RunMetrics]) {
     for (&load, m) in loads.iter().zip(row) {
         if m.outcome != RunOutcome::MeasuredComplete {
             fig.note(format!(
-                "WARNING: {label} at load {load:.2} hit the run backstop ({:?}): only {}/{} \
+                "{BACKSTOP_WARNING}{label} at load {load:.2} hit the run backstop ({:?}): only {}/{} \
                  measured flows finished; its cells are computed from a truncated population",
                 m.outcome, m.n_completed, m.n_flows
             ));
         }
     }
+}
+
+/// Whether any cell of `fig` was computed from a run its `TimeLimit` /
+/// `EventLimit` backstop truncated.
+pub fn hit_backstop(fig: &FigResult) -> bool {
+    fig.notes.iter().any(|n| n.starts_with(BACKSTOP_WARNING))
 }
 
 /// Sweep several `(label, scheme)` pairs into a figure. The figure's x
@@ -217,5 +213,9 @@ mod tests {
         note_backstops(&mut fig, "DCTCP", &[0.3], &row);
         assert_eq!(fig.notes.len(), 1);
         assert!(fig.notes[0].contains("backstop"), "{}", fig.notes[0]);
+        assert!(hit_backstop(&fig));
+        fig.notes.clear();
+        fig.note("paper shape: a note that merely mentions a WARNING: is not one");
+        assert!(!hit_backstop(&fig));
     }
 }

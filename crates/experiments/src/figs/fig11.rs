@@ -46,7 +46,7 @@ pub fn run(opts: &ExpOpts) -> Vec<FigResult> {
     fig_a.note(
         "paper: optimizations improve AFCT ~4-10% (their flows wait for arbitration, so \
          delegation removes setup latency). Our flows start on local information and \
-         refine (see PaseConfig::wait_for_initial_arb), so the AFCT effect is near zero \
+         refine (DESIGN.md §7b, deviation 4), so the AFCT effect is near zero \
          and can dip slightly negative: the virtual-slice rigidity costs a little accuracy.",
     );
 

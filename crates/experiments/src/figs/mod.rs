@@ -47,32 +47,58 @@ pub mod micro_probing;
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
-/// Run every figure (used by `run_all`). Returns them in paper order.
+/// A registered figure runner: one id, one or more result tables.
+pub type FigFn = fn(&ExpOpts) -> Vec<FigResult>;
+
+/// Every figure `run_all` knows, in paper order, by the id `--only`
+/// selects it with.
+pub const FIGURES: &[(&str, FigFn)] = &[
+    ("fig01", |o| vec![fig01::run(o)]),
+    ("fig02", |o| vec![fig02::run(o)]),
+    ("fig03", |o| vec![fig03::run(o)]),
+    ("fig04", |o| vec![fig04::run(o)]),
+    ("fig09a", |o| vec![fig09a::run(o)]),
+    ("fig09b", |o| vec![fig09b::run(o)]),
+    ("fig09c", |o| vec![fig09c::run(o)]),
+    ("fig10a", |o| vec![fig10a::run(o)]),
+    ("fig10b", |o| vec![fig10b::run(o)]),
+    ("fig10c", |o| vec![fig10c::run(o)]),
+    ("fig11", fig11::run),
+    ("fig12a", |o| vec![fig12a::run(o)]),
+    ("fig12b", |o| vec![fig12b::run(o)]),
+    ("fig13a", |o| vec![fig13a::run(o)]),
+    ("fig13b", |o| vec![fig13b::run(o)]),
+    ("micro_probing", |o| vec![micro_probing::run(o)]),
+    ("ablations", ablations::run),
+    ("ext_incast", |o| vec![ext_incast::run(o)]),
+    ("ext_faults", |o| vec![ext_faults::run(o)]),
+    ("ext_link_flap", |o| vec![ext_faults::run_link_flap(o)]),
+    ("ext_gray", |o| vec![ext_gray::run(o)]),
+    ("ext_overload", |o| vec![ext_overload::run(o)]),
+    ("ext_scale", |o| vec![ext_scale::run(o)]),
+];
+
+/// Run every registered figure — or just `opts.only`, when set — and
+/// return the results in paper order.
 pub fn all(opts: &ExpOpts) -> Vec<FigResult> {
-    let mut out = vec![
-        fig01::run(opts),
-        fig02::run(opts),
-        fig03::run(opts),
-        fig04::run(opts),
-        fig09a::run(opts),
-        fig09b::run(opts),
-        fig09c::run(opts),
-        fig10a::run(opts),
-        fig10b::run(opts),
-        fig10c::run(opts),
-    ];
-    out.extend(fig11::run(opts));
-    out.push(fig12a::run(opts));
-    out.push(fig12b::run(opts));
-    out.push(fig13a::run(opts));
-    out.push(fig13b::run(opts));
-    out.push(micro_probing::run(opts));
-    out.extend(ablations::run(opts));
-    out.push(ext_incast::run(opts));
-    out.push(ext_faults::run(opts));
-    out.push(ext_faults::run_link_flap(opts));
-    out.push(ext_gray::run(opts));
-    out.push(ext_overload::run(opts));
-    out.push(ext_scale::run(opts));
-    out
+    FIGURES
+        .iter()
+        .filter(|(id, _)| opts.only.is_empty() || opts.only.iter().any(|only| only == id))
+        .flat_map(|(_, run)| run(opts))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_ids_are_unique() {
+        let mut ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        let n = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "duplicate figure id");
+        assert_eq!(n, 23);
+    }
 }

@@ -1,9 +1,10 @@
 //! # experiments — regenerating every table and figure of the paper
 //!
-//! One module per figure under [`figs`]; each has a thin binary wrapper in
-//! `src/bin/` and is also callable from `run_all`, which writes
-//! `EXPERIMENTS.md`. All experiments accept `--quick` (reduced scale),
-//! `--flows N`, `--seed S` and `--loads a,b,c` on the command line.
+//! One module per figure under [`figs`], registered in
+//! [`figs::FIGURES`]; `run_all` runs the whole registry and writes
+//! `EXPERIMENTS.md`, or just the ids given with `--only`. It accepts
+//! `--quick` (reduced scale), `--flows N`, `--seed S` and `--loads a,b,c`
+//! ([`opts::USAGE`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,6 +1,11 @@
-//! Command-line options shared by all experiment binaries.
+//! Command-line options of `run_all`, and the scale knobs every figure
+//! module takes.
 
 use std::path::PathBuf;
+
+use workloads::cli;
+
+use crate::figs::FIGURES;
 
 /// Scale and reproducibility knobs for an experiment run.
 #[derive(Debug, Clone)]
@@ -20,6 +25,8 @@ pub struct ExpOpts {
     /// Worker threads for case execution (`workloads::exec`). Defaults
     /// to the machine's available parallelism, overridable with `--jobs`.
     pub jobs: usize,
+    /// `run_all --only`: the [`FIGURES`] ids to run (empty = all of them).
+    pub only: Vec<String>,
 }
 
 impl Default for ExpOpts {
@@ -32,6 +39,7 @@ impl Default for ExpOpts {
             out_dir: None,
             quick: false,
             jobs: workloads::default_jobs(),
+            only: Vec::new(),
         }
     }
 }
@@ -48,64 +56,63 @@ impl ExpOpts {
         }
     }
 
-    /// Parse from the process arguments.
-    ///
-    /// Recognized flags: `--quick`, `--flows N`, `--seed S`,
-    /// `--loads a,b,c`, `--hosts-per-rack N`, `--out DIR`, `--jobs N`.
+    /// Parse from the process arguments; on a bad flag print the error
+    /// and [`USAGE`], and exit with status 2.
     pub fn from_env() -> ExpOpts {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE))
     }
 
     /// Parse from an explicit argument iterator (testable). `--quick`
     /// picks the defaults the other flags override, wherever it appears.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> ExpOpts {
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<ExpOpts, String> {
         let args: Vec<String> = args.into_iter().collect();
         let mut opts = if args.iter().any(|a| a == "--quick") {
             ExpOpts::quick()
         } else {
             ExpOpts::default()
         };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let mut take = |name: &str| -> String {
-                args.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match arg.as_str() {
+        let mut args = cli::Args::new(args);
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
                 "--quick" => {}
-                "--flows" => opts.flows = take("--flows").parse().expect("--flows: integer"),
-                "--seed" => opts.seed = take("--seed").parse().expect("--seed: integer"),
-                "--loads" => {
-                    opts.loads = take("--loads")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--loads: comma-separated floats"))
-                        .collect();
+                "--flows" => opts.flows = args.in_range(&flag, 1..)?,
+                "--seed" => opts.seed = args.in_range(&flag, ..)?,
+                "--loads" => opts.loads = args.list(&flag, cli::LOAD_RANGE)?,
+                "--hosts-per-rack" => opts.hosts_per_rack = args.in_range(&flag, 1..)?,
+                "--out" => opts.out_dir = Some(PathBuf::from(args.value(&flag)?)),
+                "--jobs" => opts.jobs = args.in_range(&flag, 1..)?,
+                "--only" => {
+                    let ids = args.value(&flag)?;
+                    opts.only = ids.split(',').map(|id| id.trim().to_string()).collect();
+                    let known = || FIGURES.iter().map(|(id, _)| *id);
+                    if let Some(bad) = opts.only.iter().find(|id| !known().any(|k| k == *id)) {
+                        let known = known().collect::<Vec<_>>().join(" ");
+                        return Err(format!("--only: unknown figure '{bad}'; known: {known}"));
+                    }
                 }
-                "--hosts-per-rack" => {
-                    opts.hosts_per_rack = take("--hosts-per-rack")
-                        .parse()
-                        .expect("--hosts-per-rack: integer");
-                }
-                "--out" => opts.out_dir = Some(PathBuf::from(take("--out"))),
-                "--jobs" => opts.jobs = workloads::parse_jobs(&take("--jobs")),
-                other => panic!("unknown argument: {other}"),
+                other => return Err(cli::unknown(other)),
             }
         }
-        assert!(!opts.loads.is_empty(), "need at least one load");
-        assert!(
-            opts.loads.iter().all(|l| (0.01..=1.2).contains(l)),
-            "loads must be sane fractions"
-        );
-        opts
+        Ok(opts)
     }
 }
+
+/// What `run_all` accepts (`--only` takes ids of [`FIGURES`] and skips
+/// writing `EXPERIMENTS.md`).
+pub const USAGE: &str = "\
+USAGE: run_all [--quick] [--flows N>=1] [--seed S] [--loads a,b,c (each in (0, 1.2])]
+       [--hosts-per-rack N>=1] [--out DIR] [--jobs N>=1] [--only id[,id...]]";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> ExpOpts {
+    fn try_parse(s: &str) -> Result<ExpOpts, String> {
         ExpOpts::from_args(s.split_whitespace().map(String::from))
+    }
+
+    fn parse(s: &str) -> ExpOpts {
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -154,14 +161,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--jobs must be positive")]
-    fn zero_jobs_rejected() {
-        parse("--jobs 0");
+    fn only_selects_registry_ids() {
+        assert!(parse("").only.is_empty());
+        assert_eq!(
+            parse("--only fig09a,ext_faults").only,
+            ["fig09a", "ext_faults"]
+        );
+        let err = try_parse("--only fig99").unwrap_err();
+        assert!(err.starts_with("--only: unknown figure 'fig99'"), "{err}");
+        assert!(err.contains("fig01") && err.contains("ext_scale"), "{err}");
     }
 
+    /// Every flag x {missing value, non-number, out of range} is an `Err`
+    /// naming the flag — never a panic, never a run on garbage.
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_flag_rejected() {
-        parse("--bogus");
+    fn bad_input_is_an_error_naming_the_flag() {
+        let table: [(&str, &[&str]); 7] = [
+            ("--flows", &["", "abc", "0", "-3"]),
+            ("--seed", &["", "abc", "-1"]),
+            ("--loads", &["", "abc", "0", "1.3", "0.5,2", "0.5,"]),
+            ("--hosts-per-rack", &["", "abc", "0"]),
+            ("--out", &[""]),
+            ("--jobs", &["", "abc", "0"]),
+            ("--only", &["", "fig99", "fig01,"]),
+        ];
+        for (flag, bad_values) in table {
+            for bad in bad_values {
+                let err = try_parse(&format!("--quick {flag} {bad}")).unwrap_err();
+                assert!(err.starts_with(flag), "`{flag} {bad}`: {err}");
+            }
+        }
+        assert_eq!(
+            try_parse("--bogus").unwrap_err(),
+            "unknown argument: --bogus"
+        );
     }
 }

@@ -70,11 +70,6 @@ pub struct PaseConfig {
     /// Use the arbitrator's reference rate to set the window (false =
     /// PASE-DCTCP of Fig. 13a: queues only, DCTCP rate control).
     pub use_reference_rate: bool,
-    /// Hold an inter-rack flow's first data until the child (ToR)
-    /// arbitrator's response arrives (paper §3.1.2). Off by default: in
-    /// this simulator the conservative start costs more AFCT than the
-    /// band-0 pollution it avoids (see EXPERIMENTS.md, Fig. 11/12 notes).
-    pub wait_for_initial_arb: bool,
     /// Probe-based loss recovery for flows in lower-priority queues
     /// (§3.2): on timeout, send a probe to distinguish loss from delay.
     pub probe_on_timeout: bool,
@@ -129,7 +124,6 @@ impl Default for PaseConfig {
             deleg_period: SimDuration::from_millis(1),
             deleg_min_share: 0.1,
             use_reference_rate: true,
-            wait_for_initial_arb: false,
             probe_on_timeout: true,
             probe_bottom_queue: true,
             base_rate_pkts_per_rtt: 1,

@@ -17,21 +17,26 @@
 //!   1-packet-per-RTT trickle with probes entirely (§4.3.2).
 //! * **Reordering guard**: on a queue promotion the sender drains
 //!   in-flight lower-priority packets before sending at the new priority.
-//! * **Graceful degradation**: a watchdog counts refresh rounds with no
-//!   arbitration response; after `watchdog_k` silent periods the flow
-//!   falls back to pure self-adjusting mode (lowest queue, DCTCP laws,
-//!   data never suppressed) with bounded exponential backoff on
-//!   re-requests, and re-attaches to its arbitrated `PrioQue`/`Rref`
-//!   assignment as soon as a response arrives.
+//! * **Graceful degradation**: [`ChannelHealth`] watches the control
+//!   channel; when it declares arbitration unreachable the flow falls
+//!   back to pure self-adjusting mode (lowest queue, DCTCP laws, data
+//!   never suppressed) with bounded exponential backoff on re-requests,
+//!   and re-attaches to its arbitrated `PrioQue`/`Rref` assignment when
+//!   clean responses resume.
+//!
+//! The self-adjusting part is not a copy of DCTCP: the window law is
+//! [`transport::DctcpWindow`], the value `transport::FamilySender` runs.
 
 use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent, WAKEUP_TOKEN};
+use netsim::ids::NodeId;
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
-use transport::{AckKind, LossEvent, RttEstimator, TxEngine};
+use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine};
 
 use crate::algorithm::Decision;
 use crate::config::PaseConfig;
+use crate::health::{ChannelHealth, Transition};
 use crate::host_service::{ArbPlan, PaseHostService};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
 
@@ -55,16 +60,12 @@ pub struct PaseSender {
     /// reordering-guard hold).
     tx_prio: u8,
 
-    // DCTCP machinery for the self-adjusting part.
-    alpha: f64,
-    obs_end: u64,
-    obs_acked: u64,
-    obs_marked: u64,
-    next_decrease_at: u64,
+    /// DCTCP window law for the self-adjusting part. Its `ssthresh`
+    /// matters only where the law grows the window: PASE-DCTCP mode
+    /// (Fig. 13a), intermediate queues and fallback.
+    win: DctcpWindow,
     /// Algorithm 2's `isInterQueue` flag.
     is_inter_queue: bool,
-    /// Slow-start threshold, only used in PASE-DCTCP mode (Fig. 13a).
-    ssthresh: f64,
 
     // Reordering guard: while `Some(barrier)`, new data keeps the old
     // (lower) priority until everything sent before the promotion is
@@ -77,48 +78,8 @@ pub struct PaseSender {
     pace_epoch: u64,
     refresh_epoch: u64,
     started: bool,
-    // Control-plane watchdog (graceful degradation, paper §3.1.3: "in
-    // case a flow does not hear back from an arbitrator, it falls back to
-    // the self-adjusting behavior").
-    /// When the last arbitration response (either leg) arrived.
-    last_response: SimTime,
-    /// Consecutive refresh rounds without any arbitration response;
-    /// drives the bounded exponential re-request backoff.
-    refresh_misses: u32,
-    /// Decaying tally of missed refresh rounds: +1 per round with no
-    /// response, −1 (floor 0) per round with one. Catches a *degraded*
-    /// control channel — one that still answers occasionally, so every
-    /// response resets `last_response` and defeats the hard-silence
-    /// watchdog — by integrating misses faster than sporadic responses
-    /// drain them.
-    degraded_rounds: u32,
-    /// The delay the last-armed refresh timer was set with (cadence ×
-    /// backoff). A round counts as missed only if no response landed
-    /// within this interval plus one base RTT of in-flight grace —
-    /// measuring against the bare cadence would brand every backed-off
-    /// round, and every topology whose reply latency straddles
-    /// `arb_refresh`, as degraded.
-    refresh_interval: SimDuration,
-    /// Arbitration declared unreachable: the flow runs in pure
-    /// self-adjusting mode (lowest queue, DCTCP laws) until a response
-    /// resumes.
-    in_fallback: bool,
-    /// Capped backoff exponent driven by load-shed replies: each shed
-    /// response doubles the refresh spacing (up to `refresh_backoff_cap`),
-    /// each clean response halves it back, so a storm of senders drains
-    /// its own pressure multiplicatively.
-    shed_backoff: u32,
-    /// Decaying tally of shed responses: +1 per shed reply, −1 (floor 0)
-    /// per clean one. Sustained shedding — `watchdog_k` net shed rounds —
-    /// degrades the flow to self-adjusting fallback exactly like a dead
-    /// or gray control channel: an arbitrator that only ever sheds us is
-    /// not arbitrating for us.
-    shed_rounds: u32,
-    /// Inter-rack flows hold their first data until the sender-leg
-    /// arbitration response arrives (paper §3.1.2: "a flow starts as soon
-    /// as it receives arbitration information from the child arbitrator").
-    /// The refresh timer is the fallback if the response is lost.
-    awaiting_initial_arb: bool,
+    /// Control-plane watchdog (graceful degradation, paper §3.1.3).
+    health: ChannelHealth,
     done: bool,
 }
 
@@ -141,26 +102,14 @@ impl PaseSender {
             queue: cfg.lowest_queue(),
             rref: cfg.base_rate(),
             tx_prio: cfg.lowest_queue(),
-            alpha: 0.0,
-            obs_end: 0,
-            obs_acked: 0,
-            obs_marked: 0,
-            next_decrease_at: 0,
+            win: DctcpWindow::new(cfg.g, f64::INFINITY),
             is_inter_queue: false,
-            ssthresh: f64::INFINITY,
             reorder_barrier: None,
             recovery_probe: None,
             pace_epoch: 0,
             refresh_epoch: 0,
             started: false,
-            last_response: SimTime::ZERO,
-            refresh_misses: 0,
-            degraded_rounds: 0,
-            refresh_interval: cfg.arb_refresh,
-            in_fallback: false,
-            shed_backoff: 0,
-            shed_rounds: 0,
-            awaiting_initial_arb: false,
+            health: ChannelHealth::new(&cfg, SimTime::ZERO),
             done: false,
         }
     }
@@ -183,23 +132,17 @@ impl PaseSender {
     /// Whether the watchdog has the flow in self-adjusting fallback
     /// (tests/inspection).
     pub fn in_fallback(&self) -> bool {
-        self.in_fallback
-    }
-
-    /// Net missed refresh rounds on the control channel
-    /// (tests/inspection).
-    pub fn degraded_rounds(&self) -> u32 {
-        self.degraded_rounds
+        self.health.in_fallback()
     }
 
     /// Current shed-driven refresh-backoff exponent (tests/inspection).
     pub fn shed_backoff(&self) -> u32 {
-        self.shed_backoff
+        self.health.shed_backoff()
     }
 
     /// Net shed responses on the control channel (tests/inspection).
     pub fn shed_rounds(&self) -> u32 {
-        self.shed_rounds
+        self.health.shed_rounds()
     }
 
     fn srtt(&self) -> SimDuration {
@@ -231,108 +174,88 @@ impl PaseSender {
     /// Never in fallback: with no arbitrator to promote us out of the
     /// bottom queue, probing instead of sending would stall forever.
     fn data_suppressed(&self) -> bool {
-        !self.in_fallback
+        !self.health.in_fallback()
             && self.cfg.probe_bottom_queue
             && self.in_bottom_queue()
             && !self.spec.is_background()
             && self.cfg.end_to_end
     }
 
-    /// Run local arbitration and fire off the leg requests. Returns
-    /// whether a sender-leg request was actually sent (pruning may skip
-    /// it).
-    fn arbitrate(&mut self, ctx: &mut AgentCtx<'_, '_>) -> bool {
+    /// Send one control message about this flow to the arbitrator on `to`.
+    fn send_ctrl(&self, ctx: &mut AgentCtx<'_, '_>, to: NodeId, msg: ArbMsg) {
+        ctx.send(msg.packet(self.spec.id, self.spec.src, to));
+    }
+
+    /// Run local arbitration and fire off the leg requests.
+    fn arbitrate(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         if self.spec.is_background() {
             // Background traffic rides the dedicated lowest queue and is
             // not arbitrated (paper §3.3).
             self.queue = self.cfg.lowest_queue();
             self.tx_prio = self.queue;
-            return false;
+            return;
         }
         let now = ctx.now();
-        let flow = self.spec.id;
-        let remaining = self.engine.remaining();
-        // A deadline that has already passed no longer confers urgency:
-        // under EDF an expired flow would otherwise hold the top queue
-        // forever and starve still-meetable flows (EDF's overload
-        // pathology). It falls back to size-based priority.
-        let deadline = self.spec.deadline_abs().filter(|d| *d > now);
-        let task = self.spec.task;
         let demand = self.demand(ctx);
+        // The receiver-leg request: the destination arbitrates its
+        // downlink starting from the bare demand. The local uplink and the
+        // sender leg are asked about the same flow state.
+        let req = ArbRequest {
+            flow: self.spec.id,
+            reply_to: self.spec.src,
+            src: self.spec.src,
+            dst: self.spec.dst,
+            remaining: self.engine.remaining(),
+            // A deadline that has already passed no longer confers
+            // urgency: under EDF an expired flow would otherwise hold the
+            // top queue forever and starve still-meetable flows (EDF's
+            // overload pathology). It falls back to size-based priority.
+            deadline: self.spec.deadline_abs().filter(|d| *d > now),
+            task: self.spec.task,
+            demand,
+            leg: Leg::Receiver,
+            acc_queue: 0,
+            acc_rate: demand,
+        };
         let Some(svc) = ctx.service::<PaseHostService>() else {
             // No control plane installed: degrade to a single queue.
-            return false;
+            return;
         };
         if svc.is_crashed() {
             // The local control process is down: the synchronous uplink
             // decision fails exactly like the remote legs do, and the
             // watchdog drops the flow to self-adjusting fallback.
-            return false;
+            return;
         }
         self.plan = svc.plan(self.spec.dst);
-        self.local = svc.local_update(flow, remaining, deadline, task, demand, now);
+        self.local = svc.local_update(&req, now);
 
-        // Sender-leg request (pruned if the local decision is already out
-        // of the top queues).
-        let mut sender_leg_sent = false;
+        // Sender-leg request, continuing from the local decision (pruned
+        // if that is already out of the top queues).
         if let Some(tor) = self.plan.sender_leg_to {
-            let pruned = self.cfg.early_pruning && self.local.queue >= self.cfg.prune_depth;
-            if pruned {
+            if self.cfg.early_pruning && self.local.queue >= self.cfg.prune_depth {
                 ctx.sim.stats.note_arb_pruned(self.spec.src);
             } else {
                 ctx.sim.stats.note_arb_climbed(self.spec.src);
-                sender_leg_sent = true;
-                let req = ArbRequest {
-                    flow,
-                    reply_to: self.spec.src,
-                    src: self.spec.src,
-                    dst: self.spec.dst,
-                    remaining,
-                    deadline,
-                    task,
-                    demand,
+                let sender_leg = ArbRequest {
                     leg: Leg::Sender,
                     acc_queue: self.local.queue,
                     acc_rate: self.local.rate,
+                    ..req
                 };
-                ctx.send(Packet::ctrl(
-                    flow,
-                    self.spec.src,
-                    tor,
-                    Box::new(ArbMsg::Request(req)),
-                ));
+                self.send_ctrl(ctx, tor, ArbMsg::Request(sender_leg));
             }
         }
-        // Receiver-leg request: the destination arbitrates its downlink.
         if let Some(dst) = self.plan.receiver_leg_to {
-            let req = ArbRequest {
-                flow,
-                reply_to: self.spec.src,
-                src: self.spec.src,
-                dst: self.spec.dst,
-                remaining,
-                deadline,
-                task,
-                demand,
-                leg: Leg::Receiver,
-                acc_queue: 0,
-                acc_rate: demand,
-            };
-            ctx.send(Packet::ctrl(
-                flow,
-                self.spec.src,
-                dst,
-                Box::new(ArbMsg::Request(req)),
-            ));
+            self.send_ctrl(ctx, dst, ArbMsg::Request(req));
         }
         self.recompute_effective(ctx);
-        sender_leg_sent
     }
 
     /// Merge the local and leg decisions into the effective queue/rate and
     /// apply Algorithm 2's state transitions.
     fn recompute_effective(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        if self.in_fallback {
+        if self.health.in_fallback() {
             // Fallback pins the flow to the lowest queue at base rate; the
             // merge below would resurrect the (possibly stale, possibly
             // uncoordinated) local decision. Exit happens in the WAKEUP
@@ -398,7 +321,9 @@ impl PaseSender {
         ctx.set_timer(self.srtt(), PACE_TOKEN_BASE + self.pace_epoch);
     }
 
-    fn send_pace_probe(&mut self, ctx: &mut AgentCtx<'_, '_>) {
+    /// Send a header-only probe at the current wire priority (a
+    /// bottom-queue pacing probe or a loss-recovery probe: same packet).
+    fn send_probe(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         let mut probe = Packet::probe(
             self.spec.id,
             self.spec.src,
@@ -412,54 +337,24 @@ impl PaseSender {
 
     /// Algorithm 2's per-ACK window law.
     fn on_new_ack(&mut self, newly: u64, ece: bool) {
+        let (acked, snd_nxt) = (self.engine.acked(), self.engine.snd_nxt());
         // DCTCP marked-fraction estimator (shared by all modes).
-        self.obs_acked += newly;
-        if ece {
-            self.obs_marked += newly;
-        }
-        if self.engine.acked() >= self.obs_end {
-            if self.obs_acked > 0 {
-                let f = self.obs_marked as f64 / self.obs_acked as f64;
-                self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g * f;
-            }
-            self.obs_acked = 0;
-            self.obs_marked = 0;
-            self.obs_end = self.engine.snd_nxt();
-        }
-
-        let pkts = newly as f64 / self.cfg.mss as f64;
-        if ece && self.engine.acked() >= self.next_decrease_at {
+        self.win.observe(newly, ece, acked, snd_nxt);
+        if ece && self.win.decrease_due(acked) {
             // Marked ACK: DCTCP decrease law (all queues).
-            self.engine.cwnd = (self.engine.cwnd * (1.0 - self.alpha / 2.0)).max(1.0);
-            self.ssthresh = self.engine.cwnd;
-            self.next_decrease_at = self.engine.snd_nxt();
+            let p = self.win.alpha() / 2.0;
+            self.win.decrease(&mut self.engine.cwnd, p, snd_nxt);
             return;
         }
         if self.engine.in_recovery() {
             return;
         }
-        if self.in_fallback {
-            // Self-adjusting fallback: plain DCTCP growth (the marked-ACK
-            // decrease above still applies), exactly as if no arbitrator
-            // had ever answered.
-            let pkts = pkts * 0.5;
-            if self.engine.cwnd < self.ssthresh {
-                self.engine.cwnd += pkts;
-            } else {
-                self.engine.cwnd += pkts / self.engine.cwnd;
-            }
-            return;
-        }
-        if !self.cfg.use_reference_rate {
-            // PASE-DCTCP (Fig. 13a): plain DCTCP growth, with the same
-            // delayed-ACK pacing real DCTCP stacks exhibit (half a packet
-            // of growth per acked packet).
-            let pkts = pkts * 0.5;
-            if self.engine.cwnd < self.ssthresh {
-                self.engine.cwnd += pkts;
-            } else {
-                self.engine.cwnd += pkts / self.engine.cwnd;
-            }
+        if self.health.in_fallback() || !self.cfg.use_reference_rate {
+            // Self-adjusting fallback (exactly as if no arbitrator had
+            // ever answered) and PASE-DCTCP (Fig. 13a): plain DCTCP
+            // growth, with the same delayed-ACK pacing real DCTCP stacks
+            // exhibit (half a packet of growth per acked packet).
+            self.grow(newly, 0.5);
             return;
         }
         if self.queue == 0 {
@@ -476,28 +371,21 @@ impl PaseSender {
             // cwnd=1 cannot keep the fabric busy when the top queue
             // drains, defeating the work-conservation role of the lower
             // queues (paper §2.2).
-            if self.engine.cwnd < self.ssthresh {
-                self.engine.cwnd += pkts;
-            } else {
-                self.engine.cwnd += pkts / self.engine.cwnd;
-            }
+            self.grow(newly, 1.0);
         } else {
             self.is_inter_queue = true;
             self.engine.cwnd = 1.0;
         }
     }
 
+    fn grow(&mut self, newly: u64, factor: f64) {
+        let mss = self.cfg.mss;
+        self.win
+            .grow(&mut self.engine.cwnd, newly, mss, factor, 1.0);
+    }
+
     fn on_loss(&mut self, loss: LossEvent) {
-        match loss {
-            LossEvent::FastRetransmit => {
-                self.engine.cwnd = (self.engine.cwnd / 2.0).max(1.0);
-                self.ssthresh = self.engine.cwnd;
-            }
-            LossEvent::Timeout => {
-                self.ssthresh = (self.engine.cwnd / 2.0).max(2.0);
-                self.engine.cwnd = 1.0;
-            }
-        }
+        self.win.on_loss(&mut self.engine.cwnd, loss);
     }
 
     /// Resolve the wire priority: the effective queue, unless a reorder
@@ -524,7 +412,7 @@ impl PaseSender {
     }
 
     fn pump(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        if self.data_suppressed() || self.awaiting_initial_arb {
+        if self.data_suppressed() {
             return;
         }
         self.sync_tx_prio();
@@ -561,106 +449,46 @@ impl PaseSender {
         if let Some(svc) = ctx.service::<PaseHostService>() {
             svc.local_remove(flow);
         }
-        if let Some(tor) = self.plan.sender_leg_to {
-            ctx.send(Packet::ctrl(
-                flow,
-                self.spec.src,
-                tor,
-                Box::new(ArbMsg::FlowDone {
+        let (src, dst) = (self.spec.src, self.spec.dst);
+        for (to, leg) in [
+            (self.plan.sender_leg_to, Leg::Sender),
+            (self.plan.receiver_leg_to, Leg::Receiver),
+        ] {
+            if let Some(to) = to {
+                let done = ArbMsg::FlowDone {
                     flow,
-                    src: self.spec.src,
-                    dst: self.spec.dst,
-                    leg: Leg::Sender,
-                }),
-            ));
-        }
-        if let Some(dst) = self.plan.receiver_leg_to {
-            ctx.send(Packet::ctrl(
-                flow,
-                self.spec.src,
-                dst,
-                Box::new(ArbMsg::FlowDone {
-                    flow,
-                    src: self.spec.src,
-                    dst: self.spec.dst,
-                    leg: Leg::Receiver,
-                }),
-            ));
+                    src,
+                    dst,
+                    leg,
+                };
+                self.send_ctrl(ctx, to, done);
+            }
         }
     }
 
     fn arm_refresh(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         self.refresh_epoch += 1;
-        // Bounded exponential backoff on re-requests, but only once the
-        // watchdog has declared the control plane dead — or once the
-        // arbitrators start load-shedding us: each further silent or shed
-        // round doubles the spacing (capped) so a crashed or overloaded
-        // arbitrator is not hammered every RTT. Healthy flows keep the
-        // exact `arb_refresh` cadence — response latency routinely spans
-        // a whole refresh period, and stretching the cadence on such
-        // ordinary lag skews arbitration for every flow.
-        let exp = {
-            let silent = if self.in_fallback {
-                self.refresh_misses
-            } else {
-                0
-            };
-            silent
-                .max(self.shed_backoff)
-                .min(self.cfg.refresh_backoff_cap)
-        };
-        let delay = self.cfg.arb_refresh.saturating_mul(1u64 << exp);
-        self.refresh_interval = delay;
+        let delay = self.health.next_refresh_delay();
         ctx.set_timer(delay, REFRESH_TOKEN_BASE + self.refresh_epoch);
     }
 
-    /// Has the watchdog expired: `watchdog_k` refresh periods without any
-    /// arbitration response, on a flow that expects responses?
-    fn watchdog_expired(&self, now: SimTime) -> bool {
-        let expects_responses =
-            self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
-        expects_responses
-            && now
-                >= self.last_response
-                    + self
-                        .cfg
-                        .arb_refresh
-                        .saturating_mul(self.cfg.watchdog_k as u64)
-    }
-
-    /// Has the control channel *degraded* — `watchdog_k` net-missed
-    /// refresh rounds on a flow that expects responses? Complements
-    /// [`Self::watchdog_expired`]: a gray channel that answers one round
-    /// in several keeps resetting `last_response` (so the silence test
-    /// never fires) yet accumulates net misses here.
-    fn channel_degraded(&self) -> bool {
-        let expects_responses =
-            self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
-        expects_responses && self.degraded_rounds >= self.cfg.watchdog_k
-    }
-
-    /// Degrade to pure self-adjusting mode: lowest queue, base rate,
-    /// conservative DCTCP restart. The flow keeps making progress with no
-    /// control plane at all and re-attaches when responses resume.
-    /// `reset_window` distinguishes why we degrade: a dead or gray
-    /// channel (`true`) may have left the flow blasting a stale
-    /// reference rate with no recent feedback, so the window restarts
-    /// from scratch; a load-shedding channel (`false`) is demonstrably
-    /// alive — ACKs and backpressure replies are flowing, the current
-    /// window is congestion-valid — so only the priority/rate state is
-    /// demoted.
-    fn enter_fallback(&mut self, reset_window: bool) {
-        self.in_fallback = true;
-        if reset_window {
-            self.ssthresh = (self.engine.cwnd / 2.0).max(2.0);
-            self.engine.cwnd = 1.0;
+    /// Apply a channel-health verdict (see [`Transition`]).
+    fn apply(&mut self, transition: Transition, ctx: &mut AgentCtx<'_, '_>) {
+        match transition {
+            Transition::None => {}
+            Transition::EnterFallback { reset_window } => {
+                if reset_window {
+                    // Conservative DCTCP restart, as after a timeout.
+                    self.on_loss(LossEvent::Timeout);
+                }
+                self.is_inter_queue = false;
+                // Pins the lowest queue at base rate. A demotion applies
+                // immediately (no reordering risk). The flow keeps making
+                // progress with no control plane at all.
+                self.recompute_effective(ctx);
+            }
+            Transition::ExitFallback => self.arm_refresh(ctx),
         }
-        self.queue = self.cfg.lowest_queue();
-        self.rref = self.cfg.base_rate();
-        self.is_inter_queue = false;
-        // A demotion applies immediately (no reordering risk).
-        self.sync_tx_prio();
-        self.engine.rtt.set_min_rto(self.cfg.min_rto_low);
     }
 }
 
@@ -668,12 +496,11 @@ impl FlowAgent for PaseSender {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         self.started = true;
         // The watchdog measures silence from flow start.
-        self.last_response = ctx.now();
-        let sender_leg_sent = self.arbitrate(ctx);
-        // Inter-rack: optionally wait for the child (ToR) arbitrator's
-        // answer before injecting data; intra-rack, pruned and local-only
-        // flows start at once on the endpoint arbitrators' decision.
-        self.awaiting_initial_arb = self.cfg.wait_for_initial_arb && sender_leg_sent;
+        self.health = ChannelHealth::new(&self.cfg, ctx.now());
+        // Every flow starts at once on the endpoint arbitrators' decision
+        // and refines when the leg responses arrive (DESIGN.md, PASE
+        // deviations: the paper's flows wait for the child arbitrator).
+        self.arbitrate(ctx);
         if self.cfg.use_reference_rate && self.queue == 0 {
             self.engine.cwnd = self.reference_cwnd_pkts();
         } else if !self.cfg.use_reference_rate {
@@ -746,71 +573,24 @@ impl FlowAgent for PaseSender {
             return;
         }
         if token == WAKEUP_TOKEN {
-            // An arbitration response arrived.
-            self.last_response = ctx.now();
-            self.refresh_misses = 0;
-            // Consume the piggybacked load-shed signal. A shed reply is a
-            // real response — the silence watchdog stays quiet — but not
-            // an answer: back the refresh cadence off multiplicatively
-            // (every shedding sender does, so the storm drains itself) and
-            // after `watchdog_k` net shed rounds degrade to self-adjusting
-            // fallback: an arbitrator that only ever sheds us is not
-            // arbitrating for us.
+            // An arbitration response arrived; consume its piggybacked
+            // load-shed signal.
             let shed = ctx
                 .service::<PaseHostService>()
                 .map(|svc| svc.take_shed(self.spec.id))
                 .unwrap_or(false);
-            if shed {
-                self.shed_backoff = (self.shed_backoff + 1).min(self.cfg.refresh_backoff_cap);
-                // Capped so a long storm drains in a bounded number of
-                // clean rounds once it ends.
-                self.shed_rounds =
-                    (self.shed_rounds + 1).min(self.cfg.watchdog_k.saturating_mul(2));
-                if !self.in_fallback && self.shed_rounds >= self.cfg.watchdog_k {
-                    self.enter_fallback(false);
-                }
-            } else {
-                self.shed_backoff = self.shed_backoff.saturating_sub(1);
-                // Asymmetric decay: shed rounds accumulate one at a time
-                // (cautious entry) but drain two per clean reply, so a
-                // flow parked in the lowest queue re-attaches soon after
-                // the storm breaks instead of serving out the full
-                // integrator.
-                self.shed_rounds = self.shed_rounds.saturating_sub(2);
-                if self.in_fallback && self.shed_rounds == 0 {
-                    // The control plane is back *for good* — the shed
-                    // integrator has fully drained, not just one lucky
-                    // reply slipping through mid-storm (entering fallback
-                    // resets cwnd, so exit/re-enter flapping is far worse
-                    // than staying self-adjusting). Leave fallback and let
-                    // the recompute below re-attach the flow to its
-                    // arbitrated queue and reference rate (Algorithm 2
-                    // transitions fire on the queue change). Re-arm
-                    // promptly — the pending refresh may still be backed
-                    // off far into the future.
-                    self.in_fallback = false;
-                    self.arm_refresh(ctx);
-                }
-            }
+            let verdict = self.health.on_response(ctx.now(), shed);
+            self.apply(verdict, ctx);
+            // On leaving fallback this re-attaches the flow to its
+            // arbitrated queue and reference rate (Algorithm 2 transitions
+            // fire on the queue change).
             self.recompute_effective(ctx);
-            if self.awaiting_initial_arb {
-                let have_sender_leg = ctx
-                    .service::<PaseHostService>()
-                    .map(|svc| svc.leg_results(self.spec.id).sender.is_some())
-                    .unwrap_or(true);
-                if have_sender_leg {
-                    self.awaiting_initial_arb = false;
-                    if self.cfg.use_reference_rate && self.queue == 0 {
-                        self.engine.cwnd = self.reference_cwnd_pkts();
-                    }
-                }
-            }
             self.pump(ctx);
             return;
         }
         if token >= PACE_TOKEN_BASE {
             if token == PACE_TOKEN_BASE + self.pace_epoch && self.data_suppressed() {
-                self.send_pace_probe(ctx);
+                self.send_probe(ctx);
                 self.pace_epoch += 1;
                 ctx.set_timer(self.srtt(), PACE_TOKEN_BASE + self.pace_epoch);
             }
@@ -818,30 +598,11 @@ impl FlowAgent for PaseSender {
         }
         if token >= REFRESH_TOKEN_BASE {
             if token == REFRESH_TOKEN_BASE + self.refresh_epoch {
-                // Fallback: never wait longer than one refresh period for
-                // the initial arbitration response.
-                self.awaiting_initial_arb = false;
-                let now = ctx.now();
-                // Watchdog bookkeeping: count silent rounds (a response
-                // resets the counter via the WAKEUP path) and degrade to
-                // self-adjusting mode after `watchdog_k` refresh periods
-                // of silence — or after `watchdog_k` *net* misses on a
-                // channel that is degraded rather than dead. "Missed"
-                // is judged against the interval this round was actually
-                // armed with (backoff included) plus one base RTT, so a
-                // reply still in flight does not count against the
-                // channel.
-                if now >= self.last_response + self.refresh_interval + self.cfg.base_rtt {
-                    self.refresh_misses = self.refresh_misses.saturating_add(1);
-                    self.degraded_rounds = self.degraded_rounds.saturating_add(1);
-                } else {
-                    self.refresh_misses = 0;
-                    self.degraded_rounds = self.degraded_rounds.saturating_sub(1);
-                }
-                if !self.in_fallback && (self.watchdog_expired(now) || self.channel_degraded()) {
-                    self.enter_fallback(true);
-                }
-                let _ = self.arbitrate(ctx);
+                let expects_responses =
+                    self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
+                let verdict = self.health.on_refresh_round(ctx.now(), expects_responses);
+                self.apply(verdict, ctx);
+                self.arbitrate(ctx);
                 self.pump(ctx);
                 self.arm_refresh(ctx);
             }
@@ -861,15 +622,7 @@ impl FlowAgent for PaseSender {
                     return;
                 }
                 self.recovery_probe = Some(self.engine.acked());
-                let mut probe = Packet::probe(
-                    self.spec.id,
-                    self.spec.src,
-                    self.spec.dst,
-                    self.engine.acked(),
-                );
-                probe.prio = self.tx_prio;
-                ctx.sim.stats.note_probe(self.spec.id);
-                ctx.send(probe);
+                self.send_probe(ctx);
             } else if self.engine.on_timer(token, ctx) {
                 if let Some(loss) = self.engine.take_loss_event() {
                     self.on_loss(loss);

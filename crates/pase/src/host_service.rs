@@ -18,15 +18,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::fault::NodeFault;
-use netsim::host::{HostIo, HostService, MAINTENANCE_TIMER_BASE};
+use netsim::host::{HostIo, HostService};
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
 use netsim::time::{Rate, SimTime};
 
-use crate::algorithm::{Decision, FlowEntry, LinkArbitrator};
+use crate::algorithm::{Decision, LinkArbitrator};
 use crate::config::PaseConfig;
-use crate::messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
-use crate::shed::InboxBudget;
+use crate::messages::{ArbMsg, ArbRequest, Leg};
+use crate::shed::{ArbFrontEnd, FaultEffect};
 use crate::tree::TreeInfo;
 
 /// Cached per-flow results from the two legs.
@@ -60,16 +60,9 @@ pub struct PaseHostService {
     uplink: LinkArbitrator,
     downlink: LinkArbitrator,
     legs: HashMap<FlowId, LegResults>,
-    /// Injected-fault state: a crashed control process ignores control
-    /// packets and timers until restarted (mirrors
-    /// [`crate::plugin::PaseSwitchPlugin`]).
-    crashed: bool,
-    /// Generation counter for the periodic lease-GC tick; bumped on
-    /// restart so pre-crash ticks die silently.
-    gc_epoch: u64,
-    /// Control-inbox meter shared by the two leaf arbitrators (overload
-    /// protection; see [`crate::shed`]).
-    budget: InboxBudget,
+    /// Crash state, lease-GC epoch and the metered inbox shared by the two
+    /// leaf arbitrators (the same front-end the switch plugin runs).
+    front: ArbFrontEnd,
 }
 
 impl PaseHostService {
@@ -82,16 +75,14 @@ impl PaseHostService {
             uplink: LinkArbitrator::new(access_rate, &cfg),
             downlink: LinkArbitrator::new(access_rate, &cfg),
             legs: HashMap::new(),
-            crashed: false,
-            gc_epoch: 0,
-            budget: InboxBudget::new(&cfg),
+            front: ArbFrontEnd::new(&cfg, me),
         }
     }
 
     /// Whether an injected crash currently has the control process down
     /// (tests).
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.front.is_crashed()
     }
 
     /// Compute the control-plane plan for a flow sourced at this host.
@@ -113,30 +104,12 @@ impl PaseHostService {
         }
     }
 
-    /// Synchronous arbitration of the local uplink for a sender agent.
-    /// Inserts/refreshes the entry and returns the decision.
-    #[allow(clippy::too_many_arguments)]
-    pub fn local_update(
-        &mut self,
-        flow: FlowId,
-        remaining: u64,
-        deadline: Option<SimTime>,
-        task: Option<u64>,
-        demand: Rate,
-        now: SimTime,
-    ) -> Decision {
+    /// Synchronous arbitration of the local uplink for the sender agent
+    /// issuing `req`. Inserts/refreshes the entry and returns the decision.
+    pub fn local_update(&mut self, req: &ArbRequest, now: SimTime) -> Decision {
         self.uplink.gc(now, self.cfg.arb_expiry);
-        self.legs.entry(flow).or_default();
-        self.uplink.update_and_decide(
-            flow,
-            FlowEntry {
-                remaining,
-                deadline,
-                demand,
-                task,
-                last_update: now,
-            },
-        )
+        self.legs.entry(req.flow).or_default();
+        self.uplink.update_and_decide(req.flow, req.entry(now))
     }
 
     /// Remove a finished flow from local state.
@@ -159,12 +132,6 @@ impl PaseHostService {
         }
     }
 
-    /// Whether an injected control storm is amplifying this host's
-    /// arbitrators (tests).
-    pub fn is_stormed(&self) -> bool {
-        self.budget.stormed()
-    }
-
     /// Number of flows tracked by the uplink arbitrator (tests).
     pub fn uplink_flows(&self) -> usize {
         self.uplink.n_flows()
@@ -179,16 +146,7 @@ impl PaseHostService {
     fn on_receiver_request(&mut self, mut req: ArbRequest, io: &mut HostIo<'_, '_, '_>) {
         let now = io.now();
         self.downlink.gc(now, self.cfg.arb_expiry);
-        let d = self.downlink.update_and_decide(
-            req.flow,
-            FlowEntry {
-                remaining: req.remaining,
-                deadline: req.deadline,
-                demand: req.demand,
-                task: req.task,
-                last_update: now,
-            },
-        );
+        let d = self.downlink.update_and_decide(req.flow, req.entry(now));
         req.accumulate(d.queue, d.rate);
         // Forward up the destination half of the tree unless intra-rack or
         // pruned (paper §3.1.2).
@@ -201,156 +159,79 @@ impl PaseHostService {
         if forward {
             io.sim.stats.note_arb_climbed(self.me);
             let tor = self.tree.tor_of(self.me);
-            io.send(Packet::ctrl(
-                req.flow,
-                self.me,
-                tor,
-                Box::new(ArbMsg::Request(req)),
-            ));
+            io.send(ArbMsg::Request(req).packet(req.flow, self.me, tor));
         } else {
-            let resp = ArbMsg::Response(ArbResponse {
-                flow: req.flow,
-                leg: Leg::Receiver,
-                queue: req.acc_queue,
-                rate: req.acc_rate,
-                shedding: false,
-            });
-            io.send(Packet::ctrl(
-                req.flow,
-                self.me,
-                req.reply_to,
-                Box::new(resp),
-            ));
+            self.reply(&req, false, io);
         }
+    }
+
+    fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut HostIo<'_, '_, '_>) {
+        io.send(
+            req.response(shedding)
+                .packet(req.flow, self.me, req.reply_to),
+        );
     }
 }
 
 impl HostService for PaseHostService {
     fn on_ctrl(&mut self, mut pkt: Packet, io: &mut HostIo<'_, '_, '_>) {
-        if self.crashed {
-            // A crashed control process is a black hole: remote requests
-            // and leg responses die here and the senders' watchdogs
-            // handle the silence (see [`crate::endpoint`]).
-            io.sim.stats.note_ctrl_lost_to_crash();
-            return;
-        }
-        let Some(msg) = pkt.take_proto::<ArbMsg>() else {
-            io.sim.stats.note_ctrl_unattended();
+        let now = io.now();
+        let Some((msg, depth)) = self.front.admit(&mut pkt, io.sim.stats, now) else {
             return;
         };
-        let now = io.now();
-        let depth = self.budget.charge(now);
-        io.sim.stats.note_ctrl_epoch_depth(self.me, depth);
-        if !self.budget.protected() && self.budget.overflowed(depth) {
-            // Unprotected bounded inbox: silent tail drop of whatever
-            // arrived — responses and FlowDone releases included, so
-            // leases leak until expiry and senders hear nothing but their
-            // watchdogs. This is the failure mode the priority-aware shed
-            // policy exists to prevent.
-            io.sim.stats.note_ctrl_shed(self.me);
-            if io.sim.stats.tracing() {
-                io.sim.stats.trace_event(
-                    now,
-                    &netsim::trace::TraceEvent::Shed {
-                        node: self.me,
-                        flow: pkt.flow,
-                        stale: false,
-                    },
-                );
+        if let ArbMsg::Request(req) = &*msg {
+            debug_assert_eq!(req.leg, Leg::Receiver, "hosts only serve receiver legs");
+            let stale = self.downlink.contains(req.flow);
+            if self
+                .front
+                .shed_request(req, stale, depth, io.sim.stats, now)
+            {
+                self.reply(req, true, io);
+                return;
             }
-            return;
         }
+        io.sim.stats.note_ctrl_processed(self.me);
         match *msg {
-            ArbMsg::Request(req) => {
-                debug_assert_eq!(req.leg, Leg::Receiver, "hosts only serve receiver legs");
-                // Overloaded: shed instead of arbitrating. The reply
-                // carries whatever the leg accumulated so far plus the
-                // load-shed signal, so the sender still gets an answer —
-                // just not a fresh decision — and backs off.
-                let stale = self.downlink.contains(req.flow);
-                if self.budget.should_shed(depth, stale) {
-                    io.sim.stats.note_ctrl_shed(self.me);
-                    if io.sim.stats.tracing() {
-                        io.sim.stats.trace_event(
-                            now,
-                            &netsim::trace::TraceEvent::Shed {
-                                node: self.me,
-                                flow: req.flow,
-                                stale,
-                            },
-                        );
-                    }
-                    io.send(Packet::ctrl(
-                        req.flow,
-                        self.me,
-                        req.reply_to,
-                        Box::new(ArbMsg::Response(ArbResponse {
-                            flow: req.flow,
-                            leg: Leg::Receiver,
-                            queue: req.acc_queue,
-                            rate: req.acc_rate,
-                            shedding: true,
-                        })),
-                    ));
-                    return;
-                }
-                io.sim.stats.note_ctrl_processed(self.me);
-                self.on_receiver_request(req, io);
-            }
+            ArbMsg::Request(req) => self.on_receiver_request(req, io),
             ArbMsg::Response(resp) => {
-                io.sim.stats.note_ctrl_processed(self.me);
                 let slot = self.legs.entry(resp.flow).or_default();
-                if resp.shedding {
-                    // A shed reply is backpressure, not a decision — its
-                    // queue/rate merely echo what the sender already
-                    // believed. Age the leg out so the flow rides its
-                    // always-fresh local (uplink) arbitration until the
-                    // overloaded arbitrator answers for real: a stale
-                    // crowd-era allocation held across a backed-off
-                    // refresh gap would keep throttling or suppressing
-                    // the flow long after the burst has drained.
-                    match resp.leg {
-                        Leg::Sender => slot.sender = None,
-                        Leg::Receiver => slot.receiver = None,
-                    }
-                } else {
-                    let d = Decision {
-                        queue: resp.queue,
-                        rate: resp.rate,
-                    };
-                    match resp.leg {
-                        Leg::Sender => slot.sender = Some(d),
-                        Leg::Receiver => slot.receiver = Some(d),
-                    }
+                // A shed reply is backpressure, not a decision — its
+                // queue/rate merely echo what the sender already believed.
+                // Age the leg out so the flow rides its always-fresh local
+                // (uplink) arbitration until the overloaded arbitrator
+                // answers for real: a stale crowd-era allocation held
+                // across a backed-off refresh gap would keep throttling or
+                // suppressing the flow long after the burst has drained.
+                let decision = (!resp.shedding).then_some(Decision {
+                    queue: resp.queue,
+                    rate: resp.rate,
+                });
+                match resp.leg {
+                    Leg::Sender => slot.sender = decision,
+                    Leg::Receiver => slot.receiver = decision,
                 }
                 slot.shed |= resp.shedding;
                 io.wake_flow(resp.flow);
             }
             ArbMsg::FlowDone { flow, src, leg, .. } => {
-                io.sim.stats.note_ctrl_processed(self.me);
                 debug_assert_eq!(leg, Leg::Receiver);
                 self.downlink.remove(flow);
                 // Propagate up the destination half if the flow left the
                 // rack (the ToR and above also hold state).
                 if self.cfg.end_to_end && !self.tree.same_rack(src, self.me) {
                     let tor = self.tree.tor_of(self.me);
-                    io.send(Packet::ctrl(
+                    let dst = self.me;
+                    let done = ArbMsg::FlowDone {
                         flow,
-                        self.me,
-                        tor,
-                        Box::new(ArbMsg::FlowDone {
-                            flow,
-                            src,
-                            dst: self.me,
-                            leg,
-                        }),
-                    ));
+                        src,
+                        dst,
+                        leg,
+                    };
+                    io.send(done.packet(flow, self.me, tor));
                 }
             }
-            ArbMsg::DelegUpdate { .. } | ArbMsg::DelegGrant { .. } => {
-                // Delegation messages never target hosts.
-                io.sim.stats.note_ctrl_processed(self.me);
-            }
+            // Delegation messages never target hosts.
+            ArbMsg::DelegUpdate { .. } | ArbMsg::DelegGrant { .. } => {}
         }
     }
 
@@ -358,43 +239,31 @@ impl HostService for PaseHostService {
         // Periodic lease GC: entries whose owner stopped refreshing
         // (crashed endpoint, lost FlowDone) expire after `arb_expiry` even
         // when no request traffic touches the arbitrator in the meantime,
-        // so a dead flow cannot wedge the top priority queue. The tick is
-        // infrastructure (not flow progress): the token rides above
-        // [`MAINTENANCE_TIMER_BASE`] so the stuck-flow oracle ignores it.
-        if token != MAINTENANCE_TIMER_BASE + self.gc_epoch || self.crashed {
+        // so a dead flow cannot wedge the top priority queue.
+        if !self.front.maintenance_due(token) {
             return;
         }
         let now = io.now();
         self.uplink.gc(now, self.cfg.arb_expiry);
         self.downlink.gc(now, self.cfg.arb_expiry);
-        io.set_timer(self.cfg.arb_expiry, MAINTENANCE_TIMER_BASE + self.gc_epoch);
+        io.set_timer(self.cfg.arb_expiry, self.front.maintenance_token());
     }
 
     fn on_fault(&mut self, fault: NodeFault, io: &mut HostIo<'_, '_, '_>) {
-        match fault {
-            NodeFault::Crash => {
+        match self.front.on_fault(fault, io.now()) {
+            FaultEffect::None => {}
+            FaultEffect::Wipe => {
                 // The endpoint control process loses everything: both leaf
                 // arbitrators and the cached leg responses. Local senders
                 // repopulate the uplink (and re-request the legs) on their
                 // next refresh; remote senders repopulate the downlink the
                 // same way once the process restarts.
-                self.crashed = true;
                 self.uplink.clear();
                 self.downlink.clear();
                 self.legs.clear();
-                self.budget.clear(io.now());
             }
-            NodeFault::CtrlStormStart { amplify } => self.budget.storm_start(amplify),
-            NodeFault::CtrlStormEnd => self.budget.storm_end(),
-            NodeFault::Restart => {
-                if !self.crashed {
-                    return;
-                }
-                self.crashed = false;
-                // Fresh process, fresh GC loop: a tick still pending from
-                // before the crash is now stale and inert.
-                self.gc_epoch += 1;
-                io.set_timer(self.cfg.arb_expiry, MAINTENANCE_TIMER_BASE + self.gc_epoch);
+            FaultEffect::Rearm => {
+                io.set_timer(self.cfg.arb_expiry, self.front.maintenance_token());
             }
         }
     }

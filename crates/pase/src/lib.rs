@@ -6,9 +6,9 @@
 //!
 //! | Strategy | Role in PASE | Module |
 //! |---|---|---|
-//! | Arbitration | coarse-grained inter-flow prioritization: per-link arbitrators assign each flow a priority queue and a reference rate (Algorithm 1) | [`algorithm`], [`host_service`], [`plugin`] |
+//! | Arbitration | coarse-grained inter-flow prioritization: per-link arbitrators assign each flow a priority queue and a reference rate (Algorithm 1); one arbitrator front-end ([`shed`]) whether the process sits on a host or a switch | [`algorithm`], [`host_service`], [`plugin`], [`shed`] |
 //! | In-network prioritization | per-packet, sub-RTT scheduling using the few strict-priority queues commodity switches already have | [`netsim::queue::StrictPrioQdisc`] |
-//! | Self-adjusting endpoints | discover spare capacity / back off via DCTCP control laws, bootstrapped by the reference rate (Algorithm 2) | [`endpoint`] |
+//! | Self-adjusting endpoints | discover spare capacity / back off via DCTCP control laws ([`transport::DctcpWindow`]), bootstrapped by the reference rate (Algorithm 2); fall back to them alone when [`health`] says arbitration is unreachable | [`endpoint`], [`health`] |
 //!
 //! The control plane is scalable by construction (paper §3.1.2):
 //! **bottom-up arbitration** (intra-rack flows never leave the endpoints),
@@ -33,6 +33,7 @@
 pub mod algorithm;
 pub mod config;
 pub mod endpoint;
+pub mod health;
 pub mod host_service;
 pub mod messages;
 pub mod plugin;
@@ -43,10 +44,11 @@ mod wiring;
 pub use algorithm::{Decision, FlowEntry, LinkArbitrator};
 pub use config::{Criterion, PaseConfig};
 pub use endpoint::PaseSender;
+pub use health::{ChannelHealth, Transition};
 pub use host_service::{ArbPlan, LegResults, PaseHostService};
 pub use messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
 pub use plugin::PaseSwitchPlugin;
-pub use shed::InboxBudget;
+pub use shed::{ArbFrontEnd, FaultEffect, InboxBudget};
 pub use tree::{Level, TreeInfo};
 pub use wiring::install;
 

@@ -5,7 +5,10 @@
 //! quantity Fig. 11b measures).
 
 use netsim::ids::{FlowId, NodeId};
+use netsim::packet::Packet;
 use netsim::time::{Rate, SimTime};
+
+use crate::algorithm::FlowEntry;
 
 /// Which half of the path a request/response covers (paper Fig. 5: the
 /// end-to-end path is split at the root; each leaf initiates its half).
@@ -49,6 +52,30 @@ impl ArbRequest {
     pub fn accumulate(&mut self, queue: u8, rate: Rate) {
         self.acc_queue = self.acc_queue.max(queue);
         self.acc_rate = self.acc_rate.min(rate);
+    }
+
+    /// The arbitrator table entry this request inserts or refreshes.
+    pub fn entry(&self, now: SimTime) -> FlowEntry {
+        FlowEntry {
+            remaining: self.remaining,
+            deadline: self.deadline,
+            demand: self.demand,
+            task: self.task,
+            last_update: now,
+        }
+    }
+
+    /// The answer to the source: what the leg accumulated so far, plus the
+    /// load-shed signal when an overloaded arbitrator answers without
+    /// arbitrating.
+    pub fn response(&self, shedding: bool) -> ArbMsg {
+        ArbMsg::Response(ArbResponse {
+            flow: self.flow,
+            leg: self.leg,
+            queue: self.acc_queue,
+            rate: self.acc_rate,
+            shedding,
+        })
     }
 }
 
@@ -106,6 +133,14 @@ pub enum ArbMsg {
         /// Capacity of the downlink slice.
         down_capacity: Rate,
     },
+}
+
+impl ArbMsg {
+    /// The control packet carrying this message from `src` to `dst`
+    /// (unpacked by [`crate::shed::ArbFrontEnd::admit`]).
+    pub fn packet(self, flow: FlowId, src: NodeId, dst: NodeId) -> Packet {
+        Packet::ctrl(flow, src, dst, Box::new(self))
+    }
 }
 
 #[cfg(test)]

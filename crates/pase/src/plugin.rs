@@ -17,22 +17,24 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::fault::NodeFault;
-use netsim::host::MAINTENANCE_TIMER_BASE;
-use netsim::ids::NodeId;
+use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
 use netsim::switch::{SwitchIo, SwitchPlugin};
-use netsim::time::{Rate, SimTime};
+use netsim::time::Rate;
 
-use crate::algorithm::{FlowEntry, LinkArbitrator};
+use crate::algorithm::LinkArbitrator;
 use crate::config::PaseConfig;
-use crate::messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
-use crate::shed::InboxBudget;
+use crate::messages::{ArbMsg, ArbRequest, Leg};
+use crate::shed::{ArbFrontEnd, FaultEffect};
 use crate::tree::{Level, TreeInfo};
 
 /// Base timer token for the periodic delegation report (child side). The
 /// live token is `DELEG_TIMER_TOKEN + epoch`, where the epoch bumps on
 /// every arbitrator restart so stale pre-crash timers die silently.
 pub const DELEG_TIMER_TOKEN: u64 = 1;
+
+/// Flow id on delegation traffic, which concerns no flow.
+const NO_FLOW: FlowId = FlowId(u64::MAX);
 
 /// PASE arbitrator co-located with a switch.
 pub struct PaseSwitchPlugin {
@@ -50,53 +52,33 @@ pub struct PaseSwitchPlugin {
     deleg_down: Option<LinkArbitrator>,
     /// Agg only, delegation on: children's last reported demands.
     child_demands: HashMap<NodeId, (Rate, Rate)>,
-    /// Injected-fault state: a crashed arbitrator ignores all control
-    /// traffic and timers until restarted (the data plane keeps
-    /// forwarding — only the co-located control process dies).
-    crashed: bool,
     /// Generation counter for the delegation report loop. A restart
     /// starts a fresh chain under a new epoch so a timer still pending
     /// from before the crash cannot double the reporting rate.
     deleg_epoch: u64,
-    /// Generation counter for the periodic lease-GC tick (same restart
-    /// discipline as `deleg_epoch`).
-    maint_epoch: u64,
-    /// Control-inbox meter shared by every arbitrator this plugin owns
-    /// (overload protection; see [`crate::shed`]).
-    budget: InboxBudget,
+    /// Crash state, lease-GC epoch and the metered inbox shared by every
+    /// arbitrator this plugin owns (the same front-end the host service
+    /// runs).
+    front: ArbFrontEnd,
 }
 
 impl PaseSwitchPlugin {
     /// Build the arbitrator for switch `me`.
     pub fn new(cfg: PaseConfig, me: NodeId, tree: Arc<TreeInfo>) -> Self {
         let level = tree.level(me);
-        let uplink_rate = tree.uplink_rate(me);
-        let (up, down) = match uplink_rate {
-            Some(rate) => (
-                Some(LinkArbitrator::new(rate, &cfg)),
-                Some(LinkArbitrator::new(rate, &cfg)),
-            ),
-            None => (None, None),
-        };
         // A ToR under an agg that itself has a core uplink gets delegated
-        // slices of the agg–core links.
-        let (deleg_up, deleg_down) = if cfg.delegation && level == Level::Tor {
-            match tree.parent(me).and_then(|agg| {
-                tree.uplink_rate(agg)
-                    .map(|r| (r, tree.children(agg).len().max(1)))
-            }) {
-                Some((agg_core_rate, n_children)) => {
-                    let slice = agg_core_rate.mul_f64(1.0 / n_children as f64);
-                    (
-                        Some(LinkArbitrator::new(slice, &cfg)),
-                        Some(LinkArbitrator::new(slice, &cfg)),
-                    )
-                }
-                None => (None, None),
-            }
-        } else {
-            (None, None)
-        };
+        // slices of the agg–core links: an equal share per child to start.
+        let slice = (cfg.delegation && level == Level::Tor)
+            .then(|| tree.parent(me))
+            .flatten()
+            .and_then(|agg| {
+                let share = 1.0 / tree.children(agg).len().max(1) as f64;
+                tree.uplink_rate(agg).map(|rate| rate.mul_f64(share))
+            });
+        let arbitrate = |rate: Option<Rate>| rate.map(|r| LinkArbitrator::new(r, &cfg));
+        let uplink = tree.uplink_rate(me);
+        let (up, down) = (arbitrate(uplink), arbitrate(uplink));
+        let (deleg_up, deleg_down) = (arbitrate(slice), arbitrate(slice));
         PaseSwitchPlugin {
             cfg,
             me,
@@ -107,20 +89,14 @@ impl PaseSwitchPlugin {
             deleg_up,
             deleg_down,
             child_demands: HashMap::new(),
-            crashed: false,
             deleg_epoch: 0,
-            maint_epoch: 0,
-            budget: InboxBudget::new(&cfg),
+            front: ArbFrontEnd::new(&cfg, me),
         }
     }
 
-    /// Expire leases on every arbitrator this plugin owns: entries whose
-    /// endpoint stopped refreshing (crashed host) are dropped after
-    /// `arb_expiry` even when no request traffic arrives to trigger the
-    /// request-path GC, so a dead flow cannot wedge the top queue.
-    fn gc_all(&mut self, now: SimTime) {
-        let expiry = self.cfg.arb_expiry;
-        for arb in [
+    /// Every arbitrator this plugin owns.
+    fn arbitrators(&mut self) -> impl Iterator<Item = &mut LinkArbitrator> {
+        [
             self.up.as_mut(),
             self.down.as_mut(),
             self.deleg_up.as_mut(),
@@ -128,21 +104,21 @@ impl PaseSwitchPlugin {
         ]
         .into_iter()
         .flatten()
-        {
-            arb.gc(now, expiry);
+    }
+
+    /// The arbitrators on one leg of a path: my own link, then the
+    /// delegated agg–core slice.
+    fn leg_arbitrators(&mut self, leg: Leg) -> [Option<&mut LinkArbitrator>; 2] {
+        match leg {
+            Leg::Sender => [self.up.as_mut(), self.deleg_up.as_mut()],
+            Leg::Receiver => [self.down.as_mut(), self.deleg_down.as_mut()],
         }
     }
 
     /// Whether an injected crash currently has this arbitrator down
     /// (tests).
     pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// Whether an injected control storm is amplifying this arbitrator's
-    /// inbox (tests).
-    pub fn is_stormed(&self) -> bool {
-        self.budget.stormed()
+        self.front.is_crashed()
     }
 
     /// Current delegated uplink-slice capacity (tests).
@@ -160,14 +136,12 @@ impl PaseSwitchPlugin {
         self.down.as_ref().map_or(0, |a| a.n_flows())
     }
 
-    fn entry_from(req: &ArbRequest, now: SimTime) -> FlowEntry {
-        FlowEntry {
-            remaining: req.remaining,
-            deadline: req.deadline,
-            demand: req.demand,
-            task: req.task,
-            last_update: now,
-        }
+    /// The agg this ToR reports delegated-slice demand to (`None` when
+    /// this plugin runs no delegation report loop).
+    fn deleg_parent(&self) -> Option<NodeId> {
+        (self.cfg.delegation && self.level == Level::Tor)
+            .then(|| self.tree.parent(self.me))
+            .flatten()
     }
 
     /// Does this flow's path cross the core (i.e. leave the agg subtree)?
@@ -176,68 +150,36 @@ impl PaseSwitchPlugin {
     }
 
     fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut SwitchIo<'_, '_>) {
-        let resp = ArbMsg::Response(ArbResponse {
-            flow: req.flow,
-            leg: req.leg,
-            queue: req.acc_queue,
-            rate: req.acc_rate,
-            shedding,
-        });
-        io.send(Packet::ctrl(
-            req.flow,
-            self.me,
-            req.reply_to,
-            Box::new(resp),
-        ));
-    }
-
-    /// Whether any arbitrator on this request's leg already holds a live
-    /// entry for the flow (making the request a *stale refresh* — the
-    /// first thing an overloaded arbitrator sheds).
-    fn is_refresh(&self, req: &ArbRequest) -> bool {
-        let (primary, deleg) = match req.leg {
-            Leg::Sender => (self.up.as_ref(), self.deleg_up.as_ref()),
-            Leg::Receiver => (self.down.as_ref(), self.deleg_down.as_ref()),
-        };
-        primary.is_some_and(|a| a.contains(req.flow)) || deleg.is_some_and(|a| a.contains(req.flow))
+        io.send(
+            req.response(shedding)
+                .packet(req.flow, self.me, req.reply_to),
+        );
     }
 
     fn handle_request(&mut self, mut req: ArbRequest, io: &mut SwitchIo<'_, '_>) {
         let now = io.now();
         let expiry = self.cfg.arb_expiry;
+        let crosses_core = self.level == Level::Tor && self.crosses_core(&req);
         // Which of my links lie on this leg of the path?
-        let primary = match req.leg {
-            Leg::Sender => self.up.as_mut(),
-            Leg::Receiver => self.down.as_mut(),
-        };
+        let [primary, deleg] = self.leg_arbitrators(req.leg);
         if let Some(arb) = primary {
             arb.gc(now, expiry);
-            let d = arb.update_and_decide(req.flow, Self::entry_from(&req, now));
+            let d = arb.update_and_decide(req.flow, req.entry(now));
             req.accumulate(d.queue, d.rate);
         }
-        let crosses_core = self.crosses_core(&req);
-        if self.level == Level::Tor && crosses_core {
+        if crosses_core {
             // The agg–core hop still needs arbitration.
-            let deleg = match req.leg {
-                Leg::Sender => self.deleg_up.as_mut(),
-                Leg::Receiver => self.deleg_down.as_mut(),
-            };
             if let Some(arb) = deleg {
                 // Delegation: decide locally on the virtual slice.
                 arb.gc(now, expiry);
-                let d = arb.update_and_decide(req.flow, Self::entry_from(&req, now));
+                let d = arb.update_and_decide(req.flow, req.entry(now));
                 req.accumulate(d.queue, d.rate);
             } else if let Some(parent) = self.tree.parent(self.me) {
                 // No delegation: climb, unless pruned.
                 let pruned = self.cfg.early_pruning && req.acc_queue >= self.cfg.prune_depth;
                 if !pruned {
                     io.sim.stats.note_arb_climbed(self.me);
-                    io.send(Packet::ctrl(
-                        req.flow,
-                        self.me,
-                        parent,
-                        Box::new(ArbMsg::Request(req)),
-                    ));
+                    io.send(ArbMsg::Request(req).packet(req.flow, self.me, parent));
                     return;
                 }
                 io.sim.stats.note_arb_pruned(self.me);
@@ -248,46 +190,27 @@ impl PaseSwitchPlugin {
 
     fn handle_flow_done(
         &mut self,
-        flow: netsim::ids::FlowId,
+        flow: FlowId,
         src: NodeId,
         dst: NodeId,
         leg: Leg,
         io: &mut SwitchIo<'_, '_>,
     ) {
-        match leg {
-            Leg::Sender => {
-                if let Some(a) = self.up.as_mut() {
-                    a.remove(flow);
-                }
-                if let Some(a) = self.deleg_up.as_mut() {
-                    a.remove(flow);
-                }
-            }
-            Leg::Receiver => {
-                if let Some(a) = self.down.as_mut() {
-                    a.remove(flow);
-                }
-                if let Some(a) = self.deleg_down.as_mut() {
-                    a.remove(flow);
-                }
-            }
+        for arb in self.leg_arbitrators(leg).into_iter().flatten() {
+            arb.remove(flow);
         }
         // Without delegation the parent also holds state for core-crossing
         // flows.
         let crosses_core = !self.tree.same_agg_subtree(src, dst);
         if self.level == Level::Tor && crosses_core && !self.cfg.delegation {
             if let Some(parent) = self.tree.parent(self.me) {
-                io.send(Packet::ctrl(
+                let done = ArbMsg::FlowDone {
                     flow,
-                    self.me,
-                    parent,
-                    Box::new(ArbMsg::FlowDone {
-                        flow,
-                        src,
-                        dst,
-                        leg,
-                    }),
-                ));
+                    src,
+                    dst,
+                    leg,
+                };
+                io.send(done.packet(flow, self.me, parent));
             }
         }
     }
@@ -318,94 +241,49 @@ impl PaseSwitchPlugin {
             .unwrap_or((Rate::ZERO, Rate::ZERO));
         let up_capacity = total.mul_f64(floor_up(rep_up) / sum_up.max(1.0));
         let down_capacity = total.mul_f64(floor_up(rep_down) / sum_down.max(1.0));
-        io.send(Packet::ctrl(
-            netsim::ids::FlowId(u64::MAX),
-            self.me,
-            reporter,
-            Box::new(ArbMsg::DelegGrant {
-                up_capacity,
-                down_capacity,
-            }),
-        ));
+        let grant = ArbMsg::DelegGrant {
+            up_capacity,
+            down_capacity,
+        };
+        io.send(grant.packet(NO_FLOW, self.me, reporter));
     }
 }
 
 impl SwitchPlugin for PaseSwitchPlugin {
     fn on_ctrl(&mut self, mut pkt: Packet, io: &mut SwitchIo<'_, '_>) {
-        if self.crashed {
-            // A crashed arbitrator is a black hole: requests addressed to
-            // it die here, and the sending endpoints' watchdogs handle
-            // the silence (see [`crate::endpoint`]).
-            io.sim.stats.note_ctrl_lost_to_crash();
-            return;
-        }
-        let Some(msg) = pkt.take_proto::<ArbMsg>() else {
-            io.sim.stats.note_ctrl_unattended();
+        let now = io.now();
+        let Some((msg, depth)) = self.front.admit(&mut pkt, io.sim.stats, now) else {
             return;
         };
-        let now = io.now();
-        let depth = self.budget.charge(now);
-        io.sim.stats.note_ctrl_epoch_depth(self.me, depth);
-        if !self.budget.protected() && self.budget.overflowed(depth) {
-            // Unprotected bounded inbox: silent tail drop of whatever
-            // arrived — responses and FlowDone releases included, so
-            // leases leak until expiry and senders hear nothing but their
-            // watchdogs. This is the failure mode the priority-aware shed
-            // policy exists to prevent.
-            io.sim.stats.note_ctrl_shed(self.me);
-            if io.sim.stats.tracing() {
-                io.sim.stats.trace_event(
-                    now,
-                    &netsim::trace::TraceEvent::Shed {
-                        node: self.me,
-                        flow: pkt.flow,
-                        stale: false,
-                    },
-                );
+        if let ArbMsg::Request(req) = &*msg {
+            // A request is a *stale refresh* — the first thing an
+            // overloaded arbitrator sheds — when an arbitrator on its leg
+            // already holds a live entry for the flow.
+            let flow = req.flow;
+            let stale =
+                (self.leg_arbitrators(req.leg).into_iter().flatten()).any(|a| a.contains(flow));
+            if self
+                .front
+                .shed_request(req, stale, depth, io.sim.stats, now)
+            {
+                self.reply(req, true, io);
+                return;
             }
-            return;
         }
+        io.sim.stats.note_ctrl_processed(self.me);
         match *msg {
-            ArbMsg::Request(req) => {
-                // Overloaded: shed instead of arbitrating. The reply
-                // carries whatever the leg accumulated so far plus the
-                // load-shed signal, so the sender still gets an answer —
-                // just not a fresh decision — and backs off. Releases
-                // (`FlowDone`) and delegation traffic are never shed.
-                let stale = self.is_refresh(&req);
-                if self.budget.should_shed(depth, stale) {
-                    io.sim.stats.note_ctrl_shed(self.me);
-                    if io.sim.stats.tracing() {
-                        io.sim.stats.trace_event(
-                            now,
-                            &netsim::trace::TraceEvent::Shed {
-                                node: self.me,
-                                flow: req.flow,
-                                stale,
-                            },
-                        );
-                    }
-                    self.reply(&req, true, io);
-                    return;
-                }
-                io.sim.stats.note_ctrl_processed(self.me);
-                self.handle_request(req, io)
-            }
+            ArbMsg::Request(req) => self.handle_request(req, io),
             ArbMsg::FlowDone {
                 flow,
                 src,
                 dst,
                 leg,
-            } => {
-                io.sim.stats.note_ctrl_processed(self.me);
-                self.handle_flow_done(flow, src, dst, leg, io)
-            }
+            } => self.handle_flow_done(flow, src, dst, leg, io),
             ArbMsg::DelegUpdate {
                 child,
                 up_demand,
                 down_demand,
             } => {
-                io.sim.stats.note_ctrl_processed(self.me);
                 self.child_demands.insert(child, (up_demand, down_demand));
                 self.rebalance_and_grant(child, io);
             }
@@ -413,7 +291,6 @@ impl SwitchPlugin for PaseSwitchPlugin {
                 up_capacity,
                 down_capacity,
             } => {
-                io.sim.stats.note_ctrl_processed(self.me);
                 if let Some(a) = self.deleg_up.as_mut() {
                     a.set_capacity(up_capacity);
                 }
@@ -423,34 +300,27 @@ impl SwitchPlugin for PaseSwitchPlugin {
             }
             ArbMsg::Response(_) => {
                 // Responses are addressed to hosts, never to switches.
-                io.sim.stats.note_ctrl_processed(self.me);
                 debug_assert!(false, "arbitration response delivered to a switch");
             }
         }
     }
 
     fn on_timer(&mut self, token: u64, io: &mut SwitchIo<'_, '_>) {
-        if token == MAINTENANCE_TIMER_BASE + self.maint_epoch {
-            // Lease GC. A crashed plugin skips the tick (its state is
-            // already gone); the restart path re-arms under a new epoch.
-            if !self.crashed {
-                let now = io.now();
-                self.gc_all(now);
-                io.set_timer(
-                    self.cfg.arb_expiry,
-                    MAINTENANCE_TIMER_BASE + self.maint_epoch,
-                );
-            }
+        if self.front.maintenance_due(token) {
+            // Expire leases on every arbitrator this plugin owns: entries
+            // whose endpoint stopped refreshing (crashed host) are dropped
+            // after `arb_expiry` even when no request traffic arrives to
+            // trigger the request-path GC, so a dead flow cannot wedge the
+            // top queue.
+            let (now, expiry) = (io.now(), self.cfg.arb_expiry);
+            self.arbitrators().for_each(|arb| arb.gc(now, expiry));
+            io.set_timer(expiry, self.front.maintenance_token());
             return;
         }
-        if self.crashed
-            || token != DELEG_TIMER_TOKEN + self.deleg_epoch
-            || !self.cfg.delegation
-            || self.level != Level::Tor
-        {
+        if self.front.is_crashed() || token != DELEG_TIMER_TOKEN + self.deleg_epoch {
             return;
         }
-        let Some(parent) = self.tree.parent(self.me) else {
+        let Some(parent) = self.deleg_parent() else {
             return;
         };
         // Report demand on the delegated slices so the parent can
@@ -464,65 +334,32 @@ impl SwitchPlugin for PaseSwitchPlugin {
                 .deleg_down
                 .as_ref()
                 .map_or(Rate::ZERO, |a| a.top_queue_demand());
-            io.send(Packet::ctrl(
-                netsim::ids::FlowId(u64::MAX),
-                self.me,
-                parent,
-                Box::new(ArbMsg::DelegUpdate {
-                    child: self.me,
-                    up_demand,
-                    down_demand,
-                }),
-            ));
+            let update = ArbMsg::DelegUpdate {
+                child: self.me,
+                up_demand,
+                down_demand,
+            };
+            io.send(update.packet(NO_FLOW, self.me, parent));
         }
         io.set_timer(self.cfg.deleg_period, DELEG_TIMER_TOKEN + self.deleg_epoch);
     }
 
     fn on_fault(&mut self, fault: NodeFault, io: &mut SwitchIo<'_, '_>) {
-        match fault {
-            NodeFault::Crash => {
-                self.crashed = true;
-                // All arbitration soft state dies with the process; only
-                // the periodic endpoint refreshes can rebuild it.
-                if let Some(a) = self.up.as_mut() {
-                    a.clear();
-                }
-                if let Some(a) = self.down.as_mut() {
-                    a.clear();
-                }
-                if let Some(a) = self.deleg_up.as_mut() {
-                    a.clear();
-                }
-                if let Some(a) = self.deleg_down.as_mut() {
-                    a.clear();
-                }
+        match self.front.on_fault(fault, io.now()) {
+            FaultEffect::None => {}
+            FaultEffect::Wipe => {
+                self.arbitrators().for_each(LinkArbitrator::clear);
                 self.child_demands.clear();
-                self.budget.clear(io.now());
             }
-            NodeFault::CtrlStormStart { amplify } => self.budget.storm_start(amplify),
-            NodeFault::CtrlStormEnd => self.budget.storm_end(),
-            NodeFault::Restart => {
-                if !self.crashed {
-                    return;
-                }
-                self.crashed = false;
-                // The fresh process starts empty and re-learns purely from
-                // the next refresh round (within `arb_expiry`). Restart the
-                // delegation report and lease-GC loops under new epochs: a
-                // timer still pending from before the crash is now stale
-                // and inert.
+            FaultEffect::Rearm => {
+                // The fresh process re-learns purely from the next refresh
+                // round (within `arb_expiry`). The delegation report loop
+                // restarts under a new epoch, like the lease-GC loop.
                 self.deleg_epoch += 1;
-                if self.cfg.delegation
-                    && self.level == Level::Tor
-                    && self.tree.parent(self.me).is_some()
-                {
+                if self.deleg_parent().is_some() {
                     io.set_timer(self.cfg.deleg_period, DELEG_TIMER_TOKEN + self.deleg_epoch);
                 }
-                self.maint_epoch += 1;
-                io.set_timer(
-                    self.cfg.arb_expiry,
-                    MAINTENANCE_TIMER_BASE + self.maint_epoch,
-                );
+                io.set_timer(self.cfg.arb_expiry, self.front.maintenance_token());
             }
         }
     }

@@ -1,4 +1,10 @@
-//! Per-arbitrator control-inbox budgeting (overload protection).
+//! The arbitrator front-end: what every PASE arbitrator process does with
+//! an arriving control packet *before* arbitrating, and its crash /
+//! restart lifecycle — the same Algorithm 1 process whether it sits on a
+//! host or a ToR (paper §3.1), so [`ArbFrontEnd`] is the one definition
+//! both [`crate::PaseHostService`] and [`crate::PaseSwitchPlugin`] run.
+//!
+//! # Per-arbitrator control-inbox budgeting (overload protection)
 //!
 //! Every PASE arbitrator — the endpoint host service and the switch
 //! plugins alike — meters its control inbox against a per-epoch budget
@@ -13,9 +19,16 @@
 //! dropping a release leaks arbitrator state, and responses are the very
 //! signal that lets senders back off.
 
+use netsim::fault::NodeFault;
+use netsim::host::MAINTENANCE_TIMER_BASE;
+use netsim::ids::{FlowId, NodeId};
+use netsim::packet::Packet;
+use netsim::stats::StatsCollector;
 use netsim::time::{SimDuration, SimTime};
+use netsim::trace::TraceEvent;
 
 use crate::config::PaseConfig;
+use crate::messages::{ArbMsg, ArbRequest};
 
 /// A weighted per-epoch control-inbox meter.
 #[derive(Debug, Clone, Copy)]
@@ -111,6 +124,163 @@ impl InboxBudget {
     pub fn clear(&mut self, now: SimTime) {
         self.epoch_start = now;
         self.depth = 0;
+    }
+}
+
+/// What an injected fault did to the arbitrator process, i.e. what its
+/// owner has to do about the state only the owner knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultEffect {
+    /// Nothing beyond the front-end's own bookkeeping.
+    None,
+    /// The process died: wipe every arbitrator and cache — all soft state
+    /// dies with it and only the endpoints' periodic refreshes rebuild it.
+    Wipe,
+    /// A fresh, empty process came up: re-arm the periodic loops. The
+    /// maintenance epoch has been bumped, so a tick still pending from
+    /// before the crash is stale and inert; arm the new one with
+    /// [`ArbFrontEnd::maintenance_token`].
+    Rearm,
+}
+
+/// The part of an arbitrator process that does not depend on which links
+/// it arbitrates: crash state, the lease-GC tick's generation, and the
+/// metered inbox with its shed policy and ledger accounting.
+#[derive(Debug, Clone)]
+pub struct ArbFrontEnd {
+    me: NodeId,
+    /// Injected-fault state: a crashed arbitrator ignores all control
+    /// traffic and timers until restarted (on a switch the data plane
+    /// keeps forwarding — only the co-located control process dies).
+    crashed: bool,
+    /// Generation counter for the periodic lease-GC tick; bumped on
+    /// restart so pre-crash ticks die silently.
+    maint_epoch: u64,
+    /// Control-inbox meter shared by every arbitrator the process owns.
+    budget: InboxBudget,
+}
+
+impl ArbFrontEnd {
+    /// The front-end of the arbitrator process on node `me`.
+    pub fn new(cfg: &PaseConfig, me: NodeId) -> ArbFrontEnd {
+        ArbFrontEnd {
+            me,
+            crashed: false,
+            maint_epoch: 0,
+            budget: InboxBudget::new(cfg),
+        }
+    }
+
+    /// Whether an injected crash currently has the process down.
+    pub fn is_crashed(&self) -> bool {
+        self.crashed
+    }
+
+    /// The live lease-GC timer token. The tick is infrastructure (not
+    /// flow progress): it rides above [`MAINTENANCE_TIMER_BASE`] so the
+    /// stuck-flow oracle ignores it.
+    pub fn maintenance_token(&self) -> u64 {
+        MAINTENANCE_TIMER_BASE + self.maint_epoch
+    }
+
+    /// Whether `token` is the live lease-GC tick of a running process. A
+    /// crashed process skips the tick (its state is already gone); the
+    /// restart path re-arms under a new epoch.
+    pub fn maintenance_due(&self, token: u64) -> bool {
+        !self.crashed && token == self.maintenance_token()
+    }
+
+    /// Take one control packet off the wire. `None` when the message goes
+    /// no further, with its fate already entered in the control ledger:
+    /// lost to a crash (a crashed arbitrator is a black hole — the
+    /// sending endpoints' watchdogs handle the silence, see
+    /// [`crate::endpoint`]), unattended (not a PASE message), or
+    /// tail-dropped by an unprotected full inbox. Otherwise the message
+    /// and the weighted inbox depth it arrived at, for
+    /// [`ArbFrontEnd::shed_request`].
+    pub fn admit(
+        &mut self,
+        pkt: &mut Packet,
+        stats: &mut StatsCollector,
+        now: SimTime,
+    ) -> Option<(Box<ArbMsg>, u64)> {
+        if self.crashed {
+            stats.note_ctrl_lost_to_crash();
+            return None;
+        }
+        let Some(msg) = pkt.take_proto::<ArbMsg>() else {
+            stats.note_ctrl_unattended();
+            return None;
+        };
+        let depth = self.budget.charge(now);
+        stats.note_ctrl_epoch_depth(self.me, depth);
+        if !self.budget.protected() && self.budget.overflowed(depth) {
+            // Unprotected bounded inbox: silent tail drop of whatever
+            // arrived — responses and FlowDone releases included, so
+            // leases leak until expiry and senders hear nothing but their
+            // watchdogs. This is the failure mode the priority-aware shed
+            // policy exists to prevent.
+            self.note_shed(pkt.flow, false, stats, now);
+            return None;
+        }
+        Some((msg, depth))
+    }
+
+    /// Overloaded: shed `req` instead of arbitrating? `stale` marks a
+    /// refresh of a flow the arbitrator already holds. On `true` the shed
+    /// is already counted and traced and the owner answers with
+    /// `req.response(true)`: the reply carries whatever the leg
+    /// accumulated so far plus the load-shed signal, so the sender still
+    /// gets an answer — just not a fresh decision — and backs off.
+    /// Releases (`FlowDone`), responses and delegation traffic are never
+    /// shed; do not consult this for them.
+    pub fn shed_request(
+        &self,
+        req: &ArbRequest,
+        stale: bool,
+        depth: u64,
+        stats: &mut StatsCollector,
+        now: SimTime,
+    ) -> bool {
+        let shed = self.budget.should_shed(depth, stale);
+        if shed {
+            self.note_shed(req.flow, stale, stats, now);
+        }
+        shed
+    }
+
+    fn note_shed(&self, flow: FlowId, stale: bool, stats: &mut StatsCollector, now: SimTime) {
+        stats.note_ctrl_shed(self.me);
+        if stats.tracing() {
+            let node = self.me;
+            stats.trace_event(now, &TraceEvent::Shed { node, flow, stale });
+        }
+    }
+
+    /// Apply an injected fault to the process and tell the owner what is
+    /// left for it to do.
+    pub fn on_fault(&mut self, fault: NodeFault, now: SimTime) -> FaultEffect {
+        match fault {
+            NodeFault::Crash => {
+                self.crashed = true;
+                self.budget.clear(now);
+                FaultEffect::Wipe
+            }
+            NodeFault::CtrlStormStart { amplify } => {
+                self.budget.storm_start(amplify);
+                FaultEffect::None
+            }
+            NodeFault::CtrlStormEnd => {
+                self.budget.storm_end();
+                FaultEffect::None
+            }
+            NodeFault::Restart if self.crashed => {
+                self.crashed = false;
+                self.maint_epoch += 1;
+                FaultEffect::Rearm
+            }
+            NodeFault::Restart => FaultEffect::None,
+        }
     }
 }
 

@@ -12,9 +12,10 @@
 //!   least-attained-service.
 //!
 //! One parameterized agent ([`FamilySender`]) implements all four through
-//! the [`Flavor`] enum, which keeps their common machinery honest: every
-//! difference between the protocols is visible in
-//! `FamilySender::on_new_ack` and `FamilySender::on_loss`.
+//! the [`Flavor`] enum, which keeps their common machinery honest: the
+//! window law itself is [`DctcpWindow`] (shared with PASE's sender) and
+//! every difference between the protocols is visible in
+//! `FamilySender::on_new_ack`.
 
 use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent};
@@ -23,7 +24,8 @@ use netsim::time::{SimDuration, SimTime};
 
 use crate::params::FamilyConfig;
 use crate::rtt::RttEstimator;
-use crate::tx::{AckKind, LossEvent, TxEngine};
+use crate::tx::{AckKind, TxEngine};
+use crate::window::DctcpWindow;
 
 /// Which member of the family a sender speaks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,16 +46,8 @@ pub struct FamilySender {
     engine: TxEngine,
     flavor: Flavor,
     cfg: FamilyConfig,
-    /// DCTCP marked-fraction estimate.
-    alpha: f64,
-    ssthresh: f64,
-    /// Sequence marking the end of the current observation window.
-    obs_end: u64,
-    obs_acked: u64,
-    obs_marked: u64,
-    /// ECE-triggered decrease is applied at most once per window: next
-    /// decrease allowed when `cum_ack` passes this sequence.
-    next_decrease_at: u64,
+    /// The shared DCTCP window law (`α`, decrease gate, `ssthresh`).
+    win: DctcpWindow,
     /// Absolute deadline (D2TCP), if the flow has one.
     deadline_abs: Option<SimTime>,
     done: bool,
@@ -75,12 +69,7 @@ impl FamilySender {
             ),
             flavor,
             cfg,
-            alpha: 0.0,
-            ssthresh: cfg.init_ssthresh,
-            obs_end: 0,
-            obs_acked: 0,
-            obs_marked: 0,
-            next_decrease_at: 0,
+            win: DctcpWindow::new(cfg.g, cfg.init_ssthresh),
             deadline_abs: spec.deadline_abs(),
             done: false,
         }
@@ -93,7 +82,7 @@ impl FamilySender {
 
     /// The current marked-fraction estimate `α` (for tests/inspection).
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.win.alpha()
     }
 
     /// L2DCT additive-increase weight for a flow that has sent `sent`
@@ -140,72 +129,39 @@ impl FamilySender {
         (tc / d_remaining.max(1e-9)).clamp(dmin, dmax)
     }
 
-    /// Additive increase on newly acknowledged bytes.
+    /// The window law on newly acknowledged bytes; every difference
+    /// between the four protocols is the penalty `p` and the weight `w`.
     fn on_new_ack(&mut self, newly: u64, ece: bool, now: SimTime) {
-        // Fold the observation window for the DCTCP estimator.
-        self.obs_acked += newly;
-        if ece {
-            self.obs_marked += newly;
-        }
-        if self.engine.acked() >= self.obs_end {
-            if self.obs_acked > 0 {
-                let f = self.obs_marked as f64 / self.obs_acked as f64;
-                self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g * f;
-            }
-            self.obs_acked = 0;
-            self.obs_marked = 0;
-            self.obs_end = self.engine.snd_nxt();
-        }
+        let (acked, snd_nxt) = (self.engine.acked(), self.engine.snd_nxt());
+        self.win.observe(newly, ece, acked, snd_nxt);
 
         // ECE-driven multiplicative decrease, at most once per window.
-        if ece && self.flavor != Flavor::Reno && self.engine.acked() >= self.next_decrease_at {
+        if ece && self.flavor != Flavor::Reno && self.win.decrease_due(acked) {
+            let alpha = self.win.alpha();
             let p = match self.flavor {
                 Flavor::Reno => unreachable!(),
-                Flavor::Dctcp => self.alpha / 2.0,
-                Flavor::D2tcp => self.alpha.powf(self.d2tcp_d(now)) / 2.0,
+                Flavor::Dctcp => alpha / 2.0,
+                Flavor::D2tcp => alpha.powf(self.d2tcp_d(now)) / 2.0,
                 Flavor::L2dct => {
                     // Long flows back off harder: scale by how far the
                     // flow's weight has decayed from w_max.
                     let (wmin, wmax) = self.cfg.l2dct_w_bounds;
-                    let w = self.l2dct_weight(self.engine.acked());
-                    (self.alpha / 2.0) * ((wmax - w + wmin) / wmax).clamp(0.0, 1.0)
+                    let w = self.l2dct_weight(acked);
+                    (alpha / 2.0) * ((wmax - w + wmin) / wmax).clamp(0.0, 1.0)
                 }
             };
-            self.engine.cwnd = (self.engine.cwnd * (1.0 - p)).max(1.0);
-            self.ssthresh = self.engine.cwnd;
-            self.next_decrease_at = self.engine.snd_nxt();
+            self.win.decrease(&mut self.engine.cwnd, p, snd_nxt);
             return; // no increase on the ACK that triggered a decrease
         }
-
-        // Window growth (scaled for delayed ACKs, see
-        // [`FamilyConfig::ack_growth_factor`]).
-        let pkts = newly as f64 / self.engine.mss as f64 * self.cfg.ack_growth_factor;
         if self.engine.in_recovery() {
             return;
         }
-        if self.engine.cwnd < self.ssthresh {
-            self.engine.cwnd += pkts; // slow start
-        } else {
-            let w = match self.flavor {
-                Flavor::L2dct => self.l2dct_weight(self.engine.acked()),
-                _ => 1.0,
-            };
-            self.engine.cwnd += w * pkts / self.engine.cwnd;
-        }
-    }
-
-    /// Window reaction to loss signals.
-    fn on_loss(&mut self, loss: LossEvent) {
-        match loss {
-            LossEvent::FastRetransmit => {
-                self.engine.cwnd = (self.engine.cwnd / 2.0).max(1.0);
-                self.ssthresh = self.engine.cwnd;
-            }
-            LossEvent::Timeout => {
-                self.ssthresh = (self.engine.cwnd / 2.0).max(2.0);
-                self.engine.cwnd = 1.0;
-            }
-        }
+        let w = match self.flavor {
+            Flavor::L2dct => self.l2dct_weight(acked),
+            _ => 1.0,
+        };
+        let (mss, factor) = (self.engine.mss, self.cfg.ack_growth_factor);
+        self.win.grow(&mut self.engine.cwnd, newly, mss, factor, w);
     }
 
     fn customize(flavor: Flavor) -> impl FnMut(&mut Packet) {
@@ -232,7 +188,7 @@ impl FlowAgent for FamilySender {
             AckKind::Dup { .. } | AckKind::Stale => {}
         }
         if let Some(loss) = self.engine.take_loss_event() {
-            self.on_loss(loss);
+            self.win.on_loss(&mut self.engine.cwnd, loss);
         }
         if self.engine.complete() {
             ctx.flow_completed();
@@ -248,7 +204,7 @@ impl FlowAgent for FamilySender {
         }
         if self.engine.on_timer(token, ctx) {
             if let Some(loss) = self.engine.take_loss_event() {
-                self.on_loss(loss);
+                self.win.on_loss(&mut self.engine.cwnd, loss);
             }
             self.engine.pump(ctx, Self::customize(self.flavor));
         } else if self.engine.gave_up() {

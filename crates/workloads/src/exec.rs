@@ -23,7 +23,7 @@
 //!
 //! The worker count is [`default_jobs`]
 //! ([`std::thread::available_parallelism`]) unless a binary's `--jobs`
-//! flag ([`parse_jobs`]) says otherwise.
+//! flag says otherwise.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,13 +34,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Parse the value of a `--jobs` flag: a positive integer.
-pub fn parse_jobs(value: &str) -> usize {
-    let jobs: usize = value.parse().expect("--jobs: integer");
-    assert!(jobs > 0, "--jobs must be positive");
-    jobs
 }
 
 /// Peak resident set size of this process in bytes: the `VmHWM` line of

@@ -6,11 +6,13 @@
 //! "(protocol, scenario, load, seed) → AFCT / tail FCT / deadlines /
 //! loss / control overhead" in one call ([`runner::RunSpec::run`]).
 //! Sweeps over many such cases go through the deterministic parallel
-//! execution engine in [`exec`].
+//! execution engine in [`exec`]; every binary's flags go through the
+//! argument cursor in [`cli`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod exec;
 pub mod flowgen;
 pub mod metrics;
@@ -19,7 +21,7 @@ pub mod scenarios;
 pub mod scheme;
 pub mod topologies;
 
-pub use exec::{default_jobs, parse_jobs, read_peak_rss, run_cases, CasePlan};
+pub use exec::{default_jobs, read_peak_rss, run_cases, CasePlan};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
 pub use metrics::{
     collect, collect_with, fct_cdf, percentile, MetricsMode, QuantileSketch, RunMetrics,

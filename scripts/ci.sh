@@ -54,6 +54,13 @@ echo "== bench smoke (sched-storm + wheel-storm, quick) =="
 ./target/release/netsim-bench --quick --scenario sched-storm,wheel-storm \
     --jobs "${JOBS:-2}" >/dev/null
 
+# Figure-registry smoke: `--only` picks figures by registry id, prints
+# them without touching EXPERIMENTS.md, and exits non-zero if a cell came
+# from a truncated run. From a temp dir so nothing lands in the repo.
+echo "== figure registry smoke (run_all --quick --only fig09a,ext_faults) =="
+(cd "$(mktemp -d)" && "$OLDPWD/target/release/run_all" --quick --only fig09a,ext_faults \
+    --jobs "${JOBS:-2}" >/dev/null)
+
 # Production-scale smoke: build the k=8 fat-tree (128 hosts) under PASE,
 # audit the compact interval FIBs, run a 2k-flow incast slice twice with
 # invariants (packet conservation included) under the dual-run

@@ -7,6 +7,7 @@
 //! pase-sim --list
 //! ```
 
+use pase_repro::workloads::cli::{self, Args};
 use pase_repro::workloads::{RunSpec, Scenario, Scheme};
 
 const USAGE: &str = "\
@@ -20,87 +21,96 @@ OPTIONS:
                          [default: pase]
     --scenario <name>    left-right | all-to-all | deadline | medium |
                          websearch | testbed      [default: left-right]
-    --load <frac>        offered load as a fraction [default: 0.7]
-    --flows <n>          measured flows to generate [default: 1000]
+    --load <frac>        offered load as a fraction, in (0, 1.2]
+                         [default: 0.7]
+    --flows <n>          measured flows to generate, >= 1 [default: 1000]
     --seed <n>           workload seed [default: 1]
     --hosts <n>          hosts per rack (left-right/websearch) or rack
-                         size (all-to-all) [default: 20]
+                         size (all-to-all), >= 2 [default: 20]
     --list               list schemes and scenarios, then exit
     --help               show this help
 ";
 
-fn parse_scheme(s: &str) -> Scheme {
-    match s {
-        "tcp" => Scheme::Tcp,
-        "dctcp" => Scheme::Dctcp,
-        "d2tcp" => Scheme::D2tcp,
-        "l2dct" => Scheme::L2dct,
-        "pdq" => Scheme::Pdq,
-        "pfabric" => Scheme::PFabric,
-        "pase" => Scheme::Pase,
-        other => {
-            eprintln!("unknown scheme '{other}'\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
+const SCHEMES: [(&str, Scheme); 7] = [
+    ("tcp", Scheme::Tcp),
+    ("dctcp", Scheme::Dctcp),
+    ("d2tcp", Scheme::D2tcp),
+    ("l2dct", Scheme::L2dct),
+    ("pdq", Scheme::Pdq),
+    ("pfabric", Scheme::PFabric),
+    ("pase", Scheme::Pase),
+];
+
+/// A scenario builder taking (hosts, flows).
+type ScenarioFn = fn(usize, usize) -> Scenario;
+
+const SCENARIOS: [(&str, ScenarioFn); 6] = [
+    ("left-right", Scenario::left_right),
+    ("all-to-all", Scenario::all_to_all_intra),
+    ("deadline", |_, flows| Scenario::deadline_intra_rack(flows)),
+    ("medium", |_, flows| Scenario::medium_intra_rack(flows)),
+    ("websearch", Scenario::websearch_left_right),
+    ("testbed", |_, flows| Scenario::testbed(flows)),
+];
+
+/// One simulation, as asked for on the command line.
+struct Run {
+    scheme: Scheme,
+    scenario: ScenarioFn,
+    load: f64,
+    flows: usize,
+    seed: u64,
+    hosts: usize,
 }
 
-fn parse_scenario(s: &str, hosts: usize, flows: usize) -> Scenario {
-    match s {
-        "left-right" => Scenario::left_right(hosts, flows),
-        "all-to-all" => Scenario::all_to_all_intra(hosts, flows),
-        "deadline" => Scenario::deadline_intra_rack(flows),
-        "medium" => Scenario::medium_intra_rack(flows),
-        "websearch" => Scenario::websearch_left_right(hosts, flows),
-        "testbed" => Scenario::testbed(flows),
-        other => {
-            eprintln!("unknown scenario '{other}'\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn main() {
-    let mut scheme = "pase".to_string();
-    let mut scenario = "left-right".to_string();
-    let mut load = 0.7f64;
-    let mut flows = 1000usize;
-    let mut seed = 1u64;
-    let mut hosts = 20usize;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--scheme" => scheme = val("--scheme"),
-            "--scenario" => scenario = val("--scenario"),
-            "--load" => load = val("--load").parse().expect("--load: float"),
-            "--flows" => flows = val("--flows").parse().expect("--flows: integer"),
-            "--seed" => seed = val("--seed").parse().expect("--seed: integer"),
-            "--hosts" => hosts = val("--hosts").parse().expect("--hosts: integer"),
+/// `Ok(None)`: `--list` / `--help` printed what was asked; nothing to run.
+fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Run>, String> {
+    let mut run = Run {
+        scheme: Scheme::Pase,
+        scenario: Scenario::left_right,
+        load: 0.7,
+        flows: 1000,
+        seed: 1,
+        hosts: 20,
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scheme" => run.scheme = args.lookup(&flag, &SCHEMES)?,
+            "--scenario" => run.scenario = args.lookup(&flag, &SCENARIOS)?,
+            "--load" => run.load = args.in_range(&flag, cli::LOAD_RANGE)?,
+            "--flows" => run.flows = args.in_range(&flag, 1..)?,
+            "--seed" => run.seed = args.in_range(&flag, ..)?,
+            "--hosts" => run.hosts = args.in_range(&flag, 2..)?,
             "--list" => {
-                println!("schemes:   tcp dctcp d2tcp l2dct pdq pfabric pase");
-                println!("scenarios: left-right all-to-all deadline medium websearch testbed");
-                return;
+                println!("schemes:   {}", SCHEMES.map(|s| s.0).join(" "));
+                println!("scenarios: {}", SCENARIOS.map(|s| s.0).join(" "));
+                return Ok(None);
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
-                return;
+                return Ok(None);
             }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
+    Ok(Some(run))
+}
 
-    let scheme = parse_scheme(&scheme);
-    let scenario = parse_scenario(&scenario, hosts, flows);
+fn main() {
+    let parsed = parse(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
+    let Some(Run {
+        scheme,
+        scenario,
+        load,
+        flows,
+        seed,
+        hosts,
+    }) = parsed
+    else {
+        return;
+    };
+    let scenario = scenario(hosts, flows);
     eprintln!(
         "running {} on {} at load {:.0}% ({} flows, seed {}, {} hosts)...",
         scheme.name(),
@@ -137,4 +147,58 @@ fn main() {
         wall,
         m.events as f64 / wall / 1e6
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(s: &str) -> Result<Option<Run>, String> {
+        parse(s.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn defaults_and_overrides() {
+        let run = parse_line("").unwrap().expect("no flags is a run");
+        assert_eq!(
+            (run.scheme.name(), run.load, run.flows),
+            ("PASE", 0.7, 1000)
+        );
+        let line = "--scheme pfabric --scenario all-to-all --load 0.9 --flows 5 --seed 3 --hosts 4";
+        let run = parse_line(line).unwrap().expect("a run");
+        assert_eq!(run.scheme.name(), Scheme::PFabric.name());
+        assert_eq!(
+            (run.scenario)(run.hosts, run.flows).name,
+            "all-to-all-intra"
+        );
+        assert_eq!((run.load, run.flows, run.seed, run.hosts), (0.9, 5, 3, 4));
+        assert!(parse_line("--load 0.5 --list").unwrap().is_none());
+        assert!(parse_line("-h").unwrap().is_none());
+    }
+
+    /// Every flag x {missing value, non-number / unknown name, out of
+    /// range} is an `Err` naming the flag: `--flows 0` used to simulate
+    /// 120 s of background traffic and print `AFCT NaN`, `--load 0` and
+    /// `--load abc` used to panic.
+    #[test]
+    fn bad_input_is_an_error_naming_the_flag() {
+        let table: [(&str, &[&str]); 6] = [
+            ("--scheme", &["", "quic"]),
+            ("--scenario", &["", "ring"]),
+            ("--load", &["", "abc", "0", "-0.1", "1.3", "NaN"]),
+            ("--flows", &["", "abc", "0"]),
+            ("--seed", &["", "abc", "-1"]),
+            ("--hosts", &["", "abc", "0", "1"]),
+        ];
+        for (flag, bad_values) in table {
+            for bad in bad_values {
+                let err = parse_line(&format!("{flag} {bad}"))
+                    .err()
+                    .expect("rejected");
+                assert!(err.starts_with(flag), "`{flag} {bad}`: {err}");
+            }
+        }
+        let err = parse_line("--bogus").err().expect("rejected");
+        assert_eq!(err, "unknown argument: --bogus");
+    }
 }

@@ -17,29 +17,39 @@ fn tiny() -> ExpOpts {
 fn all_figures_produce_well_formed_results() {
     let opts = tiny();
     let figs = figs::all(&opts);
-    // Every paper figure is covered.
+    // Every figure, in paper order (the order EXPERIMENTS.md lists them).
     let ids: Vec<&str> = figs.iter().map(|f| f.id.as_str()).collect();
-    for expected in [
-        "fig01",
-        "fig02",
-        "fig03",
-        "fig04",
-        "fig09a",
-        "fig09b",
-        "fig09c",
-        "fig10a",
-        "fig10b",
-        "fig10c",
-        "fig11a",
-        "fig11b",
-        "fig12a",
-        "fig12b",
-        "fig13a",
-        "fig13b",
-        "micro_probing",
-    ] {
-        assert!(ids.contains(&expected), "missing {expected}: {ids:?}");
-    }
+    assert_eq!(
+        ids,
+        [
+            "fig01",
+            "fig02",
+            "fig03",
+            "fig04",
+            "fig09a",
+            "fig09b",
+            "fig09c",
+            "fig10a",
+            "fig10b",
+            "fig10c",
+            "fig11a",
+            "fig11b",
+            "fig12a",
+            "fig12b",
+            "fig13a",
+            "fig13b",
+            "micro_probing",
+            "ablation_prune",
+            "ablation_refresh",
+            "ext_websearch",
+            "ext_incast",
+            "ext_faults",
+            "ext_link_flap",
+            "ext_gray",
+            "ext_overload",
+            "ext_scale",
+        ]
+    );
     for fig in &figs {
         assert!(!fig.series.is_empty(), "{}: no series", fig.id);
         assert!(!fig.xs.is_empty(), "{}: no x points", fig.id);
@@ -53,6 +63,14 @@ fn all_figures_produce_well_formed_results() {
             );
         }
         assert!(!fig.notes.is_empty(), "{}: no shape note", fig.id);
+        // No cell may come from a run its backstop cut short (`run_all`
+        // exits 1 on the same condition).
+        assert!(
+            !figs::common::hit_backstop(fig),
+            "{}: truncated cells: {:?}",
+            fig.id,
+            fig.notes
+        );
         // Rendering must not panic and must contain the series names.
         let table = fig.to_table();
         let md = fig.to_markdown();
