@@ -1,9 +1,9 @@
 //! Scheduler-engine differential: run a chaos slice (the `chaos`
 //! binary's flags select it) once on the reference binary-heap engine
 //! and once on the timing wheel, in this process, and demand identical
-//! trace hashes and stats fingerprints per case — the wheel is a drop-in
-//! replacement for the heap, not approximately one. Non-zero exit on any
-//! divergence, each with the command that replays the case.
+//! trace hashes, stats fingerprints and event counts per case — the wheel
+//! is a drop-in replacement for the heap, not approximately one. Non-zero
+//! exit on any divergence, each with the command that replays the case.
 
 use experiments::chaos::{replay_command, run_once, ChaosOpts};
 use netsim::engine::EngineKind;
@@ -15,11 +15,12 @@ fn main() {
     });
     let mut diverged = 0;
     for [heap, wheel] in &pairs {
-        let same = (heap.trace_hash, heap.stats_hash) == (wheel.trace_hash, wheel.stats_hash);
+        let same = (heap.trace_hash, heap.stats_hash, heap.events)
+            == (wheel.trace_hash, wheel.stats_hash, wheel.events);
         if opts.verbose || !same {
             eprintln!(
-                "engine_diff {:>5} {:?}/{} seed {:>3}: {} (heap trace {:#018x} stats {:#018x}, \
-                 wheel trace {:#018x} stats {:#018x})",
+                "engine_diff {:>5} {:?}/{} seed {:>3}: {} (heap trace {:#018x} stats {:#018x} \
+                 events {}, wheel trace {:#018x} stats {:#018x} events {})",
                 heap.scheme,
                 heap.intensity,
                 heap.fault_class.name(),
@@ -27,8 +28,10 @@ fn main() {
                 if same { "same" } else { "DIVERGED" },
                 heap.trace_hash,
                 heap.stats_hash,
+                heap.events,
                 wheel.trace_hash,
                 wheel.stats_hash,
+                wheel.events,
             );
         }
         if !same {

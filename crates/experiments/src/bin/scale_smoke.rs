@@ -14,17 +14,24 @@ use netsim::trace::HashTracer;
 use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). The
-/// smoke peaks under 10 MiB (compact FIBs, qdisc rings that start empty);
-/// the budget leaves ~3x headroom for allocator and toolchain noise
-/// while still catching a return to dense per-switch route tables,
-/// per-flow metric vectors, or any pre-touched per-port allocation
-/// (pre-sized rings alone took this smoke to 30 MiB: 768 ports x 8
-/// bands).
-const PEAK_RSS_BUDGET: u64 = 32 * 1024 * 1024;
+/// smoke peaks at 6 MiB (compact FIBs, qdisc rings that start empty, one
+/// queued RTO event per flow); the budget leaves ~3x headroom for
+/// allocator and toolchain noise while still catching a return to dense
+/// per-switch route tables, per-flow metric vectors, or any pre-touched
+/// per-port allocation (pre-sized rings alone took this smoke to 30 MiB:
+/// 768 ports x 8 bands).
+const PEAK_RSS_BUDGET: u64 = 20 * 1024 * 1024;
 
-/// One traced, invariant-checked incast run; returns the trace digest
-/// and the delivered-packet count.
-fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64) {
+/// Ceiling on the scheduler's peak pending-event count. The count is
+/// deterministic and peaks at 2,306 here: packets on the wire plus one
+/// queued RTO event per live flow. One per *data packet* in flight or
+/// acknowledged within the last RTO (the eager idiom [`netsim::timer`]
+/// replaced) peaked at 8,348.
+const PEAK_PENDING_BUDGET: usize = 3_000;
+
+/// One traced, invariant-checked incast run; returns the trace digest,
+/// the delivered-packet count and the peak pending-event count.
+fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize) {
     let (mut sim, hosts) = Scheme::Pase.build_sim(&scenario.topo);
 
     // Route-table audit: every switch carries a compact interval FIB
@@ -85,9 +92,10 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64) {
     assert_eq!(incomplete, 0, "every smoke flow must complete");
 
     let delivered = sim.stats().data_pkts_delivered;
+    let peak_pending = sim.scheduler().peak_pending();
     drop(sim); // flush the tracer
     let d = *digest.lock().unwrap();
-    (d, delivered)
+    (d, delivered, peak_pending)
 }
 
 fn main() {
@@ -107,12 +115,15 @@ fn main() {
         n_flows: 2_000,
     };
 
-    let (d1, delivered1) = run_once(&scenario, 1);
-    let (d2, delivered2) = run_once(&scenario, 1);
+    let (d1, delivered1, peak_pending) = run_once(&scenario, 1);
     assert_eq!(
-        (d1, delivered1),
-        (d2, delivered2),
+        (d1, delivered1, peak_pending),
+        run_once(&scenario, 1),
         "dual-run trace digests diverged — determinism regression"
+    );
+    assert!(
+        peak_pending <= PEAK_PENDING_BUDGET,
+        "peak pending events {peak_pending} exceed the smoke bound {PEAK_PENDING_BUDGET}"
     );
 
     let rss = workloads::read_peak_rss();
@@ -124,7 +135,8 @@ fn main() {
     );
     eprintln!(
         "scale_smoke: OK — 2000-flow incast on k=8 twice, digest {d1:#018x}, \
-         {delivered1} pkts delivered, peak RSS {:.0} MiB (budget {} MiB)",
+         {delivered1} pkts delivered, peak pending {peak_pending} events (bound \
+         {PEAK_PENDING_BUDGET}), peak RSS {:.1} MiB (budget {} MiB)",
         rss as f64 / (1024.0 * 1024.0),
         PEAK_RSS_BUDGET / (1024 * 1024)
     );

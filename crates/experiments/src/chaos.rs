@@ -30,6 +30,7 @@ use std::collections::BTreeSet;
 
 use netsim::chaos::{self, ChaosConfig, ChaosIntensity};
 use netsim::engine::EngineKind;
+use netsim::event::EventKind;
 use netsim::fault::{FaultEvent, FaultPlan};
 use netsim::flow::FlowSpec;
 use netsim::invariants::InvariantConfig;
@@ -37,7 +38,7 @@ use netsim::prelude::*;
 use netsim::rng::Rng;
 use netsim::sim::RunOutcome;
 use netsim::topology::NodeKind;
-use netsim::trace::{fnv1a, TextDigestTracer, FNV1A_OFFSET};
+use netsim::trace::{fnv1a, HashTracer, FNV1A_OFFSET};
 use workloads::{cli, CasePlan, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Which fault classes a chaos case injects.
@@ -257,7 +258,8 @@ pub struct CaseResult {
     /// Flows that ended in a terminal `Aborted` state (all attributable
     /// to injected host faults, or the case fails).
     pub aborted_flows: usize,
-    /// FNV-1a hash of the full event trace (determinism fingerprint).
+    /// [`HashTracer`] digest of the full event trace (determinism
+    /// fingerprint).
     pub trace_hash: u64,
     /// FNV-1a hash of the aggregate stats counters and every flow's
     /// terminal record. The trace hash proves the event *sequence* is
@@ -268,6 +270,10 @@ pub struct CaseResult {
     pub blackholed: u64,
     /// Events executed by one run of the case (throughput numerator).
     pub events: u64,
+    /// `events` by kind, in [`EventKind::KINDS`] order.
+    pub events_by_kind: [u64; EventKind::KINDS.len()],
+    /// Timer arms that queued no event (see [`netsim::timer`]).
+    pub timer_arms_superseded: u64,
     /// Data packets delivered by one run of the case.
     pub delivered: u64,
     /// Peak pending-event count in one run of the case.
@@ -319,7 +325,9 @@ impl CaseResult {
 
 /// FNV-1a fingerprint of the run's [`netsim::stats::StatsCollector`]
 /// totals plus every flow's terminal record, serialized in a fixed
-/// little-endian order.
+/// little-endian order. A fingerprint of the *model*: event counts stay
+/// out of it ([`CaseResult::events`] is compared on its own), so it
+/// survives work that removes events without changing what they did.
 fn stats_fingerprint(sim: &Simulation) -> u64 {
     fn push(bytes: &mut Vec<u8>, v: u64) {
         bytes.extend_from_slice(&v.to_le_bytes());
@@ -327,7 +335,6 @@ fn stats_fingerprint(sim: &Simulation) -> u64 {
     let st = sim.stats();
     let mut bytes: Vec<u8> = Vec::with_capacity(4096);
     for v in [
-        st.events_executed,
         st.data_pkts_injected,
         st.data_pkts_delivered,
         st.data_pkts_dropped,
@@ -451,9 +458,9 @@ fn build_case(engine: EngineKind, case: Case, quick: bool) -> (Simulation, Fault
 pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
     let (scheme, fault_class, intensity, seed) = case;
     let (mut sim, plan) = build_case(engine, case, quick);
-    // The harness only ever compares traces, so it keeps the digest of
-    // the text trace, not the (tens of megabytes of) text.
-    let tracer = TextDigestTracer::new();
+    // The harness only ever compares traces, so it hashes the events
+    // themselves (every field, exact nanoseconds) and renders no text.
+    let tracer = HashTracer::new();
     let trace_digest = tracer.digest();
     sim.set_tracer(Box::new(tracer));
     let mut violations: Vec<String> = Vec::new();
@@ -530,6 +537,8 @@ pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
         stats_hash: stats_fingerprint(&sim),
         blackholed: sim.stats().data_pkts_blackholed,
         events: sim.stats().events_executed,
+        events_by_kind: sim.stats().events_by_kind,
+        timer_arms_superseded: sim.stats().timer_arms_superseded,
         delivered: sim.stats().data_pkts_delivered,
         peak_pending: sim.scheduler().peak_pending(),
         outcome,
@@ -567,6 +576,12 @@ pub fn run_case(
         first.violations.push(format!(
             "non-deterministic: stats hash {:#018x} != {:#018x} on replay",
             first.stats_hash, second.stats_hash
+        ));
+    }
+    if first.events != second.events {
+        first.violations.push(format!(
+            "non-deterministic: {} events executed != {} on replay",
+            first.events, second.events
         ));
     }
     first
@@ -650,6 +665,14 @@ pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
             eprintln!("  replay: {}", replay_command("chaos", r, opts.quick));
         }
     }
+    if opts.verbose {
+        let by_kind = std::array::from_fn(|k| out.iter().map(|r| r.events_by_kind[k]).sum());
+        let superseded: u64 = out.iter().map(|r| r.timer_arms_superseded).sum();
+        eprintln!(
+            "events by kind: {}; {superseded} timer arms superseded",
+            workloads::events_by_kind_line(&by_kind)
+        );
+    }
     out
 }
 
@@ -721,6 +744,8 @@ mod tests {
                 stats_hash: 0,
                 blackholed: 0,
                 events: 0,
+                events_by_kind: Default::default(),
+                timer_arms_superseded: 0,
                 delivered: 0,
                 peak_pending: 0,
                 outcome: RunOutcome::MeasuredComplete,
@@ -814,42 +839,20 @@ mod tests {
         assert_eq!(heap, wheel);
     }
 
-    /// `run_once` keeps only the digest of its trace: that digest must be
-    /// the FNV-1a of the text a `TextTracer` keeps on the same run, for a
-    /// fault-free run of the chaos fabric and for a faulted case (whose
-    /// trace has the `FLT`, drop and abort lines the first lacks).
+    /// `run_once`'s `trace_hash` is the digest of a [`HashTracer`]
+    /// installed by hand on the same world, for a faulted case whose
+    /// trace has the `FLT`, drop and abort events a healthy run lacks.
     #[test]
-    fn trace_digest_is_the_hash_of_the_text_trace() {
-        let limit = || RunLimit::until_measured_done(SimTime::from_secs(120));
-        let text_hash = |mut sim: Simulation, has_faults: bool| {
-            let tracer = netsim::trace::TextTracer::new();
-            let text = tracer.buffer();
-            sim.set_tracer(Box::new(tracer));
-            sim.run(limit());
-            let text = text.lock().unwrap();
-            assert!(text.lines().count() > 1000, "trace too short to mean much");
-            assert_eq!(text.contains(" FLT "), has_faults);
-            fnv1a(FNV1A_OFFSET, text.as_bytes())
-        };
-
-        let fault_free = || {
-            let scenario = chaos_scenario(true);
-            let (mut sim, hosts) = Scheme::Pase.build_sim_on(EngineKind::Wheel, &scenario.topo);
-            sim.add_flows(scenario.generate_flows(0.5, 3, &hosts));
-            sim
-        };
-        let tracer = TextDigestTracer::new();
-        let digest = tracer.digest();
-        let mut sim = fault_free();
-        sim.set_tracer(Box::new(tracer));
-        sim.run(limit());
-        assert_eq!(*digest.lock().unwrap(), text_hash(fault_free(), false));
-
+    fn trace_hash_is_the_hash_tracers_digest() {
         let case = (Scheme::Pase, FaultClass::Host, ChaosIntensity::High, 3);
-        assert_eq!(
-            run_once(EngineKind::Wheel, case, true).trace_hash,
-            text_hash(build_case(EngineKind::Wheel, case, true).0, true)
-        );
+        let (mut sim, _) = build_case(EngineKind::Wheel, case, true);
+        let tracer = HashTracer::new();
+        let digest = tracer.digest();
+        sim.set_tracer(Box::new(tracer));
+        sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
+        let r = run_once(EngineKind::Wheel, case, true);
+        assert!(r.blackholed > 0 && r.aborted_flows > 0, "case too tame");
+        assert_eq!(r.trace_hash, *digest.lock().unwrap());
     }
 
     /// The overload class must actually exercise the shed path on PASE

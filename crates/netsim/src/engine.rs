@@ -60,6 +60,9 @@ pub struct Scheduler {
     queue: EventQueue,
     next_seq: u64,
     now: SimTime,
+    /// Sequence number of the event `now` was reached by; `None` until
+    /// the first pop.
+    popped_seq: Option<u64>,
     peak_pending: usize,
     arena: PacketArena,
 }
@@ -88,6 +91,7 @@ impl Scheduler {
             queue,
             next_seq: 0,
             now: SimTime::ZERO,
+            popped_seq: None,
             peak_pending: 0,
             arena: PacketArena::new(),
         }
@@ -130,6 +134,55 @@ impl Scheduler {
     /// everything scheduled after it, so release builds must not limp
     /// past it either).
     pub fn schedule_at(&mut self, at: SimTime, target: NodeId, kind: EventKind) {
+        let seq = self.reserve_seq();
+        self.push(at, seq, target, kind);
+    }
+
+    /// Take the next sequence number without queueing an event: the
+    /// caller holds a place in the tie order at `now` and may file an
+    /// event there later with [`Scheduler::schedule_reserved`], or never
+    /// (an unused number leaves a gap, which orders nothing).
+    ///
+    /// This is what lets a timer that is re-armed before it fires keep
+    /// one queued event instead of one per arm (see [`crate::timer`])
+    /// without renumbering any other event: every `schedule_*` call that
+    /// follows gets the number it would have got had the event been
+    /// queued here.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Queue `kind` for `target` at `at` under `seq`, a number obtained
+    /// from [`Scheduler::reserve_seq`] and not yet used. The event pops
+    /// exactly where it would have had it been queued when the number was
+    /// taken.
+    ///
+    /// # Panics
+    /// Panics, in every build profile, if `seq` was never reserved or if
+    /// `(at, seq)` is not after the event being handled: the queue has
+    /// already passed that position and the event would fire out of
+    /// order.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, target: NodeId, kind: EventKind) {
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved (next is {})",
+            self.next_seq
+        );
+        assert!(
+            at > self.now || self.popped_seq.is_none_or(|popped| seq > popped),
+            "reserved {} event for node {} at ({at}, seq {seq}) is behind the pop frontier \
+             ({}, seq {:?})",
+            kind.name(),
+            target.0,
+            self.now,
+            self.popped_seq
+        );
+        self.push(at, seq, target, kind);
+    }
+
+    fn push(&mut self, at: SimTime, seq: u64, target: NodeId, kind: EventKind) {
         assert!(
             at >= self.now,
             "scheduling into the past: {} event for node {} at {at} < now {}",
@@ -137,8 +190,6 @@ impl Scheduler {
             target.0,
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let ev = ScheduledEvent {
             time: at,
             seq,
@@ -193,6 +244,7 @@ impl Scheduler {
             self.now
         );
         self.now = ev.time;
+        self.popped_seq = Some(ev.seq);
         Some((ev.target, ev.kind))
     }
 
@@ -278,6 +330,11 @@ impl Scheduler {
         if let EventQueue::Wheel(w) = &self.queue {
             w.audit();
         }
+    }
+
+    /// Sequence number of the event the last `pop` returned.
+    pub(crate) fn popped_seq(&self) -> Option<u64> {
+        self.popped_seq
     }
 }
 
@@ -417,7 +474,11 @@ mod tests {
     /// timers that land in the overflow heap (hours to years out), bursts
     /// with consecutive sequence numbers, and schedule-during-pop (new events
     /// posted at the instant the clock just reached, below the wheel's served
-    /// horizon). The wheel's structural audit runs after every op.
+    /// horizon), and sequence numbers reserved early and filed late —
+    /// at the instant being handled, inside its tick, in the horizon's
+    /// tick, at every level and in overflow, after however many cascades
+    /// and window promotions the intervening pops caused. The wheel's
+    /// structural audit runs after every op.
     fn differential_run(seed: u64, ops: usize) {
         let mut heap = Scheduler::with_engine(EngineKind::Heap);
         let mut wheel = Scheduler::with_engine(EngineKind::Wheel);
@@ -425,8 +486,9 @@ mod tests {
         let mut next_token = 0u64;
         let mut pending = 0usize;
         let mut tie_time = SimTime::ZERO;
+        let mut reserved: Vec<u64> = Vec::new();
         for _ in 0..ops {
-            match rng.gen_below(10) {
+            match rng.gen_below(12) {
                 // Near-future: deltas spanning ns to ~18 min so inserts hit
                 // every wheel level (tick 256 ns, four 256-slot levels) AND
                 // straddle the 2^40 ns top-level window boundary — deltas at
@@ -477,6 +539,35 @@ mod tests {
                     next_token += n;
                     pending += n as usize;
                 }
+                // Take a number now, to be filed by a later op.
+                7 => {
+                    let seq = heap.reserve_seq();
+                    assert_eq!(seq, wheel.reserve_seq());
+                    reserved.push(seq);
+                }
+                // File a held number: a (time, seq) key older than
+                // anything a plain schedule could produce now.
+                8 => {
+                    if !reserved.is_empty() {
+                        let seq = reserved.swap_remove(rng.gen_index(reserved.len()));
+                        let mut delta = match rng.gen_below(5) {
+                            0 => 0,
+                            1 => rng.gen_below(256),
+                            2 => 256 + rng.gen_below(256),
+                            3 => 1 << rng.gen_below(41),
+                            _ => 1 << (41 + rng.gen_below(8)),
+                        };
+                        if delta == 0 && heap.popped_seq.is_some_and(|popped| popped > seq) {
+                            delta = 1; // (now, seq) is already behind the frontier
+                        }
+                        let at = heap.now() + SimDuration::from_nanos(delta);
+                        let tok = next_token;
+                        next_token += 1;
+                        heap.schedule_reserved(at, seq, NodeId(11), timer(tok));
+                        wheel.schedule_reserved(at, seq, NodeId(11), timer(tok));
+                        pending += 1;
+                    }
+                }
                 // Pop, then sometimes schedule at the just-reached instant
                 // (schedule-during-pop: lands below the wheel's horizon).
                 _ => {
@@ -489,6 +580,7 @@ mod tests {
                             assert_eq!(heap.now(), wheel.now(), "clocks diverged");
                             assert_eq!(hn, wn, "targets diverged at {}", heap.now());
                             assert_eq!(token_of(&hk), token_of(&wk), "tokens diverged");
+                            assert_eq!(heap.popped_seq, wheel.popped_seq, "seqs diverged");
                             if rng.gen_below(4) == 0 {
                                 let tok = next_token;
                                 next_token += 1;
@@ -516,6 +608,45 @@ mod tests {
             }
             wheel.audit();
         }
+    }
+
+    #[test]
+    fn reserved_numbers_keep_their_place_in_the_tie_order() {
+        for engine in [EngineKind::Heap, EngineKind::Wheel] {
+            let mut s = Scheduler::with_engine(engine);
+            let t = SimTime::from_micros(5);
+            s.schedule_at(t, NodeId(0), timer(0));
+            let held = s.reserve_seq();
+            s.schedule_at(t, NodeId(0), timer(2));
+            s.schedule_at(SimTime::from_micros(1), NodeId(0), timer(9));
+            assert_eq!(token_of(&s.pop().unwrap().1), 9);
+            // Filed last, from a later instant, yet it pops second.
+            s.schedule_reserved(t, held, NodeId(0), timer(1));
+            assert_eq!(s.pending(), 3);
+            let order: Vec<u64> = std::iter::from_fn(|| s.pop())
+                .map(|(_, k)| token_of(&k))
+                .collect();
+            assert_eq!(order, [0, 1, 2], "{engine:?}");
+            assert_eq!(s.peak_pending(), 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the pop frontier")]
+    fn filing_a_reserved_number_behind_the_frontier_panics() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_micros(5);
+        let held = s.reserve_seq();
+        s.schedule_at(t, NodeId(0), timer(1));
+        s.pop().unwrap();
+        s.schedule_reserved(t, held, NodeId(0), timer(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn filing_an_unreserved_number_panics() {
+        let mut s = Scheduler::new();
+        s.schedule_reserved(SimTime::from_micros(5), 0, NodeId(0), timer(0));
     }
 
     /// The differential property test the wheel engine's correctness rests

@@ -52,18 +52,35 @@ impl EventKind {
         EventKind::FlowStart(Box::new(spec))
     }
 
+    /// The variant names, in [`EventKind::index`] order.
+    pub const KINDS: [&'static str; 6] = [
+        "Deliver",
+        "TxComplete",
+        "AgentTimer",
+        "PluginTimer",
+        "FlowStart",
+        "Fault",
+    ];
+
+    /// The variant's position in [`EventKind::KINDS`]: the index of its
+    /// row in per-kind tables such as
+    /// [`crate::stats::StatsCollector::events_by_kind`].
+    pub fn index(&self) -> usize {
+        match self {
+            EventKind::Deliver(_) => 0,
+            EventKind::TxComplete(_) => 1,
+            EventKind::AgentTimer { .. } => 2,
+            EventKind::PluginTimer(_) => 3,
+            EventKind::FlowStart(_) => 4,
+            EventKind::Fault(_) => 5,
+        }
+    }
+
     /// The variant name, for diagnostics: the scheduler's causal-order
     /// panics quote it so a chaos-sweep failure is attributable to an
     /// event kind straight from the message.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Deliver(_) => "Deliver",
-            EventKind::TxComplete(_) => "TxComplete",
-            EventKind::AgentTimer { .. } => "AgentTimer",
-            EventKind::PluginTimer(_) => "PluginTimer",
-            EventKind::FlowStart(_) => "FlowStart",
-            EventKind::Fault(_) => "Fault",
-        }
+        Self::KINDS[self.index()]
     }
 }
 

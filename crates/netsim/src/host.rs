@@ -141,7 +141,10 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
 
     /// Arrange for [`FlowAgent::on_timer`] to fire after `delay` with
     /// `token`. Timers cannot be cancelled; agents should version tokens
-    /// and ignore stale ones.
+    /// and ignore stale ones. For one-shot and self-re-arming timers; a
+    /// timer that is pushed back before it fires (an RTO) belongs in a
+    /// [`crate::timer::SupersedingTimer`], which queues one event, not
+    /// one per arm.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.sim.schedule_self(
             delay,

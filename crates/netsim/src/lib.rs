@@ -84,6 +84,7 @@ pub mod sim;
 pub mod stats;
 pub mod switch;
 pub mod time;
+pub mod timer;
 pub mod topology;
 pub mod trace;
 mod wheel;

@@ -327,6 +327,7 @@ impl Simulation {
                 return RunOutcome::Drained;
             };
             self.stats.events_executed += 1;
+            self.stats.events_by_kind[kind.index()] += 1;
             if let Some(mon) = &mut self.invariants {
                 let now = self.sched.now();
                 if mon.on_event(now) {

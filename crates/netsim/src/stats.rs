@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::event::EventKind;
 use crate::flow::FlowSpec;
 use crate::ids::{FlowId, NodeId};
 use crate::packet::{Packet, PacketKind};
@@ -139,6 +140,12 @@ pub struct StatsCollector {
     pub ctrl_unattended: u64,
     /// Total events executed (engine counter, for benchmarking).
     pub events_executed: u64,
+    /// [`StatsCollector::events_executed`] split by event kind, indexed by
+    /// [`crate::event::EventKind::index`].
+    pub events_by_kind: [u64; EventKind::KINDS.len()],
+    /// [`crate::timer::SupersedingTimer`] arms that queued no event
+    /// because an earlier one was already on its way.
+    pub timer_arms_superseded: u64,
     /// Packet-arena counters, published by [`crate::sim::Simulation::run`]
     /// when it returns (zero until the first run completes).
     pub arena: crate::packet::ArenaStats,

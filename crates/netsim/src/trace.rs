@@ -25,17 +25,21 @@
 //! `Display`, because only there can integer and float rounding differ,
 //! and the rare `FLT` lines keep the directive's derived `Debug`.
 //!
-//! Both text sinks stage rendered lines in a private buffer and hand
-//! them on in [`FLUSH_THRESHOLD`]-byte batches:
+//! [`TextTracer`] stages rendered lines in a private buffer and appends
+//! them to a shared `String` in [`FLUSH_THRESHOLD`]-byte batches (one
+//! mutex round trip per batch). It is for people who want to *read* a
+//! trace.
 //!
-//! - [`TextTracer`] appends each batch to a shared `String` (one mutex
-//!   round trip per batch) for callers that want to read the trace;
-//! - [`TextDigestTracer`] folds each batch into an FNV-1a 64 digest
-//!   ([`fnv1a`]) and discards it, for harnesses that only compare traces:
-//!   the digest equals the hash of the text [`TextTracer`] would have
-//!   kept, and memory stays at one batch however long the run.
+//! # One digest tracer
 //!
-//! Staged output reaches the shared handle on [`TraceSink::flush`]
+//! Harnesses that only *compare* traces — the chaos sweep's dual-run and
+//! heap-vs-wheel checks, `scale_smoke`, `ext_scale` — install
+//! [`HashTracer`], which folds the events' fields into a 64-bit digest and
+//! renders nothing. It is strictly finer than a hash of the text: every
+//! field the text prints is mixed in, and the timestamp goes in as exact
+//! nanoseconds where the text rounds to microseconds.
+//!
+//! Either sink's output reaches its shared handle on [`TraceSink::flush`]
 //! (called by [`crate::sim::Simulation::run`] before it returns) or when
 //! the sink is dropped; read the handle only after one of those points.
 
@@ -47,7 +51,7 @@ use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::time::SimTime;
 
-/// Bytes of rendered text a text sink stages before handing a batch on.
+/// Bytes of rendered text [`TextTracer`] stages before handing a batch on.
 /// Large enough that the mutex and the shared `String` growth are
 /// amortized over hundreds of lines; small enough that memory overhead
 /// per tracer is negligible.
@@ -415,77 +419,6 @@ impl TraceSink for TextTracer {
 
     fn flush(&mut self) {
         self.flush_local();
-    }
-}
-
-/// A sink that renders the same text lines as [`TextTracer::new`] but
-/// keeps only their FNV-1a 64 digest.
-///
-/// Each staged batch is folded into the running [`fnv1a`] state and
-/// discarded, so the published digest equals
-/// `fnv1a(FNV1A_OFFSET, text)` over the complete [`TextTracer`] buffer of
-/// the same run while the sink never holds more than one batch. This is
-/// what the chaos harness installs: it compares traces, never reads them.
-///
-/// The digest reaches the shared handle on [`TraceSink::flush`] (or
-/// drop), like the text tracer's buffer.
-#[derive(Debug)]
-pub struct TextDigestTracer {
-    shared: Arc<Mutex<u64>>,
-    /// Staged lines not yet folded into `hash`.
-    local: Vec<u8>,
-    hash: u64,
-}
-
-impl Default for TextDigestTracer {
-    fn default() -> Self {
-        TextDigestTracer::new()
-    }
-}
-
-impl TextDigestTracer {
-    /// A fresh tracer whose digest is that of the empty trace.
-    pub fn new() -> TextDigestTracer {
-        TextDigestTracer {
-            shared: Arc::new(Mutex::new(FNV1A_OFFSET)),
-            local: Vec::new(),
-            hash: FNV1A_OFFSET,
-        }
-    }
-
-    /// A handle to the digest (clone before installing the sink); valid
-    /// after [`TraceSink::flush`] or drop.
-    pub fn digest(&self) -> Arc<Mutex<u64>> {
-        Arc::clone(&self.shared)
-    }
-
-    fn fold_local(&mut self) {
-        self.hash = fnv1a(self.hash, &self.local);
-        self.local.clear();
-    }
-
-    fn publish(&mut self) {
-        self.fold_local();
-        *self.shared.lock().expect("digest tracer poisoned") = self.hash;
-    }
-}
-
-impl Drop for TextDigestTracer {
-    fn drop(&mut self) {
-        self.publish();
-    }
-}
-
-impl TraceSink for TextDigestTracer {
-    fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
-        render(&mut self.local, now, event);
-        if self.local.len() >= FLUSH_THRESHOLD {
-            self.fold_local();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.publish();
     }
 }
 
@@ -875,34 +808,50 @@ mod tests {
         }
     }
 
-    /// The digest sink hashes exactly the bytes the text sink keeps,
-    /// whether they were folded at a batch boundary or at the final flush.
+    /// `(rendered line, HashTracer digest)` of a one-event trace.
+    fn line_and_digest(ns: u64, event: &TraceEvent) -> (Vec<u8>, u64) {
+        let now = SimTime::from_nanos(ns);
+        let mut line = Vec::new();
+        render(&mut line, now, event);
+        let mut t = HashTracer::new();
+        let d = t.digest();
+        t.on_event(now, event);
+        t.flush();
+        let digest = *d.lock().unwrap();
+        (line, digest)
+    }
+
+    /// The digest is at least as fine as the text it replaced in the
+    /// chaos harness: any two events whose rendered lines differ hash
+    /// differently, and so do two that differ only below the text's
+    /// microsecond resolution.
     #[test]
-    fn digest_tracer_hashes_the_text_tracers_buffer() {
-        let mut text = TextTracer::new();
-        let mut digest = TextDigestTracer::new();
-        let (buf, hash) = (text.buffer(), digest.digest());
-        assert_eq!(*hash.lock().unwrap(), fnv1a(FNV1A_OFFSET, b""));
-        let shapes = every_event_shape();
-        // Enough lines to cross FLUSH_THRESHOLD several times.
-        for (i, event) in shapes.iter().cycle().take(5_000).enumerate() {
-            let now = SimTime::from_nanos(i as u64 * 1_337);
-            text.on_event(now, event);
-            digest.on_event(now, event);
+    fn hash_tracer_separates_everything_the_text_separates_and_more() {
+        let times = [0, 1, 999, 1_000, 25_250, 1_000_000_500, 1 << 53, u64::MAX];
+        let mut by_digest: std::collections::HashMap<u64, Vec<u8>> = Default::default();
+        let mut lines = std::collections::HashSet::new();
+        for event in every_event_shape() {
+            for ns in times {
+                let (line, digest) = line_and_digest(ns, &event);
+                lines.insert(line.clone());
+                if let Some(other) = by_digest.insert(digest, line.clone()) {
+                    assert_eq!(
+                        String::from_utf8(other).unwrap(),
+                        String::from_utf8(line).unwrap(),
+                        "two different lines share digest {digest:#018x}"
+                    );
+                }
+            }
         }
-        text.flush();
-        digest.flush();
-        let buf = buf.lock().unwrap();
-        assert!(buf.len() > 4 * FLUSH_THRESHOLD);
-        assert_eq!(*hash.lock().unwrap(), fnv1a(FNV1A_OFFSET, buf.as_bytes()));
-        // Split hashing is the same as whole hashing (what batching relies on).
-        let (a, b) = buf.as_bytes().split_at(12_345);
-        assert_eq!(
-            fnv1a(fnv1a(FNV1A_OFFSET, a), b),
-            fnv1a(FNV1A_OFFSET, buf.as_bytes())
-        );
-        drop(digest); // drop publishes again, and must agree
-        assert_eq!(*hash.lock().unwrap(), fnv1a(FNV1A_OFFSET, buf.as_bytes()));
+        assert!(lines.len() > 500, "only {} distinct lines", lines.len());
+        for event in every_event_shape() {
+            let (a, b) = (
+                line_and_digest(25_250, &event),
+                line_and_digest(25_251, &event),
+            );
+            assert_eq!(a.0, b.0, "1 ns apart inside one microsecond: same text");
+            assert_ne!(a.1, b.1, "but different digests, for {event:?}");
+        }
     }
 
     #[test]

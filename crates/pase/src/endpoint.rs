@@ -609,6 +609,7 @@ impl FlowAgent for PaseSender {
             return;
         }
         // Engine RTO.
+        self.engine.timer_popped(token, ctx);
         if self.engine.timer_is_live(token) {
             if self.cfg.probe_on_timeout && self.queue > 0 && self.recovery_probe.is_none() {
                 // Probe instead of retransmitting: the data may simply be

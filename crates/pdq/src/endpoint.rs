@@ -11,6 +11,7 @@ use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentCtx, FlowAgent};
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
+use netsim::timer::SupersedingTimer;
 use transport::{ByteTracker, RttEstimator};
 
 use crate::config::PdqConfig;
@@ -42,6 +43,7 @@ pub struct PdqSender {
     pace_token: u64,
     probe_token: u64,
     rto_token: u64,
+    rto_timer: SupersedingTimer,
     done: bool,
 }
 
@@ -61,6 +63,7 @@ impl PdqSender {
             pace_token: u64::MAX,
             probe_token: u64::MAX,
             rto_token: u64::MAX,
+            rto_timer: SupersedingTimer::new(spec.id),
             done: false,
         }
     }
@@ -161,7 +164,7 @@ impl PdqSender {
     fn arm_rto(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         let ep = self.next_epoch();
         self.rto_token = token(KIND_RTO, ep);
-        ctx.set_timer(self.rtt.rto(), self.rto_token);
+        self.rto_timer.arm(ctx.sim, self.rtt.rto(), self.rto_token);
     }
 
     /// Send the termination packet so switches release our state.
@@ -254,6 +257,9 @@ impl FlowAgent for PdqSender {
     fn on_timer(&mut self, tok: u64, ctx: &mut AgentCtx<'_, '_>) {
         if self.done {
             return;
+        }
+        if tok & 0b11 == KIND_RTO {
+            self.rto_timer.fired(ctx.sim, tok);
         }
         match tok & 0b11 {
             KIND_PACE if tok == self.pace_token => self.pace_one(ctx),

@@ -25,6 +25,7 @@ use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent};
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::SimDuration;
+use netsim::timer::SupersedingTimer;
 use transport::ByteTracker;
 
 /// pFabric endpoint parameters (paper Table 3).
@@ -65,6 +66,7 @@ pub struct PFabricSender {
     consecutive_timeouts: u32,
     probe_mode: bool,
     timer_epoch: u64,
+    rto_timer: SupersedingTimer,
     done: bool,
 }
 
@@ -81,6 +83,7 @@ impl PFabricSender {
             consecutive_timeouts: 0,
             probe_mode: false,
             timer_epoch: 0,
+            rto_timer: SupersedingTimer::new(spec.id),
             done: false,
         }
     }
@@ -174,7 +177,7 @@ impl PFabricSender {
             return;
         }
         self.timer_epoch += 1;
-        ctx.set_timer(self.cfg.rto, self.timer_epoch);
+        self.rto_timer.arm(ctx.sim, self.cfg.rto, self.timer_epoch);
     }
 }
 
@@ -197,6 +200,7 @@ impl FlowAgent for PFabricSender {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
+        self.rto_timer.fired(ctx.sim, token);
         if self.done || token != self.timer_epoch {
             return;
         }

@@ -156,8 +156,9 @@ impl FamilySender {
         if self.engine.in_recovery() {
             return;
         }
+        // The AI weight (two logarithms) matters only past slow start.
         let w = match self.flavor {
-            Flavor::L2dct => self.l2dct_weight(acked),
+            Flavor::L2dct if !self.win.in_slow_start(self.engine.cwnd) => self.l2dct_weight(acked),
             _ => 1.0,
         };
         let (mss, factor) = (self.engine.mss, self.cfg.ack_growth_factor);

@@ -13,6 +13,7 @@ use netsim::host::AgentCtx;
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
 use netsim::time::{SimDuration, SimTime};
+use netsim::timer::SupersedingTimer;
 
 use crate::rtt::RttEstimator;
 
@@ -80,6 +81,9 @@ pub struct TxEngine {
     timer_epoch: u64,
     timer_armed: bool,
     timer_restart: bool,
+    /// The RTO's place in the event queue: one event however often an ACK
+    /// pushes the deadline back.
+    rto_timer: SupersedingTimer,
     /// A hold point: the engine will not send *new* data at or beyond this
     /// sequence until the frontier reaches it (used by PASE's queue-move
     /// reordering guard). `None` means no hold.
@@ -135,6 +139,7 @@ impl TxEngine {
             timer_epoch: 0,
             timer_armed: false,
             timer_restart: false,
+            rto_timer: SupersedingTimer::new(flow),
             hold_at: None,
             pending_loss: None,
             consecutive_rtos: 0,
@@ -283,10 +288,11 @@ impl TxEngine {
     /// backoff; the agent should collapse its window and call
     /// [`TxEngine::pump`]).
     pub fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) -> bool {
+        self.timer_popped(token, ctx);
         if token != self.timer_epoch || !self.timer_armed {
             return false;
         }
-        self.timer_armed = false;
+        self.disarm_timer();
         if self.complete() || self.flight_bytes() == 0 {
             return false;
         }
@@ -302,6 +308,20 @@ impl TxEngine {
         true
     }
 
+    /// Tell the RTO's [`SupersedingTimer`] that a timer event in the
+    /// engine's token space popped, live or stale. [`TxEngine::on_timer`]
+    /// does this itself; an agent that consults
+    /// [`TxEngine::timer_is_live`] first must call this before it, or a
+    /// stale event that was carrying the live deadline drops it.
+    pub fn timer_popped(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
+        self.rto_timer.fired(ctx.sim, token);
+    }
+
+    fn disarm_timer(&mut self) {
+        self.timer_armed = false;
+        self.rto_timer.disarm();
+    }
+
     /// Is `token` the currently armed, still-relevant RTO timer? Lets
     /// agents intercept a timeout (PASE probes instead of retransmitting).
     pub fn timer_is_live(&self, token: u64) -> bool {
@@ -315,7 +335,7 @@ impl TxEngine {
     /// Deferrals count against the same give-up budget as real RTO fires,
     /// so a prober cannot keep a flow to a dead receiver alive forever.
     pub fn defer_timeout(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        self.timer_armed = false;
+        self.disarm_timer();
         self.rtt.on_timeout();
         self.consecutive_rtos += 1;
         if self.consecutive_rtos >= self.max_consecutive_rtos {
@@ -338,7 +358,7 @@ impl TxEngine {
         self.rtx_head = None;
         self.recover = None;
         self.dupacks = 0;
-        self.timer_armed = false;
+        self.disarm_timer();
         self.pending_loss = Some(LossEvent::Timeout);
     }
 
@@ -360,7 +380,8 @@ impl TxEngine {
         self.timer_restart = false;
         self.timer_epoch += 1;
         self.timer_armed = true;
-        ctx.set_timer(self.rtt.rto(), self.timer_epoch);
+        self.rto_timer
+            .arm(ctx.sim, self.rtt.rto(), self.timer_epoch);
     }
 
     /// Is there anything the window would let us send right now?

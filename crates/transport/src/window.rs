@@ -83,13 +83,20 @@ impl DctcpWindow {
         self.next_decrease_at = snd_nxt;
     }
 
+    /// Is a window of `cwnd` packets still below `ssthresh`? There
+    /// [`DctcpWindow::grow`] ignores its `ai_weight`, so callers with a
+    /// costly weight need not compute it.
+    pub fn in_slow_start(&self, cwnd: f64) -> bool {
+        cwnd < self.ssthresh
+    }
+
     /// Window growth on `newly` acknowledged bytes: slow start below
     /// `ssthresh`, else additive increase of `ai_weight` packets per RTT.
     /// `factor` scales the per-ACK credit (delayed-ACK pacing, see
     /// [`crate::FamilyConfig::ack_growth_factor`]).
     pub fn grow(&self, cwnd: &mut f64, newly: u64, mss: u32, factor: f64, ai_weight: f64) {
         let pkts = newly as f64 / mss as f64 * factor;
-        if *cwnd < self.ssthresh {
+        if self.in_slow_start(*cwnd) {
             *cwnd += pkts;
         } else {
             *cwnd += ai_weight * pkts / *cwnd;

@@ -24,8 +24,8 @@ pub mod topologies;
 pub use exec::{default_jobs, read_peak_rss, run_cases, CasePlan};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
 pub use metrics::{
-    collect, collect_with, fct_cdf, percentile, MetricsMode, QuantileSketch, RunMetrics,
-    SKETCH_EPSILON,
+    collect, collect_with, events_by_kind_line, fct_cdf, percentile, MetricsMode, QuantileSketch,
+    RunMetrics, SKETCH_EPSILON,
 };
 pub use runner::{run_seeds, run_specs, sweep, RunSpec};
 pub use scenarios::{Pattern, Scenario};

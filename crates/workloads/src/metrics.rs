@@ -9,6 +9,7 @@
 //! end (100k+ flows per run, many runs in flight across worker threads)
 //! the sketch keeps percentile collection memory-flat.
 
+use netsim::event::EventKind;
 use netsim::sim::{RunOutcome, Simulation};
 
 /// How [`collect_with`] aggregates per-flow completion times.
@@ -213,8 +214,24 @@ pub struct RunMetrics {
     pub sim_seconds: f64,
     /// Events executed (engine cost metric).
     pub events: u64,
+    /// `events` by kind, in [`EventKind::KINDS`] order.
+    pub events_by_kind: [u64; EventKind::KINDS.len()],
+    /// Timer arms that queued no event (see [`netsim::timer`]).
+    pub timer_arms_superseded: u64,
     /// The busiest link's utilization over the run (switch ports only).
     pub max_link_utilization: f64,
+}
+
+/// `Deliver 1234 (56.7 %), TxComplete ...`: one count and its share per
+/// event kind, for the binaries that report where the events went.
+pub fn events_by_kind_line(by_kind: &[u64; EventKind::KINDS.len()]) -> String {
+    let total = by_kind.iter().sum::<u64>().max(1) as f64;
+    let cells: Vec<String> = EventKind::KINDS
+        .iter()
+        .zip(by_kind)
+        .map(|(name, &n)| format!("{name} {n} ({:.1} %)", 100.0 * n as f64 / total))
+        .collect();
+    cells.join(", ")
 }
 
 /// Interpolated percentile (p in [0, 100]) of a sorted slice.
@@ -341,6 +358,8 @@ pub fn collect_with(sim: &Simulation, outcome: RunOutcome, mode: MetricsMode) ->
         probes,
         sim_seconds,
         events: stats.events_executed,
+        events_by_kind: stats.events_by_kind,
+        timer_arms_superseded: stats.timer_arms_superseded,
         max_link_utilization,
         fcts_ms,
     }
@@ -493,6 +512,8 @@ mod tests {
             probes: 0,
             sim_seconds: 1.0,
             events: 0,
+            events_by_kind: Default::default(),
+            timer_arms_superseded: 0,
             max_link_utilization: 0.0,
         };
         let cdf = fct_cdf(&m, 10);

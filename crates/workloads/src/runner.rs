@@ -152,6 +152,8 @@ pub fn run_seeds(base: RunSpec, seeds: &[u64], jobs: usize) -> RunMetrics {
         probes: runs.iter().map(|m| m.probes).sum(),
         sim_seconds: mean(&|m: &RunMetrics| m.sim_seconds),
         events: runs.iter().map(|m| m.events).sum(),
+        events_by_kind: std::array::from_fn(|k| runs.iter().map(|m| m.events_by_kind[k]).sum()),
+        timer_arms_superseded: runs.iter().map(|m| m.timer_arms_superseded).sum(),
         max_link_utilization: mean(&|m: &RunMetrics| m.max_link_utilization),
         fcts_ms,
     }

@@ -12,9 +12,10 @@ echo "== cargo build --release =="
 cargo build --release --workspace
 
 # Includes the oracles the fast paths are held to: the trace renderer
-# against the `core::fmt` formatting it replaced, the digest tracer
-# against the text tracer, and the wheel's structural audit after every
-# op of the heap-vs-wheel differential.
+# against the `core::fmt` formatting it replaced, the hash tracer against
+# the rendered text, the superseding timer against the eager idiom, and
+# the wheel's structural audit after every op of the heap-vs-wheel
+# differential.
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
@@ -32,16 +33,25 @@ cargo test --workspace -q
 # JOBS is pinned (default 2) rather than auto-detected so CI timing is
 # reproducible across machines; results are byte-identical either way.
 # The last line, `sweep_digest=0x...`, hashes every case's trace and stats
-# hashes in case order: a change that claims "model identical" must print
-# the same line as its parent.
+# hashes in case order (event counts are in neither): it must equal the
+# committed scripts/chaos_ci.digest, so a change that claims "model
+# identical" fails here if it is not. A change that means to move the
+# model updates that file and says why.
 echo "== chaos smoke (8 seeds, fabric+host+gray+overload, quick, ${JOBS:-2} jobs) =="
-./target/release/chaos --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
+chaos_out=$(./target/release/chaos --seeds 8 --faults all --quick --jobs "${JOBS:-2}")
+echo "$chaos_out"
+if [ "$(echo "$chaos_out" | tail -n 1)" != "$(cat scripts/chaos_ci.digest)" ]; then
+    echo "chaos smoke: sweep digest differs from scripts/chaos_ci.digest" \
+        "($(cat scripts/chaos_ci.digest)): the model changed" >&2
+    exit 1
+fi
 
 # Scheduler-engine differential: the same 8-seed chaos slice, each case
 # run once on the reference binary-heap engine and once on the timing
-# wheel inside one process, must produce identical per-case trace hashes
-# and stats fingerprints — the wheel is a drop-in replacement for the
-# heap, not approximately one. A diverging case prints its replay command.
+# wheel inside one process, must produce identical per-case trace hashes,
+# stats fingerprints and event counts — the wheel is a drop-in replacement
+# for the heap, not approximately one. A diverging case prints its replay
+# command.
 echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs) =="
 ./target/release/engine_diff --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
 
@@ -65,8 +75,9 @@ echo "== figure registry smoke (run_all --quick --only fig09a,ext_faults) =="
 # audit the compact interval FIBs, run a 2k-flow incast slice twice with
 # invariants (packet conservation included) under the dual-run
 # byte-identical-trace discipline, and hold the process to a peak-RSS
-# budget. Catches scale regressions (dense route tables, per-flow metric
-# blowup) that the small-topology tests can't see.
+# budget and the scheduler to a peak pending-event bound. Catches scale
+# regressions (dense route tables, per-flow metric blowup, one queued
+# timer per packet) that the small-topology tests can't see.
 echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run) =="
 ./target/release/scale_smoke
 

@@ -8,7 +8,7 @@
 //! ```
 
 use pase_repro::workloads::cli::{self, Args};
-use pase_repro::workloads::{RunSpec, Scenario, Scheme};
+use pase_repro::workloads::{events_by_kind_line, RunSpec, Scenario, Scheme};
 
 const USAGE: &str = "\
 pase-sim — data-center transport simulator (PASE reproduction)
@@ -147,6 +147,11 @@ fn main() {
         wall,
         m.events as f64 / wall / 1e6
     );
+    println!(
+        "events by kind    {}",
+        events_by_kind_line(&m.events_by_kind)
+    );
+    println!("timer arms        {} superseded", m.timer_arms_superseded);
 }
 
 #[cfg(test)]
