@@ -94,57 +94,6 @@ fn main() {
     );
     let _ = writeln!(
         md,
-        "### bench — simulator throughput baseline (first recording, 2026-08-05)\n\n\
-         `scripts/bench.sh` (\u{2192} `BENCH_netsim.json`; the baseline below was\n\
-         recorded under schema `netsim-bench/1`, the harness now emits\n\
-         `netsim-bench/3` which adds a `gray-storm` scenario \u{2014} the chaos\n\
-         harness under degrade trains with health-aware rerouting on \u{2014} and\n\
-         an `overload-storm` scenario \u{2014} the same harness under control-plane\n\
-         storms, keeping the bounded-inbox shed path on the measured hot path;\n\
-         methodology in DESIGN.md \u{a7}8). Best-of-3 wall time, release profile,\n\
-         fixed seeds; `events` is asserted identical across runs so throughput\n\
-         deltas can never come from doing different work.\n\n\
-         | scenario | events | events/s (before) | events/s (after) | speedup |\n\
-         |---|---|---|---|---|\n\
-         | sched-storm | 1,000,000 | 1,352,173 | 2,134,304 | 1.58\u{d7} |\n\
-         | incast-pase | 471,326 | 3,218,655 | 6,418,871 | 1.99\u{d7} |\n\
-         | incast-dctcp | 400,560 | 4,176,883 | 8,368,878 | 2.00\u{d7} |\n\
-         | chaos-storm | 36,921,318 | 1,701,342 | 2,811,982 | 1.65\u{d7} |\n\n\
-         \"Before\" is the tree at commit `cfa3138` plus the bench harness only;\n\
-         \"after\" adds the hot-path work: boxed event payloads (one allocation\n\
-         per packet, 48-byte heap elements), zero-cost disabled tracing\n\
-         (`StatsCollector::tracing()` gates + chunked `TextTracer` flushing),\n\
-         deterministic `IdHashBuilder` on the host agent map, and batch flow\n\
-         scheduling. Proof of behaviour preservation: the full 256-case chaos\n\
-         sweep (`./target/release/chaos --verbose`) produces byte-identical\n\
-         per-case trace hashes and identical stats fingerprints before vs\n\
-         after, and every scenario's event count is unchanged. Incast gains\n\
-         the most because its per-event cost was dominated by packet moves and\n\
-         tracing-path formatting; sched-storm is a pure scheduler loop, so it\n\
-         bounds the heap-only improvement.\n"
-    );
-    let _ = writeln!(
-        md,
-        "### parallel case execution\n\n\
-         Every sweep above ran on the `workloads::exec` engine (`--jobs`,\n\
-         default: detected cores): cases execute on a `std::thread` work\n\
-         pool and results return ordered by case index, so these tables\n\
-         are byte-identical to a sequential run at any job count\n\
-         (`tests/parallel_determinism.rs`; DESIGN.md \u{a7}8). Reference\n\
-         wall-clock on the 1-core container this baseline was generated\n\
-         on: the 64-case quick chaos sweep takes 12.2 s at `--jobs 1`,\n\
-         11.5 s at `--jobs 2`, 12.2 s at `--jobs 4` \u{2014} flat, because a\n\
-         single visible core serializes the workers \u{2014} and the full\n\
-         256-case sweep (every per-case trace hash and stats fingerprint\n\
-         verified identical to the pre-engine sequential binary) takes\n\
-         144.5 s at `--jobs 2`. On a multi-core machine the same sweep\n\
-         is embarrassingly parallel (cases share nothing) and wall clock\n\
-         is expected to drop near-linearly in core count; the footer\n\
-         below records this run's job count and detected cores so the\n\
-         `run_all` trajectory stays interpretable across machines.\n"
-    );
-    let _ = writeln!(
-        md,
         "\n*Generated in {:.1} s of wall-clock time with {} job(s) \
          ({} core(s) detected).*",
         started.elapsed().as_secs_f64(),

@@ -1,5 +1,5 @@
 //! Ablations beyond the paper's figures: sensitivity of PASE to its own
-//! design knobs (DESIGN.md §10). Three sweeps at a fixed high load on the
+//! design knobs (DESIGN.md §7c). Three sweeps at a fixed high load on the
 //! left-right scenario:
 //!
 //! * **pruning depth** — how many top queues climb the hierarchy

@@ -7,6 +7,8 @@
 use core::fmt;
 use core::hash::{BuildHasherDefault, Hasher};
 
+use crate::rng::mix64;
+
 /// Identifies a node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -65,12 +67,7 @@ pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 impl IdHasher {
     #[inline]
     fn mix(&mut self, x: u64) {
-        // splitmix64 finalizer over the running state.
-        let mut z = self.0 ^ x;
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
+        self.0 = mix64(self.0 ^ x);
     }
 }
 

@@ -12,7 +12,7 @@ use crate::fault::DegradeProfile;
 use crate::ids::{NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::queue::{Enqueued, Qdisc, QdiscStats};
-use crate::rng::Rng;
+use crate::rng::{mix64, Rng};
 use crate::time::{Rate, SimDuration};
 
 /// Ports with an EWMA health score below this are considered degraded by
@@ -207,7 +207,7 @@ impl Port {
     /// of a link draw independent deterministic sequences.
     pub fn set_degraded(&mut self, node: NodeId, profile: DegradeProfile) {
         self.faults_injected += 1;
-        let salt = splitmix(((node.0 as u64) << 32) | self.id.0 as u64);
+        let salt = mix64(((node.0 as u64) << 32) | self.id.0 as u64);
         self.degrade = Some(DegradeState {
             profile,
             rng: Rng::seed_from_u64(profile.seed ^ salt),
@@ -363,14 +363,6 @@ impl Port {
         let busy = self.rate.tx_time(self.tx_bytes).as_secs_f64();
         (busy / elapsed).min(1.0)
     }
-}
-
-/// splitmix64 finalizer: salts the degrade seed with the port identity.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl core::fmt::Debug for Port {

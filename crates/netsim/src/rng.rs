@@ -6,14 +6,26 @@
 //! State is seeded through splitmix64 so that nearby seeds (0, 1, 2, ...)
 //! produce unrelated streams.
 
-/// splitmix64 step: advances `state` and returns the next output. Used to
-/// expand a 64-bit seed into full generator state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+/// splitmix64's state increment, 2^64 / φ.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 output function (golden-ratio increment, then the
+/// finalizer): the one 64-bit mixer in the simulator. ECMP selection, the
+/// id hasher, the degrade-seed salt and the trace digest all call it.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// splitmix64 step: advances `state` and returns the next output. Used to
+/// expand a 64-bit seed into full generator state.
+fn splitmix64(state: &mut u64) -> u64 {
+    let out = mix64(*state);
+    *state = state.wrapping_add(GOLDEN);
+    out
 }
 
 /// Deterministic xoshiro256** generator.

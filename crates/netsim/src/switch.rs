@@ -21,16 +21,8 @@ use crate::fault::{FaultDirective, NodeFault};
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
+use crate::rng::mix64;
 use crate::time::{SimDuration, SimTime};
-
-/// Deterministic 64-bit mix used for ECMP next-hop selection.
-fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer.
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A compact per-switch forwarding table.
 ///

@@ -49,6 +49,7 @@ use std::sync::{Arc, Mutex};
 use crate::fault::FaultDirective;
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
+use crate::rng::mix64;
 use crate::time::SimTime;
 
 /// Bytes of rendered text [`TextTracer`] stages before handing a batch on.
@@ -457,25 +458,16 @@ impl HashTracer {
         Arc::clone(&self.shared)
     }
 
-    /// splitmix64 finalizer chaining, as in `ids::IdHasher`.
-    #[inline]
-    fn chain(h: u64, x: u64) -> u64 {
-        let mut z = h ^ x;
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+    /// `rng::mix64` chaining, as in `ids::IdHasher`.
     #[inline]
     fn mix(&mut self, x: u64) {
-        self.hash = Self::chain(self.hash, x);
+        self.hash = mix64(self.hash ^ x);
     }
 
     /// Publish the digest without disturbing the running state, so
     /// repeated flushes (run-end plus drop) are idempotent.
     fn publish(&mut self) {
-        let digest = Self::chain(self.hash, self.events);
+        let digest = mix64(self.hash ^ self.events);
         *self.shared.lock().expect("hash tracer poisoned") = digest;
     }
 }

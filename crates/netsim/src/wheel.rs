@@ -490,13 +490,13 @@ mod tests {
     }
 
     /// What an empty wheel retains is bounded by construction, not by
-    /// the workload: after each round of 10^6 events of the `wheel-storm`
-    /// delta profile (every level plus overflow; the deltas under one
-    /// tick alone put ~25k events of a round into one slot;
-    /// `crates/bench`), only level-0 slots hold capacity and none
-    /// more than `LEVEL0_RETAIN` events. Retaining in place, or recycling
-    /// the upper levels' buffers into level 0, leaves buffers the size of
-    /// the densest tick behind and fails this by orders of magnitude.
+    /// the workload: after each round of 125k events whose deltas span
+    /// every level plus overflow (the deltas under one tick alone put
+    /// ~25k events of a round into one slot), only level-0 slots hold
+    /// capacity and none more than `LEVEL0_RETAIN` events. Retaining in
+    /// place, or recycling the upper levels' buffers into level 0, leaves
+    /// buffers the size of the densest tick behind and fails this by
+    /// orders of magnitude.
     #[test]
     fn retained_slot_capacity_is_bounded() {
         let mut w = TimingWheel::new(DEFAULT_TICK_SHIFT);

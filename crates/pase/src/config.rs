@@ -23,7 +23,35 @@ pub enum Criterion {
     TaskAware,
 }
 
-/// Every knob of the PASE implementation.
+/// Minimum RTO for flows in the top queue (Table 3: 10 ms).
+pub const MIN_RTO_TOP: SimDuration = SimDuration::from_millis(10);
+/// Minimum RTO for flows in lower queues (Table 3: 200 ms).
+pub const MIN_RTO_LOW: SimDuration = SimDuration::from_millis(200);
+/// Maximum RTO.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(2);
+/// DCTCP gain `g` for the marked-fraction EWMA (self-adjusting part).
+pub const DCTCP_G: f64 = 1.0 / 16.0;
+/// How often delegated virtual-link capacities are rebalanced.
+pub const DELEG_PERIOD: SimDuration = SimDuration::from_millis(1);
+/// Minimum share of a delegated link any child keeps (so a previously
+/// idle child can ramp up without waiting a full period).
+pub const DELEG_MIN_SHARE: f64 = 0.1;
+/// The base rate granted to flows that cannot make the top queue: one
+/// packet per RTT (paper §3.1.1).
+pub const BASE_RATE_PKTS_PER_RTT: u32 = 1;
+/// Control-plane watchdog: a sender that has gone this many refresh
+/// periods without any arbitration response assumes the arbitrators are
+/// unreachable and falls back to pure self-adjusting mode (lowest queue,
+/// DCTCP control laws) until responses resume. At least 2, so one lost
+/// refresh round is tolerated.
+pub const WATCHDOG_K: u32 = 4;
+/// Cap on the exponent of the refresh backoff: while responses are
+/// missing, re-requests are spaced `arb_refresh × 2^min(misses, cap)`
+/// apart so a dead control plane is not hammered every RTT.
+pub const REFRESH_BACKOFF_CAP: u32 = 5;
+
+/// Every knob of the PASE implementation that a figure, binary or test
+/// varies; the fixed parameters are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaseConfig {
     /// Maximum segment payload, bytes.
@@ -32,14 +60,6 @@ pub struct PaseConfig {
     pub n_queues: u8,
     /// Scheduling criterion.
     pub criterion: Criterion,
-    /// Minimum RTO for flows in the top queue (Table 3: 10 ms).
-    pub min_rto_top: SimDuration,
-    /// Minimum RTO for flows in lower queues (Table 3: 200 ms).
-    pub min_rto_low: SimDuration,
-    /// Maximum RTO.
-    pub max_rto: SimDuration,
-    /// DCTCP gain `g` for the marked-fraction EWMA (self-adjusting part).
-    pub g: f64,
     /// Baseline RTT estimate used before samples exist and for the
     /// `Rref × RTT` window computation at flow start.
     pub base_rtt: SimDuration,
@@ -62,11 +82,6 @@ pub struct PaseConfig {
     /// Delegation: aggregation–core capacity is split into virtual links
     /// owned by the child ToR arbitrators.
     pub delegation: bool,
-    /// How often delegated virtual-link capacities are rebalanced.
-    pub deleg_period: SimDuration,
-    /// Minimum share of a delegated link any child keeps (so a previously
-    /// idle child can ramp up without waiting a full period).
-    pub deleg_min_share: f64,
     /// Use the arbitrator's reference rate to set the window (false =
     /// PASE-DCTCP of Fig. 13a: queues only, DCTCP rate control).
     pub use_reference_rate: bool,
@@ -76,18 +91,6 @@ pub struct PaseConfig {
     /// Bottom-queue probing (§4.3.2): flows in the lowest queue send a
     /// header-only probe per RTT instead of a full data packet.
     pub probe_bottom_queue: bool,
-    /// The base rate granted to flows that cannot make the top queue: one
-    /// packet per RTT (paper §3.1.1).
-    pub base_rate_pkts_per_rtt: u32,
-    /// Control-plane watchdog: a sender that has gone `watchdog_k`
-    /// refresh periods without any arbitration response assumes the
-    /// arbitrators are unreachable and falls back to pure self-adjusting
-    /// mode (lowest queue, DCTCP control laws) until responses resume.
-    pub watchdog_k: u32,
-    /// Cap on the exponent of the refresh backoff: while responses are
-    /// missing, re-requests are spaced `arb_refresh × 2^min(misses, cap)`
-    /// apart so a dead control plane is not hammered every RTT.
-    pub refresh_backoff_cap: u32,
     /// Per-epoch control-message budget of every arbitrator (endpoint
     /// host-service legs and switch plugins alike). An epoch is one
     /// `arb_refresh` window; messages beyond the budget are shed with an
@@ -110,10 +113,6 @@ impl Default for PaseConfig {
             mss: 1460,
             n_queues: 8,
             criterion: Criterion::SrptSize,
-            min_rto_top: SimDuration::from_millis(10),
-            min_rto_low: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(2),
-            g: 1.0 / 16.0,
             base_rtt: SimDuration::from_micros(300),
             arb_refresh: SimDuration::from_micros(300),
             arb_expiry: SimDuration::from_micros(1200),
@@ -121,14 +120,9 @@ impl Default for PaseConfig {
             early_pruning: true,
             prune_depth: 2,
             delegation: true,
-            deleg_period: SimDuration::from_millis(1),
-            deleg_min_share: 0.1,
             use_reference_rate: true,
             probe_on_timeout: true,
             probe_bottom_queue: true,
-            base_rate_pkts_per_rtt: 1,
-            watchdog_k: 4,
-            refresh_backoff_cap: 5,
             ctrl_budget_per_epoch: 512,
             shed_enabled: true,
         }
@@ -138,7 +132,7 @@ impl Default for PaseConfig {
 impl PaseConfig {
     /// The paper's "base rate" (one packet per RTT) as a [`Rate`].
     pub fn base_rate(&self) -> Rate {
-        let bits = (self.mss as u64 + 40) * 8 * self.base_rate_pkts_per_rtt as u64;
+        let bits = (self.mss as u64 + 40) * 8 * BASE_RATE_PKTS_PER_RTT as u64;
         let rtt_s = self.base_rtt.as_secs_f64();
         Rate::from_bps((bits as f64 / rtt_s) as u64)
     }
@@ -183,21 +177,21 @@ mod tests {
     fn defaults_match_table3() {
         let c = PaseConfig::default();
         assert_eq!(c.n_queues, 8);
-        assert_eq!(c.min_rto_top, SimDuration::from_millis(10));
-        assert_eq!(c.min_rto_low, SimDuration::from_millis(200));
+        assert_eq!(MIN_RTO_TOP, SimDuration::from_millis(10));
+        assert_eq!(MIN_RTO_LOW, SimDuration::from_millis(200));
         assert!(c.end_to_end && c.early_pruning && c.delegation);
         assert_eq!(c.prune_depth, 2);
     }
 
     #[test]
+    #[allow(clippy::assertions_on_constants)]
     fn watchdog_defaults_are_sane() {
-        let c = PaseConfig::default();
         // The watchdog must tolerate at least one lost refresh round
         // before declaring the control plane dead, and the backoff cap
         // must keep re-request spacing well under the arbitrator expiry
         // horizon scaled by a few round trips.
-        assert!(c.watchdog_k >= 2);
-        assert!(c.refresh_backoff_cap >= 1 && c.refresh_backoff_cap <= 16);
+        assert!(WATCHDOG_K >= 2);
+        assert!((1..=16).contains(&REFRESH_BACKOFF_CAP));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use netsim::time::{Rate, SimDuration, SimTime};
 use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine};
 
 use crate::algorithm::Decision;
-use crate::config::PaseConfig;
+use crate::config::{PaseConfig, DCTCP_G, MAX_RTO, MIN_RTO_LOW, MIN_RTO_TOP};
 use crate::health::{ChannelHealth, Transition};
 use crate::host_service::{ArbPlan, PaseHostService};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
@@ -86,7 +86,7 @@ pub struct PaseSender {
 impl PaseSender {
     /// Create a sender for `spec`.
     pub fn new(spec: &FlowSpec, cfg: PaseConfig) -> PaseSender {
-        let rtt = RttEstimator::new(cfg.min_rto_top, cfg.max_rto);
+        let rtt = RttEstimator::new(MIN_RTO_TOP, MAX_RTO);
         PaseSender {
             spec: spec.clone(),
             cfg,
@@ -102,7 +102,7 @@ impl PaseSender {
             queue: cfg.lowest_queue(),
             rref: cfg.base_rate(),
             tx_prio: cfg.lowest_queue(),
-            win: DctcpWindow::new(cfg.g, f64::INFINITY),
+            win: DctcpWindow::new(DCTCP_G, f64::INFINITY),
             is_inter_queue: false,
             reorder_barrier: None,
             recovery_probe: None,
@@ -263,7 +263,7 @@ impl PaseSender {
             self.queue = self.cfg.lowest_queue();
             self.rref = self.cfg.base_rate();
             self.sync_tx_prio();
-            self.engine.rtt.set_min_rto(self.cfg.min_rto_low);
+            self.engine.rtt.set_min_rto(MIN_RTO_LOW);
             return;
         }
         let legs = match ctx.service::<PaseHostService>() {
@@ -291,9 +291,9 @@ impl PaseSender {
         self.sync_tx_prio();
         // Per-queue minimum RTO (Table 3).
         let min_rto = if self.queue == 0 {
-            self.cfg.min_rto_top
+            MIN_RTO_TOP
         } else {
-            self.cfg.min_rto_low
+            MIN_RTO_LOW
         };
         self.engine.rtt.set_min_rto(min_rto);
 

@@ -16,7 +16,7 @@
 
 use netsim::time::{SimDuration, SimTime};
 
-use crate::config::PaseConfig;
+use crate::config::{PaseConfig, REFRESH_BACKOFF_CAP, WATCHDOG_K};
 
 /// What the sender must do after an observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +47,6 @@ pub enum Transition {
 pub struct ChannelHealth {
     arb_refresh: SimDuration,
     base_rtt: SimDuration,
-    watchdog_k: u32,
-    backoff_cap: u32,
     /// When the last arbitration response (either leg) arrived.
     last_response: SimTime,
     /// Consecutive refresh rounds without any arbitration response;
@@ -89,8 +87,6 @@ impl ChannelHealth {
         ChannelHealth {
             arb_refresh: cfg.arb_refresh,
             base_rtt: cfg.base_rtt,
-            watchdog_k: cfg.watchdog_k,
-            backoff_cap: cfg.refresh_backoff_cap,
             last_response: now,
             refresh_misses: 0,
             degraded_rounds: 0,
@@ -125,11 +121,11 @@ impl ChannelHealth {
         self.last_response = now;
         self.refresh_misses = 0;
         if shed {
-            self.shed_backoff = (self.shed_backoff + 1).min(self.backoff_cap);
+            self.shed_backoff = (self.shed_backoff + 1).min(REFRESH_BACKOFF_CAP);
             // Capped so a long storm drains in a bounded number of clean
             // rounds once it ends.
-            self.shed_rounds = (self.shed_rounds + 1).min(self.watchdog_k.saturating_mul(2));
-            if !self.in_fallback && self.shed_rounds >= self.watchdog_k {
+            self.shed_rounds = (self.shed_rounds + 1).min(WATCHDOG_K * 2);
+            if !self.in_fallback && self.shed_rounds >= WATCHDOG_K {
                 self.in_fallback = true;
                 return Transition::EnterFallback {
                     reset_window: false,
@@ -168,9 +164,8 @@ impl ChannelHealth {
             self.refresh_misses = 0;
             self.degraded_rounds = self.degraded_rounds.saturating_sub(1);
         }
-        let silent =
-            now >= self.last_response + self.arb_refresh.saturating_mul(self.watchdog_k as u64);
-        let degraded = self.degraded_rounds >= self.watchdog_k;
+        let silent = now >= self.last_response + self.arb_refresh.saturating_mul(WATCHDOG_K as u64);
+        let degraded = self.degraded_rounds >= WATCHDOG_K;
         if !self.in_fallback && expects_responses && (silent || degraded) {
             self.in_fallback = true;
             return Transition::EnterFallback { reset_window: true };
@@ -193,7 +188,7 @@ impl ChannelHealth {
         } else {
             0
         };
-        let exp = silent.max(self.shed_backoff).min(self.backoff_cap);
+        let exp = silent.max(self.shed_backoff).min(REFRESH_BACKOFF_CAP);
         self.refresh_interval = self.arb_refresh.saturating_mul(1u64 << exp);
         self.refresh_interval
     }
@@ -287,8 +282,8 @@ mod tests {
 
     /// After any history, a bounded number of clean rounds leaves the flow
     /// attached for good: no further transition, exact base cadence. The
-    /// bound is `watchdog_k + refresh_backoff_cap` (the shed integrator is
-    /// capped at `2·watchdog_k` and drains two per clean reply; the shed
+    /// bound is `WATCHDOG_K + REFRESH_BACKOFF_CAP` (the shed integrator is
+    /// capped at `2·WATCHDOG_K` and drains two per clean reply; the shed
     /// backoff is capped and drains one) plus the silent rounds in the
     /// history (the miss integrator has no cap and drains one per clean
     /// round). A clean reply never causes the soft (shed) entry.
@@ -303,7 +298,7 @@ mod tests {
             for obs in past {
                 f.round(obs);
             }
-            let bound = (cfg.watchdog_k + cfg.refresh_backoff_cap) as usize + silent;
+            let bound = (WATCHDOG_K + REFRESH_BACKOFF_CAP) as usize + silent;
             for clean in 0..bound + 20 {
                 let (armed, seen) = f.round(Obs::Answered);
                 let soft = Transition::EnterFallback {
@@ -327,7 +322,7 @@ mod tests {
     /// * `degraded_rounds` survives `ExitFallback`, so after a long
     ///   silence every clean round exits and re-enters (window reset
     ///   included) until the miss integrator has drained below
-    ///   `watchdog_k`;
+    ///   `WATCHDOG_K`;
     /// * the hard-silence watchdog counts bare `arb_refresh` periods, so a
     ///   shed backoff of `2^2` or more can make an *answered* backed-off
     ///   round look silent: a short storm trips the window-resetting
@@ -348,18 +343,18 @@ mod tests {
             seen
         };
         // 10 silent rounds leave `degraded_rounds` at 9 (the first round is
-        // inside the one-RTT grace): re-entered while it is >= watchdog_k.
+        // inside the one-RTT grace): re-entered while it is >= WATCHDOG_K.
         let after_silence = recovery(Obs::Silent, 10);
         let mut flap = [exit, hard].repeat(5);
         flap.push(exit);
         assert_eq!(after_silence, flap);
-        // 3 shed replies stay under the soft threshold (watchdog_k = 4) but
+        // 3 shed replies stay under the soft threshold (WATCHDOG_K = 4) but
         // leave a 2^3 backoff: the next round, though answered, ends 7
         // periods after its reply and trips the hard entry.
         assert_eq!(recovery(Obs::Shed, 3), [hard, exit]);
         // 4 shed replies enter softly; the shed integrator drains in 2
         // clean replies, when the backoff is still 2^2: the prompt re-arm
-        // fires exactly watchdog_k periods after the reply that exited.
+        // fires exactly WATCHDOG_K periods after the reply that exited.
         assert_eq!(recovery(Obs::Shed, 4), [exit, hard, exit]);
         // A longer storm takes longer to exit, by which time the backoff
         // has drained too: one clean exit.
@@ -367,7 +362,7 @@ mod tests {
     }
 
     /// A dead channel is detected by the hard-silence watchdog after
-    /// `watchdog_k` refresh periods, and the re-request spacing then
+    /// `WATCHDOG_K` refresh periods, and the re-request spacing then
     /// doubles per silent round up to the cap.
     #[test]
     fn silence_enters_fallback_after_k_periods_then_backs_off() {
@@ -382,13 +377,13 @@ mod tests {
                 entered_at.get_or_insert(round + 1);
             }
         }
-        assert_eq!(entered_at, Some(cfg.watchdog_k));
-        let k = cfg.watchdog_k as usize;
+        assert_eq!(entered_at, Some(WATCHDOG_K));
+        let k = WATCHDOG_K as usize;
         assert!(delays[..k].iter().all(|d| *d == cfg.arb_refresh));
         // The first round ends inside the one-RTT grace, so k periods of
         // silence are k − 1 missed rounds.
         assert_eq!(delays[k], cfg.arb_refresh.saturating_mul(1 << (k - 1)));
-        let cap = cfg.arb_refresh.saturating_mul(1 << cfg.refresh_backoff_cap);
+        let cap = cfg.arb_refresh.saturating_mul(1 << REFRESH_BACKOFF_CAP);
         assert_eq!(*delays.last().unwrap(), cap);
     }
 }

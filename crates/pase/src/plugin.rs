@@ -23,7 +23,7 @@ use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::Rate;
 
 use crate::algorithm::LinkArbitrator;
-use crate::config::PaseConfig;
+use crate::config::{PaseConfig, DELEG_MIN_SHARE, DELEG_PERIOD};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
 use crate::shed::{ArbFrontEnd, FaultEffect};
 use crate::tree::{Level, TreeInfo};
@@ -222,9 +222,8 @@ impl PaseSwitchPlugin {
         let Some(total) = self.tree.uplink_rate(self.me) else {
             return;
         };
-        let min_share = self.cfg.deleg_min_share;
         let floor_up =
-            |d: Rate| -> f64 { (d.as_bps() as f64).max(total.as_bps() as f64 * min_share) };
+            |d: Rate| -> f64 { (d.as_bps() as f64).max(total.as_bps() as f64 * DELEG_MIN_SHARE) };
         let children = self.tree.children(self.me).to_vec();
         let sum_up: f64 = children
             .iter()
@@ -341,7 +340,7 @@ impl SwitchPlugin for PaseSwitchPlugin {
             };
             io.send(update.packet(NO_FLOW, self.me, parent));
         }
-        io.set_timer(self.cfg.deleg_period, DELEG_TIMER_TOKEN + self.deleg_epoch);
+        io.set_timer(DELEG_PERIOD, DELEG_TIMER_TOKEN + self.deleg_epoch);
     }
 
     fn on_fault(&mut self, fault: NodeFault, io: &mut SwitchIo<'_, '_>) {
@@ -357,7 +356,7 @@ impl SwitchPlugin for PaseSwitchPlugin {
                 // restarts under a new epoch, like the lease-GC loop.
                 self.deleg_epoch += 1;
                 if self.deleg_parent().is_some() {
-                    io.set_timer(self.cfg.deleg_period, DELEG_TIMER_TOKEN + self.deleg_epoch);
+                    io.set_timer(DELEG_PERIOD, DELEG_TIMER_TOKEN + self.deleg_epoch);
                 }
                 io.set_timer(self.cfg.arb_expiry, self.front.maintenance_token());
             }

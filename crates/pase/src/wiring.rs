@@ -7,7 +7,7 @@ use netsim::host::MAINTENANCE_TIMER_BASE;
 use netsim::node::Node;
 use netsim::sim::Simulation;
 
-use crate::config::PaseConfig;
+use crate::config::{PaseConfig, DELEG_PERIOD};
 use crate::host_service::PaseHostService;
 use crate::plugin::{PaseSwitchPlugin, DELEG_TIMER_TOKEN};
 use crate::tree::{Level, TreeInfo};
@@ -57,7 +57,7 @@ pub fn install(sim: &mut Simulation, cfg: PaseConfig) -> Arc<TreeInfo> {
             // Kick off the delegation report loop on ToRs.
             if cfg.delegation && level == Level::Tor && tree.parent(sw).is_some() {
                 sim.scheduler_mut().schedule_in(
-                    cfg.deleg_period,
+                    DELEG_PERIOD,
                     sw,
                     EventKind::PluginTimer(DELEG_TIMER_TOKEN),
                 );

@@ -611,7 +611,7 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
     // charge far past its (deliberately tiny) budget, so every refresh of
     // the remote flow draws a `shedding: true` reply instead of an
     // arbitration answer. The sender must stretch its refresh cadence
-    // multiplicatively, then — after `watchdog_k` net shed rounds —
+    // multiplicatively, then — after `WATCHDOG_K` net shed rounds —
     // degrade to self-adjusting fallback exactly like a dead control
     // channel. When the storm ends, clean responses resume, fallback
     // ends, and the flow completes.
@@ -667,7 +667,7 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
     // (exit is hysteretic — one lucky reply mid-storm must not flap the
     // flow out of fallback and slam its cwnd), fallback ends, and the
     // flow finishes under restored arbitration. The drain is bounded by
-    // ~2*watchdog_k clean rounds at the backed-off cadence.
+    // ~2*WATCHDOG_K clean rounds at the backed-off cadence.
     sim.run(until(25));
     let (fb, _, _) = sender_state(&mut sim, hosts[0], 0);
     assert!(!fb, "clean responses after the storm must end fallback");

@@ -1,8 +1,8 @@
 //! The one argument cursor behind every binary's flag parser (`pase-sim`,
-//! `ExpOpts`, `ChaosOpts`, `BenchOpts`): take a flag's value, parse it to
-//! a type, check its range. Every failure is an `Err` naming the flag, so
-//! a binary prints one line plus its usage and exits 2 instead of
-//! panicking on — or worse, simulating — input it should have rejected.
+//! `ExpOpts`, `ChaosOpts`): take a flag's value, parse it to a type, check
+//! its range. Every failure is an `Err` naming the flag, so a binary
+//! prints one line plus its usage and exits 2 instead of panicking on —
+//! or worse, simulating — input it should have rejected.
 
 use std::fmt::Debug;
 use std::ops::{Bound, RangeBounds};

@@ -1,7 +1,7 @@
 //! Deterministic parallel case execution.
 //!
 //! Every sweep in this repository — the paper's figures, seed averaging,
-//! the chaos matrix, the bench chaos-storm scenario — is a list of fully
+//! the chaos matrix, `perfbench`'s sweep workloads — is a list of fully
 //! specified, mutually independent cases: each case builds its own
 //! [`netsim::sim::Simulation`] from a seed and runs it to completion, so
 //! cases share no mutable state and each one is deterministic in

@@ -173,6 +173,9 @@ impl Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Pattern, Scenario, SizeDist};
+    use netsim::sim::{RunLimit, RunOutcome};
+    use netsim::time::SimTime;
 
     #[test]
     fn every_scheme_builds_on_every_topology() {
@@ -190,6 +193,32 @@ mod tests {
                 assert_eq!(sim.topo().hosts().len(), topo.n_hosts());
             }
         }
+    }
+
+    /// The one Tier-1 run at 1024 hosts: PASE on the k=16 fat-tree,
+    /// all-to-all, completes with the invariants clean and the event and
+    /// delivery counts pinned.
+    #[test]
+    fn pase_completes_an_all_to_all_batch_on_the_k16_fat_tree() {
+        let scenario = Scenario {
+            name: "k16-all-to-all",
+            topo: TopologySpec::fat_tree(16),
+            pattern: Pattern::AllToAll,
+            sizes: SizeDist::UniformBytes {
+                lo: 2_000,
+                hi: 198_000,
+            },
+            deadlines: None,
+            n_background: 0,
+            n_flows: 256,
+        };
+        let (mut sim, hosts) = Scheme::Pase.build_sim(&scenario.topo);
+        sim.add_flows(scenario.generate_flows(0.6, 1, &hosts));
+        let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
+        assert_eq!(outcome, RunOutcome::MeasuredComplete);
+        sim.check_invariants().assert_clean();
+        assert_eq!(sim.stats().events_executed, 479_550);
+        assert_eq!(sim.stats().data_pkts_delivered, 17_979);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
 #
-#   scripts/ci.sh            # build + tests (+ fmt/clippy when installed)
+#   scripts/ci.sh   # build + tests, chaos / engine-differential / figure /
+#                   # scale smokes, perfbench build + smoke tests, the
+#                   # frozen-paths guard (+ fmt/clippy when installed)
 #
-# The build and the tests are mandatory; fmt/clippy run only where the
+# Everything but fmt/clippy is mandatory; those two run only where the
 # components are installed so the gate works on minimal toolchains.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,15 +57,6 @@ fi
 echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs) =="
 ./target/release/engine_diff --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
 
-# Bench smoke: two quick scenarios end-to-end (the scheduler storm and
-# the wheel's all-levels stress profile); asserts the harness still runs
-# and emits a consistent report (throughput numbers are NOT checked here
-# — CI machines are too noisy for perf gates; see scripts/bench.sh). The
-# pinned job count is recorded in the emitted document's "jobs" field.
-echo "== bench smoke (sched-storm + wheel-storm, quick) =="
-./target/release/netsim-bench --quick --scenario sched-storm,wheel-storm \
-    --jobs "${JOBS:-2}" >/dev/null
-
 # Figure-registry smoke: `--only` picks figures by registry id, prints
 # them without touching EXPERIMENTS.md, and exits non-zero if a cell came
 # from a truncated run. From a temp dir so nothing lands in the repo.
@@ -83,10 +76,26 @@ echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run) =="
 
 # The repo benchmark is a package of its own compiled against the
 # crates' public API: build it and run its smoke tests here so API drift
-# fails this gate, not the benchmark run.
+# fails this gate, not the benchmark run. The smoke profile runs all
+# five workloads and every microbench (wheel near/far horizon and heap
+# push/pop among them) at tiny sizes.
 echo "== perfbench (build + smoke tests) =="
 cargo build --release --manifest-path perfbench/Cargo.toml
 cargo test --manifest-path perfbench/Cargo.toml -q
+
+# Frozen paths: perfbench/ and BENCHMARK.json change only in `benchmark`
+# PRs. Building must not rewrite them either — a crate that drops a
+# dependency makes cargo rewrite perfbench/Cargo.lock, and this is where
+# that shows.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "== frozen paths (perfbench/, BENCHMARK.json untouched) =="
+    frozen=$(git status --short perfbench BENCHMARK.json)
+    if [ -n "$frozen" ]; then
+        echo "frozen benchmark paths differ from the committed tree:" >&2
+        echo "$frozen" >&2
+        exit 1
+    fi
+fi
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt --check =="
