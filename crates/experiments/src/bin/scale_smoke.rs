@@ -2,7 +2,9 @@
 //! fabric (128 hosts) under PASE, check the compact route tables, run a
 //! 2k-flow incast slice with invariants enabled under the dual-run
 //! byte-identical-trace discipline, and hold the process to a peak-RSS
-//! budget.
+//! budget; then build — only build — the k=32 fabric (8192 hosts) under
+//! PASE and check its route tables and arbitration tree against the
+//! fat-tree's coordinates, under a budget of its own.
 //!
 //! Everything here is an assertion, not a measurement: the binary exits
 //! non-zero on any violation, so `scripts/ci.sh` can run it directly.
@@ -11,7 +13,8 @@ use netsim::invariants::InvariantConfig;
 use netsim::node::Node;
 use netsim::prelude::*;
 use netsim::trace::HashTracer;
-use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
+use pase::tree::{Level, TreeInfo};
+use workloads::{fat_tree_ports_toward, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). The
 /// smoke peaks at 6 MiB (compact FIBs, qdisc rings that start empty, one
@@ -98,6 +101,90 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize) {
     (d, delivered, peak_pending)
 }
 
+/// Peak-RSS ceiling once the k=32 fabric has been built: 1,280 switches,
+/// 9,472 nodes, 49,152 ports with inline (empty) queues. The build peaks
+/// at 40 MiB; a dense route table (10M entries) or a per-port allocation
+/// touched at build time goes beyond the 1.5x headroom.
+const K32_PEAK_RSS_BUDGET: u64 = 60 * 1024 * 1024;
+
+/// Build-only k=32 stage: no flows, no events — the structures
+/// themselves are the subject.
+fn build_k32() {
+    let k = 32;
+    let (sim, hosts) = Scheme::Pase.build_sim(&TopologySpec::fat_tree(k));
+    let switches = sim.topo().switches();
+    assert_eq!(hosts.len(), k * k * k / 4);
+    assert_eq!(switches.len(), k * k / 4 + k * k, "cores + aggs + ToRs");
+
+    // Route tables against coordinates, on a sample of switches that
+    // takes in all three tiers (every 17th of 256 + 32 x (16 + 16)).
+    let tier = |level| match level {
+        Level::Tor => 0,
+        Level::Agg => 1,
+        Level::Core => 2,
+    };
+    let mut sampled = [0usize; 3];
+    let tree = TreeInfo::from_topology(sim.topo());
+    for &id in switches.iter().step_by(17) {
+        let Node::Switch(sw) = &sim.nodes()[id.index()] else {
+            panic!("{id} is not a switch");
+        };
+        sampled[tier(tree.level(id))] += 1;
+        assert!(sw.fib().intervals() < sim.topo().n_nodes() / 2);
+        for &h in &hosts {
+            assert_eq!(
+                sw.fib().entry(h),
+                fat_tree_ports_toward(k, id, h),
+                "k=32 switch {id} toward host {h}"
+            );
+        }
+    }
+    assert!(
+        sampled.iter().all(|&n| n >= 10),
+        "tiers sampled: {sampled:?}"
+    );
+
+    // The arbitration tree PASE was wired with: every tier present in
+    // full, every child under a parent one tier up.
+    let mut census = [0usize; 3];
+    for &id in &switches {
+        let level = tree.level(id);
+        census[tier(level)] += 1;
+        let parent_level = tree.parent(id).map(|p| tree.level(p));
+        let want = match level {
+            Level::Tor => Some(Level::Agg),
+            Level::Agg => Some(Level::Core),
+            Level::Core => None,
+        };
+        assert_eq!(parent_level, want, "k=32 switch {id} ({level:?})");
+    }
+    assert_eq!(
+        census,
+        [k * k / 2, k * k / 2, k * k / 4],
+        "ToRs, aggs, cores"
+    );
+    for (i, &h) in hosts.iter().enumerate() {
+        assert_eq!(tree.tor_of(h), tree.tor_of(hosts[i - i % (k / 2)]));
+    }
+
+    let rss = workloads::read_peak_rss();
+    assert!(
+        rss == 0 || rss <= K32_PEAK_RSS_BUDGET,
+        "k=32 build: peak RSS {} MiB exceeds the {} MiB budget",
+        rss / (1024 * 1024),
+        K32_PEAK_RSS_BUDGET / (1024 * 1024)
+    );
+    eprintln!(
+        "scale_smoke: OK — k=32 built under PASE: {} switches, {} hosts, FIBs of {:?} \
+         sampled (ToR, agg, core) switches match coordinates, peak RSS {:.1} MiB (budget {} MiB)",
+        switches.len(),
+        hosts.len(),
+        sampled,
+        rss as f64 / (1024.0 * 1024.0),
+        K32_PEAK_RSS_BUDGET / (1024 * 1024)
+    );
+}
+
 fn main() {
     // Two serial runs by construction — parallelism would only blur the
     // peak-RSS attribution — so there is nothing to configure.
@@ -140,4 +227,7 @@ fn main() {
         rss as f64 / (1024.0 * 1024.0),
         PEAK_RSS_BUDGET / (1024 * 1024)
     );
+
+    // Last, so the k=8 budget above is not measured against its peak.
+    build_k32();
 }

@@ -20,8 +20,8 @@
 //!   forwarding. What "crash" means is up to the protocol — PASE wipes
 //!   its soft arbitration state.
 //! * A **control-loss burst** kills the next `n` control packets on one
-//!   *direction* of a link (it wraps the port's queue discipline in a
-//!   burst-mode [`crate::queue::LossyQdisc`]).
+//!   *direction* of a link (a countdown on the port, ahead of its queue:
+//!   [`crate::port::Port::inject_ctrl_loss_burst`]).
 //! * A **degraded link** (gray failure) keeps forwarding but hurts: a
 //!   seeded [`DegradeProfile`] imposes stochastic packet loss, payload
 //!   corruption (detected and discarded by the destination's checksum,

@@ -11,7 +11,7 @@ use crate::event::EventKind;
 use crate::fault::DegradeProfile;
 use crate::ids::{NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
-use crate::queue::{Enqueued, Qdisc, QdiscStats};
+use crate::queue::{Enqueued, PortQueue, Qdisc, QdiscStats};
 use crate::rng::{mix64, Rng};
 use crate::time::{Rate, SimDuration};
 
@@ -49,7 +49,15 @@ pub struct Port {
     pub rate: Rate,
     /// One-way propagation delay.
     pub delay: SimDuration,
-    qdisc: Box<dyn Qdisc>,
+    /// The queue discipline, held inline when it is one of
+    /// [`crate::queue`]'s own.
+    qdisc: PortQueue,
+    /// Control packets still to be dropped on arrival by injected loss
+    /// bursts (see [`Port::inject_ctrl_loss_burst`]).
+    ctrl_loss_left: u64,
+    /// Control packets dropped by injected loss bursts so far; reported
+    /// as [`QdiscStats::forced_drops`].
+    ctrl_loss_drops: u64,
     /// The packet currently being serialized, if any.
     in_flight: Option<Box<Packet>>,
     /// Whether the link is up. Downed ports drop everything offered to
@@ -64,8 +72,10 @@ pub struct Port {
     /// Packets dropped because the link was down (flushed, rejected on
     /// arrival, or caught mid-serialization).
     pub drops_while_down: u64,
-    /// Gray-failure state while the link is degraded.
-    degrade: Option<DegradeState>,
+    /// Gray-failure state while the link is degraded (boxed: healthy
+    /// ports, nearly all of them, carry a null pointer instead of 64 cold
+    /// bytes between their hot fields).
+    degrade: Option<Box<DegradeState>>,
     /// Packets lost to link degradation (drawn at TX; part of the
     /// synthetic-loss counter family together with
     /// [`crate::queue::QdiscStats::forced_drops`]).
@@ -93,7 +103,9 @@ impl Port {
             peer,
             rate,
             delay,
-            qdisc,
+            qdisc: PortQueue::new(qdisc),
+            ctrl_loss_left: 0,
+            ctrl_loss_drops: 0,
             in_flight: None,
             up: true,
             tx_pkts: 0,
@@ -118,7 +130,14 @@ impl Port {
             return;
         }
         let is_data = pkt.kind == PacketKind::Data;
-        match self.qdisc.enqueue(pkt, ctx.now()) {
+        let outcome = if self.ctrl_loss_left > 0 && pkt.kind == PacketKind::Ctrl {
+            self.ctrl_loss_left -= 1;
+            self.ctrl_loss_drops += 1;
+            Enqueued::RejectedArrival(pkt)
+        } else {
+            self.qdisc.enqueue(pkt, ctx.now())
+        };
+        match outcome {
             Enqueued::Ok => {
                 if is_data {
                     ctx.stats.note_data_enqueued();
@@ -185,21 +204,12 @@ impl Port {
         self.up
     }
 
-    /// Drop the next `n` control packets offered to this port, by
-    /// wrapping the queue discipline in a burst-mode
-    /// [`crate::queue::LossyQdisc`]. A spent wrapper is a transparent
-    /// pass-through.
+    /// Drop the next `n` control packets offered to this port, before
+    /// the queue sees them. Bursts add up: one injected while an earlier
+    /// one still has packets to drop extends it by `n`.
     pub fn inject_ctrl_loss_burst(&mut self, n: u64) {
-        use crate::queue::{DropTailQdisc, LossyQdisc};
         self.faults_injected += 1;
-        // Momentary placeholder while the real qdisc is wrapped.
-        let inner = core::mem::replace(&mut self.qdisc, Box::new(DropTailQdisc::new(1)));
-        self.qdisc = Box::new(LossyQdisc::drop_burst_for_kind(
-            inner,
-            1,
-            n,
-            PacketKind::Ctrl,
-        ));
+        self.ctrl_loss_left += n;
     }
 
     /// Degrade this port per `profile` (gray failure). `node` is the
@@ -208,10 +218,10 @@ impl Port {
     pub fn set_degraded(&mut self, node: NodeId, profile: DegradeProfile) {
         self.faults_injected += 1;
         let salt = mix64(((node.0 as u64) << 32) | self.id.0 as u64);
-        self.degrade = Some(DegradeState {
+        self.degrade = Some(Box::new(DegradeState {
             profile,
             rng: Rng::seed_from_u64(profile.seed ^ salt),
-        });
+        }));
     }
 
     /// Restore this port to nominal behaviour. The health score is left
@@ -239,11 +249,11 @@ impl Port {
     }
 
     /// Total synthetic (fault-injected) losses on this port: degrade
-    /// losses plus any forced drops from a wrapping
-    /// [`crate::queue::LossyQdisc`]. One counter family for every loss
-    /// that is *not* congestion.
+    /// losses plus the forced drops of control-loss bursts and of a
+    /// wrapping [`crate::queue::LossyQdisc`]. One counter family for
+    /// every loss that is *not* congestion.
     pub fn synthetic_drops(&self) -> u64 {
-        self.degrade_drops + self.qdisc.stats().forced_drops
+        self.degrade_drops + self.qdisc_stats().forced_drops
     }
 
     /// Fold one TX outcome into the EWMA health score.
@@ -348,9 +358,13 @@ impl Port {
         }
     }
 
-    /// Queue-discipline counters.
+    /// Queue-discipline counters, with the control packets lost to
+    /// injected bursts counted as (forced) drops at the queue.
     pub fn qdisc_stats(&self) -> QdiscStats {
-        self.qdisc.stats()
+        let mut s = self.qdisc.stats();
+        s.dropped_pkts += self.ctrl_loss_drops;
+        s.forced_drops += self.ctrl_loss_drops;
+        s
     }
 
     /// Fraction of the interval `[0, now]` this link spent transmitting
@@ -389,17 +403,112 @@ mod tests {
     use crate::time::SimTime;
 
     fn mk_port() -> Port {
+        port_with_queue_cap(4)
+    }
+
+    fn port_with_queue_cap(cap_pkts: usize) -> Port {
         Port::new(
             PortId(0),
             NodeId(1),
             Rate::from_gbps(1),
             SimDuration::from_micros(10),
-            Box::new(DropTailQdisc::new(4)),
+            Box::new(DropTailQdisc::new(cap_pkts)),
         )
     }
 
     fn data(flow: u64) -> Box<Packet> {
         Box::new(Packet::data(FlowId(flow), NodeId(0), NodeId(1), 0, 1460))
+    }
+
+    fn ctrl(flow: u64) -> Box<Packet> {
+        let payload = Box::new(0u8);
+        Box::new(Packet::ctrl(FlowId(flow), NodeId(0), NodeId(1), payload))
+    }
+
+    fn ack(flow: u64) -> Box<Packet> {
+        Box::new(Packet::ack(FlowId(flow), NodeId(0), NodeId(1), 0))
+    }
+
+    #[test]
+    fn port_layout_stays_flat() {
+        // One hop reads the port, its queue header and one band ring at
+        // addresses computed from the port's own; a `Box`/`Vec` creeping
+        // back between them, or the port doubling in lines, puts a
+        // dependent miss per hop back at k=16 (DESIGN §8).
+        let size = core::mem::size_of::<Port>();
+        assert!(size <= 512, "Port grew to {size} bytes (measured: 464)");
+    }
+
+    #[test]
+    fn overlapping_ctrl_loss_bursts_add_up_and_spare_data_and_acks() {
+        let mut sched = Scheduler::new();
+        let mut stats = StatsCollector::new();
+        let mut port = port_with_queue_cap(64);
+        let mut ctx = Ctx {
+            node: NodeId(0),
+            sched: &mut sched,
+            stats: &mut stats,
+        };
+        port.inject_ctrl_loss_burst(0); // inert
+        port.send(ctrl(0), &mut ctx);
+        assert_eq!(ctx.stats.ctrl_pkts_dropped, 0);
+        port.inject_ctrl_loss_burst(3);
+        port.send(ctrl(1), &mut ctx);
+        port.send(data(2), &mut ctx);
+        port.send(ack(3), &mut ctx);
+        port.send(ctrl(4), &mut ctx);
+        assert_eq!(ctx.stats.ctrl_pkts_dropped, 2);
+        // One drop left of the first burst; the second adds four.
+        port.inject_ctrl_loss_burst(4);
+        for flow in 10..18 {
+            port.send(ctrl(flow), &mut ctx);
+            port.send(data(flow), &mut ctx);
+            port.send(ack(flow), &mut ctx);
+        }
+        assert_eq!(ctx.stats.ctrl_pkts_dropped, 2 + 1 + 4);
+        assert_eq!(ctx.stats.data_pkts_dropped, 0);
+        assert_eq!(ctx.stats.data_pkts_enqueued, 9);
+        let mut survivors = Vec::new();
+        port.for_each_held(&mut |p| {
+            if p.kind == PacketKind::Ctrl {
+                survivors.push(p.flow.0);
+            }
+        });
+        // Queued packets first, then the one being serialized.
+        assert_eq!(survivors, [15, 16, 17, 0], "the burst is contiguous");
+        // 1 ctrl in flight + 3 ctrl, 9 data and 9 ACKs queued.
+        assert_eq!(port.queue_len_pkts(), 3 + 9 + 9);
+        let qs = port.qdisc_stats();
+        assert_eq!((qs.dropped_pkts, qs.forced_drops), (7, 7));
+        assert_eq!(qs.enqueued_pkts, 1 + 3 + 9 + 9);
+        assert_eq!(port.synthetic_drops(), 7);
+        assert_eq!(port.faults_injected, 3);
+    }
+
+    #[test]
+    fn spent_ctrl_loss_bursts_leave_the_port_as_built() {
+        let mut sched = Scheduler::new();
+        let mut stats = StatsCollector::new();
+        let mut port = mk_port();
+        let mut ctx = Ctx {
+            node: NodeId(0),
+            sched: &mut sched,
+            stats: &mut stats,
+        };
+        for burst in 0..10 {
+            port.inject_ctrl_loss_burst(2);
+            port.send(ctrl(burst), &mut ctx);
+            port.send(ctrl(burst), &mut ctx);
+        }
+        assert_eq!(ctx.stats.ctrl_pkts_dropped, 20);
+        // Nothing accreted: the queue is still the inline drop-tail the
+        // port was built with, and the next control packet goes straight
+        // into it.
+        assert!(matches!(port.qdisc, PortQueue::DropTail(_)));
+        assert_eq!(port.ctrl_loss_left, 0);
+        port.send(ctrl(99), &mut ctx);
+        assert!(port.is_busy());
+        assert_eq!(port.qdisc_stats().enqueued_pkts, 1);
     }
 
     #[test]

@@ -1,36 +1,22 @@
 //! Deterministic fault injection.
 //!
-//! [`LossyQdisc`] wraps any inner discipline and forcibly drops packets of
-//! a chosen kind on a deterministic schedule — either every `n`-th
-//! matching packet, or a contiguous burst. Deterministic (counter-based,
-//! not random) so experiments with injected faults stay reproducible — in
+//! [`LossyQdisc`] wraps any inner discipline and forcibly drops every
+//! `n`-th packet of a chosen kind. Deterministic (counter-based, not
+//! random) so experiments with injected faults stay reproducible — in
 //! the spirit of smoltcp's `--drop-chance` example option, but without
-//! perturbing the workload RNG. The burst mode backs the
-//! [`crate::fault::FaultEvent::CtrlLossBurst`] fault.
+//! perturbing the workload RNG. (Control-loss *bursts*, the
+//! [`crate::fault::FaultEvent::CtrlLossBurst`] fault, are a counter on
+//! the port itself: see [`crate::port::Port::inject_ctrl_loss_burst`].)
 
 use super::{Enqueued, Qdisc, QdiscStats};
 use crate::packet::{Packet, PacketKind};
 use crate::time::SimTime;
 
-/// Which matching packets the injector kills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DropMode {
-    /// Every `n`-th matching packet dies (`n = 0` disables injection).
-    EveryNth(u64),
-    /// Matching packets numbered `start_nth..start_nth + len` (1-based)
-    /// die; everything outside the burst passes through.
-    Burst {
-        /// 1-based index of the first packet to drop.
-        start_nth: u64,
-        /// Number of consecutive matching packets dropped.
-        len: u64,
-    },
-}
-
 /// A qdisc wrapper that deterministically drops packets of a chosen kind.
 pub struct LossyQdisc {
     inner: Box<dyn Qdisc>,
-    mode: DropMode,
+    /// Every `drop_every`-th matching packet dies (0 disables injection).
+    drop_every: u64,
     /// Which packet kind the injector targets.
     target: PacketKind,
     seen: u64,
@@ -50,32 +36,7 @@ impl LossyQdisc {
     pub fn for_kind(inner: Box<dyn Qdisc>, drop_every: u64, target: PacketKind) -> LossyQdisc {
         LossyQdisc {
             inner,
-            mode: DropMode::EveryNth(drop_every),
-            target,
-            seen: 0,
-            forced_drops: 0,
-        }
-    }
-
-    /// Wrap `inner`, dropping the burst of data packets numbered
-    /// `start_nth..start_nth + len` (1-based count of matching packets
-    /// seen). Packets before and after the burst pass through untouched.
-    pub fn drop_burst(inner: Box<dyn Qdisc>, start_nth: u64, len: u64) -> LossyQdisc {
-        Self::drop_burst_for_kind(inner, start_nth, len, PacketKind::Data)
-    }
-
-    /// Burst mode targeting a specific packet kind (the
-    /// `CtrlLossBurst` fault uses `PacketKind::Ctrl`).
-    pub fn drop_burst_for_kind(
-        inner: Box<dyn Qdisc>,
-        start_nth: u64,
-        len: u64,
-        target: PacketKind,
-    ) -> LossyQdisc {
-        assert!(start_nth > 0, "burst positions are 1-based");
-        LossyQdisc {
-            inner,
-            mode: DropMode::Burst { start_nth, len },
+            drop_every,
             target,
             seen: 0,
             forced_drops: 0,
@@ -87,32 +48,13 @@ impl LossyQdisc {
     pub fn forced_drops(&self) -> u64 {
         self.forced_drops
     }
-
-    /// Whether the injector can still drop anything (always true for the
-    /// periodic mode with a nonzero period; false once a burst is spent).
-    pub fn is_armed(&self) -> bool {
-        match self.mode {
-            DropMode::EveryNth(n) => n > 0,
-            DropMode::Burst { start_nth, len } => self.seen < start_nth + len - 1 && len > 0,
-        }
-    }
-
-    fn should_drop(&self) -> bool {
-        // `seen` has already been incremented for the current packet.
-        match self.mode {
-            DropMode::EveryNth(n) => n > 0 && self.seen.is_multiple_of(n),
-            DropMode::Burst { start_nth, len } => {
-                self.seen >= start_nth && self.seen < start_nth + len
-            }
-        }
-    }
 }
 
 impl Qdisc for LossyQdisc {
     fn enqueue(&mut self, pkt: Box<Packet>, now: SimTime) -> Enqueued {
         if pkt.kind == self.target {
             self.seen += 1;
-            if self.should_drop() {
+            if self.drop_every > 0 && self.seen.is_multiple_of(self.drop_every) {
                 self.forced_drops += 1;
                 return Enqueued::RejectedArrival(pkt);
             }
@@ -147,7 +89,7 @@ impl Qdisc for LossyQdisc {
 impl core::fmt::Debug for LossyQdisc {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("LossyQdisc")
-            .field("mode", &self.mode)
+            .field("drop_every", &self.drop_every)
             .field("forced_drops", &self.forced_drops)
             .finish()
     }
@@ -219,84 +161,5 @@ mod tests {
             ));
         }
         assert_eq!(q.forced_drops(), 0);
-        assert!(!q.is_armed());
-    }
-
-    #[test]
-    fn burst_drops_exactly_the_window() {
-        // Drop matching packets 3, 4 and 5.
-        let mut q = LossyQdisc::drop_burst(Box::new(DropTailQdisc::new(100)), 3, 3);
-        let mut outcomes = Vec::new();
-        for i in 0..8 {
-            outcomes.push(matches!(
-                q.enqueue(pkt(i, 0, 0), SimTime::ZERO),
-                Enqueued::RejectedArrival(_)
-            ));
-        }
-        assert_eq!(
-            outcomes,
-            vec![false, false, true, true, true, false, false, false]
-        );
-        assert_eq!(q.forced_drops(), 3);
-        assert!(!q.is_armed(), "spent burst is a pass-through");
-    }
-
-    #[test]
-    fn burst_from_first_packet() {
-        let mut q = LossyQdisc::drop_burst(Box::new(DropTailQdisc::new(100)), 1, 2);
-        assert!(matches!(
-            q.enqueue(pkt(0, 0, 0), SimTime::ZERO),
-            Enqueued::RejectedArrival(_)
-        ));
-        assert!(matches!(
-            q.enqueue(pkt(1, 0, 0), SimTime::ZERO),
-            Enqueued::RejectedArrival(_)
-        ));
-        assert!(matches!(
-            q.enqueue(pkt(2, 0, 0), SimTime::ZERO),
-            Enqueued::Ok
-        ));
-        assert_eq!(q.forced_drops(), 2);
-    }
-
-    #[test]
-    fn burst_counts_only_target_kind() {
-        let mut q = LossyQdisc::drop_burst_for_kind(
-            Box::new(DropTailQdisc::new(100)),
-            1,
-            2,
-            PacketKind::Ctrl,
-        );
-        // Data is neither counted nor dropped.
-        for i in 0..5 {
-            assert!(matches!(
-                q.enqueue(pkt(i, 0, 0), SimTime::ZERO),
-                Enqueued::Ok
-            ));
-        }
-        let ctrl = |f: u64| Box::new(Packet::ctrl(FlowId(f), NodeId(0), NodeId(1), Box::new(0u8)));
-        assert!(matches!(
-            q.enqueue(ctrl(10), SimTime::ZERO),
-            Enqueued::RejectedArrival(_)
-        ));
-        assert!(matches!(
-            q.enqueue(ctrl(11), SimTime::ZERO),
-            Enqueued::RejectedArrival(_)
-        ));
-        assert!(matches!(q.enqueue(ctrl(12), SimTime::ZERO), Enqueued::Ok));
-        assert_eq!(q.forced_drops(), 2);
-    }
-
-    #[test]
-    fn zero_length_burst_is_inert() {
-        let mut q = LossyQdisc::drop_burst(Box::new(DropTailQdisc::new(100)), 1, 0);
-        for i in 0..5 {
-            assert!(matches!(
-                q.enqueue(pkt(i, 0, 0), SimTime::ZERO),
-                Enqueued::Ok
-            ));
-        }
-        assert_eq!(q.forced_drops(), 0);
-        assert!(!q.is_armed());
     }
 }

@@ -28,28 +28,38 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Destinations are dense node ids, so the table is run-length (interval)
 /// encoded over the id space: consecutive destinations that share the same
-/// equal-cost port set collapse into one interval, and the port sets
-/// themselves are deduplicated into a shared pool. On a k-ary fat-tree
+/// equal-cost port set collapse into one interval. On a k-ary fat-tree
 /// with rack-major host ids this turns the naive ~10M switch×destination
 /// entries at k=32 into a few hundred intervals per switch (every "all
 /// other pods" region is one interval pointing at the full uplink set),
-/// while lookup stays a single binary search over the interval starts.
+/// while lookup stays a single binary search over the interval starts
+/// followed by one record read: a single next hop (every down-route) is
+/// the record itself, an equal-cost set is a slice of a shared,
+/// deduplicated pool.
 ///
 /// Destinations below the first interval start, or covered by an interval
-/// whose pooled set is empty, have no route (the switch blackholes them).
+/// with no hops, have no route (the switch blackholes them).
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
     /// Sorted interval start ids; interval `i` covers destinations
     /// `[starts[i], starts[i+1])` (the last interval runs to the end of
     /// the id space).
     starts: Vec<u32>,
-    /// Pool slot of each interval's port set (parallel to `starts`).
-    sets: Vec<u32>,
-    /// Deduplicated equal-cost port sets, concatenated.
+    /// Each interval's next hops (parallel to `starts`).
+    hops: Vec<Hops>,
+    /// Deduplicated equal-cost port sets of two or more ports,
+    /// concatenated.
     pool: Vec<PortId>,
-    /// Exclusive end offset of pooled set `j` (it starts where set `j-1`
-    /// ends, or at 0).
-    set_ends: Vec<u32>,
+}
+
+/// The next hops of one interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hops {
+    /// The port itself when `len == 1`; otherwise the set's offset in
+    /// [`Fib::pool`].
+    first: PortId,
+    /// Number of equal-cost ports (0 = no route).
+    len: u32,
 }
 
 impl Fib {
@@ -58,17 +68,21 @@ impl Fib {
     pub fn entry(&self, dst: NodeId) -> &[PortId] {
         let id = dst.0;
         // Index of the last interval starting at or before `id`.
-        let i = self.starts.partition_point(|&s| s <= id);
-        if i == 0 {
-            return &[];
+        match self.starts.partition_point(|&s| s <= id) {
+            0 => &[],
+            i => self.interval_ports(i - 1),
         }
-        let set = self.sets[i - 1] as usize;
-        let lo = if set == 0 {
-            0
-        } else {
-            self.set_ends[set - 1] as usize
-        };
-        &self.pool[lo..self.set_ends[set] as usize]
+    }
+
+    /// The port set of interval `i`.
+    #[inline]
+    fn interval_ports(&self, i: usize) -> &[PortId] {
+        let hops = &self.hops[i];
+        match hops.len {
+            0 => &[],
+            1 => std::slice::from_ref(&hops.first),
+            len => &self.pool[hops.first.index()..][..len as usize],
+        }
     }
 
     /// Number of run-length intervals (compactness diagnostic).
@@ -78,8 +92,10 @@ impl Fib {
 
     /// Approximate heap footprint in bytes (compactness diagnostic).
     pub fn heap_bytes(&self) -> usize {
-        (self.starts.len() + self.sets.len() + self.set_ends.len()) * 4
-            + self.pool.len() * std::mem::size_of::<PortId>()
+        use std::mem::size_of;
+        self.starts.len() * size_of::<u32>()
+            + self.hops.len() * size_of::<Hops>()
+            + self.pool.len() * size_of::<PortId>()
     }
 
     /// Build a table from one dense row per destination id (row `d` is
@@ -104,7 +120,7 @@ pub struct FibBuilder {
     fib: Fib,
     /// The destination id the next `push` describes.
     next_dst: u32,
-    /// Build-time interning of port sets → pool slot.
+    /// Build-time interning of multi-port sets → pool offset.
     interned: std::collections::HashMap<Vec<PortId>, u32>,
 }
 
@@ -116,23 +132,28 @@ impl FibBuilder {
 
     /// Append the port set for the next destination id.
     pub fn push(&mut self, ports: &[PortId]) {
-        let set = match self.interned.get(ports) {
-            Some(&slot) => slot,
-            None => {
-                let slot = u32::try_from(self.fib.set_ends.len()).expect("port-set pool overflow");
-                self.fib.pool.extend_from_slice(ports);
-                self.fib
-                    .set_ends
-                    .push(u32::try_from(self.fib.pool.len()).expect("port pool overflow"));
-                self.interned.insert(ports.to_vec(), slot);
-                slot
-            }
-        };
-        if self.fib.sets.last() != Some(&set) || self.fib.starts.is_empty() {
-            self.fib.starts.push(self.next_dst);
-            self.fib.sets.push(set);
-        }
+        let dst = self.next_dst;
         self.next_dst += 1;
+        // Same set as the previous destination: the run continues.
+        if dst > 0 && self.fib.interval_ports(self.fib.hops.len() - 1) == ports {
+            return;
+        }
+        let first = match ports {
+            [] => PortId(0),
+            [only] => *only,
+            set => PortId(match self.interned.get(set) {
+                Some(&offset) => offset,
+                None => {
+                    let offset = u32::try_from(self.fib.pool.len()).expect("port pool overflow");
+                    self.fib.pool.extend_from_slice(set);
+                    self.interned.insert(set.to_vec(), offset);
+                    offset
+                }
+            }),
+        };
+        let len = u32::try_from(ports.len()).expect("port set overflow");
+        self.fib.starts.push(dst);
+        self.fib.hops.push(Hops { first, len });
     }
 
     /// Finish the table.
@@ -161,13 +182,27 @@ impl FibBuilder {
 /// clean traffic earns the port's health back. When *no* live port is
 /// healthy, selection falls back to all live ports — a degraded path
 /// beats a blackhole.
+///
+/// `all_up` is the switch's own record that none of its ports is down.
+/// While it holds and health is not consulted, every port of the entry
+/// is eligible and the choice needs no port state at all — the common
+/// case by far, and the one that must not pay a load per ECMP sibling.
+#[inline]
 fn route_live(
     entry: &[PortId],
     ports: &[Port],
     flow: FlowId,
     salt: u64,
     health_aware: bool,
+    all_up: bool,
 ) -> Option<PortId> {
+    if all_up && !health_aware {
+        return match entry {
+            [] => None,
+            [only] => Some(*only),
+            _ => Some(entry[mix64(flow.0 ^ salt) as usize % entry.len()]),
+        };
+    }
     if health_aware {
         let eligible = |p: &&PortId| ports[p.index()].is_up() && ports[p.index()].is_healthy();
         let healthy = entry.iter().filter(eligible).count();
@@ -236,8 +271,9 @@ pub trait SwitchPlugin: Send {
 pub struct SwitchIo<'a, 'b> {
     /// The switch's node id.
     pub id: NodeId,
-    /// The switch's output ports.
-    pub ports: &'a mut Vec<Port>,
+    /// The switch's output ports. Crate-private: taking a port down or up
+    /// behind the switch's back would stale `all_ports_up`.
+    pub(crate) ports: &'a mut Vec<Port>,
     /// Forwarding table indexed by destination node id.
     pub fib: &'a Fib,
     /// The switch's blackhole counter (see [`Switch::blackhole_drops`]).
@@ -247,6 +283,8 @@ pub struct SwitchIo<'a, 'b> {
     pub health_aware: bool,
     /// The owning switch's ECMP salt (see [`Switch::set_ecmp_salt`]).
     pub ecmp_salt: u64,
+    /// Whether every port of the owning switch is up.
+    pub(crate) all_ports_up: bool,
     /// Engine context.
     pub sim: &'a mut Ctx<'b>,
 }
@@ -266,6 +304,7 @@ impl<'a, 'b> SwitchIo<'a, 'b> {
             flow,
             self.ecmp_salt,
             self.health_aware,
+            self.all_ports_up,
         )
     }
 
@@ -338,12 +377,17 @@ pub struct Switch {
     /// distinct deterministic salt per switch so successive tiers make
     /// independent equal-cost choices (all (k/2)² core paths get used).
     ecmp_salt: u64,
+    /// Whether every port is up, re-derived whenever a `PortDown` /
+    /// `PortUp` directive lands (the only way a switch port changes
+    /// state), so healthy-fabric routing never reads a port.
+    all_ports_up: bool,
 }
 
 impl Switch {
     /// Create a switch. The forwarding table must cover every destination
     /// that will ever appear in a packet.
     pub fn new(id: NodeId, ports: Vec<Port>, fib: Fib) -> Switch {
+        let all_ports_up = ports.iter().all(Port::is_up);
         Switch {
             id,
             ports,
@@ -352,6 +396,7 @@ impl Switch {
             blackhole_drops: 0,
             health_aware: false,
             ecmp_salt: 0,
+            all_ports_up,
         }
     }
 
@@ -436,8 +481,14 @@ impl Switch {
             },
         );
         match directive {
-            FaultDirective::PortDown(port) => self.ports[port.index()].set_down(ctx),
-            FaultDirective::PortUp(port) => self.ports[port.index()].set_up(),
+            FaultDirective::PortDown(port) => {
+                self.ports[port.index()].set_down(ctx);
+                self.all_ports_up = false;
+            }
+            FaultDirective::PortUp(port) => {
+                self.ports[port.index()].set_up();
+                self.all_ports_up = self.ports.iter().all(Port::is_up);
+            }
             FaultDirective::CtrlLossBurst { port, n } => {
                 self.ports[port.index()].inject_ctrl_loss_burst(n);
             }
@@ -549,6 +600,7 @@ impl Switch {
             flow,
             self.ecmp_salt,
             self.health_aware,
+            self.all_ports_up,
         )
     }
 
@@ -569,6 +621,7 @@ impl Switch {
                 blackhole_drops: &mut self.blackhole_drops,
                 health_aware: self.health_aware,
                 ecmp_salt: self.ecmp_salt,
+                all_ports_up: self.all_ports_up,
                 sim: ctx,
             };
             f(plugin.as_mut(), &mut io);
@@ -759,6 +812,101 @@ mod tests {
         );
     }
 
+    /// What `route_live` computed before the switch kept `all_ports_up`:
+    /// count the eligible ports of the entry, hash, take the `nth`.
+    fn route_by_filter(sw: &Switch, dst: NodeId, flow: FlowId) -> Option<PortId> {
+        let entry = sw.fib.entry(dst);
+        let pick = |eligible: &dyn Fn(&Port) -> bool| {
+            let live = || entry.iter().filter(|p| eligible(&sw.ports[p.index()]));
+            let n = live().count();
+            (n > 0).then(|| {
+                *live()
+                    .nth(mix64(flow.0 ^ sw.ecmp_salt) as usize % n)
+                    .unwrap()
+            })
+        };
+        let healthy = |p: &Port| p.is_up() && p.is_healthy();
+        (if sw.health_aware {
+            pick(&healthy)
+        } else {
+            None
+        })
+        .or_else(|| pick(&Port::is_up))
+    }
+
+    #[test]
+    fn route_matches_the_port_filter_through_any_fault_sequence() {
+        struct Idle;
+        impl SwitchPlugin for Idle {
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let ports = (0..4)
+            .map(|i| {
+                Port::new(
+                    PortId(i),
+                    NodeId(i),
+                    Rate::from_gbps(1),
+                    SimDuration::from_micros(10),
+                    Box::new(DropTailQdisc::new(16)),
+                )
+            })
+            .collect();
+        // No route, 4-way ECMP, a single next hop, 2-way ECMP.
+        let p = |ids: &[u32]| ids.iter().map(|&i| PortId(i)).collect::<Vec<_>>();
+        let rows = [p(&[]), p(&[0, 1, 2, 3]), p(&[2]), p(&[1, 3])];
+        let mut sw = Switch::new(NodeId(10), ports, Fib::from_rows(&rows));
+        sw.set_plugin(Box::new(Idle));
+        sw.set_ecmp_salt(0x5a17);
+        let mut sched = Scheduler::new();
+        let mut stats = StatsCollector::new();
+        let mut rng = crate::rng::Rng::seed_from_u64(0xd0_0b);
+        let mut seen = [[false; 2]; 2];
+        for step in 0..80 {
+            let port = PortId(rng.gen_below(4) as u32);
+            let fault = match rng.gen_below(6) {
+                // Down twice and up without down both occur.
+                0 | 1 => FaultDirective::PortDown(port),
+                2 | 3 => FaultDirective::PortUp(port),
+                4 => FaultDirective::PortDegrade {
+                    port,
+                    profile: all_loss(),
+                },
+                _ => FaultDirective::PortRestore(port),
+            };
+            if rng.gen_below(4) == 0 {
+                sw.set_health_aware(!sw.health_aware());
+            }
+            let mut ctx = Ctx {
+                node: NodeId(10),
+                sched: &mut sched,
+                stats: &mut stats,
+            };
+            sw.handle(EventKind::Fault(fault), &mut ctx);
+            // Let the port's health follow its new state: ten lossy
+            // packets sink it, ~1,100 clean ones earn it back.
+            let degraded = sw.ports[port.index()].is_degraded();
+            drive_port(&mut sw, port.index(), if degraded { 10 } else { 1200 });
+            let all_up = sw.ports.iter().all(Port::is_up);
+            assert_eq!(sw.all_ports_up, all_up, "step {step}");
+            let all_healthy = sw.ports.iter().all(Port::is_healthy);
+            seen[all_up as usize][(sw.health_aware && !all_healthy) as usize] = true;
+            for i in 0..1000u64 {
+                let (dst, flow) = (NodeId((i % 4) as u32), FlowId(i * 7919));
+                let want = route_by_filter(&sw, dst, flow);
+                assert_eq!(sw.route(dst, flow), want, "step {step} {dst} {flow:?}");
+                let mut via_io = None;
+                sw.with_plugin(&mut ctx, |_, io| via_io = io.route(dst, flow));
+                assert_eq!(via_io, want, "step {step} {dst} {flow:?} (SwitchIo)");
+            }
+        }
+        assert_eq!(
+            seen, [[true; 2]; 2],
+            "[some port down?][health consulted and some port sick?]"
+        );
+    }
+
     #[test]
     fn static_routing_ignores_health() {
         let mut sw = two_way_switch();
@@ -826,8 +974,58 @@ mod tests {
         // Beyond the encoded id space the last interval's set applies;
         // that is fine because the topology never addresses such ids.
         assert_eq!(fib.intervals(), 6, "runs collapse into intervals");
-        // Pool holds each distinct set once: {}, {0}, {1}, {2,3}.
-        assert_eq!(fib.heap_bytes(), 6 * 4 + 6 * 4 + 4 * 4 + 4 * 4);
+        // One start and one hop record per interval; only {2,3} needs the
+        // pool ({0} and {1} ride in their records, {0} twice).
+        assert_eq!(fib.pool, up);
+        assert_eq!(fib.heap_bytes(), 6 * 4 + 6 * 8 + 2 * 4);
+    }
+
+    #[test]
+    fn fib_interval_record_stays_small() {
+        // A lookup ends with one read of this record; at 8 bytes eight of
+        // them share a line with their neighbours' (DESIGN §8).
+        let size = core::mem::size_of::<Hops>();
+        assert!(
+            size <= 8,
+            "Fib interval record grew to {size} bytes (measured: 8)"
+        );
+    }
+
+    #[test]
+    fn fib_round_trips_random_rows() {
+        // Few distinct sets and long runs, so empty sets, singletons and
+        // repeated multi-port sets all recur, behind a leading no-route
+        // run of random length.
+        let mut rng = crate::rng::Rng::seed_from_u64(0xf1b);
+        for case in 0..200 {
+            let sets: Vec<Vec<PortId>> = (0..rng.gen_range_inclusive(1, 6))
+                .map(|_| {
+                    let n = rng.gen_below(5);
+                    (0..n).map(|_| PortId(rng.gen_below(48) as u32)).collect()
+                })
+                .chain([Vec::new()])
+                .collect();
+            let mut rows: Vec<Vec<PortId>> = vec![Vec::new(); rng.gen_index(4)];
+            while rows.len() < 300 {
+                let set = &sets[rng.gen_index(sets.len())];
+                rows.extend(vec![set.clone(); rng.gen_range_inclusive(1, 20) as usize]);
+            }
+            let fib = Fib::from_rows(&rows);
+            for (d, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    fib.entry(NodeId(d as u32)),
+                    row.as_slice(),
+                    "case {case} dst {d}"
+                );
+            }
+            let runs = 1 + rows.windows(2).filter(|w| w[0] != w[1]).count();
+            assert_eq!(fib.intervals(), runs, "case {case}: one interval per run");
+            let pooled: usize = sets.iter().filter(|s| s.len() > 1).map(Vec::len).sum();
+            assert!(
+                fib.pool.len() <= pooled,
+                "case {case}: sets are pooled once"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
-use netsim::queue::{DropTailQdisc, Enqueued, LossyQdisc, Qdisc, RedEcnQdisc, StrictPrioQdisc};
+use netsim::queue::{
+    DropTailQdisc, Enqueued, LossyQdisc, Qdisc, QdiscStats, RedEcnQdisc, StrictPrioQdisc,
+};
 use netsim::rng::Rng;
 use netsim::time::SimTime;
 
@@ -167,6 +169,118 @@ fn strict_prio_always_serves_highest_band() {
     }
 }
 
+/// The strict-priority discipline as it was before it kept its bands
+/// inline: one independent [`RedEcnQdisc`] per band, dequeue scanning for
+/// the first non-empty one, every aggregate a sum over bands.
+struct BandPerQdisc(Vec<RedEcnQdisc>);
+
+impl BandPerQdisc {
+    fn new(n_bands: usize, cap: usize, k: usize) -> Self {
+        BandPerQdisc((0..n_bands).map(|_| RedEcnQdisc::new(cap, k)).collect())
+    }
+
+    fn enqueue(&mut self, pkt: Box<Packet>, now: SimTime) -> Enqueued {
+        let band = (pkt.prio as usize).min(self.0.len() - 1);
+        self.0[band].enqueue(pkt, now)
+    }
+
+    fn dequeue(&mut self, now: SimTime) -> Option<Box<Packet>> {
+        self.0.iter_mut().find(|b| !b.is_empty())?.dequeue(now)
+    }
+
+    fn stats(&self) -> QdiscStats {
+        let mut total = QdiscStats::default();
+        for s in self.0.iter().map(Qdisc::stats) {
+            total.enqueued_pkts += s.enqueued_pkts;
+            total.enqueued_bytes += s.enqueued_bytes;
+            total.dropped_pkts += s.dropped_pkts;
+            total.dropped_bytes += s.dropped_bytes;
+            total.marked_pkts += s.marked_pkts;
+        }
+        total
+    }
+}
+
+/// `(flow, seq, ecn_ce)` of every queued packet, in visiting order.
+fn queued(visit: impl Fn(&mut dyn FnMut(&Packet))) -> Vec<(u64, u64, bool)> {
+    let mut v = Vec::new();
+    visit(&mut |p| v.push((p.flow.0, p.seq, p.ecn_ce)));
+    v
+}
+
+/// [`StrictPrioQdisc`] against [`BandPerQdisc`], op by op: 126 seeded
+/// scripts of 1,000 ops (fill-biased and drain-biased phases, so bands
+/// overflow and run dry) over inline and spilled band counts, marking
+/// thresholds at both ends, and ECN-capable and plain packets mixed.
+#[test]
+fn strict_prio_matches_one_red_queue_per_band() {
+    let now = SimTime::ZERO;
+    let mut script = 0u64;
+    for n_bands in [1usize, 2, 4, 8, 9, 32, 64] {
+        for cap in [1usize, 3, 12] {
+            for k in [0, 1, cap] {
+                for ecn_share in [0, 3] {
+                    script += 1;
+                    let mut rng = Rng::seed_from_u64(0x5d1f ^ script);
+                    let mut new = StrictPrioQdisc::new(n_bands, cap, k);
+                    let mut old = BandPerQdisc::new(n_bands, cap, k);
+                    let what = format!("bands {n_bands} cap {cap} K {k} script {script}");
+                    for op in 0..1000u64 {
+                        // Alternate phases that fill and phases that drain.
+                        let enqueue_bias = if (op / 100) % 2 == 0 { 3 } else { 1 };
+                        if rng.gen_below(4) < enqueue_bias {
+                            // Priorities beyond the last band clamp to it.
+                            let prio = rng.gen_below(n_bands as u64 + 2) as u8;
+                            let len = rng.gen_range_inclusive(1, 1459) as u16;
+                            let mk = |ecn: bool| {
+                                let mut p = mk_pkt(script, prio, len);
+                                p.seq = op;
+                                p.ecn_capable = ecn;
+                                p
+                            };
+                            let ecn = rng.gen_below(4) < ecn_share;
+                            let kind = |e: Enqueued| match e {
+                                Enqueued::Ok => (0, None),
+                                Enqueued::RejectedArrival(p) => (1, Some(p.seq)),
+                                Enqueued::Evicted(p) => (2, Some(p.seq)),
+                            };
+                            assert_eq!(
+                                kind(new.enqueue(mk(ecn), now)),
+                                kind(old.enqueue(mk(ecn), now)),
+                                "{what} op {op}: enqueue outcome"
+                            );
+                        } else {
+                            let id = |p: Option<Box<Packet>>| p.map(|p| (p.seq, p.prio, p.ecn_ce));
+                            assert_eq!(
+                                id(new.dequeue(now)),
+                                id(old.dequeue(now)),
+                                "{what} op {op}: dequeued packet"
+                            );
+                        }
+                        let old_lens: Vec<usize> = old.0.iter().map(Qdisc::len_pkts).collect();
+                        let new_lens: Vec<usize> =
+                            (0..n_bands).map(|b| new.band_len_pkts(b)).collect();
+                        assert_eq!(new_lens, old_lens, "{what} op {op}: band occupancy");
+                        assert_eq!(new.len_pkts(), old_lens.iter().sum::<usize>());
+                        assert_eq!(
+                            new.len_bytes(),
+                            old.0.iter().map(Qdisc::len_bytes).sum::<u64>(),
+                            "{what} op {op}: bytes queued"
+                        );
+                        assert_eq!(
+                            queued(|f| new.for_each_queued(f)),
+                            queued(|f| old.0.iter().for_each(|b| b.for_each_queued(f))),
+                            "{what} op {op}: visiting order"
+                        );
+                        assert_eq!(new.stats(), old.stats(), "{what} op {op}: counters");
+                    }
+                }
+            }
+        }
+    }
+    assert!(script * 1000 >= 100_000);
+}
+
 /// RED marking threshold: CE only ever set when occupancy at arrival was
 /// at least K, and never on non-ECN packets.
 #[test]
@@ -192,7 +306,7 @@ fn red_marks_only_above_threshold() {
 
 /// The three FIFO-ring disciplines at a given capacity; the strict-prio
 /// one is exercised through a single band (every packet below is
-/// `prio` 1), which is a `RedEcnQdisc` behind the classifier.
+/// `prio` 1), which follows the `RedEcnQdisc` law behind the classifier.
 fn ring_qdiscs(cap: usize) -> [(&'static str, Box<dyn Qdisc>); 3] {
     [
         ("droptail", Box::new(DropTailQdisc::new(cap))),

@@ -30,4 +30,4 @@ pub use metrics::{
 pub use runner::{run_seeds, run_specs, sweep, RunSpec};
 pub use scenarios::{Pattern, Scenario};
 pub use scheme::Scheme;
-pub use topologies::TopologySpec;
+pub use topologies::{fat_tree_ports_toward, TopologySpec};

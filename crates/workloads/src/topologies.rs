@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use netsim::host::AgentFactory;
-use netsim::ids::NodeId;
+use netsim::ids::{NodeId, PortId};
 use netsim::time::{Rate, SimDuration};
 use netsim::topology::{Network, QdiscChooser, TopologyBuilder};
 
@@ -355,6 +355,70 @@ impl TopologySpec {
     }
 }
 
+/// Where a node id sits in a [`TopologySpec::FatTree`], from the builder's
+/// id layout alone: cores `0..(k/2)²`, then one block per pod — its k/2
+/// aggregation switches, then each ToR followed by its k/2 hosts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FatTreeNode {
+    Core,
+    Agg { pod: usize },
+    Tor { pod: usize, tor: usize },
+    Host { pod: usize, tor: usize, host: usize },
+}
+
+fn fat_tree_locate(k: usize, id: NodeId) -> FatTreeNode {
+    let half = k / 2;
+    let Some(in_pods) = id.index().checked_sub(half * half) else {
+        return FatTreeNode::Core;
+    };
+    let pod_nodes = half + half * (1 + half);
+    let (pod, at) = (in_pods / pod_nodes, in_pods % pod_nodes);
+    assert!(pod < k, "{id} is beyond the k={k} fat-tree");
+    let Some(in_racks) = at.checked_sub(half) else {
+        return FatTreeNode::Agg { pod };
+    };
+    match (in_racks / (1 + half), in_racks % (1 + half)) {
+        (tor, 0) => FatTreeNode::Tor { pod, tor },
+        (tor, h) => FatTreeNode::Host {
+            pod,
+            tor,
+            host: h - 1,
+        },
+    }
+}
+
+/// The ports a `fat_tree(k)` switch must forward on toward host `dst`,
+/// from (pod, ToR, host) coordinates alone — Al-Fares two-level routing:
+/// the one down-port when the host is in the switch's subtree, every
+/// up-port otherwise. An oracle for the interval [`netsim::switch::Fib`]s
+/// that owes nothing to the BFS that builds them. Port numbers follow
+/// the builder's `connect` order: a core's port `p` leads to pod `p`; an
+/// agg's first k/2 ports lead up and port `k/2 + t` down to ToR `t`; a
+/// ToR's first k/2 ports lead up and port `k/2 + h` down to host `h`.
+pub fn fat_tree_ports_toward(k: usize, sw: NodeId, dst: NodeId) -> Vec<PortId> {
+    let FatTreeNode::Host {
+        pod: dst_pod,
+        tor: dst_tor,
+        host: dst_host,
+    } = fat_tree_locate(k, dst)
+    else {
+        panic!("{dst} is not a host");
+    };
+    let half = k / 2;
+    let down = match fat_tree_locate(k, sw) {
+        FatTreeNode::Core => Some(dst_pod),
+        FatTreeNode::Agg { pod } => (pod == dst_pod).then_some(half + dst_tor),
+        FatTreeNode::Tor { pod, tor } => {
+            ((pod, tor) == (dst_pod, dst_tor)).then_some(half + dst_host)
+        }
+        FatTreeNode::Host { .. } => panic!("{sw} is not a switch"),
+    };
+    match down {
+        Some(port) => vec![PortId(port as u32)],
+        None => (0..half as u32).map(PortId).collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,6 +609,43 @@ mod tests {
                 n_cores,
                 "k={k}: ECMP must spread one src/dst pair over all (k/2)² cores"
             );
+        }
+    }
+
+    #[test]
+    fn fat_tree_fibs_match_coordinate_routing() {
+        for k in [4usize, 8, 16] {
+            let (net, hosts) = build(&TopologySpec::fat_tree(k));
+            // The coordinate decoder against the graph itself.
+            for (i, &h) in hosts.iter().enumerate() {
+                let (pod, rack) = ft_pod_rack(k, i);
+                let want = FatTreeNode::Host {
+                    pod,
+                    tor: rack % (k / 2),
+                    host: i % (k / 2),
+                };
+                assert_eq!(fat_tree_locate(k, h), want, "k={k} host {i}");
+            }
+            let switches = net.topo.switches();
+            for &sw_id in &switches {
+                let netsim::node::Node::Switch(sw) = &net.nodes[sw_id.index()] else {
+                    panic!()
+                };
+                for &h in &hosts {
+                    assert_eq!(
+                        sw.fib().entry(h),
+                        fat_tree_ports_toward(k, sw_id, h),
+                        "k={k} switch {sw_id} toward host {h}"
+                    );
+                }
+                for &other in &switches {
+                    assert_eq!(
+                        sw.fib().entry(other).is_empty(),
+                        other == sw_id,
+                        "k={k} switch {sw_id} toward switch {other}"
+                    );
+                }
+            }
         }
     }
 

@@ -70,8 +70,11 @@ echo "== figure registry smoke (run_all --quick --only fig09a,ext_faults) =="
 # byte-identical-trace discipline, and hold the process to a peak-RSS
 # budget and the scheduler to a peak pending-event bound. Catches scale
 # regressions (dense route tables, per-flow metric blowup, one queued
-# timer per packet) that the small-topology tests can't see.
-echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run) =="
+# timer per packet) that the small-topology tests can't see. Then a
+# build-only k=32 stage (8192 hosts, no flows, ~5 s): sampled FIBs and
+# the arbitration tree against the fat-tree's coordinates, under an RSS
+# budget of its own.
+echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run; k=32 build) =="
 ./target/release/scale_smoke
 
 # The repo benchmark is a package of its own compiled against the
