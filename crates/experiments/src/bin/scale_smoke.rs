@@ -9,6 +9,7 @@
 //! Everything here is an assertion, not a measurement: the binary exits
 //! non-zero on any violation, so `scripts/ci.sh` can run it directly.
 
+use netsim::engine::WheelStats;
 use netsim::invariants::InvariantConfig;
 use netsim::node::Node;
 use netsim::prelude::*;
@@ -33,8 +34,9 @@ const PEAK_RSS_BUDGET: u64 = 20 * 1024 * 1024;
 const PEAK_PENDING_BUDGET: usize = 3_000;
 
 /// One traced, invariant-checked incast run; returns the trace digest,
-/// the delivered-packet count and the peak pending-event count.
-fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize) {
+/// the delivered-packet count, the peak pending-event count, the event
+/// count and the wheel's counters.
+fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats) {
     let (mut sim, hosts) = Scheme::Pase.build_sim(&scenario.topo);
 
     // Route-table audit: every switch carries a compact interval FIB
@@ -96,9 +98,11 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize) {
 
     let delivered = sim.stats().data_pkts_delivered;
     let peak_pending = sim.scheduler().peak_pending();
+    let wheel = sim.scheduler().wheel_stats();
+    let events = sim.stats().events_executed;
     drop(sim); // flush the tracer
     let d = *digest.lock().unwrap();
-    (d, delivered, peak_pending)
+    (d, delivered, peak_pending, events, wheel)
 }
 
 /// Peak-RSS ceiling once the k=32 fabric has been built: 1,280 switches,
@@ -202,9 +206,10 @@ fn main() {
         n_flows: 2_000,
     };
 
-    let (d1, delivered1, peak_pending) = run_once(&scenario, 1);
+    let first = run_once(&scenario, 1);
+    let (d1, delivered1, peak_pending, events, wheel) = first;
     assert_eq!(
-        (d1, delivered1, peak_pending),
+        first,
         run_once(&scenario, 1),
         "dual-run trace digests diverged — determinism regression"
     );
@@ -226,6 +231,16 @@ fn main() {
          {PEAK_PENDING_BUDGET}), peak RSS {:.1} MiB (budget {} MiB)",
         rss as f64 / (1024.0 * 1024.0),
         PEAK_RSS_BUDGET / (1024 * 1024)
+    );
+
+    eprintln!(
+        "scale_smoke: {events} events; wheel {} pours (largest {} events), {} refiled, \
+         {} filed below the horizon, {} promoted from overflow",
+        wheel.pours,
+        wheel.max_pour,
+        wheel.refiled,
+        wheel.filed_below_horizon,
+        wheel.overflow_promoted
     );
 
     // Last, so the k=8 budget above is not measured against its peak.

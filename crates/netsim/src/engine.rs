@@ -14,6 +14,16 @@
 //! Both engines produce byte-identical traces; `scripts/ci.sh` holds them
 //! to that with an in-process dual-engine chaos pass (`engine_diff`).
 //!
+//! Events go in through [`Scheduler::schedule_at`] (or, for a place in
+//! the tie order taken earlier, [`Scheduler::reserve_seq`] +
+//! [`Scheduler::schedule_reserved`]) and come out through
+//! [`Scheduler::pop_until`], the run loop's single call per event: the
+//! next event, or why there is none ([`NoEvent`]: it lies past the time
+//! limit, or nothing is pending). [`Scheduler::pop`] and
+//! [`Scheduler::next_event_time`] are the same thing in two steps, for
+//! benchmarks and custom drivers. [`Scheduler::wheel_stats`] counts what
+//! the wheel did on the way ([`WheelStats`]).
+//!
 //! The scheduler also owns the [`PacketArena`] that recycles packet boxes
 //! across the injection → wire → delivery lifecycle, so steady-state
 //! simulation does not allocate per packet.
@@ -41,6 +51,46 @@ pub enum EngineKind {
     Heap,
     /// Hierarchical timing wheel: O(1) amortized schedule/pop.
     Wheel,
+}
+
+/// Why [`Scheduler::pop_until`] returned no event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoEvent {
+    /// The earliest pending event is later than the limit; it stays
+    /// queued and the clock has not moved.
+    PastLimit,
+    /// Nothing is pending.
+    Drained,
+}
+
+/// The wheel's internal traffic, counted always (plain increments) and
+/// part of no digest. All zero on the heap engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WheelStats {
+    /// Level-0 slots poured into the sorted run pops come from.
+    pub pours: u64,
+    /// Events in the largest single pour (the densest tick served).
+    pub max_pour: u64,
+    /// Events filed a second (third, …) time because the slot they
+    /// waited in, at level 1 or above, was redistributed.
+    pub refiled: u64,
+    /// Events scheduled into a tick already being served.
+    pub filed_below_horizon: u64,
+    /// Events moved from the far-future overflow heap into the wheel.
+    pub overflow_promoted: u64,
+}
+
+impl WheelStats {
+    /// The counters of two runs taken together.
+    pub fn plus(self, other: WheelStats) -> WheelStats {
+        WheelStats {
+            pours: self.pours + other.pours,
+            max_pour: self.max_pour.max(other.max_pour),
+            refiled: self.refiled + other.refiled,
+            filed_below_horizon: self.filed_below_horizon + other.filed_below_horizon,
+            overflow_promoted: self.overflow_promoted + other.overflow_promoted,
+        }
+    }
 }
 
 /// The two storage engines behind [`Scheduler`].
@@ -114,6 +164,14 @@ impl Scheduler {
     /// lifetime (peak queue size; memory-pressure figure for benchmarks).
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
+    }
+
+    /// The wheel engine's internal counters (see [`WheelStats`]).
+    pub fn wheel_stats(&self) -> WheelStats {
+        match &self.queue {
+            EventQueue::Heap(_) => WheelStats::default(),
+            EventQueue::Wheel(w) => w.stats(),
+        }
     }
 
     /// The packet arena recycling `Box<Packet>` storage for this run.
@@ -196,11 +254,16 @@ impl Scheduler {
             target,
             kind,
         };
-        match &mut self.queue {
-            EventQueue::Heap(h) => h.push(ev),
-            EventQueue::Wheel(w) => w.push(ev),
-        }
-        let pending = self.pending();
+        let pending = match &mut self.queue {
+            EventQueue::Heap(h) => {
+                h.push(ev);
+                h.len()
+            }
+            EventQueue::Wheel(w) => {
+                w.push(ev);
+                w.len()
+            }
+        };
         if pending > self.peak_pending {
             self.peak_pending = pending;
         }
@@ -231,10 +294,23 @@ impl Scheduler {
     /// Panics if the queue yields an event timestamped before `now`
     /// (in every build profile; see [`Scheduler::schedule_at`]).
     pub fn pop(&mut self) -> Option<(NodeId, EventKind)> {
+        self.pop_until(SimTime::MAX).ok()
+    }
+
+    /// Pop the next event unless it is later than `limit`: the run
+    /// loop's one call per event, time limit included.
+    ///
+    /// # Panics
+    /// As [`Scheduler::pop`].
+    pub fn pop_until(&mut self, limit: SimTime) -> Result<(NodeId, EventKind), NoEvent> {
         let ev = match &mut self.queue {
-            EventQueue::Heap(h) => h.pop(),
-            EventQueue::Wheel(w) => w.pop(),
-        }?;
+            EventQueue::Heap(h) => match h.peek() {
+                None => return Err(NoEvent::Drained),
+                Some(e) if e.time > limit => return Err(NoEvent::PastLimit),
+                Some(_) => h.pop().expect("peeked event vanished"),
+            },
+            EventQueue::Wheel(w) => w.pop_until(limit)?,
+        };
         assert!(
             ev.time >= self.now,
             "event queue went backwards: {} event for node {} at {} behind now {}",
@@ -245,15 +321,14 @@ impl Scheduler {
         );
         self.now = ev.time;
         self.popped_seq = Some(ev.seq);
-        Some((ev.target, ev.kind))
+        Ok((ev.target, ev.kind))
     }
 
     /// Peek at the timestamp of the next event without firing it.
     ///
     /// Takes `&mut self` because the wheel engine may advance its horizon
     /// to locate the next slot; the observable state (pop order, clock)
-    /// is untouched. Amortized O(1), so the run loop can consult it every
-    /// iteration when enforcing a time limit.
+    /// is untouched. Amortized O(1).
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         match &mut self.queue {
             EventQueue::Heap(h) => h.peek().map(|e| e.time),
@@ -466,6 +541,23 @@ mod tests {
         }
     }
 
+    /// Pop both engines once and hold them to the same event, clock and
+    /// sequence number; `None` when both are drained.
+    fn pop_both(heap: &mut Scheduler, wheel: &mut Scheduler) -> Option<NodeId> {
+        assert_eq!(heap.next_event_time(), wheel.next_event_time());
+        match (heap.pop(), wheel.pop()) {
+            (None, None) => None,
+            (Some((hn, hk)), Some((wn, wk))) => {
+                assert_eq!(heap.now(), wheel.now(), "clocks diverged");
+                assert_eq!(hn, wn, "targets diverged at {}", heap.now());
+                assert_eq!(token_of(&hk), token_of(&wk), "tokens diverged");
+                assert_eq!(heap.popped_seq, wheel.popped_seq, "seqs diverged");
+                Some(hn)
+            }
+            (x, y) => panic!("engines diverged: {x:?} vs {y:?}"),
+        }
+    }
+
     /// Drive the heap and wheel engines through one identical randomized op
     /// stream, asserting identical pop sequences and clocks after every op.
     ///
@@ -477,8 +569,11 @@ mod tests {
     /// horizon), and sequence numbers reserved early and filed late —
     /// at the instant being handled, inside its tick, in the horizon's
     /// tick, at every level and in overflow, after however many cascades
-    /// and window promotions the intervening pops caused. The wheel's
-    /// structural audit runs after every op.
+    /// and window promotions the intervening pops caused. Dense ticks get
+    /// ops of their own: 32 to 2000 events in one 256 ns tick with
+    /// repeated nanoseconds, reserved numbers filed into that tick, and,
+    /// mid-pop, one event at every remaining nanosecond of the tick being
+    /// served. The wheel's structural audit runs after every op.
     fn differential_run(seed: u64, ops: usize) {
         let mut heap = Scheduler::with_engine(EngineKind::Heap);
         let mut wheel = Scheduler::with_engine(EngineKind::Wheel);
@@ -486,68 +581,74 @@ mod tests {
         let mut next_token = 0u64;
         let mut pending = 0usize;
         let mut tie_time = SimTime::ZERO;
+        let mut dense_tick = SimTime::ZERO;
         let mut reserved: Vec<u64> = Vec::new();
+        let mut both = |heap: &mut Scheduler,
+                        wheel: &mut Scheduler,
+                        at: SimTime,
+                        node: u32,
+                        seq: Option<u64>| {
+            let tok = next_token;
+            next_token += 1;
+            for s in [heap, wheel] {
+                match seq {
+                    None => s.schedule_at(at, NodeId(node), timer(tok)),
+                    Some(seq) => s.schedule_reserved(at, seq, NodeId(node), timer(tok)),
+                }
+            }
+            tok
+        };
         for _ in 0..ops {
-            match rng.gen_below(12) {
+            match rng.gen_below(120) {
                 // Near-future: deltas spanning ns to ~18 min so inserts hit
                 // every wheel level (tick 256 ns, four 256-slot levels) AND
                 // straddle the 2^40 ns top-level window boundary — deltas at
                 // 2^38..2^40 routinely land in the next window while the
                 // wheel levels are busy, so horizon carries cross windows
                 // with events parked in overflow.
-                0..=3 => {
+                0..=35 => {
                     let delta = SimDuration::from_nanos(1u64 << rng.gen_below(41));
                     let at = heap.now() + delta;
-                    let tok = next_token;
-                    next_token += 1;
-                    heap.schedule_at(at, NodeId((tok % 97) as u32), timer(tok));
-                    wheel.schedule_at(at, NodeId((tok % 97) as u32), timer(tok));
+                    let tok = both(&mut heap, &mut wheel, at, 97, None);
                     if tok.is_multiple_of(3) {
                         tie_time = at; // revisit this instant for a tie later
                     }
                     pending += 1;
                 }
                 // Same-instant tie on a previously used future timestamp.
-                4 => {
+                36..=44 => {
                     if tie_time >= heap.now() {
-                        let tok = next_token;
-                        next_token += 1;
-                        heap.schedule_at(tie_time, NodeId(7), timer(tok));
-                        wheel.schedule_at(tie_time, NodeId(7), timer(tok));
+                        both(&mut heap, &mut wheel, tie_time, 7, None);
                         pending += 1;
                     }
                 }
                 // Far future: force the wheel's overflow heap (> ~18 min).
-                5 => {
+                45..=53 => {
                     let delta = SimDuration::from_nanos(1u64 << (41 + rng.gen_below(8)));
                     let at = heap.now() + delta;
-                    let tok = next_token;
-                    next_token += 1;
-                    heap.schedule_at(at, NodeId(0), timer(tok));
-                    wheel.schedule_at(at, NodeId(0), timer(tok));
+                    both(&mut heap, &mut wheel, at, 0, None);
                     pending += 1;
                 }
                 // Burst with consecutive seqs and internal ties.
-                6 => {
+                54..=62 => {
                     let n = rng.gen_below(8) + 2;
                     let base = heap.now() + SimDuration::from_nanos(rng.gen_below(1 << 20));
                     for i in 0..n {
                         let at = base + SimDuration::from_nanos(i / 2);
-                        heap.schedule_at(at, NodeId(1), timer(next_token + i));
-                        wheel.schedule_at(at, NodeId(1), timer(next_token + i));
+                        both(&mut heap, &mut wheel, at, 1, None);
                     }
-                    next_token += n;
                     pending += n as usize;
                 }
                 // Take a number now, to be filed by a later op.
-                7 => {
+                63..=71 => {
                     let seq = heap.reserve_seq();
                     assert_eq!(seq, wheel.reserve_seq());
                     reserved.push(seq);
                 }
                 // File a held number: a (time, seq) key older than
-                // anything a plain schedule could produce now.
-                8 => {
+                // anything a plain schedule could produce now. Every
+                // other time into the dense tick, while it is ahead.
+                72..=80 => {
                     if !reserved.is_empty() {
                         let seq = reserved.swap_remove(rng.gen_index(reserved.len()));
                         let mut delta = match rng.gen_below(5) {
@@ -560,52 +661,59 @@ mod tests {
                         if delta == 0 && heap.popped_seq.is_some_and(|popped| popped > seq) {
                             delta = 1; // (now, seq) is already behind the frontier
                         }
-                        let at = heap.now() + SimDuration::from_nanos(delta);
-                        let tok = next_token;
-                        next_token += 1;
-                        heap.schedule_reserved(at, seq, NodeId(11), timer(tok));
-                        wheel.schedule_reserved(at, seq, NodeId(11), timer(tok));
+                        let mut at = heap.now() + SimDuration::from_nanos(delta);
+                        if dense_tick > heap.now() && rng.gen_below(2) == 0 {
+                            at = dense_tick + SimDuration::from_nanos(rng.gen_below(256));
+                        }
+                        both(&mut heap, &mut wheel, at, 11, Some(seq));
                         pending += 1;
                     }
                 }
-                // Pop, then sometimes schedule at the just-reached instant
-                // (schedule-during-pop: lands below the wheel's horizon).
+                // A dense tick: 32 to 2000 events inside one 256 ns tick,
+                // on a 16 ns grid so nanoseconds repeat.
+                81 => {
+                    let n = 32 + rng.gen_below(1969);
+                    let ahead = heap.now() + SimDuration::from_nanos(1 << rng.gen_below(30));
+                    dense_tick = SimTime::from_nanos((ahead.as_nanos() | 255) + 1);
+                    for _ in 0..n {
+                        let at = dense_tick + SimDuration::from_nanos(16 * rng.gen_below(16));
+                        both(&mut heap, &mut wheel, at, 2, None);
+                    }
+                    pending += n as usize;
+                }
+                // Pop — more at a time the larger the backlog, so dense
+                // ticks get served — then sometimes schedule at the
+                // just-reached instant (schedule-during-pop: lands below
+                // the wheel's horizon), and now and then at every
+                // nanosecond left in the tick being served.
                 _ => {
-                    assert_eq!(heap.next_event_time(), wheel.next_event_time());
-                    let (h, w) = (heap.pop(), wheel.pop());
-                    match (h, w) {
-                        (None, None) => assert_eq!(pending, 0),
-                        (Some((hn, hk)), Some((wn, wk))) => {
-                            pending -= 1;
-                            assert_eq!(heap.now(), wheel.now(), "clocks diverged");
-                            assert_eq!(hn, wn, "targets diverged at {}", heap.now());
-                            assert_eq!(token_of(&hk), token_of(&wk), "tokens diverged");
-                            assert_eq!(heap.popped_seq, wheel.popped_seq, "seqs diverged");
-                            if rng.gen_below(4) == 0 {
-                                let tok = next_token;
-                                next_token += 1;
-                                heap.schedule_at(heap.now(), hn, timer(tok));
-                                wheel.schedule_at(wheel.now(), wn, timer(tok));
+                    for _ in 0..1 + pending / 64 {
+                        let Some(node) = pop_both(&mut heap, &mut wheel) else {
+                            assert_eq!(pending, 0);
+                            break;
+                        };
+                        pending -= 1;
+                        let now = heap.now();
+                        match rng.gen_below(256) {
+                            0..=63 => {
+                                both(&mut heap, &mut wheel, now, node.0, None);
                                 pending += 1;
                             }
+                            64 => {
+                                for ns in now.as_nanos()..=now.as_nanos() | 255 {
+                                    both(&mut heap, &mut wheel, SimTime::from_nanos(ns), 3, None);
+                                    pending += 1;
+                                }
+                            }
+                            _ => {}
                         }
-                        (x, y) => panic!("engines diverged: {x:?} vs {y:?}"),
                     }
                 }
             }
             wheel.audit();
         }
         // Drain both to the end: every remaining event must match too.
-        loop {
-            assert_eq!(heap.next_event_time(), wheel.next_event_time());
-            match (heap.pop(), wheel.pop()) {
-                (None, None) => break,
-                (Some((hn, hk)), Some((wn, wk))) => {
-                    assert_eq!(heap.now(), wheel.now());
-                    assert_eq!((hn, token_of(&hk)), (wn, token_of(&wk)));
-                }
-                (x, y) => panic!("engines diverged in drain: {x:?} vs {y:?}"),
-            }
+        while pop_both(&mut heap, &mut wheel).is_some() {
             wheel.audit();
         }
     }

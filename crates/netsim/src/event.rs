@@ -95,9 +95,16 @@ pub(crate) struct ScheduledEvent {
     pub kind: EventKind,
 }
 
+impl ScheduledEvent {
+    /// The total order events fire in.
+    pub(crate) fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
 impl PartialEq for ScheduledEvent {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -112,7 +119,7 @@ impl PartialOrd for ScheduledEvent {
 impl Ord for ScheduledEvent {
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 

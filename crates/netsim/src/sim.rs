@@ -1,7 +1,7 @@
 //! The simulation façade: owns the network, the scheduler and the stats,
 //! and drives the event loop.
 
-use crate::engine::{Ctx, EngineKind, Scheduler};
+use crate::engine::{Ctx, EngineKind, NoEvent, Scheduler};
 use crate::event::EventKind;
 use crate::fault::{FaultDirective, FaultEvent, FaultPlan};
 use crate::flow::FlowSpec;
@@ -307,6 +307,7 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, limit: RunLimit) -> RunOutcome {
+        let max_time = limit.max_time.unwrap_or(SimTime::MAX);
         loop {
             if limit.stop_when_measured_done && self.stats.all_measured_complete() {
                 return RunOutcome::MeasuredComplete;
@@ -316,15 +317,10 @@ impl Simulation {
                     return RunOutcome::EventLimit;
                 }
             }
-            if let Some(max_t) = limit.max_time {
-                match self.sched.next_event_time() {
-                    Some(t) if t > max_t => return RunOutcome::TimeLimit,
-                    None => return RunOutcome::Drained,
-                    _ => {}
-                }
-            }
-            let Some((target, kind)) = self.sched.pop() else {
-                return RunOutcome::Drained;
+            let (target, kind) = match self.sched.pop_until(max_time) {
+                Ok(event) => event,
+                Err(NoEvent::PastLimit) => return RunOutcome::TimeLimit,
+                Err(NoEvent::Drained) => return RunOutcome::Drained,
             };
             self.stats.events_executed += 1;
             self.stats.events_by_kind[kind.index()] += 1;

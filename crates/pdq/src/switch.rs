@@ -13,7 +13,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 
-use netsim::ids::{FlowId, NodeId, PortId};
+use netsim::ids::{FlowId, IdHashBuilder, NodeId, PortId};
 use netsim::packet::Packet;
 use netsim::switch::{SwitchIo, SwitchPlugin, Verdict};
 use netsim::time::{Rate, SimDuration, SimTime};
@@ -58,7 +58,45 @@ impl FlowInfo {
 /// Per-link arbitration state.
 #[derive(Debug, Default)]
 struct LinkState {
-    flows: HashMap<FlowId, FlowInfo>,
+    flows: HashMap<FlowId, FlowInfo, IdHashBuilder>,
+}
+
+impl LinkState {
+    /// Water-fill `budget` over the flows more critical than `me`, whose
+    /// refreshed entry is `asks`, honoring Early Start, and return the
+    /// rate left for it. The same pass drops every other entry that has
+    /// not been refreshed for `flow_expiry`, so an expired flow is never
+    /// read.
+    ///
+    /// Visits the flows in table order, not criticality order: each step
+    /// is `used = min(used + demand, budget)` in integer bits per second,
+    /// which comes to `min(sum of demands, budget)` in any order.
+    fn allocate(
+        &mut self,
+        me: FlowId,
+        asks: &FlowInfo,
+        budget: Rate,
+        cfg: &PdqConfig,
+        now: SimTime,
+    ) -> Rate {
+        let my_crit = asks.crit(me);
+        let early_window = asks.rtt.mul_f64(cfg.early_start_rtts);
+        let mut used = Rate::ZERO;
+        self.flows.retain(|&id, info| {
+            if id == me {
+                return true;
+            }
+            if info.last_seen + cfg.flow_expiry < now {
+                return false;
+            }
+            // Early Start: a flow about to drain is treated as finished.
+            if used < budget && info.crit(id) < my_crit && info.time_to_finish() > early_window {
+                used += info.demand.min(budget.saturating_sub(used));
+            }
+            true
+        });
+        asks.demand.min(budget.saturating_sub(used))
+    }
 }
 
 /// A link arbitrated by this switch: one of its own output ports, or the
@@ -76,30 +114,26 @@ enum LinkKey {
 /// The PDQ switch plugin: one arbiter per link.
 pub struct PdqSwitchPlugin {
     cfg: PdqConfig,
-    links: HashMap<LinkKey, LinkState>,
+    links: HashMap<LinkKey, LinkState, IdHashBuilder>,
     /// Directly attached hosts and their access-link rates; forward
     /// packets from these hosts are additionally arbitrated on the
     /// virtual uplink.
-    attached_hosts: HashMap<NodeId, netsim::time::Rate>,
+    attached_hosts: HashMap<NodeId, Rate, IdHashBuilder>,
 }
 
 impl PdqSwitchPlugin {
     /// Create a plugin arbitrating every output port it sees traffic on.
     pub fn new(cfg: PdqConfig) -> Self {
-        PdqSwitchPlugin {
-            cfg,
-            links: HashMap::new(),
-            attached_hosts: HashMap::new(),
-        }
+        PdqSwitchPlugin::with_attached_hosts(cfg, HashMap::new())
     }
 
     /// Create a plugin that also arbitrates the uplinks of the given
     /// directly attached hosts.
-    pub fn with_attached_hosts(cfg: PdqConfig, hosts: HashMap<NodeId, netsim::time::Rate>) -> Self {
+    pub fn with_attached_hosts(cfg: PdqConfig, hosts: HashMap<NodeId, Rate>) -> Self {
         PdqSwitchPlugin {
             cfg,
-            links: HashMap::new(),
-            attached_hosts: hosts,
+            links: HashMap::default(),
+            attached_hosts: hosts.into_iter().collect(),
         }
     }
 
@@ -110,49 +144,9 @@ impl PdqSwitchPlugin {
             .map_or(0, |l| l.flows.len())
     }
 
-    /// Water-fill `budget` over flows more critical than `flow`, honoring
-    /// Early Start, and return the rate left for `flow`.
-    fn allocate(&self, key: LinkKey, flow: FlowId, budget: Rate) -> Rate {
-        let link = match self.links.get(&key) {
-            Some(l) => l,
-            None => return budget,
-        };
-        let me = &link.flows[&flow];
-        let my_crit = me.crit(flow);
-        let early_window = me.rtt.mul_f64(self.cfg.early_start_rtts);
-
-        // Collect more-critical flows in criticality order (deterministic).
-        let mut above: Vec<(&FlowId, &FlowInfo)> = link
-            .flows
-            .iter()
-            .filter(|(id, info)| info.crit(**id) < my_crit)
-            .collect();
-        above.sort_by_key(|(id, info)| info.crit(**id));
-
-        let mut used = Rate::ZERO;
-        for (_, info) in above {
-            // Early Start: a flow about to drain is treated as finished.
-            if info.time_to_finish() <= early_window {
-                continue;
-            }
-            let avail = budget.saturating_sub(used);
-            used += info.demand.min(avail);
-            if used >= budget {
-                return Rate::ZERO;
-            }
-        }
-        me.demand.min(budget.saturating_sub(used))
-    }
-
-    fn gc(&mut self, key: LinkKey, now: SimTime) {
-        let expiry = self.cfg.flow_expiry;
-        if let Some(link) = self.links.get_mut(&key) {
-            link.flows.retain(|_, info| info.last_seen + expiry >= now);
-        }
-    }
-
-    /// Arbitrate one link for a forward packet: refresh the flow entry
-    /// from the header, water-fill, clamp the header, remember the grant.
+    /// Arbitrate one link for a forward packet: water-fill over the
+    /// link's other flows (expiring stale ones), clamp the header, and
+    /// store the flow's entry refreshed from the header with its grant.
     fn arbitrate_link(
         &mut self,
         key: LinkKey,
@@ -162,7 +156,7 @@ impl PdqSwitchPlugin {
         now: SimTime,
     ) {
         let flow = pkt.flow;
-        let Some(hdr) = pkt.proto_ref::<PdqHeader>().copied() else {
+        let Some(hdr) = pkt.proto_mut::<PdqHeader>() else {
             return;
         };
         if hdr.term {
@@ -171,29 +165,18 @@ impl PdqSwitchPlugin {
             }
             return;
         }
-        let entry = FlowInfo {
+        let mut entry = FlowInfo {
             demand: hdr.rate,
-            granted: self
-                .links
-                .get(&key)
-                .and_then(|l| l.flows.get(&flow))
-                .map_or(Rate::ZERO, |i| i.granted),
+            granted: Rate::ZERO,
             remaining: hdr.remaining,
             deadline: hdr.deadline,
             rtt: hdr.rtt,
             last_seen: now,
         };
-        self.links.entry(key).or_default().flows.insert(flow, entry);
-        self.gc(key, now);
-        let granted = self.allocate(key, flow, budget);
-        if let Some(link) = self.links.get_mut(&key) {
-            if let Some(info) = link.flows.get_mut(&flow) {
-                info.granted = granted;
-            }
-        }
-        if let Some(hdr) = pkt.proto_mut::<PdqHeader>() {
-            hdr.grant(granted, switch_id);
-        }
+        let link = self.links.entry(key).or_default();
+        entry.granted = link.allocate(flow, &entry, budget, &self.cfg, now);
+        link.flows.insert(flow, entry);
+        hdr.grant(entry.granted, switch_id);
     }
 }
 
@@ -255,9 +238,107 @@ mod tests {
         p
     }
 
+    impl PdqSwitchPlugin {
+        /// What the link would grant `flow`, already in its table.
+        fn allocate(&mut self, key: LinkKey, flow: FlowId, budget: Rate) -> Rate {
+            let link = self.links.get_mut(&key).expect("link with flows");
+            let me = link.flows[&flow];
+            link.allocate(flow, &me, budget, &self.cfg, SimTime::ZERO)
+        }
+    }
+
+    /// The arbitration this module shipped with, kept as the reference:
+    /// expire by `retain`, collect the more-critical flows, sort them by
+    /// criticality, water-fill in that order.
+    fn reference_allocate(
+        link: &mut LinkState,
+        flow: FlowId,
+        budget: Rate,
+        cfg: &PdqConfig,
+        now: SimTime,
+    ) -> Rate {
+        link.flows
+            .retain(|_, info| info.last_seen + cfg.flow_expiry >= now);
+        let me = &link.flows[&flow];
+        let my_crit = me.crit(flow);
+        let early_window = me.rtt.mul_f64(cfg.early_start_rtts);
+        let mut above: Vec<(&FlowId, &FlowInfo)> = link
+            .flows
+            .iter()
+            .filter(|(id, info)| info.crit(**id) < my_crit)
+            .collect();
+        above.sort_by_key(|(id, info)| info.crit(**id));
+        let mut used = Rate::ZERO;
+        for (_, info) in above {
+            if info.time_to_finish() <= early_window {
+                continue;
+            }
+            let avail = budget.saturating_sub(used);
+            used += info.demand.min(avail);
+            if used >= budget {
+                return Rate::ZERO;
+            }
+        }
+        me.demand.min(budget.saturating_sub(used))
+    }
+
+    /// Random flow tables — deadlines or none, criticality ties left to
+    /// the flow id, stale entries, flows inside and outside the Early
+    /// Start window, Early Start on and off — arbitrated for every flow
+    /// in turn by the reference and by the one-pass version: same grant,
+    /// same surviving entries.
+    #[test]
+    fn one_pass_allocation_matches_the_reference() {
+        let mut rng = netsim::rng::Rng::seed_from_u64(0x9d9_5eed);
+        for round in 0..400 {
+            let cfg = PdqConfig {
+                early_start_rtts: if round % 2 == 0 { 2.0 } else { 0.0 },
+                ..PdqConfig::default()
+            };
+            let now = SimTime::from_millis(50);
+            let budget = Rate::from_mbps(950);
+            let n = 1 + rng.gen_below(24);
+            let table: Vec<(FlowId, FlowInfo)> = (0..n)
+                .map(|id| {
+                    // Every fifth entry is one nanosecond past expiry, the
+                    // rest exactly at it (still live).
+                    let stale = SimDuration::from_nanos((rng.gen_below(5) == 0) as u64);
+                    let info = FlowInfo {
+                        demand: Rate::from_mbps(50 * rng.gen_below(21)),
+                        granted: Rate::from_mbps(50 * rng.gen_below(21)),
+                        remaining: 10_000 * (1 + rng.gen_below(4)),
+                        deadline: (rng.gen_below(3) == 0)
+                            .then(|| SimTime::from_millis(51 + rng.gen_below(3))),
+                        rtt: SimDuration::from_micros(100 + 100 * rng.gen_below(4)),
+                        last_seen: now - (cfg.flow_expiry + stale),
+                    };
+                    (FlowId(id), info)
+                })
+                .collect();
+            for &(me, mut asks) in &table {
+                asks.last_seen = now;
+                let mut old = LinkState::default();
+                old.flows.extend(table.iter().copied());
+                old.flows.insert(me, asks);
+                let mut new = LinkState::default();
+                new.flows.extend(table.iter().copied());
+                let want = reference_allocate(&mut old, me, budget, &cfg, now);
+                let got = new.allocate(me, &asks, budget, &cfg, now);
+                new.flows.insert(me, asks);
+                assert_eq!(got, want, "round {round}, {me}");
+                let keys = |l: &LinkState| {
+                    let mut k: Vec<FlowId> = l.flows.keys().copied().collect();
+                    k.sort();
+                    k
+                };
+                assert_eq!(keys(&new), keys(&old), "round {round}, {me}: survivors");
+            }
+        }
+    }
+
     #[test]
     fn most_critical_flow_gets_full_budget() {
-        let p = plugin_with_flows(vec![(1, info(1000, 10_000, 0)), (2, info(1000, 50_000, 0))]);
+        let mut p = plugin_with_flows(vec![(1, info(1000, 10_000, 0)), (2, info(1000, 50_000, 0))]);
         let budget = Rate::from_mbps(950);
         // Flow 1 (smaller remaining) gets everything it asks for (capped).
         assert_eq!(
@@ -275,7 +356,7 @@ mod tests {
     fn leftover_capacity_goes_to_less_critical_flows() {
         // Flow 1 is long-lived (far outside the Early Start window) but
         // only demands 300 Mbps; flow 2 gets the residue.
-        let p = plugin_with_flows(vec![
+        let mut p = plugin_with_flows(vec![
             (1, info(300, 4_000_000, 300)),
             (2, info(1000, 50_000_000, 0)),
         ]);
@@ -288,7 +369,7 @@ mod tests {
     fn deadline_flows_preempt_shorter_non_deadline_flows() {
         let mut near = info(1000, 500_000, 0);
         near.deadline = Some(SimTime::from_millis(5));
-        let p = plugin_with_flows(vec![(1, info(1000, 1_000, 0)), (2, near)]);
+        let mut p = plugin_with_flows(vec![(1, info(1000, 1_000, 0)), (2, near)]);
         let budget = Rate::from_mbps(950);
         // Flow 2 has a deadline: it is more critical than the tiny
         // non-deadline flow 1.
@@ -306,7 +387,7 @@ mod tests {
     fn early_start_admits_next_flow_when_current_nearly_done() {
         // Flow 1 has ~0.1 ms left at its granted rate; requester's RTT is
         // 300 us, so the 2-RTT early-start window (600 us) covers it.
-        let p = plugin_with_flows(vec![
+        let mut p = plugin_with_flows(vec![
             (1, info(950, 11_875, 950)), // 11875 B at 950 Mbps = 100 us
             (2, info(950, 500_000, 0)),
         ]);
@@ -320,7 +401,7 @@ mod tests {
     #[test]
     fn without_early_start_window_flow_stays_paused() {
         // Flow 1 has ~4 ms left: outside the 600 us window.
-        let p = plugin_with_flows(vec![
+        let mut p = plugin_with_flows(vec![
             (1, info(950, 475_000, 950)),
             (2, info(950, 500_000, 0)),
         ]);

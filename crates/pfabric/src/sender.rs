@@ -59,8 +59,13 @@ pub struct PFabricSender {
     cfg: PFabricConfig,
     /// Acknowledged byte ranges (selective).
     acked: ByteTracker,
-    /// Sequences (segment starts) currently considered in flight.
+    /// Sequences (segment starts) currently considered in flight; none of
+    /// them acknowledged.
     inflight: BTreeSet<u64>,
+    /// Every segment below this offset is acknowledged or in flight, so
+    /// the search for the next one to send resumes here. An RTO, which
+    /// empties `inflight`, resets it.
+    unsent_from: u64,
     /// Highest sequence ever transmitted (for retransmission accounting).
     high_water: u64,
     consecutive_timeouts: u32,
@@ -79,6 +84,7 @@ impl PFabricSender {
             cfg,
             acked: ByteTracker::new(),
             inflight: BTreeSet::new(),
+            unsent_from: 0,
             high_water: 0,
             consecutive_timeouts: 0,
             probe_mode: false,
@@ -108,18 +114,25 @@ impl PFabricSender {
     fn absorb_ack(&mut self, pkt: &Packet) {
         if pkt.seq > 0 {
             self.acked.on_range(0, pkt.seq);
+            self.land(0, pkt.seq);
         }
         if let Some(sacked) = pkt.sack {
             if sacked < self.spec.size {
-                self.acked
-                    .on_range(sacked, sacked + self.seg_len(sacked) as u64);
+                let end = sacked + self.seg_len(sacked) as u64;
+                self.acked.on_range(sacked, end);
+                self.land(sacked, end);
             }
         }
-        // Anything now acknowledged is no longer in flight.
-        let acked = &self.acked;
-        self.inflight.retain(|&seq| !acked.contains(seq, seq + 1));
         self.consecutive_timeouts = 0;
         self.probe_mode = false;
+    }
+
+    /// Segments starting in `[start, end)`, just acknowledged, are no
+    /// longer in flight.
+    fn land(&mut self, start: u64, end: u64) {
+        while let Some(&seq) = self.inflight.range(start..end).next() {
+            self.inflight.remove(&seq);
+        }
     }
 
     /// The lowest unacknowledged, not-in-flight segment at or after
@@ -137,17 +150,28 @@ impl PFabricSender {
         None
     }
 
+    /// Mark the next segment the fixed window allows in flight and return
+    /// its start and length.
+    fn claim_segment(&mut self) -> Option<(u64, u32)> {
+        if self.inflight.len() >= self.cfg.cwnd_pkts {
+            return None;
+        }
+        let Some(seq) = self.next_unsent(self.unsent_from.max(self.acked.cum_ack())) else {
+            self.unsent_from = self.spec.size;
+            return None;
+        };
+        let len = self.seg_len(seq);
+        self.inflight.insert(seq);
+        self.unsent_from = seq + len as u64;
+        Some((seq, len))
+    }
+
     /// Transmit segments up to the fixed window.
     fn pump(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         if self.probe_mode {
             return;
         }
-        let mut cursor = self.acked.cum_ack();
-        while self.inflight.len() < self.cfg.cwnd_pkts {
-            let Some(seq) = self.next_unsent(cursor) else {
-                break;
-            };
-            let len = self.seg_len(seq);
+        while let Some((seq, len)) = self.claim_segment() {
             let mut pkt = Packet::data(self.spec.id, self.spec.src, self.spec.dst, seq, len);
             // pFabric switches do the scheduling; no ECN.
             pkt.ecn_capable = false;
@@ -156,9 +180,7 @@ impl PFabricSender {
                 ctx.sim.stats.note_retransmit(self.spec.id, len as u64);
             }
             self.high_water = self.high_water.max(seq + len as u64);
-            self.inflight.insert(seq);
             ctx.send(pkt);
-            cursor = seq + len as u64;
         }
         self.arm_timer(ctx);
     }
@@ -208,6 +230,7 @@ impl FlowAgent for PFabricSender {
         self.consecutive_timeouts += 1;
         // Everything outstanding is presumed lost.
         self.inflight.clear();
+        self.unsent_from = 0;
         if self.consecutive_timeouts >= self.cfg.timeouts_before_probe {
             self.probe_mode = true;
             self.send_probe(ctx);
@@ -269,6 +292,101 @@ mod tests {
         assert_eq!(s.next_unsent(0), Some(2920));
         s.inflight.insert(2920);
         assert_eq!(s.next_unsent(0), Some(4380));
+    }
+
+    /// The per-ACK bookkeeping this module shipped with, kept as the
+    /// reference: sweep the whole in-flight set against the tracker on
+    /// every ack, and search for the next segment from the cumulative
+    /// ack point on every pump.
+    struct Reference {
+        s: PFabricSender,
+    }
+
+    impl Reference {
+        fn absorb_ack(&mut self, pkt: &Packet) {
+            let s = &mut self.s;
+            if pkt.seq > 0 {
+                s.acked.on_range(0, pkt.seq);
+            }
+            if let Some(sacked) = pkt.sack {
+                if sacked < s.spec.size {
+                    s.acked.on_range(sacked, sacked + s.seg_len(sacked) as u64);
+                }
+            }
+            let acked = &s.acked;
+            s.inflight.retain(|&seq| !acked.contains(seq, seq + 1));
+        }
+
+        fn pump(&mut self) -> Vec<(u64, u32)> {
+            let s = &mut self.s;
+            let mut sent = Vec::new();
+            let mut cursor = s.acked.cum_ack();
+            while s.inflight.len() < s.cfg.cwnd_pkts {
+                let Some(seq) = s.next_unsent(cursor) else {
+                    break;
+                };
+                let len = s.seg_len(seq);
+                s.inflight.insert(seq);
+                sent.push((seq, len));
+                cursor = seq + len as u64;
+            }
+            sent
+        }
+    }
+
+    /// Random scripts of cumulative acks, SACKs (aligned or not, known
+    /// segments or not), timeouts and pumps, on flows that end inside the
+    /// script and on one that never ends: the incremental bookkeeping
+    /// sends the same segments in the same order with the same ranks and
+    /// keeps the same in-flight set as the reference.
+    #[test]
+    fn incremental_ack_bookkeeping_matches_the_reference() {
+        let mut rng = netsim::rng::Rng::seed_from_u64(0xfab_5eed);
+        for round in 0..60u64 {
+            let size = match round % 3 {
+                0 => 1 + rng.gen_below(40 * 1460),
+                1 => 200 * 1460 + rng.gen_below(1460),
+                _ => u64::MAX / 2,
+            };
+            let (mut new, mut old) = (sender(size), Reference { s: sender(size) });
+            let mut sent_upto = 0u64;
+            for step in 0..400 {
+                match rng.gen_below(8) {
+                    0 => {
+                        new.inflight.clear();
+                        new.unsent_from = 0;
+                        old.s.inflight.clear();
+                    }
+                    1..=4 => {
+                        // Mostly plausible acks: somewhere in what was sent.
+                        let span = sent_upto.min(size) + 1;
+                        let cum = match rng.gen_below(4) {
+                            0 => 0,
+                            1 => rng.gen_below(span),
+                            _ => rng.gen_below(span) / 1460 * 1460,
+                        };
+                        let sack = match rng.gen_below(4) {
+                            0 => None,
+                            1 => Some(rng.gen_below(span + 3000)),
+                            _ => Some(rng.gen_below(span) / 1460 * 1460),
+                        };
+                        let pkt = ack(cum.min(size), sack);
+                        new.absorb_ack(&pkt);
+                        old.absorb_ack(&pkt);
+                    }
+                    _ => {
+                        let claimed: Vec<(u64, u32)> =
+                            std::iter::from_fn(|| new.claim_segment()).collect();
+                        assert_eq!(claimed, old.pump(), "round {round} step {step}");
+                        if let Some(&(seq, len)) = claimed.last() {
+                            sent_upto = sent_upto.max(seq + len as u64);
+                        }
+                    }
+                }
+                assert_eq!(new.inflight, old.s.inflight, "round {round} step {step}");
+                assert_eq!(new.remaining(), old.s.remaining(), "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! end (100k+ flows per run, many runs in flight across worker threads)
 //! the sketch keeps percentile collection memory-flat.
 
+use netsim::engine::WheelStats;
 use netsim::event::EventKind;
 use netsim::sim::{RunOutcome, Simulation};
 
@@ -218,6 +219,8 @@ pub struct RunMetrics {
     pub events_by_kind: [u64; EventKind::KINDS.len()],
     /// Timer arms that queued no event (see [`netsim::timer`]).
     pub timer_arms_superseded: u64,
+    /// The event queue's internal traffic (see [`WheelStats`]).
+    pub wheel: WheelStats,
     /// The busiest link's utilization over the run (switch ports only).
     pub max_link_utilization: f64,
 }
@@ -360,6 +363,7 @@ pub fn collect_with(sim: &Simulation, outcome: RunOutcome, mode: MetricsMode) ->
         events: stats.events_executed,
         events_by_kind: stats.events_by_kind,
         timer_arms_superseded: stats.timer_arms_superseded,
+        wheel: sim.scheduler().wheel_stats(),
         max_link_utilization,
         fcts_ms,
     }
@@ -514,6 +518,7 @@ mod tests {
             events: 0,
             events_by_kind: Default::default(),
             timer_arms_superseded: 0,
+            wheel: WheelStats::default(),
             max_link_utilization: 0.0,
         };
         let cdf = fct_cdf(&m, 10);

@@ -6,6 +6,7 @@
 //! with the machine while producing output byte-identical to a
 //! sequential run.
 
+use netsim::engine::WheelStats;
 use netsim::sim::{RunLimit, RunOutcome};
 use netsim::time::SimTime;
 
@@ -154,6 +155,9 @@ pub fn run_seeds(base: RunSpec, seeds: &[u64], jobs: usize) -> RunMetrics {
         events: runs.iter().map(|m| m.events).sum(),
         events_by_kind: std::array::from_fn(|k| runs.iter().map(|m| m.events_by_kind[k]).sum()),
         timer_arms_superseded: runs.iter().map(|m| m.timer_arms_superseded).sum(),
+        wheel: runs
+            .iter()
+            .fold(WheelStats::default(), |sum, m| sum.plus(m.wheel)),
         max_link_utilization: mean(&|m: &RunMetrics| m.max_link_utilization),
         fcts_ms,
     }

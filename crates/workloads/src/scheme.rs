@@ -221,6 +221,31 @@ mod tests {
         assert_eq!(sim.stats().data_pkts_delivered, 17_979);
     }
 
+    /// The wheel's level 0 is a sliding window: on the 160-host
+    /// left-right fabric under DCTCP only timers armed more than 65 µs
+    /// out are filed twice. With level 0 aligned to 256-tick blocks every
+    /// 25 µs link delay that crossed a boundary was too: 21 % of pushes.
+    #[test]
+    fn few_events_are_filed_twice_on_the_dctcp_fabric() {
+        let scenario = Scenario::left_right(40, 400);
+        let (mut sim, hosts) = Scheme::Dctcp.build_sim(&scenario.topo);
+        sim.add_flows(scenario.generate_flows(0.6, 1, &hosts));
+        let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
+        assert_eq!(outcome, RunOutcome::MeasuredComplete);
+        let wheel = sim.scheduler().wheel_stats();
+        let pushes = sim.stats().events_executed + sim.scheduler().pending() as u64;
+        let refiled = wheel.refiled as f64 / pushes as f64;
+        println!(
+            "{pushes} pushes, {:.2} % refiled, {} pours, largest {} events",
+            100.0 * refiled,
+            wheel.pours,
+            wheel.max_pour
+        );
+        assert!(pushes > 500_000, "{pushes} pushes is no fabric run");
+        assert!(refiled < 0.05, "{:.1} % of pushes refiled", 100.0 * refiled);
+        assert!(wheel.max_pour >= 2 && wheel.pours > 0, "{wheel:?}");
+    }
+
     #[test]
     fn pase_config_tracks_topology_rtt() {
         let cfg = Scheme::pase_config_for(&TopologySpec::paper_baseline());

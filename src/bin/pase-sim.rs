@@ -152,6 +152,18 @@ fn main() {
         events_by_kind_line(&m.events_by_kind)
     );
     println!("timer arms        {} superseded", m.timer_arms_superseded);
+    let w = m.wheel;
+    println!(
+        "event wheel       {} pours (largest {} events), {} refiled ({:.1} % of events), \
+         {} filed below the horizon ({:.1} %), {} promoted from overflow",
+        w.pours,
+        w.max_pour,
+        w.refiled,
+        100.0 * w.refiled as f64 / m.events.max(1) as f64,
+        w.filed_below_horizon,
+        100.0 * w.filed_below_horizon as f64 / m.events.max(1) as f64,
+        w.overflow_promoted
+    );
 }
 
 #[cfg(test)]
