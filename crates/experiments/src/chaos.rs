@@ -1,15 +1,9 @@
 //! The chaos harness: seeded fault storms + the global invariant oracle.
 //!
 //! Each case builds a leaf-spine all-to-all workload under PASE or DCTCP,
-//! expands a [`netsim::chaos::ChaosConfig`] into a fault schedule (link
-//! flaps, rack outages, arbitrator crash storms, control-loss bursts;
-//! with the host fault class also NIC flap trains and whole-host
-//! crash/restart storms; with the gray fault class degrade trains that
-//! impose stochastic loss, payload corruption and latency inflation, run
-//! with health-aware rerouting enabled; with the overload fault class
-//! control storms that amplify arbitrator inbox charges plus a
-//! deterministic flash crowd of short flows inside each storm window),
-//! runs to completion and then demands that
+//! expands a [`netsim::chaos::ChaosConfig`] into a fault schedule of its
+//! [`FaultClass`], validates and injects it, runs to completion and then
+//! demands that
 //!
 //! 1. every flow finished — or ended in a terminal `Aborted { reason }`
 //!    that is attributable to an injected host fault (a crashed endpoint,
@@ -20,6 +14,11 @@
 //! 3. the run is deterministic: the same seed executed twice produces a
 //!    byte-identical event trace.
 //!
+//! What a class adds to the storm is `netsim::chaos`'s table; what it
+//! adds to the *harness* is here: `Gray` runs with health-aware rerouting
+//! on, `Overload` lands a deterministic flash crowd of short flows inside
+//! each storm window.
+//!
 //! The `chaos` binary sweeps seeds × intensity × scheme × fault class;
 //! `scripts/ci.sh` runs a fixed 8-seed smoke slice, then the same slice
 //! once per scheduler engine (`engine_diff`), demanding identical hashes.
@@ -28,76 +27,18 @@
 
 use std::collections::BTreeSet;
 
+pub use netsim::chaos::FaultClass;
 use netsim::chaos::{self, ChaosConfig, ChaosIntensity};
 use netsim::engine::EngineKind;
 use netsim::event::EventKind;
-use netsim::fault::{FaultEvent, FaultPlan};
+use netsim::fault::{FaultFamily, FaultPlan, Pairing, Subject};
 use netsim::flow::FlowSpec;
 use netsim::invariants::InvariantConfig;
 use netsim::prelude::*;
-use netsim::rng::Rng;
 use netsim::sim::RunOutcome;
 use netsim::topology::NodeKind;
 use netsim::trace::{fnv1a, HashTracer, FNV1A_OFFSET};
 use workloads::{cli, CasePlan, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
-
-/// Which fault classes a chaos case injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// Fabric faults only: link flaps, rack outages, arbitrator crash
-    /// storms, control-loss bursts. Every flow must complete.
-    Fabric,
-    /// Fabric faults plus end-host faults: NIC flap trains and whole-host
-    /// crash/restart storms. Flows touching a faulted host may end
-    /// `Aborted`; anything else must still complete.
-    Host,
-    /// Fabric faults plus gray failures: degrade trains on fabric and NIC
-    /// links (stochastic loss, payload corruption, latency inflation).
-    /// Hosts never crash; switches run with health-aware rerouting so
-    /// flows hash off degraded ECMP siblings. Every flow must complete
-    /// unless its endpoint sat behind a degraded NIC link.
-    Gray,
-    /// Fabric faults plus control-plane overload: seeded control storms
-    /// amplify every arbitrator's inbox charge while a deterministic
-    /// flash crowd of short flows lands inside each storm window. Hosts
-    /// never crash, so shedding must be graceful: every flow must still
-    /// complete.
-    Overload,
-}
-
-impl FaultClass {
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultClass::Fabric => "fabric",
-            FaultClass::Host => "host",
-            FaultClass::Gray => "gray",
-            FaultClass::Overload => "overload",
-        }
-    }
-
-    /// Every class, in sweep order (`--faults all`).
-    pub fn all() -> [FaultClass; 4] {
-        [
-            FaultClass::Fabric,
-            FaultClass::Host,
-            FaultClass::Gray,
-            FaultClass::Overload,
-        ]
-    }
-
-    fn host_faults(self) -> bool {
-        self == FaultClass::Host
-    }
-
-    fn gray_faults(self) -> bool {
-        self == FaultClass::Gray
-    }
-
-    fn overload_faults(self) -> bool {
-        self == FaultClass::Overload
-    }
-}
 
 /// One cell of the sweep matrix; the seed drives both workload and fault
 /// schedule.
@@ -382,6 +323,32 @@ fn stats_fingerprint(sim: &Simulation) -> u64 {
     fnv1a(FNV1A_OFFSET, &bytes)
 }
 
+/// One flash-crowd burst: `n` short flows between random distinct hosts,
+/// appended to `flows` with arrivals a few microseconds apart from `at` —
+/// a crowd, not a single synchronized spike.
+pub fn flash_crowd_burst(
+    rng: &mut Rng,
+    hosts: &[NodeId],
+    at: SimTime,
+    n: u64,
+    measured: bool,
+    flows: &mut Vec<FlowSpec>,
+) {
+    for i in 0..n {
+        let src = rng.gen_index(hosts.len());
+        let mut dst = rng.gen_index(hosts.len() - 1);
+        if dst >= src {
+            dst += 1;
+        }
+        let size = rng.gen_range_inclusive(2_000, 20_000);
+        let start = at + SimDuration::from_micros(3 * i);
+        let id = FlowId(flows.len() as u64);
+        let mut spec = FlowSpec::new(id, hosts[src], hosts[dst], size, start);
+        spec.measured = measured;
+        flows.push(spec);
+    }
+}
+
 /// Flash-crowd companions to the control storms: a deterministic burst of
 /// short flows lands right as each storm's amplification begins, so the
 /// shed pressure on the arbitrators is real arbitration demand and not
@@ -396,78 +363,73 @@ fn flash_crowd_flows(
 ) {
     let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x0ad1);
     let burst = if quick { 6 } else { 12 };
-    let n = hosts.len();
     for &(at, ev) in plan.events() {
-        let FaultEvent::CtrlStormStart { .. } = ev else {
-            continue;
-        };
-        for i in 0..burst {
-            let src = rng.gen_index(n);
-            let mut dst = rng.gen_index(n - 1);
-            if dst >= src {
-                dst += 1;
-            }
-            let size = rng.gen_range_inclusive(2_000, 20_000);
-            // Stagger arrivals a few microseconds apart: a crowd, not a
-            // single synchronized spike.
-            let start = at + SimDuration::from_micros(3 * i as u64);
-            flows.push(FlowSpec::new(
-                FlowId(flows.len() as u64),
-                hosts[src],
-                hosts[dst],
-                size,
-                start,
-            ));
+        if ev.describe().0 == Pairing::Opens(FaultFamily::CtrlStorm) {
+            flash_crowd_burst(&mut rng, hosts, at, burst, true, flows);
         }
     }
 }
 
-/// The world one chaos case runs in: the simulation (invariant monitor
-/// on, flows added, fault plan injected, no tracer yet) and the plan.
+/// The world one chaos case runs in — the simulation (invariant monitor
+/// on, flows added, no tracer yet) — and the case's fault plan, which
+/// [`run_plan`] validates before injecting.
 fn build_case(engine: EngineKind, case: Case, quick: bool) -> (Simulation, FaultPlan) {
-    let (scheme, fault_class, intensity, seed) = case;
+    let (scheme, class, intensity, seed) = case;
     let scenario = chaos_scenario(quick);
     let (mut sim, hosts) = scheme.build_sim_on(engine, &scenario.topo);
     sim.enable_invariants(InvariantConfig::default());
-    if fault_class.gray_faults() {
+    if class == FaultClass::Gray {
         // The gray class is the detection/recovery story: switches keep
         // per-port health scores and re-hash flows off degraded siblings.
         sim.enable_health_aware_routing();
     }
-    let plan = chaos::generate(
-        sim.topo(),
-        &ChaosConfig {
-            seed,
-            intensity,
-            horizon: horizon(quick),
-            host_faults: fault_class.host_faults(),
-            gray_faults: fault_class.gray_faults(),
-            overload: fault_class.overload_faults(),
-        },
-    );
+    let cfg = ChaosConfig {
+        seed,
+        intensity,
+        class,
+        horizon: horizon(quick),
+    };
+    let plan = chaos::generate(sim.topo(), &cfg);
     let mut flows = scenario.generate_flows(0.5, seed, &hosts);
-    if fault_class.overload_faults() {
+    if class == FaultClass::Overload {
         flash_crowd_flows(&plan, &hosts, seed, quick, &mut flows);
     }
     sim.add_flows(flows);
-    sim.inject_faults(&plan);
     (sim, plan)
 }
 
 /// Execute one chaos case once on `engine` and audit it.
 pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
+    let (sim, plan) = build_case(engine, case, quick);
+    run_plan(sim, &plan, case)
+}
+
+/// Validate `plan`, inject it into `sim`, run to completion and audit.
+/// An invalid plan is a violation and nothing runs: injecting one panics
+/// on the first link that does not exist, which would take the worker
+/// thread down instead of printing the replay command.
+fn run_plan(mut sim: Simulation, plan: &FaultPlan, case: Case) -> CaseResult {
     let (scheme, fault_class, intensity, seed) = case;
-    let (mut sim, plan) = build_case(engine, case, quick);
     // The harness only ever compares traces, so it hashes the events
     // themselves (every field, exact nanoseconds) and renders no text.
     let tracer = HashTracer::new();
     let trace_digest = tracer.digest();
     sim.set_tracer(Box::new(tracer));
     let mut violations: Vec<String> = Vec::new();
-    if let Err(e) = plan.validate(sim.topo()) {
-        violations.push(format!("generated fault plan invalid: {e}"));
-    }
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
+    let limit = match plan.validate(sim.topo()) {
+        Ok(()) => {
+            sim.inject_faults(plan);
+            RunLimit::until_measured_done(SimTime::from_secs(120))
+        }
+        Err(e) => {
+            violations.push(format!("generated fault plan invalid: {e}"));
+            RunLimit {
+                max_events: Some(0),
+                ..RunLimit::default()
+            }
+        }
+    };
+    let outcome = sim.run(limit);
 
     let report = sim.check_invariants();
     violations.extend(report.violations.iter().map(|v| v.to_string()));
@@ -487,16 +449,13 @@ pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
     let mut crashed_hosts: BTreeSet<NodeId> = BTreeSet::new();
     let mut flapped_hosts: BTreeSet<NodeId> = BTreeSet::new();
     for &(_, ev) in plan.events() {
-        match ev {
-            FaultEvent::HostCrash { node } => {
+        match ev.describe() {
+            (Pairing::Opens(FaultFamily::HostCrash), Subject::Node(node)) => {
                 crashed_hosts.insert(node);
             }
-            FaultEvent::LinkDown { a, b } | FaultEvent::LinkDegrade { a, b, .. } => {
-                for n in [a, b] {
-                    if sim.topo().kind(n) == NodeKind::Host {
-                        flapped_hosts.insert(n);
-                    }
-                }
+            (Pairing::Opens(FaultFamily::Outage | FaultFamily::Degrade), Subject::Link(a, b)) => {
+                let is_host = |n: &NodeId| sim.topo().kind(*n) == NodeKind::Host;
+                flapped_hosts.extend([a, b].into_iter().filter(is_host));
             }
             _ => {}
         }
@@ -806,6 +765,105 @@ mod tests {
         assert!(parse("--quick").jobs > 0, "default comes from the engine");
     }
 
+    /// Every plan the generator can be asked for, on every fabric shape
+    /// the repo ships (the harness itself only runs the first): it
+    /// validates, every event lands in the first 95% of the horizon, no
+    /// two windows on one subject overlap — whatever their families: a
+    /// gray episode never covers an outage of its link, a control storm
+    /// never hits a crashed arbitrator — and a non-fabric class always
+    /// has an episode of its own.
+    #[test]
+    fn every_fault_heals_within_the_horizon() {
+        use std::collections::BTreeMap;
+        let own_family = |class| match class {
+            FaultClass::Fabric => None,
+            FaultClass::Host => Some(FaultFamily::HostCrash),
+            FaultClass::Gray => Some(FaultFamily::Degrade),
+            FaultClass::Overload => Some(FaultFamily::CtrlStorm),
+        };
+        for shape in [
+            TopologySpec::small_leaf_spine(2),
+            TopologySpec::small_three_tier(2),
+            TopologySpec::fat_tree(4),
+            TopologySpec::intra_rack(4),
+        ] {
+            let (sim, _) = Scheme::Dctcp.build_sim(&shape);
+            let topo = sim.topo();
+            for (class, intensity, horizon_ms, seed) in FaultClass::all()
+                .into_iter()
+                .flat_map(|c| [ChaosIntensity::Low, ChaosIntensity::High].map(|i| (c, i)))
+                .flat_map(|(c, i)| [1, 10, 30, 100].map(|h| (c, i, h)))
+                .flat_map(|(c, i, h)| (0..8).map(move |seed| (c, i, h, seed)))
+            {
+                let cfg = ChaosConfig {
+                    seed,
+                    intensity,
+                    class,
+                    horizon: SimDuration::from_millis(horizon_ms),
+                };
+                let what = format!("{shape:?} {cfg:?}");
+                let plan = chaos::generate(topo, &cfg);
+                plan.validate(topo)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let latest = SimTime::from_nanos(cfg.horizon.as_nanos() * 95 / 100);
+                let mut open: BTreeMap<Subject, SimTime> = BTreeMap::new();
+                let mut windows: BTreeMap<Subject, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+                let mut families = BTreeSet::new();
+                for &(at, ev) in plan.events() {
+                    assert!(at <= latest, "{what}: {ev:?} at {at}, past {latest}");
+                    let (pairing, subject) = ev.describe();
+                    match pairing {
+                        Pairing::Opens(family) => {
+                            families.insert(family);
+                            let again = open.insert(subject.key(), at);
+                            assert_eq!(again, None, "{what}: {subject} opened while open");
+                        }
+                        Pairing::Closes(_) => {
+                            let from = open.remove(&subject.key()).expect("validated");
+                            windows.entry(subject.key()).or_default().push((from, at));
+                        }
+                        Pairing::Point => {}
+                    }
+                }
+                for (subject, mut spans) in windows {
+                    spans.sort();
+                    for pair in spans.windows(2) {
+                        assert!(
+                            pair[0].1 < pair[1].0,
+                            "{what}: {subject} overlaps: {pair:?}"
+                        );
+                    }
+                }
+                if let Some(family) = own_family(class) {
+                    assert!(families.contains(&family), "{what}: no {family:?} episode");
+                }
+            }
+        }
+    }
+
+    /// A plan that names a link the fabric does not have is reported and
+    /// replayable, not injected: `inject_faults` would panic on it and
+    /// take the sweep's worker thread down.
+    #[test]
+    fn an_invalid_plan_is_a_violation_not_a_panic() {
+        let case = (Scheme::Dctcp, FaultClass::Fabric, ChaosIntensity::Low, 1);
+        let (sim, _) = build_case(EngineKind::Wheel, case, true);
+        let hosts = sim.topo().hosts();
+        let plan = FaultPlan::new()
+            .link_down(SimTime::from_millis(1), hosts[0], hosts[1])
+            .link_up(SimTime::from_millis(2), hosts[0], hosts[1]);
+        let r = run_plan(sim, &plan, case);
+        assert!(!r.passed());
+        assert!(
+            r.violations[0].starts_with("generated fault plan invalid:")
+                && r.violations[0].contains("non-adjacent"),
+            "{:?}",
+            r.violations
+        );
+        assert_eq!(r.events, 0, "nothing runs on an invalid plan");
+        assert!(replay_command("chaos", &r, true).contains("--seed-list 1 "));
+    }
+
     /// A miniature slice of the CI smoke sweep: one seed per scheme and
     /// fault class at high intensity must complete with every invariant
     /// intact and a reproducible trace.
@@ -845,7 +903,8 @@ mod tests {
     #[test]
     fn trace_hash_is_the_hash_tracers_digest() {
         let case = (Scheme::Pase, FaultClass::Host, ChaosIntensity::High, 3);
-        let (mut sim, _) = build_case(EngineKind::Wheel, case, true);
+        let (mut sim, plan) = build_case(EngineKind::Wheel, case, true);
+        sim.inject_faults(&plan);
         let tracer = HashTracer::new();
         let digest = tracer.digest();
         sim.set_tracer(Box::new(tracer));

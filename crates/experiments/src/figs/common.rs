@@ -1,46 +1,86 @@
 //! Shared helpers for figure modules.
 //!
 //! Every figure expresses its cases as a flat [`CasePlan`] and executes
-//! it through `workloads::exec` ([`sweep_grid`] for (scheme, load)
-//! grids); no figure module hand-rolls case iteration. Results come
+//! it through `workloads::exec` ([`grid`] for (scheme, load) grids:
+//! [`sweep_grid`] for plain runs, [`run_faulted`] cells for faulted
+//! ones); no figure module hand-rolls case iteration. Results come
 //! back ordered by case index, so figure output is byte-identical at
 //! any `--jobs` value.
 
-use netsim::sim::RunOutcome;
-use workloads::{run_specs, CasePlan, RunMetrics, RunSpec, Scenario, Scheme};
+use netsim::prelude::*;
+use workloads::runner::backstop_warning;
+use workloads::{CasePlan, RunMetrics, RunSpec, Scenario, Scheme};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
-/// Run a `(label, scheme)` × `loads` grid on `scenario` through the
-/// parallel engine, returning one row of [`RunMetrics`] per entry
-/// (row order = entry order, column order = load order).
+/// Run a `(label, scheme, variant)` × `loads` grid on `scenario` through
+/// the parallel engine: `cell` runs one case from its [`RunSpec`] and its
+/// entry's variant. One row of results per entry (row order = entry
+/// order, column order = load order).
+pub fn grid<V: Copy + Sync, R: Send>(
+    entries: &[(&str, Scheme, V)],
+    scenario: Scenario,
+    loads: &[f64],
+    opts: &ExpOpts,
+    cell: impl Fn(&RunSpec, V) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let plan = CasePlan::new(
+        entries
+            .iter()
+            .flat_map(|&(_, scheme, variant)| {
+                loads
+                    .iter()
+                    .map(move |&load| (RunSpec::new(scheme, scenario, load, opts.seed), variant))
+            })
+            .collect::<Vec<_>>(),
+    );
+    let cells = plan.execute(opts.jobs, |(spec, variant)| cell(spec, *variant));
+    let mut cells = cells.into_iter();
+    entries
+        .iter()
+        .map(|_| cells.by_ref().take(loads.len()).collect())
+        .collect()
+}
+
+/// The `(label, scheme)` × `loads` grid of plain runs, as [`RunMetrics`].
+/// Every backstop hit is reported on stderr, in case order.
 pub fn sweep_grid(
     entries: &[(&str, Scheme)],
     scenario: Scenario,
     loads: &[f64],
     opts: &ExpOpts,
 ) -> Vec<Vec<RunMetrics>> {
-    let plan = CasePlan::new(
-        entries
-            .iter()
-            .flat_map(|&(_, scheme)| {
-                loads
-                    .iter()
-                    .map(move |&load| RunSpec::new(scheme, scenario, load, opts.seed))
-            })
-            .collect::<Vec<_>>(),
-    );
-    let mut flat = run_specs(plan.cases(), opts.jobs).into_iter();
-    entries
-        .iter()
-        .map(|_| {
-            loads
-                .iter()
-                .map(|_| flat.next().expect("full grid"))
-                .collect()
-        })
+    let entries: Vec<_> = entries.iter().map(|&(l, scheme)| (l, scheme, ())).collect();
+    let rows = grid(&entries, scenario, loads, opts, |spec, ()| {
+        (*spec, spec.run())
+    });
+    let warn = |(spec, m): (RunSpec, RunMetrics)| {
+        if let Some(w) = backstop_warning(&spec, &m) {
+            eprintln!("warning: {w}");
+        }
+        m
+    };
+    rows.into_iter()
+        .map(|row| row.into_iter().map(warn).collect())
         .collect()
+}
+
+/// One cell of a faulted figure: [`RunSpec::run_with`] under `prepare` —
+/// inject a fault plan, switch on health-aware routing, add a flash crowd
+/// — which every flow must survive.
+pub fn run_faulted(
+    spec: &RunSpec,
+    prepare: impl FnOnce(&mut Simulation, &[NodeId], &mut Vec<FlowSpec>),
+) -> (RunMetrics, Simulation) {
+    let (m, sim) = spec.run_with(prepare);
+    assert_eq!(
+        m.outcome,
+        RunOutcome::MeasuredComplete,
+        "{} must complete despite its faults",
+        spec.describe()
+    );
+    (m, sim)
 }
 
 /// How a [`note_backstops`] note starts.

@@ -13,8 +13,9 @@
 //! line, and with a restart it should recover most of the gap.
 
 use netsim::prelude::*;
-use workloads::{collect, CasePlan, RunMetrics, Scenario, Scheme};
+use workloads::{Scenario, Scheme};
 
+use crate::figs::common::{grid, run_faulted};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -25,37 +26,17 @@ struct Outage {
     restart: Option<SimTime>,
 }
 
-/// One run: build the scheme on the scenario's topology, inject the
-/// outage (crash + optional restart on every switch), run to completion.
-fn run_with_outage(
-    scheme: Scheme,
-    scenario: &Scenario,
-    load: f64,
-    seed: u64,
-    outage: Option<Outage>,
-) -> RunMetrics {
-    let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
-    for spec in scenario.generate_flows(load, seed, &hosts) {
-        sim.add_flow(spec);
-    }
-    if let Some(o) = outage {
-        let mut plan = FaultPlan::new();
-        for sw in sim.topo().switches() {
-            plan = plan.arbitrator_crash(o.crash, sw);
-            if let Some(r) = o.restart {
-                plan = plan.arbitrator_restart(r, sw);
-            }
+/// Crash (and, for an outage, restart) the arbitrator on every switch.
+fn inject_outage(outage: Option<Outage>, sim: &mut Simulation) {
+    let Some(o) = outage else { return };
+    let mut plan = FaultPlan::new();
+    for sw in sim.topo().switches() {
+        plan = plan.arbitrator_crash(o.crash, sw);
+        if let Some(r) = o.restart {
+            plan = plan.arbitrator_restart(r, sw);
         }
-        sim.inject_faults(&plan);
     }
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
-    assert_eq!(
-        outcome,
-        RunOutcome::MeasuredComplete,
-        "{} must complete even under the outage",
-        scheme.name()
-    );
-    collect(&sim, outcome)
+    sim.inject_faults(&plan);
 }
 
 /// Regenerate the fault-tolerance extension table.
@@ -97,17 +78,12 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         ("DCTCP", Scheme::Dctcp, None),
         ("DCTCP outage", Scheme::Dctcp, Some(outage)),
     ];
-    let plan = CasePlan::new(
-        cases
-            .iter()
-            .flat_map(|&(_, scheme, o)| loads.iter().map(move |&load| (scheme, load, o)))
-            .collect::<Vec<_>>(),
-    );
-    let afcts = plan.execute(opts.jobs, |&(scheme, load, o)| {
-        run_with_outage(scheme, &scenario, load, opts.seed, o).afct_ms
+    let afcts = grid(&cases, scenario, &loads, opts, |spec, outage| {
+        let (m, _) = run_faulted(spec, |sim, _, _| inject_outage(outage, sim));
+        m.afct_ms
     });
-    for ((name, _, _), row) in cases.iter().zip(afcts.chunks(loads.len())) {
-        fig.push_series(*name, row.to_vec());
+    for (&(name, _, _), row) in cases.iter().zip(afcts) {
+        fig.push_series(name, row);
     }
     fig.note(format!(
         "arbitrators crash at {crash}; the outage variant restarts them at {restart} \
@@ -123,50 +99,34 @@ pub fn run(opts: &ExpOpts) -> FigResult {
     fig
 }
 
-/// One run under a periodically flapping ToR uplink: every `period`, the
-/// first rack's single uplink goes down for `period / 4`, over a window
-/// covering most of the flow-arrival process.
-fn run_with_flaps(
-    scheme: Scheme,
-    scenario: &Scenario,
-    load: f64,
-    seed: u64,
-    flap: Option<(SimTime, SimDuration, SimDuration)>, // (first, period, window)
-) -> RunMetrics {
-    let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
-    for spec in scenario.generate_flows(load, seed, &hosts) {
-        sim.add_flow(spec);
+/// Flap rack 0's uplink: from `first`, every `period` the ToR's single
+/// uplink goes down for `period / 4`, over `window` (most of the
+/// flow-arrival process).
+fn inject_flaps(
+    sim: &mut Simulation,
+    hosts: &[NodeId],
+    (first, period, window): (SimTime, SimDuration, SimDuration),
+) {
+    let tor = sim.topo().host_tor(hosts[0]);
+    // The ToR's single uplink is its unique switch neighbor.
+    let all_hosts = sim.topo().hosts();
+    let agg = sim
+        .topo()
+        .neighbors(tor)
+        .into_iter()
+        .map(|(_, peer, _, _)| peer)
+        .find(|peer| !all_hosts.contains(peer))
+        .expect("ToR must have an uplink");
+    let mut plan = FaultPlan::new();
+    let mut at = first;
+    let end = first + window;
+    while at < end {
+        plan = plan
+            .link_down(at, tor, agg)
+            .link_up(at + period / 4, tor, agg);
+        at += period;
     }
-    if let Some((first, period, window)) = flap {
-        let tor = sim.topo().host_tor(hosts[0]);
-        // The ToR's single uplink is its unique switch neighbor.
-        let all_hosts = sim.topo().hosts();
-        let agg = sim
-            .topo()
-            .neighbors(tor)
-            .into_iter()
-            .map(|(_, peer, _, _)| peer)
-            .find(|peer| !all_hosts.contains(peer))
-            .expect("ToR must have an uplink");
-        let mut plan = FaultPlan::new();
-        let mut at = first;
-        let end = first + window;
-        while at < end {
-            plan = plan
-                .link_down(at, tor, agg)
-                .link_up(at + period / 4, tor, agg);
-            at += period;
-        }
-        sim.inject_faults(&plan);
-    }
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
-    assert_eq!(
-        outcome,
-        RunOutcome::MeasuredComplete,
-        "{} must complete despite the flapping uplink",
-        scheme.name()
-    );
-    collect(&sim, outcome)
+    sim.inject_faults(&plan);
 }
 
 /// Regenerate the link-flap extension table: AFCT vs. flap period for a
@@ -196,21 +156,24 @@ pub fn run_link_flap(opts: &ExpOpts) -> FigResult {
     );
     let schemes = [Scheme::Pase, Scheme::Dctcp];
     // One case per (scheme, period) plus a healthy baseline per scheme.
-    let plan = CasePlan::new(
-        schemes
-            .iter()
-            .flat_map(|&scheme| {
-                periods_ms
-                    .iter()
-                    .map(move |&p| (scheme, Some(p)))
-                    .chain(std::iter::once((scheme, None)))
-            })
-            .collect::<Vec<_>>(),
-    );
-    let afcts = plan.execute(opts.jobs, |&(scheme, period_ms)| {
-        let flap = period_ms.map(|p| (first, SimDuration::from_millis(p), window));
-        run_with_flaps(scheme, &scenario, load, opts.seed, flap).afct_ms
-    });
+    let cases: Vec<(&str, Scheme, Option<u64>)> = schemes
+        .iter()
+        .flat_map(|&scheme| {
+            let periods = periods_ms.iter().map(|&p| Some(p));
+            periods
+                .chain([None])
+                .map(move |p| (scheme.name(), scheme, p))
+        })
+        .collect();
+    let afcts = grid(&cases, scenario, &[load], opts, |spec, period_ms| {
+        let (m, _) = run_faulted(spec, |sim, hosts, _| {
+            if let Some(p) = period_ms {
+                inject_flaps(sim, hosts, (first, SimDuration::from_millis(p), window));
+            }
+        });
+        m.afct_ms
+    })
+    .concat();
     for (scheme, row) in schemes.iter().zip(afcts.chunks(periods_ms.len() + 1)) {
         fig.push_series(scheme.name(), row[..periods_ms.len()].to_vec());
         let healthy = row[periods_ms.len()];

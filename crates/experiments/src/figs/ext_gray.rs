@@ -11,8 +11,9 @@
 //! are shunned while a healthy equal-cost port exists).
 
 use netsim::prelude::*;
-use workloads::{collect, CasePlan, RunMetrics, Scenario, Scheme};
+use workloads::{Scenario, Scheme};
 
+use crate::figs::common::{grid, run_faulted};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -26,52 +27,32 @@ struct GrayCase {
     health_aware: bool,
 }
 
-/// One run: build the scheme on the leaf–spine scenario, degrade the
-/// highest-id spine uplink of the first leaf, run to completion.
+/// Degrade the highest-id spine uplink of the first leaf.
 ///
 /// The *highest*-id spine is deliberate: PASE's control plane treats the
 /// lowest-id spine as each leaf's arbitration parent, so degrading the
 /// other one isolates the data-path effect for every scheme (the PASE
 /// degraded-channel watchdog is exercised separately in `pase`'s tests).
-fn run_gray(
-    scheme: Scheme,
-    scenario: &Scenario,
-    load: f64,
-    seed: u64,
-    gray: Option<GrayCase>,
-) -> RunMetrics {
-    let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
-    if let Some(g) = gray {
-        if g.health_aware {
-            sim.enable_health_aware_routing();
-        }
-        let leaf = sim.topo().host_tor(hosts[0]);
-        let all_hosts = sim.topo().hosts();
-        let spine = sim
-            .topo()
-            .neighbors(leaf)
-            .into_iter()
-            .map(|(_, peer, _, _)| peer)
-            .filter(|peer| !all_hosts.contains(peer))
-            .max()
-            .expect("leaf must have spine uplinks");
-        sim.inject_faults(
-            &FaultPlan::new()
-                .link_degrade(g.from, leaf, spine, g.profile)
-                .link_restore(g.until, leaf, spine),
-        );
+fn inject_gray(gray: Option<GrayCase>, sim: &mut Simulation, hosts: &[NodeId]) {
+    let Some(g) = gray else { return };
+    if g.health_aware {
+        sim.enable_health_aware_routing();
     }
-    for spec in scenario.generate_flows(load, seed, &hosts) {
-        sim.add_flow(spec);
-    }
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
-    assert_eq!(
-        outcome,
-        RunOutcome::MeasuredComplete,
-        "{} must complete despite the degraded uplink",
-        scheme.name()
+    let leaf = sim.topo().host_tor(hosts[0]);
+    let all_hosts = sim.topo().hosts();
+    let spine = sim
+        .topo()
+        .neighbors(leaf)
+        .into_iter()
+        .map(|(_, peer, _, _)| peer)
+        .filter(|peer| !all_hosts.contains(peer))
+        .max()
+        .expect("leaf must have spine uplinks");
+    sim.inject_faults(
+        &FaultPlan::new()
+            .link_degrade(g.from, leaf, spine, g.profile)
+            .link_restore(g.until, leaf, spine),
     );
-    collect(&sim, outcome)
 }
 
 /// Regenerate the gray-failure extension table: AFCT per load for each
@@ -120,17 +101,12 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         ("DCTCP gray", Scheme::Dctcp, Some(gray(false))),
         ("DCTCP gray+HA", Scheme::Dctcp, Some(gray(true))),
     ];
-    let plan = CasePlan::new(
-        cases
-            .iter()
-            .flat_map(|&(_, scheme, g)| loads.iter().map(move |&load| (scheme, load, g)))
-            .collect::<Vec<_>>(),
-    );
-    let afcts = plan.execute(opts.jobs, |&(scheme, load, g)| {
-        run_gray(scheme, &scenario, load, opts.seed, g).afct_ms
+    let afcts = grid(&cases, scenario, &loads, opts, |spec, gray| {
+        let (m, _) = run_faulted(spec, |sim, hosts, _| inject_gray(gray, sim, hosts));
+        m.afct_ms
     });
-    for ((name, _, _), row) in cases.iter().zip(afcts.chunks(loads.len())) {
-        fig.push_series(*name, row.to_vec());
+    for (&(name, _, _), row) in cases.iter().zip(afcts) {
+        fig.push_series(name, row);
     }
 
     // The headline delta: how much of the gray-failure AFCT penalty does

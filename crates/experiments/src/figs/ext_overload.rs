@@ -14,9 +14,10 @@
 //! control plane, so the storm only contributes its flash-crowd flows.
 
 use netsim::prelude::*;
-use netsim::rng::Rng;
-use workloads::{collect, CasePlan, RunMetrics, Scenario, Scheme};
+use workloads::{Scenario, Scheme};
 
+use crate::chaos::flash_crowd_burst;
+use crate::figs::common::{grid, run_faulted};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -33,111 +34,52 @@ struct CtrlLoad {
     peak_depth: u64,
 }
 
-/// Deterministic flash crowd: three bursts of short flows at 25/50/75%
-/// of the arrival window, drawn from a dedicated RNG stream.
-fn flash_crowd(flows: &mut Vec<FlowSpec>, hosts: &[NodeId], seed: u64, quick: bool) {
-    let window = flows
-        .iter()
-        .filter(|f| f.measured)
-        .map(|f| f.start.as_nanos())
-        .max()
-        .unwrap_or(0);
-    let burst = if quick { 8 } else { 16 };
-    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x0ad1);
-    let n = hosts.len();
-    for frac in [1u64, 2, 3] {
-        let at = SimTime::from_nanos(window * frac / 4);
-        for i in 0..burst {
-            let src = rng.gen_index(n);
-            let mut dst = rng.gen_index(n - 1);
-            if dst >= src {
-                dst += 1;
-            }
-            let size = rng.gen_range_inclusive(2_000, 20_000);
-            let mut spec = FlowSpec::new(
-                FlowId(flows.len() as u64),
-                hosts[src],
-                hosts[dst],
-                size,
-                at + SimDuration::from_micros(3 * i as u64),
-            );
-            // The crowd pressures the arbitrators and the fabric but is
-            // not measured: every case's AFCT population is the same
-            // base workload, so series differ only by the storm's
-            // control-plane effect (plus the crowd's data contention).
-            spec.measured = false;
-            flows.push(spec);
-        }
-    }
-}
-
-/// One run: build the scheme on the leaf–spine scenario and, for storm
-/// cases, storm every arbitrator (hosts and switches alike) in an
-/// episode around each flash-crowd burst. Episodic — not permanent —
-/// overload is the regime the shed policy is built for: during a burst
-/// the protected arbitrators keep answering fresh requests and tell
-/// everyone else to back off, then recover between bursts; a permanent
-/// storm would just be a dead control plane, which the crash watchdog
-/// already covers.
-fn run_overload(
-    scheme: Scheme,
-    scenario: &Scenario,
-    load: f64,
+/// Storm every arbitrator (hosts and switches alike) in an episode around
+/// each of three flash-crowd bursts at 25/50/75% of the arrival window.
+/// Episodic — not permanent — overload is the regime the shed policy is
+/// built for: during a burst the protected arbitrators keep answering
+/// fresh requests and tell everyone else to back off, then recover
+/// between bursts; a permanent storm would just be a dead control plane,
+/// which the crash watchdog already covers.
+fn inject_storm(
+    sim: &mut Simulation,
+    hosts: &[NodeId],
+    flows: &mut Vec<FlowSpec>,
     seed: u64,
-    storm: bool,
     quick: bool,
-) -> (RunMetrics, CtrlLoad) {
-    let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
-    let mut flows = scenario.generate_flows(load, seed, &hosts);
-    if storm {
-        let window = flows
-            .iter()
-            .filter(|f| f.measured)
-            .map(|f| f.start.as_nanos())
-            .max()
-            .unwrap_or(0);
-        let mut plan = FaultPlan::new();
+) {
+    let measured = flows.iter().filter(|f| f.measured);
+    let window = measured.map(|f| f.start.as_nanos()).max().unwrap_or(0);
+    // The crowd is drawn from a dedicated RNG stream. It pressures the
+    // arbitrators and the fabric but is not measured: every case's AFCT
+    // population is the same base workload, so series differ only by the
+    // storm's control-plane effect (plus the crowd's data contention).
+    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x0ad1);
+    let burst = if quick { 8 } else { 16 };
+    let arbitrators = [sim.topo().switches(), hosts.to_vec()].concat();
+    let mut plan = FaultPlan::new();
+    for frac in [1u64, 2, 3] {
         // One episode per burst, centred slightly after it: the crowd's
         // arbitration spike leads the inbox-charge wave. Episodes span
         // ~w/6 each and never overlap (bursts sit w/4 apart).
-        for frac in [1u64, 2, 3] {
-            let mid = window * frac / 4;
-            let from = SimTime::from_nanos(mid.saturating_sub(window / 24).max(1_000));
-            let until = SimTime::from_nanos(mid + window / 8);
-            for sw in sim.topo().switches() {
-                plan = plan
-                    .ctrl_storm_start(from, sw, AMPLIFY)
-                    .ctrl_storm_end(until, sw);
-            }
-            for &h in &hosts {
-                plan = plan
-                    .ctrl_storm_start(from, h, AMPLIFY)
-                    .ctrl_storm_end(until, h);
-            }
+        let mid = window * frac / 4;
+        let from = SimTime::from_nanos(mid.saturating_sub(window / 24).max(1_000));
+        let until = SimTime::from_nanos(mid + window / 8);
+        for &node in &arbitrators {
+            plan = plan
+                .ctrl_storm_start(from, node, AMPLIFY)
+                .ctrl_storm_end(until, node);
         }
-        sim.inject_faults(&plan);
-        flash_crowd(&mut flows, &hosts, seed, quick);
+        flash_crowd_burst(
+            &mut rng,
+            hosts,
+            SimTime::from_nanos(mid),
+            burst,
+            false,
+            flows,
+        );
     }
-    sim.add_flows(flows);
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
-    assert_eq!(
-        outcome,
-        RunOutcome::MeasuredComplete,
-        "{} must complete despite the arbitration storm",
-        scheme.name()
-    );
-    let ctrl = CtrlLoad {
-        processed: sim.stats().ctrl_msgs_processed,
-        shed: sim.stats().ctrl_msgs_shed,
-        bytes: sim.stats().ctrl_bytes,
-        peak_depth: sim
-            .stats()
-            .ctrl_peak_epoch_by_node()
-            .map(|(_, d)| d)
-            .max()
-            .unwrap_or(0),
-    };
-    (collect(&sim, outcome), ctrl)
+    sim.inject_faults(&plan);
 }
 
 /// Regenerate the overload extension table: AFCT per load for PASE
@@ -167,18 +109,23 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         ("DCTCP", Scheme::Dctcp, false),
         ("DCTCP storm", Scheme::Dctcp, true),
     ];
-    let plan = CasePlan::new(
-        cases
-            .iter()
-            .flat_map(|&(_, scheme, storm)| loads.iter().map(move |&load| (scheme, load, storm)))
-            .collect::<Vec<_>>(),
-    );
-    let results = plan.execute(opts.jobs, |&(scheme, load, storm)| {
-        let (m, ctrl) = run_overload(scheme, &scenario, load, opts.seed, storm, opts.quick);
+    let results = grid(&cases, scenario, &loads, opts, |spec, storm| {
+        let (m, sim) = run_faulted(spec, |sim, hosts, flows| {
+            if storm {
+                inject_storm(sim, hosts, flows, opts.seed, opts.quick);
+            }
+        });
+        let peak_depth = sim.stats().ctrl_peak_epoch_by_node().map(|(_, d)| d).max();
+        let ctrl = CtrlLoad {
+            processed: m.ctrl_processed,
+            shed: m.ctrl_shed,
+            bytes: m.ctrl_bytes,
+            peak_depth: peak_depth.unwrap_or(0),
+        };
         (m.afct_ms, ctrl)
     });
-    for ((name, _, _), row) in cases.iter().zip(results.chunks(loads.len())) {
-        fig.push_series(*name, row.iter().map(|(afct, _)| *afct).collect());
+    for (&(name, _, _), row) in cases.iter().zip(&results) {
+        fig.push_series(name, row.iter().map(|(afct, _)| *afct).collect());
         let n = row.len() as u64;
         let sum = row
             .iter()

@@ -80,19 +80,6 @@ pub struct WheelStats {
     pub overflow_promoted: u64,
 }
 
-impl WheelStats {
-    /// The counters of two runs taken together.
-    pub fn plus(self, other: WheelStats) -> WheelStats {
-        WheelStats {
-            pours: self.pours + other.pours,
-            max_pour: self.max_pour.max(other.max_pour),
-            refiled: self.refiled + other.refiled,
-            filed_below_horizon: self.filed_below_horizon + other.filed_below_horizon,
-            overflow_promoted: self.overflow_promoted + other.overflow_promoted,
-        }
-    }
-}
-
 /// The two storage engines behind [`Scheduler`].
 // There is one per simulation and it never moves, so the size the wheel's
 // inline bitmaps add to the `Heap` variant is irrelevant; boxing the wheel

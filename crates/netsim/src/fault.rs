@@ -155,6 +155,139 @@ pub enum FaultEvent {
     },
 }
 
+/// A family of paired faults: every window an event of the family opens
+/// on a [`Subject`] is closed by a later event of the same family on the
+/// same subject. Ordered as [`FaultPlan::validate`] reports leftovers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FaultFamily {
+    /// `LinkDown` … `LinkUp`.
+    Outage,
+    /// `LinkDegrade` … `LinkRestore`.
+    Degrade,
+    /// `ArbitratorCrash` … `ArbitratorRestart`.
+    ArbitratorCrash,
+    /// `HostCrash` … `HostRestart`; the subject must be a host.
+    HostCrash,
+    /// `CtrlStormStart` … `CtrlStormEnd`.
+    CtrlStorm,
+}
+
+/// An event's place in its family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pairing {
+    /// Opens a window of the family.
+    Opens(FaultFamily),
+    /// Closes the family's open window.
+    Closes(FaultFamily),
+    /// A one-off with nothing to heal.
+    Point,
+}
+
+/// What a fault happens to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Subject {
+    /// Both directions of the link between two adjacent nodes, in the
+    /// order the event names them (that order decides which end's
+    /// directive is scheduled first).
+    Link(NodeId, NodeId),
+    /// The `from → to` direction of a link.
+    Direction(NodeId, NodeId),
+    /// A node's control plane, or the whole node.
+    Node(NodeId),
+}
+
+impl Subject {
+    /// The subject with a link's endpoints in id order, so both spellings
+    /// of one link compare equal.
+    pub fn key(self) -> Subject {
+        match self {
+            Subject::Link(a, b) if b < a => Subject::Link(b, a),
+            other => other,
+        }
+    }
+}
+
+impl core::fmt::Display for Subject {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            Subject::Link(a, b) => write!(f, "link {a}–{b}"),
+            Subject::Direction(from, to) => write!(f, "link {from} -> {to}"),
+            Subject::Node(node) => write!(f, "node {node}"),
+        }
+    }
+}
+
+impl FaultEvent {
+    /// The fault vocabulary, declared once: how the event pairs up and
+    /// what it happens to. [`FaultPlan::validate`], injection, the chaos
+    /// generator and the chaos harness all read this.
+    pub fn describe(self) -> (Pairing, Subject) {
+        use FaultFamily::*;
+        use Pairing::*;
+        match self {
+            FaultEvent::LinkDown { a, b } => (Opens(Outage), Subject::Link(a, b)),
+            FaultEvent::LinkUp { a, b } => (Closes(Outage), Subject::Link(a, b)),
+            FaultEvent::LinkDegrade { a, b, .. } => (Opens(Degrade), Subject::Link(a, b)),
+            FaultEvent::LinkRestore { a, b } => (Closes(Degrade), Subject::Link(a, b)),
+            FaultEvent::ArbitratorCrash { node } => (Opens(ArbitratorCrash), Subject::Node(node)),
+            FaultEvent::ArbitratorRestart { node } => {
+                (Closes(ArbitratorCrash), Subject::Node(node))
+            }
+            FaultEvent::HostCrash { node } => (Opens(HostCrash), Subject::Node(node)),
+            FaultEvent::HostRestart { node } => (Closes(HostCrash), Subject::Node(node)),
+            FaultEvent::CtrlStormStart { node, .. } => (Opens(CtrlStorm), Subject::Node(node)),
+            FaultEvent::CtrlStormEnd { node } => (Closes(CtrlStorm), Subject::Node(node)),
+            FaultEvent::CtrlLossBurst { from, to, .. } => (Point, Subject::Direction(from, to)),
+        }
+    }
+
+    /// What one end of the subject is told. `port` is that end's output
+    /// port toward the other end; a node fault has none.
+    fn directive(self, port: Option<PortId>) -> FaultDirective {
+        let port = || port.expect("a link fault resolves to a port");
+        match self {
+            FaultEvent::LinkDown { .. } => FaultDirective::PortDown(port()),
+            FaultEvent::LinkUp { .. } => FaultDirective::PortUp(port()),
+            FaultEvent::LinkDegrade { profile, .. } => FaultDirective::PortDegrade {
+                port: port(),
+                profile,
+            },
+            FaultEvent::LinkRestore { .. } => FaultDirective::PortRestore(port()),
+            FaultEvent::ArbitratorCrash { .. } => FaultDirective::Crash,
+            FaultEvent::ArbitratorRestart { .. } => FaultDirective::Restart,
+            FaultEvent::HostCrash { .. } => FaultDirective::HostCrash,
+            FaultEvent::HostRestart { .. } => FaultDirective::HostRestart,
+            FaultEvent::CtrlStormStart { amplify, .. } => {
+                FaultDirective::CtrlStormStart { amplify }
+            }
+            FaultEvent::CtrlStormEnd { .. } => FaultDirective::CtrlStormEnd,
+            FaultEvent::CtrlLossBurst { n, .. } => {
+                FaultDirective::CtrlLossBurst { port: port(), n }
+            }
+        }
+    }
+
+    /// Resolve the event against `topo` into the per-node directives it
+    /// delivers, in scheduling order: both ends of a link (first-named end
+    /// first), the transmitting end of a direction, or the one node.
+    ///
+    /// Panics if the event names a link that does not exist.
+    pub fn resolve(self, topo: &Topology) -> impl Iterator<Item = (NodeId, FaultDirective)> {
+        let port = |from: NodeId, to: NodeId| {
+            let port = topo.port_between(from, to);
+            Some(port.unwrap_or_else(|| panic!("no link {from} -> {to} in fault plan")))
+        };
+        let ends = match self.describe().1 {
+            Subject::Link(a, b) => [Some((a, port(a, b))), Some((b, port(b, a)))],
+            Subject::Direction(from, to) => [Some((from, port(from, to))), None],
+            Subject::Node(node) => [Some((node, None)), None],
+        };
+        ends.into_iter()
+            .flatten()
+            .map(move |(node, port)| (node, self.directive(port)))
+    }
+}
+
 /// A reproducible schedule of faults, built up-front and injected with
 /// [`crate::sim::Simulation::inject_faults`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -168,86 +301,75 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedule both directions of the `a`–`b` link to fail at `at`.
-    pub fn link_down(mut self, at: SimTime, a: NodeId, b: NodeId) -> Self {
-        self.events.push((at, FaultEvent::LinkDown { a, b }));
+    /// Schedule `event` at `at`.
+    pub fn push(&mut self, at: SimTime, event: FaultEvent) {
+        self.events.push((at, event));
+    }
+
+    fn with(mut self, at: SimTime, event: FaultEvent) -> Self {
+        self.push(at, event);
         self
+    }
+
+    /// Schedule both directions of the `a`–`b` link to fail at `at`.
+    pub fn link_down(self, at: SimTime, a: NodeId, b: NodeId) -> Self {
+        self.with(at, FaultEvent::LinkDown { a, b })
     }
 
     /// Schedule both directions of the `a`–`b` link to recover at `at`.
-    pub fn link_up(mut self, at: SimTime, a: NodeId, b: NodeId) -> Self {
-        self.events.push((at, FaultEvent::LinkUp { a, b }));
-        self
+    pub fn link_up(self, at: SimTime, a: NodeId, b: NodeId) -> Self {
+        self.with(at, FaultEvent::LinkUp { a, b })
     }
 
     /// Schedule the arbitrator on `node` to crash at `at`.
-    pub fn arbitrator_crash(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events.push((at, FaultEvent::ArbitratorCrash { node }));
-        self
+    pub fn arbitrator_crash(self, at: SimTime, node: NodeId) -> Self {
+        self.with(at, FaultEvent::ArbitratorCrash { node })
     }
 
     /// Schedule the arbitrator on `node` to restart (empty) at `at`.
-    pub fn arbitrator_restart(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events
-            .push((at, FaultEvent::ArbitratorRestart { node }));
-        self
+    pub fn arbitrator_restart(self, at: SimTime, node: NodeId) -> Self {
+        self.with(at, FaultEvent::ArbitratorRestart { node })
     }
 
     /// Schedule the next `n` control packets on the `from → to` direction
     /// to be dropped, starting at `at`.
-    pub fn ctrl_loss_burst(mut self, at: SimTime, from: NodeId, to: NodeId, n: u64) -> Self {
-        self.events
-            .push((at, FaultEvent::CtrlLossBurst { from, to, n }));
-        self
+    pub fn ctrl_loss_burst(self, at: SimTime, from: NodeId, to: NodeId, n: u64) -> Self {
+        self.with(at, FaultEvent::CtrlLossBurst { from, to, n })
     }
 
     /// Schedule the end-host `node` to crash (agents, service and all) at
     /// `at`.
-    pub fn host_crash(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events.push((at, FaultEvent::HostCrash { node }));
-        self
+    pub fn host_crash(self, at: SimTime, node: NodeId) -> Self {
+        self.with(at, FaultEvent::HostCrash { node })
     }
 
     /// Schedule the crashed end-host `node` to come back empty at `at`.
-    pub fn host_restart(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events.push((at, FaultEvent::HostRestart { node }));
-        self
+    pub fn host_restart(self, at: SimTime, node: NodeId) -> Self {
+        self.with(at, FaultEvent::HostRestart { node })
     }
 
     /// Schedule both directions of the `a`–`b` link to degrade per
     /// `profile` at `at` (gray failure).
-    pub fn link_degrade(
-        mut self,
-        at: SimTime,
-        a: NodeId,
-        b: NodeId,
-        profile: DegradeProfile,
-    ) -> Self {
-        self.events
-            .push((at, FaultEvent::LinkDegrade { a, b, profile }));
-        self
+    pub fn link_degrade(self, at: SimTime, a: NodeId, b: NodeId, profile: DegradeProfile) -> Self {
+        self.with(at, FaultEvent::LinkDegrade { a, b, profile })
     }
 
     /// Schedule both directions of the `a`–`b` link to return to nominal
     /// behaviour at `at`.
-    pub fn link_restore(mut self, at: SimTime, a: NodeId, b: NodeId) -> Self {
-        self.events.push((at, FaultEvent::LinkRestore { a, b }));
-        self
+    pub fn link_restore(self, at: SimTime, a: NodeId, b: NodeId) -> Self {
+        self.with(at, FaultEvent::LinkRestore { a, b })
     }
 
     /// Schedule a control-plane overload storm to hit `node`'s arbitrator
     /// at `at`, charging each handled message `amplify`× against its
     /// per-epoch budget until the matching [`FaultPlan::ctrl_storm_end`].
-    pub fn ctrl_storm_start(mut self, at: SimTime, node: NodeId, amplify: u32) -> Self {
-        self.events
-            .push((at, FaultEvent::CtrlStormStart { node, amplify }));
-        self
+    pub fn ctrl_storm_start(self, at: SimTime, node: NodeId, amplify: u32) -> Self {
+        self.with(at, FaultEvent::CtrlStormStart { node, amplify })
     }
 
     /// Schedule the overload storm at `node` to subside at `at`.
-    pub fn ctrl_storm_end(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events.push((at, FaultEvent::CtrlStormEnd { node }));
-        self
+    pub fn ctrl_storm_end(self, at: SimTime, node: NodeId) -> Self {
+        self.with(at, FaultEvent::CtrlStormEnd { node })
     }
 
     /// The scheduled events, in insertion order.
@@ -266,147 +388,67 @@ impl FaultPlan {
     }
 
     /// Check the plan against a topology before injection: every named
-    /// node must exist, every link event must name an adjacent pair, and
-    /// every down/crash must pair with a later up/restart (and vice
-    /// versa) so a "healing" plan cannot silently leave state wedged.
+    /// node must exist, every link event must name an adjacent pair, a
+    /// host crash must target a host, a storm must amplify, and every
+    /// window a family opens on a subject must be closed later (and
+    /// nothing closed that is not open) so a "healing" plan cannot
+    /// silently leave state wedged. Families are tracked separately: a
+    /// link may be degraded and, while degraded, go down.
     ///
     /// Validation is opt-in: tests that deliberately model *permanent*
     /// failures (a crash with no restart) simply skip it. Generated chaos
     /// storms always pass it.
     pub fn validate(&self, topo: &Topology) -> Result<(), String> {
         let n = topo.n_nodes() as u32;
-        let node_ok = |id: NodeId| id.0 < n;
-        let check_link = |what: &str, a: NodeId, b: NodeId| -> Result<(), String> {
-            if !node_ok(a) || !node_ok(b) {
-                return Err(format!(
-                    "{what} names unknown node ({a}, {b}; topology has {n} nodes)"
-                ));
-            }
-            if topo.port_between(a, b).is_none() || topo.port_between(b, a).is_none() {
-                return Err(format!("{what} names non-adjacent nodes {a} and {b}"));
-            }
-            Ok(())
-        };
-
         // Process events in time order (stable, so same-time events keep
-        // insertion order) and track what is down at each point.
+        // insertion order) and track which windows are open at each point.
         let mut ordered: Vec<&(SimTime, FaultEvent)> = self.events.iter().collect();
         ordered.sort_by_key(|(at, _)| *at);
-        let mut links_down: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut links_degraded: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut arbs_down: BTreeSet<NodeId> = BTreeSet::new();
-        let mut hosts_down: BTreeSet<NodeId> = BTreeSet::new();
-        let mut storms: BTreeSet<NodeId> = BTreeSet::new();
-        let key = |a: NodeId, b: NodeId| if a.0 <= b.0 { (a, b) } else { (b, a) };
+        let mut open: BTreeSet<(FaultFamily, Subject)> = BTreeSet::new();
         for &&(at, ev) in &ordered {
-            match ev {
-                FaultEvent::LinkDown { a, b } => {
-                    check_link("LinkDown", a, b)?;
-                    if !links_down.insert(key(a, b)) {
-                        return Err(format!("link {a}–{b} taken down twice (at {at})"));
-                    }
-                }
-                FaultEvent::LinkUp { a, b } => {
-                    check_link("LinkUp", a, b)?;
-                    if !links_down.remove(&key(a, b)) {
-                        return Err(format!("link {a}–{b} brought up while not down (at {at})"));
-                    }
-                }
-                FaultEvent::ArbitratorCrash { node } => {
-                    if !node_ok(node) {
-                        return Err(format!("ArbitratorCrash names unknown node {node}"));
-                    }
-                    if !arbs_down.insert(node) {
-                        return Err(format!("arbitrator on {node} crashed twice (at {at})"));
-                    }
-                }
-                FaultEvent::ArbitratorRestart { node } => {
-                    if !node_ok(node) {
-                        return Err(format!("ArbitratorRestart names unknown node {node}"));
-                    }
-                    if !arbs_down.remove(&node) {
-                        return Err(format!(
-                            "arbitrator on {node} restarted while not crashed (at {at})"
-                        ));
-                    }
-                }
-                FaultEvent::CtrlLossBurst { from, to, .. } => {
-                    check_link("CtrlLossBurst", from, to)?;
-                }
-                FaultEvent::HostCrash { node } => {
-                    if !node_ok(node) {
-                        return Err(format!("HostCrash names unknown node {node}"));
-                    }
-                    if topo.kind(node) != NodeKind::Host {
-                        return Err(format!("HostCrash targets non-host node {node}"));
-                    }
-                    if !hosts_down.insert(node) {
-                        return Err(format!("host {node} crashed twice (at {at})"));
-                    }
-                }
-                FaultEvent::HostRestart { node } => {
-                    if !node_ok(node) {
-                        return Err(format!("HostRestart names unknown node {node}"));
-                    }
-                    if !hosts_down.remove(&node) {
-                        return Err(format!("host {node} restarted while not crashed (at {at})"));
-                    }
-                }
-                FaultEvent::LinkDegrade { a, b, .. } => {
-                    check_link("LinkDegrade", a, b)?;
-                    if !links_degraded.insert(key(a, b)) {
-                        return Err(format!("link {a}–{b} degraded twice (at {at})"));
-                    }
-                }
-                FaultEvent::LinkRestore { a, b } => {
-                    check_link("LinkRestore", a, b)?;
-                    if !links_degraded.remove(&key(a, b)) {
-                        return Err(format!(
-                            "link {a}–{b} restored while not degraded (at {at})"
-                        ));
-                    }
-                }
-                FaultEvent::CtrlStormStart { node, amplify } => {
-                    if !node_ok(node) {
-                        return Err(format!("CtrlStormStart names unknown node {node}"));
-                    }
-                    if amplify < 2 {
-                        return Err(format!(
-                            "CtrlStormStart on {node} with amplify {amplify} < 2 (at {at})"
-                        ));
-                    }
-                    if !storms.insert(node) {
-                        return Err(format!("ctrl storm on {node} started twice (at {at})"));
-                    }
-                }
-                FaultEvent::CtrlStormEnd { node } => {
-                    if !node_ok(node) {
-                        return Err(format!("CtrlStormEnd names unknown node {node}"));
-                    }
-                    if !storms.remove(&node) {
-                        return Err(format!(
-                            "ctrl storm on {node} ended while not active (at {at})"
-                        ));
-                    }
+            let (pairing, subject) = ev.describe();
+            let (a, b) = match subject {
+                Subject::Link(a, b) | Subject::Direction(a, b) => (a, Some(b)),
+                Subject::Node(node) => (node, None),
+            };
+            if let Some(id) = [Some(a), b].into_iter().flatten().find(|id| id.0 >= n) {
+                return Err(format!(
+                    "{ev:?} names unknown node {id} (topology has {n} nodes)"
+                ));
+            }
+            if let Some(b) = b {
+                if topo.port_between(a, b).is_none() || topo.port_between(b, a).is_none() {
+                    return Err(format!("{ev:?} names non-adjacent nodes {a} and {b}"));
                 }
             }
+            if let FaultEvent::CtrlStormStart { amplify, .. } = ev {
+                if amplify < 2 {
+                    return Err(format!("{ev:?} has amplify {amplify} < 2 (at {at})"));
+                }
+            }
+            match pairing {
+                Pairing::Opens(family) => {
+                    if family == FaultFamily::HostCrash && topo.kind(a) != NodeKind::Host {
+                        return Err(format!("{ev:?} targets non-host node {a}"));
+                    }
+                    if !open.insert((family, subject.key())) {
+                        return Err(format!("{family:?} on {subject} opened twice (at {at})"));
+                    }
+                }
+                Pairing::Closes(family) => {
+                    if !open.remove(&(family, subject.key())) {
+                        return Err(format!(
+                            "{family:?} on {subject} closed while not open (at {at})"
+                        ));
+                    }
+                }
+                Pairing::Point => {}
+            }
         }
-        if let Some(&(a, b)) = links_down.iter().next() {
-            return Err(format!("link {a}–{b} is never brought back up"));
+        match open.first() {
+            Some((family, subject)) => Err(format!("{family:?} on {subject} never closes")),
+            None => Ok(()),
         }
-        if let Some(&(a, b)) = links_degraded.iter().next() {
-            return Err(format!("link {a}–{b} is never restored from degradation"));
-        }
-        if let Some(&node) = arbs_down.iter().next() {
-            return Err(format!("arbitrator on {node} is never restarted"));
-        }
-        if let Some(&node) = hosts_down.iter().next() {
-            return Err(format!("host {node} is never restarted"));
-        }
-        if let Some(&node) = storms.iter().next() {
-            return Err(format!("ctrl storm on {node} never ends"));
-        }
-        Ok(())
     }
 }
 
@@ -571,29 +613,38 @@ mod tests {
             .link_down(ms(1), NodeId(0), NodeId(1))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("never brought back up"), "{err}");
+        assert!(err.contains("Outage on link n0–n1 never closes"), "{err}");
         let err = FaultPlan::new()
             .link_up(ms(1), NodeId(0), NodeId(1))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("while not down"), "{err}");
+        assert!(
+            err.contains("Outage on link n0–n1 closed while not open"),
+            "{err}"
+        );
         let err = FaultPlan::new()
             .arbitrator_crash(ms(1), NodeId(0))
             .arbitrator_crash(ms(2), NodeId(0))
             .arbitrator_restart(ms(3), NodeId(0))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("crashed twice"), "{err}");
+        assert!(
+            err.contains("ArbitratorCrash on node n0 opened twice"),
+            "{err}"
+        );
         let err = FaultPlan::new()
             .host_restart(ms(1), NodeId(2))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("while not crashed"), "{err}");
+        assert!(
+            err.contains("HostCrash on node n2 closed while not open"),
+            "{err}"
+        );
         let err = FaultPlan::new()
             .host_crash(ms(1), NodeId(2))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("never restarted"), "{err}");
+        assert!(err.contains("HostCrash on node n2 never closes"), "{err}");
     }
 
     fn profile(seed: u64) -> DegradeProfile {
@@ -622,19 +673,22 @@ mod tests {
             .link_degrade(ms(1), NodeId(0), NodeId(1), profile(7))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("never restored"), "{err}");
+        assert!(err.contains("Degrade on link n0–n1 never closes"), "{err}");
         let err = FaultPlan::new()
             .link_restore(ms(1), NodeId(0), NodeId(1))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("while not degraded"), "{err}");
+        assert!(
+            err.contains("Degrade on link n0–n1 closed while not open"),
+            "{err}"
+        );
         let err = FaultPlan::new()
             .link_degrade(ms(1), NodeId(0), NodeId(1), profile(7))
             .link_degrade(ms(2), NodeId(1), NodeId(0), profile(8))
             .link_restore(ms(3), NodeId(0), NodeId(1))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("degraded twice"), "{err}");
+        assert!(err.contains("Degrade on link n1–n0 opened twice"), "{err}");
     }
 
     #[test]
@@ -694,19 +748,22 @@ mod tests {
             .ctrl_storm_start(ms(1), NodeId(1), 8)
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("never ends"), "{err}");
+        assert!(err.contains("CtrlStorm on node n1 never closes"), "{err}");
         let err = FaultPlan::new()
             .ctrl_storm_end(ms(1), NodeId(1))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("while not active"), "{err}");
+        assert!(
+            err.contains("CtrlStorm on node n1 closed while not open"),
+            "{err}"
+        );
         let err = FaultPlan::new()
             .ctrl_storm_start(ms(1), NodeId(1), 8)
             .ctrl_storm_start(ms(2), NodeId(1), 4)
             .ctrl_storm_end(ms(3), NodeId(1))
             .validate(&topo)
             .unwrap_err();
-        assert!(err.contains("started twice"), "{err}");
+        assert!(err.contains("CtrlStorm on node n1 opened twice"), "{err}");
         let err = FaultPlan::new()
             .ctrl_storm_start(ms(1), NodeId(1), 1)
             .ctrl_storm_end(ms(2), NodeId(1))

@@ -91,7 +91,7 @@ mod wheel;
 
 /// The types most users need, in one import.
 pub mod prelude {
-    pub use crate::chaos::{ChaosConfig, ChaosIntensity};
+    pub use crate::chaos::{ChaosConfig, ChaosIntensity, FaultClass};
     pub use crate::engine::{EngineKind, Scheduler};
     pub use crate::fault::{DegradeProfile, FaultEvent, FaultPlan};
     pub use crate::flow::FlowSpec;

@@ -3,10 +3,9 @@
 
 use crate::engine::{Ctx, EngineKind, NoEvent, Scheduler};
 use crate::event::EventKind;
-use crate::fault::{FaultDirective, FaultEvent, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::flow::FlowSpec;
 use crate::ids::NodeId;
-use crate::ids::PortId;
 use crate::invariants::{
     is_ctrl_deliver, is_data_deliver, ConservationTerms, CtrlConservationTerms, InNetwork,
     Invariant, InvariantConfig, InvariantMonitor, InvariantReport, ProgressEvidence, Violation,
@@ -159,97 +158,19 @@ impl Simulation {
         }
     }
 
-    /// Schedule every event of a [`FaultPlan`]. Link events are resolved
-    /// against the topology (both directions of a link fail and recover
-    /// together); node events go to the named node's control plane. Called
-    /// before (or between) [`Simulation::run`] calls; injection uses the
-    /// ordinary event queue, so determinism is preserved.
+    /// Schedule every event of a [`FaultPlan`], resolved against the
+    /// topology by [`crate::fault::FaultEvent::resolve`] (both directions
+    /// of a link fail and recover together; node events go to the named
+    /// node's control plane). Called before (or between)
+    /// [`Simulation::run`] calls; injection uses the ordinary event queue,
+    /// so determinism is preserved.
     ///
     /// Panics if the plan names a link that does not exist.
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
         for &(at, event) in plan.events() {
-            match event {
-                FaultEvent::LinkDown { a, b } => {
-                    let (pa, pb) = self.link_ports(a, b);
-                    self.sched
-                        .schedule_at(at, a, EventKind::Fault(FaultDirective::PortDown(pa)));
-                    self.sched
-                        .schedule_at(at, b, EventKind::Fault(FaultDirective::PortDown(pb)));
-                }
-                FaultEvent::LinkUp { a, b } => {
-                    let (pa, pb) = self.link_ports(a, b);
-                    self.sched
-                        .schedule_at(at, a, EventKind::Fault(FaultDirective::PortUp(pa)));
-                    self.sched
-                        .schedule_at(at, b, EventKind::Fault(FaultDirective::PortUp(pb)));
-                }
-                FaultEvent::ArbitratorCrash { node } => {
-                    self.sched
-                        .schedule_at(at, node, EventKind::Fault(FaultDirective::Crash));
-                }
-                FaultEvent::ArbitratorRestart { node } => {
-                    self.sched
-                        .schedule_at(at, node, EventKind::Fault(FaultDirective::Restart));
-                }
-                FaultEvent::HostCrash { node } => {
-                    self.sched
-                        .schedule_at(at, node, EventKind::Fault(FaultDirective::HostCrash));
-                }
-                FaultEvent::HostRestart { node } => {
-                    self.sched
-                        .schedule_at(at, node, EventKind::Fault(FaultDirective::HostRestart));
-                }
-                FaultEvent::LinkDegrade { a, b, profile } => {
-                    let (pa, pb) = self.link_ports(a, b);
-                    self.sched.schedule_at(
-                        at,
-                        a,
-                        EventKind::Fault(FaultDirective::PortDegrade { port: pa, profile }),
-                    );
-                    self.sched.schedule_at(
-                        at,
-                        b,
-                        EventKind::Fault(FaultDirective::PortDegrade { port: pb, profile }),
-                    );
-                }
-                FaultEvent::LinkRestore { a, b } => {
-                    let (pa, pb) = self.link_ports(a, b);
-                    self.sched.schedule_at(
-                        at,
-                        a,
-                        EventKind::Fault(FaultDirective::PortRestore(pa)),
-                    );
-                    self.sched.schedule_at(
-                        at,
-                        b,
-                        EventKind::Fault(FaultDirective::PortRestore(pb)),
-                    );
-                }
-                FaultEvent::CtrlLossBurst { from, to, n } => {
-                    let port = self
-                        .topo
-                        .port_between(from, to)
-                        .unwrap_or_else(|| panic!("no link {from} -> {to} in fault plan"));
-                    self.sched.schedule_at(
-                        at,
-                        from,
-                        EventKind::Fault(FaultDirective::CtrlLossBurst { port, n }),
-                    );
-                }
-                FaultEvent::CtrlStormStart { node, amplify } => {
-                    self.sched.schedule_at(
-                        at,
-                        node,
-                        EventKind::Fault(FaultDirective::CtrlStormStart { amplify }),
-                    );
-                }
-                FaultEvent::CtrlStormEnd { node } => {
-                    self.sched.schedule_at(
-                        at,
-                        node,
-                        EventKind::Fault(FaultDirective::CtrlStormEnd),
-                    );
-                }
+            for (node, directive) in event.resolve(&self.topo) {
+                self.sched
+                    .schedule_at(at, node, EventKind::Fault(directive));
             }
         }
     }
@@ -265,19 +186,6 @@ impl Simulation {
                 s.set_health_aware(true);
             }
         }
-    }
-
-    /// Resolve both directions of the `a`–`b` link, panicking when absent.
-    fn link_ports(&self, a: NodeId, b: NodeId) -> (PortId, PortId) {
-        let pa = self
-            .topo
-            .port_between(a, b)
-            .unwrap_or_else(|| panic!("no link {a} -> {b} in fault plan"));
-        let pb = self
-            .topo
-            .port_between(b, a)
-            .unwrap_or_else(|| panic!("no link {b} -> {a} in fault plan"));
-        (pa, pb)
     }
 
     /// Run the event loop until a limit is reached or the queue drains.

@@ -27,7 +27,7 @@ pub use metrics::{
     collect, collect_with, events_by_kind_line, fct_cdf, percentile, MetricsMode, QuantileSketch,
     RunMetrics, SKETCH_EPSILON,
 };
-pub use runner::{run_seeds, run_specs, sweep, RunSpec};
+pub use runner::RunSpec;
 pub use scenarios::{Pattern, Scenario};
 pub use scheme::Scheme;
 pub use topologies::{fat_tree_ports_toward, TopologySpec};

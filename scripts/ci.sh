@@ -59,9 +59,12 @@ echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs)
 
 # Figure-registry smoke: `--only` picks figures by registry id, prints
 # them without touching EXPERIMENTS.md, and exits non-zero if a cell came
-# from a truncated run. From a temp dir so nothing lands in the repo.
-echo "== figure registry smoke (run_all --quick --only fig09a,ext_faults) =="
-(cd "$(mktemp -d)" && "$OLDPWD/target/release/run_all" --quick --only fig09a,ext_faults \
+# from a truncated run. One plain sweep plus all four fault tables, which
+# share one run path (`RunSpec::run_with` under `figs::common::grid`).
+# From a temp dir so nothing lands in the repo.
+FIGS=fig09a,ext_faults,ext_link_flap,ext_gray,ext_overload
+echo "== figure registry smoke (run_all --quick --only $FIGS) =="
+(cd "$(mktemp -d)" && "$OLDPWD/target/release/run_all" --quick --only "$FIGS" \
     --jobs "${JOBS:-2}" >/dev/null)
 
 # Production-scale smoke: build the k=8 fat-tree (128 hosts) under PASE,
@@ -113,5 +116,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "== cargo clippy not installed; skipping =="
 fi
+
+# The size every gate log carries (ROADMAP north-star 2; CHANGES.md
+# reports the same three totals before and after).
+echo "== scripts/loc.sh =="
+scripts/loc.sh
 
 echo "CI gate passed."

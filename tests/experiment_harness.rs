@@ -50,6 +50,18 @@ fn all_figures_produce_well_formed_results() {
             "ext_scale",
         ]
     );
+    // `results/` is the committed output of one full-scale
+    // `run_all --out results`: one file per figure, none stale or missing.
+    let dir = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"));
+    let mut committed: Vec<_> = dir
+        .expect("results/ is committed")
+        .map(|entry| entry.expect("readable entry").file_name())
+        .collect();
+    committed.sort();
+    let mut expected: Vec<std::ffi::OsString> =
+        ids.iter().map(|id| format!("{id}.json").into()).collect();
+    expected.sort();
+    assert_eq!(committed, expected, "results/ vs the figure registry");
     for fig in &figs {
         assert!(!fig.series.is_empty(), "{}: no series", fig.id);
         assert!(!fig.xs.is_empty(), "{}: no x points", fig.id);
