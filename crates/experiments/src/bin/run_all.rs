@@ -14,6 +14,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use netsim::stats::Plane;
+
 fn main() {
     let opts = experiments::ExpOpts::from_env();
     let started = Instant::now();
@@ -81,16 +83,17 @@ fn main() {
          deterministic flash-crowd flows — with no host crashes, so every flow\n\
          must complete. Every case must run twice with byte-identical traces,\n\
          keep all invariants clean under the extended conservation laws (data:\n\
-         `injected = delivered + dropped + corrupted + blackholed + consumed +\n\
-         in-network + lost-to-crash`; control: `sent = processed + shed +\n\
-         dropped + corrupted + blackholed + lost-to-crash + unattended +\n\
-         in-network`), and finish every flow either complete or `Aborted {{\n\
+         `{}`;\n\
+         control: `{}`),\n\
+         and finish every flow either complete or `Aborted {{\n\
          reason }}` with the reason attributable to an injected fault (a\n\
          `HostCrash` abort needs its source crashed; a `MaxRtosExceeded` abort\n\
          needs a crashed, NIC-flapped or NIC-degraded endpoint). A failing case\n\
          prints its exact replay command (full flag set, pinned to `--jobs 1`).\n\
          `scripts/ci.sh` runs an 8-seed quick slice of all four fault classes\n\
-         on every PR.\n"
+         on every PR.\n",
+        Plane::Data.law(),
+        Plane::Ctrl.law(),
     );
     let _ = writeln!(
         md,

@@ -1,10 +1,11 @@
 //! CI smoke for the production-scale fat-tree path: build the k=8
 //! fabric (128 hosts) under PASE, check the compact route tables, run a
 //! 2k-flow incast slice with invariants enabled under the dual-run
-//! byte-identical-trace discipline, and hold the process to a peak-RSS
-//! budget; then build — only build — the k=32 fabric (8192 hosts) under
-//! PASE and check its route tables and arbitration tree against the
-//! fat-tree's coordinates, under a budget of its own.
+//! byte-identical-trace discipline, hold its fingerprint to pinned
+//! constants and the process to a peak-RSS budget; then build — only
+//! build — the k=32 fabric (8192 hosts) under PASE and check its route
+//! tables and arbitration tree against the fat-tree's coordinates, under
+//! a budget of its own.
 //!
 //! Everything here is an assertion, not a measurement: the binary exits
 //! non-zero on any violation, so `scripts/ci.sh` can run it directly.
@@ -32,6 +33,13 @@ const PEAK_RSS_BUDGET: u64 = 20 * 1024 * 1024;
 /// acknowledged within the last RTO (the eager idiom [`netsim::timer`]
 /// replaced) peaked at 8,348.
 const PEAK_PENDING_BUDGET: usize = 3_000;
+
+/// The k=8 incast's fingerprint: trace digest, data packets delivered
+/// and events executed. The fabric is multi-rooted and runs PASE, so this
+/// is CI's identity check for the model at scale: a change that means to
+/// move it (how the arbitration tree treats multi-rooted tiers, say)
+/// updates all three on purpose and says why.
+const PINNED: (u64, u64, u64) = (0xa224_e1c9_d304_ccea, 140_497, 4_551_613);
 
 /// One traced, invariant-checked incast run; returns the trace digest,
 /// the delivered-packet count, the peak pending-event count, the event
@@ -212,6 +220,11 @@ fn main() {
         first,
         run_once(&scenario, 1),
         "dual-run trace digests diverged — determinism regression"
+    );
+    assert_eq!(
+        (d1, delivered1, events),
+        PINNED,
+        "k=8 fingerprint (digest, delivered, events) moved: the model changed"
     );
     assert!(
         peak_pending <= PEAK_PENDING_BUDGET,

@@ -281,7 +281,7 @@ fn stats_fingerprint(sim: &Simulation) -> u64 {
         st.data_pkts_dropped,
         st.data_pkts_enqueued,
         st.data_pkts_blackholed,
-        st.data_pkts_consumed,
+        0, // a retired fate's slot (plugin-consumed), kept so digests hold
         st.data_pkts_lost_to_crash,
         st.data_pkts_corrupted,
         st.blackhole_pkts,

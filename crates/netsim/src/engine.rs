@@ -38,7 +38,7 @@ use std::collections::BinaryHeap;
 use crate::event::{EventKind, ScheduledEvent};
 use crate::ids::NodeId;
 use crate::packet::{Packet, PacketArena};
-use crate::stats::StatsCollector;
+use crate::stats::{Fate, StatsCollector};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimingWheel, DEFAULT_TICK_SHIFT};
 
@@ -373,9 +373,19 @@ impl<'a> Ctx<'a> {
         self.sched.arena_mut().alloc(pkt)
     }
 
-    /// Return a packet box to the arena (terminal drop/blackhole sites).
+    /// Return a packet box to the arena without charging it to the
+    /// ledger (acks and probes that arrive with nothing left to do).
     pub fn release_packet(&mut self, pkt: Box<Packet>) {
         self.sched.arena_mut().release(pkt);
+    }
+
+    /// The packet leaves the network here with `fate`: charge it to the
+    /// ledger at the handling node ([`StatsCollector::note_fate`]) and
+    /// return its box to the arena.
+    pub fn retire(&mut self, pkt: Box<Packet>, fate: Fate) {
+        let now = self.now();
+        self.stats.note_fate(&pkt, fate, self.node, now);
+        self.release_packet(pkt);
     }
 
     /// Move the packet out of its box and recycle the storage (terminal

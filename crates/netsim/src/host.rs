@@ -23,6 +23,7 @@ use crate::flow::{FlowSpec, ReceiverHint};
 use crate::ids::{FlowId, IdHashBuilder, NodeId};
 use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
+use crate::stats::Fate;
 use crate::time::{SimDuration, SimTime};
 
 /// A per-flow endpoint state machine (sender or receiver side).
@@ -90,6 +91,21 @@ pub struct HostCore {
     pub incarnation: u32,
 }
 
+impl HostCore {
+    /// The host's one send path, for agents and the service alike: stamp
+    /// the packet, enter it on the ledger's sent side and put it on the
+    /// access port. Injection is where a packet is boxed, once; the arena
+    /// recycles the allocation when the packet leaves the network, so
+    /// steady-state sends do not touch the global allocator.
+    fn emit(&mut self, mut pkt: Packet, sim: &mut Ctx<'_>) {
+        pkt.ts = sim.now();
+        pkt.incarnation = self.incarnation;
+        sim.stats.note_sent(&pkt);
+        let boxed = sim.alloc_packet(pkt);
+        self.port.send(boxed, sim);
+    }
+}
+
 /// An end host: one access port, per-flow agents, optional service.
 pub struct Host {
     core: HostCore,
@@ -124,19 +140,8 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
     }
 
     /// Transmit a packet out of the host's access port.
-    pub fn send(&mut self, mut pkt: Packet) {
-        pkt.ts = self.now();
-        pkt.incarnation = self.host.incarnation;
-        match pkt.kind {
-            PacketKind::Ctrl => self.sim.stats.note_ctrl_sent(pkt.wire_bytes),
-            PacketKind::Data => self.sim.stats.note_data_injected(),
-            _ => {}
-        }
-        // Injection is where a packet is boxed, once; the arena recycles
-        // the allocation when the packet is consumed or dropped, so
-        // steady-state sends do not touch the global allocator.
-        let boxed = self.sim.alloc_packet(pkt);
-        self.host.port.send(boxed, self.sim);
+    pub fn send(&mut self, pkt: Packet) {
+        self.host.emit(pkt, self.sim);
     }
 
     /// Arrange for [`FlowAgent::on_timer`] to fire after `delay` with
@@ -195,16 +200,8 @@ impl<'a, 'b, 'c> HostIo<'a, 'b, 'c> {
     }
 
     /// Transmit a packet out of the host's access port.
-    pub fn send(&mut self, mut pkt: Packet) {
-        pkt.ts = self.now();
-        pkt.incarnation = self.host.incarnation;
-        match pkt.kind {
-            PacketKind::Ctrl => self.sim.stats.note_ctrl_sent(pkt.wire_bytes),
-            PacketKind::Data => self.sim.stats.note_data_injected(),
-            _ => {}
-        }
-        let boxed = self.sim.alloc_packet(pkt);
-        self.host.port.send(boxed, self.sim);
+    pub fn send(&mut self, pkt: Packet) {
+        self.host.emit(pkt, self.sim);
     }
 
     /// Arrange for [`HostService::on_timer`] to fire after `delay`.
@@ -419,40 +416,16 @@ impl Host {
     fn deliver(&mut self, pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
         debug_assert_eq!(pkt.dst, self.core.id, "misrouted packet");
         if self.crashed {
-            // A crashed machine consumes nothing. Data and control are
-            // accounted as lost-to-crash so their conservation laws still
-            // balance; everything else (acks, probes) just evaporates.
-            match pkt.kind {
-                PacketKind::Data => ctx.stats.note_data_lost_to_crash(),
-                PacketKind::Ctrl => ctx.stats.note_ctrl_lost_to_crash(),
-                _ => {}
-            }
-            ctx.release_packet(pkt);
+            // A crashed machine consumes nothing (acks and probes, on no
+            // plane's books, just evaporate).
+            ctx.retire(pkt, Fate::LostToCrash);
             return;
         }
         if pkt.corrupted {
             // Checksum failure: discard silently, like real NICs do. The
             // missing ACK (or missing arbitration response) is what the
-            // transport's RTO/SACK machinery recovers from. Data and
-            // control packets are charged to their `corrupted` terms.
-            match pkt.kind {
-                PacketKind::Data => ctx.stats.note_data_corrupted(self.core.id, &pkt),
-                PacketKind::Ctrl => ctx.stats.note_ctrl_corrupted(),
-                _ => {}
-            }
-            if ctx.stats.tracing() {
-                let now = ctx.now();
-                ctx.stats.trace_event(
-                    now,
-                    &crate::trace::TraceEvent::Corrupt {
-                        node: self.core.id,
-                        flow: pkt.flow,
-                        kind: pkt.kind,
-                        seq: pkt.seq,
-                    },
-                );
-            }
-            ctx.release_packet(pkt);
+            // transport's RTO/SACK machinery recovers from.
+            ctx.retire(pkt, Fate::Corrupted);
             return;
         }
         if pkt.kind == PacketKind::Data {
@@ -463,10 +436,7 @@ impl Host {
         // state changes through service wake-ups, not raw packets.
         if pkt.kind == PacketKind::Ctrl {
             if self.service.is_none() {
-                // No host service to interpret it: account the message so
-                // the control-plane conservation law still closes.
-                ctx.stats.note_ctrl_unattended();
-                ctx.release_packet(pkt);
+                ctx.retire(pkt, Fate::Unattended);
                 return;
             }
             self.run_service(ctx, move |svc, io| {

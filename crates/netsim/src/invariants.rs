@@ -4,24 +4,15 @@
 //! at the simulator; this module is the oracle that says whether the run
 //! stayed sane. Five invariants are checked:
 //!
-//! 1. **Packet conservation.** Every data packet injected by a host is
-//!    eventually accounted for exactly once:
-//!    `injected = delivered + dropped + corrupted + blackholed +
-//!    consumed + in-network + lost-to-crash`, where *in-network* counts
-//!    packets sitting in queues, mid-serialization, or propagating
-//!    (pending `Deliver` events) at the moment of the check,
-//!    *lost-to-crash* counts packets that arrived at a crashed
-//!    destination host, and *corrupted* counts packets mangled by a
-//!    degraded link and discarded by the destination's checksum.
-//! 2. **Control-message conservation.** Every control packet put on the
-//!    wire is likewise accounted for exactly once:
-//!    `sent = processed + shed + dropped + corrupted + blackholed +
-//!    lost-to-crash + unattended + in-network`, where *processed* and
-//!    *shed* are what arbitrators did with messages that reached them,
-//!    *lost-to-crash* covers messages arriving at a crashed control
-//!    process or host, and *unattended* counts messages delivered to a
-//!    node with no control plugin/service installed.
-//! 3. **No stuck flow.** An incomplete flow must have *some* way to make
+//! 1. **Conservation, once per [`Plane`].** Every data packet injected
+//!    and every control message sent is accounted for exactly once: by
+//!    the one [`Fate`] it left the network with, or as *in-network* —
+//!    queued, mid-serialization, or propagating (a pending `Deliver`
+//!    event) at the moment of the check. The laws' terms are the fates
+//!    the ledger ([`crate::stats`]) declares for each plane, and
+//!    [`Plane::law`] renders them; DESIGN.md §7e tabulates where each
+//!    fate is charged.
+//! 2. **No stuck flow.** An incomplete flow must have *some* way to make
 //!    progress: a pending event referencing it (timer, delivery, start),
 //!    one of its packets still in the network, or a control-plane timer
 //!    pending at its endpoints. A flow with none of these will never
@@ -32,11 +23,13 @@
 //!    ended in the terminal `Aborted` state count as complete — an
 //!    endpoint crash with a recorded abort reason is a legitimate
 //!    terminal outcome, not a stuck flow.
-//! 4. **Monotonic event time.** The clock never runs backwards while
+//! 3. **Monotonic event time.** The clock never runs backwards while
 //!    processing events (checked online, every event).
-//! 5. **Bounded queues.** No port's queue occupancy ever exceeds a
+//! 4. **Bounded queues.** No port's queue occupancy ever exceeds a
 //!    configured packet bound (checked online, periodically, and once at
 //!    the end).
+//! 5. **Arena balance.** Every outstanding packet box is held by a port
+//!    or rides a pending `Deliver` event.
 //!
 //! Online checks run inside [`crate::sim::Simulation::run`] once
 //! [`crate::sim::Simulation::enable_invariants`] has been called; the
@@ -47,10 +40,11 @@
 //! them into a panic for tests.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 use crate::event::EventKind;
 use crate::ids::{FlowId, NodeId};
-use crate::packet::PacketKind;
+use crate::stats::{Fate, Plane, StatsCollector};
 use crate::time::SimTime;
 
 /// Tuning knobs for the invariant checker.
@@ -73,13 +67,32 @@ impl Default for InvariantConfig {
     }
 }
 
+impl InvariantConfig {
+    /// The violation a queue of `len` packets on `node` is at `now`, if
+    /// it is over the bound — for the online scan and the final audit
+    /// alike.
+    pub(crate) fn queue_violation(
+        &self,
+        now: SimTime,
+        node: NodeId,
+        len: usize,
+    ) -> Option<Violation> {
+        (len > self.max_queue_pkts).then(|| Violation {
+            at: now,
+            invariant: Invariant::QueueBound,
+            detail: format!(
+                "queue on {node} holds {len} pkts (bound {})",
+                self.max_queue_pkts
+            ),
+        })
+    }
+}
+
 /// Which invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
-    /// Data-packet conservation (injected vs. accounted).
-    Conservation,
-    /// Control-message conservation (sent vs. accounted).
-    CtrlConservation,
+    /// A plane's conservation law (what entered vs. what is accounted).
+    Conservation(Plane),
     /// An incomplete flow with no pending means of progress.
     StuckFlow,
     /// The event clock ran backwards.
@@ -94,8 +107,8 @@ pub enum Invariant {
 impl core::fmt::Display for Invariant {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let name = match self {
-            Invariant::Conservation => "conservation",
-            Invariant::CtrlConservation => "ctrl-conservation",
+            Invariant::Conservation(Plane::Data) => "conservation",
+            Invariant::Conservation(Plane::Ctrl) => "ctrl-conservation",
             Invariant::StuckFlow => "stuck-flow",
             Invariant::MonotonicTime => "monotonic-time",
             Invariant::QueueBound => "queue-bound",
@@ -190,31 +203,20 @@ impl InvariantMonitor {
         self.events_seen
             .is_multiple_of(self.cfg.check_interval_events)
     }
-
-    /// Record a queue-bound violation found by a scan.
-    pub(crate) fn note_queue_violation(&mut self, now: SimTime, node: NodeId, len: usize) {
-        self.violations.push(Violation {
-            at: now,
-            invariant: Invariant::QueueBound,
-            detail: format!(
-                "queue on {node} holds {len} pkts (bound {})",
-                self.cfg.max_queue_pkts
-            ),
-        });
-    }
 }
 
-/// Snapshot of in-network data packets, taken by the conservation walk.
+/// Snapshot of one plane's in-network packets, taken by the conservation
+/// walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InNetwork {
-    /// Data packets queued or mid-serialization on ports.
+    /// Packets queued or mid-serialization on ports.
     pub in_ports: u64,
-    /// Data packets propagating (pending `Deliver` events).
+    /// Packets propagating (pending `Deliver` events).
     pub on_wire: u64,
 }
 
 impl InNetwork {
-    /// Total in-network data packets.
+    /// Total in-network packets.
     pub fn total(&self) -> u64 {
         self.in_ports + self.on_wire
     }
@@ -266,112 +268,56 @@ impl ProgressEvidence {
     }
 }
 
-/// Inputs to the conservation equation, gathered by
-/// [`crate::sim::Simulation::check_invariants`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ConservationTerms {
-    pub injected: u64,
-    pub delivered: u64,
-    pub dropped: u64,
-    pub corrupted: u64,
-    pub blackholed: u64,
-    pub consumed: u64,
-    pub lost_to_crash: u64,
-    pub in_network: InNetwork,
+/// One plane's books at the moment of an audit, term by term from the
+/// ledger's declaration: what entered the plane, what each of its fates
+/// took out, and what is still in the network.
+#[derive(Debug)]
+pub(crate) struct Books {
+    plane: Plane,
+    sent: u64,
+    fates: Vec<(Fate, u64)>,
+    in_network: InNetwork,
 }
 
-impl ConservationTerms {
-    /// Check the books; push a violation on mismatch.
-    pub(crate) fn check(&self, now: SimTime, out: &mut Vec<Violation>) {
-        let accounted = self.delivered
-            + self.dropped
-            + self.corrupted
-            + self.blackholed
-            + self.consumed
-            + self.lost_to_crash
-            + self.in_network.total();
-        if self.injected != accounted {
-            out.push(Violation {
-                at: now,
-                invariant: Invariant::Conservation,
-                detail: format!(
-                    "injected {} != accounted {} (delivered {} + dropped {} + \
-                     corrupted {} + blackholed {} + consumed {} + \
-                     lost-to-crash {} + in-ports {} + on-wire {})",
-                    self.injected,
-                    accounted,
-                    self.delivered,
-                    self.dropped,
-                    self.corrupted,
-                    self.blackholed,
-                    self.consumed,
-                    self.lost_to_crash,
-                    self.in_network.in_ports,
-                    self.in_network.on_wire,
-                ),
-            });
+impl Books {
+    /// `plane`'s books as `stats` keeps them, plus what the audit's walk
+    /// found in the network.
+    pub(crate) fn of(stats: &StatsCollector, plane: Plane, in_network: InNetwork) -> Books {
+        let fates = (Fate::ALL.iter().filter(|f| f.in_plane(plane)))
+            .map(|&f| (f, stats.charged(plane, f)))
+            .collect();
+        Books {
+            plane,
+            sent: stats.sent(plane),
+            fates,
+            in_network,
         }
     }
-}
 
-/// Does this pending event carry an in-flight *data* packet?
-pub(crate) fn is_data_deliver(kind: &EventKind) -> bool {
-    matches!(kind, EventKind::Deliver(pkt) if pkt.kind == PacketKind::Data)
-}
-
-/// Does this pending event carry an in-flight *control* packet?
-pub(crate) fn is_ctrl_deliver(kind: &EventKind) -> bool {
-    matches!(kind, EventKind::Deliver(pkt) if pkt.kind == PacketKind::Ctrl)
-}
-
-/// Inputs to the control-message conservation equation, gathered by
-/// [`crate::sim::Simulation::check_invariants`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CtrlConservationTerms {
-    pub sent: u64,
-    pub processed: u64,
-    pub shed: u64,
-    pub dropped: u64,
-    pub corrupted: u64,
-    pub blackholed: u64,
-    pub lost_to_crash: u64,
-    pub unattended: u64,
-    pub in_network: InNetwork,
-}
-
-impl CtrlConservationTerms {
-    /// Check the control-plane books; push a violation on mismatch.
+    /// Check the books; push a violation of the plane's law on mismatch.
     pub(crate) fn check(&self, now: SimTime, out: &mut Vec<Violation>) {
-        let accounted = self.processed
-            + self.shed
-            + self.dropped
-            + self.corrupted
-            + self.blackholed
-            + self.lost_to_crash
-            + self.unattended
-            + self.in_network.total();
-        if self.sent != accounted {
-            out.push(Violation {
-                at: now,
-                invariant: Invariant::CtrlConservation,
-                detail: format!(
-                    "ctrl sent {} != accounted {} (processed {} + shed {} + \
-                     dropped {} + corrupted {} + blackholed {} + \
-                     lost-to-crash {} + unattended {} + in-ports {} + on-wire {})",
-                    self.sent,
-                    accounted,
-                    self.processed,
-                    self.shed,
-                    self.dropped,
-                    self.corrupted,
-                    self.blackholed,
-                    self.lost_to_crash,
-                    self.unattended,
-                    self.in_network.in_ports,
-                    self.in_network.on_wire,
-                ),
-            });
+        let fated: u64 = self.fates.iter().map(|&(_, n)| n).sum();
+        let accounted = fated + self.in_network.total();
+        if self.sent == accounted {
+            return;
         }
+        let prefix = if self.plane == Plane::Ctrl {
+            "ctrl "
+        } else {
+            ""
+        };
+        let (source, sent) = (self.plane.source(), self.sent);
+        let mut detail = format!("{prefix}{source} {sent} != accounted {accounted} (");
+        for &(fate, n) in &self.fates {
+            let _ = write!(detail, "{} {n} + ", fate.name());
+        }
+        let InNetwork { in_ports, on_wire } = self.in_network;
+        let _ = write!(detail, "in-ports {in_ports} + on-wire {on_wire})");
+        out.push(Violation {
+            at: now,
+            invariant: Invariant::Conservation(self.plane),
+            detail,
+        });
     }
 }
 
@@ -379,91 +325,78 @@ impl CtrlConservationTerms {
 mod tests {
     use super::*;
 
-    #[test]
-    fn conservation_balanced_books_are_clean() {
-        let terms = ConservationTerms {
-            injected: 10,
-            delivered: 4,
-            dropped: 1,
-            corrupted: 1,
-            blackholed: 1,
-            consumed: 0,
-            lost_to_crash: 1,
-            in_network: InNetwork {
-                in_ports: 1,
-                on_wire: 1,
-            },
-        };
-        let mut out = Vec::new();
-        terms.check(SimTime::ZERO, &mut out);
-        assert!(out.is_empty());
-    }
-
+    /// Both laws from one table: balanced books are clean, and moving any
+    /// single term of either plane by one — each fate, either in-network
+    /// count, or the sent side — is exactly one violation of that plane's
+    /// law, whose detail names the term with its new value (and reads,
+    /// in full, as the detail text always has).
     #[test]
     fn conservation_mismatch_is_reported() {
-        let terms = ConservationTerms {
-            injected: 10,
-            delivered: 6,
-            dropped: 1,
-            corrupted: 0,
-            blackholed: 0,
-            consumed: 0,
-            lost_to_crash: 0,
-            in_network: InNetwork::default(),
-        };
-        let mut out = Vec::new();
-        terms.check(SimTime::from_micros(3), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].invariant, Invariant::Conservation);
-        assert!(out[0].detail.contains("injected 10"), "{}", out[0].detail);
-        assert!(out[0].detail.contains("corrupted 0"), "{}", out[0].detail);
-        assert!(
-            out[0].detail.contains("lost-to-crash 0"),
-            "{}",
-            out[0].detail
-        );
-    }
-
-    #[test]
-    fn ctrl_conservation_balanced_books_are_clean() {
-        let terms = CtrlConservationTerms {
-            sent: 12,
-            processed: 5,
-            shed: 2,
-            dropped: 1,
-            corrupted: 1,
-            blackholed: 0,
-            lost_to_crash: 1,
-            unattended: 1,
-            in_network: InNetwork {
-                in_ports: 0,
-                on_wire: 1,
-            },
-        };
-        let mut out = Vec::new();
-        terms.check(SimTime::ZERO, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn ctrl_conservation_mismatch_is_reported() {
-        let terms = CtrlConservationTerms {
-            sent: 10,
-            processed: 6,
-            shed: 0,
-            dropped: 1,
-            corrupted: 0,
-            blackholed: 0,
-            lost_to_crash: 0,
-            unattended: 0,
-            in_network: InNetwork::default(),
-        };
-        let mut out = Vec::new();
-        terms.check(SimTime::from_micros(3), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].invariant, Invariant::CtrlConservation);
-        assert!(out[0].detail.contains("ctrl sent 10"), "{}", out[0].detail);
-        assert!(out[0].detail.contains("shed 0"), "{}", out[0].detail);
+        let planes = [
+            (
+                Plane::Data,
+                "conservation",
+                "injected",
+                "injected 68 != accounted 67 (delivered 10 + dropped 11 + corrupted 12 + \
+                 blackholed 13 + lost-to-crash 14 + in-ports 3 + on-wire 4)",
+            ),
+            (
+                Plane::Ctrl,
+                "ctrl-conservation",
+                "ctrl sent",
+                "ctrl sent 99 != accounted 98 (processed 10 + shed 11 + dropped 12 + \
+                 corrupted 13 + blackholed 14 + lost-to-crash 15 + unattended 16 + \
+                 in-ports 3 + on-wire 4)",
+            ),
+        ];
+        for (plane, shown, source, sent_moved) in planes {
+            let balanced = || {
+                let fates: Vec<(Fate, u64)> = (Fate::ALL.iter().filter(|f| f.in_plane(plane)))
+                    .zip(10..)
+                    .map(|(&f, n)| (f, n))
+                    .collect();
+                let in_network = InNetwork {
+                    in_ports: 3,
+                    on_wire: 4,
+                };
+                let fated: u64 = fates.iter().map(|&(_, n)| n).sum();
+                Books {
+                    plane,
+                    sent: fated + in_network.total(),
+                    fates,
+                    in_network,
+                }
+            };
+            let check = |books: &Books| {
+                let mut out = Vec::new();
+                books.check(SimTime::from_micros(3), &mut out);
+                out
+            };
+            assert!(check(&balanced()).is_empty(), "{plane:?}");
+            let n_fates = balanced().fates.len();
+            for term in 0..n_fates + 3 {
+                let mut books = balanced();
+                let (name, slot) = match term.checked_sub(n_fates) {
+                    None => {
+                        let (fate, n) = &mut books.fates[term];
+                        (fate.name(), n)
+                    }
+                    Some(0) => ("in-ports", &mut books.in_network.in_ports),
+                    Some(1) => ("on-wire", &mut books.in_network.on_wire),
+                    Some(_) => (source, &mut books.sent),
+                };
+                *slot += 1;
+                let want = format!("{name} {slot}");
+                let out = check(&books);
+                assert_eq!(out.len(), 1, "{plane:?} {name}");
+                assert_eq!(out[0].invariant, Invariant::Conservation(plane));
+                assert_eq!(out[0].invariant.to_string(), shown);
+                assert!(out[0].detail.contains(&want), "{want}: {}", out[0].detail);
+                if name == source {
+                    assert_eq!(out[0].detail, sent_moved);
+                }
+            }
+        }
     }
 
     #[test]

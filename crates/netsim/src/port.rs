@@ -13,6 +13,7 @@ use crate::ids::{NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::queue::{Enqueued, PortQueue, Qdisc, QdiscStats};
 use crate::rng::{mix64, Rng};
+use crate::stats::Fate;
 use crate::time::{Rate, SimDuration};
 
 /// Ports with an EWMA health score below this are considered degraded by
@@ -120,13 +121,12 @@ impl Port {
     }
 
     /// Offer a packet to this port: enqueue it and, if the serializer is
-    /// idle, begin transmission. Drops are recorded in `ctx.stats`.
-    /// Everything offered to a downed port is dropped (and counted).
+    /// idle, begin transmission. Every drop is retired as
+    /// [`Fate::Dropped`]; everything offered to a downed port is dropped.
     pub fn send(&mut self, pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
         if !self.up {
             self.drops_while_down += 1;
-            Self::record_drop(&pkt, ctx);
-            ctx.release_packet(pkt);
+            ctx.retire(pkt, Fate::Dropped);
             return;
         }
         let is_data = pkt.kind == PacketKind::Data;
@@ -143,37 +143,17 @@ impl Port {
                     ctx.stats.note_data_enqueued();
                 }
             }
-            Enqueued::RejectedArrival(dropped) => {
-                Self::record_drop(&dropped, ctx);
-                ctx.release_packet(dropped);
-            }
+            Enqueued::RejectedArrival(dropped) => ctx.retire(dropped, Fate::Dropped),
             Enqueued::Evicted(victim) => {
                 // The arrival was accepted; a resident was pushed out.
                 if is_data {
                     ctx.stats.note_data_enqueued();
                 }
-                Self::record_drop(&victim, ctx);
-                ctx.release_packet(victim);
+                ctx.retire(victim, Fate::Dropped);
             }
         }
         if self.in_flight.is_none() {
             self.start_tx(ctx);
-        }
-    }
-
-    /// Count and trace one dropped packet.
-    fn record_drop(pkt: &Packet, ctx: &mut Ctx<'_>) {
-        ctx.stats.note_drop(pkt);
-        if ctx.stats.tracing() {
-            let now = ctx.now();
-            ctx.stats.trace_event(
-                now,
-                &crate::trace::TraceEvent::Drop {
-                    flow: pkt.flow,
-                    kind: pkt.kind,
-                    seq: pkt.seq,
-                },
-            );
         }
     }
 
@@ -186,8 +166,7 @@ impl Port {
         let now = ctx.now();
         while let Some(pkt) = self.qdisc.dequeue(now) {
             self.drops_while_down += 1;
-            Self::record_drop(&pkt, ctx);
-            ctx.release_packet(pkt);
+            ctx.retire(pkt, Fate::Dropped);
         }
     }
 
@@ -290,8 +269,7 @@ impl Port {
             .expect("TxComplete with no in-flight packet");
         if !self.up {
             self.drops_while_down += 1;
-            Self::record_drop(&pkt, ctx);
-            ctx.release_packet(pkt);
+            ctx.retire(pkt, Fate::Dropped);
             return;
         }
         // Gray-failure draws, in a fixed per-packet order (loss, then
@@ -303,8 +281,7 @@ impl Port {
             if p.loss_ppm > 0 && deg.rng.gen_below(1_000_000) < p.loss_ppm as u64 {
                 self.degrade_drops += 1;
                 self.note_health_sample(false);
-                Self::record_drop(&pkt, ctx);
-                ctx.release_packet(pkt);
+                ctx.retire(pkt, Fate::Dropped);
                 self.start_tx(ctx);
                 return;
             }

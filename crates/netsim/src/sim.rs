@@ -7,13 +7,12 @@ use crate::fault::FaultPlan;
 use crate::flow::FlowSpec;
 use crate::ids::NodeId;
 use crate::invariants::{
-    is_ctrl_deliver, is_data_deliver, ConservationTerms, CtrlConservationTerms, InNetwork,
-    Invariant, InvariantConfig, InvariantMonitor, InvariantReport, ProgressEvidence, Violation,
+    Books, InNetwork, Invariant, InvariantConfig, InvariantMonitor, InvariantReport,
+    ProgressEvidence, Violation,
 };
 use crate::node::Node;
-use crate::packet::PacketKind;
 use crate::port::Port;
-use crate::stats::StatsCollector;
+use crate::stats::{Plane, StatsCollector};
 use crate::time::SimTime;
 use crate::topology::{Network, Topology};
 
@@ -271,8 +270,7 @@ impl Simulation {
         // One walk over ports and pending events feeds both the
         // conservation count and the stuck-flow evidence.
         let mut evidence = ProgressEvidence::default();
-        let mut in_net = InNetwork::default();
-        let mut ctrl_in_net = InNetwork::default();
+        let mut in_net = [InNetwork::default(); Plane::ALL.len()];
         // Arena balance: every outstanding arena box must be somewhere we
         // can see — held by a port (queued or serializing) or riding a
         // pending Deliver event. Packets of *all* kinds count here, unlike
@@ -282,35 +280,20 @@ impl Simulation {
             port.for_each_held(&mut |pkt| {
                 evidence.note_flow(pkt.flow);
                 held_in_ports += 1;
-                match pkt.kind {
-                    PacketKind::Data => in_net.in_ports += 1,
-                    PacketKind::Ctrl => ctrl_in_net.in_ports += 1,
-                    _ => {}
+                if let Some(plane) = Plane::of(pkt.kind) {
+                    in_net[plane as usize].in_ports += 1;
                 }
             });
-            let len = port.queue_len_pkts();
-            if len > cfg.max_queue_pkts {
-                violations.push(Violation {
-                    at: now,
-                    invariant: Invariant::QueueBound,
-                    detail: format!(
-                        "queue on {node} holds {len} pkts (bound {})",
-                        cfg.max_queue_pkts
-                    ),
-                });
-            }
+            violations.extend(cfg.queue_violation(now, node, port.queue_len_pkts()));
         });
         let mut on_wire_total = 0u64;
         for (_, target, kind) in self.sched.pending_events() {
             evidence.note_event(target, kind);
-            if matches!(kind, EventKind::Deliver(_)) {
+            if let EventKind::Deliver(pkt) = kind {
                 on_wire_total += 1;
-            }
-            if is_data_deliver(kind) {
-                in_net.on_wire += 1;
-            }
-            if is_ctrl_deliver(kind) {
-                ctrl_in_net.on_wire += 1;
+                if let Some(plane) = Plane::of(pkt.kind) {
+                    in_net[plane as usize].on_wire += 1;
+                }
             }
         }
 
@@ -326,30 +309,9 @@ impl Simulation {
             });
         }
 
-        ConservationTerms {
-            injected: self.stats.data_pkts_injected,
-            delivered: self.stats.data_pkts_delivered,
-            dropped: self.stats.data_pkts_dropped,
-            corrupted: self.stats.data_pkts_corrupted,
-            blackholed: self.stats.data_pkts_blackholed,
-            consumed: self.stats.data_pkts_consumed,
-            lost_to_crash: self.stats.data_pkts_lost_to_crash,
-            in_network: in_net,
+        for plane in Plane::ALL {
+            Books::of(&self.stats, plane, in_net[plane as usize]).check(now, &mut violations);
         }
-        .check(now, &mut violations);
-
-        CtrlConservationTerms {
-            sent: self.stats.ctrl_pkts,
-            processed: self.stats.ctrl_msgs_processed,
-            shed: self.stats.ctrl_msgs_shed,
-            dropped: self.stats.ctrl_pkts_dropped,
-            corrupted: self.stats.ctrl_pkts_corrupted,
-            blackholed: self.stats.ctrl_pkts_blackholed,
-            lost_to_crash: self.stats.ctrl_lost_to_crash,
-            unattended: self.stats.ctrl_unattended,
-            in_network: ctrl_in_net,
-        }
-        .check(now, &mut violations);
 
         for rec in self.stats.flows() {
             if rec.completed.is_none()
@@ -372,12 +334,9 @@ impl Simulation {
 
     /// Periodic online scan: flag any port whose queue exceeds the bound.
     fn scan_queues(nodes: &[Node], now: SimTime, mon: &mut InvariantMonitor) {
-        let bound = mon.cfg.max_queue_pkts;
         Self::for_each_port(nodes, &mut |node, port| {
-            let len = port.queue_len_pkts();
-            if len > bound {
-                mon.note_queue_violation(now, node, len);
-            }
+            let found = mon.cfg.queue_violation(now, node, port.queue_len_pkts());
+            mon.violations.extend(found);
         });
     }
 

@@ -5,6 +5,15 @@
 //! control-plane traffic. It is threaded through every event handler via
 //! [`crate::engine::Ctx`], so protocol code can attribute costs without
 //! carrying its own bookkeeping.
+//!
+//! It is also the packet ledger both conservation laws are checked
+//! against ([`crate::invariants`]). A packet enters its [`Plane`] at one
+//! of two send sites, [`StatsCollector::note_sent`], and leaves it with
+//! exactly one [`Fate`], charged by [`StatsCollector::note_fate`] (or
+//! [`crate::engine::Ctx::retire`], which also frees the packet). The
+//! `fates!` table below is the one declaration of the fates: their law
+//! terms, the planes they belong to and the counters they are charged to.
+//! DESIGN.md §7e tabulates the sites that charge each and what they trace.
 
 use std::collections::BTreeMap;
 
@@ -63,6 +72,8 @@ impl FlowRecord {
 pub struct NodeCounters {
     /// Corrupted data packets discarded at this destination host.
     pub corrupted: u64,
+    /// Packets of any kind this switch had no live next hop for.
+    pub blackholed: u64,
     /// Aborted flows sourced at this host.
     pub aborts: u64,
     /// Control messages processed by this arbitrator.
@@ -80,6 +91,130 @@ pub struct NodeCounters {
     pub arb_climbed: u64,
 }
 
+/// The two packet populations with a conservation law each (see
+/// [`crate::invariants`]). Acks and probes are in neither.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plane {
+    /// Data packets, injected by host endpoints.
+    Data,
+    /// Control messages, sent by endpoints and arbitrators.
+    Ctrl,
+}
+
+impl Plane {
+    /// Both planes, in the order audits check them.
+    pub const ALL: [Plane; 2] = [Plane::Data, Plane::Ctrl];
+
+    /// The plane a packet of `kind` is booked under, if any.
+    #[inline]
+    pub fn of(kind: PacketKind) -> Option<Plane> {
+        match kind {
+            PacketKind::Data => Some(Plane::Data),
+            PacketKind::Ctrl => Some(Plane::Ctrl),
+            _ => None,
+        }
+    }
+
+    /// The left-hand side of the plane's law: what entered the plane.
+    pub fn source(self) -> &'static str {
+        match self {
+            Plane::Data => "injected",
+            Plane::Ctrl => "sent",
+        }
+    }
+
+    /// The plane's conservation law as text, term by term from the
+    /// declaration: `injected = delivered + … + in-network`.
+    pub fn law(self) -> String {
+        let terms: Vec<&str> = (Fate::ALL.iter().filter(|f| f.in_plane(self)))
+            .map(|f| f.name())
+            .chain(["in-network"])
+            .collect();
+        format!("{} = {}", self.source(), terms.join(" + "))
+    }
+}
+
+/// Declares [`Fate`] from one table and derives the rest of the ledger
+/// from it. A row is a fate (with its docs), the term the laws print it
+/// under, and the [`StatsCollector`] counter it is charged to on each
+/// plane whose law it is a term of. Adding a fate is one row here plus
+/// the counter it names.
+macro_rules! fates {
+    ($($(#[$doc:meta])* $fate:ident $name:literal { $($plane:ident: $field:ident),+ })+) => {
+        /// Every way a packet leaves its [`Plane`]: the terms of both
+        /// conservation laws, charged by [`StatsCollector::note_fate`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Fate {
+            $($(#[$doc])* $fate,)+
+        }
+
+        impl Fate {
+            /// Every fate, in the order the laws print their terms.
+            pub const ALL: &'static [Fate] = &[$(Fate::$fate),+];
+
+            /// The fate's term in the conservation laws.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Fate::$fate => $name,)+
+                }
+            }
+
+            /// Whether the fate is a term of `plane`'s law.
+            pub fn in_plane(self, plane: Plane) -> bool {
+                matches!((plane, self), $($((Plane::$plane, Fate::$fate))|+)|+)
+            }
+        }
+
+        impl StatsCollector {
+            /// Packets of `plane` charged with `fate` so far (0 when the
+            /// fate is no term of that plane's law).
+            pub fn charged(&self, plane: Plane, fate: Fate) -> u64 {
+                match (plane, fate) {
+                    $($((Plane::$plane, Fate::$fate) => self.$field,)+)+
+                    _ => 0,
+                }
+            }
+
+            fn counter(&mut self, plane: Plane, fate: Fate) -> Option<&mut u64> {
+                match (plane, fate) {
+                    $($((Plane::$plane, Fate::$fate) => Some(&mut self.$field),)+)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+fates! {
+    /// Handed to the destination host (charged on the hot path by
+    /// [`StatsCollector::note_data_delivered`]).
+    Delivered "delivered" { Data: data_pkts_delivered }
+    /// Processed by an arbitrator.
+    Processed "processed" { Ctrl: ctrl_msgs_processed }
+    /// Shed by an overloaded arbitrator's inbox, tail drops included.
+    Shed "shed" { Ctrl: ctrl_msgs_shed }
+    /// Dropped at a port: queue overflow or eviction, a downed link, a
+    /// degraded link's loss, an injected control-loss burst.
+    Dropped "dropped" { Data: data_pkts_dropped, Ctrl: ctrl_pkts_dropped }
+    /// Corrupted in flight and discarded by the destination's checksum.
+    Corrupted "corrupted" { Data: data_pkts_corrupted, Ctrl: ctrl_pkts_corrupted }
+    /// No surviving next hop at a switch.
+    Blackholed "blackholed" { Data: data_pkts_blackholed, Ctrl: ctrl_pkts_blackholed }
+    /// Arrived at a crashed host or a crashed control process.
+    LostToCrash "lost-to-crash" { Data: data_pkts_lost_to_crash, Ctrl: ctrl_lost_to_crash }
+    /// Reached a node with no control plugin or service to take it, or
+    /// carried a payload its arbitrator does not speak.
+    Unattended "unattended" { Ctrl: ctrl_unattended }
+}
+
+impl Fate {
+    /// Whether a data packet meeting this fate counts on its flow's
+    /// `drops` tally: the sender experiences it as loss.
+    pub fn is_flow_loss(self) -> bool {
+        matches!(self, Fate::Dropped | Fate::Corrupted | Fate::Blackholed)
+    }
+}
+
 /// Global and per-flow measurement state for one simulation run.
 #[derive(Default)]
 pub struct StatsCollector {
@@ -88,55 +223,45 @@ pub struct StatsCollector {
     expected_measured: usize,
     /// Measured flows that have completed.
     completed_measured: usize,
-    /// Data packets dropped in queues (all flows).
-    pub data_pkts_dropped: u64,
-    /// Data packets accepted into queues (all flows); drop-rate denominator.
-    pub data_pkts_enqueued: u64,
-    /// Data packets injected by host endpoints (senders and services),
-    /// counting each retransmitted copy separately. Left-hand side of the
-    /// byte-conservation invariant (see [`crate::invariants`]).
-    pub data_pkts_injected: u64,
-    /// Data packets delivered to their destination host.
-    pub data_pkts_delivered: u64,
-    /// Data packets that reached a crashed destination host and were lost
-    /// there (no live agents to consume them). A separate conservation
-    /// term so the books still balance across host crashes.
-    pub data_pkts_lost_to_crash: u64,
-    /// Data packets corrupted in flight by a degraded link and discarded
-    /// by the destination host's checksum. A separate conservation term
-    /// (see [`crate::invariants`]) so gray losses stay distinguishable
-    /// from queue drops.
-    pub data_pkts_corrupted: u64,
     /// Per-node tallies indexed by [`NodeId::index`], grown on demand so
     /// the collector needs no node count up front.
     per_node: Vec<NodeCounters>,
-    /// Data packets blackholed at switches (no surviving next hop).
-    /// Counted separately from [`StatsCollector::data_pkts_dropped`].
+    /// Data packets injected by host endpoints (senders and services),
+    /// counting each retransmitted copy separately: the data law's
+    /// left-hand side.
+    pub data_pkts_injected: u64,
+    /// Data packets accepted into queues; drop-rate denominator.
+    pub data_pkts_enqueued: u64,
+    /// [`Fate::Delivered`] on the data plane.
+    pub data_pkts_delivered: u64,
+    /// [`Fate::Dropped`] on the data plane.
+    pub data_pkts_dropped: u64,
+    /// [`Fate::Corrupted`] on the data plane.
+    pub data_pkts_corrupted: u64,
+    /// [`Fate::Blackholed`] on the data plane.
     pub data_pkts_blackholed: u64,
+    /// [`Fate::LostToCrash`] on the data plane.
+    pub data_pkts_lost_to_crash: u64,
     /// Packets of any kind blackholed at switches.
     pub blackhole_pkts: u64,
-    /// Data packets consumed by switch plugins instead of forwarded.
-    pub data_pkts_consumed: u64,
-    /// Control-plane packets sent (PASE arbitration traffic).
+    /// Control packets sent (PASE arbitration traffic): the control
+    /// law's left-hand side.
     pub ctrl_pkts: u64,
     /// Control-plane bytes sent.
     pub ctrl_bytes: u64,
-    /// Control-plane messages processed by arbitrators.
+    /// [`Fate::Processed`].
     pub ctrl_msgs_processed: u64,
-    /// Control messages shed by overloaded arbitrators (budget exceeded).
+    /// [`Fate::Shed`].
     pub ctrl_msgs_shed: u64,
-    /// Control packets dropped in queues or on downed/degraded links.
+    /// [`Fate::Dropped`] on the control plane.
     pub ctrl_pkts_dropped: u64,
-    /// Control packets blackholed at switches (no surviving next hop).
-    pub ctrl_pkts_blackholed: u64,
-    /// Control packets corrupted in flight and discarded by the
-    /// destination's checksum.
+    /// [`Fate::Corrupted`] on the control plane.
     pub ctrl_pkts_corrupted: u64,
-    /// Control messages that arrived at a crashed control process or
-    /// crashed host and evaporated there.
+    /// [`Fate::Blackholed`] on the control plane.
+    pub ctrl_pkts_blackholed: u64,
+    /// [`Fate::LostToCrash`] on the control plane.
     pub ctrl_lost_to_crash: u64,
-    /// Control messages delivered to a node with no control plugin or
-    /// host service installed to receive them.
+    /// [`Fate::Unattended`].
     pub ctrl_unattended: u64,
     /// Total events executed (engine counter, for benchmarking).
     pub events_executed: u64,
@@ -323,15 +448,77 @@ impl StatsCollector {
         }
     }
 
-    /// Record a packet drop in some queue.
-    pub fn note_drop(&mut self, pkt: &Packet) {
-        if pkt.kind == PacketKind::Data {
-            self.data_pkts_dropped += 1;
-            if let Some(rec) = self.flows.get_mut(&pkt.flow) {
-                rec.drops += 1;
+    /// A packet enters the network: charge the sent side of its plane's
+    /// law (nothing for acks and probes). Both send sites — a host's
+    /// emit and [`crate::switch::SwitchIo::send`] — call this once per
+    /// packet, before routing, so a packet blackholed on its first hop is
+    /// still on the books.
+    #[inline]
+    pub fn note_sent(&mut self, pkt: &Packet) {
+        match pkt.kind {
+            PacketKind::Data => self.note_data_injected(),
+            PacketKind::Ctrl => {
+                self.ctrl_pkts += 1;
+                self.ctrl_bytes += pkt.wire_bytes as u64;
             }
-        } else if pkt.kind == PacketKind::Ctrl {
-            self.ctrl_pkts_dropped += 1;
+            _ => {}
+        }
+    }
+
+    /// What entered `plane` so far: the left-hand side of its law.
+    pub fn sent(&self, plane: Plane) -> u64 {
+        match plane {
+            Plane::Data => self.data_pkts_injected,
+            Plane::Ctrl => self.ctrl_pkts,
+        }
+    }
+
+    /// A packet leaves its plane at `node` with `fate`: charge the fate's
+    /// counter on the packet's plane (acks and probes are on none), the
+    /// node's row where it keeps one, and — for a data packet lost on the
+    /// way — the flow's `drops`; then emit the fate's trace event, if it
+    /// has one. [`crate::engine::Ctx::retire`] is this plus freeing the
+    /// packet.
+    pub fn note_fate(&mut self, pkt: &Packet, fate: Fate, node: NodeId, now: SimTime) {
+        if let Some(plane) = Plane::of(pkt.kind) {
+            if let Some(n) = self.counter(plane, fate) {
+                *n += 1;
+            }
+            if plane == Plane::Data && fate.is_flow_loss() {
+                if let Some(rec) = self.flows.get_mut(&pkt.flow) {
+                    rec.drops += 1;
+                }
+            }
+            match (plane, fate) {
+                (Plane::Data, Fate::Corrupted) => self.node_mut(node).corrupted += 1,
+                (Plane::Ctrl, Fate::Processed) => self.node_mut(node).ctrl_processed += 1,
+                (Plane::Ctrl, Fate::Shed) => self.node_mut(node).ctrl_shed += 1,
+                _ => {}
+            }
+        }
+        if fate == Fate::Blackholed {
+            self.blackhole_pkts += 1;
+            self.node_mut(node).blackholed += 1;
+        }
+        if self.tracing() {
+            let (flow, kind, seq) = (pkt.flow, pkt.kind, pkt.seq);
+            let event = match fate {
+                Fate::Dropped => TraceEvent::Drop { flow, kind, seq },
+                Fate::Corrupted => TraceEvent::Corrupt {
+                    node,
+                    flow,
+                    kind,
+                    seq,
+                },
+                Fate::Blackholed => TraceEvent::Blackhole {
+                    node,
+                    flow,
+                    kind,
+                    seq,
+                },
+                _ => return,
+            };
+            self.trace_event(now, &event);
         }
     }
 
@@ -340,46 +527,15 @@ impl StatsCollector {
         self.data_pkts_enqueued += 1;
     }
 
-    /// Record a packet blackholed at a switch (no live route). Data
-    /// blackholes count toward the flow's drop tally but not toward
-    /// [`StatsCollector::data_pkts_dropped`], so queue loss and routing
-    /// loss stay separable.
-    pub fn note_blackhole(&mut self, pkt: &Packet) {
-        self.blackhole_pkts += 1;
-        if pkt.kind == PacketKind::Data {
-            self.data_pkts_blackholed += 1;
-            if let Some(rec) = self.flows.get_mut(&pkt.flow) {
-                rec.drops += 1;
-            }
-        } else if pkt.kind == PacketKind::Ctrl {
-            self.ctrl_pkts_blackholed += 1;
-        }
-    }
-
     /// Record a data packet injected into the network by a host endpoint.
     pub fn note_data_injected(&mut self) {
         self.data_pkts_injected += 1;
     }
 
-    /// Record a data packet delivered to its destination host.
+    /// [`Fate::Delivered`] without the packet: the host's delivery path
+    /// charges it as a bare increment.
     pub fn note_data_delivered(&mut self) {
         self.data_pkts_delivered += 1;
-    }
-
-    /// Record a data packet that arrived at a crashed destination host.
-    pub fn note_data_lost_to_crash(&mut self) {
-        self.data_pkts_lost_to_crash += 1;
-    }
-
-    /// Record a corrupted data packet discarded by the checksum at its
-    /// destination `host`. Counts toward the flow's drop tally (the
-    /// sender experiences it as loss) but to its own conservation term.
-    pub fn note_data_corrupted(&mut self, host: NodeId, pkt: &Packet) {
-        self.data_pkts_corrupted += 1;
-        self.node_mut(host).corrupted += 1;
-        if let Some(rec) = self.flows.get_mut(&pkt.flow) {
-            rec.drops += 1;
-        }
     }
 
     /// Corrupted data packets discarded at `host`.
@@ -387,30 +543,11 @@ impl StatsCollector {
         self.node(host).corrupted
     }
 
-    /// Record a packet consumed by a switch plugin instead of forwarded.
-    pub fn note_plugin_consumed(&mut self, pkt: &Packet) {
-        if pkt.kind == PacketKind::Data {
-            self.data_pkts_consumed += 1;
-        }
-    }
-
-    /// Record a control-plane packet of `bytes` put on the wire.
-    pub fn note_ctrl_sent(&mut self, bytes: u32) {
-        self.ctrl_pkts += 1;
-        self.ctrl_bytes += bytes as u64;
-    }
-
-    /// Record a control message processed by the arbitrator on `node`.
+    /// [`Fate::Processed`] at the arbitrator on `node`, without the
+    /// packet.
     pub fn note_ctrl_processed(&mut self, node: NodeId) {
         self.ctrl_msgs_processed += 1;
         self.node_mut(node).ctrl_processed += 1;
-    }
-
-    /// Record a control message shed by the overloaded arbitrator on
-    /// `node` (its per-epoch budget was exhausted).
-    pub fn note_ctrl_shed(&mut self, node: NodeId) {
-        self.ctrl_msgs_shed += 1;
-        self.node_mut(node).ctrl_shed += 1;
     }
 
     /// Record the weighted inbox depth the arbitrator on `node` reached
@@ -430,23 +567,6 @@ impl StatsCollector {
     /// up the hierarchy.
     pub fn note_arb_climbed(&mut self, node: NodeId) {
         self.node_mut(node).arb_climbed += 1;
-    }
-
-    /// Record a corrupted control packet discarded at its destination.
-    pub fn note_ctrl_corrupted(&mut self) {
-        self.ctrl_pkts_corrupted += 1;
-    }
-
-    /// Record a control message that reached a crashed control process or
-    /// crashed host.
-    pub fn note_ctrl_lost_to_crash(&mut self) {
-        self.ctrl_lost_to_crash += 1;
-    }
-
-    /// Record a control message delivered to a node with no control
-    /// plugin or host service to receive it.
-    pub fn note_ctrl_unattended(&mut self) {
-        self.ctrl_unattended += 1;
     }
 
     /// Messages shed by the arbitrator on `node`.
@@ -521,6 +641,15 @@ mod tests {
         s
     }
 
+    fn ctrl() -> Packet {
+        Packet::ctrl(FlowId(0), NodeId(0), NodeId(1), Box::new(0u8))
+    }
+
+    /// Charge `fate` at `node` at time zero.
+    fn charge(st: &mut StatsCollector, pkt: &Packet, fate: Fate, node: NodeId) {
+        st.note_fate(pkt, fate, node, SimTime::ZERO);
+    }
+
     #[test]
     fn completion_tracking() {
         let mut st = StatsCollector::new();
@@ -570,7 +699,7 @@ mod tests {
             st.note_data_enqueued();
         }
         let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460);
-        st.note_drop(&pkt);
+        charge(&mut st, &pkt, Fate::Dropped, NodeId(2));
         assert!((st.data_loss_rate() - 0.1).abs() < 1e-12);
         assert_eq!(st.flow(FlowId(0)).unwrap().drops, 1);
     }
@@ -579,7 +708,7 @@ mod tests {
     fn ack_drops_do_not_count_as_data_loss() {
         let mut st = StatsCollector::new();
         let ack = Packet::ack(FlowId(0), NodeId(1), NodeId(0), 0);
-        st.note_drop(&ack);
+        charge(&mut st, &ack, Fate::Dropped, NodeId(2));
         assert_eq!(st.data_pkts_dropped, 0);
     }
 
@@ -610,8 +739,8 @@ mod tests {
         let mut st = StatsCollector::new();
         st.register_flow(&spec(0, true));
         let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460);
-        st.note_data_corrupted(NodeId(1), &pkt);
-        st.note_data_corrupted(NodeId(1), &pkt);
+        charge(&mut st, &pkt, Fate::Corrupted, NodeId(1));
+        charge(&mut st, &pkt, Fate::Corrupted, NodeId(1));
         assert_eq!(st.data_pkts_corrupted, 2);
         assert_eq!(st.data_pkts_dropped, 0, "corruption is not a queue drop");
         assert_eq!(st.corrupted_on(NodeId(1)), 2);
@@ -623,9 +752,9 @@ mod tests {
     fn ctrl_shedding_has_per_node_tallies_and_peaks() {
         let mut st = StatsCollector::new();
         st.note_ctrl_processed(NodeId(3));
-        st.note_ctrl_processed(NodeId(3));
+        charge(&mut st, &ctrl(), Fate::Processed, NodeId(3));
         st.note_ctrl_processed(NodeId(5));
-        st.note_ctrl_shed(NodeId(3));
+        charge(&mut st, &ctrl(), Fate::Shed, NodeId(3));
         st.note_ctrl_epoch_depth(NodeId(3), 7);
         st.note_ctrl_epoch_depth(NodeId(3), 4);
         assert_eq!(st.ctrl_msgs_processed, 3);
@@ -669,10 +798,8 @@ mod tests {
                 let row = model.entry(node).or_default();
                 match rng.gen_below(7) {
                     0 => {
-                        st.note_data_corrupted(
-                            node,
-                            &Packet::data(FlowId(0), NodeId(0), node, 0, 1460),
-                        );
+                        let pkt = Packet::data(FlowId(0), NodeId(0), node, 0, 1460);
+                        charge(&mut st, &pkt, Fate::Corrupted, node);
                         row.corrupted += 1;
                     }
                     1 => {
@@ -683,11 +810,11 @@ mod tests {
                         model.entry(src).or_default().aborts += fresh as u64;
                     }
                     2 => {
-                        st.note_ctrl_processed(node);
+                        charge(&mut st, &ctrl(), Fate::Processed, node);
                         row.ctrl_processed += 1;
                     }
                     3 => {
-                        st.note_ctrl_shed(node);
+                        charge(&mut st, &ctrl(), Fate::Shed, node);
                         row.ctrl_shed += 1;
                     }
                     4 => {
@@ -744,20 +871,52 @@ mod tests {
     #[test]
     fn ctrl_drops_and_blackholes_have_their_own_terms() {
         let mut st = StatsCollector::new();
-        let ctrl = Packet::ctrl(FlowId(0), NodeId(0), NodeId(1), Box::new(0u8));
-        st.note_drop(&ctrl);
-        st.note_blackhole(&ctrl);
+        let ctrl = ctrl();
+        charge(&mut st, &ctrl, Fate::Dropped, NodeId(2));
+        charge(&mut st, &ctrl, Fate::Blackholed, NodeId(2));
         assert_eq!(st.ctrl_pkts_dropped, 1);
         assert_eq!(st.ctrl_pkts_blackholed, 1);
         assert_eq!(st.data_pkts_dropped, 0);
         assert_eq!(st.data_pkts_blackholed, 0);
         assert_eq!(st.blackhole_pkts, 1);
-        st.note_ctrl_corrupted();
-        st.note_ctrl_lost_to_crash();
-        st.note_ctrl_unattended();
+        assert_eq!(st.node(NodeId(2)).blackholed, 1);
+        charge(&mut st, &ctrl, Fate::Corrupted, NodeId(1));
+        charge(&mut st, &ctrl, Fate::LostToCrash, NodeId(1));
+        charge(&mut st, &ctrl, Fate::Unattended, NodeId(1));
         assert_eq!(st.ctrl_pkts_corrupted, 1);
         assert_eq!(st.ctrl_lost_to_crash, 1);
         assert_eq!(st.ctrl_unattended, 1);
+    }
+
+    /// The laws as `run_all` prints them, and the ledger behind them:
+    /// every counter a plane's law names reads back what `note_fate`
+    /// charged to it, and nothing else moves.
+    #[test]
+    fn laws_render_from_the_declaration_and_read_back_their_counters() {
+        assert_eq!(
+            Plane::Data.law(),
+            "injected = delivered + dropped + corrupted + blackholed + lost-to-crash + in-network"
+        );
+        assert_eq!(
+            Plane::Ctrl.law(),
+            "sent = processed + shed + dropped + corrupted + blackholed + lost-to-crash + \
+             unattended + in-network"
+        );
+        let (data, ctrl) = (
+            Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460),
+            ctrl(),
+        );
+        for plane in Plane::ALL {
+            let pkt = if plane == Plane::Data { &data } else { &ctrl };
+            for &fate in Fate::ALL {
+                let mut st = StatsCollector::new();
+                charge(&mut st, pkt, fate, NodeId(1));
+                for &other in Fate::ALL {
+                    let want = (other == fate && fate.in_plane(plane)) as u64;
+                    assert_eq!(st.charged(plane, other), want, "{plane:?} {fate:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
 use crate::rng::mix64;
+use crate::stats::Fate;
 use crate::time::{SimDuration, SimTime};
 
 /// A compact per-switch forwarding table.
@@ -223,28 +224,13 @@ fn route_live(
         .copied()
 }
 
-/// What a plugin decides about a transiting packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Enqueue on the selected output port.
-    Forward,
-    /// Silently consume the packet (it will not be forwarded).
-    Consume,
-}
-
 /// Protocol logic attached to a switch.
 pub trait SwitchPlugin: Send {
     /// Called for every transiting packet after the output port has been
     /// selected and before the packet is enqueued. May rewrite headers
-    /// (PDQ) or consume the packet.
-    fn process_transit(
-        &mut self,
-        pkt: &mut Packet,
-        out_port: PortId,
-        io: &mut SwitchIo<'_, '_>,
-    ) -> Verdict {
+    /// (PDQ); the packet is forwarded either way.
+    fn process_transit(&mut self, pkt: &mut Packet, out_port: PortId, io: &mut SwitchIo<'_, '_>) {
         let _ = (pkt, out_port, io);
-        Verdict::Forward
     }
 
     /// A control packet addressed to this switch arrived.
@@ -276,8 +262,6 @@ pub struct SwitchIo<'a, 'b> {
     pub(crate) ports: &'a mut Vec<Port>,
     /// Forwarding table indexed by destination node id.
     pub fib: &'a Fib,
-    /// The switch's blackhole counter (see [`Switch::blackhole_drops`]).
-    pub blackhole_drops: &'a mut u64,
     /// Whether the owning switch routes health-aware (see
     /// [`Switch::set_health_aware`]).
     pub health_aware: bool,
@@ -309,20 +293,15 @@ impl<'a, 'b> SwitchIo<'a, 'b> {
     }
 
     /// Send a packet toward its destination through the forwarding table.
-    /// Control packets are counted as control-plane overhead. A packet
-    /// with no surviving next hop is blackholed (counted and traced).
+    /// The packet enters the ledger's sent side here; one with no
+    /// surviving next hop is blackholed on the spot, never boxed.
     pub fn send(&mut self, mut pkt: Packet) {
-        pkt.ts = self.now();
-        // Count control overhead before routing: this is the packet's
-        // emission point, so a blackholed one must still enter the
-        // control conservation ledger on the sent side.
-        if pkt.kind == PacketKind::Ctrl {
-            self.sim.stats.note_ctrl_sent(pkt.wire_bytes);
-        }
+        let now = self.now();
+        pkt.ts = now;
+        self.sim.stats.note_sent(&pkt);
         let Some(port) = self.route(pkt.dst, pkt.flow) else {
-            *self.blackhole_drops += 1;
-            record_blackhole(self.id, &pkt, self.sim);
-            return;
+            let stats = &mut self.sim.stats;
+            return stats.note_fate(&pkt, Fate::Blackholed, self.id, now);
         };
         let boxed = self.sim.alloc_packet(pkt);
         self.ports[port.index()].send(boxed, self.sim);
@@ -339,23 +318,6 @@ impl<'a, 'b> SwitchIo<'a, 'b> {
     }
 }
 
-/// Count and trace one blackholed packet (no live route at `node`).
-fn record_blackhole(node: NodeId, pkt: &Packet, ctx: &mut Ctx<'_>) {
-    ctx.stats.note_blackhole(pkt);
-    if ctx.stats.tracing() {
-        let now = ctx.now();
-        ctx.stats.trace_event(
-            now,
-            &crate::trace::TraceEvent::Blackhole {
-                node,
-                flow: pkt.flow,
-                kind: pkt.kind,
-                seq: pkt.seq,
-            },
-        );
-    }
-}
-
 /// A store-and-forward switch.
 pub struct Switch {
     id: NodeId,
@@ -363,9 +325,6 @@ pub struct Switch {
     /// Compact forwarding table over destination node ids.
     fib: Fib,
     plugin: Option<Box<dyn SwitchPlugin>>,
-    /// Packets dropped because no next hop toward their destination was
-    /// alive (all equal-cost ports down or the FIB entry empty).
-    blackhole_drops: u64,
     /// Whether ECMP selection avoids live-but-degraded ports (per-port
     /// EWMA health). Off by default so healthy-run traces stay
     /// byte-identical to historical seeds; enabled fleet-wide by
@@ -393,7 +352,6 @@ impl Switch {
             ports,
             fib,
             plugin: None,
-            blackhole_drops: 0,
             health_aware: false,
             ecmp_salt: 0,
             all_ports_up,
@@ -439,11 +397,6 @@ impl Switch {
     /// The switch's output ports (for tracing).
     pub fn ports(&self) -> &[Port] {
         &self.ports
-    }
-
-    /// Packets dropped at this switch for lack of a live next hop.
-    pub fn blackhole_drops(&self) -> u64 {
-        self.blackhole_drops
     }
 
     /// Downcast the plugin to a concrete type.
@@ -524,71 +477,29 @@ impl Switch {
         }
     }
 
-    fn deliver(&mut self, pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
+    fn deliver(&mut self, mut pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
         if pkt.dst == self.id {
             if pkt.corrupted {
                 // A corrupted arbitration request dies at the switch's
                 // checksum like anywhere else; the sender recovers by
                 // re-requesting (or falling back) on the missing response.
-                if pkt.kind == PacketKind::Ctrl {
-                    ctx.stats.note_ctrl_corrupted();
-                }
-                if ctx.stats.tracing() {
-                    let now = ctx.now();
-                    ctx.stats.trace_event(
-                        now,
-                        &crate::trace::TraceEvent::Corrupt {
-                            node: self.id,
-                            flow: pkt.flow,
-                            kind: pkt.kind,
-                            seq: pkt.seq,
-                        },
-                    );
-                }
-                ctx.release_packet(pkt);
-                return;
+                ctx.retire(pkt, Fate::Corrupted);
+            } else if self.plugin.is_none() && pkt.kind == PacketKind::Ctrl {
+                // Control traffic with no arbitrator to interpret it.
+                ctx.retire(pkt, Fate::Unattended);
+            } else {
+                self.with_plugin(ctx, move |plugin, io| {
+                    let pkt = io.sim.take_packet(pkt);
+                    plugin.on_ctrl(pkt, io);
+                });
             }
-            // Addressed to this switch: control-plane traffic.
-            if self.plugin.is_none() && pkt.kind == PacketKind::Ctrl {
-                // No arbitrator to interpret it: account the message so
-                // the control-plane conservation law still closes.
-                ctx.stats.note_ctrl_unattended();
-                ctx.release_packet(pkt);
-                return;
-            }
-            self.with_plugin(ctx, move |plugin, io| {
-                let pkt = io.sim.take_packet(pkt);
-                plugin.on_ctrl(pkt, io);
-            });
             return;
         }
         let Some(out) = self.route(pkt.dst, pkt.flow) else {
-            self.blackhole_drops += 1;
-            record_blackhole(self.id, &pkt, ctx);
-            ctx.release_packet(pkt);
-            return;
+            return ctx.retire(pkt, Fate::Blackholed);
         };
-        if self.plugin.is_some() {
-            let mut verdict = Verdict::Forward;
-            let mut moved = Some(pkt);
-            self.with_plugin(ctx, |plugin, io| {
-                let p = moved.as_mut().expect("packet present");
-                verdict = plugin.process_transit(p, out, io);
-            });
-            match verdict {
-                Verdict::Forward => {
-                    let pkt = moved.take().expect("packet present");
-                    self.ports[out.index()].send(pkt, ctx);
-                }
-                Verdict::Consume => {
-                    let pkt = moved.take().expect("packet present");
-                    ctx.stats.note_plugin_consumed(&pkt);
-                    ctx.release_packet(pkt);
-                }
-            }
-        } else {
-            self.ports[out.index()].send(pkt, ctx);
-        }
+        self.with_plugin(ctx, |plugin, io| plugin.process_transit(&mut pkt, out, io));
+        self.ports[out.index()].send(pkt, ctx);
     }
 
     /// Pick the output port toward `dst` for `flow` (ECMP by flow hash
@@ -618,7 +529,6 @@ impl Switch {
                 id: self.id,
                 ports: &mut self.ports,
                 fib: &self.fib,
-                blackhole_drops: &mut self.blackhole_drops,
                 health_aware: self.health_aware,
                 ecmp_salt: self.ecmp_salt,
                 all_ports_up: self.all_ports_up,
@@ -705,7 +615,7 @@ mod tests {
             );
         }
         assert_eq!(routes_used(&sw).len(), 2, "recovery restores the spread");
-        assert_eq!(sw.blackhole_drops(), 0);
+        assert_eq!(stats.node(NodeId(10)).blackholed, 0);
     }
 
     #[test]
@@ -733,7 +643,7 @@ mod tests {
         let pkt = Packet::data(FlowId(7), NodeId(3), NodeId(5), 0, 1460);
         sw.handle(EventKind::deliver(pkt), &mut ctx);
         ctx.stats.flush_tracer();
-        assert_eq!(sw.blackhole_drops(), 1);
+        assert_eq!(stats.node(NodeId(10)).blackholed, 1);
         assert_eq!(stats.blackhole_pkts, 1);
         assert_eq!(stats.data_pkts_blackholed, 1);
         assert_eq!(stats.data_pkts_dropped, 0, "blackholes are not queue drops");
@@ -800,7 +710,6 @@ mod tests {
             2,
             "no healthy port: fall back to live spread"
         );
-        assert_eq!(sw.blackhole_drops(), 0);
         // Port 0 recovers; clean traffic earns its health back.
         sw.ports[0].set_restored();
         drive_port(&mut sw, 0, 3000);

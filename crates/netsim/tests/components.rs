@@ -1,5 +1,5 @@
 //! Component-level tests of host and switch event dispatch: agent
-//! lifecycle, service wake-ups, plugin verdicts and timers.
+//! lifecycle, service wake-ups, plugin transit hooks and timers.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +11,7 @@ use netsim::host::{AgentCtx, AgentFactory, FlowAgent, HostIo, HostService, WAKEU
 use netsim::node::Node;
 use netsim::packet::{Packet, PacketKind};
 use netsim::prelude::*;
-use netsim::switch::{SwitchIo, SwitchPlugin, Verdict};
+use netsim::switch::{SwitchIo, SwitchPlugin};
 
 /// A sender that transmits one data packet per `on_start`, records every
 /// ack/timer in shared counters, and completes on the first ack.
@@ -316,24 +316,21 @@ fn ctrl_loss_burst_kills_exactly_the_burst_window() {
     assert_eq!(s.ports()[port.index()].faults_injected, 1);
 }
 
-/// A plugin that consumes every probe and counts timer ticks.
-struct ProbeEater {
-    eaten: u64,
+/// A plugin that counts the probes it sees in transit and its timer ticks.
+struct ProbeCounter {
+    probes: u64,
     ticks: u64,
 }
 
-impl SwitchPlugin for ProbeEater {
+impl SwitchPlugin for ProbeCounter {
     fn process_transit(
         &mut self,
         pkt: &mut Packet,
         _out: netsim::ids::PortId,
         _io: &mut SwitchIo<'_, '_>,
-    ) -> Verdict {
+    ) {
         if pkt.kind == PacketKind::Probe {
-            self.eaten += 1;
-            Verdict::Consume
-        } else {
-            Verdict::Forward
+            self.probes += 1;
         }
     }
 
@@ -350,17 +347,19 @@ impl SwitchPlugin for ProbeEater {
 }
 
 #[test]
-fn plugin_can_consume_packets_and_run_timers() {
+fn plugin_sees_transit_packets_and_runs_timers() {
     let acks = Arc::new(AtomicU64::new(0));
     let wakeups = Arc::new(AtomicU64::new(0));
     let (mut sim, hosts, sw) = two_hosts(Arc::new(TestFactory { acks, wakeups }));
     if let Node::Switch(s) = sim.node_mut(sw) {
-        s.set_plugin(Box::new(ProbeEater { eaten: 0, ticks: 0 }));
+        s.set_plugin(Box::new(ProbeCounter {
+            probes: 0,
+            ticks: 0,
+        }));
     }
     // Kick the plugin timer chain.
     sim.scheduler_mut()
         .schedule_at(SimTime::from_micros(1), sw, EventKind::PluginTimer(9));
-    // A probe that should be eaten, and a data flow that should pass.
     sim.scheduler_mut().schedule_deliver(
         SimTime::ZERO,
         hosts[0],
@@ -383,9 +382,13 @@ fn plugin_can_consume_packets_and_run_timers() {
     let Node::Switch(s) = sim.node_mut(sw) else {
         panic!()
     };
-    let plugin = s.plugin_as::<ProbeEater>().unwrap();
-    assert_eq!(plugin.eaten, 1, "probe must be consumed");
+    let plugin = s.plugin_as::<ProbeCounter>().unwrap();
+    assert_eq!(plugin.probes, 1, "the probe must transit the plugin");
     assert_eq!(plugin.ticks, 3, "timer chain must run to completion");
-    // Data flow still completed despite the plugin.
+    // Both the data flow and the probe were forwarded past the plugin.
     assert!(sim.stats().flow(FlowId(0)).unwrap().completed.is_some());
+    let Node::Host(h1) = sim.node(hosts[1]) else {
+        panic!()
+    };
+    assert_eq!(h1.live_agents(), 2, "receivers for the flow and the probe");
 }

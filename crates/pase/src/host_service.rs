@@ -21,6 +21,7 @@ use netsim::fault::NodeFault;
 use netsim::host::{HostIo, HostService};
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
+use netsim::stats::Fate;
 use netsim::time::{Rate, SimTime};
 
 use crate::algorithm::{Decision, LinkArbitrator};
@@ -184,13 +185,13 @@ impl HostService for PaseHostService {
             let stale = self.downlink.contains(req.flow);
             if self
                 .front
-                .shed_request(req, stale, depth, io.sim.stats, now)
+                .shed_request(&pkt, stale, depth, io.sim.stats, now)
             {
                 self.reply(req, true, io);
                 return;
             }
         }
-        io.sim.stats.note_ctrl_processed(self.me);
+        io.sim.stats.note_fate(&pkt, Fate::Processed, self.me, now);
         match *msg {
             ArbMsg::Request(req) => self.on_receiver_request(req, io),
             ArbMsg::Response(resp) => {

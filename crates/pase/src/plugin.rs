@@ -19,6 +19,7 @@ use std::sync::Arc;
 use netsim::fault::NodeFault;
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
+use netsim::stats::Fate;
 use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::Rate;
 
@@ -263,13 +264,13 @@ impl SwitchPlugin for PaseSwitchPlugin {
                 (self.leg_arbitrators(req.leg).into_iter().flatten()).any(|a| a.contains(flow));
             if self
                 .front
-                .shed_request(req, stale, depth, io.sim.stats, now)
+                .shed_request(&pkt, stale, depth, io.sim.stats, now)
             {
                 self.reply(req, true, io);
                 return;
             }
         }
-        io.sim.stats.note_ctrl_processed(self.me);
+        io.sim.stats.note_fate(&pkt, Fate::Processed, self.me, now);
         match *msg {
             ArbMsg::Request(req) => self.handle_request(req, io),
             ArbMsg::FlowDone {

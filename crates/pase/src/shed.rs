@@ -21,14 +21,14 @@
 
 use netsim::fault::NodeFault;
 use netsim::host::MAINTENANCE_TIMER_BASE;
-use netsim::ids::{FlowId, NodeId};
+use netsim::ids::NodeId;
 use netsim::packet::Packet;
-use netsim::stats::StatsCollector;
+use netsim::stats::{Fate, StatsCollector};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::TraceEvent;
 
 use crate::config::PaseConfig;
-use crate::messages::{ArbMsg, ArbRequest};
+use crate::messages::ArbMsg;
 
 /// A weighted per-epoch control-inbox meter.
 #[derive(Debug, Clone, Copy)]
@@ -205,11 +205,11 @@ impl ArbFrontEnd {
         now: SimTime,
     ) -> Option<(Box<ArbMsg>, u64)> {
         if self.crashed {
-            stats.note_ctrl_lost_to_crash();
+            stats.note_fate(pkt, Fate::LostToCrash, self.me, now);
             return None;
         }
         let Some(msg) = pkt.take_proto::<ArbMsg>() else {
-            stats.note_ctrl_unattended();
+            stats.note_fate(pkt, Fate::Unattended, self.me, now);
             return None;
         };
         let depth = self.budget.charge(now);
@@ -220,23 +220,23 @@ impl ArbFrontEnd {
             // leases leak until expiry and senders hear nothing but their
             // watchdogs. This is the failure mode the priority-aware shed
             // policy exists to prevent.
-            self.note_shed(pkt.flow, false, stats, now);
+            self.note_shed(pkt, false, stats, now);
             return None;
         }
         Some((msg, depth))
     }
 
-    /// Overloaded: shed `req` instead of arbitrating? `stale` marks a
-    /// refresh of a flow the arbitrator already holds. On `true` the shed
-    /// is already counted and traced and the owner answers with
-    /// `req.response(true)`: the reply carries whatever the leg
-    /// accumulated so far plus the load-shed signal, so the sender still
-    /// gets an answer — just not a fresh decision — and backs off.
+    /// Overloaded: shed the request `pkt` carried instead of arbitrating?
+    /// `stale` marks a refresh of a flow the arbitrator already holds. On
+    /// `true` the shed is already counted and traced and the owner
+    /// answers with `req.response(true)`: the reply carries whatever the
+    /// leg accumulated so far plus the load-shed signal, so the sender
+    /// still gets an answer — just not a fresh decision — and backs off.
     /// Releases (`FlowDone`), responses and delegation traffic are never
     /// shed; do not consult this for them.
     pub fn shed_request(
         &self,
-        req: &ArbRequest,
+        pkt: &Packet,
         stale: bool,
         depth: u64,
         stats: &mut StatsCollector,
@@ -244,15 +244,16 @@ impl ArbFrontEnd {
     ) -> bool {
         let shed = self.budget.should_shed(depth, stale);
         if shed {
-            self.note_shed(req.flow, stale, stats, now);
+            self.note_shed(pkt, stale, stats, now);
         }
         shed
     }
 
-    fn note_shed(&self, flow: FlowId, stale: bool, stats: &mut StatsCollector, now: SimTime) {
-        stats.note_ctrl_shed(self.me);
+    fn note_shed(&self, pkt: &Packet, stale: bool, stats: &mut StatsCollector, now: SimTime) {
+        let node = self.me;
+        stats.note_fate(pkt, Fate::Shed, node, now);
         if stats.tracing() {
-            let node = self.me;
+            let flow = pkt.flow;
             stats.trace_event(now, &TraceEvent::Shed { node, flow, stale });
         }
     }

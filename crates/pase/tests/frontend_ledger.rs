@@ -11,6 +11,7 @@ use netsim::event::EventKind;
 use netsim::fault::FaultDirective;
 use netsim::packet::Packet;
 use netsim::prelude::*;
+use netsim::stats::{Fate, Plane};
 use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Leg, PaseConfig, PaseFactory};
 
 const BUDGET: u32 = 4;
@@ -65,13 +66,13 @@ enum Kind {
     Foreign,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    LostToCrash,
-    Unattended,
-    Shed,
-    Processed,
-}
+/// The arbitrator-side terms of the control law.
+const ARB_FATES: [Fate; 4] = [
+    Fate::LostToCrash,
+    Fate::Unattended,
+    Fate::Shed,
+    Fate::Processed,
+];
 
 const FLOW: FlowId = FlowId(7);
 
@@ -159,22 +160,12 @@ fn fate(
         fault(&mut n, FaultDirective::Crash);
     }
     until(&mut n, at(950));
-    let ledger = |n: &Net| {
-        let s = n.sim.stats();
-        let processed = s
-            .ctrl_processed_by_node()
-            .find(|(node, _)| *node == target)
-            .map_or(0, |(_, c)| c);
-        [
-            s.ctrl_lost_to_crash,
-            s.ctrl_unattended,
-            s.ctrl_shed_on(target),
-            processed,
-        ]
-    };
+    let ledger = |n: &Net| ARB_FATES.map(|f| n.sim.stats().charged(Plane::Ctrl, f));
     let before = ledger(&n);
     deliver(&mut n, at(1000), kind);
-    until(&mut n, at(1100));
+    // Only the arrival's own instant: whatever the target sends on is
+    // still on the wire, so no other node's books move.
+    until(&mut n, at(1000));
     let after = ledger(&n);
     let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
     assert_eq!(
@@ -182,13 +173,7 @@ fn fate(
         1,
         "exactly one ledger term moves: {moved:?}"
     );
-    let fates = [
-        Fate::LostToCrash,
-        Fate::Unattended,
-        Fate::Shed,
-        Fate::Processed,
-    ];
-    fates[moved.iter().position(|m| *m == 1).unwrap()]
+    ARB_FATES[moved.iter().position(|m| *m == 1).unwrap()]
 }
 
 /// What the front-end's contract says the fate is.

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use netsim::ids::{FlowId, IdHashBuilder, NodeId, PortId};
 use netsim::packet::Packet;
-use netsim::switch::{SwitchIo, SwitchPlugin, Verdict};
+use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::{Rate, SimDuration, SimTime};
 
 use crate::config::PdqConfig;
@@ -181,21 +181,16 @@ impl PdqSwitchPlugin {
 }
 
 impl SwitchPlugin for PdqSwitchPlugin {
-    fn process_transit(
-        &mut self,
-        pkt: &mut Packet,
-        out_port: PortId,
-        io: &mut SwitchIo<'_, '_>,
-    ) -> Verdict {
+    fn process_transit(&mut self, pkt: &mut Packet, out_port: PortId, io: &mut SwitchIo<'_, '_>) {
         // Only forward-direction packets carry live scheduling headers;
         // ACKs just echo them back to the sender untouched.
         if pkt.kind.is_reverse() {
-            return Verdict::Forward;
+            return;
         }
         let now = io.now();
         let switch_id = io.id;
         if pkt.proto_ref::<PdqHeader>().is_none() {
-            return Verdict::Forward;
+            return;
         }
         // The ingress ToR stands in as arbiter for the sender's access
         // uplink (hosts have no switch of their own).
@@ -206,7 +201,6 @@ impl SwitchPlugin for PdqSwitchPlugin {
         // The output link itself.
         let budget = io.port_rate(out_port).mul_f64(self.cfg.eta);
         self.arbitrate_link(LinkKey::Port(out_port), budget, pkt, switch_id, now);
-        Verdict::Forward
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -430,12 +430,4 @@ impl TxEngine {
         }
         sent
     }
-
-    /// The sender's *demand*: the rate it could use if unconstrained, given
-    /// how much data remains — `min(line_rate, remaining / rtt)`-style
-    /// computations are done by callers; the engine just reports remaining
-    /// payload.
-    pub fn demand_bytes(&self) -> u64 {
-        self.size.saturating_sub(self.cum_ack)
-    }
 }

@@ -70,7 +70,9 @@ echo "== figure registry smoke (run_all --quick --only $FIGS) =="
 # Production-scale smoke: build the k=8 fat-tree (128 hosts) under PASE,
 # audit the compact interval FIBs, run a 2k-flow incast slice twice with
 # invariants (packet conservation included) under the dual-run
-# byte-identical-trace discipline, and hold the process to a peak-RSS
+# byte-identical-trace discipline, hold its trace digest, delivered
+# packets and event count to constants pinned in the binary (the model
+# identity check at scale), and hold the process to a peak-RSS
 # budget and the scheduler to a peak pending-event bound. Catches scale
 # regressions (dense route tables, per-flow metric blowup, one queued
 # timer per packet) that the small-topology tests can't see. Then a
