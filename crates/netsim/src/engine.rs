@@ -17,12 +17,13 @@
 //! Events go in through [`Scheduler::schedule_at`] (or, for a place in
 //! the tie order taken earlier, [`Scheduler::reserve_seq`] +
 //! [`Scheduler::schedule_reserved`]) and come out through
-//! [`Scheduler::pop_until`], the run loop's single call per event: the
-//! next event, or why there is none ([`NoEvent`]: it lies past the time
-//! limit, or nothing is pending). [`Scheduler::pop`] and
-//! [`Scheduler::next_event_time`] are the same thing in two steps, for
-//! benchmarks and custom drivers. [`Scheduler::wheel_stats`] counts what
-//! the wheel did on the way ([`WheelStats`]).
+//! `Scheduler::pop_due`, the run loop's single call per event: the next
+//! event unless it lies past the time limit (with none returned,
+//! [`Scheduler::pending`] tells a time limit from a drained queue).
+//! [`Scheduler::pop`] and [`Scheduler::next_event_time`] are the public
+//! pair, for benchmarks and hand-written event loops.
+//! [`Scheduler::wheel_stats`] counts what the wheel did on the way
+//! ([`WheelStats`]).
 //!
 //! The scheduler also owns the [`PacketArena`] that recycles packet boxes
 //! across the injection → wire → delivery lifecycle, so steady-state
@@ -51,16 +52,6 @@ pub enum EngineKind {
     Heap,
     /// Hierarchical timing wheel: O(1) amortized schedule/pop.
     Wheel,
-}
-
-/// Why [`Scheduler::pop_until`] returned no event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoEvent {
-    /// The earliest pending event is later than the limit; it stays
-    /// queued and the clock has not moved.
-    PastLimit,
-    /// Nothing is pending.
-    Drained,
 }
 
 /// The wheel's internal traffic, counted always (plain increments) and
@@ -281,22 +272,31 @@ impl Scheduler {
     /// Panics if the queue yields an event timestamped before `now`
     /// (in every build profile; see [`Scheduler::schedule_at`]).
     pub fn pop(&mut self) -> Option<(NodeId, EventKind)> {
-        self.pop_until(SimTime::MAX).ok()
+        self.pop_due(SimTime::MAX).map(|e| (e.target, e.kind))
     }
 
-    /// Pop the next event unless it is later than `limit`: the run
-    /// loop's one call per event, time limit included.
+    /// Pop the next event unless it is later than `limit`, advancing the
+    /// clock to its timestamp: the run loop's one call per event. `None`
+    /// leaves the queue, the clock and the pop frontier as they were;
+    /// [`Scheduler::pending`] then says whether anything lies past the
+    /// limit.
+    ///
+    /// The event comes back whole, not as a `Result` or a tuple: the
+    /// caller reads it at the offsets it was written at (DESIGN §8, "the
+    /// event's own move").
     ///
     /// # Panics
     /// As [`Scheduler::pop`].
-    pub fn pop_until(&mut self, limit: SimTime) -> Result<(NodeId, EventKind), NoEvent> {
+    #[inline]
+    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<ScheduledEvent> {
         let ev = match &mut self.queue {
-            EventQueue::Heap(h) => match h.peek() {
-                None => return Err(NoEvent::Drained),
-                Some(e) if e.time > limit => return Err(NoEvent::PastLimit),
-                Some(_) => h.pop().expect("peeked event vanished"),
-            },
-            EventQueue::Wheel(w) => w.pop_until(limit)?,
+            EventQueue::Heap(h) => {
+                if h.peek()?.time > limit {
+                    return None;
+                }
+                h.pop()?
+            }
+            EventQueue::Wheel(w) => w.pop_due(limit)?,
         };
         assert!(
             ev.time >= self.now,
@@ -308,7 +308,7 @@ impl Scheduler {
         );
         self.now = ev.time;
         self.popped_seq = Some(ev.seq);
-        Ok((ev.target, ev.kind))
+        Some(ev)
     }
 
     /// Peek at the timestamp of the next event without firing it.
@@ -407,6 +407,14 @@ impl Scheduler {
     /// Sequence number of the event the last `pop` returned.
     pub(crate) fn popped_seq(&self) -> Option<u64> {
         self.popped_seq
+    }
+
+    /// Events waiting in the wheel's `late` heap (none on the heap engine).
+    fn late_len(&self) -> usize {
+        match &self.queue {
+            EventQueue::Heap(_) => 0,
+            EventQueue::Wheel(w) => w.late_len(),
+        }
     }
 }
 
@@ -733,6 +741,45 @@ mod tests {
                 .collect();
             assert_eq!(order, [0, 1, 2], "{engine:?}");
             assert_eq!(s.peak_pending(), 3);
+        }
+    }
+
+    /// The pop-limit contract, on both engines and on the wheel through
+    /// its `late` heap as well as its sorted run: a pop whose next event
+    /// lies past the limit returns nothing and leaves the clock, the
+    /// pending count and the pop frontier as they were; the limit is
+    /// inclusive, so a later pop at the event's own instant returns it.
+    #[test]
+    fn an_event_past_the_limit_stays_queued() {
+        let ns = SimTime::from_nanos;
+        for engine in [EngineKind::Heap, EngineKind::Wheel] {
+            let mut s = Scheduler::with_engine(engine);
+            let frozen = |s: &Scheduler| (s.now(), s.pending(), s.popped_seq);
+            // One 256 ns tick of 40 events, poured whole into the sorted
+            // run by the wheel's first pop.
+            for i in 0..40 {
+                s.schedule_at(ns(1024 + i), NodeId(0), timer(i));
+            }
+            assert!(s.pop_due(ns(1023)).is_none(), "{engine:?}");
+            assert_eq!(frozen(&s), (SimTime::ZERO, 40, None), "{engine:?}");
+            let first = s.pop_due(ns(1024)).expect("due at the limit");
+            assert_eq!(token_of(&first.kind), 0);
+            // Filed at the far end of the tick being served, more than
+            // `NEAR_INSERT` places from the run's back: the wheel's `late`
+            // heap, so every pop below goes through `pop_merged`.
+            s.schedule_at(ns(1024 + 39), NodeId(0), timer(40));
+            assert_eq!(s.late_len(), usize::from(engine == EngineKind::Wheel));
+            for token in 1..=40 {
+                let at = 1024 + token.min(39);
+                let before = frozen(&s);
+                assert!(s.pop_due(ns(at - 1)).is_none(), "{engine:?} {token}");
+                assert_eq!(frozen(&s), before, "{engine:?} {token}");
+                let e = s.pop_due(ns(at)).expect("due at the limit");
+                assert_eq!(token_of(&e.kind), token, "{engine:?}");
+                assert_eq!(s.now(), ns(at));
+            }
+            assert!(s.pop_due(SimTime::MAX).is_none());
+            assert_eq!(s.pending(), 0);
         }
     }
 

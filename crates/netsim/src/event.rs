@@ -8,12 +8,14 @@ use crate::time::SimTime;
 
 /// What happens when an event fires. Every event targets exactly one node.
 ///
-/// The two large payloads ([`Packet`], [`FlowSpec`]) are boxed so the
-/// enum — and with it every [`ScheduledEvent`] the heap sifts — stays
-/// pointer-sized-plus-discriminant instead of inheriting the ~140-byte
-/// packet inline. Packets already live on the heap for their whole
-/// wire-to-delivery lifetime, so the box is one allocation per packet,
-/// not one per hop.
+/// The three large payloads ([`Packet`], [`FlowSpec`], [`FaultDirective`])
+/// are boxed so the enum — and with it every [`ScheduledEvent`] the wheel
+/// files, sorts and pops — stays at 24 bytes, the 16-byte
+/// [`EventKind::AgentTimer`] plus the discriminant, instead of inheriting
+/// the 112-byte packet or the 32-byte degrade directive inline. Packets
+/// already live on the heap for their whole wire-to-delivery lifetime, so
+/// the box is one allocation per packet, not one per hop; a fault is
+/// boxed once per injected directive, which no hot path sees.
 #[derive(Debug)]
 pub enum EventKind {
     /// A packet finishes propagating across a link and arrives at the node.
@@ -34,7 +36,7 @@ pub enum EventKind {
     /// A new flow arrives at its source host.
     FlowStart(Box<FlowSpec>),
     /// An injected fault fires at the node (see [`crate::fault`]).
-    Fault(FaultDirective),
+    Fault(Box<FaultDirective>),
 }
 
 impl EventKind {
@@ -50,6 +52,12 @@ impl EventKind {
     /// [`EventKind::deliver`] for why this indirection exists).
     pub fn flow_start(spec: FlowSpec) -> EventKind {
         EventKind::FlowStart(Box::new(spec))
+    }
+
+    /// Build a [`EventKind::Fault`] from a directive by value (see
+    /// [`EventKind::deliver`] for why this indirection exists).
+    pub fn fault(directive: FaultDirective) -> EventKind {
+        EventKind::Fault(Box::new(directive))
     }
 
     /// The variant names, in [`EventKind::index`] order.
@@ -139,14 +147,20 @@ mod tests {
 
     #[test]
     fn scheduled_event_stays_small() {
-        // The event heap sifts events by move; boxing the packet and
-        // flow-spec payloads is what keeps this at (time, seq, target,
-        // kind) ≈ 48 bytes. A regression here silently taxes every
-        // schedule/pop on the hot path.
+        // Every push, pour sort and pop moves the whole event; boxing the
+        // packet, flow-spec and fault payloads is what keeps it at
+        // (time 8, seq 8, target 4, kind 24) = 48 bytes. A regression
+        // here silently taxes every schedule/pop on the hot path.
+        let kind = core::mem::size_of::<EventKind>();
         assert!(
-            core::mem::size_of::<ScheduledEvent>() <= 64,
-            "ScheduledEvent grew to {} bytes",
-            core::mem::size_of::<ScheduledEvent>()
+            kind <= 24,
+            "EventKind grew to {kind} bytes: box the new variant's payload, as \
+             Deliver(Box<Packet>), FlowStart(Box<FlowSpec>) and Fault(Box<FaultDirective>) do"
+        );
+        assert_eq!(
+            core::mem::size_of::<ScheduledEvent>(),
+            48,
+            "ScheduledEvent is no longer 48 bytes"
         );
     }
 

@@ -44,8 +44,10 @@ use crate::topology::{NodeKind, Topology};
 /// How a degraded (gray-failing) link misbehaves. All fields are
 /// per-packet odds or bounds; `seed` makes the misbehaviour reproducible.
 ///
-/// Kept small and `Copy` so a [`FaultDirective::PortDegrade`] carrying it
-/// fits the scheduler's 64-byte event budget.
+/// `Copy`, so directives are plain values. Carrying it makes
+/// [`FaultDirective`] 32 bytes, the largest event payload, which is why
+/// [`crate::event::EventKind::Fault`] boxes the directive: the scheduler's
+/// events stay at 48 bytes whatever a profile holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradeProfile {
     /// Seed for the per-direction degradation RNG. Each port salts it

@@ -330,7 +330,7 @@ impl Host {
             EventKind::PluginTimer(token) => {
                 self.run_service(ctx, |svc, io| svc.on_timer(token, io));
             }
-            EventKind::Fault(directive) => self.apply_fault(directive, ctx),
+            EventKind::Fault(directive) => self.apply_fault(*directive, ctx),
         }
     }
 

@@ -1,8 +1,8 @@
 //! The simulation façade: owns the network, the scheduler and the stats,
 //! and drives the event loop.
 
-use crate::engine::{Ctx, EngineKind, NoEvent, Scheduler};
-use crate::event::EventKind;
+use crate::engine::{Ctx, EngineKind, Scheduler};
+use crate::event::{EventKind, ScheduledEvent};
 use crate::fault::FaultPlan;
 use crate::flow::FlowSpec;
 use crate::ids::NodeId;
@@ -169,7 +169,7 @@ impl Simulation {
         for &(at, event) in plan.events() {
             for (node, directive) in event.resolve(&self.topo) {
                 self.sched
-                    .schedule_at(at, node, EventKind::Fault(directive));
+                    .schedule_at(at, node, EventKind::fault(directive));
             }
         }
     }
@@ -224,10 +224,13 @@ impl Simulation {
                     return RunOutcome::EventLimit;
                 }
             }
-            let (target, kind) = match self.sched.pop_until(max_time) {
-                Ok(event) => event,
-                Err(NoEvent::PastLimit) => return RunOutcome::TimeLimit,
-                Err(NoEvent::Drained) => return RunOutcome::Drained,
+            let Some(ScheduledEvent { target, kind, .. }) = self.sched.pop_due(max_time) else {
+                // Whatever is still pending lies past the limit.
+                return if self.sched.pending() == 0 {
+                    RunOutcome::Drained
+                } else {
+                    RunOutcome::TimeLimit
+                };
             };
             self.stats.events_executed += 1;
             self.stats.events_by_kind[kind.index()] += 1;

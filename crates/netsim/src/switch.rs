@@ -416,7 +416,7 @@ impl Switch {
             EventKind::PluginTimer(token) => {
                 self.with_plugin(ctx, |plugin, io| plugin.on_timer(token, io));
             }
-            EventKind::Fault(directive) => self.apply_fault(directive, ctx),
+            EventKind::Fault(directive) => self.apply_fault(*directive, ctx),
             EventKind::FlowStart(_) | EventKind::AgentTimer { .. } => {
                 debug_assert!(false, "host event delivered to switch {}", self.id);
             }
@@ -593,7 +593,7 @@ mod tests {
                 stats: &mut stats,
             };
             sw.handle(
-                EventKind::Fault(FaultDirective::PortDown(PortId(0))),
+                EventKind::fault(FaultDirective::PortDown(PortId(0))),
                 &mut ctx,
             );
         }
@@ -610,7 +610,7 @@ mod tests {
                 stats: &mut stats,
             };
             sw.handle(
-                EventKind::Fault(FaultDirective::PortUp(PortId(0))),
+                EventKind::fault(FaultDirective::PortUp(PortId(0))),
                 &mut ctx,
             );
         }
@@ -632,11 +632,11 @@ mod tests {
             stats: &mut stats,
         };
         sw.handle(
-            EventKind::Fault(FaultDirective::PortDown(PortId(0))),
+            EventKind::fault(FaultDirective::PortDown(PortId(0))),
             &mut ctx,
         );
         sw.handle(
-            EventKind::Fault(FaultDirective::PortDown(PortId(1))),
+            EventKind::fault(FaultDirective::PortDown(PortId(1))),
             &mut ctx,
         );
         assert_eq!(sw.route(NodeId(5), FlowId(7)), None);
@@ -792,7 +792,7 @@ mod tests {
                 sched: &mut sched,
                 stats: &mut stats,
             };
-            sw.handle(EventKind::Fault(fault), &mut ctx);
+            sw.handle(EventKind::fault(fault), &mut ctx);
             // Let the port's health follow its new state: ten lossy
             // packets sink it, ~1,100 clean ones earn it back.
             let degraded = sw.ports[port.index()].is_degraded();

@@ -293,9 +293,16 @@ impl Rate {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        // bits × 10^9 / bps. It fits 64 bits up to ~2.3 GB — every packet
+        // and nearly every flow — and then one hardware divide replaces a
+        // 128-bit library call; the result is the same integer either way.
+        match bytes.checked_mul(8_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns.div_ceil(self.0)),
+            None => {
+                let ns = (bytes as u128 * 8_000_000_000).div_ceil(self.0 as u128);
+                SimDuration(ns.min(u64::MAX as u128) as u64)
+            }
+        }
     }
 
     /// The number of whole bytes this rate delivers in `d`.
@@ -413,6 +420,54 @@ mod tests {
         // 1 byte at 3 bps: 8/3 s = 2.666..s -> rounds up.
         let r = Rate::from_bps(3);
         assert_eq!(r.tx_time(1).as_nanos(), 2_666_666_667);
+    }
+
+    /// `tx_time` as it was before its 64-bit path: the whole formula in
+    /// 128 bits, the reference that path must equal.
+    fn tx_time_u128(rate: Rate, bytes: u64) -> SimDuration {
+        if rate.is_zero() {
+            return SimDuration::MAX;
+        }
+        let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate.as_bps() as u128);
+        SimDuration(ns.min(u64::MAX as u128) as u64)
+    }
+
+    #[test]
+    fn tx_time_equals_the_128_bit_formula() {
+        // The last byte count whose bit-nanoseconds fit 64 bits.
+        let edge = u64::MAX / 8_000_000_000;
+        assert!(edge.checked_mul(8_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(8_000_000_000).is_none());
+        let link_rates = [Rate::from_gbps(1), Rate::from_gbps(10), Rate::from_gbps(40)];
+        let mut rng = crate::rng::Rng::seed_from_u64(0x7a_71e);
+        let mut cases: Vec<(u64, Rate)> = Vec::new();
+        for bytes in [0, 1, 1500, edge - 1, edge, edge + 1, u64::MAX] {
+            for bps in [0, 1, 3, 1_000_000_000, u64::MAX - 1, u64::MAX] {
+                cases.push((bytes, Rate::from_bps(bps)));
+            }
+        }
+        for _ in 0..200_000 {
+            let bytes = match rng.gen_below(3) {
+                0 => rng.gen_range_inclusive(40, 1600), // one packet
+                1 => rng.gen_below(1 << 33),            // one flow, up to 8 GB
+                _ => rng.next_u64() >> rng.gen_below(64),
+            };
+            let rate = match rng.gen_below(2) {
+                0 => link_rates[rng.gen_index(link_rates.len())],
+                _ => Rate::from_bps(rng.next_u64() >> rng.gen_below(64)),
+            };
+            cases.push((bytes, rate));
+        }
+        for (bytes, rate) in cases {
+            assert_eq!(
+                rate.tx_time(bytes),
+                tx_time_u128(rate, bytes),
+                "{bytes} B at {} bps",
+                rate.as_bps()
+            );
+        }
+        assert_eq!(Rate::ZERO.tx_time(edge + 1), SimDuration::MAX);
+        assert_eq!(Rate::from_bps(1).tx_time(u64::MAX), SimDuration::MAX);
     }
 
     #[test]

@@ -101,7 +101,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::engine::{NoEvent, WheelStats};
+use crate::engine::WheelStats;
 use crate::event::ScheduledEvent;
 use crate::time::SimTime;
 
@@ -211,6 +211,10 @@ impl TimingWheel {
         }
     }
 
+    /// Inlined so a push writes the event once, straight into the slot's
+    /// buffer, instead of spilling it to the stack for an out-of-line call
+    /// to reload (DESIGN §8, "the event's own move").
+    #[inline(always)]
     fn file(&mut self, level: u32, d: usize, ev: ScheduledEvent) {
         self.slots[level as usize * SLOTS + d].push(ev);
         self.occupancy[level as usize] += 1;
@@ -277,49 +281,50 @@ impl TimingWheel {
     }
 
     /// Pop the earliest event (by `(time, seq)`) unless it is later than
-    /// `limit`, in which case it stays queued.
-    pub(crate) fn pop_until(&mut self, limit: SimTime) -> Result<ScheduledEvent, NoEvent> {
+    /// `limit`, in which case it stays queued. `None` either way when
+    /// nothing is due; [`TimingWheel::len`] tells the two apart.
+    #[inline]
+    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<ScheduledEvent> {
         loop {
             if !self.late.is_empty() {
                 return self.pop_merged(limit);
             }
             if let Some(next) = self.ready.last() {
                 if next.time > limit {
-                    return Err(NoEvent::PastLimit);
+                    return None;
                 }
                 self.len -= 1;
-                return Ok(self.ready.pop().expect("the back that was peeked vanished"));
+                return self.ready.pop();
             }
             if !self.refill() {
-                return Err(NoEvent::Drained);
+                return None;
             }
         }
     }
 
-    /// [`TimingWheel::pop_until`] while `late` holds events: the earlier
+    /// [`TimingWheel::pop_due`] while `late` holds events: the earlier
     /// of its head and `ready`'s back.
     #[cold]
-    fn pop_merged(&mut self, limit: SimTime) -> Result<ScheduledEvent, NoEvent> {
+    fn pop_merged(&mut self, limit: SimTime) -> Option<ScheduledEvent> {
         let head = self.late.peek().expect("called with late events");
         let (next, from_ready) = match self.ready.last() {
             Some(back) if back.key() < head.key() => (back, true),
             _ => (head, false),
         };
         if next.time > limit {
-            return Err(NoEvent::PastLimit);
+            return None;
         }
         self.len -= 1;
-        let ev = if from_ready {
+        if from_ready {
             self.ready.pop()
         } else {
             self.late.pop()
-        };
-        Ok(ev.expect("the head that was peeked vanished"))
+        }
     }
 
     /// Timestamp of the earliest event without removing it. `&mut`
     /// because it may advance the horizon to pour the next slot into
-    /// `ready`; amortized O(1) like [`TimingWheel::pop_until`].
+    /// `ready`; amortized O(1) like [`TimingWheel::pop_due`].
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         if self.ready.is_empty() && self.late.is_empty() && !self.refill() {
             return None;
@@ -452,7 +457,11 @@ impl TimingWheel {
 #[cfg(test)]
 impl TimingWheel {
     fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.pop_until(SimTime::MAX).ok()
+        self.pop_due(SimTime::MAX)
+    }
+
+    pub(crate) fn late_len(&self) -> usize {
+        self.late.len()
     }
 
     /// Structural audit of the bookkeeping the fast paths trust and of

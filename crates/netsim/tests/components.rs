@@ -103,6 +103,40 @@ fn two_hosts(factory: Arc<dyn AgentFactory>) -> (Simulation, Vec<NodeId>, NodeId
     )
 }
 
+/// `run` stops at `max_time` with `TimeLimit` while later events are
+/// queued, firing an event exactly at the limit and leaving the clock at
+/// the last event it fired; with nothing left it reports `Drained`.
+#[test]
+fn run_tells_a_time_limit_from_a_drained_queue() {
+    let (mut sim, hosts, _) = two_hosts(Arc::new(TestFactory {
+        acks: Arc::default(),
+        wakeups: Arc::default(),
+    }));
+    // Timers of a flow the host never started: handled as stale.
+    for (us, token) in [(10, 0), (20, 1)] {
+        let kind = EventKind::AgentTimer {
+            flow: FlowId(9),
+            token,
+        };
+        let at = SimTime::from_micros(us);
+        sim.scheduler_mut().schedule_at(at, hosts[0], kind);
+    }
+    let until = |us| RunLimit {
+        max_time: Some(SimTime::from_micros(us)),
+        ..RunLimit::default()
+    };
+    assert_eq!(sim.run(until(10)), RunOutcome::TimeLimit);
+    assert_eq!(sim.stats().events_executed, 1);
+    assert_eq!(sim.scheduler().pending(), 1);
+    assert_eq!(sim.run(until(19)), RunOutcome::TimeLimit);
+    assert_eq!(sim.now(), SimTime::from_micros(10), "the clock moved");
+    assert_eq!(sim.scheduler().pending(), 1);
+    assert_eq!(sim.run(until(20)), RunOutcome::Drained);
+    assert_eq!(sim.now(), SimTime::from_micros(20));
+    assert_eq!(sim.stats().events_executed, 2);
+    assert_eq!(sim.run(RunLimit::default()), RunOutcome::Drained);
+}
+
 #[test]
 fn sender_completes_and_is_garbage_collected_stale_timer_ignored() {
     let acks = Arc::new(AtomicU64::new(0));

@@ -151,7 +151,7 @@ fn fate(
     let fault = |n: &mut Net, d: FaultDirective| {
         n.sim
             .scheduler_mut()
-            .schedule_at(at(900), target, EventKind::Fault(d));
+            .schedule_at(at(900), target, EventKind::fault(d));
     };
     if depth > 1 {
         fault(&mut n, FaultDirective::CtrlStormStart { amplify: depth });
