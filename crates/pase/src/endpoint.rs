@@ -37,8 +37,8 @@ use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine};
 use crate::algorithm::Decision;
 use crate::config::{PaseConfig, DCTCP_G, MAX_RTO, MIN_RTO_LOW, MIN_RTO_TOP};
 use crate::health::{ChannelHealth, Transition};
-use crate::host_service::{ArbPlan, PaseHostService};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
+use crate::process::{ArbPlan, ArbProcess};
 
 /// Token bases for the sender's own timers; [`TxEngine`] epochs stay far
 /// below these.
@@ -217,7 +217,12 @@ impl PaseSender {
             acc_queue: 0,
             acc_rate: demand,
         };
-        let Some(svc) = ctx.service::<PaseHostService>() else {
+        // The process and the stats it charges are borrowed side by side.
+        let svc = ctx
+            .service
+            .as_deref_mut()
+            .and_then(|s| s.as_any_mut().downcast_mut::<ArbProcess>());
+        let Some(svc) = svc else {
             // No control plane installed: degrade to a single queue.
             return;
         };
@@ -228,23 +233,12 @@ impl PaseSender {
             return;
         }
         self.plan = svc.plan(self.spec.dst);
-        self.local = svc.local_update(&req, now);
-
-        // Sender-leg request, continuing from the local decision (pruned
-        // if that is already out of the top queues).
-        if let Some(tor) = self.plan.sender_leg_to {
-            if self.cfg.early_pruning && self.local.queue >= self.cfg.prune_depth {
-                ctx.sim.stats.note_arb_pruned(self.spec.src);
-            } else {
-                ctx.sim.stats.note_arb_climbed(self.spec.src);
-                let sender_leg = ArbRequest {
-                    leg: Leg::Sender,
-                    acc_queue: self.local.queue,
-                    acc_rate: self.local.rate,
-                    ..req
-                };
-                self.send_ctrl(ctx, tor, ArbMsg::Request(sender_leg));
-            }
+        // The sender leg: the local uplink decides at once, and the request
+        // climbs on from that decision unless it ends here or is pruned.
+        let (local, sender_leg) = svc.sender_leg(&req, now, ctx.sim.stats);
+        self.local = local;
+        if let Some((to, sender_leg)) = sender_leg {
+            self.send_ctrl(ctx, to, ArbMsg::Request(sender_leg));
         }
         if let Some(dst) = self.plan.receiver_leg_to {
             self.send_ctrl(ctx, dst, ArbMsg::Request(req));
@@ -266,7 +260,7 @@ impl PaseSender {
             self.engine.rtt.set_min_rto(MIN_RTO_LOW);
             return;
         }
-        let legs = match ctx.service::<PaseHostService>() {
+        let legs = match ctx.service::<ArbProcess>() {
             Some(svc) => svc.leg_results(self.spec.id),
             None => Default::default(),
         };
@@ -446,7 +440,7 @@ impl PaseSender {
             return;
         }
         let flow = self.spec.id;
-        if let Some(svc) = ctx.service::<PaseHostService>() {
+        if let Some(svc) = ctx.service::<ArbProcess>() {
             svc.local_remove(flow);
         }
         let (src, dst) = (self.spec.src, self.spec.dst);
@@ -576,7 +570,7 @@ impl FlowAgent for PaseSender {
             // An arbitration response arrived; consume its piggybacked
             // load-shed signal.
             let shed = ctx
-                .service::<PaseHostService>()
+                .service::<ArbProcess>()
                 .map(|svc| svc.take_shed(self.spec.id))
                 .unwrap_or(false);
             let verdict = self.health.on_response(ctx.now(), shed);

@@ -6,7 +6,7 @@
 //!
 //! | Strategy | Role in PASE | Module |
 //! |---|---|---|
-//! | Arbitration | coarse-grained inter-flow prioritization: per-link arbitrators assign each flow a priority queue and a reference rate (Algorithm 1); one arbitrator front-end ([`shed`]) whether the process sits on a host or a switch | [`algorithm`], [`host_service`], [`plugin`], [`shed`] |
+//! | Arbitration | coarse-grained inter-flow prioritization: per-link arbitrators assign each flow a priority queue and a reference rate (Algorithm 1); one arbitrator process ([`process`]) and front-end ([`shed`]) whether it sits on a host or a switch, climbing the tree by one rule ([`TreeInfo::next_arbitrator`]) | [`algorithm`], [`process`], [`shed`], [`tree`] |
 //! | In-network prioritization | per-packet, sub-RTT scheduling using the few strict-priority queues commodity switches already have | [`netsim::queue::StrictPrioQdisc`] |
 //! | Self-adjusting endpoints | discover spare capacity / back off via DCTCP control laws ([`transport::DctcpWindow`]), bootstrapped by the reference rate (Algorithm 2); fall back to them alone when [`health`] says arbitration is unreachable | [`endpoint`], [`health`] |
 //!
@@ -34,9 +34,8 @@ pub mod algorithm;
 pub mod config;
 pub mod endpoint;
 pub mod health;
-pub mod host_service;
 pub mod messages;
-pub mod plugin;
+pub mod process;
 pub mod shed;
 pub mod tree;
 mod wiring;
@@ -45,9 +44,8 @@ pub use algorithm::{Decision, FlowEntry, LinkArbitrator};
 pub use config::{Criterion, PaseConfig};
 pub use endpoint::PaseSender;
 pub use health::{ChannelHealth, Transition};
-pub use host_service::{ArbPlan, LegResults, PaseHostService};
 pub use messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
-pub use plugin::PaseSwitchPlugin;
+pub use process::{ArbPlan, ArbProcess, LegResults};
 pub use shed::{ArbFrontEnd, FaultEffect, InboxBudget};
 pub use tree::{Level, TreeInfo};
 pub use wiring::install;
@@ -55,7 +53,7 @@ pub use wiring::install;
 use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentFactory, FlowAgent};
 use netsim::queue::StrictPrioQdisc;
-use transport::{ReceiverConfig, SimpleReceiver};
+use transport::SimpleReceiver;
 
 /// Builds PASE senders and receivers.
 #[derive(Debug, Clone, Default)]
@@ -76,16 +74,7 @@ impl AgentFactory for PaseFactory {
     }
 
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        // ACKs ride the top priority band (they are tiny and pace the
-        // forward path; queueing them behind bulk data would distort
-        // scheduling).
-        Box::new(SimpleReceiver::new(
-            hint,
-            ReceiverConfig {
-                ack_prio: 0,
-                ack_rank: 0,
-            },
-        ))
+        Box::new(SimpleReceiver::new(hint))
     }
 }
 

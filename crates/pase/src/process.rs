@@ -1,0 +1,550 @@
+//! The PASE arbitrator process: one per host and per ToR / aggregation
+//! switch, running Algorithm 1 on the links it owns (paper §3.1:
+//! arbitration "can be implemented at the end-hosts themselves, e.g., for
+//! their own links to the switch", and in the switches for the rest).
+//!
+//! Every process arbitrates one link in both directions — a host its
+//! access link, a switch its link to its parent — for sender legs on the
+//! way up and receiver legs on the way down. A ToR with **delegation**
+//! also owns a virtual slice of the `agg → core` and `core → agg` links
+//! above it, so a flow that crosses the core gets its whole leg decided one
+//! hop from its endpoint (§3.1.2); an aggregation switch rebalances those
+//! slices among its ToRs.
+//!
+//! A leg starts at its end host — the source's sender leg synchronously,
+//! inside the sender agent, so intra-rack flows pay no arbitration latency;
+//! the receiver leg as a request to the destination — and climbs through
+//! the arbitrators [`TreeInfo::next_arbitrator`] names, each folding its
+//! decision into the request, until the leg ends or **early pruning**
+//! stops it; the last arbitrator answers the source. Requests, the sender
+//! leg and `FlowDone` releases all take one route (`ArbProcess::route`).
+//! What differs by node kind stays in one place each: hosts cache the leg
+//! responses their local senders read ([`LegResults`]); switches run the
+//! delegation report loop and its grants.
+
+use std::any::Any;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use netsim::fault::NodeFault;
+use netsim::host::{HostIo, HostService};
+use netsim::ids::{FlowId, NodeId};
+use netsim::packet::Packet;
+use netsim::stats::{Fate, StatsCollector};
+use netsim::switch::{SwitchIo, SwitchPlugin};
+use netsim::time::{Rate, SimDuration, SimTime};
+
+use crate::algorithm::{Decision, LinkArbitrator};
+use crate::config::{PaseConfig, DELEG_MIN_SHARE, DELEG_PERIOD};
+use crate::messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
+use crate::shed::{ArbFrontEnd, FaultEffect};
+use crate::tree::TreeInfo;
+
+/// Base timer token for the periodic delegation report (ToR side). The
+/// live token is `DELEG_TIMER_TOKEN + epoch`, where the epoch bumps on
+/// every arbitrator restart so stale pre-crash timers die silently.
+pub(crate) const DELEG_TIMER_TOKEN: u64 = 1;
+
+/// Flow id on delegation traffic, which concerns no flow.
+const NO_FLOW: FlowId = FlowId(u64::MAX);
+
+/// Cached per-flow results from the two legs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LegResults {
+    /// Latest sender-leg (network) response.
+    pub sender: Option<Decision>,
+    /// Latest receiver-leg response.
+    pub receiver: Option<Decision>,
+    /// A leg response arrived carrying the load-shed signal since the
+    /// sender last consumed it (see [`ArbProcess::take_shed`]).
+    pub shed: bool,
+}
+
+/// Where a source must send its arbitration traffic for one flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArbPlan {
+    /// Where the sender leg climbs after the source (`None`: intra-rack or
+    /// local-only arbitration).
+    pub sender_leg_to: Option<NodeId>,
+    /// Destination host to contact for the receiver leg (`None`:
+    /// local-only arbitration).
+    pub receiver_leg_to: Option<NodeId>,
+}
+
+/// What the process needs from the node it runs on.
+trait NodeIo {
+    fn now(&self) -> SimTime;
+    fn send(&mut self, pkt: Packet);
+    fn set_timer(&mut self, delay: SimDuration, token: u64);
+    fn stats(&mut self) -> &mut StatsCollector;
+    /// Wake a local sender to read its flow's new leg response.
+    fn wake_flow(&mut self, flow: FlowId);
+}
+
+impl NodeIo for HostIo<'_, '_, '_> {
+    fn now(&self) -> SimTime {
+        HostIo::now(self)
+    }
+    fn send(&mut self, pkt: Packet) {
+        HostIo::send(self, pkt)
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        HostIo::set_timer(self, delay, token)
+    }
+    fn stats(&mut self) -> &mut StatsCollector {
+        self.sim.stats
+    }
+    fn wake_flow(&mut self, flow: FlowId) {
+        HostIo::wake_flow(self, flow)
+    }
+}
+
+impl NodeIo for SwitchIo<'_, '_> {
+    fn now(&self) -> SimTime {
+        SwitchIo::now(self)
+    }
+    fn send(&mut self, pkt: Packet) {
+        SwitchIo::send(self, pkt)
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        SwitchIo::set_timer(self, delay, token)
+    }
+    fn stats(&mut self) -> &mut StatsCollector {
+        self.sim.stats
+    }
+    fn wake_flow(&mut self, _: FlowId) {
+        // Responses are addressed to hosts, never to switches.
+        debug_assert!(false, "arbitration response delivered to a switch");
+    }
+}
+
+/// A PASE arbitrator process (see the module docs). Installed by
+/// [`crate::install`] as the service of every host and the plugin of
+/// every ToR and aggregation switch.
+pub struct ArbProcess {
+    cfg: PaseConfig,
+    me: NodeId,
+    tree: Arc<TreeInfo>,
+    /// Crash state, lease-GC epoch and the metered inbox shared by every
+    /// arbitrator the process owns.
+    front: ArbFrontEnd,
+    /// Arbitrates my link upward (`host → ToR`, `switch → parent`) for
+    /// sender legs.
+    up: Option<LinkArbitrator>,
+    /// Arbitrates the same link downward for receiver legs.
+    down: Option<LinkArbitrator>,
+    /// ToR with delegation: virtual slice of `agg → core`.
+    deleg_up: Option<LinkArbitrator>,
+    /// ToR with delegation: virtual slice of `core → agg`.
+    deleg_down: Option<LinkArbitrator>,
+    /// Host: the latest leg responses of its own flows.
+    legs: HashMap<FlowId, LegResults>,
+    /// ToR with delegation: the agg it reports its slices' demand to.
+    deleg_parent: Option<NodeId>,
+    /// Generation counter for the delegation report loop. A restart
+    /// starts a fresh chain under a new epoch so a timer still pending
+    /// from before the crash cannot double the reporting rate.
+    deleg_epoch: u64,
+    /// Agg with delegation: its children's last reported demands.
+    child_demands: HashMap<NodeId, (Rate, Rate)>,
+}
+
+impl ArbProcess {
+    /// The process on node `me`, arbitrating `link` in both directions: a
+    /// host's access link, or a switch's link to its parent (`None` for a
+    /// switch without one).
+    pub fn new(cfg: PaseConfig, me: NodeId, link: Option<Rate>, tree: Arc<TreeInfo>) -> Self {
+        let deleg_parent = (cfg.delegation && tree.is_tor(me))
+            .then(|| tree.parent(me))
+            .flatten();
+        // A ToR under an agg that itself has a core uplink gets delegated
+        // slices of the agg–core links: an equal share per child to start.
+        let slice = deleg_parent.and_then(|agg| {
+            let share = 1.0 / tree.children(agg).len().max(1) as f64;
+            tree.uplink_rate(agg).map(|rate| rate.mul_f64(share))
+        });
+        let arbitrate = |rate: Option<Rate>| rate.map(|r| LinkArbitrator::new(r, &cfg));
+        ArbProcess {
+            cfg,
+            me,
+            tree,
+            front: ArbFrontEnd::new(&cfg, me),
+            up: arbitrate(link),
+            down: arbitrate(link),
+            deleg_up: arbitrate(slice),
+            deleg_down: arbitrate(slice),
+            legs: HashMap::new(),
+            deleg_parent,
+            deleg_epoch: 0,
+            child_demands: HashMap::new(),
+        }
+    }
+
+    /// Whether an injected crash currently has the process down (tests).
+    pub fn is_crashed(&self) -> bool {
+        self.front.is_crashed()
+    }
+
+    /// Whether this process runs the delegation report loop (a ToR with
+    /// delegation on and a parent to report to).
+    pub(crate) fn reports_delegation(&self) -> bool {
+        self.deleg_parent.is_some()
+    }
+
+    /// The arbitrators this process runs on `leg`: its own link's, then
+    /// the delegated slice's (tests, inspection).
+    pub fn leg_arbitrators(&self, leg: Leg) -> [Option<&LinkArbitrator>; 2] {
+        match leg {
+            Leg::Sender => [self.up.as_ref(), self.deleg_up.as_ref()],
+            Leg::Receiver => [self.down.as_ref(), self.deleg_down.as_ref()],
+        }
+    }
+
+    /// Every arbitrator this process owns.
+    fn arbitrators_mut(&mut self) -> impl Iterator<Item = &mut LinkArbitrator> {
+        [
+            self.up.as_mut(),
+            self.down.as_mut(),
+            self.deleg_up.as_mut(),
+            self.deleg_down.as_mut(),
+        ]
+        .into_iter()
+        .flatten()
+    }
+
+    /// The control-plane plan for a flow sourced at this host.
+    pub fn plan(&self, dst: NodeId) -> ArbPlan {
+        ArbPlan {
+            sender_leg_to: self.next_hop(self.me, dst),
+            receiver_leg_to: self.cfg.end_to_end.then_some(dst),
+        }
+    }
+
+    /// The source's sender leg, run synchronously for a local sender agent
+    /// issuing `req` (the flow's receiver-leg request). Arbitrates this
+    /// host's uplink — inserting or refreshing the flow's entry — and
+    /// returns that decision and, when the leg climbs on, the sender-leg
+    /// request and the arbitrator it goes to.
+    pub fn sender_leg(
+        &mut self,
+        req: &ArbRequest,
+        now: SimTime,
+        stats: &mut StatsCollector,
+    ) -> (Decision, Option<(NodeId, ArbRequest)>) {
+        self.legs.entry(req.flow).or_default();
+        // Nothing accumulated yet: the leg starts at this host's uplink.
+        let mut leg = ArbRequest {
+            leg: Leg::Sender,
+            acc_queue: 0,
+            acc_rate: Rate::from_bps(u64::MAX),
+            ..*req
+        };
+        let next = self.arbitrate(&mut leg, now, stats);
+        let local = Decision {
+            queue: leg.acc_queue,
+            rate: leg.acc_rate,
+        };
+        (local, next.map(|to| (to, leg)))
+    }
+
+    /// Remove a finished local flow: its uplink entry and cached legs.
+    pub fn local_remove(&mut self, flow: FlowId) {
+        if let Some(up) = self.up.as_mut() {
+            up.remove(flow);
+        }
+        self.legs.remove(&flow);
+    }
+
+    /// Latest leg responses for a flow.
+    pub fn leg_results(&self, flow: FlowId) -> LegResults {
+        self.legs.get(&flow).copied().unwrap_or_default()
+    }
+
+    /// Read and clear the load-shed signal for `flow`. The local sender
+    /// consumes it once per wake-up to drive its refresh backoff.
+    pub fn take_shed(&mut self, flow: FlowId) -> bool {
+        match self.legs.get_mut(&flow) {
+            Some(slot) => core::mem::take(&mut slot.shed),
+            None => false,
+        }
+    }
+
+    /// Where a leg of `src → dst` climbs after this process by the tree's
+    /// rule; `None` when it ends here, and always under local-only
+    /// arbitration.
+    fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        if !self.cfg.end_to_end {
+            return None;
+        }
+        self.tree.next_arbitrator(self.me, src, dst)
+    }
+
+    /// The one route every leg takes through a process: the arbitrators a
+    /// leg of `src → dst` crosses here — my own link's, then the delegated
+    /// slice's — and the arbitrator it visits next (`None`: it ends here).
+    /// A delegated slice decides the hop above on this ToR instead of the
+    /// parent, so the leg ends (paper §3.1.2).
+    fn route(
+        &mut self,
+        leg: Leg,
+        src: NodeId,
+        dst: NodeId,
+    ) -> ([Option<&mut LinkArbitrator>; 2], Option<NodeId>) {
+        let next = self.next_hop(src, dst);
+        let (own, slice) = match leg {
+            Leg::Sender => (self.up.as_mut(), self.deleg_up.as_mut()),
+            Leg::Receiver => (self.down.as_mut(), self.deleg_down.as_mut()),
+        };
+        match (next, slice) {
+            (Some(_), Some(slice)) => ([own, Some(slice)], None),
+            (next, _) => ([own, None], next),
+        }
+    }
+
+    /// Decide `req` on every arbitrator its leg crosses here, folding each
+    /// decision into it, and return where the leg goes next: `None` when
+    /// it ends here or early pruning stops it — the flow already falls
+    /// outside the top `prune_depth` queues, so the arbitrators above
+    /// cannot promote it (paper §3.1.2).
+    fn arbitrate(
+        &mut self,
+        req: &mut ArbRequest,
+        now: SimTime,
+        stats: &mut StatsCollector,
+    ) -> Option<NodeId> {
+        let expiry = self.cfg.arb_expiry;
+        let (arbs, next) = self.route(req.leg, req.src, req.dst);
+        for arb in arbs.into_iter().flatten() {
+            arb.gc(now, expiry);
+            let d = arb.update_and_decide(req.flow, req.entry(now));
+            req.accumulate(d.queue, d.rate);
+        }
+        let next = next?;
+        if self.cfg.early_pruning && req.acc_queue >= self.cfg.prune_depth {
+            stats.note_arb_pruned(self.me);
+            return None;
+        }
+        stats.note_arb_climbed(self.me);
+        Some(next)
+    }
+
+    fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut impl NodeIo) {
+        io.send(
+            req.response(shedding)
+                .packet(req.flow, self.me, req.reply_to),
+        );
+    }
+
+    fn handle_ctrl(&mut self, mut pkt: Packet, io: &mut impl NodeIo) {
+        let now = io.now();
+        let Some((msg, depth)) = self.front.admit(&mut pkt, io.stats(), now) else {
+            return;
+        };
+        if let ArbMsg::Request(req) = &*msg {
+            // A request is a *stale refresh* — the first thing an
+            // overloaded arbitrator sheds — when an arbitrator on its leg
+            // already holds a live entry for the flow.
+            let mut arbs = self.leg_arbitrators(req.leg).into_iter().flatten();
+            let stale = arbs.any(|a| a.contains(req.flow));
+            if self.front.shed_request(&pkt, stale, depth, io.stats(), now) {
+                self.reply(req, true, io);
+                return;
+            }
+        }
+        io.stats().note_fate(&pkt, Fate::Processed, self.me, now);
+        match *msg {
+            ArbMsg::Request(mut req) => match self.arbitrate(&mut req, now, io.stats()) {
+                Some(next) => io.send(ArbMsg::Request(req).packet(req.flow, self.me, next)),
+                None => self.reply(&req, false, io),
+            },
+            ArbMsg::Response(resp) => self.on_response(resp, io),
+            ArbMsg::FlowDone {
+                flow,
+                src,
+                dst,
+                leg,
+            } => {
+                // Release the flow here and pass the release on to every
+                // arbitrator its requests climbed to.
+                let (arbs, next) = self.route(leg, src, dst);
+                arbs.into_iter().flatten().for_each(|a| a.remove(flow));
+                if let Some(next) = next {
+                    io.send(msg.packet(flow, self.me, next));
+                }
+            }
+            ArbMsg::DelegUpdate {
+                child,
+                up_demand,
+                down_demand,
+            } => {
+                self.child_demands.insert(child, (up_demand, down_demand));
+                self.rebalance_and_grant(child, io);
+            }
+            ArbMsg::DelegGrant {
+                up_capacity,
+                down_capacity,
+            } => {
+                if let Some(a) = self.deleg_up.as_mut() {
+                    a.set_capacity(up_capacity);
+                }
+                if let Some(a) = self.deleg_down.as_mut() {
+                    a.set_capacity(down_capacity);
+                }
+            }
+        }
+    }
+
+    /// Host: cache a leg response for the local sender and wake it.
+    fn on_response(&mut self, resp: ArbResponse, io: &mut impl NodeIo) {
+        let slot = self.legs.entry(resp.flow).or_default();
+        // A shed reply is backpressure, not a decision — its queue/rate
+        // merely echo what the sender already believed. Age the leg out so
+        // the flow rides its always-fresh local (uplink) arbitration until
+        // the overloaded arbitrator answers for real: a stale crowd-era
+        // allocation held across a backed-off refresh gap would keep
+        // throttling or suppressing the flow long after the burst has
+        // drained.
+        let decision = (!resp.shedding).then_some(Decision {
+            queue: resp.queue,
+            rate: resp.rate,
+        });
+        match resp.leg {
+            Leg::Sender => slot.sender = decision,
+            Leg::Receiver => slot.receiver = decision,
+        }
+        slot.shed |= resp.shedding;
+        io.wake_flow(resp.flow);
+    }
+
+    /// Agg side: rebalance the delegated virtual links across children in
+    /// proportion to their reported demands (with a minimum share so idle
+    /// children can ramp up).
+    fn rebalance_and_grant(&mut self, reporter: NodeId, io: &mut impl NodeIo) {
+        let Some(total) = self.tree.uplink_rate(self.me) else {
+            return;
+        };
+        let floor_up =
+            |d: Rate| -> f64 { (d.as_bps() as f64).max(total.as_bps() as f64 * DELEG_MIN_SHARE) };
+        let children = self.tree.children(self.me).to_vec();
+        let sum_up: f64 = children
+            .iter()
+            .map(|c| floor_up(self.child_demands.get(c).map_or(Rate::ZERO, |d| d.0)))
+            .sum();
+        let sum_down: f64 = children
+            .iter()
+            .map(|c| floor_up(self.child_demands.get(c).map_or(Rate::ZERO, |d| d.1)))
+            .sum();
+        let (rep_up, rep_down) = self
+            .child_demands
+            .get(&reporter)
+            .copied()
+            .unwrap_or((Rate::ZERO, Rate::ZERO));
+        let up_capacity = total.mul_f64(floor_up(rep_up) / sum_up.max(1.0));
+        let down_capacity = total.mul_f64(floor_up(rep_down) / sum_down.max(1.0));
+        let grant = ArbMsg::DelegGrant {
+            up_capacity,
+            down_capacity,
+        };
+        io.send(grant.packet(NO_FLOW, self.me, reporter));
+    }
+
+    fn handle_timer(&mut self, token: u64, io: &mut impl NodeIo) {
+        if self.front.maintenance_due(token) {
+            // Periodic lease GC on every arbitrator the process owns:
+            // entries whose owner stopped refreshing (crashed endpoint,
+            // lost FlowDone) expire after `arb_expiry` even when no request
+            // traffic touches the arbitrator in the meantime, so a dead flow
+            // cannot wedge the top priority queue.
+            let (now, expiry) = (io.now(), self.cfg.arb_expiry);
+            self.arbitrators_mut().for_each(|arb| arb.gc(now, expiry));
+            io.set_timer(expiry, self.front.maintenance_token());
+            return;
+        }
+        if self.front.is_crashed() || token != DELEG_TIMER_TOKEN + self.deleg_epoch {
+            return;
+        }
+        let Some(parent) = self.deleg_parent else {
+            return;
+        };
+        // Report demand on the delegated slices so the parent can
+        // rebalance; only aggregate information travels (paper §3.1.2).
+        if self.deleg_up.is_some() || self.deleg_down.is_some() {
+            let up_demand = self
+                .deleg_up
+                .as_ref()
+                .map_or(Rate::ZERO, |a| a.top_queue_demand());
+            let down_demand = self
+                .deleg_down
+                .as_ref()
+                .map_or(Rate::ZERO, |a| a.top_queue_demand());
+            let update = ArbMsg::DelegUpdate {
+                child: self.me,
+                up_demand,
+                down_demand,
+            };
+            io.send(update.packet(NO_FLOW, self.me, parent));
+        }
+        io.set_timer(DELEG_PERIOD, DELEG_TIMER_TOKEN + self.deleg_epoch);
+    }
+
+    fn handle_fault(&mut self, fault: NodeFault, io: &mut impl NodeIo) {
+        match self.front.on_fault(fault, io.now()) {
+            FaultEffect::None => {}
+            FaultEffect::Wipe => {
+                // The process loses everything: its arbitrators, a host's
+                // cached leg responses, an agg's delegation demands.
+                // Endpoints repopulate the arbitrators (and re-request the
+                // legs) on their next refresh once the process restarts.
+                self.arbitrators_mut().for_each(LinkArbitrator::clear);
+                self.legs.clear();
+                self.child_demands.clear();
+            }
+            FaultEffect::Rearm => {
+                // The fresh process re-learns purely from the next refresh
+                // round (within `arb_expiry`). The delegation report loop
+                // restarts under a new epoch, like the lease-GC loop.
+                self.deleg_epoch += 1;
+                if self.deleg_parent.is_some() {
+                    io.set_timer(DELEG_PERIOD, DELEG_TIMER_TOKEN + self.deleg_epoch);
+                }
+                io.set_timer(self.cfg.arb_expiry, self.front.maintenance_token());
+            }
+        }
+    }
+}
+
+impl HostService for ArbProcess {
+    fn on_ctrl(&mut self, pkt: Packet, io: &mut HostIo<'_, '_, '_>) {
+        self.handle_ctrl(pkt, io);
+    }
+
+    fn on_timer(&mut self, token: u64, io: &mut HostIo<'_, '_, '_>) {
+        self.handle_timer(token, io);
+    }
+
+    fn on_fault(&mut self, fault: NodeFault, io: &mut HostIo<'_, '_, '_>) {
+        self.handle_fault(fault, io);
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+impl SwitchPlugin for ArbProcess {
+    fn on_ctrl(&mut self, pkt: Packet, io: &mut SwitchIo<'_, '_>) {
+        self.handle_ctrl(pkt, io);
+    }
+
+    fn on_timer(&mut self, token: u64, io: &mut SwitchIo<'_, '_>) {
+        self.handle_timer(token, io);
+    }
+
+    fn on_fault(&mut self, fault: NodeFault, io: &mut SwitchIo<'_, '_>) {
+        self.handle_fault(fault, io);
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}

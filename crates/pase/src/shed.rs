@@ -1,16 +1,16 @@
 //! The arbitrator front-end: what every PASE arbitrator process does with
 //! an arriving control packet *before* arbitrating, and its crash /
 //! restart lifecycle — the same Algorithm 1 process whether it sits on a
-//! host or a ToR (paper §3.1), so [`ArbFrontEnd`] is the one definition
-//! both [`crate::PaseHostService`] and [`crate::PaseSwitchPlugin`] run.
+//! host or a ToR (paper §3.1), so [`ArbFrontEnd`] is the front of the one
+//! [`crate::ArbProcess`] every host and switch runs.
 //!
 //! # Per-arbitrator control-inbox budgeting (overload protection)
 //!
-//! Every PASE arbitrator — the endpoint host service and the switch
-//! plugins alike — meters its control inbox against a per-epoch budget
-//! (an epoch is one `arb_refresh` window). Under an injected control
-//! storm ([`netsim::fault::FaultEvent::CtrlStormStart`]) each arriving
-//! message is charged `amplify`× its normal weight, modelling a flash
+//! Every PASE arbitrator process — on an endpoint or a switch alike —
+//! meters its control inbox against a per-epoch budget (an epoch is one
+//! `arb_refresh` window). Under an injected control storm
+//! ([`netsim::fault::FaultEvent::CtrlStormStart`]) each arriving message
+//! is charged `amplify`× its normal weight, modelling a flash
 //! crowd of senders hammering the same arbitrator. When the weighted
 //! depth crosses the budget the arbitrator *sheds* instead of queueing
 //! without bound: stale refreshes first (a request for a flow it already

@@ -133,6 +133,11 @@ impl TreeInfo {
         self.level[sw.index()].expect("node is a switch")
     }
 
+    /// Whether a node (host or switch) is a ToR.
+    pub fn is_tor(&self, node: NodeId) -> bool {
+        self.level[node.index()] == Some(Level::Tor)
+    }
+
     /// A switch's parent in the tree, if any.
     pub fn parent(&self, sw: NodeId) -> Option<NodeId> {
         self.parent[sw.index()]
@@ -163,6 +168,29 @@ impl TreeInfo {
         match (self.parent[ta.index()], self.parent[tb.index()]) {
             (Some(pa), Some(pb)) => pa == pb,
             _ => true, // no aggregation level: single subtree
+        }
+    }
+
+    /// The hierarchy rule of bottom-up arbitration (paper §3.1.2). A leg of
+    /// the path `src → dst` starts at its end host and climbs: after the
+    /// arbitrator on `at`, this is the one it visits next, or `None` when
+    /// the leg ends at `at`.
+    ///
+    /// * A host hands the leg to its ToR when the flow leaves the rack
+    ///   (intra-rack flows are arbitrated by the two endpoints alone).
+    /// * A ToR hands it to its parent when the path crosses the core.
+    /// * An aggregation switch never does: the core's links are arbitrated
+    ///   from below.
+    ///
+    /// Both legs follow the same rule; `at` says which end of the path a
+    /// leg is on. A ToR that holds a delegated slice of the hop above
+    /// decides that hop itself instead of climbing
+    /// ([`crate::ArbProcess`]).
+    pub fn next_arbitrator(&self, at: NodeId, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        match self.level[at.index()] {
+            None => (!self.same_rack(src, dst)).then(|| self.tor_of(at)),
+            Some(Level::Tor) if !self.same_agg_subtree(src, dst) => self.parent(at),
+            Some(_) => None,
         }
     }
 }
@@ -249,6 +277,26 @@ mod tests {
         assert!(!tree.same_rack(hosts[0], hosts[3]));
         assert!(tree.same_agg_subtree(hosts[0], hosts[5]));
         assert!(!tree.same_agg_subtree(hosts[0], hosts[6]));
+    }
+
+    #[test]
+    fn legs_climb_only_as_far_as_the_path() {
+        let (topo, hosts, tors, aggs, _) = three_tier(3);
+        let tree = TreeInfo::from_topology(&topo);
+        let (h0, same_rack, same_pod, other_pod) = (hosts[0], hosts[1], hosts[3], hosts[6]);
+        assert_eq!(tree.next_arbitrator(h0, h0, same_rack), None);
+        for dst in [same_pod, other_pod] {
+            assert_eq!(tree.next_arbitrator(h0, h0, dst), Some(tors[0]));
+        }
+        assert_eq!(tree.next_arbitrator(tors[0], h0, same_pod), None);
+        assert_eq!(tree.next_arbitrator(tors[0], h0, other_pod), Some(aggs[0]));
+        // The receiver leg climbs the same rule from the other end.
+        assert_eq!(
+            tree.next_arbitrator(other_pod, h0, other_pod),
+            Some(tors[2])
+        );
+        assert_eq!(tree.next_arbitrator(tors[2], h0, other_pod), Some(aggs[1]));
+        assert_eq!(tree.next_arbitrator(aggs[1], h0, other_pod), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The arbitrator front-end's ledger, through the real `on_ctrl` of both
-//! owners: every control message that reaches an arbitrator process meets
+//! The arbitrator front-end's ledger, through the real `on_ctrl` of the
+//! arbitrator process: every control message that reaches one meets
 //! exactly one fate — lost to a crash, unattended, shed, or processed (the
 //! arbitrator-side terms of the control conservation law) — and the fate
 //! depends only on (crashed, protected, inbox depth, message kind, stale),
-//! identically for the host service and the switch plugin.
+//! identically on a host and on a switch.
 
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ fn cfg(protected: bool) -> PaseConfig {
     }
 }
 
-/// agg — tor — {h0, h1}: the ToR has an uplink, so its plugin owns real
+/// agg — tor — {h0, h1}: the ToR has an uplink, so its process owns real
 /// arbitrators (a refresh can be stale); h1 is the host under test.
 struct Net {
     sim: Simulation,
@@ -204,8 +204,8 @@ fn every_message_meets_exactly_one_fate_on_host_and_switch_alike() {
         Kind::DelegUpdate,
         Kind::Foreign,
     ];
-    // A response is never addressed to a switch (the plugin debug-asserts
-    // on one), so the switch sees the delegation grant instead.
+    // A response is never addressed to a switch (the process debug-asserts
+    // on one there), so the switch sees the delegation grant instead.
     let switch_kinds = [
         Kind::Request,
         Kind::FlowDone,

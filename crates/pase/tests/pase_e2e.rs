@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use netsim::node::Node;
 use netsim::prelude::*;
-use pase::{install, pase_qdisc, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, Leg, PaseConfig, PaseFactory};
 
 fn cfg_intra() -> PaseConfig {
     PaseConfig {
@@ -181,11 +181,13 @@ fn intra_rack_flows_do_not_use_the_network_control_plane() {
     let Node::Switch(sw) = sim.node_mut(tor) else {
         panic!()
     };
-    let plugin = sw
-        .plugin_as::<pase::PaseSwitchPlugin>()
+    let process = sw
+        .plugin_as::<pase::ArbProcess>()
         .expect("plugin installed");
-    assert_eq!(plugin.up_flows(), 0);
-    assert_eq!(plugin.down_flows(), 0);
+    for leg in [Leg::Sender, Leg::Receiver] {
+        let [own, _] = process.leg_arbitrators(leg);
+        assert_eq!(own.expect("the ToR arbitrates its uplink").n_flows(), 0);
+    }
 }
 
 #[test]
@@ -346,19 +348,21 @@ fn delegation_rebalances_toward_the_busy_rack() {
         let Node::Switch(sw) = sim.node_mut(tor0) else {
             panic!()
         };
-        sw.plugin_as::<pase::PaseSwitchPlugin>()
+        let [_, slice] = sw
+            .plugin_as::<pase::ArbProcess>()
             .unwrap()
-            .deleg_up_capacity()
-            .expect("tor0 has a delegated slice")
+            .leg_arbitrators(Leg::Sender);
+        slice.expect("tor0 has a delegated slice").capacity()
     };
     let cap1 = {
         let Node::Switch(sw) = sim.node_mut(tor1) else {
             panic!()
         };
-        sw.plugin_as::<pase::PaseSwitchPlugin>()
+        let [_, slice] = sw
+            .plugin_as::<pase::ArbProcess>()
             .unwrap()
-            .deleg_up_capacity()
-            .expect("tor1 has a delegated slice")
+            .leg_arbitrators(Leg::Sender);
+        slice.expect("tor1 has a delegated slice").capacity()
     };
     assert!(
         cap0.as_bps() > 2 * cap1.as_bps(),

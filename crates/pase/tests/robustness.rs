@@ -10,7 +10,12 @@ use netsim::packet::PacketKind;
 use netsim::prelude::*;
 use netsim::queue::LossyQdisc;
 use netsim::trace::{TextTracer, TraceEvent, TraceSink};
-use pase::{install, pase_qdisc, PaseConfig, PaseFactory, PaseSender, PaseSwitchPlugin};
+use pase::{install, pase_qdisc, ArbProcess, Leg, PaseConfig, PaseFactory, PaseSender};
+
+/// Flows held by the arbitrator of a process's own link on `leg`.
+fn own_flows(process: &ArbProcess, leg: Leg) -> usize {
+    process.leg_arbitrators(leg)[0].map_or(0, |a| a.n_flows())
+}
 
 fn cfg() -> PaseConfig {
     PaseConfig {
@@ -320,7 +325,7 @@ fn arbitrator_crash_without_restart_completes_via_fallback() {
     let Node::Switch(sw) = sim.node_mut(tor) else {
         panic!()
     };
-    assert!(sw.plugin_as::<PaseSwitchPlugin>().unwrap().is_crashed());
+    assert!(sw.plugin_as::<ArbProcess>().unwrap().is_crashed());
 
     // And still: everything completes with no control plane at all.
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
@@ -373,10 +378,10 @@ fn arbitrator_restart_re_attaches_endpoints() {
     let Node::Switch(sw) = sim.node_mut(tor) else {
         panic!()
     };
-    let plugin = sw.plugin_as::<PaseSwitchPlugin>().unwrap();
+    let plugin = sw.plugin_as::<ArbProcess>().unwrap();
     assert!(!plugin.is_crashed());
     assert!(
-        plugin.up_flows() >= 1,
+        own_flows(plugin, Leg::Sender) >= 1,
         "soft state must rebuild from refreshes"
     );
 
@@ -455,10 +460,18 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
         let Node::Host(h) = sim.node_mut(hosts[3]) else {
             panic!()
         };
-        let svc = h.service_as::<pase::PaseHostService>().unwrap();
+        let svc = h.service_as::<ArbProcess>().unwrap();
         assert!(svc.is_crashed(), "crash directive must reach the service");
-        assert_eq!(svc.uplink_flows(), 0, "uplink arbitrator must be wiped");
-        assert_eq!(svc.downlink_flows(), 0, "downlink arbitrator must be wiped");
+        assert_eq!(
+            own_flows(svc, Leg::Sender),
+            0,
+            "uplink arbitrator must be wiped"
+        );
+        assert_eq!(
+            own_flows(svc, Leg::Receiver),
+            0,
+            "downlink arbitrator must be wiped"
+        );
     }
     let (fb0, q0, _) = sender_state(&mut sim, hosts[0], 0);
     assert!(
@@ -528,9 +541,9 @@ fn crashed_host_lease_expiry_frees_the_top_queue() {
         let Node::Switch(sw) = sim.node_mut(tor) else {
             panic!()
         };
-        let plugin = sw.plugin_as::<PaseSwitchPlugin>().unwrap();
+        let plugin = sw.plugin_as::<ArbProcess>().unwrap();
         assert_eq!(
-            plugin.up_flows(),
+            own_flows(plugin, Leg::Sender),
             1,
             "dead flow's ToR lease must expire without a FlowDone"
         );

@@ -25,7 +25,7 @@ pub use sender::{PFabricConfig, PFabricSender};
 
 use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentFactory, FlowAgent};
-use transport::{ReceiverConfig, SimpleReceiver};
+use transport::SimpleReceiver;
 
 /// Builds pFabric senders and receivers.
 #[derive(Debug, Clone, Default)]
@@ -46,13 +46,6 @@ impl AgentFactory for PFabricFactory {
     }
 
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        // ACKs ride at rank 0 (highest priority), per the pFabric paper.
-        Box::new(SimpleReceiver::new(
-            hint,
-            ReceiverConfig {
-                ack_prio: 0,
-                ack_rank: 0,
-            },
-        ))
+        Box::new(SimpleReceiver::new(hint))
     }
 }

@@ -5,24 +5,19 @@ use netsim::host::{AgentFactory, FlowAgent};
 
 use crate::dctcp_family::{FamilySender, Flavor};
 use crate::params::FamilyConfig;
-use crate::receiver::{ReceiverConfig, SimpleReceiver};
+use crate::receiver::SimpleReceiver;
 
 /// Builds [`FamilySender`]s of one flavor plus the shared receiver.
 #[derive(Debug, Clone)]
 pub struct FamilyFactory {
     flavor: Flavor,
     cfg: FamilyConfig,
-    rx_cfg: ReceiverConfig,
 }
 
 impl FamilyFactory {
     /// A factory for the given flavor with the given parameters.
     pub fn new(flavor: Flavor, cfg: FamilyConfig) -> FamilyFactory {
-        FamilyFactory {
-            flavor,
-            cfg,
-            rx_cfg: ReceiverConfig::default(),
-        }
+        FamilyFactory { flavor, cfg }
     }
 
     /// Plain TCP Reno with default parameters.
@@ -52,6 +47,6 @@ impl AgentFactory for FamilyFactory {
     }
 
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(SimpleReceiver::new(hint, self.rx_cfg))
+        Box::new(SimpleReceiver::new(hint))
     }
 }

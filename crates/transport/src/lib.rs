@@ -30,7 +30,7 @@ pub mod window;
 pub use dctcp_family::{FamilySender, Flavor};
 pub use factory::FamilyFactory;
 pub use params::FamilyConfig;
-pub use receiver::{ReceiverConfig, SimpleReceiver};
+pub use receiver::SimpleReceiver;
 pub use rtt::{RttEstimator, DEFAULT_BACKOFF_CAP};
 pub use tracker::ByteTracker;
 pub use tx::{AckKind, LossEvent, TxEngine, DEFAULT_MAX_CONSECUTIVE_RTOS};

@@ -14,22 +14,16 @@ use netsim::packet::{Packet, PacketKind};
 
 use crate::tracker::ByteTracker;
 
-/// Configuration for [`SimpleReceiver`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReceiverConfig {
-    /// Priority band to put ACKs in (0 = highest; ACKs ride the top band so
-    /// reverse-path queueing does not distort forward-path scheduling).
-    pub ack_prio: u8,
-    /// Whether ACKs mirror the data packet's fine-grained rank (pFabric
-    /// gives ACKs the highest priority, i.e. rank 0).
-    pub ack_rank: u64,
-}
-
 /// Receiver agent: tracks received ranges, emits cumulative ACKs.
+///
+/// ACKs ride the top priority band and rank 0 for every scheme — the
+/// values [`Packet::ack`] and [`Packet::probe_ack`] already carry. They are
+/// tiny and pace the forward path, so queueing them behind bulk data would
+/// distort its scheduling: PASE's strict-priority bands and pFabric's rank
+/// order both serve them first.
 #[derive(Debug)]
 pub struct SimpleReceiver {
     hint: ReceiverHint,
-    cfg: ReceiverConfig,
     tracker: ByteTracker,
     /// Sender-host incarnation this flow's state belongs to, pinned from
     /// the first packet seen. A crashed-and-restarted sender comes back
@@ -41,10 +35,9 @@ pub struct SimpleReceiver {
 
 impl SimpleReceiver {
     /// Create a receiver for the flow identified by `hint`.
-    pub fn new(hint: ReceiverHint, cfg: ReceiverConfig) -> SimpleReceiver {
+    pub fn new(hint: ReceiverHint) -> SimpleReceiver {
         SimpleReceiver {
             hint,
-            cfg,
             tracker: ByteTracker::new(),
             incarnation: None,
         }
@@ -94,8 +87,6 @@ impl SimpleReceiver {
         ack.ece = data.ecn_ce;
         ack.ts_echo = Some(data.ts);
         ack.sack = Some(data.seq);
-        ack.prio = self.cfg.ack_prio;
-        ack.rank = self.cfg.ack_rank;
         ack
     }
 }

@@ -15,7 +15,7 @@ use netsim::port::Port;
 use netsim::queue::DropTailQdisc;
 use netsim::stats::StatsCollector;
 use netsim::time::{Rate, SimDuration};
-use transport::{ReceiverConfig, SimpleReceiver};
+use transport::SimpleReceiver;
 
 const MSS: u32 = 1460;
 
@@ -49,7 +49,7 @@ impl Rig {
             host,
             sched: Scheduler::new(),
             stats: StatsCollector::new(),
-            rx: SimpleReceiver::new(hint, ReceiverConfig::default()),
+            rx: SimpleReceiver::new(hint),
         }
     }
 
