@@ -6,6 +6,10 @@
 //! for the whole run, so every scheme takes RTOs: live timers fire
 //! through re-materialised events and not only through carriers, and RTT
 //! estimates (hence RTOs) both grow and shrink.
+//!
+//! The same runs' event counts are pinned too: which timers supersede
+//! and which stay eager is part of the model's cost, and a timer that
+//! silently switches between the two moves these and nothing else.
 
 use pase_repro::netsim::fault::{DegradeProfile, FaultPlan};
 use pase_repro::netsim::sim::{RunLimit, RunOutcome};
@@ -13,8 +17,19 @@ use pase_repro::netsim::time::SimTime;
 use pase_repro::netsim::trace::{fnv1a, FNV1A_OFFSET};
 use pase_repro::workloads::{Scenario, Scheme};
 
-/// `(per-flow digest, total timeouts)` of the pinned run of `scheme`.
-fn run(scheme: Scheme) -> (u64, u64) {
+/// What one pinned run of a scheme leaves behind.
+struct Run {
+    /// Digest of the non-event counters and every flow's terminal record.
+    digest: u64,
+    /// RTOs taken over all flows.
+    timeouts: u64,
+    /// `events_executed`, then `events_by_kind` in `EventKind::KINDS`
+    /// order, then `timer_arms_superseded`.
+    events: [u64; 8],
+}
+
+/// The pinned run of `scheme`.
+fn run(scheme: Scheme) -> Run {
     let scenario = Scenario::all_to_all_intra(8, 120);
     let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
     sim.add_flows(scenario.generate_flows(0.8, 7, &hosts));
@@ -57,7 +72,22 @@ fn run(scheme: Scheme) -> (u64, u64) {
             fold(v);
         }
     }
-    (h, timeouts)
+    let k = st.events_by_kind;
+    let events = [
+        st.events_executed,
+        k[0],
+        k[1],
+        k[2],
+        k[3],
+        k[4],
+        k[5],
+        st.timer_arms_superseded,
+    ];
+    Run {
+        digest: h,
+        timeouts,
+        events,
+    }
 }
 
 #[test]
@@ -73,7 +103,11 @@ fn per_flow_records_match_the_eager_timers() {
     ];
     let mut moved = Vec::new();
     for (scheme, want) in pinned {
-        let (got, timeouts) = run(scheme);
+        let Run {
+            digest: got,
+            timeouts,
+            ..
+        } = run(scheme);
         assert!(timeouts > 0, "{} took no RTO: run too easy", scheme.name());
         if got != want {
             moved.push(format!("{} {got:#018x} != {want:#018x}", scheme.name()));
@@ -82,6 +116,57 @@ fn per_flow_records_match_the_eager_timers() {
     assert!(
         moved.is_empty(),
         "per-flow digests moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// Events executed, by kind, and superseded arms per scheme, recorded on
+/// the commit before every endpoint timer became a `netsim::timer`
+/// value. Rows: `[executed, Deliver, TxComplete, AgentTimer,
+/// PluginTimer, FlowStart, Fault, superseded]`.
+#[test]
+fn event_counts_are_pinned() {
+    let pinned: [(Scheme, [u64; 8]); 7] = [
+        (
+            Scheme::Tcp,
+            [116_688, 57_997, 58_298, 267, 0, 122, 4, 12_666],
+        ),
+        (
+            Scheme::Dctcp,
+            [115_322, 57_369, 57_624, 203, 0, 122, 4, 13_597],
+        ),
+        (
+            Scheme::D2tcp,
+            [115_322, 57_369, 57_624, 203, 0, 122, 4, 13_597],
+        ),
+        (
+            Scheme::L2dct,
+            [71_911, 35_701, 35_933, 151, 0, 122, 4, 8_119],
+        ),
+        (
+            Scheme::Pdq,
+            [162_312, 71_756, 72_185, 18_245, 0, 122, 4, 28_898],
+        ),
+        (
+            Scheme::PFabric,
+            [75_860, 37_466, 37_775, 493, 0, 122, 4, 8_819],
+        ),
+        (
+            Scheme::Pase,
+            [117_160, 53_996, 54_437, 4_803, 3_798, 122, 4, 7_910],
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (scheme, want) in pinned {
+        let got = run(scheme).events;
+        assert_eq!(got[0], got[1..7].iter().sum::<u64>(), "{}", scheme.name());
+        if got != want {
+            moved.push(format!("{} {got:?} != {want:?}", scheme.name()));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "event counts moved:\n{}",
         moved.join("\n")
     );
 }
