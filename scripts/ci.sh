@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
 #
-#   scripts/ci.sh   # build + tests, chaos / engine-differential / figure /
-#                   # scale smokes, perfbench build + smoke tests, the
-#                   # frozen-paths guard (+ fmt/clippy when installed)
+#   scripts/ci.sh   # build + tests, chaos / engine-differential / scale
+#                   # smokes, the pinned quick figure sweep, perfbench
+#                   # build + smoke tests, the frozen-paths guard (+ fmt/clippy
+#                   # when installed)
 #
 # Everything but fmt/clippy is mandatory; those two run only where the
 # components are installed so the gate works on minimal toolchains.
@@ -57,15 +58,26 @@ fi
 echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs) =="
 ./target/release/engine_diff --seeds 8 --faults all --quick --jobs "${JOBS:-2}"
 
-# Figure-registry smoke: `--only` picks figures by registry id, prints
-# them without touching EXPERIMENTS.md, and exits non-zero if a cell came
-# from a truncated run. One plain sweep plus all four fault tables, which
-# share one run path (`RunSpec::run_with` under `figs::common::grid`).
-# From a temp dir so nothing lands in the repo.
-FIGS=fig09a,ext_faults,ext_link_flap,ext_gray,ext_overload
-echo "== figure registry smoke (run_all --quick --only $FIGS) =="
-(cd "$(mktemp -d)" && "$OLDPWD/target/release/run_all" --quick --only "$FIGS" \
+# Figure sweep: every registry figure at the quick profile, from a temp
+# dir so nothing lands in the repo; run_all exits non-zero if a cell came
+# from a truncated run. The JSON files, concatenated in byte-sorted name
+# order, hash to the committed scripts/figs_ci.digest — the one pin on
+# every scheme's figure cells (PDQ, pFabric, TCP, D2TCP and L2DCT run
+# nowhere else in this gate). Byte-identical at any --jobs. A change that
+# means to move a figure updates that file and says why.
+echo "== figure sweep (run_all --quick, all figures, ${JOBS:-2} jobs) =="
+figs_tmp=$(mktemp -d)
+(cd "$figs_tmp" && "$OLDPWD/target/release/run_all" --quick --out "$figs_tmp/out" \
     --jobs "${JOBS:-2}" >/dev/null)
+figs_digest=$(cd "$figs_tmp/out" && LC_ALL=C ls -- *.json | LC_ALL=C xargs cat |
+    sha256sum | cut -d' ' -f1)
+rm -rf "$figs_tmp"
+echo "figs_digest=$figs_digest"
+if [ "$figs_digest" != "$(cat scripts/figs_ci.digest)" ]; then
+    echo "figure sweep: digest differs from scripts/figs_ci.digest" \
+        "($(cat scripts/figs_ci.digest)): a figure cell changed" >&2
+    exit 1
+fi
 
 # Production-scale smoke: build the k=8 fat-tree (128 hosts) under PASE,
 # audit the compact interval FIBs, run a 2k-flow incast slice twice with
