@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use netsim::prelude::*;
 use pase::{install, pase_qdisc, PaseFactory};
-use pfabric::{PFabricConfig, PFabricFactory, PFabricQdisc};
+use pfabric::{PFabricFactory, PFabricQdisc};
 use workloads::{CasePlan, Scheme};
 
 use crate::opts::ExpOpts;
@@ -84,12 +84,8 @@ enum ToyFabric {
 fn run_toy(fabric: ToyFabric) -> (Vec<f64>, u64) {
     let (mut sim, hosts) = match fabric {
         ToyFabric::PFabric => {
-            let cfg = PFabricConfig {
-                cwnd_pkts: 38,
-                rto: SimDuration::from_millis(1),
-                ..PFabricConfig::default()
-            };
-            toy_topology(Arc::new(PFabricFactory::new(cfg)), &|_| {
+            // Table 3's defaults: a 38-packet window, a 1 ms RTO.
+            toy_topology(Arc::new(PFabricFactory::default()), &|_| {
                 Box::new(PFabricQdisc::new(24))
             })
         }

@@ -442,12 +442,7 @@ mod tests {
     struct NullFactory;
     struct NullAgent;
     impl FlowAgent for NullAgent {
-        fn on_start(&mut self, _: &mut AgentCtx<'_, '_>) {}
         fn on_packet(&mut self, _: crate::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
-        fn on_timer(&mut self, _: u64, _: &mut AgentCtx<'_, '_>) {}
-        fn is_done(&self) -> bool {
-            false
-        }
     }
     impl AgentFactory for NullFactory {
         fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> {

@@ -226,19 +226,23 @@ impl Scheduler {
             target.0,
             self.now
         );
-        let ev = ScheduledEvent {
+        let ev = |kind| ScheduledEvent {
             time: at,
             seq,
             target,
             kind,
         };
+        // Each arm builds its own event: one built before the match has to
+        // live on the stack for the heap's out-of-line push, and the wheel
+        // arm then copies it into its slot with wide loads over narrower
+        // stores that cannot be forwarded.
         let pending = match &mut self.queue {
             EventQueue::Heap(h) => {
-                h.push(ev);
+                h.push(ev(kind));
                 h.len()
             }
             EventQueue::Wheel(w) => {
-                w.push(ev);
+                w.push(ev(kind));
                 w.len()
             }
         };

@@ -27,20 +27,36 @@ use crate::stats::Fate;
 use crate::time::{SimDuration, SimTime};
 
 /// A per-flow endpoint state machine (sender or receiver side).
+///
+/// The host drives its lifecycle: it builds the agent and calls
+/// [`on_start`](FlowAgent::on_start), hands it its flow's packets, its
+/// timers and its service's wake-ups, and drops it in the same dispatch
+/// that recorded the flow's end ([`AgentCtx::flow_completed`] /
+/// [`AgentCtx::flow_aborted`]). Receivers never record an end and stay
+/// resident: late retransmissions must still be acknowledged.
 pub trait FlowAgent: Send {
     /// The flow has arrived; begin transmitting (sender side). Receiver
     /// agents are started at creation too, before their first packet.
-    fn on_start(&mut self, ctx: &mut AgentCtx<'_, '_>);
+    fn on_start(&mut self, ctx: &mut AgentCtx<'_, '_>) {
+        let _ = ctx;
+    }
 
     /// A packet belonging to this agent's flow arrived at the host.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>);
 
-    /// A timer previously set through [`AgentCtx::set_timer`] fired.
-    /// Agents must tolerate stale timers (use epoch tokens).
-    fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>);
+    /// A timer previously set through [`AgentCtx::set_timer`] or a
+    /// [`crate::timer::SupersedingTimer`] fired. Agents must tolerate
+    /// stale timers: [`crate::timer::Timer`] tells them apart.
+    fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
+        let _ = (token, ctx);
+    }
 
-    /// Whether this agent can be garbage-collected.
-    fn is_done(&self) -> bool;
+    /// The host service woke this flow ([`HostIo::wake_flow`]), e.g.
+    /// because arbitration state changed and the flow should re-evaluate
+    /// its rate.
+    fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
+        let _ = ctx;
+    }
 
     /// Downcast support for white-box tests and cross-layer inspection.
     /// The default implementation opts out.
@@ -131,9 +147,28 @@ pub struct AgentCtx<'a, 'b> {
     pub service: Option<&'a mut Box<dyn HostService>>,
     /// Engine context (clock, scheduler, stats).
     pub sim: &'a mut Ctx<'b>,
+    /// Set by the flow-end calls: the host drops the agent once the
+    /// current handler returns.
+    retired: bool,
 }
 
 impl<'a, 'b> AgentCtx<'a, 'b> {
+    /// The context `flow`'s agent runs in on `host`.
+    pub fn new(
+        flow: FlowId,
+        host: &'a mut HostCore,
+        service: Option<&'a mut Box<dyn HostService>>,
+        sim: &'a mut Ctx<'b>,
+    ) -> AgentCtx<'a, 'b> {
+        AgentCtx {
+            flow,
+            host,
+            service,
+            sim,
+            retired: false,
+        }
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -145,11 +180,10 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
     }
 
     /// Arrange for [`FlowAgent::on_timer`] to fire after `delay` with
-    /// `token`. Timers cannot be cancelled; agents should version tokens
-    /// and ignore stale ones. For one-shot and self-re-arming timers; a
-    /// timer that is pushed back before it fires (an RTO) belongs in a
-    /// [`crate::timer::SupersedingTimer`], which queues one event, not
-    /// one per arm.
+    /// `token` (a [`crate::timer::Timer`]'s). For one-shot and
+    /// self-re-arming timers; a timer that is pushed back before it fires
+    /// (an RTO) belongs in a [`crate::timer::SupersedingTimer`], which
+    /// queues one event, not one per arm.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.sim.schedule_self(
             delay,
@@ -161,16 +195,21 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
     }
 
     /// Record that this flow's sender observed the final acknowledgment.
+    /// The flow is over: the host drops the agent when the current handler
+    /// returns.
     pub fn flow_completed(&mut self) {
         let now = self.now();
         self.sim.stats.flow_completed(self.flow, now);
+        self.retired = true;
     }
 
     /// Record that this flow's sender aborted the transfer, with the
-    /// reason (PDQ early termination, bounded RTO give-up, ...).
+    /// reason (PDQ early termination, bounded RTO give-up, ...). The host
+    /// drops the agent when the current handler returns.
     pub fn flow_aborted(&mut self, reason: crate::trace::AbortReason) {
         let now = self.now();
         self.sim.stats.flow_aborted(self.flow, now, reason);
+        self.retired = true;
     }
 
     /// Downcast the host service to a concrete type.
@@ -209,27 +248,13 @@ impl<'a, 'b, 'c> HostIo<'a, 'b, 'c> {
         self.sim.schedule_self(delay, EventKind::PluginTimer(token));
     }
 
-    /// Ask the host to invoke `on_timer(WAKEUP_TOKEN)` on a flow's agent
+    /// Ask the host to invoke [`FlowAgent::on_wake`] on a flow's agent
     /// after the service returns (e.g. arbitration state changed and the
     /// flow should re-evaluate its rate).
     pub fn wake_flow(&mut self, flow: FlowId) {
         self.wakeups.push(flow);
     }
 }
-
-/// Token delivered to [`FlowAgent::on_timer`] when a host service wakes the
-/// agent via [`HostIo::wake_flow`]. Chosen high to stay clear of the small
-/// token spaces agents use for their own timers.
-pub const WAKEUP_TOKEN: u64 = u64::MAX;
-
-/// Plugin-timer tokens at or above this base mark *background maintenance*
-/// work (periodic state GC, bookkeeping) rather than forward progress on
-/// any flow. The stuck-flow oracle ([`crate::invariants`]) ignores pending
-/// `PluginTimer` events in this range when deciding whether an incomplete
-/// flow can still advance — a perpetual GC tick must not masquerade as
-/// progress evidence. Services and plugins typically use
-/// `MAINTENANCE_TIMER_BASE + epoch` so restarts invalidate stale ticks.
-pub const MAINTENANCE_TIMER_BASE: u64 = 1 << 62;
 
 impl Host {
     /// Create a host with the given access port, agent factory, and
@@ -484,8 +509,8 @@ impl Host {
         }
     }
 
-    /// Run a closure over the agent registered for `flow`, then
-    /// garbage-collect the agent once it reports done. Returns whether an
+    /// Run a closure over the agent registered for `flow`, then drop the
+    /// agent if the closure recorded the flow's end. Returns whether an
     /// agent existed. The agents map and the rest of the host are
     /// disjoint fields, so the agent stays in the map while it borrows
     /// the core through [`AgentCtx`] — no remove/re-insert pair per
@@ -497,24 +522,17 @@ impl Host {
         let Some(agent) = self.agents.get_mut(&flow) else {
             return false;
         };
-        {
-            let mut actx = AgentCtx {
-                flow,
-                host: &mut self.core,
-                service: self.service.as_mut(),
-                sim: ctx,
-            };
-            f(agent.as_mut(), &mut actx);
-        }
-        if agent.is_done() {
+        let mut actx = AgentCtx::new(flow, &mut self.core, self.service.as_mut(), ctx);
+        f(agent.as_mut(), &mut actx);
+        if actx.retired {
             self.agents.remove(&flow);
         }
         true
     }
 
     /// Register a freshly built agent, then run it (sender on flow start,
-    /// receiver on first packet). An immediately-done agent is inserted
-    /// and garbage-collected in one motion.
+    /// receiver on first packet). An agent that ends its flow at once is
+    /// inserted and dropped in one motion.
     fn install_and_run<F>(
         &mut self,
         flow: FlowId,
@@ -551,7 +569,7 @@ impl Host {
         self.service = Some(svc);
         for flow in wakeups {
             // A wake-up for an already-collected agent is a no-op.
-            self.run_agent(flow, ctx, |agent, actx| agent.on_timer(WAKEUP_TOKEN, actx));
+            self.run_agent(flow, ctx, |agent, actx| agent.on_wake(actx));
         }
     }
 }

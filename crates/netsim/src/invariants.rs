@@ -18,7 +18,7 @@
 //!    pending at its endpoints. A flow with none of these will never
 //!    finish — a lost-wakeup bug, not congestion. Background maintenance
 //!    timers (tokens at or above
-//!    [`crate::host::MAINTENANCE_TIMER_BASE`]) are *not* progress
+//!    [`crate::timer::MAINTENANCE_TIMER_BASE`]) are *not* progress
 //!    evidence: a perpetual GC tick can never advance a flow. Flows that
 //!    ended in the terminal `Aborted` state count as complete — an
 //!    endpoint crash with a recorded abort reason is a legitimate
@@ -251,7 +251,7 @@ impl ProgressEvidence {
             EventKind::FlowStart(spec) => self.note_flow(spec.id),
             // Maintenance ticks (state GC) recur forever and advance no
             // flow; counting them would blind the stuck-flow check.
-            EventKind::PluginTimer(token) if *token >= crate::host::MAINTENANCE_TIMER_BASE => {}
+            EventKind::PluginTimer(token) if *token >= crate::timer::MAINTENANCE_TIMER_BASE => {}
             EventKind::PluginTimer(_) => self.note_plugin_timer(target),
             // A pending TxComplete proves a port will drain, but the
             // packet it carries is already counted via the port walk;
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn maintenance_timers_are_not_progress_evidence() {
-        use crate::host::MAINTENANCE_TIMER_BASE;
+        use crate::timer::MAINTENANCE_TIMER_BASE;
         let mut ev = ProgressEvidence::default();
         ev.note_event(NodeId(4), &EventKind::PluginTimer(MAINTENANCE_TIMER_BASE));
         ev.note_event(

@@ -48,10 +48,7 @@
 //! # use netsim::host::{AgentCtx, FlowAgent, AgentFactory};
 //! # use netsim::flow::ReceiverHint;
 //! # impl FlowAgent for A {
-//! #     fn on_start(&mut self, _: &mut AgentCtx<'_, '_>) {}
 //! #     fn on_packet(&mut self, _: netsim::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
-//! #     fn on_timer(&mut self, _: u64, _: &mut AgentCtx<'_, '_>) {}
-//! #     fn is_done(&self) -> bool { true }
 //! # }
 //! # impl AgentFactory for F {
 //! #     fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> { Box::new(A) }

@@ -1,21 +1,37 @@
-//! A re-armable one-shot timer that keeps one event in the queue.
+//! Endpoint timers: one token layout, one liveness test, and a
+//! re-armable one-shot that keeps one event in the queue.
 //!
-//! The scheduler has no cancel, so the agents' idiom for a timer that is
-//! pushed back before it fires — an RTO re-armed by every ACK — is an
-//! epoch token: each arm queues a fresh [`EventKind::AgentTimer`] and the
-//! handler ignores every token but the newest. The ignored events still
-//! travel the wheel and pop: one per data packet, parked a whole RTO out.
+//! # Tokens
 //!
-//! [`SupersedingTimer`] keeps the idiom and drops the events. Each
+//! The scheduler has no cancel, so a timer is versioned instead: each arm
+//! queues an event carrying a fresh token and the handler ignores every
+//! token but the newest. A [`Timer`] owns that bookkeeping. Its token is
+//! `slot << EPOCH_BITS | epoch`: the top byte names the timer among its
+//! owner's others (one of the [`slot`] constants) and the epoch below it
+//! counts the arms, so a token says both *which* timer and *which arm*,
+//! and [`Timer::is_current`] is the whole liveness test. One layout
+//! serves every owner and both timer channels (`AgentTimer` for flow
+//! agents, `PluginTimer` for host services and switch plugins).
+//! Maintenance slots sit at or above [`MAINTENANCE_TIMER_BASE`], which
+//! the stuck-flow oracle ([`crate::invariants`]) reads as background
+//! work, not flow progress.
+//!
+//! # Superseding timers
+//!
+//! A timer that is pushed back before it fires — an RTO re-armed by every
+//! ACK — would queue one event per arm; all but the newest travel the
+//! wheel and pop stale: one per data packet, parked a whole RTO out.
+//!
+//! [`SupersedingTimer`] keeps the versioning and drops the events. Each
 //! [`arm`](SupersedingTimer::arm) takes its sequence number immediately
 //! ([`Scheduler::reserve_seq`](crate::engine::Scheduler::reserve_seq)),
 //! exactly where `set_timer` would, but queues an event only if none is
 //! queued that fires at or before the new deadline; otherwise it just
 //! remembers `(deadline, seq, token)`. When the queued event (the
-//! *carrier*) pops, [`fired`](SupersedingTimer::fired) files the newest
+//! *carrier*) pops, [`fire`](SupersedingTimer::fire) files the newest
 //! remembered arm at its own deadline under its own reserved number.
 //!
-//! # Why no trace byte moves
+//! ## Why no trace byte moves
 //!
 //! Every arm supersedes all earlier ones, so of the events the eager
 //! idiom queues only the newest can find its token current; the rest run
@@ -28,16 +44,92 @@
 //! The pop order of every event that does anything is therefore the eager
 //! order; only `events_executed` and `peak_pending` fall.
 //!
-//! The owner's contract: tokens of successive arms are distinct; a new arm
-//! makes every earlier token stale to the handler; and every popped timer
-//! event whose token may belong to this timer is reported to
-//! [`fired`](SupersedingTimer::fired) *before* the handler's own token
-//! check (a stale carrier is still the one that has to hand over).
+//! The owner's side of that argument is the type's: the timer mints its
+//! own tokens, so successive arms are distinct and a new arm makes every
+//! earlier token stale, and [`fire`](SupersedingTimer::fire) answers
+//! liveness in the same call that hands the carrier over, so an owner
+//! cannot ask the one without doing the other.
 
 use crate::engine::Ctx;
 use crate::event::EventKind;
 use crate::ids::FlowId;
 use crate::time::{SimDuration, SimTime};
+
+/// Bits of a token below the slot: the epoch's range.
+const EPOCH_BITS: u32 = 56;
+
+/// The slot of every timer in the workspace. Timers of one owner must sit
+/// in distinct slots; naming them here keeps the owners that share a
+/// channel apart (PASE's sender and the `TxEngine` inside it, an
+/// arbitrator process's two loops).
+pub mod slot {
+    /// A sender's retransmission timeout.
+    pub const RTO: u8 = 0;
+    /// A rate pacer: PDQ's data pacing, PASE's bottom-queue probes.
+    pub const PACE: u8 = 1;
+    /// PDQ's paused-flow probes.
+    pub const PROBE: u8 = 2;
+    /// PASE's arbitration refresh.
+    pub const REFRESH: u8 = 3;
+    /// PASE's delegation report loop.
+    pub const DELEGATION: u8 = 4;
+    /// Background maintenance (PASE's lease GC): the first slot at
+    /// [`super::MAINTENANCE_TIMER_BASE`].
+    pub const MAINTENANCE: u8 = 0x40;
+}
+
+/// Plugin-timer tokens at or above this mark *background maintenance*
+/// work (periodic state GC, bookkeeping) rather than forward progress on
+/// any flow. The stuck-flow oracle ([`crate::invariants`]) ignores pending
+/// `PluginTimer` events in this range when deciding whether an incomplete
+/// flow can still advance — a perpetual GC tick must not masquerade as
+/// progress evidence.
+pub const MAINTENANCE_TIMER_BASE: u64 = (slot::MAINTENANCE as u64) << EPOCH_BITS;
+
+/// Marks a disarmed timer's stored token: the epoch's top bit, which no
+/// arm reaches, so a disarmed timer matches no token an event carries.
+const DISARMED: u64 = 1 << (EPOCH_BITS - 1);
+
+/// One versioned timer, kept as one word: its newest arm's token (slot
+/// and arm count), marked [`DISARMED`] while that arm is not wanted. See
+/// the module docs.
+#[derive(Debug, Clone, Copy)]
+pub struct Timer {
+    token: u64,
+}
+
+impl Timer {
+    /// A disarmed timer in `slot` (one of the [`slot`] constants).
+    pub const fn new(slot: u8) -> Timer {
+        Timer {
+            token: (slot as u64) << EPOCH_BITS | DISARMED,
+        }
+    }
+
+    /// Arm anew: every earlier token goes stale. Returns the token the
+    /// caller's event must carry.
+    pub fn arm(&mut self) -> u64 {
+        let epoch = (self.token & (DISARMED - 1)) + 1;
+        debug_assert!(epoch < DISARMED, "timer epoch overflow");
+        self.token = self.token >> EPOCH_BITS << EPOCH_BITS | epoch;
+        self.token
+    }
+
+    /// Is `token` the newest arm's, and still armed?
+    pub fn is_current(&self, token: u64) -> bool {
+        token == self.token
+    }
+
+    /// Drop the newest arm: its event will read as stale.
+    pub fn disarm(&mut self) {
+        self.token |= DISARMED;
+    }
+
+    /// Whether an arm is outstanding.
+    pub fn is_armed(&self) -> bool {
+        self.token & DISARMED == 0
+    }
+}
 
 /// One `arm` call: where its event belongs in the queue, and its token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +143,9 @@ struct Arm {
 #[derive(Debug)]
 pub struct SupersedingTimer {
     flow: FlowId,
+    timer: Timer,
     /// The arm whose event is queued and will report back through
-    /// [`SupersedingTimer::fired`]. Never later than `latest`.
+    /// [`SupersedingTimer::fire`]. Never later than `latest`.
     carrier: Option<Arm>,
     /// The newest arm, while it is still armed and has no event of its
     /// own.
@@ -60,22 +153,24 @@ pub struct SupersedingTimer {
 }
 
 impl SupersedingTimer {
-    /// A disarmed timer delivering to `flow`'s agent on the arming node.
-    pub fn new(flow: FlowId) -> SupersedingTimer {
+    /// A disarmed timer in `slot`, delivering to `flow`'s agent on the
+    /// arming node.
+    pub fn new(flow: FlowId, slot: u8) -> SupersedingTimer {
         SupersedingTimer {
             flow,
+            timer: Timer::new(slot),
             carrier: None,
             latest: None,
         }
     }
 
-    /// Arrange for the agent's `on_timer(token)` after `delay`,
-    /// superseding every earlier arm.
-    pub fn arm(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, token: u64) {
+    /// Arrange for the agent's `on_timer` after `delay`, superseding
+    /// every earlier arm.
+    pub fn arm(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration) {
         let arm = Arm {
             at: ctx.now() + delay,
             seq: ctx.sched.reserve_seq(),
-            token,
+            token: self.timer.arm(),
         };
         match self.carrier {
             Some(carrier) if carrier.at <= arm.at => {
@@ -92,22 +187,34 @@ impl SupersedingTimer {
         }
     }
 
-    /// Forget the armed deadline: the handler will treat the newest token
-    /// as stale from now on, so there is no point materialising it.
+    /// Forget the armed deadline: its token reads as stale from now on,
+    /// so there is no point materialising it.
     pub fn disarm(&mut self) {
+        self.timer.disarm();
         self.latest = None;
     }
 
-    /// A timer event carrying `token` popped. If it was the carrier, the
-    /// newest arm (if any is waiting) takes its place in the queue.
-    pub fn fired(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.carrier.map(|c| c.token) != Some(token) {
-            return;
+    /// Whether an arm is outstanding.
+    pub fn is_armed(&self) -> bool {
+        self.timer.is_armed()
+    }
+
+    /// A timer event carrying `token` popped, whatever its slot. If it was
+    /// the carrier, the newest arm (if any is waiting) takes its place in
+    /// the queue. Returns whether it was this timer's live deadline, which
+    /// the call disarms: a one-shot fires once.
+    pub fn fire(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
+        if self.carrier.map(|c| c.token) == Some(token) {
+            self.carrier = None;
+            if let Some(next) = self.latest.take() {
+                self.queue(ctx, next);
+            }
         }
-        self.carrier = None;
-        if let Some(next) = self.latest.take() {
-            self.queue(ctx, next);
+        let live = self.timer.is_current(token);
+        if live {
+            self.timer.disarm();
         }
+        live
     }
 
     fn queue(&mut self, ctx: &mut Ctx<'_>, arm: Arm) {
@@ -140,20 +247,20 @@ mod tests {
         Nothing,
     }
 
-    /// The agent side of the idiom — epoch token, armed flag — over
-    /// either timer implementation, with its own scheduler. Everything it
-    /// does happens inside an event handler, as in a simulation, and what
-    /// it does on a live fire is a function of the token alone: an eager
-    /// and a lazy world that handle the same effective events in the same
-    /// order stay in lock step.
+    /// The agent side of the idiom over either timer implementation,
+    /// with its own scheduler. Everything it does happens inside an event
+    /// handler, as in a simulation, and what it does on a live fire is a
+    /// function of the token alone: an eager and a lazy world that handle
+    /// the same effective events in the same order stay in lock step.
     struct World {
         sched: Scheduler,
         stats: StatsCollector,
-        /// `None`: the eager reference, one queued event per arm.
+        /// The eager reference: a bare [`Timer`], one queued event per arm.
+        eager: Timer,
+        /// `Some`: the world under test.
         lazy: Option<SupersedingTimer>,
         script: Vec<Op>,
-        epoch: u64,
-        armed: bool,
+        arms: u64,
         /// Effective pops, `(time ns, seq, what)`: live fires carry their
         /// token, scripted events `u64::MAX - n`.
         log: Vec<(u64, u64, u64)>,
@@ -173,45 +280,46 @@ mod tests {
             World {
                 sched,
                 stats: StatsCollector::new(),
-                lazy: lazy.then(|| SupersedingTimer::new(FLOW)),
+                eager: Timer::new(slot::RTO),
+                lazy: lazy.then(|| SupersedingTimer::new(FLOW, slot::RTO)),
                 script: script.iter().map(|&(_, op)| op).collect(),
-                epoch: 0,
-                armed: false,
+                arms: 0,
                 log: Vec::new(),
                 timer_pops: Vec::new(),
                 orphans: 0,
             }
         }
 
-        fn arm(&mut self, delay_ns: u64) {
-            self.epoch += 1;
-            self.armed = true;
-            let delay = SimDuration::from_nanos(delay_ns);
-            let mut ctx = Ctx {
+        fn ctx(&mut self) -> Ctx<'_> {
+            Ctx {
                 node: NODE,
                 sched: &mut self.sched,
                 stats: &mut self.stats,
-            };
-            match &mut self.lazy {
-                Some(timer) => {
+            }
+        }
+
+        fn arm(&mut self, delay_ns: u64) {
+            self.arms += 1;
+            let delay = SimDuration::from_nanos(delay_ns);
+            match self.lazy.take() {
+                Some(mut timer) => {
                     let displaced = timer.carrier;
-                    timer.arm(&mut ctx, delay, self.epoch);
+                    timer.arm(&mut self.ctx(), delay);
                     if displaced.is_some() && timer.carrier != displaced {
                         self.orphans += 1;
                     }
+                    self.lazy = Some(timer);
                 }
-                None => ctx.schedule_self(
-                    delay,
-                    EventKind::AgentTimer {
-                        flow: FLOW,
-                        token: self.epoch,
-                    },
-                ),
+                None => {
+                    let token = self.eager.arm();
+                    let kind = EventKind::AgentTimer { flow: FLOW, token };
+                    self.ctx().schedule_self(delay, kind);
+                }
             }
         }
 
         fn disarm(&mut self) {
-            self.armed = false;
+            self.eager.disarm();
             if let Some(timer) = &mut self.lazy {
                 timer.disarm();
             }
@@ -237,19 +345,24 @@ mod tests {
                 EventKind::AgentTimer { flow, token } => {
                     assert_eq!(flow, FLOW);
                     self.timer_pops.push((now, token));
-                    if let Some(timer) = &mut self.lazy {
-                        if timer.carrier.map(|c| c.token) != Some(token) {
-                            self.orphans -= 1;
+                    let live = match self.lazy.take() {
+                        Some(mut timer) => {
+                            if timer.carrier.map(|c| c.token) != Some(token) {
+                                self.orphans -= 1;
+                            }
+                            let live = timer.fire(&mut self.ctx(), token);
+                            self.lazy = Some(timer);
+                            live
                         }
-                        let mut ctx = Ctx {
-                            node: NODE,
-                            sched: &mut self.sched,
-                            stats: &mut self.stats,
-                        };
-                        timer.fired(&mut ctx, token);
-                    }
-                    if token == self.epoch && self.armed {
-                        self.armed = false;
+                        None => {
+                            let live = self.eager.is_current(token);
+                            if live {
+                                self.eager.disarm();
+                            }
+                            live
+                        }
+                    };
+                    if live {
                         self.log.push((now, seq, token));
                         // An RTO handler's choices: give up, back off
                         // and re-arm, or re-arm short.
@@ -336,7 +449,7 @@ mod tests {
             // The eager idiom pops one event per arm; the lazy timer pops
             // every arm it did not supersede (and some it did: the
             // re-materialised ones).
-            let arms = eager.epoch as usize;
+            let arms = eager.arms as usize;
             assert_eq!(eager.timer_pops.len(), arms);
             let superseded = lazy.stats.timer_arms_superseded as usize;
             assert!(lazy.timer_pops.len() >= arms - superseded);
@@ -374,5 +487,24 @@ mod tests {
         let w = World::new(true, &script).run();
         assert_eq!(w.timer_pops, [(10_000, 1)]);
         assert_eq!(w.log.len(), 3, "no live fire");
+    }
+
+    #[test]
+    fn tokens_name_their_slot_and_arm() {
+        assert_eq!(MAINTENANCE_TIMER_BASE, 1 << 62);
+        let (mut a, mut b) = (Timer::new(slot::PACE), Timer::new(slot::PROBE));
+        assert!(!a.is_current(0), "a fresh timer is disarmed");
+        let (ta, tb) = (a.arm(), b.arm());
+        assert_ne!(ta, tb, "same epoch, different slots");
+        assert!(a.is_current(ta) && !a.is_current(tb) && !b.is_current(ta));
+        let ta2 = a.arm();
+        assert!(
+            a.is_current(ta2) && !a.is_current(ta),
+            "a new arm stales the old"
+        );
+        a.disarm();
+        assert!(!a.is_current(ta2));
+        let mut gc = Timer::new(slot::MAINTENANCE);
+        assert!(gc.arm() >= MAINTENANCE_TIMER_BASE && ta2 < MAINTENANCE_TIMER_BASE);
     }
 }

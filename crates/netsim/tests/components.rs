@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use netsim::event::EventKind;
 use netsim::flow::{FlowSpec, ReceiverHint};
-use netsim::host::{AgentCtx, AgentFactory, FlowAgent, HostIo, HostService, WAKEUP_TOKEN};
+use netsim::host::{AgentCtx, AgentFactory, FlowAgent, HostIo, HostService};
 use netsim::node::Node;
 use netsim::packet::{Packet, PacketKind};
 use netsim::prelude::*;
@@ -19,7 +19,6 @@ struct OneShotSender {
     spec: FlowSpec,
     acks: Arc<AtomicU64>,
     wakeups: Arc<AtomicU64>,
-    done: bool,
 }
 
 impl FlowAgent for OneShotSender {
@@ -33,18 +32,11 @@ impl FlowAgent for OneShotSender {
         if pkt.kind == PacketKind::Ack {
             self.acks.fetch_add(1, Ordering::Relaxed);
             ctx.flow_completed();
-            self.done = true;
         }
     }
 
-    fn on_timer(&mut self, token: u64, _ctx: &mut AgentCtx<'_, '_>) {
-        if token == WAKEUP_TOKEN {
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
+    fn on_wake(&mut self, _ctx: &mut AgentCtx<'_, '_>) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -53,7 +45,6 @@ struct Echoer {
 }
 
 impl FlowAgent for Echoer {
-    fn on_start(&mut self, _: &mut AgentCtx<'_, '_>) {}
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
         if pkt.kind == PacketKind::Data {
             ctx.send(Packet::ack(
@@ -63,10 +54,6 @@ impl FlowAgent for Echoer {
                 pkt.seq_end(),
             ));
         }
-    }
-    fn on_timer(&mut self, _: u64, _: &mut AgentCtx<'_, '_>) {}
-    fn is_done(&self) -> bool {
-        false
     }
 }
 
@@ -81,7 +68,6 @@ impl AgentFactory for TestFactory {
             spec: spec.clone(),
             acks: Arc::clone(&self.acks),
             wakeups: Arc::clone(&self.wakeups),
-            done: false,
         })
     }
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
@@ -230,7 +216,6 @@ fn ctrl_packets_route_to_service_and_wake_agents() {
 /// acknowledged — enough reliability to ride out an injected link outage.
 struct RetrySender {
     spec: FlowSpec,
-    done: bool,
 }
 
 impl FlowAgent for RetrySender {
@@ -248,12 +233,11 @@ impl FlowAgent for RetrySender {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
         if pkt.kind == PacketKind::Ack {
             ctx.flow_completed();
-            self.done = true;
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        if token == 1 && !self.done {
+        if token == 1 {
             ctx.send(Packet::data(
                 self.spec.id,
                 self.spec.src,
@@ -264,20 +248,13 @@ impl FlowAgent for RetrySender {
             ctx.set_timer(SimDuration::from_millis(1), 1);
         }
     }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 struct RetryFactory;
 
 impl AgentFactory for RetryFactory {
     fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(RetrySender {
-            spec: spec.clone(),
-            done: false,
-        })
+        Box::new(RetrySender { spec: spec.clone() })
     }
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
         Box::new(Echoer { hint })

@@ -17,7 +17,6 @@ use netsim::trace::AbortReason;
 /// enough reliability to ride out a crash/restart of the receiver.
 struct RetrySender {
     spec: FlowSpec,
-    done: bool,
 }
 
 impl FlowAgent for RetrySender {
@@ -35,12 +34,11 @@ impl FlowAgent for RetrySender {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
         if pkt.kind == PacketKind::Ack {
             ctx.flow_completed();
-            self.done = true;
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        if token == 1 && !self.done {
+        if token == 1 {
             ctx.send(Packet::data(
                 self.spec.id,
                 self.spec.src,
@@ -51,10 +49,6 @@ impl FlowAgent for RetrySender {
             ctx.set_timer(SimDuration::from_millis(1), 1);
         }
     }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 struct Echoer {
@@ -62,7 +56,6 @@ struct Echoer {
 }
 
 impl FlowAgent for Echoer {
-    fn on_start(&mut self, _: &mut AgentCtx<'_, '_>) {}
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
         if pkt.kind == PacketKind::Data {
             ctx.send(Packet::ack(
@@ -73,20 +66,13 @@ impl FlowAgent for Echoer {
             ));
         }
     }
-    fn on_timer(&mut self, _: u64, _: &mut AgentCtx<'_, '_>) {}
-    fn is_done(&self) -> bool {
-        false
-    }
 }
 
 struct RetryFactory;
 
 impl AgentFactory for RetryFactory {
     fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(RetrySender {
-            spec: spec.clone(),
-            done: false,
-        })
+        Box::new(RetrySender { spec: spec.clone() })
     }
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
         Box::new(Echoer { hint })

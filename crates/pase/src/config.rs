@@ -5,6 +5,7 @@
 //! buffers (set where topologies are built).
 
 use netsim::time::{Rate, SimDuration};
+use transport::MSS;
 
 /// The scheduling criterion arbitrators sort flows by (paper §3.1.1: the
 /// `FlowSize` input "can be replaced by deadline ... for task-aware
@@ -27,10 +28,6 @@ pub enum Criterion {
 pub const MIN_RTO_TOP: SimDuration = SimDuration::from_millis(10);
 /// Minimum RTO for flows in lower queues (Table 3: 200 ms).
 pub const MIN_RTO_LOW: SimDuration = SimDuration::from_millis(200);
-/// Maximum RTO.
-pub const MAX_RTO: SimDuration = SimDuration::from_secs(2);
-/// DCTCP gain `g` for the marked-fraction EWMA (self-adjusting part).
-pub const DCTCP_G: f64 = 1.0 / 16.0;
 /// How often delegated virtual-link capacities are rebalanced.
 pub const DELEG_PERIOD: SimDuration = SimDuration::from_millis(1);
 /// Minimum share of a delegated link any child keeps (so a previously
@@ -54,8 +51,6 @@ pub const REFRESH_BACKOFF_CAP: u32 = 5;
 /// varies; the fixed parameters are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaseConfig {
-    /// Maximum segment payload, bytes.
-    pub mss: u32,
     /// Number of switch priority queues (Table 3: 8; Fig. 12b sweeps this).
     pub n_queues: u8,
     /// Scheduling criterion.
@@ -110,7 +105,6 @@ pub struct PaseConfig {
 impl Default for PaseConfig {
     fn default() -> Self {
         PaseConfig {
-            mss: 1460,
             n_queues: 8,
             criterion: Criterion::SrptSize,
             base_rtt: SimDuration::from_micros(300),
@@ -132,7 +126,7 @@ impl Default for PaseConfig {
 impl PaseConfig {
     /// The paper's "base rate" (one packet per RTT) as a [`Rate`].
     pub fn base_rate(&self) -> Rate {
-        let bits = (self.mss as u64 + 40) * 8 * BASE_RATE_PKTS_PER_RTT as u64;
+        let bits = (MSS as u64 + 40) * 8 * BASE_RATE_PKTS_PER_RTT as u64;
         let rtt_s = self.base_rtt.as_secs_f64();
         Rate::from_bps((bits as f64 / rtt_s) as u64)
     }

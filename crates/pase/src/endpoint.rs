@@ -28,22 +28,18 @@
 //! [`transport::DctcpWindow`], the value `transport::FamilySender` runs.
 
 use netsim::flow::FlowSpec;
-use netsim::host::{AgentCtx, FlowAgent, WAKEUP_TOKEN};
+use netsim::host::{AgentCtx, FlowAgent};
 use netsim::ids::NodeId;
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
-use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine};
+use netsim::timer::{slot, Timer};
+use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine, DCTCP_G, MAX_RTO, MSS};
 
 use crate::algorithm::Decision;
-use crate::config::{PaseConfig, DCTCP_G, MAX_RTO, MIN_RTO_LOW, MIN_RTO_TOP};
+use crate::config::{PaseConfig, MIN_RTO_LOW, MIN_RTO_TOP};
 use crate::health::{ChannelHealth, Transition};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
 use crate::process::{ArbPlan, ArbProcess};
-
-/// Token bases for the sender's own timers; [`TxEngine`] epochs stay far
-/// below these.
-const REFRESH_TOKEN_BASE: u64 = 1 << 40;
-const PACE_TOKEN_BASE: u64 = 1 << 41;
 
 /// The PASE sender agent.
 pub struct PaseSender {
@@ -74,13 +70,13 @@ pub struct PaseSender {
     // Probe-based loss recovery: `Some(acked_at_send)` while a recovery
     // probe is outstanding.
     recovery_probe: Option<u64>,
-    // Bottom-queue pacing probes.
-    pace_epoch: u64,
-    refresh_epoch: u64,
+    /// Bottom-queue pacing probes; eager, one event per probe.
+    pace: Timer,
+    /// The periodic arbitration refresh; eager.
+    refresh: Timer,
     started: bool,
     /// Control-plane watchdog (graceful degradation, paper §3.1.3).
     health: ChannelHealth,
-    done: bool,
 }
 
 impl PaseSender {
@@ -90,7 +86,7 @@ impl PaseSender {
         PaseSender {
             spec: spec.clone(),
             cfg,
-            engine: TxEngine::new(spec.id, spec.src, spec.dst, spec.size, cfg.mss, 1.0, rtt),
+            engine: TxEngine::new(spec.id, spec.src, spec.dst, spec.size, MSS, 1.0, rtt),
             plan: ArbPlan {
                 sender_leg_to: None,
                 receiver_leg_to: None,
@@ -106,11 +102,10 @@ impl PaseSender {
             is_inter_queue: false,
             reorder_barrier: None,
             recovery_probe: None,
-            pace_epoch: 0,
-            refresh_epoch: 0,
+            pace: Timer::new(slot::PACE),
+            refresh: Timer::new(slot::REFRESH),
             started: false,
             health: ChannelHealth::new(&cfg, SimTime::ZERO),
-            done: false,
         }
     }
 
@@ -155,7 +150,7 @@ impl PaseSender {
     fn demand(&self, ctx: &AgentCtx<'_, '_>) -> Rate {
         let nic = ctx.host.port.rate;
         let remaining_wire =
-            self.engine.remaining() + (self.engine.remaining() / self.cfg.mss as u64 + 1) * 40;
+            self.engine.remaining() + (self.engine.remaining() / MSS as u64 + 1) * 40;
         let per_rtt =
             Rate::from_bps((remaining_wire as f64 * 8.0 / self.cfg.base_rtt.as_secs_f64()) as u64);
         nic.min(per_rtt)
@@ -163,7 +158,7 @@ impl PaseSender {
 
     fn reference_cwnd_pkts(&self) -> f64 {
         let bytes_per_rtt = self.rref.bytes_in(self.srtt());
-        (bytes_per_rtt as f64 / (self.cfg.mss as f64 + 40.0)).max(1.0)
+        (bytes_per_rtt as f64 / (MSS as f64 + 40.0)).max(1.0)
     }
 
     fn in_bottom_queue(&self) -> bool {
@@ -252,8 +247,8 @@ impl PaseSender {
         if self.health.in_fallback() {
             // Fallback pins the flow to the lowest queue at base rate; the
             // merge below would resurrect the (possibly stale, possibly
-            // uncoordinated) local decision. Exit happens in the WAKEUP
-            // path, before this is called again.
+            // uncoordinated) local decision. Exit happens on a wake-up,
+            // before this is called again.
             self.queue = self.cfg.lowest_queue();
             self.rref = self.cfg.base_rate();
             self.sync_tx_prio();
@@ -311,8 +306,7 @@ impl PaseSender {
     }
 
     fn start_pace_probes(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        self.pace_epoch += 1;
-        ctx.set_timer(self.srtt(), PACE_TOKEN_BASE + self.pace_epoch);
+        ctx.set_timer(self.srtt(), self.pace.arm());
     }
 
     /// Send a header-only probe at the current wire priority (a
@@ -373,9 +367,8 @@ impl PaseSender {
     }
 
     fn grow(&mut self, newly: u64, factor: f64) {
-        let mss = self.cfg.mss;
         self.win
-            .grow(&mut self.engine.cwnd, newly, mss, factor, 1.0);
+            .grow(&mut self.engine.cwnd, newly, MSS, factor, 1.0);
     }
 
     fn on_loss(&mut self, loss: LossEvent) {
@@ -419,7 +412,6 @@ impl PaseSender {
 
     fn finish(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         ctx.flow_completed();
-        self.done = true;
         self.release_arbitration(ctx);
     }
 
@@ -430,7 +422,6 @@ impl PaseSender {
     /// lease expiry.
     fn abort(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         ctx.flow_aborted(netsim::trace::AbortReason::MaxRtosExceeded);
-        self.done = true;
         self.release_arbitration(ctx);
     }
 
@@ -461,9 +452,8 @@ impl PaseSender {
     }
 
     fn arm_refresh(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        self.refresh_epoch += 1;
         let delay = self.health.next_refresh_delay();
-        ctx.set_timer(delay, REFRESH_TOKEN_BASE + self.refresh_epoch);
+        ctx.set_timer(delay, self.refresh.arm());
     }
 
     /// Apply a channel-health verdict (see [`Transition`]).
@@ -512,9 +502,6 @@ impl FlowAgent for PaseSender {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
-        if self.done {
-            return;
-        }
         match pkt.kind {
             PacketKind::Ack => {
                 let now = ctx.now();
@@ -563,48 +550,20 @@ impl FlowAgent for PaseSender {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        if self.done {
-            return;
-        }
-        if token == WAKEUP_TOKEN {
-            // An arbitration response arrived; consume its piggybacked
-            // load-shed signal.
-            let shed = ctx
-                .service::<ArbProcess>()
-                .map(|svc| svc.take_shed(self.spec.id))
-                .unwrap_or(false);
-            let verdict = self.health.on_response(ctx.now(), shed);
-            self.apply(verdict, ctx);
-            // On leaving fallback this re-attaches the flow to its
-            // arbitrated queue and reference rate (Algorithm 2 transitions
-            // fire on the queue change).
-            self.recompute_effective(ctx);
-            self.pump(ctx);
-            return;
-        }
-        if token >= PACE_TOKEN_BASE {
-            if token == PACE_TOKEN_BASE + self.pace_epoch && self.data_suppressed() {
+        if self.pace.is_current(token) {
+            if self.data_suppressed() {
                 self.send_probe(ctx);
-                self.pace_epoch += 1;
-                ctx.set_timer(self.srtt(), PACE_TOKEN_BASE + self.pace_epoch);
+                ctx.set_timer(self.srtt(), self.pace.arm());
             }
-            return;
-        }
-        if token >= REFRESH_TOKEN_BASE {
-            if token == REFRESH_TOKEN_BASE + self.refresh_epoch {
-                let expects_responses =
-                    self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
-                let verdict = self.health.on_refresh_round(ctx.now(), expects_responses);
-                self.apply(verdict, ctx);
-                self.arbitrate(ctx);
-                self.pump(ctx);
-                self.arm_refresh(ctx);
-            }
-            return;
-        }
-        // Engine RTO.
-        self.engine.timer_popped(token, ctx);
-        if self.engine.timer_is_live(token) {
+        } else if self.refresh.is_current(token) {
+            let expects_responses =
+                self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
+            let verdict = self.health.on_refresh_round(ctx.now(), expects_responses);
+            self.apply(verdict, ctx);
+            self.arbitrate(ctx);
+            self.pump(ctx);
+            self.arm_refresh(ctx);
+        } else if self.engine.rto_fired(token, ctx) {
             if self.cfg.probe_on_timeout && self.queue > 0 && self.recovery_probe.is_none() {
                 // Probe instead of retransmitting: the data may simply be
                 // parked behind higher-priority traffic.
@@ -618,19 +577,31 @@ impl FlowAgent for PaseSender {
                 }
                 self.recovery_probe = Some(self.engine.acked());
                 self.send_probe(ctx);
-            } else if self.engine.on_timer(token, ctx) {
+            } else if self.engine.on_timeout(ctx) {
                 if let Some(loss) = self.engine.take_loss_event() {
                     self.on_loss(loss);
                 }
                 self.pump(ctx);
-            } else if self.engine.gave_up() {
+            } else {
                 self.abort(ctx);
             }
         }
     }
 
-    fn is_done(&self) -> bool {
-        self.done
+    /// An arbitration response arrived: consume its piggybacked load-shed
+    /// signal and re-evaluate.
+    fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
+        let shed = ctx
+            .service::<ArbProcess>()
+            .map(|svc| svc.take_shed(self.spec.id))
+            .unwrap_or(false);
+        let verdict = self.health.on_response(ctx.now(), shed);
+        self.apply(verdict, ctx);
+        // On leaving fallback this re-attaches the flow to its arbitrated
+        // queue and reference rate (Algorithm 2 transitions fire on the
+        // queue change).
+        self.recompute_effective(ctx);
+        self.pump(ctx);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {

@@ -33,17 +33,13 @@ use netsim::packet::Packet;
 use netsim::stats::{Fate, StatsCollector};
 use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::{Rate, SimDuration, SimTime};
+use netsim::timer::{slot, Timer};
 
 use crate::algorithm::{Decision, LinkArbitrator};
 use crate::config::{PaseConfig, DELEG_MIN_SHARE, DELEG_PERIOD};
 use crate::messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
 use crate::shed::{ArbFrontEnd, FaultEffect};
 use crate::tree::TreeInfo;
-
-/// Base timer token for the periodic delegation report (ToR side). The
-/// live token is `DELEG_TIMER_TOKEN + epoch`, where the epoch bumps on
-/// every arbitrator restart so stale pre-crash timers die silently.
-pub(crate) const DELEG_TIMER_TOKEN: u64 = 1;
 
 /// Flow id on delegation traffic, which concerns no flow.
 const NO_FLOW: FlowId = FlowId(u64::MAX);
@@ -141,10 +137,10 @@ pub struct ArbProcess {
     legs: HashMap<FlowId, LegResults>,
     /// ToR with delegation: the agg it reports its slices' demand to.
     deleg_parent: Option<NodeId>,
-    /// Generation counter for the delegation report loop. A restart
-    /// starts a fresh chain under a new epoch so a timer still pending
-    /// from before the crash cannot double the reporting rate.
-    deleg_epoch: u64,
+    /// ToR with delegation: the report loop's timer. A restart re-arms it,
+    /// so a tick still pending from before the crash cannot double the
+    /// reporting rate.
+    deleg: Timer,
     /// Agg with delegation: its children's last reported demands.
     child_demands: HashMap<NodeId, (Rate, Rate)>,
 }
@@ -175,7 +171,7 @@ impl ArbProcess {
             deleg_down: arbitrate(slice),
             legs: HashMap::new(),
             deleg_parent,
-            deleg_epoch: 0,
+            deleg: Timer::new(slot::DELEGATION),
             child_demands: HashMap::new(),
         }
     }
@@ -185,10 +181,14 @@ impl ArbProcess {
         self.front.is_crashed()
     }
 
-    /// Whether this process runs the delegation report loop (a ToR with
-    /// delegation on and a parent to report to).
-    pub(crate) fn reports_delegation(&self) -> bool {
-        self.deleg_parent.is_some()
+    /// Arm the periodic loops — the delegation report on a ToR with a
+    /// parent to report to, then the lease GC — and return each first
+    /// tick as `(delay, token)`, in the order to queue them. At install
+    /// and on every restart; arming stales any tick still pending.
+    pub(crate) fn arm_loops(&mut self) -> impl Iterator<Item = (SimDuration, u64)> {
+        let report = self.deleg_parent.map(|_| (DELEG_PERIOD, self.deleg.arm()));
+        let gc = (self.cfg.arb_expiry, self.front.arm_maintenance());
+        report.into_iter().chain([gc])
     }
 
     /// The arbitrators this process runs on `leg`: its own link's, then
@@ -457,10 +457,10 @@ impl ArbProcess {
             // cannot wedge the top priority queue.
             let (now, expiry) = (io.now(), self.cfg.arb_expiry);
             self.arbitrators_mut().for_each(|arb| arb.gc(now, expiry));
-            io.set_timer(expiry, self.front.maintenance_token());
+            io.set_timer(expiry, self.front.arm_maintenance());
             return;
         }
-        if self.front.is_crashed() || token != DELEG_TIMER_TOKEN + self.deleg_epoch {
+        if self.front.is_crashed() || !self.deleg.is_current(token) {
             return;
         }
         let Some(parent) = self.deleg_parent else {
@@ -484,7 +484,7 @@ impl ArbProcess {
             };
             io.send(update.packet(NO_FLOW, self.me, parent));
         }
-        io.set_timer(DELEG_PERIOD, DELEG_TIMER_TOKEN + self.deleg_epoch);
+        io.set_timer(DELEG_PERIOD, self.deleg.arm());
     }
 
     fn handle_fault(&mut self, fault: NodeFault, io: &mut impl NodeIo) {
@@ -501,13 +501,10 @@ impl ArbProcess {
             }
             FaultEffect::Rearm => {
                 // The fresh process re-learns purely from the next refresh
-                // round (within `arb_expiry`). The delegation report loop
-                // restarts under a new epoch, like the lease-GC loop.
-                self.deleg_epoch += 1;
-                if self.deleg_parent.is_some() {
-                    io.set_timer(DELEG_PERIOD, DELEG_TIMER_TOKEN + self.deleg_epoch);
+                // round (within `arb_expiry`); its loops start afresh.
+                for (delay, token) in self.arm_loops() {
+                    io.set_timer(delay, token);
                 }
-                io.set_timer(self.cfg.arb_expiry, self.front.maintenance_token());
             }
         }
     }

@@ -20,11 +20,11 @@
 //! signal that lets senders back off.
 
 use netsim::fault::NodeFault;
-use netsim::host::MAINTENANCE_TIMER_BASE;
 use netsim::ids::NodeId;
 use netsim::packet::Packet;
 use netsim::stats::{Fate, StatsCollector};
 use netsim::time::{SimDuration, SimTime};
+use netsim::timer::{slot, Timer};
 use netsim::trace::TraceEvent;
 
 use crate::config::PaseConfig;
@@ -136,10 +136,9 @@ pub enum FaultEffect {
     /// The process died: wipe every arbitrator and cache — all soft state
     /// dies with it and only the endpoints' periodic refreshes rebuild it.
     Wipe,
-    /// A fresh, empty process came up: re-arm the periodic loops. The
-    /// maintenance epoch has been bumped, so a tick still pending from
-    /// before the crash is stale and inert; arm the new one with
-    /// [`ArbFrontEnd::maintenance_token`].
+    /// A fresh, empty process came up: re-arm the periodic loops (the
+    /// lease GC with [`ArbFrontEnd::arm_maintenance`]). Arming stales a
+    /// tick still pending from before the crash.
     Rearm,
 }
 
@@ -153,9 +152,9 @@ pub struct ArbFrontEnd {
     /// traffic and timers until restarted (on a switch the data plane
     /// keeps forwarding — only the co-located control process dies).
     crashed: bool,
-    /// Generation counter for the periodic lease-GC tick; bumped on
-    /// restart so pre-crash ticks die silently.
-    maint_epoch: u64,
+    /// The periodic lease-GC tick. Infrastructure, not flow progress: its
+    /// maintenance slot keeps the stuck-flow oracle from counting it.
+    maintenance: Timer,
     /// Control-inbox meter shared by every arbitrator the process owns.
     budget: InboxBudget,
 }
@@ -166,7 +165,7 @@ impl ArbFrontEnd {
         ArbFrontEnd {
             me,
             crashed: false,
-            maint_epoch: 0,
+            maintenance: Timer::new(slot::MAINTENANCE),
             budget: InboxBudget::new(cfg),
         }
     }
@@ -176,18 +175,17 @@ impl ArbFrontEnd {
         self.crashed
     }
 
-    /// The live lease-GC timer token. The tick is infrastructure (not
-    /// flow progress): it rides above [`MAINTENANCE_TIMER_BASE`] so the
-    /// stuck-flow oracle ignores it.
-    pub fn maintenance_token(&self) -> u64 {
-        MAINTENANCE_TIMER_BASE + self.maint_epoch
+    /// Arm the next lease-GC tick; the token its timer event carries.
+    /// Every earlier tick goes stale.
+    pub fn arm_maintenance(&mut self) -> u64 {
+        self.maintenance.arm()
     }
 
     /// Whether `token` is the live lease-GC tick of a running process. A
-    /// crashed process skips the tick (its state is already gone); the
-    /// restart path re-arms under a new epoch.
+    /// crashed process skips the tick (its state is already gone), which
+    /// ends the loop until the restart path re-arms it.
     pub fn maintenance_due(&self, token: u64) -> bool {
-        !self.crashed && token == self.maintenance_token()
+        !self.crashed && self.maintenance.is_current(token)
     }
 
     /// Take one control packet off the wire. `None` when the message goes
@@ -277,7 +275,6 @@ impl ArbFrontEnd {
             }
             NodeFault::Restart if self.crashed => {
                 self.crashed = false;
-                self.maint_epoch += 1;
                 FaultEffect::Rearm
             }
             NodeFault::Restart => FaultEffect::None,

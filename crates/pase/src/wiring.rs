@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use netsim::event::EventKind;
-use netsim::host::MAINTENANCE_TIMER_BASE;
+use netsim::ids::NodeId;
 use netsim::node::Node;
 use netsim::sim::Simulation;
 
-use crate::config::{PaseConfig, DELEG_PERIOD};
-use crate::process::{ArbProcess, DELEG_TIMER_TOKEN};
+use crate::config::PaseConfig;
+use crate::process::ArbProcess;
 use crate::tree::{Level, TreeInfo};
 
 /// Install the PASE control plane on every host and switch of `sim`: an
@@ -22,22 +22,22 @@ pub fn install(sim: &mut Simulation, cfg: PaseConfig) -> Arc<TreeInfo> {
     let tree = Arc::new(TreeInfo::from_topology(sim.topo()));
     let hosts = sim.topo().hosts();
     let switches = sim.topo().switches();
-    let maintenance = |sim: &mut Simulation, node| {
-        sim.scheduler_mut().schedule_in(
-            cfg.arb_expiry,
-            node,
-            EventKind::PluginTimer(MAINTENANCE_TIMER_BASE),
-        );
+    // Each process's loops start with their timers' first tokens.
+    let start = |sim: &mut Simulation, node: NodeId, process: &mut ArbProcess| {
+        for (delay, token) in process.arm_loops() {
+            let tick = EventKind::PluginTimer(token);
+            sim.scheduler_mut().schedule_in(delay, node, tick);
+        }
     };
     // Hosts: endpoint arbitrators for their own access links.
     for h in hosts {
         let access = sim.topo().link_rate(h, sim.topo().host_tor(h));
         let access = access.expect("host access link");
-        let process = ArbProcess::new(cfg, h, Some(access), Arc::clone(&tree));
+        let mut process = ArbProcess::new(cfg, h, Some(access), Arc::clone(&tree));
+        start(sim, h, &mut process);
         if let Node::Host(host) = sim.node_mut(h) {
             host.set_service(Box::new(process));
         }
-        maintenance(sim, h);
     }
     // Switches: ToR and aggregation arbitrators for their links to their
     // parents (the core needs none: all of its links are arbitrated from
@@ -47,19 +47,11 @@ pub fn install(sim: &mut Simulation, cfg: PaseConfig) -> Arc<TreeInfo> {
             if tree.level(sw) == Level::Core {
                 continue;
             }
-            let process = ArbProcess::new(cfg, sw, tree.uplink_rate(sw), Arc::clone(&tree));
-            let reports = process.reports_delegation();
+            let mut process = ArbProcess::new(cfg, sw, tree.uplink_rate(sw), Arc::clone(&tree));
+            start(sim, sw, &mut process);
             if let Node::Switch(s) = sim.node_mut(sw) {
                 s.set_plugin(Box::new(process));
             }
-            if reports {
-                sim.scheduler_mut().schedule_in(
-                    DELEG_PERIOD,
-                    sw,
-                    EventKind::PluginTimer(DELEG_TIMER_TOKEN),
-                );
-            }
-            maintenance(sim, sw);
         }
     }
     tree

@@ -1,62 +1,48 @@
 //! PDQ parameters.
 
-use netsim::time::{Rate, SimDuration};
+use netsim::time::SimDuration;
 
-/// Parameters for PDQ endpoints and switches.
+/// Fraction of link capacity the arbiter hands out (PDQ under-allocates
+/// slightly so queues stay empty).
+pub const ETA: f64 = 0.95;
+/// Switch flow-state expiry: entries not refreshed for this long are
+/// garbage-collected (the sender crashed or the TERM was lost).
+pub const FLOW_EXPIRY: SimDuration = SimDuration::from_millis(10);
+/// Probing interval for paused flows, in RTTs.
+pub const PROBE_INTERVAL_RTTS: f64 = 1.0;
+/// Suppressed probing: multiply the interval by this factor for each
+/// consecutive paused probe...
+pub const PROBE_SUPPRESS_FACTOR: f64 = 2.0;
+/// ...up to this many RTTs.
+pub const PROBE_INTERVAL_MAX_RTTS: f64 = 8.0;
+
+/// The PDQ knobs a scenario or test sets; the fixed parameters are the
+/// constants above (segment size and RTO bounds are
+/// [`transport::MSS`], [`transport::MIN_RTO`] and [`transport::MAX_RTO`];
+/// a sender requests its NIC rate).
 ///
 /// Defaults follow the PDQ paper (SIGCOMM'12): Early Start lookahead of
 /// K = 2 RTTs, slight under-allocation for stability, and suppressed
 /// probing for paused flows.
 #[derive(Debug, Clone, Copy)]
 pub struct PdqConfig {
-    /// Maximum segment payload, bytes.
-    pub mss: u32,
-    /// Fraction of link capacity the arbiter hands out (PDQ under-allocates
-    /// slightly so queues stay empty).
-    pub eta: f64,
     /// Early Start window: a more-critical flow expected to finish within
     /// this many of the requester's RTTs is treated as already finished.
     pub early_start_rtts: f64,
-    /// Switch flow-state expiry: entries not refreshed for this long are
-    /// garbage-collected (the sender crashed or the TERM was lost).
-    pub flow_expiry: SimDuration,
-    /// Probing interval for paused flows, in RTTs.
-    pub probe_interval_rtts: f64,
-    /// Suppressed probing: multiply the interval by this factor for each
-    /// consecutive paused probe...
-    pub probe_suppress_factor: f64,
-    /// ...up to this many RTTs.
-    pub probe_interval_max_rtts: f64,
     /// RTT estimate used before the first sample.
     pub base_rtt: SimDuration,
-    /// Minimum retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout.
-    pub max_rto: SimDuration,
     /// Early Termination: abort flows whose deadline has become
     /// unmeetable (sends TERM, frees the network). Off by default — none
     /// of the PASE paper's PDQ experiments use deadlines.
     pub early_termination: bool,
-    /// The demand ceiling a sender requests (its NIC rate is used when
-    /// `None`).
-    pub demand_cap: Option<Rate>,
 }
 
 impl Default for PdqConfig {
     fn default() -> Self {
         PdqConfig {
-            mss: 1460,
-            eta: 0.95,
             early_start_rtts: 2.0,
-            flow_expiry: SimDuration::from_millis(10),
-            probe_interval_rtts: 1.0,
-            probe_suppress_factor: 2.0,
-            probe_interval_max_rtts: 8.0,
             base_rtt: SimDuration::from_micros(300),
-            min_rto: SimDuration::from_millis(10),
-            max_rto: SimDuration::from_secs(2),
             early_termination: false,
-            demand_cap: None,
         }
     }
 }
@@ -66,11 +52,12 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::assertions_on_constants)]
     fn defaults_match_paper_recommendations() {
         let c = PdqConfig::default();
         assert_eq!(c.early_start_rtts, 2.0);
-        assert!(c.eta > 0.9 && c.eta < 1.0);
+        assert!(ETA > 0.9 && ETA < 1.0);
         assert!(!c.early_termination);
-        assert!(c.probe_interval_max_rtts >= c.probe_interval_rtts);
+        assert!(PROBE_INTERVAL_MAX_RTTS >= PROBE_INTERVAL_RTTS);
     }
 }

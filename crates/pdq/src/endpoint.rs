@@ -11,20 +11,13 @@ use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentCtx, FlowAgent};
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
-use netsim::timer::SupersedingTimer;
-use transport::{ByteTracker, RttEstimator};
+use netsim::timer::{slot, SupersedingTimer, Timer};
+use transport::{segment_len, ByteTracker, RttEstimator, MAX_RTO, MIN_RTO, MSS};
 
-use crate::config::PdqConfig;
+use crate::config::{
+    PdqConfig, PROBE_INTERVAL_MAX_RTTS, PROBE_INTERVAL_RTTS, PROBE_SUPPRESS_FACTOR,
+};
 use crate::header::PdqHeader;
-
-/// Timer token layout: low 2 bits select the timer, the rest is an epoch.
-const KIND_PACE: u64 = 0;
-const KIND_PROBE: u64 = 1;
-const KIND_RTO: u64 = 2;
-
-fn token(kind: u64, epoch: u64) -> u64 {
-    (epoch << 2) | kind
-}
 
 /// The PDQ sender agent.
 #[derive(Debug)]
@@ -39,12 +32,13 @@ pub struct PdqSender {
     rtt: RttEstimator,
     /// Consecutive paused probes, for suppressed probing.
     paused_probes: u32,
-    epoch: u64,
-    pace_token: u64,
-    probe_token: u64,
-    rto_token: u64,
-    rto_timer: SupersedingTimer,
-    done: bool,
+    /// The next data packet's send time; eager, one event per packet.
+    pace: Timer,
+    /// The next paused-flow probe; eager.
+    probe: Timer,
+    /// The retransmission timeout, superseded by every data packet and
+    /// grant.
+    rto: SupersedingTimer,
 }
 
 impl PdqSender {
@@ -57,14 +51,11 @@ impl PdqSender {
             cum_ack: 0,
             rate: Rate::ZERO,
             paused: true,
-            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
+            rtt: RttEstimator::new(MIN_RTO, MAX_RTO),
             paused_probes: 0,
-            epoch: 0,
-            pace_token: u64::MAX,
-            probe_token: u64::MAX,
-            rto_token: u64::MAX,
-            rto_timer: SupersedingTimer::new(spec.id),
-            done: false,
+            pace: Timer::new(slot::PACE),
+            probe: Timer::new(slot::PROBE),
+            rto: SupersedingTimer::new(spec.id, slot::RTO),
         }
     }
 
@@ -86,26 +77,14 @@ impl PdqSender {
         self.rtt.srtt().unwrap_or(self.cfg.base_rtt)
     }
 
-    fn demand(&self, ctx: &AgentCtx<'_, '_>) -> Rate {
-        let nic = ctx.host.port.rate;
-        match self.cfg.demand_cap {
-            Some(cap) => nic.min(cap),
-            None => nic,
-        }
-    }
-
+    /// The request header; a sender asks for its NIC rate.
     fn header(&self, ctx: &AgentCtx<'_, '_>) -> PdqHeader {
         PdqHeader::request(
-            self.demand(ctx),
+            ctx.host.port.rate,
             self.remaining(),
             self.spec.deadline_abs(),
             self.srtt(),
         )
-    }
-
-    fn next_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch
     }
 
     /// Send a probe carrying the current request.
@@ -117,29 +96,19 @@ impl PdqSender {
         ctx.sim.stats.note_probe(self.spec.id);
         ctx.send(probe);
         // Schedule the next probe with suppression.
-        let factor = self
-            .cfg
-            .probe_suppress_factor
-            .powi(self.paused_probes.min(16) as i32)
-            * self.cfg.probe_interval_rtts;
-        let interval = self
-            .srtt()
-            .mul_f64(factor.min(self.cfg.probe_interval_max_rtts));
+        let factor =
+            PROBE_SUPPRESS_FACTOR.powi(self.paused_probes.min(16) as i32) * PROBE_INTERVAL_RTTS;
+        let interval = self.srtt().mul_f64(factor.min(PROBE_INTERVAL_MAX_RTTS));
         self.paused_probes = self.paused_probes.saturating_add(1);
-        let ep = self.next_epoch();
-        self.probe_token = token(KIND_PROBE, ep);
-        ctx.set_timer(interval, self.probe_token);
+        ctx.set_timer(interval, self.probe.arm());
     }
 
     /// Send one data segment and schedule the next pacing tick.
     fn pace_one(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        if self.done || self.paused || self.rate.is_zero() || self.snd_nxt >= self.spec.size {
+        if self.paused || self.rate.is_zero() || self.snd_nxt >= self.spec.size {
             return;
         }
-        let len = self
-            .cfg
-            .mss
-            .min((self.spec.size - self.snd_nxt).min(u32::MAX as u64) as u32);
+        let len = segment_len(MSS, self.spec.size, self.snd_nxt);
         let mut pkt = Packet::data(
             self.spec.id,
             self.spec.src,
@@ -155,16 +124,12 @@ impl PdqSender {
         self.arm_rto(ctx);
         if self.snd_nxt < self.spec.size {
             let gap = self.rate.tx_time(wire);
-            let ep = self.next_epoch();
-            self.pace_token = token(KIND_PACE, ep);
-            ctx.set_timer(gap, self.pace_token);
+            ctx.set_timer(gap, self.pace.arm());
         }
     }
 
     fn arm_rto(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        let ep = self.next_epoch();
-        self.rto_token = token(KIND_RTO, ep);
-        self.rto_timer.arm(ctx.sim, self.rtt.rto(), self.rto_token);
+        self.rto.arm(ctx.sim, self.rtt.rto());
     }
 
     /// Send the termination packet so switches release our state.
@@ -220,7 +185,6 @@ impl FlowAgent for PdqSender {
         if self.cum_ack >= self.spec.size {
             self.send_term(ctx);
             ctx.flow_completed();
-            self.done = true;
             return;
         }
         // Adopt the echoed allocation.
@@ -232,7 +196,6 @@ impl FlowAgent for PdqSender {
         if self.deadline_unmeetable(now) {
             self.send_term(ctx);
             ctx.flow_aborted(netsim::trace::AbortReason::EarlyTermination);
-            self.done = true;
             return;
         }
         if self.paused {
@@ -254,37 +217,26 @@ impl FlowAgent for PdqSender {
         }
     }
 
-    fn on_timer(&mut self, tok: u64, ctx: &mut AgentCtx<'_, '_>) {
-        if self.done {
-            return;
-        }
-        if tok & 0b11 == KIND_RTO {
-            self.rto_timer.fired(ctx.sim, tok);
-        }
-        match tok & 0b11 {
-            KIND_PACE if tok == self.pace_token => self.pace_one(ctx),
-            KIND_PROBE if tok == self.probe_token && self.paused => {
+    fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
+        if self.pace.is_current(token) {
+            self.pace_one(ctx);
+        } else if self.probe.is_current(token) {
+            if self.paused {
                 self.send_probe(ctx);
             }
-            KIND_RTO if tok == self.rto_token && self.snd_nxt > self.cum_ack => {
-                // Go-back-N: rewind to the cumulative ack.
-                ctx.sim.stats.note_timeout(self.spec.id);
-                self.rtt.on_timeout();
-                let lost = self.snd_nxt - self.cum_ack;
-                ctx.sim.stats.note_retransmit(self.spec.id, lost);
-                self.snd_nxt = self.cum_ack;
-                if self.paused {
-                    self.send_probe(ctx);
-                } else {
-                    self.pace_one(ctx);
-                }
+        } else if self.rto.fire(ctx.sim, token) && self.snd_nxt > self.cum_ack {
+            // Go-back-N: rewind to the cumulative ack.
+            ctx.sim.stats.note_timeout(self.spec.id);
+            self.rtt.on_timeout();
+            let lost = self.snd_nxt - self.cum_ack;
+            ctx.sim.stats.note_retransmit(self.spec.id, lost);
+            self.snd_nxt = self.cum_ack;
+            if self.paused {
+                self.send_probe(ctx);
+            } else {
+                self.pace_one(ctx);
             }
-            _ => {} // stale timer
         }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
     }
 }
 
@@ -307,8 +259,6 @@ impl PdqReceiver {
 }
 
 impl FlowAgent for PdqReceiver {
-    fn on_start(&mut self, _ctx: &mut AgentCtx<'_, '_>) {}
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
         let (is_data, is_probe) = match pkt.kind {
             PacketKind::Data => (true, false),
@@ -344,12 +294,6 @@ impl FlowAgent for PdqReceiver {
         }
         ctx.send(ack);
     }
-
-    fn on_timer(&mut self, _token: u64, _ctx: &mut AgentCtx<'_, '_>) {}
-
-    fn is_done(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -359,10 +303,16 @@ mod tests {
 
     #[test]
     fn token_layout_separates_kinds() {
-        assert_ne!(token(KIND_PACE, 1), token(KIND_PROBE, 1));
-        assert_ne!(token(KIND_PROBE, 1), token(KIND_RTO, 1));
-        assert_eq!(token(KIND_RTO, 7) & 0b11, KIND_RTO);
-        assert_eq!(token(KIND_RTO, 7) >> 2, 7);
+        let spec = FlowSpec::new(FlowId(0), NodeId(0), NodeId(1), 10_000, SimTime::ZERO);
+        let mut s = PdqSender::new(&spec, PdqConfig::default());
+        // The three timers' first arms share an epoch, not a token.
+        let (pace, probe) = (s.pace.arm(), s.probe.arm());
+        assert_ne!(pace, probe);
+        assert!(s.pace.is_current(pace) && !s.pace.is_current(probe));
+        assert!(s.probe.is_current(probe) && !s.probe.is_current(pace));
+        let mut rto = Timer::new(slot::RTO);
+        let rto = rto.arm();
+        assert!(!s.pace.is_current(rto) && !s.probe.is_current(rto));
     }
 
     #[test]

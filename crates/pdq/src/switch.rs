@@ -18,7 +18,7 @@ use netsim::packet::Packet;
 use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::{Rate, SimDuration, SimTime};
 
-use crate::config::PdqConfig;
+use crate::config::{PdqConfig, ETA, FLOW_EXPIRY};
 use crate::header::PdqHeader;
 
 /// Per-flow state kept by a PDQ link arbiter.
@@ -65,7 +65,7 @@ impl LinkState {
     /// Water-fill `budget` over the flows more critical than `me`, whose
     /// refreshed entry is `asks`, honoring Early Start, and return the
     /// rate left for it. The same pass drops every other entry that has
-    /// not been refreshed for `flow_expiry`, so an expired flow is never
+    /// not been refreshed for [`FLOW_EXPIRY`], so an expired flow is never
     /// read.
     ///
     /// Visits the flows in table order, not criticality order: each step
@@ -86,7 +86,7 @@ impl LinkState {
             if id == me {
                 return true;
             }
-            if info.last_seen + cfg.flow_expiry < now {
+            if info.last_seen + FLOW_EXPIRY < now {
                 return false;
             }
             // Early Start: a flow about to drain is treated as finished.
@@ -195,11 +195,11 @@ impl SwitchPlugin for PdqSwitchPlugin {
         // The ingress ToR stands in as arbiter for the sender's access
         // uplink (hosts have no switch of their own).
         if let Some(&uplink_rate) = self.attached_hosts.get(&pkt.src) {
-            let budget = uplink_rate.mul_f64(self.cfg.eta);
+            let budget = uplink_rate.mul_f64(ETA);
             self.arbitrate_link(LinkKey::HostUplink(pkt.src), budget, pkt, switch_id, now);
         }
         // The output link itself.
-        let budget = io.port_rate(out_port).mul_f64(self.cfg.eta);
+        let budget = io.port_rate(out_port).mul_f64(ETA);
         self.arbitrate_link(LinkKey::Port(out_port), budget, pkt, switch_id, now);
     }
 
@@ -252,7 +252,7 @@ mod tests {
         now: SimTime,
     ) -> Rate {
         link.flows
-            .retain(|_, info| info.last_seen + cfg.flow_expiry >= now);
+            .retain(|_, info| info.last_seen + FLOW_EXPIRY >= now);
         let me = &link.flows[&flow];
         let my_crit = me.crit(flow);
         let early_window = me.rtt.mul_f64(cfg.early_start_rtts);
@@ -304,7 +304,7 @@ mod tests {
                         deadline: (rng.gen_below(3) == 0)
                             .then(|| SimTime::from_millis(51 + rng.gen_below(3))),
                         rtt: SimDuration::from_micros(100 + 100 * rng.gen_below(4)),
-                        last_seen: now - (cfg.flow_expiry + stale),
+                        last_seen: now - (FLOW_EXPIRY + stale),
                     };
                     (FlowId(id), info)
                 })

@@ -21,7 +21,7 @@ mod qdisc;
 mod sender;
 
 pub use qdisc::PFabricQdisc;
-pub use sender::{PFabricConfig, PFabricSender};
+pub use sender::{PFabricConfig, PFabricSender, CWND_PKTS, TIMEOUTS_BEFORE_PROBE};
 
 use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentFactory, FlowAgent};

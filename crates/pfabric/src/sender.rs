@@ -25,29 +25,26 @@ use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent};
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::SimDuration;
-use netsim::timer::SupersedingTimer;
-use transport::ByteTracker;
+use netsim::timer::{slot, SupersedingTimer};
+use transport::{segment_len, ByteTracker, MSS};
 
-/// pFabric endpoint parameters (paper Table 3).
+/// Fixed window, packets (= BDP; Table 3: 38 packets).
+pub const CWND_PKTS: usize = 38;
+/// Consecutive timeouts before entering probe mode.
+pub const TIMEOUTS_BEFORE_PROBE: u32 = 5;
+
+/// The pFabric endpoint parameter a scenario sets (paper Table 3); the
+/// fixed ones are the constants above.
 #[derive(Debug, Clone, Copy)]
 pub struct PFabricConfig {
-    /// Maximum segment payload, bytes.
-    pub mss: u32,
-    /// Fixed window, packets (= BDP; Table 3: 38 packets).
-    pub cwnd_pkts: usize,
     /// Fixed retransmission timeout (Table 3: 1 ms ≈ 3.3 RTT).
     pub rto: SimDuration,
-    /// Consecutive timeouts before entering probe mode.
-    pub timeouts_before_probe: u32,
 }
 
 impl Default for PFabricConfig {
     fn default() -> Self {
         PFabricConfig {
-            mss: 1460,
-            cwnd_pkts: 38,
             rto: SimDuration::from_millis(1),
-            timeouts_before_probe: 5,
         }
     }
 }
@@ -70,9 +67,7 @@ pub struct PFabricSender {
     high_water: u64,
     consecutive_timeouts: u32,
     probe_mode: bool,
-    timer_epoch: u64,
-    rto_timer: SupersedingTimer,
-    done: bool,
+    rto: SupersedingTimer,
 }
 
 impl PFabricSender {
@@ -88,9 +83,7 @@ impl PFabricSender {
             high_water: 0,
             consecutive_timeouts: 0,
             probe_mode: false,
-            timer_epoch: 0,
-            rto_timer: SupersedingTimer::new(spec.id),
-            done: false,
+            rto: SupersedingTimer::new(spec.id, slot::RTO),
         }
     }
 
@@ -100,10 +93,7 @@ impl PFabricSender {
     }
 
     fn seg_len(&self, seq: u64) -> u32 {
-        debug_assert!(seq < self.spec.size);
-        self.cfg
-            .mss
-            .min((self.spec.size - seq).min(u32::MAX as u64) as u32)
+        segment_len(MSS, self.spec.size, seq)
     }
 
     fn all_acked(&self) -> bool {
@@ -138,7 +128,7 @@ impl PFabricSender {
     /// The lowest unacknowledged, not-in-flight segment at or after
     /// `from`, if any.
     fn next_unsent(&self, mut from: u64) -> Option<u64> {
-        let mss = self.cfg.mss as u64;
+        let mss = MSS as u64;
         // Align to segment grid.
         from -= from % mss;
         while from < self.spec.size {
@@ -153,7 +143,7 @@ impl PFabricSender {
     /// Mark the next segment the fixed window allows in flight and return
     /// its start and length.
     fn claim_segment(&mut self) -> Option<(u64, u32)> {
-        if self.inflight.len() >= self.cfg.cwnd_pkts {
+        if self.inflight.len() >= CWND_PKTS {
             return None;
         }
         let Some(seq) = self.next_unsent(self.unsent_from.max(self.acked.cum_ack())) else {
@@ -198,8 +188,7 @@ impl PFabricSender {
         if self.all_acked() {
             return;
         }
-        self.timer_epoch += 1;
-        self.rto_timer.arm(ctx.sim, self.cfg.rto, self.timer_epoch);
+        self.rto.arm(ctx.sim, self.cfg.rto);
     }
 }
 
@@ -215,15 +204,13 @@ impl FlowAgent for PFabricSender {
         }
         if self.all_acked() {
             ctx.flow_completed();
-            self.done = true;
             return;
         }
         self.pump(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        self.rto_timer.fired(ctx.sim, token);
-        if self.done || token != self.timer_epoch {
+        if !self.rto.fire(ctx.sim, token) {
             return;
         }
         ctx.sim.stats.note_timeout(self.spec.id);
@@ -231,16 +218,12 @@ impl FlowAgent for PFabricSender {
         // Everything outstanding is presumed lost.
         self.inflight.clear();
         self.unsent_from = 0;
-        if self.consecutive_timeouts >= self.cfg.timeouts_before_probe {
+        if self.consecutive_timeouts >= TIMEOUTS_BEFORE_PROBE {
             self.probe_mode = true;
             self.send_probe(ctx);
         } else {
             self.pump(ctx);
         }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
     }
 }
 
@@ -321,7 +304,7 @@ mod tests {
             let s = &mut self.s;
             let mut sent = Vec::new();
             let mut cursor = s.acked.cum_ack();
-            while s.inflight.len() < s.cfg.cwnd_pkts {
+            while s.inflight.len() < CWND_PKTS {
                 let Some(seq) = s.next_unsent(cursor) else {
                     break;
                 };

@@ -21,13 +21,10 @@ fn star_sim(n: usize, qcap: usize, cfg: PFabricConfig) -> (Simulation, Vec<NodeI
 }
 
 fn cfg_1g() -> PFabricConfig {
-    // BDP at 1 Gbps / 100 us intra-rack RTT is small; keep the paper's
-    // 38-packet window (it is per-flow line rate at the baseline RTT).
-    PFabricConfig {
-        cwnd_pkts: 38,
-        rto: SimDuration::from_millis(1),
-        ..PFabricConfig::default()
-    }
+    // BDP at 1 Gbps / 100 us intra-rack RTT is small; the paper's
+    // 38-packet window (`pfabric::CWND_PKTS`, per-flow line rate at the
+    // baseline RTT) and 1 ms RTO are the defaults.
+    PFabricConfig::default()
 }
 
 #[test]

@@ -22,7 +22,10 @@ use netsim::host::{AgentCtx, FlowAgent};
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{SimDuration, SimTime};
 
-use crate::params::FamilyConfig;
+use crate::params::{
+    ACK_GROWTH_FACTOR, D2TCP_D_BOUNDS, DCTCP_G, INIT_CWND, L2DCT_HI_BYTES, L2DCT_LO_BYTES,
+    L2DCT_W_BOUNDS, MAX_RTO, MIN_RTO, MSS,
+};
 use crate::rtt::RttEstimator;
 use crate::tx::{AckKind, TxEngine};
 use crate::window::DctcpWindow;
@@ -45,33 +48,23 @@ pub enum Flavor {
 pub struct FamilySender {
     engine: TxEngine,
     flavor: Flavor,
-    cfg: FamilyConfig,
     /// The shared DCTCP window law (`α`, decrease gate, `ssthresh`).
     win: DctcpWindow,
     /// Absolute deadline (D2TCP), if the flow has one.
     deadline_abs: Option<SimTime>,
-    done: bool,
 }
 
 impl FamilySender {
     /// Create a sender for `spec`.
-    pub fn new(spec: &FlowSpec, flavor: Flavor, cfg: FamilyConfig) -> FamilySender {
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
+    pub fn new(spec: &FlowSpec, flavor: Flavor) -> FamilySender {
+        let rtt = RttEstimator::new(MIN_RTO, MAX_RTO);
+        let (id, src, dst, size) = (spec.id, spec.src, spec.dst, spec.size);
         FamilySender {
-            engine: TxEngine::new(
-                spec.id,
-                spec.src,
-                spec.dst,
-                spec.size,
-                cfg.mss,
-                cfg.init_cwnd,
-                rtt,
-            ),
+            engine: TxEngine::new(id, src, dst, size, MSS, INIT_CWND, rtt),
             flavor,
-            cfg,
-            win: DctcpWindow::new(cfg.g, cfg.init_ssthresh),
+            // No initial slow-start threshold: the first loss or mark sets it.
+            win: DctcpWindow::new(DCTCP_G, f64::INFINITY),
             deadline_abs: spec.deadline_abs(),
-            done: false,
         }
     }
 
@@ -89,10 +82,9 @@ impl FamilySender {
     /// bytes: `w_max` below `lo_bytes`, `w_min` above `hi_bytes`,
     /// log-linear in between. Approximates the bucketed weight table of the
     /// L2DCT paper.
-    fn l2dct_weight(&self, sent: u64) -> f64 {
-        let (wmin, wmax) = self.cfg.l2dct_w_bounds;
-        let lo = self.cfg.l2dct_lo_bytes.max(1) as f64;
-        let hi = self.cfg.l2dct_hi_bytes.max(2) as f64;
+    fn l2dct_weight(sent: u64) -> f64 {
+        let (wmin, wmax) = L2DCT_W_BOUNDS;
+        let (lo, hi) = (L2DCT_LO_BYTES as f64, L2DCT_HI_BYTES as f64);
         let s = sent.max(1) as f64;
         if s <= lo {
             wmax
@@ -106,7 +98,7 @@ impl FamilySender {
 
     /// D2TCP deadline-imminence factor `d = Tc / D`, clamped.
     fn d2tcp_d(&self, now: SimTime) -> f64 {
-        let (dmin, dmax) = self.cfg.d2tcp_d_bounds;
+        let (dmin, dmax) = D2TCP_D_BOUNDS;
         let Some(deadline) = self.deadline_abs else {
             return 1.0; // no deadline: behave like DCTCP
         };
@@ -145,8 +137,8 @@ impl FamilySender {
                 Flavor::L2dct => {
                     // Long flows back off harder: scale by how far the
                     // flow's weight has decayed from w_max.
-                    let (wmin, wmax) = self.cfg.l2dct_w_bounds;
-                    let w = self.l2dct_weight(acked);
+                    let (wmin, wmax) = L2DCT_W_BOUNDS;
+                    let w = Self::l2dct_weight(acked);
                     (alpha / 2.0) * ((wmax - w + wmin) / wmax).clamp(0.0, 1.0)
                 }
             };
@@ -158,11 +150,12 @@ impl FamilySender {
         }
         // The AI weight (two logarithms) matters only past slow start.
         let w = match self.flavor {
-            Flavor::L2dct if !self.win.in_slow_start(self.engine.cwnd) => self.l2dct_weight(acked),
+            Flavor::L2dct if !self.win.in_slow_start(self.engine.cwnd) => Self::l2dct_weight(acked),
             _ => 1.0,
         };
-        let (mss, factor) = (self.engine.mss, self.cfg.ack_growth_factor);
-        self.win.grow(&mut self.engine.cwnd, newly, mss, factor, w);
+        let mss = self.engine.mss;
+        self.win
+            .grow(&mut self.engine.cwnd, newly, mss, ACK_GROWTH_FACTOR, w);
     }
 
     fn customize(flavor: Flavor) -> impl FnMut(&mut Packet) {
@@ -193,32 +186,26 @@ impl FlowAgent for FamilySender {
         }
         if self.engine.complete() {
             ctx.flow_completed();
-            self.done = true;
             return;
         }
         self.engine.pump(ctx, Self::customize(self.flavor));
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        if self.done {
+        if !self.engine.rto_fired(token, ctx) {
             return;
         }
-        if self.engine.on_timer(token, ctx) {
+        if self.engine.on_timeout(ctx) {
             if let Some(loss) = self.engine.take_loss_event() {
                 self.win.on_loss(&mut self.engine.cwnd, loss);
             }
             self.engine.pump(ctx, Self::customize(self.flavor));
-        } else if self.engine.gave_up() {
+        } else {
             // The peer stopped responding for the engine's whole RTO
             // budget — almost certainly a crashed host. Stop retrying and
             // end the flow in a terminal, attributable state.
             ctx.flow_aborted(netsim::trace::AbortReason::MaxRtosExceeded);
-            self.done = true;
         }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
     }
 }
 
@@ -234,11 +221,10 @@ mod tests {
 
     #[test]
     fn l2dct_weight_monotone_decreasing() {
-        let s = FamilySender::new(&spec(1 << 30), Flavor::L2dct, FamilyConfig::default());
-        let w0 = s.l2dct_weight(0);
-        let w1 = s.l2dct_weight(100 * 1024);
-        let w2 = s.l2dct_weight(500 * 1024);
-        let w3 = s.l2dct_weight(10 * 1024 * 1024);
+        let w0 = FamilySender::l2dct_weight(0);
+        let w1 = FamilySender::l2dct_weight(100 * 1024);
+        let w2 = FamilySender::l2dct_weight(500 * 1024);
+        let w3 = FamilySender::l2dct_weight(10 * 1024 * 1024);
         assert_eq!(w0, 2.5);
         assert!(w1 < w0, "{w1} < {w0}");
         assert!(w2 < w1, "{w2} < {w1}");
@@ -247,14 +233,14 @@ mod tests {
 
     #[test]
     fn d2tcp_d_no_deadline_is_neutral() {
-        let s = FamilySender::new(&spec(100_000), Flavor::D2tcp, FamilyConfig::default());
+        let s = FamilySender::new(&spec(100_000), Flavor::D2tcp);
         assert_eq!(s.d2tcp_d(SimTime::from_millis(1)), 1.0);
     }
 
     #[test]
     fn d2tcp_d_clamps_and_grows_with_urgency() {
         let sp = spec(1_000_000).with_deadline(SimDuration::from_millis(10));
-        let s = FamilySender::new(&sp, Flavor::D2tcp, FamilyConfig::default());
+        let s = FamilySender::new(&sp, Flavor::D2tcp);
         // Far from the deadline with a big window: low urgency.
         let d_early = s.d2tcp_d(SimTime::from_micros(1));
         // Very close to the deadline: max urgency.

@@ -4,46 +4,44 @@ use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentFactory, FlowAgent};
 
 use crate::dctcp_family::{FamilySender, Flavor};
-use crate::params::FamilyConfig;
 use crate::receiver::SimpleReceiver;
 
 /// Builds [`FamilySender`]s of one flavor plus the shared receiver.
 #[derive(Debug, Clone)]
 pub struct FamilyFactory {
     flavor: Flavor,
-    cfg: FamilyConfig,
 }
 
 impl FamilyFactory {
-    /// A factory for the given flavor with the given parameters.
-    pub fn new(flavor: Flavor, cfg: FamilyConfig) -> FamilyFactory {
-        FamilyFactory { flavor, cfg }
+    /// A factory for the given flavor.
+    pub fn new(flavor: Flavor) -> FamilyFactory {
+        FamilyFactory { flavor }
     }
 
-    /// Plain TCP Reno with default parameters.
+    /// Plain TCP Reno.
     pub fn reno() -> FamilyFactory {
-        Self::new(Flavor::Reno, FamilyConfig::default())
+        Self::new(Flavor::Reno)
     }
 
-    /// DCTCP with default parameters.
+    /// DCTCP.
     pub fn dctcp() -> FamilyFactory {
-        Self::new(Flavor::Dctcp, FamilyConfig::default())
+        Self::new(Flavor::Dctcp)
     }
 
-    /// D2TCP with default parameters (deadlines come from flow specs).
+    /// D2TCP (deadlines come from flow specs).
     pub fn d2tcp() -> FamilyFactory {
-        Self::new(Flavor::D2tcp, FamilyConfig::default())
+        Self::new(Flavor::D2tcp)
     }
 
-    /// L2DCT with default parameters.
+    /// L2DCT.
     pub fn l2dct() -> FamilyFactory {
-        Self::new(Flavor::L2dct, FamilyConfig::default())
+        Self::new(Flavor::L2dct)
     }
 }
 
 impl AgentFactory for FamilyFactory {
     fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(FamilySender::new(spec, self.flavor, self.cfg))
+        Box::new(FamilySender::new(spec, self.flavor))
     }
 
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {

@@ -29,9 +29,9 @@ pub mod window;
 
 pub use dctcp_family::{FamilySender, Flavor};
 pub use factory::FamilyFactory;
-pub use params::FamilyConfig;
+pub use params::{DCTCP_G, MAX_RTO, MIN_RTO, MSS};
 pub use receiver::SimpleReceiver;
 pub use rtt::{RttEstimator, DEFAULT_BACKOFF_CAP};
 pub use tracker::ByteTracker;
-pub use tx::{AckKind, LossEvent, TxEngine, DEFAULT_MAX_CONSECUTIVE_RTOS};
+pub use tx::{segment_len, AckKind, LossEvent, TxEngine, DEFAULT_MAX_CONSECUTIVE_RTOS};
 pub use window::DctcpWindow;

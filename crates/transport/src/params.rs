@@ -1,76 +1,55 @@
-//! Configuration knobs for the DCTCP-family transports.
+//! The fixed parameters of the DCTCP-family transports, and the segment
+//! size every transport in the workspace sends.
 //!
-//! Defaults follow Table 3 of the paper where given, and the respective
-//! protocol papers otherwise.
+//! Values follow Table 3 of the paper where given, and the respective
+//! protocol papers otherwise. No figure, binary or test varies them, so
+//! they are constants rather than a config struct.
 
 use netsim::time::SimDuration;
 
-/// Parameters shared by the whole DCTCP family.
-#[derive(Debug, Clone, Copy)]
-pub struct FamilyConfig {
-    /// Maximum segment payload, bytes.
-    pub mss: u32,
-    /// Initial congestion window, packets.
-    pub init_cwnd: f64,
-    /// Window growth per acknowledged packet. Real DCTCP-family stacks
-    /// run with delayed ACKs: the window grows by ~0.5 packets per acked
-    /// packet in slow start (and congestion avoidance progresses at half
-    /// the per-ACK textbook rate). We model that sender-side instead of
-    /// implementing receiver-side ACK coalescing.
-    pub ack_growth_factor: f64,
-    /// Initial slow-start threshold, packets.
-    pub init_ssthresh: f64,
-    /// Minimum retransmission timeout (Table 3: 10 ms for L2DCT; we apply
-    /// the same floor across the family — ns2's default 200 ms floor would
-    /// dominate FCTs at data-center RTTs).
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout.
-    pub max_rto: SimDuration,
-    /// DCTCP estimation gain `g` for the marked-fraction EWMA.
-    pub g: f64,
-    /// D2TCP deadline-imminence exponent bounds `(min, max)` — the paper
-    /// uses `d ∈ [0.5, 2]`.
-    pub d2tcp_d_bounds: (f64, f64),
-    /// L2DCT weight bounds `(w_min, w_max)`.
-    pub l2dct_w_bounds: (f64, f64),
-    /// L2DCT: bytes sent below which a flow keeps `w_max`.
-    pub l2dct_lo_bytes: u64,
-    /// L2DCT: bytes sent above which a flow reaches `w_min` (log-linear
-    /// interpolation in between).
-    pub l2dct_hi_bytes: u64,
-}
-
-impl Default for FamilyConfig {
-    fn default() -> Self {
-        FamilyConfig {
-            mss: 1460,
-            init_cwnd: 2.0,
-            ack_growth_factor: 0.5,
-            init_ssthresh: f64::INFINITY,
-            min_rto: SimDuration::from_millis(10),
-            max_rto: SimDuration::from_secs(2),
-            g: 1.0 / 16.0,
-            d2tcp_d_bounds: (0.5, 2.0),
-            l2dct_w_bounds: (0.125, 2.5),
-            l2dct_lo_bytes: 50 * 1024,
-            l2dct_hi_bytes: 1024 * 1024,
-        }
-    }
-}
+/// Maximum segment payload, bytes (every scheme's senders).
+pub const MSS: u32 = 1460;
+/// Initial congestion window, packets.
+pub const INIT_CWND: f64 = 2.0;
+/// Window growth per acknowledged packet. Real DCTCP-family stacks run
+/// with delayed ACKs: the window grows by ~0.5 packets per acked packet in
+/// slow start (and congestion avoidance progresses at half the per-ACK
+/// textbook rate). We model that sender-side instead of implementing
+/// receiver-side ACK coalescing.
+pub const ACK_GROWTH_FACTOR: f64 = 0.5;
+/// Minimum retransmission timeout (Table 3: 10 ms for L2DCT; we apply the
+/// same floor across the family and to PDQ — ns2's default 200 ms floor
+/// would dominate FCTs at data-center RTTs).
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(10);
+/// Maximum retransmission timeout of every RTT-estimating sender.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(2);
+/// DCTCP estimation gain `g` for the marked-fraction EWMA (PASE's
+/// self-adjusting part included).
+pub const DCTCP_G: f64 = 1.0 / 16.0;
+/// D2TCP deadline-imminence exponent bounds `(min, max)` — the paper uses
+/// `d ∈ [0.5, 2]`.
+pub const D2TCP_D_BOUNDS: (f64, f64) = (0.5, 2.0);
+/// L2DCT weight bounds `(w_min, w_max)`.
+pub const L2DCT_W_BOUNDS: (f64, f64) = (0.125, 2.5);
+/// L2DCT: bytes sent below which a flow keeps `w_max`.
+pub const L2DCT_LO_BYTES: u64 = 50 * 1024;
+/// L2DCT: bytes sent above which a flow reaches `w_min` (log-linear
+/// interpolation in between).
+pub const L2DCT_HI_BYTES: u64 = 1024 * 1024;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::assertions_on_constants)]
     fn defaults_are_sane() {
-        let c = FamilyConfig::default();
-        assert!(c.init_cwnd >= 1.0);
-        assert!(c.ack_growth_factor > 0.0 && c.ack_growth_factor <= 1.0);
-        assert!(c.g > 0.0 && c.g <= 1.0);
-        assert!(c.d2tcp_d_bounds.0 < c.d2tcp_d_bounds.1);
-        assert!(c.l2dct_w_bounds.0 < c.l2dct_w_bounds.1);
-        assert!(c.l2dct_lo_bytes < c.l2dct_hi_bytes);
-        assert!(c.min_rto < c.max_rto);
+        assert!(INIT_CWND >= 1.0);
+        assert!(ACK_GROWTH_FACTOR > 0.0 && ACK_GROWTH_FACTOR <= 1.0);
+        assert!(DCTCP_G > 0.0 && DCTCP_G <= 1.0);
+        assert!(D2TCP_D_BOUNDS.0 < D2TCP_D_BOUNDS.1);
+        assert!(L2DCT_W_BOUNDS.0 < L2DCT_W_BOUNDS.1);
+        assert!(L2DCT_LO_BYTES < L2DCT_HI_BYTES);
+        assert!(MIN_RTO < MAX_RTO);
     }
 }

@@ -91,9 +91,10 @@ impl SimpleReceiver {
     }
 }
 
+/// Receivers never record a flow end, so they stay resident: late
+/// retransmissions must still be acknowledged, and the receiver does not
+/// know the flow size.
 impl FlowAgent for SimpleReceiver {
-    fn on_start(&mut self, _ctx: &mut AgentCtx<'_, '_>) {}
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
         match pkt.kind {
             PacketKind::Data => {
@@ -115,13 +116,5 @@ impl FlowAgent for SimpleReceiver {
                 // Not receiver business; ignore.
             }
         }
-    }
-
-    fn on_timer(&mut self, _token: u64, _ctx: &mut AgentCtx<'_, '_>) {}
-
-    fn is_done(&self) -> bool {
-        // Receivers stay resident: late retransmissions must still be
-        // acknowledged, and the receiver does not know the flow size.
-        false
     }
 }

@@ -13,7 +13,7 @@ use netsim::host::AgentCtx;
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
 use netsim::time::{SimDuration, SimTime};
-use netsim::timer::SupersedingTimer;
+use netsim::timer::{slot, SupersedingTimer};
 
 use crate::rtt::RttEstimator;
 
@@ -77,13 +77,11 @@ pub struct TxEngine {
     /// Karn's rule: suppress RTT samples for ACKs at or below this point
     /// (set whenever anything is retransmitted).
     karn_until: u64,
-    /// Timer epoch; stale timer events carry an older epoch and are ignored.
-    timer_epoch: u64,
-    timer_armed: bool,
+    /// An ACK for new data arrived since the RTO was last armed.
     timer_restart: bool,
-    /// The RTO's place in the event queue: one event however often an ACK
+    /// The retransmission timer: one queued event however often an ACK
     /// pushes the deadline back.
-    rto_timer: SupersedingTimer,
+    rto: SupersedingTimer,
     /// A hold point: the engine will not send *new* data at or beyond this
     /// sequence until the frontier reaches it (used by PASE's queue-move
     /// reordering guard). `None` means no hold.
@@ -136,10 +134,8 @@ impl TxEngine {
             dupacks: 0,
             recover: None,
             karn_until: 0,
-            timer_epoch: 0,
-            timer_armed: false,
             timer_restart: false,
-            rto_timer: SupersedingTimer::new(flow),
+            rto: SupersedingTimer::new(flow, slot::RTO),
             hold_at: None,
             pending_loss: None,
             consecutive_rtos: 0,
@@ -278,54 +274,29 @@ impl TxEngine {
         self.pending_loss.take()
     }
 
-    /// The token the currently armed timer carries.
-    pub fn timer_epoch(&self) -> u64 {
-        self.timer_epoch
+    /// A timer event in the agent's token space popped, live or stale:
+    /// hands the RTO's queue slot over and answers whether this is the
+    /// RTO expiring with data outstanding. On `true` the agent either
+    /// calls [`TxEngine::on_timeout`] or intercepts the timeout (PASE
+    /// probes instead: [`TxEngine::defer_timeout`]). A live fire disarms
+    /// the timer even with nothing in flight: what empties the flight
+    /// without disarming is an ACK for new data, which makes the next
+    /// [`TxEngine::arm_timer`] re-arm anyway.
+    pub fn rto_fired(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) -> bool {
+        self.rto.fire(ctx.sim, token) && !self.complete() && self.flight_bytes() > 0
     }
 
-    /// Handle a timer event. Returns `true` if this was the live RTO timer
-    /// expiring (the engine has already performed go-back-N and RTO
-    /// backoff; the agent should collapse its window and call
-    /// [`TxEngine::pump`]).
-    pub fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) -> bool {
-        self.timer_popped(token, ctx);
-        if token != self.timer_epoch || !self.timer_armed {
-            return false;
-        }
-        self.disarm_timer();
-        if self.complete() || self.flight_bytes() == 0 {
-            return false;
-        }
-        self.rtt.on_timeout();
-        self.consecutive_rtos += 1;
-        if self.consecutive_rtos >= self.max_consecutive_rtos {
-            // Out of retries: no rewind, no re-arm. The agent observes
-            // `gave_up()` and aborts the flow.
-            self.gave_up = true;
+    /// The RTO expired ([`TxEngine::rto_fired`]): back off and go back N,
+    /// raising [`LossEvent::Timeout`] for the agent to collapse its window
+    /// on before it calls [`TxEngine::pump`]. Returns `false` instead when
+    /// the give-up budget is spent: the engine has given up (no rewind, no
+    /// re-arm) and the agent should abort the flow.
+    pub fn on_timeout(&mut self, ctx: &mut AgentCtx<'_, '_>) -> bool {
+        if !self.back_off() {
             return false;
         }
         self.force_loss_rewind(ctx);
         true
-    }
-
-    /// Tell the RTO's [`SupersedingTimer`] that a timer event in the
-    /// engine's token space popped, live or stale. [`TxEngine::on_timer`]
-    /// does this itself; an agent that consults
-    /// [`TxEngine::timer_is_live`] first must call this before it, or a
-    /// stale event that was carrying the live deadline drops it.
-    pub fn timer_popped(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        self.rto_timer.fired(ctx.sim, token);
-    }
-
-    fn disarm_timer(&mut self) {
-        self.timer_armed = false;
-        self.rto_timer.disarm();
-    }
-
-    /// Is `token` the currently armed, still-relevant RTO timer? Lets
-    /// agents intercept a timeout (PASE probes instead of retransmitting).
-    pub fn timer_is_live(&self, token: u64) -> bool {
-        token == self.timer_epoch && self.timer_armed && !self.complete() && self.flight_bytes() > 0
     }
 
     /// Acknowledge a timeout without retransmitting: back off the RTO and
@@ -335,14 +306,21 @@ impl TxEngine {
     /// Deferrals count against the same give-up budget as real RTO fires,
     /// so a prober cannot keep a flow to a dead receiver alive forever.
     pub fn defer_timeout(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        self.disarm_timer();
+        self.rto.disarm();
+        if self.back_off() {
+            self.arm_timer(ctx);
+        }
+    }
+
+    /// Back the RTO off and spend one timeout of the give-up budget.
+    /// `false` once the budget is spent: the engine has given up.
+    fn back_off(&mut self) -> bool {
         self.rtt.on_timeout();
         self.consecutive_rtos += 1;
         if self.consecutive_rtos >= self.max_consecutive_rtos {
             self.gave_up = true;
-            return;
         }
-        self.arm_timer(ctx);
+        !self.gave_up
     }
 
     /// Perform the go-back-N loss rewind immediately (PASE calls this when
@@ -358,7 +336,7 @@ impl TxEngine {
         self.rtx_head = None;
         self.recover = None;
         self.dupacks = 0;
-        self.disarm_timer();
+        self.rto.disarm();
         self.pending_loss = Some(LossEvent::Timeout);
     }
 
@@ -374,14 +352,11 @@ impl TxEngine {
         {
             return;
         }
-        if self.timer_armed && !self.timer_restart {
+        if self.rto.is_armed() && !self.timer_restart {
             return;
         }
         self.timer_restart = false;
-        self.timer_epoch += 1;
-        self.timer_armed = true;
-        self.rto_timer
-            .arm(ctx.sim, self.rtt.rto(), self.timer_epoch);
+        self.rto.arm(ctx.sim, self.rtt.rto());
     }
 
     /// Is there anything the window would let us send right now?
@@ -412,8 +387,7 @@ impl TxEngine {
                 Some(seq) => (seq, true),
                 None => (self.snd_nxt, false),
             };
-            let len = self.mss.min((self.size - seq).min(u32::MAX as u64) as u32);
-            debug_assert!(len > 0);
+            let len = segment_len(self.mss, self.size, seq);
             let mut pkt = Packet::data(self.flow, self.src, self.dst, seq, len);
             customize(&mut pkt);
             ctx.send(pkt);
@@ -430,4 +404,11 @@ impl TxEngine {
         }
         sent
     }
+}
+
+/// The length of the segment starting at `seq` of a `size`-byte flow: a
+/// full `mss`, or the tail. `seq` must lie inside the flow.
+pub fn segment_len(mss: u32, size: u64, seq: u64) -> u32 {
+    debug_assert!(seq < size, "segment at {seq} past a {size}-byte flow");
+    mss.min((size - seq).min(u32::MAX as u64) as u32)
 }

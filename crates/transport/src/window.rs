@@ -93,7 +93,7 @@ impl DctcpWindow {
     /// Window growth on `newly` acknowledged bytes: slow start below
     /// `ssthresh`, else additive increase of `ai_weight` packets per RTT.
     /// `factor` scales the per-ACK credit (delayed-ACK pacing, see
-    /// [`crate::FamilyConfig::ack_growth_factor`]).
+    /// [`crate::params::ACK_GROWTH_FACTOR`]).
     pub fn grow(&self, cwnd: &mut f64, newly: u64, mss: u32, factor: f64, ai_weight: f64) {
         let pkts = newly as f64 / mss as f64 * factor;
         if self.in_slow_start(*cwnd) {

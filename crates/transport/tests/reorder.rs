@@ -75,12 +75,7 @@ impl Rig {
                 sched: &mut self.sched,
                 stats: &mut self.stats,
             };
-            let mut actx = AgentCtx {
-                flow: FlowId(7),
-                host: &mut self.host,
-                service: None,
-                sim: &mut ctx,
-            };
+            let mut actx = AgentCtx::new(FlowId(7), &mut self.host, None, &mut ctx);
             self.rx.on_packet(pkt, &mut actx);
         }
         self.drain_one_ack()

@@ -3,6 +3,7 @@
 //! hand-built [`AgentCtx`] harness (no network).
 
 use netsim::engine::{Ctx, Scheduler};
+use netsim::event::EventKind;
 use netsim::host::{AgentCtx, HostCore};
 use netsim::ids::{FlowId, NodeId, PortId};
 use netsim::packet::PacketKind;
@@ -50,13 +51,45 @@ impl Harness {
             sched: &mut self.sched,
             stats: &mut self.stats,
         };
-        let mut actx = AgentCtx {
-            flow: FlowId(0),
-            host: &mut self.core,
-            service: None,
-            sim: &mut ctx,
-        };
+        let mut actx = AgentCtx::new(FlowId(0), &mut self.core, None, &mut ctx);
         f(&mut self.engine, &mut actx)
+    }
+
+    /// The queued timer events, `(deadline, token)`: at most one while
+    /// the RTO supersedes its own arms.
+    fn queued_timers(&self) -> Vec<(SimDuration, u64)> {
+        let since = |t: netsim::time::SimTime| t - netsim::time::SimTime::ZERO;
+        let timers = self
+            .sched
+            .pending_events()
+            .filter_map(|(at, _, k)| match k {
+                EventKind::AgentTimer { token, .. } => Some((since(at), *token)),
+                _ => None,
+            });
+        timers.collect()
+    }
+
+    /// Pop events (leaving packets on the wire unserved) up to the next
+    /// timer event and hand its token to the engine, as the host would.
+    /// `None` once no timer is queued; otherwise whether the RTO fired.
+    fn pop_timer(&mut self) -> Option<(u64, bool)> {
+        loop {
+            let (_, kind) = self.sched.pop()?;
+            if let EventKind::AgentTimer { token, .. } = kind {
+                return Some((token, self.with_ctx(|e, ctx| e.rto_fired(token, ctx))));
+            }
+        }
+    }
+
+    /// Run until the RTO fires live, then let the engine time out.
+    /// Returns what [`TxEngine::on_timeout`] said.
+    fn expire(&mut self) -> bool {
+        while let Some((_, live)) = self.pop_timer() {
+            if live {
+                return self.with_ctx(|e, ctx| e.on_timeout(ctx));
+            }
+        }
+        panic!("no live RTO was queued")
     }
 
     fn pump(&mut self) -> usize {
@@ -128,20 +161,21 @@ fn stale_and_future_acks() {
 fn timeout_rewinds_and_backs_off() {
     let mut h = Harness::new(50_000, 8.0);
     h.pump();
-    let epoch = h.engine.timer_epoch();
-    assert!(h.engine.timer_is_live(epoch));
+    let rto = h.engine.rtt.rto();
+    let (token, live) = h.pop_timer().expect("pump armed the RTO");
+    assert_eq!(h.sched.now() - netsim::time::SimTime::ZERO, rto);
+    assert!(live);
     assert!(
-        !h.engine.timer_is_live(epoch + 1),
-        "future tokens are not live"
+        !h.with_ctx(|e, ctx| e.rto_fired(token + 1, ctx)),
+        "other tokens are not live"
     );
-    let fired = h.with_ctx(|e, ctx| e.on_timer(epoch, ctx));
-    assert!(fired);
+    assert!(h.with_ctx(|e, ctx| e.on_timeout(ctx)));
     assert_eq!(h.engine.take_loss_event(), Some(LossEvent::Timeout));
     // Go-back-N: the frontier rewound to the cumulative ack.
     assert_eq!(h.engine.snd_nxt(), 0);
     assert_eq!(h.engine.flight_bytes(), 0);
     // The same token cannot fire twice.
-    let fired_again = h.with_ctx(|e, ctx| e.on_timer(epoch, ctx));
+    let fired_again = h.with_ctx(|e, ctx| e.rto_fired(token, ctx));
     assert!(!fired_again);
 }
 
@@ -149,20 +183,24 @@ fn timeout_rewinds_and_backs_off() {
 fn idle_pumps_do_not_push_out_a_pending_rto() {
     let mut h = Harness::new(50_000, 4.0);
     h.pump();
-    let epoch = h.engine.timer_epoch();
+    let armed = h.queued_timers();
+    assert_eq!(armed.len(), 1);
     // No-op pumps (PASE wakes its sender on every 100 µs arbitration
     // response) must not reset the timer, or the RTO — the only recovery
     // path once the ACK clock is lost — could never expire.
     for _ in 0..10 {
         assert_eq!(h.pump(), 0, "window is full");
-        assert_eq!(h.engine.timer_epoch(), epoch, "deadline must be kept");
-        assert!(h.engine.timer_is_live(epoch));
+        assert_eq!(h.queued_timers(), armed, "deadline must be kept");
+        assert_eq!(h.stats.timer_arms_superseded, 0, "nor re-armed");
     }
-    // An ACK for new data restarts it (RFC 6298): the old token dies.
+    // An ACK for new data restarts it (RFC 6298): the new arm rides the
+    // queued event, which pops stale and hands over to the live one.
     assert!(matches!(h.ack(1000), AckKind::New { .. }));
     assert_eq!(h.pump(), 1);
-    assert!(h.engine.timer_epoch() > epoch);
-    assert!(!h.engine.timer_is_live(epoch));
+    assert_eq!(h.stats.timer_arms_superseded, 1);
+    let (token, live) = h.pop_timer().expect("queued");
+    assert_eq!((token, live), (armed[0].1, false), "the old token dies");
+    assert!(h.pop_timer().expect("handed over").1);
 }
 
 #[test]
@@ -170,13 +208,12 @@ fn deferred_timeout_keeps_data_outstanding() {
     let mut h = Harness::new(50_000, 4.0);
     h.pump();
     let flight = h.engine.flight_bytes();
-    let epoch = h.engine.timer_epoch();
-    assert!(h.engine.timer_is_live(epoch));
+    assert!(h.pop_timer().expect("armed").1);
     h.with_ctx(|e, ctx| e.defer_timeout(ctx));
-    // Nothing rewound; a fresh timer epoch was armed.
+    // Nothing rewound; a fresh timer was armed.
     assert_eq!(h.engine.flight_bytes(), flight);
-    assert!(h.engine.timer_epoch() > epoch);
     assert_eq!(h.engine.take_loss_event(), None);
+    assert!(h.pop_timer().expect("re-armed").1);
 }
 
 #[test]
@@ -186,9 +223,7 @@ fn consecutive_rtos_exhaust_into_give_up() {
     let max = h.engine.max_consecutive_rtos;
     // Every RTO up to the budget rewinds and retries as before.
     for i in 1..max {
-        let epoch = h.engine.timer_epoch();
-        let fired = h.with_ctx(|e, ctx| e.on_timer(epoch, ctx));
-        assert!(fired, "RTO {i} still retries");
+        assert!(h.expire(), "RTO {i} still retries");
         assert_eq!(h.engine.consecutive_rtos(), i);
         h.engine.take_loss_event();
         assert!(h.pump() > 0, "go-back-N resend after RTO {i}");
@@ -196,14 +231,13 @@ fn consecutive_rtos_exhaust_into_give_up() {
     assert!(!h.engine.gave_up());
     // The RTO that exhausts the budget does not retry: no rewind, no
     // loss event, and the timer stays disarmed for good.
-    let epoch = h.engine.timer_epoch();
-    let fired = h.with_ctx(|e, ctx| e.on_timer(epoch, ctx));
-    assert!(!fired, "exhausted engines do not retransmit");
+    assert!(!h.expire(), "exhausted engines do not retransmit");
     assert!(h.engine.gave_up());
     assert_eq!(h.engine.take_loss_event(), None, "no rewind on give-up");
     assert_eq!(h.pump(), 0, "given-up engines send nothing");
-    assert!(
-        !h.engine.timer_is_live(h.engine.timer_epoch()),
+    assert_eq!(
+        h.pop_timer(),
+        None,
         "timer must stay disarmed after give-up"
     );
 }
@@ -212,8 +246,7 @@ fn consecutive_rtos_exhaust_into_give_up() {
 fn an_ack_for_new_data_resets_the_rto_budget() {
     let mut h = Harness::new(50_000, 4.0);
     h.pump();
-    let epoch = h.engine.timer_epoch();
-    assert!(h.with_ctx(|e, ctx| e.on_timer(epoch, ctx)));
+    assert!(h.expire());
     h.engine.take_loss_event();
     h.pump();
     assert_eq!(h.engine.consecutive_rtos(), 1);
@@ -235,10 +268,11 @@ fn deferrals_count_against_the_give_up_budget() {
     let max = h.engine.max_consecutive_rtos;
     for _ in 0..max {
         assert!(!h.engine.gave_up());
+        assert!(h.pop_timer().expect("armed").1);
         h.with_ctx(|e, ctx| e.defer_timeout(ctx));
     }
     assert!(h.engine.gave_up());
-    assert!(!h.engine.timer_is_live(h.engine.timer_epoch()));
+    assert_eq!(h.pop_timer(), None, "no re-arm after give-up");
 }
 
 #[test]

@@ -142,9 +142,7 @@ impl Scheme {
                 // intra-rack ones whose BDP is smaller; the resulting
                 // overshoot is part of the behaviour Figure 4 measures.
                 let cfg = PFabricConfig {
-                    cwnd_pkts: 38,
                     rto: base_rtt.mul_f64(3.3).max(SimDuration::from_millis(1)),
-                    ..PFabricConfig::default()
                 };
                 let q = move |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(PFabricQdisc::new(76)) };
                 let (net, hosts) = topo.build(Arc::new(PFabricFactory::new(cfg)), &q);

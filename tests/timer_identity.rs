@@ -90,83 +90,43 @@ fn run(scheme: Scheme) -> Run {
     }
 }
 
+/// Per scheme: the digest, recorded on the commit before `netsim::timer`
+/// existed, then `events_executed`, `events_by_kind` in
+/// `EventKind::KINDS` order (`Deliver`, `TxComplete`, `AgentTimer`,
+/// `PluginTimer`, `FlowStart`, `Fault`) and `timer_arms_superseded`,
+/// recorded on the commit before every endpoint timer became a
+/// `netsim::timer` value.
 #[test]
 fn per_flow_records_match_the_eager_timers() {
-    let pinned: [(Scheme, u64); 7] = [
-        (Scheme::Tcp, 0x257e_c04f_dec9_3b91),
-        (Scheme::Dctcp, 0x5989_8706_aa1a_b6fe),
-        (Scheme::D2tcp, 0x5989_8706_aa1a_b6fe),
-        (Scheme::L2dct, 0x39b1_4f8a_201d_0c42),
-        (Scheme::Pdq, 0x3f58_1035_b575_2c58),
-        (Scheme::PFabric, 0x3faa_b172_f081_a940),
-        (Scheme::Pase, 0x49d0_db52_86f1_f67a),
+    #[rustfmt::skip]
+    let pinned: [(Scheme, u64, [u64; 8]); 7] = [
+        (Scheme::Tcp, 0x257e_c04f_dec9_3b91, [116_688, 57_997, 58_298, 267, 0, 122, 4, 12_666]),
+        (Scheme::Dctcp, 0x5989_8706_aa1a_b6fe, [115_322, 57_369, 57_624, 203, 0, 122, 4, 13_597]),
+        (Scheme::D2tcp, 0x5989_8706_aa1a_b6fe, [115_322, 57_369, 57_624, 203, 0, 122, 4, 13_597]),
+        (Scheme::L2dct, 0x39b1_4f8a_201d_0c42, [71_911, 35_701, 35_933, 151, 0, 122, 4, 8_119]),
+        (Scheme::Pdq, 0x3f58_1035_b575_2c58, [162_312, 71_756, 72_185, 18_245, 0, 122, 4, 28_898]),
+        (Scheme::PFabric, 0x3faa_b172_f081_a940, [75_860, 37_466, 37_775, 493, 0, 122, 4, 8_819]),
+        (Scheme::Pase, 0x49d0_db52_86f1_f67a, [117_160, 53_996, 54_437, 4_803, 3_798, 122, 4, 7_910]),
     ];
     let mut moved = Vec::new();
-    for (scheme, want) in pinned {
-        let Run {
-            digest: got,
-            timeouts,
-            ..
-        } = run(scheme);
-        assert!(timeouts > 0, "{} took no RTO: run too easy", scheme.name());
-        if got != want {
-            moved.push(format!("{} {got:#018x} != {want:#018x}", scheme.name()));
+    for (scheme, digest, events) in pinned {
+        let got = run(scheme);
+        let name = scheme.name();
+        assert!(got.timeouts > 0, "{name} took no RTO: run too easy");
+        assert_eq!(
+            got.events[0],
+            got.events[1..7].iter().sum::<u64>(),
+            "{name}"
+        );
+        if got.digest != digest {
+            moved.push(format!(
+                "{name} digest {:#018x} != {digest:#018x}",
+                got.digest
+            ));
+        }
+        if got.events != events {
+            moved.push(format!("{name} events {:?} != {events:?}", got.events));
         }
     }
-    assert!(
-        moved.is_empty(),
-        "per-flow digests moved:\n{}",
-        moved.join("\n")
-    );
-}
-
-/// Events executed, by kind, and superseded arms per scheme, recorded on
-/// the commit before every endpoint timer became a `netsim::timer`
-/// value. Rows: `[executed, Deliver, TxComplete, AgentTimer,
-/// PluginTimer, FlowStart, Fault, superseded]`.
-#[test]
-fn event_counts_are_pinned() {
-    let pinned: [(Scheme, [u64; 8]); 7] = [
-        (
-            Scheme::Tcp,
-            [116_688, 57_997, 58_298, 267, 0, 122, 4, 12_666],
-        ),
-        (
-            Scheme::Dctcp,
-            [115_322, 57_369, 57_624, 203, 0, 122, 4, 13_597],
-        ),
-        (
-            Scheme::D2tcp,
-            [115_322, 57_369, 57_624, 203, 0, 122, 4, 13_597],
-        ),
-        (
-            Scheme::L2dct,
-            [71_911, 35_701, 35_933, 151, 0, 122, 4, 8_119],
-        ),
-        (
-            Scheme::Pdq,
-            [162_312, 71_756, 72_185, 18_245, 0, 122, 4, 28_898],
-        ),
-        (
-            Scheme::PFabric,
-            [75_860, 37_466, 37_775, 493, 0, 122, 4, 8_819],
-        ),
-        (
-            Scheme::Pase,
-            [117_160, 53_996, 54_437, 4_803, 3_798, 122, 4, 7_910],
-        ),
-    ];
-    let mut moved = Vec::new();
-    for (scheme, want) in pinned {
-        let got = run(scheme).events;
-        assert_eq!(got[0], got[1..7].iter().sum::<u64>(), "{}", scheme.name());
-        if got != want {
-            moved.push(format!("{} {got:?} != {want:?}", scheme.name()));
-        }
-    }
-    assert!(
-        moved.is_empty(),
-        "event counts moved:\n{}",
-        moved.join("\n")
-    );
+    assert!(moved.is_empty(), "pins moved:\n{}", moved.join("\n"));
 }
