@@ -221,7 +221,7 @@ pub struct CaseResult {
     pub peak_pending: usize,
     /// How the run ended; anything but `MeasuredComplete` means the
     /// backstop truncated the case (surfaced by [`sweep`] exactly like
-    /// [`workloads::backstop_warning`] does for figure sweeps).
+    /// [`workloads::runner::backstop_warning`] does for figure sweeps).
     pub outcome: RunOutcome,
     /// Control messages processed across all arbitrators.
     pub ctrl_processed: u64,
@@ -245,7 +245,7 @@ impl CaseResult {
 
     /// The warning line for a backstop-truncated case, or `None` when the
     /// run ended normally — the chaos-sweep counterpart of
-    /// [`workloads::backstop_warning`], so truncation is surfaced per
+    /// [`workloads::runner::backstop_warning`], so truncation is surfaced per
     /// case instead of hiding inside an incomplete-flows violation.
     pub fn backstop_warning(&self) -> Option<String> {
         if self.outcome == RunOutcome::MeasuredComplete {

@@ -9,7 +9,7 @@
 //!
 //! Most of a storm is *trains*: per target, a few windows of one
 //! [`FaultFamily`] at sorted random starts. The five trains are the rows
-//! of [`TRAINS`], all driven by one loop. Every class draws the
+//! of `TRAINS`, all driven by one loop. Every class draws the
 //! fabric-flap train and then the three sections that are not trains —
 //! correlated rack outages (a ToR loses all its uplinks in one window),
 //! arbitrator crash storms (a random half of the switches crashes around

@@ -5,7 +5,7 @@
 //! in scheduling order:
 //!
 //! - [`EngineKind::Wheel`]: a hierarchical timing wheel
-//!   ([`crate::wheel`]) with O(1) amortized schedule/pop. Every run uses
+//!   (the private `wheel` module) with O(1) amortized schedule/pop. Every run uses
 //!   it ([`Scheduler::new`]).
 //! - [`EngineKind::Heap`]: the original binary heap, kept as the
 //!   reference implementation differential tests compare the wheel

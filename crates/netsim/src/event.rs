@@ -9,7 +9,7 @@ use crate::time::SimTime;
 /// What happens when an event fires. Every event targets exactly one node.
 ///
 /// The three large payloads ([`Packet`], [`FlowSpec`], [`FaultDirective`])
-/// are boxed so the enum — and with it every [`ScheduledEvent`] the wheel
+/// are boxed so the enum — and with it every `ScheduledEvent` the wheel
 /// files, sorts and pops — stays at 24 bytes, the 16-byte
 /// [`EventKind::AgentTimer`] plus the discriminant, instead of inheriting
 /// the 112-byte packet or the 32-byte degrade directive inline. Packets
@@ -30,8 +30,8 @@ pub enum EventKind {
         /// agent's responsibility (epoch tokens).
         token: u64,
     },
-    /// A timer set by the node's control plugin (switch plugin or host
-    /// service) fires.
+    /// A timer set by the node's control process
+    /// ([`crate::node::ProcIo::set_timer`]) fires.
     PluginTimer(u64),
     /// A new flow arrives at its source host.
     FlowStart(Box<FlowSpec>),

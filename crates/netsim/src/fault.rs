@@ -14,11 +14,10 @@
 //!   counted) when the link goes down, packets offered while down are
 //!   rejected, and a packet caught mid-serialization dies instead of being
 //!   delivered. Both directions of the link fail together.
-//! * An **arbitrator crash** is delivered to the node's control plugin
-//!   ([`crate::switch::SwitchPlugin::on_fault`]) or host service
-//!   ([`crate::host::HostService::on_fault`]); the data plane keeps
-//!   forwarding. What "crash" means is up to the protocol — PASE wipes
-//!   its soft arbitration state.
+//! * An **arbitrator crash** is delivered to the node's control process
+//!   ([`crate::node::Process::on_fault`]), on a host and a switch alike;
+//!   the data plane keeps forwarding. What "crash" means is up to the
+//!   protocol — PASE wipes its soft arbitration state.
 //! * A **control-loss burst** kills the next `n` control packets on one
 //!   *direction* of a link (a countdown on the port, ahead of its queue:
 //!   [`crate::port::Port::inject_ctrl_loss_burst`]).
@@ -37,9 +36,12 @@
 
 use std::collections::BTreeSet;
 
+use crate::engine::Ctx;
 use crate::ids::{NodeId, PortId};
+use crate::port::Port;
 use crate::time::SimTime;
 use crate::topology::{NodeKind, Topology};
+use crate::trace::TraceEvent;
 
 /// How a degraded (gray-failing) link misbehaves. All fields are
 /// per-packet odds or bounds; `seed` makes the misbehaviour reproducible.
@@ -84,13 +86,13 @@ pub enum FaultEvent {
         /// The other endpoint.
         b: NodeId,
     },
-    /// The control plugin / host service on `node` crashes, losing its
-    /// soft state. The data plane is unaffected.
+    /// The control process on `node` crashes, losing its soft state. The
+    /// data plane is unaffected.
     ArbitratorCrash {
         /// The node whose arbitrator dies.
         node: NodeId,
     },
-    /// The control plugin / host service on `node` restarts empty.
+    /// The control process on `node` restarts empty.
     ArbitratorRestart {
         /// The node whose arbitrator comes back.
         node: NodeId,
@@ -106,7 +108,7 @@ pub enum FaultEvent {
         n: u64,
     },
     /// The whole end-host `node` crashes: every live flow agent and the
-    /// host service die, in-flight data addressed to the host is lost
+    /// host's process die, in-flight data addressed to the host is lost
     /// (accounted as `lost_to_crash`), and flows sourced there are moved
     /// to the terminal `Aborted` state. Unlike [`FaultEvent::ArbitratorCrash`]
     /// this kills the data plane endpoint, not just the control process.
@@ -339,7 +341,7 @@ impl FaultPlan {
         self.with(at, FaultEvent::CtrlLossBurst { from, to, n })
     }
 
-    /// Schedule the end-host `node` to crash (agents, service and all) at
+    /// Schedule the end-host `node` to crash (agents, process and all) at
     /// `at`.
     pub fn host_crash(self, at: SimTime, node: NodeId) -> Self {
         self.with(at, FaultEvent::HostCrash { node })
@@ -462,9 +464,9 @@ pub enum FaultDirective {
     PortDown(PortId),
     /// Bring the node's output port back up.
     PortUp(PortId),
-    /// Crash the node's control plugin / host service.
+    /// Crash the node's control process.
     Crash,
-    /// Restart the node's control plugin / host service.
+    /// Restart the node's control process.
     Restart,
     /// Drop the next `n` control packets offered to `port`.
     CtrlLossBurst {
@@ -473,7 +475,7 @@ pub enum FaultDirective {
         /// How many control packets die.
         n: u64,
     },
-    /// Crash the whole end host: agents, service, in-flight deliveries.
+    /// Crash the whole end host: agents, process, in-flight deliveries.
     HostCrash,
     /// Bring the crashed end host back empty with a new incarnation.
     HostRestart,
@@ -486,19 +488,63 @@ pub enum FaultDirective {
     },
     /// Restore the node's output port to nominal behaviour.
     PortRestore(PortId),
-    /// Begin an overload storm at the node's control plugin / host
-    /// service: each handled control message costs `amplify`× budget.
+    /// Begin an overload storm at the node's control process: each
+    /// handled control message costs `amplify`× budget.
     CtrlStormStart {
         /// Budget-cost multiplier while the storm lasts.
         amplify: u32,
     },
-    /// End the overload storm at the node's control plugin / host service.
+    /// End the overload storm at the node's control process.
     CtrlStormEnd,
 }
 
-/// What a control plugin or host service is told when its node's
-/// control plane faults (see [`crate::switch::SwitchPlugin::on_fault`]
-/// and [`crate::host::HostService::on_fault`]).
+/// What is left of a [`FaultDirective`] for its node once
+/// [`FaultDirective::apply`] has run the part hosts and switches share.
+pub(crate) enum FaultRest {
+    /// Nothing: the directive acted on a port.
+    Done,
+    /// Tell the node's process.
+    Process(NodeFault),
+    /// The whole host crashes (hosts only).
+    HostCrash,
+    /// The crashed host comes back (hosts only).
+    HostRestart,
+}
+
+impl FaultDirective {
+    /// The one fault path hosts and switches share: record the directive
+    /// at `node` on the trace, apply the five port directives to the
+    /// named one of `ports`, and map the rest onto what the node does
+    /// next.
+    pub(crate) fn apply(self, node: NodeId, ports: &mut [Port], ctx: &mut Ctx<'_>) -> FaultRest {
+        let now = ctx.now();
+        let fault = TraceEvent::Fault { node, fault: self };
+        ctx.stats.trace_event(now, &fault);
+        match self {
+            FaultDirective::PortDown(port) => ports[port.index()].set_down(ctx),
+            FaultDirective::PortUp(port) => ports[port.index()].set_up(),
+            FaultDirective::CtrlLossBurst { port, n } => {
+                ports[port.index()].inject_ctrl_loss_burst(n);
+            }
+            FaultDirective::PortDegrade { port, profile } => {
+                ports[port.index()].set_degraded(node, profile);
+            }
+            FaultDirective::PortRestore(port) => ports[port.index()].set_restored(),
+            FaultDirective::Crash => return FaultRest::Process(NodeFault::Crash),
+            FaultDirective::Restart => return FaultRest::Process(NodeFault::Restart),
+            FaultDirective::CtrlStormStart { amplify } => {
+                return FaultRest::Process(NodeFault::CtrlStormStart { amplify });
+            }
+            FaultDirective::CtrlStormEnd => return FaultRest::Process(NodeFault::CtrlStormEnd),
+            FaultDirective::HostCrash => return FaultRest::HostCrash,
+            FaultDirective::HostRestart => return FaultRest::HostRestart,
+        }
+        FaultRest::Done
+    }
+}
+
+/// What a node's control process is told when its control plane faults
+/// (see [`crate::node::Process::on_fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeFault {
     /// The control process died: lose all soft state; stop responding.

@@ -6,7 +6,7 @@
 //! sender agent when a [`crate::event::EventKind::FlowStart`] fires and a
 //! receiver agent lazily when the first packet of an unknown flow arrives.
 //!
-//! Hosts may also carry a [`HostService`]: host-local control-plane state
+//! Hosts may also run a [`Process`]: host-local control-plane state
 //! shared by all agents on the machine. PASE uses this for the endpoint
 //! arbitrators that manage the host's own access links (paper §3.1: "this
 //! functionality can be implemented at the end-hosts themselves, e.g., for
@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use crate::engine::Ctx;
 use crate::event::EventKind;
-use crate::fault::{FaultDirective, NodeFault};
+use crate::fault::{FaultDirective, FaultRest, NodeFault};
 use crate::flow::{FlowSpec, ReceiverHint};
 use crate::ids::{FlowId, IdHashBuilder, NodeId};
+use crate::node::{ProcIo, Process};
 use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
 use crate::stats::Fate;
@@ -30,7 +31,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// The host drives its lifecycle: it builds the agent and calls
 /// [`on_start`](FlowAgent::on_start), hands it its flow's packets, its
-/// timers and its service's wake-ups, and drops it in the same dispatch
+/// timers and its process's wake-ups, and drops it in the same dispatch
 /// that recorded the flow's end ([`AgentCtx::flow_completed`] /
 /// [`AgentCtx::flow_aborted`]). Receivers never record an end and stay
 /// resident: late retransmissions must still be acknowledged.
@@ -51,7 +52,7 @@ pub trait FlowAgent: Send {
         let _ = (token, ctx);
     }
 
-    /// The host service woke this flow ([`HostIo::wake_flow`]), e.g.
+    /// The host's process woke this flow ([`ProcIo::wake_flow`]), e.g.
     /// because arbitration state changed and the flow should re-evaluate
     /// its rate.
     fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
@@ -74,28 +75,8 @@ pub trait AgentFactory: Send + Sync {
     fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent>;
 }
 
-/// Host-local control-plane state shared by all agents on a host (e.g.
-/// PASE's endpoint arbitrators). Downcast with [`AgentCtx::service`].
-pub trait HostService: Send {
-    /// Handle a control packet addressed to this host that does not belong
-    /// to any flow agent.
-    fn on_ctrl(&mut self, pkt: Packet, host: &mut HostIo<'_, '_, '_>);
-
-    /// A timer previously set through [`HostIo::set_timer`] fired.
-    fn on_timer(&mut self, token: u64, host: &mut HostIo<'_, '_, '_>);
-
-    /// An injected control-plane fault hit this host (see
-    /// [`crate::fault`]). The default service ignores faults.
-    fn on_fault(&mut self, fault: NodeFault, host: &mut HostIo<'_, '_, '_>) {
-        let _ = (fault, host);
-    }
-
-    /// Downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Everything on a host except the agents and the service — what an agent
-/// is allowed to touch while it runs.
+/// Everything on a host except the agents and the process — what an
+/// agent is allowed to touch while it runs.
 pub struct HostCore {
     /// This host's node id.
     pub id: NodeId,
@@ -108,12 +89,12 @@ pub struct HostCore {
 }
 
 impl HostCore {
-    /// The host's one send path, for agents and the service alike: stamp
+    /// The host's one send path, for agents and the process alike: stamp
     /// the packet, enter it on the ledger's sent side and put it on the
     /// access port. Injection is where a packet is boxed, once; the arena
     /// recycles the allocation when the packet leaves the network, so
     /// steady-state sends do not touch the global allocator.
-    fn emit(&mut self, mut pkt: Packet, sim: &mut Ctx<'_>) {
+    pub(crate) fn emit(&mut self, mut pkt: Packet, sim: &mut Ctx<'_>) {
         pkt.ts = sim.now();
         pkt.incarnation = self.incarnation;
         sim.stats.note_sent(&pkt);
@@ -122,11 +103,11 @@ impl HostCore {
     }
 }
 
-/// An end host: one access port, per-flow agents, optional service.
+/// An end host: one access port, per-flow agents, optional process.
 pub struct Host {
     core: HostCore,
     factory: Arc<dyn AgentFactory>,
-    service: Option<Box<dyn HostService>>,
+    pub(crate) process: Option<Box<dyn Process>>,
     /// Live agents, keyed by flow. The deterministic [`IdHashBuilder`]
     /// keeps the per-packet lookup off SipHash; every iteration over this
     /// map sorts its keys first, so the hasher never leaks into event
@@ -143,8 +124,8 @@ pub struct AgentCtx<'a, 'b> {
     pub flow: FlowId,
     /// The host the agent runs on (port access).
     pub host: &'a mut HostCore,
-    /// Host-local control service, if the scheme installs one.
-    pub service: Option<&'a mut Box<dyn HostService>>,
+    /// The host's control process, if the scheme installs one.
+    pub process: Option<&'a mut Box<dyn Process>>,
     /// Engine context (clock, scheduler, stats).
     pub sim: &'a mut Ctx<'b>,
     /// Set by the flow-end calls: the host drops the agent once the
@@ -157,13 +138,13 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
     pub fn new(
         flow: FlowId,
         host: &'a mut HostCore,
-        service: Option<&'a mut Box<dyn HostService>>,
+        process: Option<&'a mut Box<dyn Process>>,
         sim: &'a mut Ctx<'b>,
     ) -> AgentCtx<'a, 'b> {
         AgentCtx {
             flow,
             host,
-            service,
+            process,
             sim,
             retired: false,
         }
@@ -212,59 +193,19 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
         self.retired = true;
     }
 
-    /// Downcast the host service to a concrete type.
-    pub fn service<T: 'static>(&mut self) -> Option<&mut T> {
-        self.service
-            .as_deref_mut()
-            .and_then(|s| s.as_any_mut().downcast_mut::<T>())
-    }
-}
-
-/// The interface a [`HostService`] uses to act on the world.
-pub struct HostIo<'a, 'b, 'c> {
-    /// The host the service runs on.
-    pub host: &'a mut HostCore,
-    /// Engine context (clock, scheduler, stats).
-    pub sim: &'a mut Ctx<'c>,
-    /// Deferred notifications back into flow agents; drained by the host
-    /// after the service returns.
-    pub(crate) wakeups: &'a mut Vec<FlowId>,
-    _marker: core::marker::PhantomData<&'b ()>,
-}
-
-impl<'a, 'b, 'c> HostIo<'a, 'b, 'c> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Transmit a packet out of the host's access port.
-    pub fn send(&mut self, pkt: Packet) {
-        self.host.emit(pkt, self.sim);
-    }
-
-    /// Arrange for [`HostService::on_timer`] to fire after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.sim.schedule_self(delay, EventKind::PluginTimer(token));
-    }
-
-    /// Ask the host to invoke [`FlowAgent::on_wake`] on a flow's agent
-    /// after the service returns (e.g. arbitration state changed and the
-    /// flow should re-evaluate its rate).
-    pub fn wake_flow(&mut self, flow: FlowId) {
-        self.wakeups.push(flow);
+    /// Downcast the host's process to a concrete type.
+    pub fn process<T: 'static>(&mut self) -> Option<&mut T> {
+        self.process
+            .as_deref_mut()?
+            .as_any_mut()
+            .downcast_mut::<T>()
     }
 }
 
 impl Host {
-    /// Create a host with the given access port, agent factory, and
-    /// optional host-local service.
-    pub fn new(
-        id: NodeId,
-        port: Port,
-        factory: Arc<dyn AgentFactory>,
-        service: Option<Box<dyn HostService>>,
-    ) -> Host {
+    /// Create a host with the given access port and agent factory (and
+    /// no process: see [`crate::node::Node::set_process`]).
+    pub fn new(id: NodeId, port: Port, factory: Arc<dyn AgentFactory>) -> Host {
         Host {
             core: HostCore {
                 id,
@@ -272,7 +213,7 @@ impl Host {
                 incarnation: 0,
             },
             factory,
-            service,
+            process: None,
             agents: HashMap::default(),
             crashed: false,
         }
@@ -305,11 +246,6 @@ impl Host {
         self.agents.len()
     }
 
-    /// Install (or replace) the host-local control service.
-    pub fn set_service(&mut self, service: Box<dyn HostService>) {
-        self.service = Some(service);
-    }
-
     /// Downcast a live flow agent (sender or receiver) to a concrete type.
     /// Requires the agent to override [`FlowAgent::as_any_mut`].
     pub fn agent_as<T: 'static>(&mut self, flow: FlowId) -> Option<&mut T> {
@@ -317,13 +253,6 @@ impl Host {
             .get_mut(&flow)?
             .as_any_mut()?
             .downcast_mut::<T>()
-    }
-
-    /// Downcast the host service.
-    pub fn service_as<T: 'static>(&mut self) -> Option<&mut T> {
-        self.service
-            .as_deref_mut()
-            .and_then(|s| s.as_any_mut().downcast_mut::<T>())
     }
 
     /// Dispatch an event to this host.
@@ -353,89 +282,54 @@ impl Host {
                 self.run_agent(flow, ctx, |agent, actx| agent.on_timer(token, actx));
             }
             EventKind::PluginTimer(token) => {
-                self.run_service(ctx, |svc, io| svc.on_timer(token, io));
+                self.run_process(ctx, |p, io| p.on_timer(token, io));
             }
             EventKind::Fault(directive) => self.apply_fault(*directive, ctx),
         }
     }
 
-    /// Apply an injected fault directive to this host.
+    /// Apply an injected fault directive to this host: the shared path
+    /// ([`FaultDirective::apply`]), then the whole-host directives.
     fn apply_fault(&mut self, directive: FaultDirective, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        ctx.stats.trace_event(
-            now,
-            &crate::trace::TraceEvent::Fault {
-                node: self.core.id,
-                fault: directive,
-            },
-        );
-        match directive {
-            FaultDirective::PortDown(port) => {
-                debug_assert_eq!(port.index(), 0, "hosts have a single port");
-                self.core.port.set_down(ctx);
-            }
-            FaultDirective::PortUp(port) => {
-                debug_assert_eq!(port.index(), 0, "hosts have a single port");
-                self.core.port.set_up();
-            }
-            FaultDirective::CtrlLossBurst { port, n } => {
-                debug_assert_eq!(port.index(), 0, "hosts have a single port");
-                self.core.port.inject_ctrl_loss_burst(n);
-            }
-            FaultDirective::Crash => {
-                self.run_service(ctx, |svc, io| svc.on_fault(NodeFault::Crash, io));
-            }
-            FaultDirective::Restart => {
-                self.run_service(ctx, |svc, io| svc.on_fault(NodeFault::Restart, io));
-            }
-            FaultDirective::HostCrash => {
-                if !self.crashed {
-                    self.crashed = true;
-                    // Every live agent dies with the machine. Flows this
-                    // host *sources* move to the terminal Aborted state
-                    // (the record's completion keeps runs terminating);
-                    // flows it receives are left for the remote sender to
-                    // give up on via the bounded-RTO abort. Sorted order
-                    // keeps the emitted FlowDone trace deterministic.
-                    let mut flows: Vec<FlowId> = self.agents.keys().copied().collect();
-                    flows.sort_unstable();
-                    self.agents.clear();
-                    let now = ctx.now();
-                    for flow in flows {
-                        if ctx.stats.flow(flow).map(|r| r.spec.src) == Some(self.core.id) {
-                            ctx.stats
-                                .flow_aborted(flow, now, crate::trace::AbortReason::HostCrash);
-                        }
-                    }
-                    self.run_service(ctx, |svc, io| svc.on_fault(NodeFault::Crash, io));
-                }
-            }
-            FaultDirective::HostRestart => {
+        let ports = std::slice::from_mut(&mut self.core.port);
+        let fault = match directive.apply(self.core.id, ports, ctx) {
+            FaultRest::Done => return,
+            FaultRest::Process(fault) => fault,
+            FaultRest::HostCrash => {
                 if self.crashed {
-                    self.crashed = false;
-                    // New incarnation: receivers can tell post-restart
-                    // traffic from pre-crash segments still in flight.
-                    self.core.incarnation += 1;
-                    self.run_service(ctx, |svc, io| svc.on_fault(NodeFault::Restart, io));
+                    return;
                 }
+                self.crashed = true;
+                // Every live agent dies with the machine. Flows this host
+                // *sources* move to the terminal Aborted state (the
+                // record's completion keeps runs terminating); flows it
+                // receives are left for the remote sender to give up on
+                // via the bounded-RTO abort. Sorted order keeps the
+                // emitted FlowDone trace deterministic.
+                let mut flows: Vec<FlowId> = self.agents.keys().copied().collect();
+                flows.sort_unstable();
+                self.agents.clear();
+                let now = ctx.now();
+                for flow in flows {
+                    if ctx.stats.flow(flow).map(|r| r.spec.src) == Some(self.core.id) {
+                        ctx.stats
+                            .flow_aborted(flow, now, crate::trace::AbortReason::HostCrash);
+                    }
+                }
+                NodeFault::Crash
             }
-            FaultDirective::PortDegrade { port, profile } => {
-                debug_assert_eq!(port.index(), 0, "hosts have a single port");
-                self.core.port.set_degraded(self.core.id, profile);
+            FaultRest::HostRestart => {
+                if !self.crashed {
+                    return;
+                }
+                self.crashed = false;
+                // New incarnation: receivers can tell post-restart traffic
+                // from pre-crash segments still in flight.
+                self.core.incarnation += 1;
+                NodeFault::Restart
             }
-            FaultDirective::PortRestore(port) => {
-                debug_assert_eq!(port.index(), 0, "hosts have a single port");
-                self.core.port.set_restored();
-            }
-            FaultDirective::CtrlStormStart { amplify } => {
-                self.run_service(ctx, |svc, io| {
-                    svc.on_fault(NodeFault::CtrlStormStart { amplify }, io)
-                });
-            }
-            FaultDirective::CtrlStormEnd => {
-                self.run_service(ctx, |svc, io| svc.on_fault(NodeFault::CtrlStormEnd, io));
-            }
-        }
+        };
+        self.run_process(ctx, |p, io| p.on_fault(fault, io));
     }
 
     fn deliver(&mut self, pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
@@ -456,17 +350,17 @@ impl Host {
         if pkt.kind == PacketKind::Data {
             ctx.stats.note_data_delivered();
         }
-        // Control-plane packets always go to the host service, even when a
-        // flow agent exists for the tagged flow: agents learn of control
-        // state changes through service wake-ups, not raw packets.
+        // Control-plane packets always go to the host's process, even when
+        // a flow agent exists for the tagged flow: agents learn of control
+        // state changes through process wake-ups, not raw packets.
         if pkt.kind == PacketKind::Ctrl {
-            if self.service.is_none() {
+            if self.process.is_none() {
                 ctx.retire(pkt, Fate::Unattended);
                 return;
             }
-            self.run_service(ctx, move |svc, io| {
+            self.run_process(ctx, move |p, io| {
                 let pkt = io.sim.take_packet(pkt);
-                svc.on_ctrl(pkt, io);
+                p.on_ctrl(pkt, io);
             });
             return;
         }
@@ -522,7 +416,7 @@ impl Host {
         let Some(agent) = self.agents.get_mut(&flow) else {
             return false;
         };
-        let mut actx = AgentCtx::new(flow, &mut self.core, self.service.as_mut(), ctx);
+        let mut actx = AgentCtx::new(flow, &mut self.core, self.process.as_mut(), ctx);
         f(agent.as_mut(), &mut actx);
         if actx.retired {
             self.agents.remove(&flow);
@@ -547,26 +441,21 @@ impl Host {
         self.run_agent(flow, ctx, f);
     }
 
-    /// Run a closure over the host service (temporarily detached), then
+    /// Run a closure over the host's process (temporarily detached), then
     /// deliver any flow wake-ups it requested.
-    fn run_service<F>(&mut self, ctx: &mut Ctx<'_>, f: F)
+    fn run_process<F>(&mut self, ctx: &mut Ctx<'_>, f: F)
     where
-        F: FnOnce(&mut dyn HostService, &mut HostIo<'_, '_, '_>),
+        F: FnOnce(&mut dyn Process, &mut ProcIo<'_, '_>),
     {
-        let Some(mut svc) = self.service.take() else {
+        let Some(mut process) = self.process.take() else {
             return;
         };
         let mut wakeups = Vec::new();
-        {
-            let mut io = HostIo {
-                host: &mut self.core,
-                sim: ctx,
-                wakeups: &mut wakeups,
-                _marker: core::marker::PhantomData,
-            };
-            f(svc.as_mut(), &mut io);
-        }
-        self.service = Some(svc);
+        f(
+            process.as_mut(),
+            &mut ProcIo::host(&mut self.core, &mut wakeups, ctx),
+        );
+        self.process = Some(process);
         for flow in wakeups {
             // A wake-up for an already-collected agent is a no-op.
             self.run_agent(flow, ctx, |agent, actx| agent.on_wake(actx));

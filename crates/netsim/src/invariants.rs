@@ -231,7 +231,7 @@ impl InNetwork {
 pub(crate) struct ProgressEvidence {
     /// Flows referenced by a pending event or an in-network packet.
     flows: BTreeSet<FlowId>,
-    /// Nodes with a pending control-plane (plugin/service) timer.
+    /// Nodes with a pending control-plane (process) timer.
     plugin_timer_nodes: BTreeSet<NodeId>,
 }
 

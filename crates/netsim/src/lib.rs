@@ -10,11 +10,11 @@
 //!    randomness lives in the workload layer behind seeded generators. Two
 //!    runs of the same configuration produce identical results.
 //! 2. **Simplicity and robustness** over cleverness (after smoltcp): the
-//!    event loop is a binary heap and a `match`; components interact only
+//!    event loop is a timing wheel and a `match`; components interact only
 //!    through events.
 //! 3. **Protocol pluggability.** Transports implement [`host::FlowAgent`];
-//!    switch-resident logic (PDQ rate arbitration, PASE control-plane
-//!    arbitrators) implements [`switch::SwitchPlugin`]; queue disciplines
+//!    control logic on hosts and switches (PDQ rate arbitration, PASE's
+//!    arbitrators) implements one [`node::Process`]; queue disciplines
 //!    implement [`queue::Qdisc`].
 //!
 //! ## Model

@@ -249,7 +249,7 @@ pub struct ArenaStats {
 ///
 /// Injection sites allocate through the arena ([`PacketArena::alloc`]);
 /// every terminal site — a drop, a blackhole, a delivery into an agent or
-/// plugin — gives the box back ([`PacketArena::release`] /
+/// process — gives the box back ([`PacketArena::release`] /
 /// [`PacketArena::take`]), so steady-state simulation recycles a small
 /// working set of boxes instead of hitting the allocator once per packet.
 ///
@@ -317,7 +317,7 @@ impl PacketArena {
     }
 
     /// Move the packet out of its box and recycle the storage (delivery
-    /// sites that hand the packet to an agent or plugin by value).
+    /// sites that hand the packet to an agent or process by value).
     pub fn take(&mut self, mut b: Box<Packet>) -> Packet {
         let pkt = core::mem::replace(&mut *b, scratch_packet());
         self.released += 1;

@@ -314,11 +314,6 @@ impl Port {
         self.qdisc.len_pkts()
     }
 
-    /// Queue occupancy in bytes (excluding the in-flight packet).
-    pub fn queue_len_bytes(&self) -> u64 {
-        self.qdisc.len_bytes()
-    }
-
     /// Is the serializer currently busy?
     pub fn is_busy(&self) -> bool {
         self.in_flight.is_some()

@@ -161,10 +161,6 @@ impl PortQueue {
         each_variant!(self, q => q.len_pkts())
     }
 
-    pub(crate) fn len_bytes(&self) -> u64 {
-        each_variant!(self, q => q.len_bytes())
-    }
-
     pub(crate) fn for_each_queued(&self, f: &mut dyn FnMut(&Packet)) {
         each_variant!(self, q => q.for_each_queued(f))
     }

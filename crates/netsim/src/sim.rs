@@ -101,8 +101,8 @@ impl Simulation {
         self.stats.set_tracer(tracer);
     }
 
-    /// Mutable access to a node, for post-build wiring (installing switch
-    /// plugins, host services) and for test inspection.
+    /// Mutable access to a node, for post-build wiring (installing node
+    /// processes) and for test inspection.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }

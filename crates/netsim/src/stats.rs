@@ -202,7 +202,7 @@ fates! {
     Blackholed "blackholed" { Data: data_pkts_blackholed, Ctrl: ctrl_pkts_blackholed }
     /// Arrived at a crashed host or a crashed control process.
     LostToCrash "lost-to-crash" { Data: data_pkts_lost_to_crash, Ctrl: ctrl_lost_to_crash }
-    /// Reached a node with no control plugin or service to take it, or
+    /// Reached a node with no control process to take it, or
     /// carried a payload its arbitrator does not speak.
     Unattended "unattended" { Ctrl: ctrl_unattended }
 }
@@ -226,7 +226,7 @@ pub struct StatsCollector {
     /// Per-node tallies indexed by [`NodeId::index`], grown on demand so
     /// the collector needs no node count up front.
     per_node: Vec<NodeCounters>,
-    /// Data packets injected by host endpoints (senders and services),
+    /// Data packets injected by host endpoints (senders and processes),
     /// counting each retransmitted copy separately: the data law's
     /// left-hand side.
     pub data_pkts_injected: u64,
@@ -450,9 +450,10 @@ impl StatsCollector {
 
     /// A packet enters the network: charge the sent side of its plane's
     /// law (nothing for acks and probes). Both send sites — a host's
-    /// emit and [`crate::switch::SwitchIo::send`] — call this once per
-    /// packet, before routing, so a packet blackholed on its first hop is
-    /// still on the books.
+    /// emit (its agents and [`crate::node::ProcIo::send`]) and a
+    /// switch's (`ProcIo::send` only) — call this once per packet, before
+    /// routing, so a packet blackholed on its first hop is still on the
+    /// books.
     #[inline]
     pub fn note_sent(&mut self, pkt: &Packet) {
         match pkt.kind {

@@ -2,7 +2,7 @@
 //!
 //! A [`Switch`] forwards packets between its output ports using a static
 //! forwarding table (computed by the topology builder). Protocol crates can
-//! install a [`SwitchPlugin`] to participate in forwarding:
+//! install a [`Process`] to participate in forwarding:
 //!
 //! * PDQ's per-link flow arbitration rewrites scheduling headers on
 //!   transiting packets;
@@ -13,17 +13,15 @@
 //! in-network prioritization should "keep the data plane simple and
 //! efficient": all scheduling policy lives in the port queue disciplines.
 
-use std::any::Any;
-
 use crate::engine::Ctx;
 use crate::event::EventKind;
-use crate::fault::{FaultDirective, NodeFault};
+use crate::fault::{FaultDirective, FaultRest};
 use crate::ids::{FlowId, NodeId, PortId};
+use crate::node::{ProcIo, Process};
 use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
 use crate::rng::mix64;
 use crate::stats::Fate;
-use crate::time::{SimDuration, SimTime};
 
 /// A compact per-switch forwarding table.
 ///
@@ -224,107 +222,13 @@ fn route_live(
         .copied()
 }
 
-/// Protocol logic attached to a switch.
-pub trait SwitchPlugin: Send {
-    /// Called for every transiting packet after the output port has been
-    /// selected and before the packet is enqueued. May rewrite headers
-    /// (PDQ); the packet is forwarded either way.
-    fn process_transit(&mut self, pkt: &mut Packet, out_port: PortId, io: &mut SwitchIo<'_, '_>) {
-        let _ = (pkt, out_port, io);
-    }
-
-    /// A control packet addressed to this switch arrived.
-    fn on_ctrl(&mut self, pkt: Packet, io: &mut SwitchIo<'_, '_>) {
-        let _ = (pkt, io);
-    }
-
-    /// A timer set via [`SwitchIo::set_timer`] fired.
-    fn on_timer(&mut self, token: u64, io: &mut SwitchIo<'_, '_>) {
-        let _ = (token, io);
-    }
-
-    /// An injected control-plane fault hit this switch (see
-    /// [`crate::fault`]). The default plugin ignores faults.
-    fn on_fault(&mut self, fault: NodeFault, io: &mut SwitchIo<'_, '_>) {
-        let _ = (fault, io);
-    }
-
-    /// Downcast support for tests and cross-layer inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// The interface a [`SwitchPlugin`] uses to act on its switch.
-pub struct SwitchIo<'a, 'b> {
-    /// The switch's node id.
-    pub id: NodeId,
-    /// The switch's output ports. Crate-private: taking a port down or up
-    /// behind the switch's back would stale `all_ports_up`.
-    pub(crate) ports: &'a mut Vec<Port>,
-    /// Forwarding table indexed by destination node id.
-    pub fib: &'a Fib,
-    /// Whether the owning switch routes health-aware (see
-    /// [`Switch::set_health_aware`]).
-    pub health_aware: bool,
-    /// The owning switch's ECMP salt (see [`Switch::set_ecmp_salt`]).
-    pub ecmp_salt: u64,
-    /// Whether every port of the owning switch is up.
-    pub(crate) all_ports_up: bool,
-    /// Engine context.
-    pub sim: &'a mut Ctx<'b>,
-}
-
-impl<'a, 'b> SwitchIo<'a, 'b> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Pick the output port toward `dst` for `flow` (ECMP by flow hash
-    /// over the live equal-cost ports). `None` when no next hop survives.
-    pub fn route(&self, dst: NodeId, flow: FlowId) -> Option<PortId> {
-        route_live(
-            self.fib.entry(dst),
-            self.ports,
-            flow,
-            self.ecmp_salt,
-            self.health_aware,
-            self.all_ports_up,
-        )
-    }
-
-    /// Send a packet toward its destination through the forwarding table.
-    /// The packet enters the ledger's sent side here; one with no
-    /// surviving next hop is blackholed on the spot, never boxed.
-    pub fn send(&mut self, mut pkt: Packet) {
-        let now = self.now();
-        pkt.ts = now;
-        self.sim.stats.note_sent(&pkt);
-        let Some(port) = self.route(pkt.dst, pkt.flow) else {
-            let stats = &mut self.sim.stats;
-            return stats.note_fate(&pkt, Fate::Blackholed, self.id, now);
-        };
-        let boxed = self.sim.alloc_packet(pkt);
-        self.ports[port.index()].send(boxed, self.sim);
-    }
-
-    /// The capacity of one of this switch's links.
-    pub fn port_rate(&self, port: PortId) -> crate::time::Rate {
-        self.ports[port.index()].rate
-    }
-
-    /// Arrange for [`SwitchPlugin::on_timer`] to fire after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.sim.schedule_self(delay, EventKind::PluginTimer(token));
-    }
-}
-
 /// A store-and-forward switch.
 pub struct Switch {
     id: NodeId,
     ports: Vec<Port>,
     /// Compact forwarding table over destination node ids.
     fib: Fib,
-    plugin: Option<Box<dyn SwitchPlugin>>,
+    pub(crate) process: Option<Box<dyn Process>>,
     /// Whether ECMP selection avoids live-but-degraded ports (per-port
     /// EWMA health). Off by default so healthy-run traces stay
     /// byte-identical to historical seeds; enabled fleet-wide by
@@ -336,9 +240,9 @@ pub struct Switch {
     /// distinct deterministic salt per switch so successive tiers make
     /// independent equal-cost choices (all (k/2)² core paths get used).
     ecmp_salt: u64,
-    /// Whether every port is up, re-derived whenever a `PortDown` /
-    /// `PortUp` directive lands (the only way a switch port changes
-    /// state), so healthy-fabric routing never reads a port.
+    /// Whether every port is up, re-derived whenever a fault directive
+    /// lands (the only way a switch port changes state), so
+    /// healthy-fabric routing never reads a port.
     all_ports_up: bool,
 }
 
@@ -351,19 +255,14 @@ impl Switch {
             id,
             ports,
             fib,
-            plugin: None,
+            process: None,
             health_aware: false,
             ecmp_salt: 0,
             all_ports_up,
         }
     }
 
-    /// Install a protocol plugin.
-    pub fn set_plugin(&mut self, plugin: Box<dyn SwitchPlugin>) {
-        self.plugin = Some(plugin);
-    }
-
-    /// Toggle health-aware ECMP (see [`route_live`]).
+    /// Toggle health-aware ECMP: route around live-but-degraded ports.
     pub fn set_health_aware(&mut self, on: bool) {
         self.health_aware = on;
     }
@@ -399,13 +298,6 @@ impl Switch {
         &self.ports
     }
 
-    /// Downcast the plugin to a concrete type.
-    pub fn plugin_as<T: 'static>(&mut self) -> Option<&mut T> {
-        self.plugin
-            .as_deref_mut()
-            .and_then(|p| p.as_any_mut().downcast_mut::<T>())
-    }
-
     /// Dispatch an event to this switch.
     pub fn handle(&mut self, kind: EventKind, ctx: &mut Ctx<'_>) {
         match kind {
@@ -414,7 +306,7 @@ impl Switch {
                 self.ports[port.index()].on_tx_complete(ctx);
             }
             EventKind::PluginTimer(token) => {
-                self.with_plugin(ctx, |plugin, io| plugin.on_timer(token, io));
+                self.run_process(ctx, |p, io| p.on_timer(token, io));
             }
             EventKind::Fault(directive) => self.apply_fault(*directive, ctx),
             EventKind::FlowStart(_) | EventKind::AgentTimer { .. } => {
@@ -423,56 +315,16 @@ impl Switch {
         }
     }
 
-    /// Apply an injected fault directive to this switch.
+    /// Apply an injected fault directive to this switch: the shared path
+    /// ([`FaultDirective::apply`]), then the `all_ports_up` upkeep.
     fn apply_fault(&mut self, directive: FaultDirective, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        ctx.stats.trace_event(
-            now,
-            &crate::trace::TraceEvent::Fault {
-                node: self.id,
-                fault: directive,
-            },
-        );
-        match directive {
-            FaultDirective::PortDown(port) => {
-                self.ports[port.index()].set_down(ctx);
-                self.all_ports_up = false;
-            }
-            FaultDirective::PortUp(port) => {
-                self.ports[port.index()].set_up();
-                self.all_ports_up = self.ports.iter().all(Port::is_up);
-            }
-            FaultDirective::CtrlLossBurst { port, n } => {
-                self.ports[port.index()].inject_ctrl_loss_burst(n);
-            }
-            FaultDirective::Crash => {
-                self.with_plugin(ctx, |plugin, io| plugin.on_fault(NodeFault::Crash, io));
-            }
-            FaultDirective::Restart => {
-                self.with_plugin(ctx, |plugin, io| plugin.on_fault(NodeFault::Restart, io));
-            }
-            FaultDirective::PortDegrade { port, profile } => {
-                self.ports[port.index()].set_degraded(self.id, profile);
-            }
-            FaultDirective::PortRestore(port) => {
-                self.ports[port.index()].set_restored();
-            }
-            FaultDirective::CtrlStormStart { amplify } => {
-                self.with_plugin(ctx, |plugin, io| {
-                    plugin.on_fault(NodeFault::CtrlStormStart { amplify }, io)
-                });
-            }
-            FaultDirective::CtrlStormEnd => {
-                self.with_plugin(ctx, |plugin, io| {
-                    plugin.on_fault(NodeFault::CtrlStormEnd, io)
-                });
-            }
-            FaultDirective::HostCrash | FaultDirective::HostRestart => {
-                debug_assert!(
-                    false,
-                    "host fault directive delivered to switch {}",
-                    self.id
-                );
+        let rest = directive.apply(self.id, &mut self.ports, ctx);
+        self.all_ports_up = self.ports.iter().all(Port::is_up);
+        match rest {
+            FaultRest::Done => {}
+            FaultRest::Process(fault) => self.run_process(ctx, |p, io| p.on_fault(fault, io)),
+            FaultRest::HostCrash | FaultRest::HostRestart => {
+                debug_assert!(false, "host fault {directive:?} at switch {}", self.id);
             }
         }
     }
@@ -484,13 +336,13 @@ impl Switch {
                 // checksum like anywhere else; the sender recovers by
                 // re-requesting (or falling back) on the missing response.
                 ctx.retire(pkt, Fate::Corrupted);
-            } else if self.plugin.is_none() && pkt.kind == PacketKind::Ctrl {
+            } else if self.process.is_none() && pkt.kind == PacketKind::Ctrl {
                 // Control traffic with no arbitrator to interpret it.
                 ctx.retire(pkt, Fate::Unattended);
             } else {
-                self.with_plugin(ctx, move |plugin, io| {
+                self.run_process(ctx, move |p, io| {
                     let pkt = io.sim.take_packet(pkt);
-                    plugin.on_ctrl(pkt, io);
+                    p.on_ctrl(pkt, io);
                 });
             }
             return;
@@ -498,7 +350,7 @@ impl Switch {
         let Some(out) = self.route(pkt.dst, pkt.flow) else {
             return ctx.retire(pkt, Fate::Blackholed);
         };
-        self.with_plugin(ctx, |plugin, io| plugin.process_transit(&mut pkt, out, io));
+        self.run_process(ctx, |p, io| p.on_transit(&mut pkt, out, io));
         self.ports[out.index()].send(pkt, ctx);
     }
 
@@ -515,28 +367,32 @@ impl Switch {
         )
     }
 
-    /// Run a closure with the plugin detached, so the plugin can borrow the
-    /// switch's ports and FIB through [`SwitchIo`].
-    fn with_plugin<F>(&mut self, ctx: &mut Ctx<'_>, f: F)
+    /// The switch's one send path, for its process: enter the packet on
+    /// the ledger's sent side and route it through the forwarding table.
+    /// A packet with no surviving next hop is blackholed on the spot,
+    /// never boxed.
+    pub(crate) fn emit(&mut self, mut pkt: Packet, sim: &mut Ctx<'_>) {
+        let now = sim.now();
+        pkt.ts = now;
+        sim.stats.note_sent(&pkt);
+        let Some(port) = self.route(pkt.dst, pkt.flow) else {
+            return sim.stats.note_fate(&pkt, Fate::Blackholed, self.id, now);
+        };
+        let boxed = sim.alloc_packet(pkt);
+        self.ports[port.index()].send(boxed, sim);
+    }
+
+    /// Run a closure with the process detached, so it can send through
+    /// the rest of the switch via [`ProcIo`].
+    fn run_process<F>(&mut self, ctx: &mut Ctx<'_>, f: F)
     where
-        F: FnOnce(&mut dyn SwitchPlugin, &mut SwitchIo<'_, '_>),
+        F: FnOnce(&mut dyn Process, &mut ProcIo<'_, '_>),
     {
-        let Some(mut plugin) = self.plugin.take() else {
+        let Some(mut process) = self.process.take() else {
             return;
         };
-        {
-            let mut io = SwitchIo {
-                id: self.id,
-                ports: &mut self.ports,
-                fib: &self.fib,
-                health_aware: self.health_aware,
-                ecmp_salt: self.ecmp_salt,
-                all_ports_up: self.all_ports_up,
-                sim: ctx,
-            };
-            f(plugin.as_mut(), &mut io);
-        }
-        self.plugin = Some(plugin);
+        f(process.as_mut(), &mut ProcIo::switch(self, ctx));
+        self.process = Some(process);
     }
 }
 
@@ -545,7 +401,7 @@ impl core::fmt::Debug for Switch {
         f.debug_struct("Switch")
             .field("id", &self.id)
             .field("ports", &self.ports.len())
-            .field("has_plugin", &self.plugin.is_some())
+            .field("has_process", &self.process.is_some())
             .finish()
     }
 }
@@ -556,7 +412,7 @@ mod tests {
     use crate::engine::Scheduler;
     use crate::queue::DropTailQdisc;
     use crate::stats::StatsCollector;
-    use crate::time::Rate;
+    use crate::time::{Rate, SimDuration};
 
     /// A switch with two equal-cost ports (to n1 and n2) toward dst n5.
     fn two_way_switch() -> Switch {
@@ -745,12 +601,6 @@ mod tests {
 
     #[test]
     fn route_matches_the_port_filter_through_any_fault_sequence() {
-        struct Idle;
-        impl SwitchPlugin for Idle {
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
         let ports = (0..4)
             .map(|i| {
                 Port::new(
@@ -766,7 +616,6 @@ mod tests {
         let p = |ids: &[u32]| ids.iter().map(|&i| PortId(i)).collect::<Vec<_>>();
         let rows = [p(&[]), p(&[0, 1, 2, 3]), p(&[2]), p(&[1, 3])];
         let mut sw = Switch::new(NodeId(10), ports, Fib::from_rows(&rows));
-        sw.set_plugin(Box::new(Idle));
         sw.set_ecmp_salt(0x5a17);
         let mut sched = Scheduler::new();
         let mut stats = StatsCollector::new();
@@ -805,9 +654,6 @@ mod tests {
                 let (dst, flow) = (NodeId((i % 4) as u32), FlowId(i * 7919));
                 let want = route_by_filter(&sw, dst, flow);
                 assert_eq!(sw.route(dst, flow), want, "step {step} {dst} {flow:?}");
-                let mut via_io = None;
-                sw.with_plugin(&mut ctx, |_, io| via_io = io.route(dst, flow));
-                assert_eq!(via_io, want, "step {step} {dst} {flow:?} (SwitchIo)");
             }
         }
         assert_eq!(
@@ -831,17 +677,17 @@ mod tests {
 
     #[test]
     fn corrupted_ctrl_addressed_to_switch_is_discarded() {
-        struct CountingPlugin(u64);
-        impl SwitchPlugin for CountingPlugin {
-            fn on_ctrl(&mut self, _pkt: Packet, _io: &mut SwitchIo<'_, '_>) {
+        struct CountingProcess(u64);
+        impl Process for CountingProcess {
+            fn on_ctrl(&mut self, _pkt: Packet, _io: &mut ProcIo<'_, '_>) {
                 self.0 += 1;
             }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
                 self
             }
         }
         let mut sw = two_way_switch();
-        sw.set_plugin(Box::new(CountingPlugin(0)));
+        sw.process = Some(Box::new(CountingProcess(0)));
         let mut sched = Scheduler::new();
         let mut stats = StatsCollector::new();
         let mut ctx = Ctx {
@@ -854,8 +700,9 @@ mod tests {
         sw.handle(EventKind::deliver(ctrl), &mut ctx);
         let clean = Packet::ctrl(FlowId(1), NodeId(3), NodeId(10), Box::new(0u32));
         sw.handle(EventKind::deliver(clean), &mut ctx);
+        let mut node = crate::node::Node::Switch(sw);
         assert_eq!(
-            sw.plugin_as::<CountingPlugin>().unwrap().0,
+            node.process_as::<CountingProcess>().unwrap().0,
             1,
             "only the clean control packet reaches the arbitrator"
         );

@@ -275,11 +275,6 @@ impl Rate {
         self.0
     }
 
-    /// Rate in floating-point Gbit/s (reporting only).
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Is this rate zero (i.e. the flow is paused)?
     pub const fn is_zero(self) -> bool {
         self.0 == 0

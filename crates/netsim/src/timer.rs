@@ -11,7 +11,7 @@
 //! counts the arms, so a token says both *which* timer and *which arm*,
 //! and [`Timer::is_current`] is the whole liveness test. One layout
 //! serves every owner and both timer channels (`AgentTimer` for flow
-//! agents, `PluginTimer` for host services and switch plugins).
+//! agents, `PluginTimer` for node processes).
 //! Maintenance slots sit at or above [`MAINTENANCE_TIMER_BASE`], which
 //! the stuck-flow oracle ([`crate::invariants`]) reads as background
 //! work, not flow progress.
@@ -91,7 +91,7 @@ pub const MAINTENANCE_TIMER_BASE: u64 = (slot::MAINTENANCE as u64) << EPOCH_BITS
 const DISARMED: u64 = 1 << (EPOCH_BITS - 1);
 
 /// One versioned timer, kept as one word: its newest arm's token (slot
-/// and arm count), marked [`DISARMED`] while that arm is not wanted. See
+/// and arm count), marked `DISARMED` while that arm is not wanted. See
 /// the module docs.
 #[derive(Debug, Clone, Copy)]
 pub struct Timer {

@@ -131,7 +131,7 @@ impl TopologyBuilder {
                         .map(mk_port)
                         .next()
                         .unwrap();
-                    nodes.push(Node::Host(Host::new(id, port, Arc::clone(&factory), None)));
+                    nodes.push(Node::Host(Host::new(id, port, Arc::clone(&factory))));
                 }
                 NodeKind::Switch => {
                     let ports: Vec<Port> = self.ports[i].iter().enumerate().map(mk_port).collect();

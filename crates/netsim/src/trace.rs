@@ -26,7 +26,7 @@
 //! and the rare `FLT` lines keep the directive's derived `Debug`.
 //!
 //! [`TextTracer`] stages rendered lines in a private buffer and appends
-//! them to a shared `String` in [`FLUSH_THRESHOLD`]-byte batches (one
+//! them to a shared `String` in `FLUSH_THRESHOLD`-byte batches (one
 //! mutex round trip per batch). It is for people who want to *read* a
 //! trace.
 //!
@@ -340,7 +340,7 @@ fn render(out: &mut Vec<u8>, now: SimTime, event: &TraceEvent) {
 ///
 /// The buffer is shared (`Arc<Mutex<String>>`) so the caller can keep a
 /// handle while the simulation owns the sink. Lines are staged privately
-/// and pushed to the shared buffer in [`FLUSH_THRESHOLD`]-byte batches;
+/// and pushed to the shared buffer in `FLUSH_THRESHOLD`-byte batches;
 /// the staged remainder reaches the shared handle on
 /// [`TraceSink::flush`] or drop (cloned handles carry the shared buffer
 /// but never the staged lines).

@@ -1,17 +1,17 @@
 //! Component-level tests of host and switch event dispatch: agent
-//! lifecycle, service wake-ups, plugin transit hooks and timers.
+//! lifecycle, process wake-ups, transit hooks, timers and faults.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netsim::event::EventKind;
+use netsim::fault::{FaultDirective, NodeFault};
 use netsim::flow::{FlowSpec, ReceiverHint};
-use netsim::host::{AgentCtx, AgentFactory, FlowAgent, HostIo, HostService};
-use netsim::node::Node;
+use netsim::host::{AgentCtx, AgentFactory, FlowAgent};
+use netsim::node::{Node, ProcIo, Process};
 use netsim::packet::{Packet, PacketKind};
 use netsim::prelude::*;
-use netsim::switch::{SwitchIo, SwitchPlugin};
 
 /// A sender that transmits one data packet per `on_start`, records every
 /// ack/timer in shared counters, and completes on the first ack.
@@ -157,36 +157,77 @@ fn sender_completes_and_is_garbage_collected_stale_timer_ignored() {
     assert_eq!(h1.live_agents(), 1, "receiver stays resident");
 }
 
-/// A service that counts ctrl packets and wakes the tagged flow.
-struct CountingService {
-    ctrl_seen: Arc<AtomicU64>,
+/// One call into a [`Recorder`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Ctrl(FlowId),
+    Timer(u64),
+    Fault(NodeFault),
+    Transit(PacketKind),
 }
 
-impl HostService for CountingService {
-    fn on_ctrl(&mut self, pkt: Packet, io: &mut HostIo<'_, '_, '_>) {
-        self.ctrl_seen.fetch_add(1, Ordering::Relaxed);
-        io.wake_flow(pkt.flow);
+/// A process that records every call it gets, in order.
+#[derive(Default)]
+struct Recorder {
+    seen: Vec<Seen>,
+    /// Wake the flow a control packet is tagged with (hosts only).
+    wake: bool,
+    /// Re-arm each timer until this many have fired.
+    ticks: usize,
+}
+
+impl Recorder {
+    fn count(&self, what: impl Fn(&Seen) -> bool) -> usize {
+        self.seen.iter().filter(|s| what(s)).count()
     }
-    fn on_timer(&mut self, _token: u64, _io: &mut HostIo<'_, '_, '_>) {}
+}
+
+impl Process for Recorder {
+    fn on_ctrl(&mut self, pkt: Packet, io: &mut ProcIo<'_, '_>) {
+        self.seen.push(Seen::Ctrl(pkt.flow));
+        if self.wake {
+            io.wake_flow(pkt.flow);
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, io: &mut ProcIo<'_, '_>) {
+        self.seen.push(Seen::Timer(token));
+        if self.count(|s| matches!(s, Seen::Timer(_))) < self.ticks {
+            io.set_timer(SimDuration::from_micros(50), token);
+        }
+    }
+
+    fn on_fault(&mut self, fault: NodeFault, _io: &mut ProcIo<'_, '_>) {
+        self.seen.push(Seen::Fault(fault));
+    }
+
+    fn on_transit(&mut self, pkt: &mut Packet, _out: PortId, _io: &mut ProcIo<'_, '_>) {
+        self.seen.push(Seen::Transit(pkt.kind));
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+fn recorder(sim: &mut Simulation, node: NodeId) -> &mut Recorder {
+    sim.node_mut(node)
+        .process_as::<Recorder>()
+        .expect("recorder")
 }
 
 #[test]
 fn ctrl_packets_route_to_service_and_wake_agents() {
     let acks = Arc::new(AtomicU64::new(0));
     let wakeups = Arc::new(AtomicU64::new(0));
-    let ctrl_seen = Arc::new(AtomicU64::new(0));
     let (mut sim, hosts, _) = two_hosts(Arc::new(TestFactory {
         acks: Arc::clone(&acks),
         wakeups: Arc::clone(&wakeups),
     }));
-    if let Node::Host(h) = sim.node_mut(hosts[0]) {
-        h.set_service(Box::new(CountingService {
-            ctrl_seen: Arc::clone(&ctrl_seen),
-        }));
-    }
+    sim.node_mut(hosts[0]).set_process(Box::new(Recorder {
+        wake: true,
+        ..Recorder::default()
+    }));
     // A big flow so the sender is still alive when the ctrl packet lands.
     sim.add_flow(FlowSpec::new(
         FlowId(3),
@@ -205,10 +246,10 @@ fn ctrl_packets_route_to_service_and_wake_agents() {
         );
     }
     sim.run(RunLimit::default());
-    assert!(ctrl_seen.load(Ordering::Relaxed) >= 1);
+    assert!(recorder(&mut sim, hosts[0]).count(|s| matches!(s, Seen::Ctrl(_))) >= 1);
     assert!(
         wakeups.load(Ordering::Relaxed) >= 1,
-        "service wake_flow must reach the agent"
+        "the process's wake_flow must reach the agent"
     );
 }
 
@@ -296,13 +337,9 @@ fn link_outage_drops_offered_packets_and_recovery_completes_the_flow() {
 
 #[test]
 fn ctrl_loss_burst_kills_exactly_the_burst_window() {
-    let ctrl_seen = Arc::new(AtomicU64::new(0));
     let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
-    if let Node::Host(h) = sim.node_mut(hosts[1]) {
-        h.set_service(Box::new(CountingService {
-            ctrl_seen: Arc::clone(&ctrl_seen),
-        }));
-    }
+    sim.node_mut(hosts[1])
+        .set_process(Box::new(Recorder::default()));
     // Arm a 2-packet ctrl burst on the switch's port toward host 1, then
     // push four ctrl packets through the switch.
     sim.inject_faults(&FaultPlan::new().ctrl_loss_burst(SimTime::from_nanos(1), sw, hosts[1], 2));
@@ -315,7 +352,7 @@ fn ctrl_loss_burst_kills_exactly_the_burst_window() {
     }
     sim.run(RunLimit::default());
     assert_eq!(
-        ctrl_seen.load(Ordering::Relaxed),
+        recorder(&mut sim, hosts[1]).count(|s| matches!(s, Seen::Ctrl(_))),
         2,
         "first two ctrl packets die in the burst, the rest pass"
     );
@@ -327,48 +364,16 @@ fn ctrl_loss_burst_kills_exactly_the_burst_window() {
     assert_eq!(s.ports()[port.index()].faults_injected, 1);
 }
 
-/// A plugin that counts the probes it sees in transit and its timer ticks.
-struct ProbeCounter {
-    probes: u64,
-    ticks: u64,
-}
-
-impl SwitchPlugin for ProbeCounter {
-    fn process_transit(
-        &mut self,
-        pkt: &mut Packet,
-        _out: netsim::ids::PortId,
-        _io: &mut SwitchIo<'_, '_>,
-    ) {
-        if pkt.kind == PacketKind::Probe {
-            self.probes += 1;
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, io: &mut SwitchIo<'_, '_>) {
-        self.ticks += 1;
-        if self.ticks < 3 {
-            io.set_timer(SimDuration::from_micros(50), token);
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[test]
 fn plugin_sees_transit_packets_and_runs_timers() {
     let acks = Arc::new(AtomicU64::new(0));
     let wakeups = Arc::new(AtomicU64::new(0));
     let (mut sim, hosts, sw) = two_hosts(Arc::new(TestFactory { acks, wakeups }));
-    if let Node::Switch(s) = sim.node_mut(sw) {
-        s.set_plugin(Box::new(ProbeCounter {
-            probes: 0,
-            ticks: 0,
-        }));
-    }
-    // Kick the plugin timer chain.
+    sim.node_mut(sw).set_process(Box::new(Recorder {
+        ticks: 3,
+        ..Recorder::default()
+    }));
+    // Kick the process's timer chain.
     sim.scheduler_mut()
         .schedule_at(SimTime::from_micros(1), sw, EventKind::PluginTimer(9));
     sim.scheduler_mut().schedule_deliver(
@@ -390,16 +395,89 @@ fn plugin_sees_transit_packets_and_runs_timers() {
         Packet::probe(FlowId(5), hosts[0], hosts[1], 0),
     );
     sim.run(RunLimit::default());
-    let Node::Switch(s) = sim.node_mut(sw) else {
-        panic!()
-    };
-    let plugin = s.plugin_as::<ProbeCounter>().unwrap();
-    assert_eq!(plugin.probes, 1, "the probe must transit the plugin");
-    assert_eq!(plugin.ticks, 3, "timer chain must run to completion");
-    // Both the data flow and the probe were forwarded past the plugin.
+    let process = recorder(&mut sim, sw);
+    let probes = process.count(|s| *s == Seen::Transit(PacketKind::Probe));
+    assert_eq!(probes, 1, "the probe must transit the process");
+    let ticks = process.count(|s| matches!(s, Seen::Timer(_)));
+    assert_eq!(ticks, 3, "timer chain must run to completion");
+    // Both the data flow and the probe were forwarded past the process.
     assert!(sim.stats().flow(FlowId(0)).unwrap().completed.is_some());
     let Node::Host(h1) = sim.node(hosts[1]) else {
         panic!()
     };
     assert_eq!(h1.live_agents(), 2, "receivers for the flow and the probe");
+}
+
+/// One process type runs on both node kinds: the same control packet,
+/// timer and control-plane faults reach it the same way on a host and on
+/// a switch, and only the switch hands it transiting packets. A host maps
+/// its whole-machine crash and restart onto the process's own.
+#[test]
+fn one_process_type_runs_on_hosts_and_switches() {
+    let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
+    let (h0, h1) = (hosts[0], hosts[1]);
+    for node in [h0, sw] {
+        sim.node_mut(node)
+            .set_process(Box::new(Recorder::default()));
+    }
+    let faults = [
+        FaultDirective::Crash,
+        FaultDirective::Restart,
+        FaultDirective::CtrlStormStart { amplify: 3 },
+        FaultDirective::CtrlStormEnd,
+    ];
+    for node in [h0, sw] {
+        let ctrl = Packet::ctrl(FlowId(4), h1, node, Box::new(0u32));
+        let sched = sim.scheduler_mut();
+        sched.schedule_deliver(SimTime::from_micros(1), node, ctrl);
+        sched.schedule_at(SimTime::from_micros(2), node, EventKind::PluginTimer(7));
+        for (i, &fault) in faults.iter().enumerate() {
+            let at = SimTime::from_micros(3 + i as u64);
+            sched.schedule_at(at, node, EventKind::fault(fault));
+        }
+    }
+    // A data packet crosses the switch and its ack crosses back.
+    let data = Packet::data(FlowId(5), h1, h0, 0, 1000);
+    sim.scheduler_mut()
+        .schedule_deliver(SimTime::from_micros(10), sw, data);
+    // The whole host goes down, again while down, and comes back.
+    for (us, fault) in [
+        (100, FaultDirective::HostCrash),
+        (101, FaultDirective::HostCrash),
+        (102, FaultDirective::HostRestart),
+    ] {
+        let at = SimTime::from_micros(us);
+        sim.scheduler_mut()
+            .schedule_at(at, h0, EventKind::fault(fault));
+    }
+    sim.run(RunLimit::default());
+    let shared = vec![
+        Seen::Ctrl(FlowId(4)),
+        Seen::Timer(7),
+        Seen::Fault(NodeFault::Crash),
+        Seen::Fault(NodeFault::Restart),
+        Seen::Fault(NodeFault::CtrlStormStart { amplify: 3 }),
+        Seen::Fault(NodeFault::CtrlStormEnd),
+    ];
+    let at_switch = recorder(&mut sim, sw).seen.clone();
+    let (transits, rest): (Vec<Seen>, Vec<Seen>) = at_switch
+        .into_iter()
+        .partition(|s| matches!(s, Seen::Transit(_)));
+    assert_eq!(rest, shared, "the switch's process");
+    let kinds = [
+        Seen::Transit(PacketKind::Data),
+        Seen::Transit(PacketKind::Ack),
+    ];
+    assert_eq!(transits, kinds, "only the switch sees transits");
+    let at_host = &recorder(&mut sim, h0).seen;
+    let (common, machine) = at_host.split_at(shared.len().min(at_host.len()));
+    assert_eq!(common, shared, "the host's process");
+    let crash_restart = [
+        Seen::Fault(NodeFault::Crash),
+        Seen::Fault(NodeFault::Restart),
+    ];
+    assert_eq!(
+        machine, crash_restart,
+        "one Crash for two HostCrashes, one Restart for the HostRestart"
+    );
 }

@@ -86,11 +86,11 @@ pub struct PaseConfig {
     /// Bottom-queue probing (§4.3.2): flows in the lowest queue send a
     /// header-only probe per RTT instead of a full data packet.
     pub probe_bottom_queue: bool,
-    /// Per-epoch control-message budget of every arbitrator (endpoint
-    /// host-service legs and switch plugins alike). An epoch is one
-    /// `arb_refresh` window; messages beyond the budget are shed with an
-    /// explicit load-shed reply rather than silently queued. High enough
-    /// by default that an unstormed arbitrator never sheds.
+    /// Per-epoch control-message budget of every arbitrator (host and
+    /// switch processes alike). An epoch is one `arb_refresh` window;
+    /// messages beyond the budget are shed with an explicit load-shed
+    /// reply rather than silently queued. High enough by default that an
+    /// unstormed arbitrator never sheds.
     pub ctrl_budget_per_epoch: u32,
     /// Overload protection master switch. On, overloaded arbitrators
     /// shed priority-aware (stale refreshes first, never responses or

@@ -213,24 +213,21 @@ impl PaseSender {
             acc_rate: demand,
         };
         // The process and the stats it charges are borrowed side by side.
-        let svc = ctx
-            .service
-            .as_deref_mut()
-            .and_then(|s| s.as_any_mut().downcast_mut::<ArbProcess>());
-        let Some(svc) = svc else {
+        let process = ctx.process.as_deref_mut();
+        let Some(arb) = process.and_then(|p| p.as_any_mut().downcast_mut::<ArbProcess>()) else {
             // No control plane installed: degrade to a single queue.
             return;
         };
-        if svc.is_crashed() {
+        if arb.is_crashed() {
             // The local control process is down: the synchronous uplink
             // decision fails exactly like the remote legs do, and the
             // watchdog drops the flow to self-adjusting fallback.
             return;
         }
-        self.plan = svc.plan(self.spec.dst);
+        self.plan = arb.plan(self.spec.dst);
         // The sender leg: the local uplink decides at once, and the request
         // climbs on from that decision unless it ends here or is pruned.
-        let (local, sender_leg) = svc.sender_leg(&req, now, ctx.sim.stats);
+        let (local, sender_leg) = arb.sender_leg(&req, now, ctx.sim.stats);
         self.local = local;
         if let Some((to, sender_leg)) = sender_leg {
             self.send_ctrl(ctx, to, ArbMsg::Request(sender_leg));
@@ -255,8 +252,8 @@ impl PaseSender {
             self.engine.rtt.set_min_rto(MIN_RTO_LOW);
             return;
         }
-        let legs = match ctx.service::<ArbProcess>() {
-            Some(svc) => svc.leg_results(self.spec.id),
+        let legs = match ctx.process::<ArbProcess>() {
+            Some(arb) => arb.leg_results(self.spec.id),
             None => Default::default(),
         };
         let mut queue = self.local.queue;
@@ -431,8 +428,8 @@ impl PaseSender {
             return;
         }
         let flow = self.spec.id;
-        if let Some(svc) = ctx.service::<ArbProcess>() {
-            svc.local_remove(flow);
+        if let Some(arb) = ctx.process::<ArbProcess>() {
+            arb.local_remove(flow);
         }
         let (src, dst) = (self.spec.src, self.spec.dst);
         for (to, leg) in [
@@ -592,8 +589,8 @@ impl FlowAgent for PaseSender {
     /// signal and re-evaluate.
     fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         let shed = ctx
-            .service::<ArbProcess>()
-            .map(|svc| svc.take_shed(self.spec.id))
+            .process::<ArbProcess>()
+            .map(|arb| arb.take_shed(self.spec.id))
             .unwrap_or(false);
         let verdict = self.health.on_response(ctx.now(), shed);
         self.apply(verdict, ctx);

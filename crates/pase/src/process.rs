@@ -27,11 +27,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::fault::NodeFault;
-use netsim::host::{HostIo, HostService};
 use netsim::ids::{FlowId, NodeId};
+use netsim::node::{ProcIo, Process};
 use netsim::packet::Packet;
 use netsim::stats::{Fate, StatsCollector};
-use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::timer::{slot, Timer};
 
@@ -67,56 +66,9 @@ pub struct ArbPlan {
     pub receiver_leg_to: Option<NodeId>,
 }
 
-/// What the process needs from the node it runs on.
-trait NodeIo {
-    fn now(&self) -> SimTime;
-    fn send(&mut self, pkt: Packet);
-    fn set_timer(&mut self, delay: SimDuration, token: u64);
-    fn stats(&mut self) -> &mut StatsCollector;
-    /// Wake a local sender to read its flow's new leg response.
-    fn wake_flow(&mut self, flow: FlowId);
-}
-
-impl NodeIo for HostIo<'_, '_, '_> {
-    fn now(&self) -> SimTime {
-        HostIo::now(self)
-    }
-    fn send(&mut self, pkt: Packet) {
-        HostIo::send(self, pkt)
-    }
-    fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        HostIo::set_timer(self, delay, token)
-    }
-    fn stats(&mut self) -> &mut StatsCollector {
-        self.sim.stats
-    }
-    fn wake_flow(&mut self, flow: FlowId) {
-        HostIo::wake_flow(self, flow)
-    }
-}
-
-impl NodeIo for SwitchIo<'_, '_> {
-    fn now(&self) -> SimTime {
-        SwitchIo::now(self)
-    }
-    fn send(&mut self, pkt: Packet) {
-        SwitchIo::send(self, pkt)
-    }
-    fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        SwitchIo::set_timer(self, delay, token)
-    }
-    fn stats(&mut self) -> &mut StatsCollector {
-        self.sim.stats
-    }
-    fn wake_flow(&mut self, _: FlowId) {
-        // Responses are addressed to hosts, never to switches.
-        debug_assert!(false, "arbitration response delivered to a switch");
-    }
-}
-
 /// A PASE arbitrator process (see the module docs). Installed by
-/// [`crate::install`] as the service of every host and the plugin of
-/// every ToR and aggregation switch.
+/// [`crate::install`] on every host and every ToR and aggregation
+/// switch.
 pub struct ArbProcess {
     cfg: PaseConfig,
     me: NodeId,
@@ -328,16 +280,72 @@ impl ArbProcess {
         Some(next)
     }
 
-    fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut impl NodeIo) {
+    fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut ProcIo<'_, '_>) {
         io.send(
             req.response(shedding)
                 .packet(req.flow, self.me, req.reply_to),
         );
     }
 
-    fn handle_ctrl(&mut self, mut pkt: Packet, io: &mut impl NodeIo) {
+    /// Host: cache a leg response for the local sender and wake it.
+    fn on_response(&mut self, resp: ArbResponse, io: &mut ProcIo<'_, '_>) {
+        let slot = self.legs.entry(resp.flow).or_default();
+        // A shed reply is backpressure, not a decision — its queue/rate
+        // merely echo what the sender already believed. Age the leg out so
+        // the flow rides its always-fresh local (uplink) arbitration until
+        // the overloaded arbitrator answers for real: a stale crowd-era
+        // allocation held across a backed-off refresh gap would keep
+        // throttling or suppressing the flow long after the burst has
+        // drained.
+        let decision = (!resp.shedding).then_some(Decision {
+            queue: resp.queue,
+            rate: resp.rate,
+        });
+        match resp.leg {
+            Leg::Sender => slot.sender = decision,
+            Leg::Receiver => slot.receiver = decision,
+        }
+        slot.shed |= resp.shedding;
+        io.wake_flow(resp.flow);
+    }
+
+    /// Agg side: rebalance the delegated virtual links across children in
+    /// proportion to their reported demands (with a minimum share so idle
+    /// children can ramp up).
+    fn rebalance_and_grant(&mut self, reporter: NodeId, io: &mut ProcIo<'_, '_>) {
+        let Some(total) = self.tree.uplink_rate(self.me) else {
+            return;
+        };
+        let floor_up =
+            |d: Rate| -> f64 { (d.as_bps() as f64).max(total.as_bps() as f64 * DELEG_MIN_SHARE) };
+        let children = self.tree.children(self.me).to_vec();
+        let sum_up: f64 = children
+            .iter()
+            .map(|c| floor_up(self.child_demands.get(c).map_or(Rate::ZERO, |d| d.0)))
+            .sum();
+        let sum_down: f64 = children
+            .iter()
+            .map(|c| floor_up(self.child_demands.get(c).map_or(Rate::ZERO, |d| d.1)))
+            .sum();
+        let (rep_up, rep_down) = self
+            .child_demands
+            .get(&reporter)
+            .copied()
+            .unwrap_or((Rate::ZERO, Rate::ZERO));
+        let up_capacity = total.mul_f64(floor_up(rep_up) / sum_up.max(1.0));
+        let down_capacity = total.mul_f64(floor_up(rep_down) / sum_down.max(1.0));
+        let grant = ArbMsg::DelegGrant {
+            up_capacity,
+            down_capacity,
+        };
+        io.send(grant.packet(NO_FLOW, self.me, reporter));
+    }
+}
+
+impl Process for ArbProcess {
+    fn on_ctrl(&mut self, mut pkt: Packet, io: &mut ProcIo<'_, '_>) {
         let now = io.now();
-        let Some((msg, depth)) = self.front.admit(&mut pkt, io.stats(), now) else {
+        let Some((msg, depth)) = self.front.admit(&mut pkt, io.sim.stats, now) else {
             return;
         };
         if let ArbMsg::Request(req) = &*msg {
@@ -346,14 +354,17 @@ impl ArbProcess {
             // already holds a live entry for the flow.
             let mut arbs = self.leg_arbitrators(req.leg).into_iter().flatten();
             let stale = arbs.any(|a| a.contains(req.flow));
-            if self.front.shed_request(&pkt, stale, depth, io.stats(), now) {
+            if self
+                .front
+                .shed_request(&pkt, stale, depth, io.sim.stats, now)
+            {
                 self.reply(req, true, io);
                 return;
             }
         }
-        io.stats().note_fate(&pkt, Fate::Processed, self.me, now);
+        io.sim.stats.note_fate(&pkt, Fate::Processed, self.me, now);
         match *msg {
-            ArbMsg::Request(mut req) => match self.arbitrate(&mut req, now, io.stats()) {
+            ArbMsg::Request(mut req) => match self.arbitrate(&mut req, now, io.sim.stats) {
                 Some(next) => io.send(ArbMsg::Request(req).packet(req.flow, self.me, next)),
                 None => self.reply(&req, false, io),
             },
@@ -394,61 +405,7 @@ impl ArbProcess {
         }
     }
 
-    /// Host: cache a leg response for the local sender and wake it.
-    fn on_response(&mut self, resp: ArbResponse, io: &mut impl NodeIo) {
-        let slot = self.legs.entry(resp.flow).or_default();
-        // A shed reply is backpressure, not a decision — its queue/rate
-        // merely echo what the sender already believed. Age the leg out so
-        // the flow rides its always-fresh local (uplink) arbitration until
-        // the overloaded arbitrator answers for real: a stale crowd-era
-        // allocation held across a backed-off refresh gap would keep
-        // throttling or suppressing the flow long after the burst has
-        // drained.
-        let decision = (!resp.shedding).then_some(Decision {
-            queue: resp.queue,
-            rate: resp.rate,
-        });
-        match resp.leg {
-            Leg::Sender => slot.sender = decision,
-            Leg::Receiver => slot.receiver = decision,
-        }
-        slot.shed |= resp.shedding;
-        io.wake_flow(resp.flow);
-    }
-
-    /// Agg side: rebalance the delegated virtual links across children in
-    /// proportion to their reported demands (with a minimum share so idle
-    /// children can ramp up).
-    fn rebalance_and_grant(&mut self, reporter: NodeId, io: &mut impl NodeIo) {
-        let Some(total) = self.tree.uplink_rate(self.me) else {
-            return;
-        };
-        let floor_up =
-            |d: Rate| -> f64 { (d.as_bps() as f64).max(total.as_bps() as f64 * DELEG_MIN_SHARE) };
-        let children = self.tree.children(self.me).to_vec();
-        let sum_up: f64 = children
-            .iter()
-            .map(|c| floor_up(self.child_demands.get(c).map_or(Rate::ZERO, |d| d.0)))
-            .sum();
-        let sum_down: f64 = children
-            .iter()
-            .map(|c| floor_up(self.child_demands.get(c).map_or(Rate::ZERO, |d| d.1)))
-            .sum();
-        let (rep_up, rep_down) = self
-            .child_demands
-            .get(&reporter)
-            .copied()
-            .unwrap_or((Rate::ZERO, Rate::ZERO));
-        let up_capacity = total.mul_f64(floor_up(rep_up) / sum_up.max(1.0));
-        let down_capacity = total.mul_f64(floor_up(rep_down) / sum_down.max(1.0));
-        let grant = ArbMsg::DelegGrant {
-            up_capacity,
-            down_capacity,
-        };
-        io.send(grant.packet(NO_FLOW, self.me, reporter));
-    }
-
-    fn handle_timer(&mut self, token: u64, io: &mut impl NodeIo) {
+    fn on_timer(&mut self, token: u64, io: &mut ProcIo<'_, '_>) {
         if self.front.maintenance_due(token) {
             // Periodic lease GC on every arbitrator the process owns:
             // entries whose owner stopped refreshing (crashed endpoint,
@@ -487,7 +444,7 @@ impl ArbProcess {
         io.set_timer(DELEG_PERIOD, self.deleg.arm());
     }
 
-    fn handle_fault(&mut self, fault: NodeFault, io: &mut impl NodeIo) {
+    fn on_fault(&mut self, fault: NodeFault, io: &mut ProcIo<'_, '_>) {
         match self.front.on_fault(fault, io.now()) {
             FaultEffect::None => {}
             FaultEffect::Wipe => {
@@ -507,38 +464,6 @@ impl ArbProcess {
                 }
             }
         }
-    }
-}
-
-impl HostService for ArbProcess {
-    fn on_ctrl(&mut self, pkt: Packet, io: &mut HostIo<'_, '_, '_>) {
-        self.handle_ctrl(pkt, io);
-    }
-
-    fn on_timer(&mut self, token: u64, io: &mut HostIo<'_, '_, '_>) {
-        self.handle_timer(token, io);
-    }
-
-    fn on_fault(&mut self, fault: NodeFault, io: &mut HostIo<'_, '_, '_>) {
-        self.handle_fault(fault, io);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl SwitchPlugin for ArbProcess {
-    fn on_ctrl(&mut self, pkt: Packet, io: &mut SwitchIo<'_, '_>) {
-        self.handle_ctrl(pkt, io);
-    }
-
-    fn on_timer(&mut self, token: u64, io: &mut SwitchIo<'_, '_>) {
-        self.handle_timer(token, io);
-    }
-
-    fn on_fault(&mut self, fault: NodeFault, io: &mut SwitchIo<'_, '_>) {
-        self.handle_fault(fault, io);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

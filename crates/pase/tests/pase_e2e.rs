@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use netsim::node::Node;
 use netsim::prelude::*;
 use pase::{install, pase_qdisc, Leg, PaseConfig, PaseFactory};
 
@@ -178,12 +177,8 @@ fn intra_rack_flows_do_not_use_the_network_control_plane() {
     // requests should reach the ToR/agg arbitrators as *arbitration* load.
     // We check that the ToR tracked no flows.
     let tor = sim.topo().host_tor(hosts[0]);
-    let Node::Switch(sw) = sim.node_mut(tor) else {
-        panic!()
-    };
-    let process = sw
-        .plugin_as::<pase::ArbProcess>()
-        .expect("plugin installed");
+    let process = sim.node_mut(tor).process_as::<pase::ArbProcess>();
+    let process = process.expect("process installed");
     for leg in [Leg::Sender, Leg::Receiver] {
         let [own, _] = process.leg_arbitrators(leg);
         assert_eq!(own.expect("the ToR arbitrates its uplink").n_flows(), 0);
@@ -345,21 +340,17 @@ fn delegation_rebalances_toward_the_busy_rack() {
     let tor0 = sim.topo().host_tor(hosts[0]);
     let tor1 = sim.topo().host_tor(hosts[3]);
     let cap0 = {
-        let Node::Switch(sw) = sim.node_mut(tor0) else {
-            panic!()
-        };
-        let [_, slice] = sw
-            .plugin_as::<pase::ArbProcess>()
+        let [_, slice] = sim
+            .node_mut(tor0)
+            .process_as::<pase::ArbProcess>()
             .unwrap()
             .leg_arbitrators(Leg::Sender);
         slice.expect("tor0 has a delegated slice").capacity()
     };
     let cap1 = {
-        let Node::Switch(sw) = sim.node_mut(tor1) else {
-            panic!()
-        };
-        let [_, slice] = sw
-            .plugin_as::<pase::ArbProcess>()
+        let [_, slice] = sim
+            .node_mut(tor1)
+            .process_as::<pase::ArbProcess>()
             .unwrap()
             .leg_arbitrators(Leg::Sender);
         slice.expect("tor1 has a delegated slice").capacity()

@@ -322,10 +322,8 @@ fn arbitrator_crash_without_restart_completes_via_fallback() {
     assert!(fb, "watchdog must trip after k silent refresh rounds");
     assert_eq!(q, cfg.lowest_queue(), "fallback rides the lowest queue");
     let tor = sim.topo().host_tor(hosts[0]);
-    let Node::Switch(sw) = sim.node_mut(tor) else {
-        panic!()
-    };
-    assert!(sw.plugin_as::<ArbProcess>().unwrap().is_crashed());
+    let process = sim.node_mut(tor).process_as::<ArbProcess>();
+    assert!(process.unwrap().is_crashed());
 
     // And still: everything completes with no control plane at all.
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
@@ -375,13 +373,10 @@ fn arbitrator_restart_re_attaches_endpoints() {
     );
     // The restarted ToR re-learned the flow from refreshes alone.
     let tor = sim.topo().host_tor(hosts[0]);
-    let Node::Switch(sw) = sim.node_mut(tor) else {
-        panic!()
-    };
-    let plugin = sw.plugin_as::<ArbProcess>().unwrap();
-    assert!(!plugin.is_crashed());
+    let process = sim.node_mut(tor).process_as::<ArbProcess>().unwrap();
+    assert!(!process.is_crashed());
     assert!(
-        own_flows(plugin, Leg::Sender) >= 1,
+        own_flows(process, Leg::Sender) >= 1,
         "soft state must rebuild from refreshes"
     );
 
@@ -457,18 +452,19 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
 
     sim.run(until(4));
     {
-        let Node::Host(h) = sim.node_mut(hosts[3]) else {
-            panic!()
-        };
-        let svc = h.service_as::<ArbProcess>().unwrap();
-        assert!(svc.is_crashed(), "crash directive must reach the service");
+        let process = sim.node_mut(hosts[3]).process_as::<ArbProcess>();
+        let process = process.unwrap();
+        assert!(
+            process.is_crashed(),
+            "crash directive must reach the process"
+        );
         assert_eq!(
-            own_flows(svc, Leg::Sender),
+            own_flows(process, Leg::Sender),
             0,
             "uplink arbitrator must be wiped"
         );
         assert_eq!(
-            own_flows(svc, Leg::Receiver),
+            own_flows(process, Leg::Receiver),
             0,
             "downlink arbitrator must be wiped"
         );
@@ -538,12 +534,9 @@ fn crashed_host_lease_expiry_frees_the_top_queue() {
     assert_eq!(sim.stats().aborts_on(hosts[0]), 1, "crash aborts the flow");
     let tor = sim.topo().host_tor(hosts[1]);
     {
-        let Node::Switch(sw) = sim.node_mut(tor) else {
-            panic!()
-        };
-        let plugin = sw.plugin_as::<ArbProcess>().unwrap();
+        let process = sim.node_mut(tor).process_as::<ArbProcess>().unwrap();
         assert_eq!(
-            own_flows(plugin, Leg::Sender),
+            own_flows(process, Leg::Sender),
             1,
             "dead flow's ToR lease must expire without a FlowDone"
         );

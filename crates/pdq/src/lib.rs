@@ -29,7 +29,6 @@ pub use switch::PdqSwitchPlugin;
 
 use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentFactory, FlowAgent};
-use netsim::node::Node;
 use netsim::sim::Simulation;
 
 /// Builds PDQ senders and receivers.
@@ -68,10 +67,7 @@ pub fn install_switch_plugins(sim: &mut Simulation, cfg: PdqConfig) {
             .filter(|&(_, peer, _, _)| sim.topo().kind(peer) == netsim::topology::NodeKind::Host)
             .map(|(_, peer, rate, _)| (peer, rate))
             .collect();
-        if let Node::Switch(s) = sim.node_mut(sw) {
-            s.set_plugin(Box::new(PdqSwitchPlugin::with_attached_hosts(
-                cfg, attached,
-            )));
-        }
+        let process = PdqSwitchPlugin::with_attached_hosts(cfg, attached);
+        sim.node_mut(sw).set_process(Box::new(process));
     }
 }

@@ -14,8 +14,8 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use netsim::ids::{FlowId, IdHashBuilder, NodeId, PortId};
+use netsim::node::{ProcIo, Process};
 use netsim::packet::Packet;
-use netsim::switch::{SwitchIo, SwitchPlugin};
 use netsim::time::{Rate, SimDuration, SimTime};
 
 use crate::config::{PdqConfig, ETA, FLOW_EXPIRY};
@@ -180,8 +180,8 @@ impl PdqSwitchPlugin {
     }
 }
 
-impl SwitchPlugin for PdqSwitchPlugin {
-    fn process_transit(&mut self, pkt: &mut Packet, out_port: PortId, io: &mut SwitchIo<'_, '_>) {
+impl Process for PdqSwitchPlugin {
+    fn on_transit(&mut self, pkt: &mut Packet, out_port: PortId, io: &mut ProcIo<'_, '_>) {
         // Only forward-direction packets carry live scheduling headers;
         // ACKs just echo them back to the sender untouched.
         if pkt.kind.is_reverse() {

@@ -181,7 +181,6 @@ fn deterministic_runs() {
 
 #[test]
 fn term_releases_switch_state() {
-    use netsim::node::Node;
     use pdq::PdqSwitchPlugin;
     let (mut sim, hosts) = star_sim(3, cfg());
     sim.add_flow(FlowSpec::new(
@@ -205,17 +204,11 @@ fn term_releases_switch_state() {
     assert_eq!(sim.run(RunLimit::default()), RunOutcome::Drained);
     // After both TERMs, the arbiter for the contested downlink holds no
     // flow state (GC would eventually clear it, but TERM is immediate).
-    let Node::Switch(sw) = sim.node_mut(NodeId(0)) else {
-        panic!()
-    };
-    let down_port = sw
-        .ports()
-        .iter()
-        .position(|p| p.peer == hosts[2])
-        .expect("port toward the receiver");
-    let plugin = sw.plugin_as::<PdqSwitchPlugin>().unwrap();
+    let down_port = sim.topo().port_between(NodeId(0), hosts[2]);
+    let down_port = down_port.expect("port toward the receiver");
+    let plugin = sim.node_mut(NodeId(0)).process_as::<PdqSwitchPlugin>();
     assert_eq!(
-        plugin.tracked_flows(netsim::ids::PortId(down_port as u32)),
+        plugin.unwrap().tracked_flows(down_port),
         0,
         "TERM must release per-flow switch state"
     );

@@ -92,7 +92,7 @@ impl Scheme {
     }
 
     /// Build a ready-to-run simulation on `topo`: endpoint factories,
-    /// queue disciplines, switch plugins and control-plane timers.
+    /// queue disciplines, node processes and control-plane timers.
     pub fn build_sim(&self, topo: &TopologySpec) -> (Simulation, Vec<NodeId>) {
         self.build_sim_on(EngineKind::Wheel, topo)
     }

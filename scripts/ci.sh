@@ -3,8 +3,8 @@
 #
 #   scripts/ci.sh   # build + tests, chaos / engine-differential / scale
 #                   # smokes, the pinned quick figure sweep, perfbench
-#                   # build + smoke tests, the frozen-paths guard (+ fmt/clippy
-#                   # when installed)
+#                   # build + smoke tests, the frozen-paths guard, the
+#                   # rustdoc gate (+ fmt/clippy when installed)
 #
 # Everything but fmt/clippy is mandatory; those two run only where the
 # components are installed so the gate works on minimal toolchains.
@@ -116,6 +116,12 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
         exit 1
     fi
 fi
+
+# Rustdoc: every intra-doc link resolves and no public doc links to a
+# private item, so a renamed type cannot leave its links rotting (a few
+# seconds).
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt --check =="

@@ -14,7 +14,6 @@
 //!   upward capacity == Σ of the upper links) flips the marked assertion.
 
 use pase_repro::netsim::ids::NodeId;
-use pase_repro::netsim::node::Node;
 use pase_repro::netsim::time::Rate;
 use pase_repro::netsim::topology::{NodeKind, Topology};
 use pase_repro::pase::{ArbProcess, Leg, PaseConfig, TreeInfo};
@@ -45,11 +44,7 @@ impl Installed {
         let n = topo.n_nodes();
         let (mut sliced, mut own) = (vec![false; n], vec![None; n]);
         for i in 0..n {
-            let process = match sim.node_mut(NodeId(i as u32)) {
-                Node::Host(h) => h.service_as::<ArbProcess>(),
-                Node::Switch(s) => s.plugin_as::<ArbProcess>(),
-            };
-            if let Some(p) = process {
+            if let Some(p) = sim.node_mut(NodeId(i as u32)).process_as::<ArbProcess>() {
                 let [link, slice] = p.leg_arbitrators(Leg::Sender);
                 own[i] = link.map(|a| a.capacity());
                 sliced[i] = slice.is_some();
