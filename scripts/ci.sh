@@ -60,24 +60,32 @@ echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs)
 
 # Figure sweep: every registry figure at the quick profile, from a temp
 # dir so nothing lands in the repo; run_all exits non-zero if a cell came
-# from a truncated run. The JSON files, concatenated in byte-sorted name
-# order, hash to the committed scripts/figs_ci.digest — the one pin on
-# every scheme's figure cells (PDQ, pFabric, TCP, D2TCP and L2DCT run
-# nowhere else in this gate). Byte-identical at any --jobs. A change that
-# means to move a figure updates that file and says why.
+# from a truncated run. Every JSON file must match its line in the
+# committed scripts/figs_ci.digest (`sha256sum` output, one line per
+# file, byte-sorted), and the files written must be exactly the files
+# listed — the one pin on every scheme's figure cells (PDQ, pFabric, TCP,
+# D2TCP and L2DCT run nowhere else in this gate). A mismatch names the
+# figure that moved. Byte-identical at any --jobs. A change that means to
+# move a figure updates that file's line and says why.
 echo "== figure sweep (run_all --quick, all figures, ${JOBS:-2} jobs) =="
 figs_tmp=$(mktemp -d)
 (cd "$figs_tmp" && "$OLDPWD/target/release/run_all" --quick --out "$figs_tmp/out" \
     --jobs "${JOBS:-2}" >/dev/null)
-figs_digest=$(cd "$figs_tmp/out" && LC_ALL=C ls -- *.json | LC_ALL=C xargs cat |
-    sha256sum | cut -d' ' -f1)
+figs_ok=1
+(cd "$figs_tmp/out" && sha256sum -c --quiet "$OLDPWD/scripts/figs_ci.digest") || figs_ok=0
+figs_written=$(cd "$figs_tmp/out" && LC_ALL=C ls -- *.json)
+figs_listed=$(cut -d' ' -f3 scripts/figs_ci.digest)
+if [ "$figs_written" != "$figs_listed" ]; then
+    echo "figure sweep: files written differ from those in scripts/figs_ci.digest:" >&2
+    diff <(echo "$figs_listed") <(echo "$figs_written") >&2 || true
+    figs_ok=0
+fi
 rm -rf "$figs_tmp"
-echo "figs_digest=$figs_digest"
-if [ "$figs_digest" != "$(cat scripts/figs_ci.digest)" ]; then
-    echo "figure sweep: digest differs from scripts/figs_ci.digest" \
-        "($(cat scripts/figs_ci.digest)): a figure cell changed" >&2
+if [ "$figs_ok" != 1 ]; then
+    echo "figure sweep: output differs from scripts/figs_ci.digest: a figure changed" >&2
     exit 1
 fi
+echo "figure sweep: $(wc -l <scripts/figs_ci.digest) files match scripts/figs_ci.digest"
 
 # Production-scale smoke: build the k=8 fat-tree (128 hosts) under PASE,
 # audit the compact interval FIBs, run a 2k-flow incast slice twice with
