@@ -10,7 +10,7 @@
 
 use workloads::{Scenario, Scheme};
 
-use super::common::{improvement_pct, sweep_grid, sweep_into};
+use super::common::{afct, improvement_pct, lines_on, sweep_grid, Line, Row, Sweep};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -50,7 +50,8 @@ pub fn prune_depth(opts: &ExpOpts) -> FigResult {
         (label, Scheme::PaseWith(cfg))
     })
     .to_vec();
-    let rows = sweep_grid(&entries, scenario, &[ABLATION_LOAD], opts);
+    let lines = lines_on(scenario, &entries);
+    let rows = sweep_grid(&mut [&mut fig], &lines, &[ABLATION_LOAD], opts);
     let afcts: Vec<f64> = rows.iter().map(|r| r[0].afct_ms).collect();
     let ctrls: Vec<f64> = rows.iter().map(|r| r[0].ctrl_pkts as f64).collect();
     fig.push_series("AFCT(ms)", afcts.clone());
@@ -77,18 +78,20 @@ pub fn refresh_period(opts: &ExpOpts) -> FigResult {
         "AFCT (ms) / ctrl packets",
         multiples.to_vec(),
     );
-    let labels: Vec<String> = multiples.iter().map(|m| format!("{m}x RTT")).collect();
-    let entries: Vec<(&str, Scheme)> = multiples
+    let lines: Vec<Line> = multiples
         .iter()
-        .zip(&labels)
-        .map(|(&m, label)| {
+        .map(|&m| {
             let mut cfg = base;
             cfg.arb_refresh = base.base_rtt.mul_f64(m);
             cfg.arb_expiry = cfg.arb_refresh.saturating_mul(4);
-            (label.as_str(), Scheme::PaseWith(cfg))
+            Line {
+                label: format!("{m}x RTT"),
+                scheme: Scheme::PaseWith(cfg),
+                scenario,
+            }
         })
         .collect();
-    let rows = sweep_grid(&entries, scenario, &[ABLATION_LOAD], opts);
+    let rows = sweep_grid(&mut [&mut fig], &lines, &[ABLATION_LOAD], opts);
     fig.push_series("AFCT(ms)", rows.iter().map(|r| r[0].afct_ms).collect());
     fig.push_series(
         "ctrl pkts",
@@ -99,40 +102,37 @@ pub fn refresh_period(opts: &ExpOpts) -> FigResult {
 }
 
 /// Heavy-tailed workload (extension): PASE vs DCTCP vs pFabric.
-pub fn websearch(opts: &ExpOpts) -> FigResult {
-    let scenario = Scenario::websearch_left_right(opts.hosts_per_rack, opts.flows);
-    let loads = if opts.quick {
-        vec![0.5]
-    } else {
-        vec![0.3, 0.5, 0.7]
-    };
-    let mut fig = FigResult::new(
-        "ext_websearch",
-        "Heavy-tailed (web-search-like) sizes: AFCT (left-right)",
-        "load(%)",
-        "AFCT (ms)",
-        loads.iter().map(|l| l * 100.0).collect(),
-    );
-    let opts_at = ExpOpts {
-        loads: loads.clone(),
-        ..opts.clone()
-    };
-    sweep_into(
-        &mut fig,
-        &[
+pub const WEBSEARCH: Row = Row {
+    id: "ext_websearch",
+    title: "Heavy-tailed (web-search-like) sizes: AFCT (left-right)",
+    y_label: "AFCT (ms)",
+    sweep: Sweep::Loads(
+        |o| {
+            if o.quick {
+                vec![0.5]
+            } else {
+                vec![0.3, 0.5, 0.7]
+            }
+        },
+        afct,
+    ),
+    series: |o| {
+        let entries = [
             ("PASE", Scheme::Pase),
             ("DCTCP", Scheme::Dctcp),
             ("pFabric", Scheme::PFabric),
-        ],
-        scenario,
-        &opts_at,
-        super::common::afct,
-    );
-    fig.note("with a long tail, SRPT-style scheduling helps even more: most flows are short and jump the few elephants");
-    fig
-}
+        ];
+        lines_on(
+            Scenario::websearch_left_right(o.hosts_per_rack, o.flows),
+            &entries,
+        )
+    },
+    shape: |f| {
+        f.note("with a long tail, SRPT-style scheduling helps even more: most flows are short and jump the few elephants")
+    },
+};
 
 /// All ablations, in order.
 pub fn run(opts: &ExpOpts) -> Vec<FigResult> {
-    vec![prune_depth(opts), refresh_period(opts), websearch(opts)]
+    vec![prune_depth(opts), refresh_period(opts), WEBSEARCH.run(opts)]
 }

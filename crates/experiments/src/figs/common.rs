@@ -1,9 +1,10 @@
-//! Shared helpers for figure modules.
+//! The row driver and the helpers every figure shares.
 //!
-//! Every figure expresses its cases as a flat [`CasePlan`] and executes
-//! it through `workloads::exec` ([`grid`] for (scheme, load) grids:
-//! [`sweep_grid`] for plain runs, [`run_faulted`] cells for faulted
-//! ones); no figure module hand-rolls case iteration. Results come
+//! A load-sweep or FCT-CDF figure is a [`Row`], which [`Row::run`]
+//! sweeps through [`sweep_grid`]. Every figure expresses its cases as a
+//! flat [`CasePlan`] and executes it through `workloads::exec`
+//! ([`sweep_grid`] for plain runs, [`grid`] with [`run_faulted`] cells
+//! for faulted ones); no figure hand-rolls case iteration. Results come
 //! back ordered by case index, so figure output is byte-identical at
 //! any `--jobs` value.
 
@@ -43,27 +44,130 @@ pub fn grid<V: Copy + Sync, R: Send>(
         .collect()
 }
 
-/// The `(label, scheme)` × `loads` grid of plain runs, as [`RunMetrics`].
-/// Every backstop hit is reported on stderr, in case order.
+/// One series of a load sweep: its legend label, the scheme it runs and
+/// the scenario it runs on.
+#[derive(Debug, Clone)]
+pub struct Line {
+    /// Legend label.
+    pub label: String,
+    /// The transport under test.
+    pub scheme: Scheme,
+    /// Where it runs.
+    pub scenario: Scenario,
+}
+
+/// `entries` as lines that all run on `scenario`.
+pub fn lines_on(scenario: Scenario, entries: &[(&str, Scheme)]) -> Vec<Line> {
+    entries
+        .iter()
+        .map(|&(label, scheme)| Line {
+            label: label.to_string(),
+            scheme,
+            scenario,
+        })
+        .collect()
+}
+
+/// Every line at every load, as plain runs through the parallel engine:
+/// one row of [`RunMetrics`] per line (row order = line order, column
+/// order = load order). Every truncated cell is noted on each of `figs`,
+/// so no table built from the rows can average a run the backstop cut
+/// short without [`hit_backstop`] seeing it.
 pub fn sweep_grid(
-    entries: &[(&str, Scheme)],
-    scenario: Scenario,
+    figs: &mut [&mut FigResult],
+    lines: &[Line],
     loads: &[f64],
     opts: &ExpOpts,
 ) -> Vec<Vec<RunMetrics>> {
-    let entries: Vec<_> = entries.iter().map(|&(l, scheme)| (l, scheme, ())).collect();
-    let rows = grid(&entries, scenario, loads, opts, |spec, ()| {
-        (*spec, spec.run())
+    let specs = lines.iter().map(|line| {
+        loads
+            .iter()
+            .map(|&load| RunSpec::new(line.scheme, line.scenario, load, opts.seed))
+            .collect()
     });
-    let warn = |(spec, m): (RunSpec, RunMetrics)| {
-        if let Some(w) = backstop_warning(&spec, &m) {
-            eprintln!("warning: {w}");
+    run_rows(figs, lines, specs.collect(), opts.jobs)
+}
+
+/// [`sweep_grid`] from its specs, one row per line.
+fn run_rows(
+    figs: &mut [&mut FigResult],
+    lines: &[Line],
+    specs: Vec<Vec<RunSpec>>,
+    jobs: usize,
+) -> Vec<Vec<RunMetrics>> {
+    let mut cells = CasePlan::new(specs.concat())
+        .execute(jobs, RunSpec::run)
+        .into_iter();
+    let mut noted = |label: &str, spec: &RunSpec| {
+        let m = cells.next().expect("one result per spec");
+        if let Some(w) = backstop_warning(spec, &m) {
+            for fig in figs.iter_mut() {
+                fig.note(format!("{BACKSTOP_WARNING}{label}: {w}"));
+            }
         }
         m
     };
-    rows.into_iter()
-        .map(|row| row.into_iter().map(warn).collect())
+    let rows = lines.iter().zip(&specs);
+    rows.map(|(line, row)| row.iter().map(|spec| noted(&line.label, spec)).collect())
         .collect()
+}
+
+/// One load-sweep or FCT-CDF figure, declared as data: a registry row
+/// of [`super::FIGURES`], run by [`Row::run`].
+pub struct Row {
+    /// Result id and `run_all --only` id, e.g. "fig09a".
+    pub id: &'static str,
+    /// Human title (matches the paper's caption).
+    pub title: &'static str,
+    /// Meaning of the y axis.
+    pub y_label: &'static str,
+    /// What the x axis sweeps and what each cell reads.
+    pub sweep: Sweep,
+    /// The figure's series, in legend order.
+    pub series: fn(&ExpOpts) -> Vec<Line>,
+    /// Derived series and the paper-shape notes, from the measured series.
+    pub shape: fn(&mut FigResult),
+}
+
+/// A [`Row`]'s x axis.
+#[derive(Clone, Copy)]
+pub enum Sweep {
+    /// Offered load in percent, at the fractions the first function picks
+    /// from the run's options; the second reads one number per run.
+    Loads(fn(&ExpOpts) -> Vec<f64>, fn(&RunMetrics) -> f64),
+    /// FCT at each of [`CDF_PERCENTILES`], from one run per series at
+    /// this load.
+    Cdf(f64),
+}
+
+impl Row {
+    /// Run every series, tabulate it, then apply the row's shape step.
+    pub fn run(&self, opts: &ExpOpts) -> FigResult {
+        let lines = (self.series)(opts);
+        let (x_label, xs, loads) = match self.sweep {
+            Sweep::Loads(loads, _) => {
+                let loads = loads(opts);
+                ("load(%)", loads_pct(&loads), loads)
+            }
+            Sweep::Cdf(load) => ("percentile", CDF_PERCENTILES.to_vec(), vec![load]),
+        };
+        let mut fig = FigResult::new(self.id, self.title, x_label, self.y_label, xs);
+        let rows = sweep_grid(&mut [&mut fig], &lines, &loads, opts);
+        for (line, row) in lines.into_iter().zip(rows) {
+            let ys = match self.sweep {
+                Sweep::Loads(_, metric) => row.iter().map(metric).collect(),
+                Sweep::Cdf(_) => cdf_row(&row[0]),
+            };
+            fig.push_series(line.label, ys);
+        }
+        (self.shape)(&mut fig);
+        fig
+    }
+}
+
+/// The loads the options name: a [`Sweep::Loads`] that adds none.
+pub fn opts_loads(opts: &ExpOpts) -> Vec<f64> {
+    opts.loads.clone()
 }
 
 /// One cell of a faulted figure: [`RunSpec::run_with`] under `prepare` —
@@ -83,61 +187,13 @@ pub fn run_faulted(
     (m, sim)
 }
 
-/// How a [`note_backstops`] note starts.
+/// How a truncated cell's note starts.
 const BACKSTOP_WARNING: &str = "WARNING: ";
-
-/// Append a note for every truncated cell in a row, so a sweep never
-/// silently averages a run the backstop cut short. `run_all` and the
-/// experiment-harness test fail on such a note ([`hit_backstop`]).
-pub fn note_backstops(fig: &mut FigResult, label: &str, loads: &[f64], row: &[RunMetrics]) {
-    for (&load, m) in loads.iter().zip(row) {
-        if m.outcome != RunOutcome::MeasuredComplete {
-            fig.note(format!(
-                "{BACKSTOP_WARNING}{label} at load {load:.2} hit the run backstop ({:?}): only {}/{} \
-                 measured flows finished; its cells are computed from a truncated population",
-                m.outcome, m.n_completed, m.n_flows
-            ));
-        }
-    }
-}
 
 /// Whether any cell of `fig` was computed from a run its `TimeLimit` /
 /// `EventLimit` backstop truncated.
 pub fn hit_backstop(fig: &FigResult) -> bool {
     fig.notes.iter().any(|n| n.starts_with(BACKSTOP_WARNING))
-}
-
-/// Sweep several `(label, scheme)` pairs into a figure. The figure's x
-/// axis is load-in-percent; `opts.loads` supplies the fractions.
-pub fn sweep_into(
-    fig: &mut FigResult,
-    entries: &[(&str, Scheme)],
-    scenario: Scenario,
-    opts: &ExpOpts,
-    metric: impl Fn(&RunMetrics) -> f64 + Copy,
-) {
-    debug_assert_eq!(fig.xs.len(), opts.loads.len());
-    let rows = sweep_grid(entries, scenario, &opts.loads, opts);
-    for (&(label, _), row) in entries.iter().zip(&rows) {
-        fig.push_series(label, row.iter().map(metric).collect());
-        note_backstops(fig, label, &opts.loads, row);
-    }
-}
-
-/// Run each `(label, scheme)` once at `load` and tabulate its FCT CDF
-/// (one series per entry, x = [`CDF_PERCENTILES`]).
-pub fn cdf_sweep_into(
-    fig: &mut FigResult,
-    entries: &[(&str, Scheme)],
-    scenario: Scenario,
-    load: f64,
-    opts: &ExpOpts,
-) {
-    let rows = sweep_grid(entries, scenario, &[load], opts);
-    for (&(label, _), row) in entries.iter().zip(&rows) {
-        fig.push_series(label, cdf_row(&row[0]));
-        note_backstops(fig, label, &[load], row);
-    }
 }
 
 /// AFCT in milliseconds.
@@ -221,14 +277,16 @@ mod tests {
             ..ExpOpts::quick()
         };
         let scenario = workloads::Scenario::all_to_all_intra(5, opts.flows);
+        let mut fig = FigResult::new("t", "t", "x", "y", vec![30.0, 60.0]);
         let rows = sweep_grid(
-            &[("DCTCP", Scheme::Dctcp), ("TCP", Scheme::Tcp)],
-            scenario,
+            &mut [&mut fig],
+            &lines_on(scenario, &[("DCTCP", Scheme::Dctcp), ("TCP", Scheme::Tcp)]),
             &[0.3, 0.6],
             &opts,
         );
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.len() == 2));
+        assert!(fig.notes.is_empty(), "{:?}", fig.notes);
         // Row 0 really is DCTCP at loads [0.3, 0.6]: spot-check against a
         // direct sequential run.
         let direct = RunSpec::new(Scheme::Dctcp, scenario, 0.6, opts.seed).run();
@@ -237,25 +295,34 @@ mod tests {
 
     #[test]
     fn truncated_cells_are_noted() {
-        let mut fig = FigResult::new("t", "t", "x", "y", vec![30.0]);
+        // fig11 shape: one sweep feeding two tables. A zero backstop
+        // forges a truncated cell on the path sweep_grid runs.
+        let mut fig_a = FigResult::new("a", "a", "x", "y", vec![30.0]);
+        let mut fig_b = FigResult::new("b", "b", "x", "y", vec![30.0]);
         let opts = ExpOpts {
             flows: 10,
             jobs: 1,
             ..ExpOpts::quick()
         };
         let scenario = workloads::Scenario::all_to_all_intra(5, opts.flows);
-        // Forge a truncated row by running with a zero backstop.
         let spec = RunSpec {
             backstop_s: 0,
             ..RunSpec::new(Scheme::Dctcp, scenario, 0.3, opts.seed)
         };
-        let row = vec![spec.run()];
-        note_backstops(&mut fig, "DCTCP", &[0.3], &row);
-        assert_eq!(fig.notes.len(), 1);
-        assert!(fig.notes[0].contains("backstop"), "{}", fig.notes[0]);
-        assert!(hit_backstop(&fig));
-        fig.notes.clear();
-        fig.note("paper shape: a note that merely mentions a WARNING: is not one");
-        assert!(!hit_backstop(&fig));
+        let lines = lines_on(scenario, &[("DCTCP", Scheme::Dctcp)]);
+        let rows = run_rows(&mut [&mut fig_a, &mut fig_b], &lines, vec![vec![spec]], 1);
+        assert_eq!(rows[0][0].outcome, RunOutcome::TimeLimit);
+        for fig in [&fig_a, &fig_b] {
+            assert_eq!(fig.notes.len(), 1);
+            assert!(
+                fig.notes[0].contains("DCTCP: backstop hit"),
+                "{}",
+                fig.notes[0]
+            );
+            assert!(hit_backstop(fig));
+        }
+        fig_a.notes.clear();
+        fig_a.note("paper shape: a note that merely mentions a WARNING: is not one");
+        assert!(!hit_backstop(&fig_a));
     }
 }

@@ -113,19 +113,13 @@ pub fn run(opts: &ExpOpts) -> FigResult {
     // health-aware rerouting claw back, averaged over the load sweep?
     for chunk in cases.chunks(3) {
         let scheme = chunk[0].0;
-        let healthy = fig.series_named(scheme).unwrap().ys.clone();
-        let blind = fig
-            .series_named(&format!("{scheme} gray"))
-            .unwrap()
-            .ys
-            .clone();
-        let aware = fig
-            .series_named(&format!("{scheme} gray+HA"))
-            .unwrap()
-            .ys
-            .clone();
-        let mean = |ys: &[f64]| ys.iter().sum::<f64>() / ys.len() as f64;
-        let (h, b, a) = (mean(&healthy), mean(&blind), mean(&aware));
+        let mean = |name: &str| {
+            let ys = fig.ys(name);
+            ys.iter().sum::<f64>() / ys.len() as f64
+        };
+        let h = mean(scheme);
+        let b = mean(&format!("{scheme} gray"));
+        let a = mean(&format!("{scheme} gray+HA"));
         fig.note(format!(
             "{scheme}: mean AFCT {h:.3} ms healthy, {b:.3} ms degraded hash-blind, \
              {a:.3} ms with health-aware rerouting — rerouting recovers {:.0}% of the \
@@ -172,7 +166,7 @@ mod tests {
         };
         let fig = run(&opts);
         let mean = |name: &str| {
-            let ys = &fig.series_named(name).expect(name).ys;
+            let ys = fig.ys(name);
             ys.iter().sum::<f64>() / ys.len() as f64
         };
         for scheme in ["PASE", "pFabric", "DCTCP"] {

@@ -146,7 +146,7 @@ pub fn run(opts: &ExpOpts) -> FigResult {
     }
 
     let mean = |name: &str| {
-        let ys = &fig.series_named(name).expect(name).ys;
+        let ys = fig.ys(name);
         ys.iter().sum::<f64>() / ys.len() as f64
     };
     let (healthy, shed, noshed_afct) =
@@ -196,7 +196,7 @@ mod tests {
         };
         let fig = run(&opts);
         let mean = |name: &str| {
-            let ys = &fig.series_named(name).expect(name).ys;
+            let ys = fig.ys(name);
             ys.iter().sum::<f64>() / ys.len() as f64
         };
         let (healthy, shed, noshed) = (mean("PASE"), mean("PASE storm"), mean("PASE storm noshed"));

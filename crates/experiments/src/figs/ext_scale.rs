@@ -303,7 +303,7 @@ mod tests {
             ..ExpOpts::quick()
         };
         let fig = run(&opts);
-        let series = |name: &str| fig.series_named(name).expect(name).ys.clone();
+        let series = |name: &str| fig.ys(name);
         let prune = series("prune fraction (%)");
         assert!(
             prune[0] > 0.0,

@@ -4,7 +4,7 @@
 
 use workloads::{Scenario, Scheme};
 
-use super::common::{improvement_pct, loads_pct, sweep_grid};
+use super::common::{improvement_pct, lines_on, loads_pct, sweep_grid};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -12,22 +12,6 @@ use crate::report::FigResult;
 pub fn run(opts: &ExpOpts) -> Vec<FigResult> {
     let scenario = Scenario::left_right(opts.hosts_per_rack, opts.flows);
     let base_cfg = Scheme::pase_config_for(&scenario.topo);
-    let rows = sweep_grid(
-        &[
-            ("optimizations ON", Scheme::PaseWith(base_cfg)),
-            (
-                "optimizations OFF",
-                Scheme::PaseWith(base_cfg.without_optimizations()),
-            ),
-        ],
-        scenario,
-        &opts.loads,
-        opts,
-    );
-    let afct_on: Vec<f64> = rows[0].iter().map(|m| m.afct_ms).collect();
-    let ctrl_on: Vec<f64> = rows[0].iter().map(|m| m.ctrl_pkts as f64).collect();
-    let afct_off: Vec<f64> = rows[1].iter().map(|m| m.afct_ms).collect();
-    let ctrl_off: Vec<f64> = rows[1].iter().map(|m| m.ctrl_pkts as f64).collect();
     let mut fig_a = FigResult::new(
         "fig11a",
         "AFCT improvement from early pruning + delegation",
@@ -35,6 +19,30 @@ pub fn run(opts: &ExpOpts) -> Vec<FigResult> {
         "AFCT improvement (%)",
         loads_pct(&opts.loads),
     );
+    let mut fig_b = FigResult::new(
+        "fig11b",
+        "Control-overhead reduction from early pruning + delegation",
+        "load(%)",
+        "control packets saved (%)",
+        loads_pct(&opts.loads),
+    );
+    let entries = [
+        ("optimizations ON", Scheme::PaseWith(base_cfg)),
+        (
+            "optimizations OFF",
+            Scheme::PaseWith(base_cfg.without_optimizations()),
+        ),
+    ];
+    let rows = sweep_grid(
+        &mut [&mut fig_a, &mut fig_b],
+        &lines_on(scenario, &entries),
+        &opts.loads,
+        opts,
+    );
+    let afct_on: Vec<f64> = rows[0].iter().map(|m| m.afct_ms).collect();
+    let ctrl_on: Vec<f64> = rows[0].iter().map(|m| m.ctrl_pkts as f64).collect();
+    let afct_off: Vec<f64> = rows[1].iter().map(|m| m.afct_ms).collect();
+    let ctrl_off: Vec<f64> = rows[1].iter().map(|m| m.ctrl_pkts as f64).collect();
     fig_a.push_series(
         "improvement",
         afct_off
@@ -48,14 +56,6 @@ pub fn run(opts: &ExpOpts) -> Vec<FigResult> {
          delegation removes setup latency). Our flows start on local information and \
          refine (DESIGN.md §7b, deviation 4), so the AFCT effect is near zero \
          and can dip slightly negative: the virtual-slice rigidity costs a little accuracy.",
-    );
-
-    let mut fig_b = FigResult::new(
-        "fig11b",
-        "Control-overhead reduction from early pruning + delegation",
-        "load(%)",
-        "control packets saved (%)",
-        loads_pct(&opts.loads),
     );
     fig_b.push_series(
         "reduction",

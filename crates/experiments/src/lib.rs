@@ -1,10 +1,10 @@
 //! # experiments — regenerating every table and figure of the paper
 //!
-//! One module per figure under [`figs`], registered in
-//! [`figs::FIGURES`]; `run_all` runs the whole registry and writes
-//! `EXPERIMENTS.md`, or just the ids given with `--only`. It accepts
-//! `--quick` (reduced scale), `--flows N`, `--seed S` and `--loads a,b,c`
-//! ([`opts::USAGE`]).
+//! One entry of [`figs::FIGURES`] per figure: a [`figs::common::Row`] for
+//! each load sweep or FCT CDF, a function for the rest. `run_all` runs
+//! the whole registry and writes `EXPERIMENTS.md`, or just the ids given
+//! with `--only`. It accepts `--quick` (reduced scale), `--flows N`,
+//! `--seed S` and `--loads a,b,c` ([`opts::USAGE`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

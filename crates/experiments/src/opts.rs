@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use workloads::cli;
 
-use crate::figs::FIGURES;
+use crate::figs::{Figure, FIGURES};
 
 /// Scale and reproducibility knobs for an experiment run.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ impl ExpOpts {
                 "--only" => {
                     let ids = args.value(&flag)?;
                     opts.only = ids.split(',').map(|id| id.trim().to_string()).collect();
-                    let known = || FIGURES.iter().map(|(id, _)| *id);
+                    let known = || FIGURES.iter().map(Figure::id);
                     if let Some(bad) = opts.only.iter().find(|id| !known().any(|k| k == *id)) {
                         let known = known().collect::<Vec<_>>().join(" ");
                         return Err(format!("--only: unknown figure '{bad}'; known: {known}"));

@@ -59,9 +59,12 @@ impl FigResult {
         self.notes.push(s.into());
     }
 
-    /// Get a series by name.
-    pub fn series_named(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
+    /// The values of the series called `name`; panics when there is none.
+    pub fn ys(&self, name: &str) -> &[f64] {
+        let series = self.series.iter().find(|s| s.name == name);
+        &series
+            .unwrap_or_else(|| panic!("{}: no series {name}", self.id))
+            .ys
     }
 
     /// Render as an aligned text table.

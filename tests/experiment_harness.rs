@@ -1,5 +1,5 @@
-//! The experiment harness end to end: every figure module must produce a
-//! well-formed result at quick scale.
+//! The experiment harness end to end: every registered figure must
+//! produce a well-formed result at quick scale.
 
 use experiments::{figs, ExpOpts};
 
@@ -11,6 +11,12 @@ fn tiny() -> ExpOpts {
         quick: true,
         ..ExpOpts::quick()
     }
+}
+
+/// The registry figures `ids` name, at [`tiny`] scale.
+fn run_only(ids: &[&str]) -> Vec<experiments::FigResult> {
+    let only = ids.iter().map(|id| id.to_string()).collect();
+    figs::all(&ExpOpts { only, ..tiny() })
 }
 
 #[test]
@@ -105,13 +111,8 @@ fn all_figures_produce_well_formed_results() {
 
 #[test]
 fn figure_metrics_are_finite_where_expected() {
-    let opts = tiny();
     // AFCT figures must have strictly positive, finite values.
-    for fig in [
-        figs::fig02::run(&opts),
-        figs::fig09a::run(&opts),
-        figs::fig13b::run(&opts),
-    ] {
+    for fig in run_only(&["fig02", "fig09a", "fig13b"]) {
         for s in &fig.series {
             for (&x, &y) in fig.xs.iter().zip(&s.ys) {
                 assert!(
@@ -125,7 +126,7 @@ fn figure_metrics_are_finite_where_expected() {
         }
     }
     // Deadline figures are fractions in [0, 1].
-    for fig in [figs::fig01::run(&opts), figs::fig09c::run(&opts)] {
+    for fig in run_only(&["fig01", "fig09c"]) {
         for s in &fig.series {
             for &y in &s.ys {
                 assert!((0.0..=1.0).contains(&y), "{}: fraction {y}", fig.id);

@@ -63,12 +63,16 @@ fn assert_bitwise_identical(a: &FigResult, b: &FigResult) {
 
 #[test]
 fn figure_sweep_is_bitwise_identical_across_job_counts() {
-    // fig02 runs the full scheme grid through sweep_into; ext_incast uses
-    // a hand-built CasePlan; fig03 exercises the 2-case toy plan.
-    for run in [figs::fig02::run, figs::ext_incast::run, figs::fig03::run] {
-        let sequential = run(&tiny(1));
-        let parallel = run(&tiny(4));
-        assert_bitwise_identical(&sequential, &parallel);
+    // fig02 runs the full scheme grid through the row driver; ext_incast
+    // uses a hand-built CasePlan; fig03 exercises the 2-case toy plan.
+    let run = |jobs| {
+        let only = ["fig02", "ext_incast", "fig03"].map(String::from).to_vec();
+        figs::all(&ExpOpts { only, ..tiny(jobs) })
+    };
+    let (sequential, parallel) = (run(1), run(4));
+    assert_eq!(sequential.len(), 3);
+    for (s, p) in sequential.iter().zip(&parallel) {
+        assert_bitwise_identical(s, p);
     }
 }
 
