@@ -295,7 +295,10 @@ pub const FIGURES: &[Figure] = &[
                 improvement_pct(off[last], on[last])
             ));
             f.note(
-                "deviation: on our left-right runs local-only is slightly ahead — the 10 Gbps          bottleneck stays efficient under self-adjusting endpoints alone, and the control          plane's conservatism costs more than SRPT gains there; the receiver-side benefit          the paper describes shows on the all-to-all series",
+                "deviation: on our left-right runs local-only is slightly ahead — the 10 Gbps \
+                 bottleneck stays efficient under self-adjusting endpoints alone, and the control \
+                 plane's conservatism costs more than SRPT gains there; the receiver-side benefit \
+                 the paper describes shows on the all-to-all series",
             );
         },
     }),
