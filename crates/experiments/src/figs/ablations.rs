@@ -83,7 +83,6 @@ pub fn refresh_period(opts: &ExpOpts) -> FigResult {
         .map(|&m| {
             let mut cfg = base;
             cfg.arb_refresh = base.base_rtt.mul_f64(m);
-            cfg.arb_expiry = cfg.arb_refresh.saturating_mul(4);
             Line {
                 label: format!("{m}x RTT"),
                 scheme: Scheme::PaseWith(cfg),

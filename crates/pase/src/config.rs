@@ -42,6 +42,10 @@ pub const BASE_RATE_PKTS_PER_RTT: u32 = 1;
 /// DCTCP control laws) until responses resume. At least 2, so one lost
 /// refresh round is tolerated.
 pub const WATCHDOG_K: u32 = 4;
+/// Arbitrator leases last this many refresh periods: a flow entry not
+/// refreshed for that long is dropped (covers lost FlowDone messages),
+/// and the lease GC runs at that cadence ([`PaseConfig::arb_expiry`]).
+pub const LEASE_REFRESHES: u64 = 4;
 /// Cap on the exponent of the refresh backoff: while responses are
 /// missing, re-requests are spaced `arb_refresh × 2^min(misses, cap)`
 /// apart so a dead control plane is not hammered every RTT.
@@ -61,9 +65,6 @@ pub struct PaseConfig {
     /// How often sources re-contact arbitrators with updated remaining
     /// size (one base RTT by default).
     pub arb_refresh: SimDuration,
-    /// Arbitrator flow entries not refreshed for this long are dropped
-    /// (covers lost FlowDone messages).
-    pub arb_expiry: SimDuration,
     /// End-to-end arbitration (false = local-only endpoint arbitration;
     /// Fig. 12a ablates this).
     pub end_to_end: bool,
@@ -109,7 +110,6 @@ impl Default for PaseConfig {
             criterion: Criterion::SrptSize,
             base_rtt: SimDuration::from_micros(300),
             arb_refresh: SimDuration::from_micros(300),
-            arb_expiry: SimDuration::from_micros(1200),
             end_to_end: true,
             early_pruning: true,
             prune_depth: 2,
@@ -129,6 +129,12 @@ impl PaseConfig {
         let bits = (MSS as u64 + 40) * 8 * BASE_RATE_PKTS_PER_RTT as u64;
         let rtt_s = self.base_rtt.as_secs_f64();
         Rate::from_bps((bits as f64 / rtt_s) as u64)
+    }
+
+    /// How long an arbitrator keeps a flow entry nobody refreshes:
+    /// [`LEASE_REFRESHES`] refresh periods.
+    pub fn arb_expiry(&self) -> SimDuration {
+        self.arb_refresh.saturating_mul(LEASE_REFRESHES)
     }
 
     /// The lowest queue index.
@@ -175,6 +181,7 @@ mod tests {
         assert_eq!(MIN_RTO_LOW, SimDuration::from_millis(200));
         assert!(c.end_to_end && c.early_pruning && c.delegation);
         assert_eq!(c.prune_depth, 2);
+        assert_eq!(c.arb_expiry(), SimDuration::from_micros(1200));
     }
 
     #[test]

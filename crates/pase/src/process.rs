@@ -139,7 +139,7 @@ impl ArbProcess {
     /// and on every restart; arming stales any tick still pending.
     pub(crate) fn arm_loops(&mut self) -> impl Iterator<Item = (SimDuration, u64)> {
         let report = self.deleg_parent.map(|_| (DELEG_PERIOD, self.deleg.arm()));
-        let gc = (self.cfg.arb_expiry, self.front.arm_maintenance());
+        let gc = (self.cfg.arb_expiry(), self.front.arm_maintenance());
         report.into_iter().chain([gc])
     }
 
@@ -264,7 +264,7 @@ impl ArbProcess {
         now: SimTime,
         stats: &mut StatsCollector,
     ) -> Option<NodeId> {
-        let expiry = self.cfg.arb_expiry;
+        let expiry = self.cfg.arb_expiry();
         let (arbs, next) = self.route(req.leg, req.src, req.dst);
         for arb in arbs.into_iter().flatten() {
             arb.gc(now, expiry);
@@ -412,7 +412,7 @@ impl Process for ArbProcess {
             // lost FlowDone) expire after `arb_expiry` even when no request
             // traffic touches the arbitrator in the meantime, so a dead flow
             // cannot wedge the top priority queue.
-            let (now, expiry) = (io.now(), self.cfg.arb_expiry);
+            let (now, expiry) = (io.now(), self.cfg.arb_expiry());
             self.arbitrators_mut().for_each(|arb| arb.gc(now, expiry));
             io.set_timer(expiry, self.front.arm_maintenance());
             return;

@@ -21,7 +21,6 @@ fn cfg() -> PaseConfig {
     PaseConfig {
         base_rtt: SimDuration::from_micros(100),
         arb_refresh: SimDuration::from_micros(100),
-        arb_expiry: SimDuration::from_micros(400),
         ..PaseConfig::default()
     }
 }

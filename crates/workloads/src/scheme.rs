@@ -76,7 +76,6 @@ impl Scheme {
         PaseConfig {
             base_rtt: rtt,
             arb_refresh: rtt,
-            arb_expiry: rtt.saturating_mul(4),
             ..PaseConfig::default()
         }
     }

@@ -22,7 +22,6 @@ fn run(drop_every: u64) -> (f64, u64, u64, u64) {
     let cfg = PaseConfig {
         base_rtt: SimDuration::from_micros(100),
         arb_refresh: SimDuration::from_micros(100),
-        arb_expiry: SimDuration::from_micros(400),
         ..PaseConfig::default()
     };
     let mut b = TopologyBuilder::new();

@@ -20,7 +20,6 @@ fn main() {
     let cfg = PaseConfig {
         base_rtt: SimDuration::from_micros(100),
         arb_refresh: SimDuration::from_micros(100),
-        arb_expiry: SimDuration::from_micros(400),
         ..PaseConfig::default()
     };
     let mut b = TopologyBuilder::new();
