@@ -86,17 +86,7 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats
     );
 
     // Invariant oracle (packet conservation included) must be clean.
-    let report = sim.check_invariants();
-    assert!(
-        report.violations.is_empty(),
-        "invariant violations:\n{}",
-        report
-            .violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    sim.check_invariants().assert_clean();
     let incomplete = sim
         .stats()
         .flows()

@@ -133,15 +133,9 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
     );
     let report = sim.check_invariants();
     assert!(
-        report.violations.is_empty(),
-        "{} scale run violated invariants:\n{}",
-        scheme.name(),
-        report
-            .violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        report.is_clean(),
+        "{} scale run violated invariants:\n{report}",
+        scheme.name()
     );
     let tiers = TierLoad::measure(&sim);
     let sim_secs = sim.now().as_nanos() as f64 / 1e9;
