@@ -91,12 +91,14 @@ pub fn refresh_period(opts: &ExpOpts) -> FigResult {
         })
         .collect();
     let rows = sweep_grid(&mut [&mut fig], &lines, &[ABLATION_LOAD], opts);
-    fig.push_series("AFCT(ms)", rows.iter().map(|r| r[0].afct_ms).collect());
-    fig.push_series(
-        "ctrl pkts",
-        rows.iter().map(|r| r[0].ctrl_pkts as f64).collect(),
-    );
-    fig.note("staler arbitration trades AFCT for control overhead; one RTT is the paper's operating point");
+    let afct: Vec<f64> = rows.iter().map(|r| r[0].afct_ms).collect();
+    let ctrl: Vec<f64> = rows.iter().map(|r| r[0].ctrl_pkts as f64).collect();
+    let lo = afct.iter().copied().fold(f64::NAN, f64::min);
+    let hi = afct.iter().copied().fold(f64::NAN, f64::max);
+    let (spread, fewer) = (100.0 * (hi - lo) / lo, ctrl[0] / ctrl[4]);
+    fig.note(format!("AFCT stays within {spread:.1}% ({lo:.3}–{hi:.3} ms) from 0.5x to 8x RTT while control packets fall {fewer:.1}x; one RTT is the paper's operating point"));
+    fig.push_series("AFCT(ms)", afct);
+    fig.push_series("ctrl pkts", ctrl);
     fig
 }
 

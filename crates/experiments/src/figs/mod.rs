@@ -290,9 +290,11 @@ pub const FIGURES: &[Figure] = &[
         },
         shape: |f| {
             let (on, off, last) = (f.ys("A2A arb=ON"), f.ys("A2A arb=OFF"), f.xs.len() - 1);
+            // ON's AFCT relative to OFF's: negative means end-to-end wins.
+            let delta = -improvement_pct(off[last], on[last]);
             f.note(format!(
-                "paper shape: end-to-end arbitration wins when contention is off the access links; measured on all-to-all at the highest load: {:.0}% better",
-                improvement_pct(off[last], on[last])
+                "paper shape: end-to-end arbitration wins when contention is off the access links; measured on all-to-all at the highest load: ON vs OFF AFCT {delta:+.0}% ({})",
+                if delta > 0.0 { "worse" } else { "better" }
             ));
             f.note(
                 "deviation: on our left-right runs local-only is slightly ahead — the 10 Gbps \
