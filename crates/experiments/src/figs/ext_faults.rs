@@ -9,8 +9,9 @@
 //! they never come back. DCTCP — which has no control plane to lose —
 //! runs under the identical fault plan as the reference point: PASE's
 //! degraded mode *is* a DCTCP-style self-adjusting transport, so during
-//! the outage its AFCT should drift toward (but never past) the DCTCP
-//! line, and with a restart it should recover most of the gap.
+//! the outage its AFCT must never drift past the DCTCP line. Flows whose
+//! host arbitrators still answer keep arbitrating locally, which on
+//! left-right sits at or below healthy PASE (DESIGN §7b.9).
 
 use netsim::prelude::*;
 use workloads::{Scenario, Scheme};
@@ -90,11 +91,12 @@ pub fn run(opts: &ExpOpts) -> FigResult {
          (soft state rebuilt from endpoint refreshes alone), the blackout variant never does"
     ));
     fig.note(
-        "expected: every cell completes (no hangs); PASE-blackout degrades toward but not past \
-         DCTCP (fallback *is* a DCTCP-style transport on the lowest queue); PASE-outage sits \
-         between PASE and PASE-blackout at loads where a meaningful share of flows overlaps \
-         the blackout window (differences at light load are within noise); DCTCP is unaffected \
-         by the fault plan (no control plane to lose)",
+        "expected: every cell completes (no hangs); PASE-blackout never degrades past DCTCP \
+         (fallback *is* a DCTCP-style transport on the lowest queue, and flows whose host \
+         arbitrators still answer keep local-only arbitration, at or below healthy PASE on \
+         left-right); PASE-outage sits between PASE and PASE-blackout at loads where a \
+         meaningful share of flows overlaps the blackout window (differences at light load \
+         are within noise); DCTCP is unaffected by the fault plan (no control plane to lose)",
     );
     fig
 }

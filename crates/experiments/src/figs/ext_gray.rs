@@ -31,8 +31,8 @@ struct GrayCase {
 ///
 /// The *highest*-id spine is deliberate: PASE's control plane treats the
 /// lowest-id spine as each leaf's arbitration parent, so degrading the
-/// other one isolates the data-path effect for every scheme (the PASE
-/// degraded-channel watchdog is exercised separately in `pase`'s tests).
+/// other one isolates the data-path effect for every scheme (PASE on a
+/// gray control channel is exercised in `pase`'s robustness tests).
 fn inject_gray(gray: Option<GrayCase>, sim: &mut Simulation, hosts: &[NodeId]) {
     let Some(g) = gray else { return };
     if g.health_aware {

@@ -9,8 +9,8 @@
 //! cadence multiplicatively and the AFCT inflation stays bounded. With
 //! it off (the pre-protection ablation) the bounded inbox tail-drops
 //! silently — responses and `FlowDone` releases included — so leases
-//! leak until expiry, watchdogs trip fleet-wide, and AFCT collapses to
-//! the self-adjusting floor. DCTCP rides along as a control: it has no
+//! leak until expiry and senders left unanswered fall back to
+//! self-adjusting mode. DCTCP rides along as a control: it has no
 //! control plane, so the storm only contributes its flash-crowd flows.
 
 use netsim::prelude::*;
@@ -40,7 +40,7 @@ struct CtrlLoad {
 /// built for: during a burst the protected arbitrators keep answering
 /// fresh requests and tell everyone else to back off, then recover
 /// between bursts; a permanent storm would just be a dead control plane,
-/// which the crash watchdog already covers.
+/// which silent-channel fallback already covers.
 fn inject_storm(
     sim: &mut Simulation,
     hosts: &[NodeId],
@@ -171,10 +171,10 @@ pub fn run(opts: &ExpOpts) -> FigResult {
          request still draws a backpressure reply, so in-flight flows keep their \
          last allocation, stretch their refresh cadence, and ride out each burst; \
          with shedding off the bounded inbox silently tail-drops everything — \
-         responses and FlowDone releases included — so each episode leaks leases, \
-         silences every sender, and slams the fleet into cwnd-1 fallback while new \
-         flows start blind; DCTCP has no control plane, so its storm series moves \
-         only by the flash-crowd flows",
+         responses and FlowDone releases included — so each episode leaks leases and \
+         silences senders, those left unanswered fall back to cwnd-1 self-adjustment, \
+         and new flows start blind; DCTCP has no control plane, so its storm series \
+         moves only by the flash-crowd flows",
     );
     fig
 }

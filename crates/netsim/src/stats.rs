@@ -276,6 +276,12 @@ pub struct StatsCollector {
     pub arena: crate::packet::ArenaStats,
     /// Optional trace sink; see [`crate::trace`].
     tracer: Option<Box<dyn TraceSink>>,
+    /// PASE fallbacks on a silent control channel (in no trace or digest).
+    pub fallback_entries_silent: u64,
+    /// PASE fallbacks on a shedding control channel.
+    pub fallback_entries_shed: u64,
+    /// PASE flows that left fallback.
+    pub fallback_exits: u64,
 }
 
 impl core::fmt::Debug for StatsCollector {

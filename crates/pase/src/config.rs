@@ -36,19 +36,19 @@ pub const DELEG_MIN_SHARE: f64 = 0.1;
 /// The base rate granted to flows that cannot make the top queue: one
 /// packet per RTT (paper §3.1.1).
 pub const BASE_RATE_PKTS_PER_RTT: u32 = 1;
-/// Control-plane watchdog: a sender that has gone this many refresh
-/// periods without any arbitration response assumes the arbitrators are
-/// unreachable and falls back to pure self-adjusting mode (lowest queue,
-/// DCTCP control laws) until responses resume. At least 2, so one lost
-/// refresh round is tolerated.
+/// Channel health ([`crate::health`]): at this many net strikes (shed or
+/// silent refresh rounds less answered ones) a sender falls back to pure
+/// self-adjusting mode (lowest queue, DCTCP control laws) until answers
+/// resume. At least 2, so one lost round is tolerated.
 pub const WATCHDOG_K: u32 = 4;
 /// Arbitrator leases last this many refresh periods: a flow entry not
 /// refreshed for that long is dropped (covers lost FlowDone messages),
 /// and the lease GC runs at that cadence ([`PaseConfig::arb_expiry`]).
 pub const LEASE_REFRESHES: u64 = 4;
-/// Cap on the exponent of the refresh backoff: while responses are
-/// missing, re-requests are spaced `arb_refresh × 2^min(misses, cap)`
-/// apart so a dead control plane is not hammered every RTT.
+/// Cap on the channel-health strike integrator, and so on the exponent of
+/// the refresh backoff: a backed-off or fallen-back flow re-requests every
+/// `arb_refresh × 2^strikes`, so a dead or overloaded control plane is not
+/// hammered every RTT.
 pub const REFRESH_BACKOFF_CAP: u32 = 5;
 
 /// Every knob of the PASE implementation that a figure, binary or test
@@ -187,11 +187,13 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn watchdog_defaults_are_sane() {
-        // The watchdog must tolerate at least one lost refresh round
-        // before declaring the control plane dead, and the backoff cap
-        // must keep re-request spacing well under the arbitrator expiry
+        // The channel must tolerate at least one lost refresh round
+        // before declaring the control plane dead, the capped integrator
+        // must be able to reach that threshold, and the backoff cap must
+        // keep re-request spacing well under the arbitrator expiry
         // horizon scaled by a few round trips.
         assert!(WATCHDOG_K >= 2);
+        assert!(WATCHDOG_K <= REFRESH_BACKOFF_CAP);
         assert!((1..=16).contains(&REFRESH_BACKOFF_CAP));
     }
 

@@ -17,12 +17,12 @@
 //!   1-packet-per-RTT trickle with probes entirely (§4.3.2).
 //! * **Reordering guard**: on a queue promotion the sender drains
 //!   in-flight lower-priority packets before sending at the new priority.
-//! * **Graceful degradation**: [`ChannelHealth`] watches the control
-//!   channel; when it declares arbitration unreachable the flow falls
-//!   back to pure self-adjusting mode (lowest queue, DCTCP laws, data
-//!   never suppressed) with bounded exponential backoff on re-requests,
-//!   and re-attaches to its arbitrated `PrioQue`/`Rref` assignment when
-//!   clean responses resume.
+//! * **Graceful degradation**: [`ChannelHealth`] judges each refresh
+//!   round answered, shed or silent; when it declares arbitration
+//!   unreachable the flow falls back to pure self-adjusting mode (lowest
+//!   queue, DCTCP laws, data never suppressed) with bounded exponential
+//!   backoff on re-requests, and re-attaches to its arbitrated
+//!   `PrioQue`/`Rref` assignment when clean answers resume.
 //!
 //! The self-adjusting part is not a copy of DCTCP: the window law is
 //! [`transport::DctcpWindow`], the value `transport::FamilySender` runs.
@@ -37,7 +37,7 @@ use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine, DCTCP_G
 
 use crate::algorithm::Decision;
 use crate::config::{PaseConfig, MIN_RTO_LOW, MIN_RTO_TOP};
-use crate::health::{ChannelHealth, Transition};
+use crate::health::{Cause, ChannelHealth, Transition};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
 use crate::process::{ArbPlan, ArbProcess};
 
@@ -75,7 +75,7 @@ pub struct PaseSender {
     /// The periodic arbitration refresh; eager.
     refresh: Timer,
     started: bool,
-    /// Control-plane watchdog (graceful degradation, paper §3.1.3).
+    /// Control-channel health (graceful degradation, paper §3.1.3).
     health: ChannelHealth,
 }
 
@@ -124,24 +124,24 @@ impl PaseSender {
         self.engine.cwnd
     }
 
-    /// Whether the watchdog has the flow in self-adjusting fallback
-    /// (tests/inspection).
-    pub fn in_fallback(&self) -> bool {
-        self.health.in_fallback()
-    }
-
-    /// Current shed-driven refresh-backoff exponent (tests/inspection).
-    pub fn shed_backoff(&self) -> u32 {
-        self.health.shed_backoff()
-    }
-
-    /// Net shed responses on the control channel (tests/inspection).
-    pub fn shed_rounds(&self) -> u32 {
-        self.health.shed_rounds()
+    /// The control channel's health (tests/inspection).
+    pub fn health(&self) -> &ChannelHealth {
+        &self.health
     }
 
     fn srtt(&self) -> SimDuration {
         self.engine.rtt.srtt().unwrap_or(self.cfg.base_rtt)
+    }
+
+    /// How long an arbitration request may go unanswered: the data path's
+    /// own `srtt + 4·rttvar` (no minimum-RTO floor), at least one base
+    /// RTT. Control packets ride band 0, so a reply takes no longer than
+    /// what the data path measures. `None` before the first RTT sample
+    /// and for a flow with no remote leg, which never hears back.
+    fn reply_deadline(&self) -> Option<SimDuration> {
+        let remote = self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
+        let bound = self.engine.rtt.bound().filter(|_| remote);
+        bound.map(|b| b.max(self.cfg.base_rtt))
     }
 
     /// The flow's demand: what it could use if unconstrained — the NIC
@@ -220,8 +220,8 @@ impl PaseSender {
         };
         if arb.is_crashed() {
             // The local control process is down: the synchronous uplink
-            // decision fails exactly like the remote legs do, and the
-            // watchdog drops the flow to self-adjusting fallback.
+            // decision fails exactly like the remote legs do: the rounds go
+            // unanswered and drop the flow to self-adjusting fallback.
             return;
         }
         self.plan = arb.plan(self.spec.dst);
@@ -448,19 +448,19 @@ impl PaseSender {
         }
     }
 
-    fn arm_refresh(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        let delay = self.health.next_refresh_delay();
-        ctx.set_timer(delay, self.refresh.arm());
-    }
-
-    /// Apply a channel-health verdict (see [`Transition`]).
+    /// Apply and count a channel-health verdict; the refresh re-arbitrates
+    /// next, which re-attaches a flow leaving fallback.
     fn apply(&mut self, transition: Transition, ctx: &mut AgentCtx<'_, '_>) {
+        let stats = &mut ctx.sim.stats;
         match transition {
             Transition::None => {}
-            Transition::EnterFallback { reset_window } => {
-                if reset_window {
+            Transition::EnterFallback(cause) => {
+                if cause == Cause::Silent {
+                    stats.fallback_entries_silent += 1;
                     // Conservative DCTCP restart, as after a timeout.
                     self.on_loss(LossEvent::Timeout);
+                } else {
+                    stats.fallback_entries_shed += 1;
                 }
                 self.is_inter_queue = false;
                 // Pins the lowest queue at base rate. A demotion applies
@@ -468,7 +468,7 @@ impl PaseSender {
                 // progress with no control plane at all.
                 self.recompute_effective(ctx);
             }
-            Transition::ExitFallback => self.arm_refresh(ctx),
+            Transition::ExitFallback => stats.fallback_exits += 1,
         }
     }
 }
@@ -476,7 +476,7 @@ impl PaseSender {
 impl FlowAgent for PaseSender {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         self.started = true;
-        // The watchdog measures silence from flow start.
+        // The first round's requests go out now.
         self.health = ChannelHealth::new(&self.cfg, ctx.now());
         // Every flow starts at once on the endpoint arbitrators' decision
         // and refines when the leg responses arrive (DESIGN.md, PASE
@@ -491,7 +491,7 @@ impl FlowAgent for PaseSender {
         }
         self.pump(ctx);
         if !self.spec.is_background() {
-            self.arm_refresh(ctx);
+            ctx.set_timer(self.health.refresh_delay(), self.refresh.arm());
         }
         if self.data_suppressed() {
             self.start_pace_probes(ctx);
@@ -499,6 +499,9 @@ impl FlowAgent for PaseSender {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
+        if let Some(sent) = pkt.ts_echo {
+            self.health.on_ack(sent);
+        }
         match pkt.kind {
             PacketKind::Ack => {
                 let now = ctx.now();
@@ -553,13 +556,16 @@ impl FlowAgent for PaseSender {
                 ctx.set_timer(self.srtt(), self.pace.arm());
             }
         } else if self.refresh.is_current(token) {
-            let expects_responses =
-                self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
-            let verdict = self.health.on_refresh_round(ctx.now(), expects_responses);
+            let heard = ctx
+                .process::<ArbProcess>()
+                .and_then(|arb| arb.take_heard(self.spec.id));
+            let verdict = self
+                .health
+                .on_refresh_round(ctx.now(), heard, self.reply_deadline());
             self.apply(verdict, ctx);
             self.arbitrate(ctx);
             self.pump(ctx);
-            self.arm_refresh(ctx);
+            ctx.set_timer(self.health.refresh_delay(), self.refresh.arm());
         } else if self.engine.rto_fired(token, ctx) {
             if self.cfg.probe_on_timeout && self.queue > 0 && self.recovery_probe.is_none() {
                 // Probe instead of retransmitting: the data may simply be
@@ -585,18 +591,9 @@ impl FlowAgent for PaseSender {
         }
     }
 
-    /// An arbitration response arrived: consume its piggybacked load-shed
-    /// signal and re-evaluate.
+    /// An arbitration response arrived: re-merge the leg decisions (the
+    /// next refresh judges the round by it).
     fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        let shed = ctx
-            .process::<ArbProcess>()
-            .map(|arb| arb.take_shed(self.spec.id))
-            .unwrap_or(false);
-        let verdict = self.health.on_response(ctx.now(), shed);
-        self.apply(verdict, ctx);
-        // On leaving fallback this re-attaches the flow to its arbitrated
-        // queue and reference rate (Algorithm 2 transitions fire on the
-        // queue change).
         self.recompute_effective(ctx);
         self.pump(ctx);
     }

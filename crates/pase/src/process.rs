@@ -50,9 +50,10 @@ pub struct LegResults {
     pub sender: Option<Decision>,
     /// Latest receiver-leg response.
     pub receiver: Option<Decision>,
-    /// A leg response arrived carrying the load-shed signal since the
-    /// sender last consumed it (see [`ArbProcess::take_shed`]).
-    pub shed: bool,
+    /// What landed since the sender last judged a refresh round:
+    /// `Some(shed)` once a leg response arrived, `shed` if one of them
+    /// carried the load-shed signal (see [`ArbProcess::take_heard`]).
+    pub heard: Option<bool>,
 }
 
 /// Where a source must send its arbitration traffic for one flow.
@@ -212,13 +213,10 @@ impl ArbProcess {
         self.legs.get(&flow).copied().unwrap_or_default()
     }
 
-    /// Read and clear the load-shed signal for `flow`. The local sender
-    /// consumes it once per wake-up to drive its refresh backoff.
-    pub fn take_shed(&mut self, flow: FlowId) -> bool {
-        match self.legs.get_mut(&flow) {
-            Some(slot) => core::mem::take(&mut slot.shed),
-            None => false,
-        }
+    /// Read and clear what landed for `flow` (see [`LegResults::heard`]):
+    /// the local sender judges one refresh round by it.
+    pub fn take_heard(&mut self, flow: FlowId) -> Option<bool> {
+        self.legs.get_mut(&flow).and_then(|slot| slot.heard.take())
     }
 
     /// Where a leg of `src → dst` climbs after this process by the tree's
@@ -305,7 +303,7 @@ impl ArbProcess {
             Leg::Sender => slot.sender = decision,
             Leg::Receiver => slot.receiver = decision,
         }
-        slot.shed |= resp.shedding;
+        slot.heard = Some(resp.shedding || slot.heard == Some(true));
         io.wake_flow(resp.flow);
     }
 

@@ -191,8 +191,8 @@ impl ArbFrontEnd {
     /// Take one control packet off the wire. `None` when the message goes
     /// no further, with its fate already entered in the control ledger:
     /// lost to a crash (a crashed arbitrator is a black hole — the
-    /// sending endpoints' watchdogs handle the silence, see
-    /// [`crate::endpoint`]), unattended (not a PASE message), or
+    /// sending endpoints judge the silence, see [`crate::health`]),
+    /// unattended (not a PASE message), or
     /// tail-dropped by an unprotected full inbox. Otherwise the message
     /// and the weighted inbox depth it arrived at, for
     /// [`ArbFrontEnd::shed_request`].
@@ -215,8 +215,8 @@ impl ArbFrontEnd {
         if !self.budget.protected() && self.budget.overflowed(depth) {
             // Unprotected bounded inbox: silent tail drop of whatever
             // arrived — responses and FlowDone releases included, so
-            // leases leak until expiry and senders hear nothing but their
-            // watchdogs. This is the failure mode the priority-aware shed
+            // leases leak until expiry and senders hear nothing but
+            // silence. This is the failure mode the priority-aware shed
             // policy exists to prevent.
             self.note_shed(pkt, false, stats, now);
             return None;

@@ -1,7 +1,7 @@
 //! Robustness and white-box tests for the PASE endpoint:
 //! Algorithm 2's window state, the reorder guard observed on the wire,
 //! tolerance to control-plane packet loss, and recovery from injected
-//! arbitrator crashes (watchdog fallback + re-attach).
+//! arbitrator crashes (silent-channel fallback + re-attach).
 
 use std::sync::Arc;
 
@@ -279,13 +279,13 @@ fn sender_state(sim: &mut Simulation, host: NodeId, flow: u64) -> (bool, u8, Rat
     let s = h
         .agent_as::<PaseSender>(FlowId(flow))
         .expect("sender still live");
-    (s.in_fallback(), s.queue(), s.rref())
+    (s.health().in_fallback(), s.queue(), s.rref())
 }
 
 #[test]
 fn arbitrator_crash_without_restart_completes_via_fallback() {
     // Every switch arbitrator dies at 1 ms and never comes back. Senders
-    // stop hearing responses, trip the watchdog, degrade to
+    // stop hearing responses, judge the rounds silent, degrade to
     // self-adjusting mode — and every flow still finishes.
     let cfg = cfg();
     let (mut sim, hosts) = three_tier_sim(2, cfg);
@@ -318,7 +318,7 @@ fn arbitrator_crash_without_restart_completes_via_fallback() {
     // Mid-run: the long cross-core flow must have degraded.
     sim.run(until(4));
     let (fb, q, _) = sender_state(&mut sim, hosts[0], 0);
-    assert!(fb, "watchdog must trip after k silent refresh rounds");
+    assert!(fb, "fallback must follow k silent refresh rounds");
     assert_eq!(q, cfg.lowest_queue(), "fallback rides the lowest queue");
     let tor = sim.topo().host_tor(hosts[0]);
     let process = sim.node_mut(tor).process_as::<ArbProcess>();
@@ -426,7 +426,7 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
     // Crash the control *process* on hosts[3] (not the machine): both of
     // its leaf arbitrators and the cached legs are wiped, and every flow
     // that depended on it — a remote sender waiting on its receiver leg
-    // and a local sender using its uplink arbitrator — trips the watchdog
+    // and a local sender using its uplink arbitrator — goes unanswered
     // and still completes in self-adjusting fallback.
     let cfg = cfg();
     let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
@@ -485,7 +485,7 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
     assert_eq!(
         outcome,
         RunOutcome::MeasuredComplete,
-        "watchdog fallback must still complete both flows"
+        "silent-channel fallback must still complete both flows"
     );
 }
 
@@ -556,9 +556,9 @@ fn crashed_host_lease_expiry_frees_the_top_queue() {
 fn degraded_control_channel_trips_the_watchdog_and_flows_complete() {
     // Gray failures on both access links: the sender's drops most
     // packets in each direction, but arbitration responses still trickle
-    // through — and each one resets `last_response`, defeating the
-    // hard-silence watchdog, so only the decaying net-miss counter can
-    // drive the flow into bounded self-adjusting fallback. The
+    // through — each answered round takes a strike back, so only the
+    // net excess of silent rounds can drive the flow into bounded
+    // self-adjusting fallback, with its data path dark as well. The
     // receiver's link corrupts (but never drops) payloads, so the
     // receiver-side checksum discard and RTO/probe recovery get
     // exercised at full transmission rate once the lossy link heals.
@@ -653,12 +653,12 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
         };
         let s = h.agent_as::<PaseSender>(FlowId(0)).expect("sender live");
         assert!(
-            s.in_fallback(),
-            "sustained shedding must degrade the flow (shed rounds {})",
-            s.shed_rounds()
+            s.health().in_fallback(),
+            "sustained shedding must degrade the flow (state {:?})",
+            s.health().state()
         );
         assert!(
-            s.shed_backoff() > 0,
+            s.health().refresh_delay() > cfg.arb_refresh,
             "shed replies must stretch the refresh cadence"
         );
         assert_eq!(
@@ -668,11 +668,12 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
         );
     }
 
-    // Well after the storm: clean responses drain the shed integrator
-    // (exit is hysteretic — one lucky reply mid-storm must not flap the
-    // flow out of fallback and slam its cwnd), fallback ends, and the
-    // flow finishes under restored arbitration. The drain is bounded by
-    // ~2*WATCHDOG_K clean rounds at the backed-off cadence.
+    // Well after the storm: clean responses drain the strike integrator
+    // below `WATCHDOG_K` (exit is hysteretic — one lucky reply mid-storm
+    // must not flap the flow out of fallback and slam its cwnd),
+    // fallback ends, and the flow finishes under restored arbitration.
+    // The drain takes at most `REFRESH_BACKOFF_CAP − WATCHDOG_K + 1`
+    // clean rounds at the backed-off cadence.
     sim.run(until(25));
     let (fb, _, _) = sender_state(&mut sim, hosts[0], 0);
     assert!(!fb, "clean responses after the storm must end fallback");

@@ -81,12 +81,14 @@ impl RttEstimator {
         self.srtt
     }
 
+    /// `srtt + 4·rttvar`, the RTO before backoff and clamps (once sampled).
+    pub fn bound(&self) -> Option<SimDuration> {
+        self.srtt.map(|srtt| srtt + self.rttvar.saturating_mul(4))
+    }
+
     /// Current retransmission timeout, including backoff.
     pub fn rto(&self) -> SimDuration {
-        let base = match self.srtt {
-            None => self.min_rto,
-            Some(srtt) => srtt + self.rttvar.saturating_mul(4),
-        };
+        let base = self.bound().unwrap_or(self.min_rto);
         let backed_off = base.saturating_mul(1u64 << self.backoff.min(self.backoff_cap));
         backed_off.max(self.min_rto).min(self.max_rto)
     }

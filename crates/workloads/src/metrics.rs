@@ -205,6 +205,12 @@ pub struct RunMetrics {
     pub ctrl_processed: u64,
     /// Control messages shed by overloaded arbitrators.
     pub ctrl_shed: u64,
+    /// PASE fallbacks on a silent control channel.
+    pub fallback_entries_silent: u64,
+    /// PASE fallbacks on a shedding control channel.
+    pub fallback_entries_shed: u64,
+    /// PASE flows that left fallback.
+    pub fallback_exits: u64,
     /// Total retransmission timeouts across measured flows.
     pub timeouts: u64,
     /// Total retransmitted bytes across measured flows.
@@ -356,6 +362,9 @@ pub fn collect_with(sim: &Simulation, outcome: RunOutcome, mode: MetricsMode) ->
         },
         ctrl_processed: stats.ctrl_msgs_processed,
         ctrl_shed: stats.ctrl_msgs_shed,
+        fallback_entries_silent: stats.fallback_entries_silent,
+        fallback_entries_shed: stats.fallback_entries_shed,
+        fallback_exits: stats.fallback_exits,
         timeouts,
         retransmitted_bytes: retransmitted,
         probes,
@@ -511,6 +520,9 @@ mod tests {
             ctrl_per_sec: 0.0,
             ctrl_processed: 0,
             ctrl_shed: 0,
+            fallback_entries_silent: 0,
+            fallback_entries_shed: 0,
+            fallback_exits: 0,
             timeouts: 0,
             retransmitted_bytes: 0,
             probes: 0,
