@@ -6,15 +6,16 @@
 //! sender reports each ACK as it lands ([`on_ack`](ChannelHealth::on_ack));
 //! at each refresh it passes what responses landed since the last one to
 //! [`on_refresh_round`](ChannelHealth::on_refresh_round) and applies the
-//! [`Transition`] returned for the round behind it. A round is *answered*, *shed* (an overloaded
-//! arbitrator replied without arbitrating) or *silent*: nothing came back
-//! and the oldest unanswered request is past its reply deadline. If data
-//! sent after that request has been acknowledged, the silence is the
-//! control plane's and every further refresh is one more silent round.
-//! If the data path is dark too, the silence may be a stalled path's (a
-//! receiver NIC busy with its own burst holds replies and ACKs alike), so
-//! each further silent round waits twice as long, like an RTO. One capped
-//! strike integrator turns verdicts into [`State`]s (DESIGN.md §5a).
+//! [`Transition`] returned for the round behind it. A round is
+//! *answered*, *shed* (an overloaded arbitrator replied without
+//! arbitrating) or *silent*: nothing came back and the oldest unanswered
+//! request is past its reply deadline. If data sent after that request
+//! has been acknowledged, the silence is the control plane's and every
+//! further refresh is one more silent round. If the data path is dark
+//! too, the silence may be a stalled path's (a receiver NIC busy with its
+//! own burst holds replies and ACKs alike), so each further silent round
+//! waits twice as long, like an RTO. One capped strike integrator turns
+//! verdicts into [`State`]s (DESIGN.md §5a).
 
 use netsim::time::{SimDuration, SimTime};
 

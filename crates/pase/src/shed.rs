@@ -192,8 +192,8 @@ impl ArbFrontEnd {
     /// no further, with its fate already entered in the control ledger:
     /// lost to a crash (a crashed arbitrator is a black hole — the
     /// sending endpoints judge the silence, see [`crate::health`]),
-    /// unattended (not a PASE message), or
-    /// tail-dropped by an unprotected full inbox. Otherwise the message
+    /// unattended (not a PASE message), or tail-dropped by an
+    /// unprotected full inbox. Otherwise the message
     /// and the weighted inbox depth it arrived at, for
     /// [`ArbFrontEnd::shed_request`].
     pub fn admit(
