@@ -16,6 +16,7 @@ use netsim::node::Node;
 use netsim::prelude::*;
 use netsim::trace::HashTracer;
 use pase::tree::{Level, TreeInfo};
+use std::time::Instant;
 use workloads::{fat_tree_ports_toward, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). The
@@ -113,25 +114,22 @@ const K32_PEAK_RSS_BUDGET: u64 = 60 * 1024 * 1024;
 /// themselves are the subject.
 fn build_k32() {
     let k = 32;
+    let started = Instant::now();
     let (sim, hosts) = Scheme::Pase.build_sim(&TopologySpec::fat_tree(k));
+    let build_s = started.elapsed().as_secs_f64();
     let switches = sim.topo().switches();
     assert_eq!(hosts.len(), k * k * k / 4);
     assert_eq!(switches.len(), k * k / 4 + k * k, "cores + aggs + ToRs");
 
-    // Route tables against coordinates, on a sample of switches that
-    // takes in all three tiers (every 17th of 256 + 32 x (16 + 16)).
-    let tier = |level| match level {
-        Level::Tor => 0,
-        Level::Agg => 1,
-        Level::Core => 2,
-    };
-    let mut sampled = [0usize; 3];
+    // Every switch's route table toward every host against coordinates,
+    // and the arbitration tree PASE was wired with: every tier present
+    // in full, every child under a parent one tier up.
     let tree = TreeInfo::from_topology(sim.topo());
-    for &id in switches.iter().step_by(17) {
+    let mut census = [0usize; 3];
+    for &id in &switches {
         let Node::Switch(sw) = &sim.nodes()[id.index()] else {
             panic!("{id} is not a switch");
         };
-        sampled[tier(tree.level(id))] += 1;
         assert!(sw.fib().intervals() < sim.topo().n_nodes() / 2);
         for &h in &hosts {
             assert_eq!(
@@ -140,18 +138,8 @@ fn build_k32() {
                 "k=32 switch {id} toward host {h}"
             );
         }
-    }
-    assert!(
-        sampled.iter().all(|&n| n >= 10),
-        "tiers sampled: {sampled:?}"
-    );
-
-    // The arbitration tree PASE was wired with: every tier present in
-    // full, every child under a parent one tier up.
-    let mut census = [0usize; 3];
-    for &id in &switches {
         let level = tree.level(id);
-        census[tier(level)] += 1;
+        census[level as usize] += 1;
         let parent_level = tree.parent(id).map(|p| tree.level(p));
         let want = match level {
             Level::Tor => Some(Level::Agg),
@@ -177,11 +165,10 @@ fn build_k32() {
         K32_PEAK_RSS_BUDGET / (1024 * 1024)
     );
     eprintln!(
-        "scale_smoke: OK — k=32 built under PASE: {} switches, {} hosts, FIBs of {:?} \
-         sampled (ToR, agg, core) switches match coordinates, peak RSS {:.1} MiB (budget {} MiB)",
+        "scale_smoke: OK — k=32 built under PASE in {build_s:.2} s: {} switches, {} hosts, \
+         every FIB matches coordinates, peak RSS {:.1} MiB (budget {} MiB)",
         switches.len(),
         hosts.len(),
-        sampled,
         rss as f64 / (1024.0 * 1024.0),
         K32_PEAK_RSS_BUDGET / (1024 * 1024)
     );

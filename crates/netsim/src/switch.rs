@@ -38,7 +38,7 @@ use crate::stats::Fate;
 ///
 /// Destinations below the first interval start, or covered by an interval
 /// with no hops, have no route (the switch blackholes them).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fib {
     /// Sorted interval start ids; interval `i` covers destinations
     /// `[starts[i], starts[i+1])` (the last interval runs to the end of
@@ -111,7 +111,8 @@ impl Fib {
 }
 
 /// Streaming builder for [`Fib`]: feed destination rows in ascending
-/// dense-id order (one [`FibBuilder::push`] per id, starting at 0) and
+/// dense-id order (one [`FibBuilder::push`] or
+/// [`FibBuilder::continue_run`] per id, starting with a push at 0) and
 /// the builder run-length-encodes them on the fly, so the dense table
 /// never exists in memory.
 #[derive(Debug, Default)]
@@ -153,6 +154,13 @@ impl FibBuilder {
         let len = u32::try_from(ports.len()).expect("port set overflow");
         self.fib.starts.push(dst);
         self.fib.hops.push(Hops { first, len });
+    }
+
+    /// The next destination id shares the previous one's port set: its
+    /// run continues, with no row to build or compare.
+    pub fn continue_run(&mut self) {
+        debug_assert!(self.next_dst > 0, "no run to continue");
+        self.next_dst += 1;
     }
 
     /// Finish the table.

@@ -150,61 +150,106 @@ impl TopologyBuilder {
     }
 
     /// Shortest-path forwarding tables with equal-cost multipath: for
-    /// every switch, for every destination, the set of output ports on
-    /// shortest paths — streamed destination-by-destination into compact
-    /// run-length-encoded [`Fib`]s, so the dense switch×destination table
-    /// (~10M entries on a k=32 fat-tree) never materializes. Hosts get
-    /// `None`: their single access link needs no table.
+    /// every switch and every destination, the output ports on shortest
+    /// paths, run-length-encoded into one compact [`Fib`] per switch.
+    /// Hosts get `None`: their single access link needs no table.
+    ///
+    /// Hosts are leaves (`build` asserts one link each), so no shortest
+    /// path passes through one. Toward a host on ToR `t`, every switch but
+    /// `t` therefore forwards exactly as toward `t`, and `t` forwards on
+    /// its port to the host. One BFS over the switch graph from `t`
+    /// serves `t` and all its hosts: destinations are visited in id
+    /// order, and while consecutive ones end at the same switch only that
+    /// switch's table changes; every other table's run continues
+    /// ([`FibBuilder::continue_run`]). Cost O(switches × switch links +
+    /// table size); the dense switch×destination table (~10M entries on
+    /// a k=32 fat-tree) never materializes.
     fn compute_fibs(&self) -> Vec<Option<Fib>> {
         let n = self.kinds.len();
-        let mut builders: Vec<Option<FibBuilder>> = self
-            .kinds
+        // Dense switch indices, and each switch's links to switches in
+        // port order.
+        let mut dense = vec![None; n];
+        let switches: Vec<usize> = (0..n)
+            .filter(|&i| self.kinds[i] == NodeKind::Switch)
+            .collect();
+        for (s, &node) in switches.iter().enumerate() {
+            dense[node] = Some(s);
+        }
+        let links: Vec<Vec<(PortId, usize)>> = switches
             .iter()
-            .map(|k| match k {
-                NodeKind::Switch => Some(FibBuilder::new()),
-                NodeKind::Host => None,
+            .map(|&node| {
+                (0..)
+                    .zip(&self.ports[node])
+                    .filter_map(|(p, &(peer, _, _))| Some((PortId(p), dense[peer.index()]?)))
+                    .collect()
             })
             .collect();
-        // Scratch buffers reused across destinations.
-        let mut dist = vec![u32::MAX; n];
-        let mut q = VecDeque::with_capacity(n);
+        let mut builders: Vec<FibBuilder> = switches.iter().map(|_| FibBuilder::new()).collect();
+        // Scratch buffers reused across BFS sources.
+        let mut dist = vec![u32::MAX; switches.len()];
+        let mut q = VecDeque::with_capacity(switches.len());
         let mut row: Vec<PortId> = Vec::new();
+        // The switch `dist` was last computed from.
+        let mut source = None;
         for dst in 0..n {
-            // BFS from the destination over the undirected graph.
-            dist.fill(u32::MAX);
-            dist[dst] = 0;
-            q.clear();
-            q.push_back(dst);
-            while let Some(u) = q.pop_front() {
-                for &(peer, _, _) in &self.ports[u] {
-                    let v = peer.index();
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        q.push_back(v);
+            // The switch every path toward `dst` ends at, and the port
+            // there that reaches `dst` (none for the switch itself).
+            let (last, last_hop) = match self.kinds[dst] {
+                NodeKind::Switch => (dense[dst], None),
+                NodeKind::Host => {
+                    let tor = self.ports[dst][0].0;
+                    let hop = self.ports[tor.index()]
+                        .iter()
+                        .position(|&(peer, _, _)| peer.index() == dst)
+                        .map(|p| PortId(p as u32));
+                    (dense[tor.index()], hop)
+                }
+            };
+            let Some(last) = last else {
+                // A host cabled to a host: no switch reaches it.
+                builders.iter_mut().for_each(|b| b.push(&[]));
+                source = None;
+                continue;
+            };
+            if source == Some(last) {
+                for (u, builder) in builders.iter_mut().enumerate() {
+                    if u != last {
+                        builder.continue_run();
                     }
                 }
-            }
-            // Next hops: any neighbor strictly closer to dst. Every
-            // builder gets exactly one row per destination (possibly
-            // empty), keeping the dense-id encoding aligned.
-            for (u, builder) in builders.iter_mut().enumerate() {
-                let Some(builder) = builder.as_mut() else {
-                    continue;
-                };
-                row.clear();
-                if u != dst && dist[u] != u32::MAX {
-                    for (pidx, &(peer, _, _)) in self.ports[u].iter().enumerate() {
-                        if dist[peer.index()] + 1 == dist[u] {
-                            row.push(PortId(pidx as u32));
+            } else {
+                dist.fill(u32::MAX);
+                dist[last] = 0;
+                q.clear();
+                q.push_back(last);
+                while let Some(u) = q.pop_front() {
+                    for &(_, v) in &links[u] {
+                        if dist[v] == u32::MAX {
+                            dist[v] = dist[u] + 1;
+                            q.push_back(v);
                         }
                     }
                 }
-                builder.push(&row);
+                source = Some(last);
+                // Next hops: any neighbor strictly closer to `last`.
+                for (u, builder) in builders.iter_mut().enumerate() {
+                    if u == last {
+                        continue;
+                    }
+                    row.clear();
+                    if dist[u] != u32::MAX {
+                        let closer = links[u].iter().filter(|&&(_, v)| dist[v] + 1 == dist[u]);
+                        row.extend(closer.map(|&(p, _)| p));
+                    }
+                    builder.push(&row);
+                }
             }
+            builders[last].push(last_hop.as_slice());
         }
-        builders
-            .into_iter()
-            .map(|b| b.map(FibBuilder::finish))
+        let mut fibs = builders.into_iter().map(FibBuilder::finish);
+        self.kinds
+            .iter()
+            .map(|k| (*k == NodeKind::Switch).then(|| fibs.next().unwrap()))
             .collect()
     }
 }
@@ -473,6 +518,237 @@ mod tests {
             seen.insert(sw.route(h1, FlowId(f)).unwrap());
         }
         assert_eq!(seen.len(), 2, "ECMP should use both uplinks");
+    }
+
+    /// The reference construction: one BFS per destination over the whole
+    /// graph, then every switch's ports scanned for neighbors strictly
+    /// closer to it.
+    fn per_destination_fibs(b: &TopologyBuilder) -> Vec<Option<Fib>> {
+        let n = b.kinds.len();
+        let mut builders: Vec<Option<FibBuilder>> = b
+            .kinds
+            .iter()
+            .map(|k| (*k == NodeKind::Switch).then(FibBuilder::new))
+            .collect();
+        let mut dist = vec![u32::MAX; n];
+        let mut q = VecDeque::new();
+        for dst in 0..n {
+            dist.fill(u32::MAX);
+            dist[dst] = 0;
+            q.push_back(dst);
+            while let Some(u) = q.pop_front() {
+                for &(peer, _, _) in &b.ports[u] {
+                    let v = peer.index();
+                    if dist[v] == u32::MAX {
+                        dist[v] = dist[u] + 1;
+                        q.push_back(v);
+                    }
+                }
+            }
+            for (u, builder) in builders.iter_mut().enumerate() {
+                let Some(builder) = builder.as_mut() else {
+                    continue;
+                };
+                let mut row = Vec::new();
+                if u != dst && dist[u] != u32::MAX {
+                    for (pidx, &(peer, _, _)) in b.ports[u].iter().enumerate() {
+                        if dist[peer.index()] + 1 == dist[u] {
+                            row.push(PortId(pidx as u32));
+                        }
+                    }
+                }
+                builder.push(&row);
+            }
+        }
+        builders
+            .into_iter()
+            .map(|b| b.map(FibBuilder::finish))
+            .collect()
+    }
+
+    /// Build `b` (which validates it) and hold every table to the
+    /// reference construction's.
+    fn assert_matches_reference(b: &TopologyBuilder) -> Network {
+        let net = build(b);
+        assert_eq!(b.compute_fibs(), per_destination_fibs(b));
+        net
+    }
+
+    fn link(b: &mut TopologyBuilder, x: NodeId, y: NodeId) {
+        b.connect(x, y, Rate::from_gbps(10), SimDuration::from_micros(1));
+    }
+
+    fn fib_of(net: &Network, sw: NodeId) -> &Fib {
+        let Node::Switch(sw) = &net.nodes[sw.index()] else {
+            panic!("{sw} is not a switch");
+        };
+        sw.fib()
+    }
+
+    #[test]
+    fn fibs_match_reference_with_racks_interleaved() {
+        // Host ids alternate between two ToRs, so no two consecutive
+        // destinations end at the same switch; two hosts come before any
+        // switch, so a ToR also follows one of its own hosts.
+        let mut b = TopologyBuilder::new();
+        let early = b.add_hosts(2);
+        let tors = [b.add_switch(), b.add_switch()];
+        let spine = b.add_switch();
+        link(&mut b, early[0], tors[1]);
+        link(&mut b, early[1], tors[0]);
+        for &t in &tors {
+            link(&mut b, t, spine);
+        }
+        for i in 0..6 {
+            let h = b.add_host();
+            link(&mut b, h, tors[i % 2]);
+        }
+        assert_matches_reference(&b);
+    }
+
+    #[test]
+    fn fibs_match_reference_on_leaf_spine_and_transit_switches() {
+        // Three spines: every cross-leaf route is a 3-way equal-cost set.
+        // A dead-end switch on leaf 0 and a spine-only switch carry no
+        // hosts.
+        let mut b = TopologyBuilder::new();
+        let spines: Vec<_> = (0..3).map(|_| b.add_switch()).collect();
+        let mut leaves = Vec::new();
+        for _ in 0..4 {
+            let leaf = b.add_switch();
+            for &s in &spines {
+                link(&mut b, leaf, s);
+            }
+            for _ in 0..3 {
+                let h = b.add_host();
+                link(&mut b, h, leaf);
+            }
+            leaves.push(leaf);
+        }
+        let dead_end = b.add_switch();
+        link(&mut b, dead_end, leaves[0]);
+        let hostless = b.add_switch();
+        link(&mut b, hostless, spines[2]);
+        let net = assert_matches_reference(&b);
+        let up: Vec<_> = (0..3).map(PortId).collect();
+        let far_host = NodeId(leaves[3].0 + 1);
+        assert_eq!(fib_of(&net, leaves[0]).entry(far_host), up.as_slice());
+    }
+
+    #[test]
+    fn fibs_match_reference_across_components() {
+        // A second island of two switches, and a host cabled to a host
+        // between two of the island's hosts: rows toward anything
+        // unreachable stay empty, and the island's rack resumes after the
+        // pair.
+        let mut b = TopologyBuilder::new();
+        let (s0, s1) = (b.add_switch(), b.add_switch());
+        link(&mut b, s0, s1);
+        let hosts = b.add_hosts(2);
+        link(&mut b, hosts[0], s0);
+        link(&mut b, hosts[1], s1);
+        let island = [b.add_switch(), b.add_switch()];
+        link(&mut b, island[0], island[1]);
+        let before = b.add_host();
+        link(&mut b, before, island[0]);
+        let pair = b.add_hosts(2);
+        link(&mut b, pair[0], pair[1]);
+        let after = b.add_host();
+        link(&mut b, after, island[0]);
+        let net = assert_matches_reference(&b);
+        for far in [island[0], island[1], before, after, pair[0], pair[1]] {
+            assert!(fib_of(&net, s0).entry(far).is_empty(), "s0 toward {far}");
+        }
+        for far in [s0, s1, hosts[0], hosts[1], pair[0], pair[1]] {
+            let fib = fib_of(&net, island[1]);
+            assert!(fib.entry(far).is_empty(), "island toward {far}");
+        }
+        assert_eq!(fib_of(&net, island[1]).entry(after), &[PortId(0)]);
+    }
+
+    #[test]
+    fn fibs_match_reference_on_three_tier() {
+        // The paper's tree: core, two aggs, two ToRs per agg, each ToR
+        // followed by its hosts.
+        let mut b = TopologyBuilder::new();
+        let core = b.add_switch();
+        for _ in 0..2 {
+            let agg = b.add_switch();
+            link(&mut b, agg, core);
+            for _ in 0..2 {
+                let tor = b.add_switch();
+                link(&mut b, tor, agg);
+                for _ in 0..5 {
+                    let h = b.add_host();
+                    link(&mut b, h, tor);
+                }
+            }
+        }
+        assert_matches_reference(&b);
+    }
+
+    #[test]
+    fn fibs_match_reference_on_fat_tree_4() {
+        // Cores, then per pod its aggs and each ToR followed by its hosts.
+        let half = 2;
+        let mut b = TopologyBuilder::new();
+        let cores: Vec<_> = (0..half * half).map(|_| b.add_switch()).collect();
+        for _pod in 0..2 * half {
+            let aggs: Vec<_> = (0..half).map(|_| b.add_switch()).collect();
+            for (j, &agg) in aggs.iter().enumerate() {
+                for &core in &cores[j * half..(j + 1) * half] {
+                    link(&mut b, agg, core);
+                }
+            }
+            for _tor in 0..half {
+                let tor = b.add_switch();
+                for &agg in &aggs {
+                    link(&mut b, tor, agg);
+                }
+                for _ in 0..half {
+                    let h = b.add_host();
+                    link(&mut b, h, tor);
+                }
+            }
+        }
+        assert_matches_reference(&b);
+    }
+
+    #[test]
+    fn fibs_match_reference_on_random_graphs() {
+        // Random switch graphs (parallel links, several components) with
+        // hosts scattered over the id space and over the switches.
+        let mut rng = crate::rng::Rng::seed_from_u64(0xf1b5);
+        for _case in 0..100 {
+            let mut b = TopologyBuilder::new();
+            let n_switches = rng.gen_range_inclusive(1, 8) as usize;
+            let n_hosts = rng.gen_index(16);
+            let (mut switches, mut hosts) = (Vec::new(), Vec::new());
+            while switches.len() + hosts.len() < n_switches + n_hosts {
+                if hosts.len() == n_hosts || switches.len() < n_switches && rng.gen_below(2) == 0 {
+                    switches.push(b.add_switch());
+                } else {
+                    hosts.push(b.add_host());
+                }
+            }
+            for &h in &hosts {
+                link(&mut b, h, switches[rng.gen_index(n_switches)]);
+            }
+            for _ in 0..rng.gen_index(2 * n_switches) {
+                let (x, y) = (rng.gen_index(n_switches), rng.gen_index(n_switches));
+                if x != y {
+                    link(&mut b, switches[x], switches[y]);
+                }
+            }
+            // Every switch needs a link.
+            for &s in &switches {
+                if b.ports[s.index()].is_empty() {
+                    let h = b.add_host();
+                    link(&mut b, h, s);
+                }
+            }
+            assert_matches_reference(&b);
+        }
     }
 
     #[test]

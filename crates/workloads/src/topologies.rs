@@ -609,7 +609,8 @@ mod tests {
 
     #[test]
     fn fat_tree_fibs_match_coordinate_routing() {
-        for k in [4usize, 8, 16] {
+        // k/2 is odd at 6 and 12: racks and up-port sets of odd length.
+        for k in [4usize, 6, 8, 12, 16] {
             let (net, hosts) = build(&TopologySpec::fat_tree(k));
             // The coordinate decoder against the graph itself.
             for (i, &h) in hosts.iter().enumerate() {

@@ -2,7 +2,7 @@
 # Parent-vs-change A/B of one perfbench workload, the way the
 # choosing-metrics guide (§8) asks a gain to be shown on a noisy box.
 #
-#   scripts/ab.sh PARENT_DIR WORKLOAD [PAIRS=10] [SEED=1] [SECONDS]
+#   scripts/ab.sh PARENT_DIR WORKLOAD [PAIRS=10] [SEED=1] [SECONDS] [METRIC=run_s]
 #
 # PARENT_DIR is a checkout of the parent commit (a `git clone` under
 # /root/scratch); the change is this checkout. Builds both `perfbench`
@@ -10,12 +10,14 @@
 # PAIRS alternating pairs (odd pairs parent first, even pairs change
 # first), each from the root of its own checkout. SECONDS defaults to
 # BENCHMARK.json's `run_seconds`; anything shorter is for iterating, not
-# for a claim. Prints every `run_s` pair, each side's quartiles, pairs
-# won, whether the median gap exceeds the parent's inter-quartile
-# distance, each side's median of every other end-to-end metric (read
-# from the same runs), and both `sim_digest`s — and refuses to compare
-# when those differ, because then the two sides did different work. Reads only:
-# nothing is written outside the two `perfbench/target` directories.
+# for a claim. METRIC is the end-to-end metric the verdict is about
+# (`run_s`; `setup_s` for a set-up claim). Prints every METRIC pair,
+# each side's quartiles, pairs won, whether the median gap exceeds the
+# parent's inter-quartile distance, each side's median of every other
+# end-to-end metric (read from the same runs), and both `sim_digest`s —
+# and refuses to compare when those differ, because then the two sides
+# did different work. Reads only: nothing is written outside the two
+# `perfbench/target` directories.
 set -euo pipefail
 [ $# -ge 2 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
@@ -24,6 +26,7 @@ workload=$2
 pairs=${3:-10}
 seed=${4:-1}
 seconds=${5:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$change/BENCHMARK.json")}
+metric=${6:-run_s}
 
 for dir in "$parent" "$change"; do
     cargo build --release --quiet --manifest-path "$dir/perfbench/Cargo.toml" --bin perfbench
@@ -31,7 +34,11 @@ done
 
 # The end-to-end metrics BENCHMARK.json names, in the order `run` prints
 # them; the first is the one the verdict is about.
-metrics=(run_s setup_s peak_rss_bytes sim_afct_ms sim_p99_fct_ms)
+metrics=("$metric")
+for m in run_s setup_s peak_rss_bytes sim_afct_ms sim_p99_fct_ms; do
+    [ "$m" = "$metric" ] || metrics+=("$m")
+done
+[ ${#metrics[@]} -eq 5 ] || { echo "ab: unknown METRIC $metric" >&2; exit 2; }
 
 # One run: prints each of `metrics`, then the sim_digest.
 run() {
@@ -62,7 +69,7 @@ for i in $(seq 1 "$pairs"); do
     p_digest=${p_row##* } c_digest=${c_row##* }
     if [ -z "$p_digest" ] || [ "$p_digest" != "$c_digest" ]; then
         echo "ab: sim_digest differs (parent ${p_digest:-none}, change ${c_digest:-none}):" \
-            "the two sides did different work, run_s is not comparable" >&2
+            "the two sides did different work, $metric is not comparable" >&2
         exit 1
     fi
     p_rows+=("$p_row") c_rows+=("$c_row")
@@ -86,11 +93,11 @@ quartiles() {
 }
 read -r p1 p2 p3 < <(quartiles 1 "${p_rows[@]}")
 read -r c1 c2 c3 < <(quartiles 1 "${c_rows[@]}")
-printf 'parent run_s  q1 %.4f  median %.4f  q3 %.4f\n' "$p1" "$p2" "$p3"
-printf 'change run_s  q1 %.4f  median %.4f  q3 %.4f\n' "$c1" "$c2" "$c3"
+printf 'parent %s  q1 %.4f  median %.4f  q3 %.4f\n' "$metric" "$p1" "$p2" "$p3"
+printf 'change %s  q1 %.4f  median %.4f  q3 %.4f\n' "$metric" "$c1" "$c2" "$c3"
 awk -v p1="$p1" -v p2="$p2" -v p3="$p3" -v c2="$c2" -v won="$won" -v lost="$lost" -v n="$pairs" 'BEGIN {
     gap = p2 - c2; iqr = p3 - p1
-    printf "median %+.1f %% (gap %.4f s, parent IQR %.4f s: gap %s IQR); change won %d, lost %d of %d pairs\n",
+    printf "median %+.1f %% (gap %.4f, parent IQR %.4f: gap %s IQR); change won %d, lost %d of %d pairs\n",
         (c2 / p2 - 1) * 100, gap, iqr, (gap > iqr) ? ">" : "<=", won, lost, n
     printf "gain by choosing-metrics §8 (>= 9/10 of pairs, gap > parent IQR): %s\n",
         (won * 10 >= n * 9 && gap > iqr) ? "shown" : "not shown" }'
