@@ -9,7 +9,8 @@
 //! across every figure sweep; the emitted tables are byte-identical at
 //! any job count. `--only id[,id...]` (ids of `experiments::figs::FIGURES`)
 //! prints and saves just those figures and leaves `EXPERIMENTS.md` alone.
-//! Exits 1 when any figure cell comes from a run its backstop truncated.
+//! Exits 1 when any figure cell comes from a run its backstop truncated
+//! or that broke a simulator invariant.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -56,7 +57,8 @@ fn main() {
     let fail_if_truncated = || {
         if !truncated.is_empty() {
             eprintln!(
-                "run_all: cells from truncated runs (see the WARNING notes) in: {truncated:?}"
+                "run_all: cells from truncated or invariant-violating runs (see the \
+                 WARNING notes) in: {truncated:?}"
             );
             std::process::exit(1);
         }

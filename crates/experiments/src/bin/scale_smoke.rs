@@ -11,13 +11,15 @@
 //! non-zero on any violation, so `scripts/ci.sh` can run it directly.
 
 use netsim::engine::WheelStats;
-use netsim::invariants::InvariantConfig;
 use netsim::node::Node;
 use netsim::prelude::*;
 use netsim::trace::HashTracer;
 use pase::tree::{Level, TreeInfo};
 use std::time::Instant;
-use workloads::{fat_tree_ports_toward, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::runner::backstop_warning;
+use workloads::{
+    fat_tree_ports_toward, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec,
+};
 
 /// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). The
 /// smoke peaks at 6 MiB (compact FIBs, qdisc rings that start empty, one
@@ -42,14 +44,9 @@ const PEAK_PENDING_BUDGET: usize = 3_000;
 /// updates all three on purpose and says why.
 const PINNED: (u64, u64, u64) = (0xa224_e1c9_d304_ccea, 140_497, 4_551_613);
 
-/// One traced, invariant-checked incast run; returns the trace digest,
-/// the delivered-packet count, the peak pending-event count, the event
-/// count and the wheel's counters.
-fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats) {
-    let (mut sim, hosts) = Scheme::Pase.build_sim(&scenario.topo);
-
-    // Route-table audit: every switch carries a compact interval FIB
-    // covering the whole fabric in far fewer intervals than nodes.
+/// Route-table audit: every switch carries a compact interval FIB
+/// covering the whole fabric in far fewer intervals than nodes.
+fn audit_fibs(sim: &Simulation) {
     let n_nodes = sim.topo().n_nodes();
     let mut fib_bytes = 0usize;
     let mut switches = 0usize;
@@ -73,21 +70,27 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats
         n_nodes,
         fib_bytes as f64 / 1024.0
     );
+}
 
-    sim.enable_invariants(InvariantConfig::default());
+/// One traced, invariant-checked incast run; returns the trace digest,
+/// the delivered-packet count, the peak pending-event count, the event
+/// count and the wheel's counters.
+fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats) {
+    let spec = RunSpec {
+        backstop_s: 60,
+        ..RunSpec::new(Scheme::Pase, *scenario, 0.6, seed)
+    };
     let tracer = HashTracer::new();
     let digest = tracer.digest();
-    sim.set_tracer(Box::new(tracer));
-    sim.add_flows(scenario.generate_flows(0.6, seed, &hosts));
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(60)));
-    assert_eq!(
-        outcome,
-        RunOutcome::MeasuredComplete,
-        "smoke incast must complete"
-    );
-
-    // Invariant oracle (packet conservation included) must be clean.
-    sim.check_invariants().assert_clean();
+    let (m, sim) = spec.run_with(|sim, _, _| {
+        audit_fibs(sim);
+        sim.set_tracer(Box::new(tracer));
+    });
+    // The run must complete with the invariant oracle (packet
+    // conservation included) clean.
+    if let Some(w) = backstop_warning(&spec, &m) {
+        panic!("smoke incast: {w}");
+    }
     let incomplete = sim
         .stats()
         .flows()
@@ -97,11 +100,9 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats
 
     let delivered = sim.stats().data_pkts_delivered;
     let peak_pending = sim.scheduler().peak_pending();
-    let wheel = sim.scheduler().wheel_stats();
-    let events = sim.stats().events_executed;
     drop(sim); // flush the tracer
     let d = *digest.lock().unwrap();
-    (d, delivered, peak_pending, events, wheel)
+    (d, delivered, peak_pending, m.events, m.wheel)
 }
 
 /// Peak-RSS ceiling once the k=32 fabric has been built: 1,280 switches,

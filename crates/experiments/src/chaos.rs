@@ -10,7 +10,9 @@
 //!    or a max-RTO give-up against a faulted peer),
 //! 2. every global invariant holds ([`netsim::invariants`]: packet
 //!    conservation including the lost-to-crash term, no stuck flow,
-//!    monotonic time, bounded queues), and
+//!    bounded queues, arena balance) and the backstop did not cut the
+//!    run short — the runner's one warning ([`backstop_warning`]), since
+//!    every case runs through [`RunSpec::run_with`] — and
 //! 3. the run is deterministic: the same seed executed twice produces a
 //!    byte-identical event trace.
 //!
@@ -33,12 +35,11 @@ use netsim::engine::EngineKind;
 use netsim::event::EventKind;
 use netsim::fault::{FaultFamily, FaultPlan, Pairing, Subject};
 use netsim::flow::FlowSpec;
-use netsim::invariants::InvariantConfig;
 use netsim::prelude::*;
-use netsim::sim::RunOutcome;
 use netsim::topology::NodeKind;
 use netsim::trace::{fnv1a, HashTracer, FNV1A_OFFSET};
-use workloads::{cli, CasePlan, Pattern, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::runner::backstop_warning;
+use workloads::{cli, CasePlan, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// One cell of the sweep matrix; the seed drives both workload and fault
 /// schedule.
@@ -192,7 +193,9 @@ pub struct CaseResult {
     pub fault_class: FaultClass,
     /// The seed (drives both workload and fault schedule).
     pub seed: u64,
-    /// Invariant violations (empty = clean).
+    /// Violations (empty = clean): the runner's warning for a truncated
+    /// or invariant-breaking run, flows left incomplete or aborted without
+    /// an injected cause, and an invalid generated fault plan.
     pub violations: Vec<String>,
     /// Flows that never completed.
     pub incomplete_flows: usize,
@@ -219,10 +222,6 @@ pub struct CaseResult {
     pub delivered: u64,
     /// Peak pending-event count in one run of the case.
     pub peak_pending: usize,
-    /// How the run ended; anything but `MeasuredComplete` means the
-    /// backstop truncated the case (surfaced by [`sweep`] exactly like
-    /// [`workloads::runner::backstop_warning`] does for figure sweeps).
-    pub outcome: RunOutcome,
     /// Control messages processed across all arbitrators.
     pub ctrl_processed: u64,
     /// Control messages shed across all arbitrators.
@@ -241,26 +240,6 @@ impl CaseResult {
     /// Did the case pass (all flows complete, all invariants hold)?
     pub fn passed(&self) -> bool {
         self.violations.is_empty() && self.incomplete_flows == 0
-    }
-
-    /// The warning line for a backstop-truncated case, or `None` when the
-    /// run ended normally — the chaos-sweep counterpart of
-    /// [`workloads::runner::backstop_warning`], so truncation is surfaced per
-    /// case instead of hiding inside an incomplete-flows violation.
-    pub fn backstop_warning(&self) -> Option<String> {
-        if self.outcome == RunOutcome::MeasuredComplete {
-            return None;
-        }
-        Some(format!(
-            "backstop hit ({:?}): chaos {} {:?}/{} seed {} finished with \
-             {} incomplete flows",
-            self.outcome,
-            self.scheme,
-            self.intensity,
-            self.fault_class.name(),
-            self.seed,
-            self.incomplete_flows
-        ))
     }
 }
 
@@ -370,69 +349,59 @@ fn flash_crowd_flows(
     }
 }
 
-/// The world one chaos case runs in — the simulation (invariant monitor
-/// on, flows added, no tracer yet) — and the case's fault plan, which
-/// [`run_plan`] validates before injecting.
-fn build_case(engine: EngineKind, case: Case, quick: bool) -> (Simulation, FaultPlan) {
-    let (scheme, class, intensity, seed) = case;
-    let scenario = chaos_scenario(quick);
-    let (mut sim, hosts) = scheme.build_sim_on(engine, &scenario.topo);
-    sim.enable_invariants(InvariantConfig::default());
-    if class == FaultClass::Gray {
-        // The gray class is the detection/recovery story: switches keep
-        // per-port health scores and re-hash flows off degraded siblings.
-        sim.enable_health_aware_routing();
-    }
+/// Execute one chaos case once on `engine` and audit it.
+pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
+    let (_, class, intensity, seed) = case;
     let cfg = ChaosConfig {
         seed,
         intensity,
         class,
         horizon: horizon(quick),
     };
-    let plan = chaos::generate(sim.topo(), &cfg);
-    let mut flows = scenario.generate_flows(0.5, seed, &hosts);
-    if class == FaultClass::Overload {
-        flash_crowd_flows(&plan, &hosts, seed, quick, &mut flows);
-    }
-    sim.add_flows(flows);
-    (sim, plan)
+    run_plan(engine, case, quick, |topo| chaos::generate(topo, &cfg))
 }
 
-/// Execute one chaos case once on `engine` and audit it.
-pub fn run_once(engine: EngineKind, case: Case, quick: bool) -> CaseResult {
-    let (sim, plan) = build_case(engine, case, quick);
-    run_plan(sim, &plan, case)
-}
-
-/// Validate `plan`, inject it into `sim`, run to completion and audit.
-/// An invalid plan is a violation and nothing runs: injecting one panics
-/// on the first link that does not exist, which would take the worker
-/// thread down instead of printing the replay command.
-fn run_plan(mut sim: Simulation, plan: &FaultPlan, case: Case) -> CaseResult {
+/// Run one case through [`RunSpec::run_with`] under the fault plan
+/// `plan_for` draws on its fabric, and audit it. An invalid plan is a
+/// violation and is not injected (the case runs without its faults):
+/// injecting one panics on the first link that does not exist, which
+/// would take the worker thread down instead of printing the replay
+/// command.
+fn run_plan(
+    engine: EngineKind,
+    case: Case,
+    quick: bool,
+    plan_for: impl FnOnce(&Topology) -> FaultPlan,
+) -> CaseResult {
     let (scheme, fault_class, intensity, seed) = case;
+    let spec = RunSpec {
+        engine,
+        ..RunSpec::new(scheme, chaos_scenario(quick), 0.5, seed)
+    };
     // The harness only ever compares traces, so it hashes the events
     // themselves (every field, exact nanoseconds) and renders no text.
     let tracer = HashTracer::new();
     let trace_digest = tracer.digest();
-    sim.set_tracer(Box::new(tracer));
     let mut violations: Vec<String> = Vec::new();
-    let limit = match plan.validate(sim.topo()) {
-        Ok(()) => {
-            sim.inject_faults(plan);
-            RunLimit::until_measured_done(SimTime::from_secs(120))
+    let mut plan = FaultPlan::new();
+    let (m, sim) = spec.run_with(|sim, hosts, flows| {
+        if fault_class == FaultClass::Gray {
+            // The gray class is the detection/recovery story: switches
+            // keep per-port health scores and re-hash flows off degraded
+            // siblings.
+            sim.enable_health_aware_routing();
         }
-        Err(e) => {
-            violations.push(format!("generated fault plan invalid: {e}"));
-            RunLimit {
-                max_events: Some(0),
-                ..RunLimit::default()
-            }
+        plan = plan_for(sim.topo());
+        if fault_class == FaultClass::Overload {
+            flash_crowd_flows(&plan, hosts, seed, quick, flows);
         }
-    };
-    let outcome = sim.run(limit);
-
-    let report = sim.check_invariants();
-    violations.extend(report.violations.iter().map(|v| v.to_string()));
+        sim.set_tracer(Box::new(tracer));
+        match plan.validate(sim.topo()) {
+            Ok(()) => sim.inject_faults(&plan),
+            Err(e) => violations.push(format!("generated fault plan invalid: {e}")),
+        }
+    });
+    violations.extend(backstop_warning(&spec, &m));
     let incomplete_flows = sim
         .stats()
         .flows()
@@ -500,7 +469,6 @@ fn run_plan(mut sim: Simulation, plan: &FaultPlan, case: Case) -> CaseResult {
         timer_arms_superseded: sim.stats().timer_arms_superseded,
         delivered: sim.stats().data_pkts_delivered,
         peak_pending: sim.scheduler().peak_pending(),
-        outcome,
         ctrl_processed: sim.stats().ctrl_msgs_processed,
         ctrl_shed: sim.stats().ctrl_msgs_shed,
         ctrl_peak_depth: sim
@@ -614,9 +582,6 @@ pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
                 r.stats_hash,
             );
         }
-        if let Some(w) = r.backstop_warning() {
-            eprintln!("warning: {w}");
-        }
         if !r.passed() {
             for v in &r.violations {
                 eprintln!("  violation: {v}");
@@ -707,7 +672,6 @@ mod tests {
                 timer_arms_superseded: 0,
                 delivered: 0,
                 peak_pending: 0,
-                outcome: RunOutcome::MeasuredComplete,
                 ctrl_processed: 0,
                 ctrl_shed: 0,
                 ctrl_peak_depth: 0,
@@ -843,16 +807,16 @@ mod tests {
 
     /// A plan that names a link the fabric does not have is reported and
     /// replayable, not injected: `inject_faults` would panic on it and
-    /// take the sweep's worker thread down.
+    /// take the sweep's worker thread down. The case runs without it.
     #[test]
     fn an_invalid_plan_is_a_violation_not_a_panic() {
         let case = (Scheme::Dctcp, FaultClass::Fabric, ChaosIntensity::Low, 1);
-        let (sim, _) = build_case(EngineKind::Wheel, case, true);
-        let hosts = sim.topo().hosts();
-        let plan = FaultPlan::new()
-            .link_down(SimTime::from_millis(1), hosts[0], hosts[1])
-            .link_up(SimTime::from_millis(2), hosts[0], hosts[1]);
-        let r = run_plan(sim, &plan, case);
+        let r = run_plan(EngineKind::Wheel, case, true, |topo| {
+            let hosts = topo.hosts();
+            FaultPlan::new()
+                .link_down(SimTime::from_millis(1), hosts[0], hosts[1])
+                .link_up(SimTime::from_millis(2), hosts[0], hosts[1])
+        });
         assert!(!r.passed());
         assert!(
             r.violations[0].starts_with("generated fault plan invalid:")
@@ -860,7 +824,8 @@ mod tests {
             "{:?}",
             r.violations
         );
-        assert_eq!(r.events, 0, "nothing runs on an invalid plan");
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert!(r.events > 0 && r.incomplete_flows == 0, "runs fault-free");
         assert!(replay_command("chaos", &r, true).contains("--seed-list 1 "));
     }
 
@@ -897,19 +862,33 @@ mod tests {
         assert_eq!(heap, wheel);
     }
 
-    /// `run_once`'s `trace_hash` is the digest of a [`HashTracer`]
-    /// installed by hand on the same world, for a faulted case whose
-    /// trace has the `FLT`, drop and abort events a healthy run lacks.
+    /// `run_once`'s `trace_hash` is the digest of a [`HashTracer`] on
+    /// the same world built, faulted and run by hand — without the
+    /// invariant monitor, which must leave the trace untouched — for a
+    /// faulted case whose trace has the `FLT`, drop and abort events a
+    /// healthy run lacks.
     #[test]
     fn trace_hash_is_the_hash_tracers_digest() {
-        let case = (Scheme::Pase, FaultClass::Host, ChaosIntensity::High, 3);
-        let (mut sim, plan) = build_case(EngineKind::Wheel, case, true);
-        sim.inject_faults(&plan);
+        let (seed, intensity, class) = (3, ChaosIntensity::High, FaultClass::Host);
+        let scenario = chaos_scenario(true);
+        let (mut sim, hosts) = Scheme::Pase.build_sim(&scenario.topo);
+        let cfg = ChaosConfig {
+            seed,
+            intensity,
+            class,
+            horizon: horizon(true),
+        };
+        sim.inject_faults(&chaos::generate(sim.topo(), &cfg));
         let tracer = HashTracer::new();
         let digest = tracer.digest();
         sim.set_tracer(Box::new(tracer));
+        sim.add_flows(scenario.generate_flows(0.5, seed, &hosts));
         sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
-        let r = run_once(EngineKind::Wheel, case, true);
+        let r = run_once(
+            EngineKind::Wheel,
+            (Scheme::Pase, class, intensity, seed),
+            true,
+        );
         assert!(r.blackholed > 0 && r.aborted_flows > 0, "case too tame");
         assert_eq!(r.trace_hash, *digest.lock().unwrap());
     }

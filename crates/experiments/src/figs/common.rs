@@ -1,10 +1,11 @@
 //! The row driver and the helpers every figure shares.
 //!
 //! A load-sweep or FCT-CDF figure is a [`Row`], which [`Row::run`]
-//! sweeps through [`sweep_grid`]. Every figure expresses its cases as a
-//! flat [`CasePlan`] and executes it through `workloads::exec`
-//! ([`sweep_grid`] for plain runs, [`grid`] with [`run_faulted`] cells
-//! for faulted ones); no figure hand-rolls case iteration. Results come
+//! sweeps through [`sweep_grid`]. Every figure but fig03 expresses its
+//! cases as lines × loads and runs them through [`sweep`] — plain runs
+//! through [`sweep_grid`], faulted ones with a `prepare` step — on
+//! `workloads::exec`, each case through `RunSpec::run_with` and its
+//! invariant audit; no figure hand-rolls case iteration. Results come
 //! back ordered by case index, so figure output is byte-identical at
 //! any `--jobs` value.
 
@@ -14,35 +15,6 @@ use workloads::{CasePlan, RunMetrics, RunSpec, Scenario, Scheme};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
-
-/// Run a `(label, scheme, variant)` × `loads` grid on `scenario` through
-/// the parallel engine: `cell` runs one case from its [`RunSpec`] and its
-/// entry's variant. One row of results per entry (row order = entry
-/// order, column order = load order).
-pub fn grid<V: Copy + Sync, R: Send>(
-    entries: &[(&str, Scheme, V)],
-    scenario: Scenario,
-    loads: &[f64],
-    opts: &ExpOpts,
-    cell: impl Fn(&RunSpec, V) -> R + Sync,
-) -> Vec<Vec<R>> {
-    let plan = CasePlan::new(
-        entries
-            .iter()
-            .flat_map(|&(_, scheme, variant)| {
-                loads
-                    .iter()
-                    .map(move |&load| (RunSpec::new(scheme, scenario, load, opts.seed), variant))
-            })
-            .collect::<Vec<_>>(),
-    );
-    let cells = plan.execute(opts.jobs, |(spec, variant)| cell(spec, *variant));
-    let mut cells = cells.into_iter();
-    entries
-        .iter()
-        .map(|_| cells.by_ref().take(loads.len()).collect())
-        .collect()
-}
 
 /// One series of a load sweep: its legend label, the scheme it runs and
 /// the scenario it runs on.
@@ -68,48 +40,54 @@ pub fn lines_on(scenario: Scenario, entries: &[(&str, Scheme)]) -> Vec<Line> {
         .collect()
 }
 
-/// Every line at every load, as plain runs through the parallel engine:
-/// one row of [`RunMetrics`] per line (row order = line order, column
-/// order = load order). Every truncated cell is noted on each of `figs`,
-/// so no table built from the rows can average a run the backstop cut
-/// short without [`hit_backstop`] seeing it.
+/// Every line at every load through the parallel engine: the case of
+/// line `i` runs [`RunSpec::run_with`] under `prepare(i, …)` — inject a
+/// fault plan, switch on health-aware routing, add a flash crowd — and
+/// `read` turns the finished run into the cell. One row per line (row
+/// order = line order, column order = load order). Every untrustworthy
+/// cell — truncated by its backstop or in breach of an invariant — is
+/// noted on each of `figs`, so no table built from the rows can use it
+/// without [`hit_backstop`] seeing it.
+pub fn sweep<R: Send>(
+    figs: &mut [&mut FigResult],
+    lines: &[Line],
+    loads: &[f64],
+    opts: &ExpOpts,
+    prepare: impl Fn(usize, &mut Simulation, &[NodeId], &mut Vec<FlowSpec>) + Sync,
+    read: impl Fn(RunMetrics, Simulation) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let cases = lines.iter().enumerate().flat_map(|(i, line)| {
+        let spec = |&load| RunSpec::new(line.scheme, line.scenario, load, opts.seed);
+        loads.iter().map(move |load| (i, spec(load)))
+    });
+    let cells = CasePlan::new(cases.collect()).execute(opts.jobs, |&(i, spec)| {
+        let (m, sim) = spec.run_with(|sim, hosts, flows| prepare(i, sim, hosts, flows));
+        (backstop_warning(&spec, &m), read(m, sim))
+    });
+    let mut cells = cells.into_iter();
+    let mut noted = |label: &str| {
+        let (warning, cell) = cells.next().expect("one result per case");
+        if let Some(w) = warning {
+            for fig in figs.iter_mut() {
+                fig.note(format!("{BACKSTOP_WARNING}{label}: {w}"));
+            }
+        }
+        cell
+    };
+    lines
+        .iter()
+        .map(|line| loads.iter().map(|_| noted(&line.label)).collect())
+        .collect()
+}
+
+/// [`sweep`] of plain runs: one row of [`RunMetrics`] per line.
 pub fn sweep_grid(
     figs: &mut [&mut FigResult],
     lines: &[Line],
     loads: &[f64],
     opts: &ExpOpts,
 ) -> Vec<Vec<RunMetrics>> {
-    let specs = lines.iter().map(|line| {
-        loads
-            .iter()
-            .map(|&load| RunSpec::new(line.scheme, line.scenario, load, opts.seed))
-            .collect()
-    });
-    run_rows(figs, lines, specs.collect(), opts.jobs)
-}
-
-/// [`sweep_grid`] from its specs, one row per line.
-fn run_rows(
-    figs: &mut [&mut FigResult],
-    lines: &[Line],
-    specs: Vec<Vec<RunSpec>>,
-    jobs: usize,
-) -> Vec<Vec<RunMetrics>> {
-    let mut cells = CasePlan::new(specs.concat())
-        .execute(jobs, RunSpec::run)
-        .into_iter();
-    let mut noted = |label: &str, spec: &RunSpec| {
-        let m = cells.next().expect("one result per spec");
-        if let Some(w) = backstop_warning(spec, &m) {
-            for fig in figs.iter_mut() {
-                fig.note(format!("{BACKSTOP_WARNING}{label}: {w}"));
-            }
-        }
-        m
-    };
-    let rows = lines.iter().zip(&specs);
-    rows.map(|(line, row)| row.iter().map(|spec| noted(&line.label, spec)).collect())
-        .collect()
+    sweep(figs, lines, loads, opts, |_, _, _, _| {}, |m, _| m)
 }
 
 /// One load-sweep or FCT-CDF figure, declared as data: a registry row
@@ -170,28 +148,12 @@ pub fn opts_loads(opts: &ExpOpts) -> Vec<f64> {
     opts.loads.clone()
 }
 
-/// One cell of a faulted figure: [`RunSpec::run_with`] under `prepare` —
-/// inject a fault plan, switch on health-aware routing, add a flash crowd
-/// — which every flow must survive.
-pub fn run_faulted(
-    spec: &RunSpec,
-    prepare: impl FnOnce(&mut Simulation, &[NodeId], &mut Vec<FlowSpec>),
-) -> (RunMetrics, Simulation) {
-    let (m, sim) = spec.run_with(prepare);
-    assert_eq!(
-        m.outcome,
-        RunOutcome::MeasuredComplete,
-        "{} must complete despite its faults",
-        spec.describe()
-    );
-    (m, sim)
-}
-
-/// How a truncated cell's note starts.
+/// How an untrustworthy cell's note starts.
 const BACKSTOP_WARNING: &str = "WARNING: ";
 
 /// Whether any cell of `fig` was computed from a run its `TimeLimit` /
-/// `EventLimit` backstop truncated.
+/// `EventLimit` backstop truncated or that broke an invariant: the gate
+/// `run_all` exits 1 on.
 pub fn hit_backstop(fig: &FigResult) -> bool {
     fig.notes.iter().any(|n| n.starts_with(BACKSTOP_WARNING))
 }
@@ -295,8 +257,10 @@ mod tests {
 
     #[test]
     fn truncated_cells_are_noted() {
-        // fig11 shape: one sweep feeding two tables. A zero backstop
-        // forges a truncated cell on the path sweep_grid runs.
+        // fig11 shape: one sweep feeding two tables. A measured flow that
+        // starts after the 120 s backstop forges a truncated cell on the
+        // path every figure runs; with no background flows the clock
+        // jumps straight to the backstop once the others finish.
         let mut fig_a = FigResult::new("a", "a", "x", "y", vec![30.0]);
         let mut fig_b = FigResult::new("b", "b", "x", "y", vec![30.0]);
         let opts = ExpOpts {
@@ -304,13 +268,18 @@ mod tests {
             jobs: 1,
             ..ExpOpts::quick()
         };
-        let scenario = workloads::Scenario::all_to_all_intra(5, opts.flows);
-        let spec = RunSpec {
-            backstop_s: 0,
-            ..RunSpec::new(Scheme::Dctcp, scenario, 0.3, opts.seed)
+        let scenario = workloads::Scenario {
+            n_background: 0,
+            ..workloads::Scenario::all_to_all_intra(5, opts.flows)
         };
         let lines = lines_on(scenario, &[("DCTCP", Scheme::Dctcp)]);
-        let rows = run_rows(&mut [&mut fig_a, &mut fig_b], &lines, vec![vec![spec]], 1);
+        let late = |_: usize, _: &mut Simulation, hosts: &[NodeId], flows: &mut Vec<FlowSpec>| {
+            let id = FlowId(flows.len() as u64);
+            let at = SimTime::from_secs(200);
+            flows.push(FlowSpec::new(id, hosts[0], hosts[1], 1000, at));
+        };
+        let figs = &mut [&mut fig_a, &mut fig_b];
+        let rows = sweep(figs, &lines, &[0.3], &opts, late, |m, _| m);
         assert_eq!(rows[0][0].outcome, RunOutcome::TimeLimit);
         for fig in [&fig_a, &fig_b] {
             assert_eq!(fig.notes.len(), 1);
@@ -324,5 +293,35 @@ mod tests {
         fig_a.notes.clear();
         fig_a.note("paper shape: a note that merely mentions a WARNING: is not one");
         assert!(!hit_backstop(&fig_a));
+    }
+
+    #[test]
+    fn violating_cells_are_noted() {
+        // A data packet the ledger never saw sent, delivered straight to
+        // a host: delivered then exceeds injected, which breaks the data
+        // conservation law in a run that otherwise completes cleanly.
+        let opts = ExpOpts {
+            flows: 10,
+            jobs: 1,
+            ..ExpOpts::quick()
+        };
+        let scenario = workloads::Scenario::all_to_all_intra(5, opts.flows);
+        let lines = lines_on(scenario, &[("DCTCP", Scheme::Dctcp)]);
+        let mut fig = FigResult::new("v", "v", "x", "y", vec![30.0]);
+        let forge = |_: usize, sim: &mut Simulation, hosts: &[NodeId], _: &mut Vec<FlowSpec>| {
+            let pkt = Packet::data(FlowId(1_000_000), hosts[0], hosts[1], 0, 1000);
+            let at = SimTime::from_micros(1);
+            sim.scheduler_mut().schedule_deliver(at, hosts[1], pkt);
+        };
+        let rows = sweep(&mut [&mut fig], &lines, &[0.3], &opts, forge, |m, _| m);
+        assert_eq!(rows[0][0].outcome, RunOutcome::MeasuredComplete);
+        assert_eq!(fig.notes.len(), 1, "{:?}", fig.notes);
+        let note = &fig.notes[0];
+        assert!(
+            note.contains("DCTCP: invariants violated by DCTCP"),
+            "{note}"
+        );
+        assert!(note.contains("conservation"), "{note}");
+        assert!(hit_backstop(&fig));
     }
 }

@@ -16,7 +16,7 @@
 use netsim::prelude::*;
 use workloads::{Scenario, Scheme};
 
-use crate::figs::common::{grid, run_faulted};
+use crate::figs::common::{lines_on, sweep, Line};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -79,12 +79,17 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         ("DCTCP", Scheme::Dctcp, None),
         ("DCTCP outage", Scheme::Dctcp, Some(outage)),
     ];
-    let afcts = grid(&cases, scenario, &loads, opts, |spec, outage| {
-        let (m, _) = run_faulted(spec, |sim, _, _| inject_outage(outage, sim));
-        m.afct_ms
-    });
-    for (&(name, _, _), row) in cases.iter().zip(afcts) {
-        fig.push_series(name, row);
+    let lines = lines_on(scenario, &cases.map(|(name, scheme, _)| (name, scheme)));
+    let afcts = sweep(
+        &mut [&mut fig],
+        &lines,
+        &loads,
+        opts,
+        |i, sim, _, _| inject_outage(cases[i].2, sim),
+        |m, _| m.afct_ms,
+    );
+    for (line, row) in lines.into_iter().zip(afcts) {
+        fig.push_series(line.label, row);
     }
     fig.note(format!(
         "arbitrators crash at {crash}; the outage variant restarts them at {restart} \
@@ -157,22 +162,31 @@ pub fn run_link_flap(opts: &ExpOpts) -> FigResult {
         periods_ms.iter().map(|&p| p as f64).collect(),
     );
     let schemes = [Scheme::Pase, Scheme::Dctcp];
-    // One case per (scheme, period) plus a healthy baseline per scheme.
-    let cases: Vec<(&str, Scheme, Option<u64>)> = schemes
+    // One line per (scheme, period) plus a healthy baseline per scheme.
+    let cases: Vec<(Scheme, Option<u64>)> = schemes
         .iter()
         .flat_map(|&scheme| {
             let periods = periods_ms.iter().map(|&p| Some(p));
-            periods
-                .chain([None])
-                .map(move |p| (scheme.name(), scheme, p))
+            periods.chain([None]).map(move |p| (scheme, p))
         })
         .collect();
-    let afcts = grid(&cases, scenario, &[load], opts, |spec, period_ms| {
-        let (m, _) = run_faulted(spec, |sim, hosts, _| {
-            if let Some(p) = period_ms {
-                inject_flaps(sim, hosts, (first, SimDuration::from_millis(p), window));
-            }
-        });
+    let lines: Vec<Line> = cases
+        .iter()
+        .map(|&(scheme, period_ms)| Line {
+            label: match period_ms {
+                Some(p) => format!("{} {p} ms flaps", scheme.name()),
+                None => format!("{} no-fault", scheme.name()),
+            },
+            scheme,
+            scenario,
+        })
+        .collect();
+    let flap = |i: usize, sim: &mut Simulation, hosts: &[NodeId], _: &mut Vec<FlowSpec>| {
+        if let Some(p) = cases[i].1 {
+            inject_flaps(sim, hosts, (first, SimDuration::from_millis(p), window));
+        }
+    };
+    let afcts = sweep(&mut [&mut fig], &lines, &[load], opts, flap, |m, _| {
         m.afct_ms
     })
     .concat();

@@ -8,7 +8,8 @@
 //! designs stall on timeouts, ECN/arbitration designs absorb the wave.
 
 use netsim::prelude::*;
-use workloads::{CasePlan, Scheme, TopologySpec};
+use workloads::runner::backstop_warning;
+use workloads::{CasePlan, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
@@ -18,27 +19,38 @@ const BLOCK: u64 = 64_000;
 
 /// One incast wave of `fan_in` senders; returns (completion ms, loss).
 fn run_wave(scheme: Scheme, fan_in: usize) -> (f64, f64) {
-    let topo = TopologySpec::intra_rack(fan_in + 1);
-    let (mut sim, hosts) = scheme.build_sim(&topo);
-    let receiver = hosts[fan_in];
-    for (i, &h) in hosts.iter().take(fan_in).enumerate() {
-        sim.add_flow(FlowSpec::new(
-            FlowId(i as u64),
-            h,
-            receiver,
-            BLOCK,
-            SimTime::ZERO,
-        ));
+    // The scenario generates no flows of its own: the wave is added by
+    // hand, every sender starting at t = 0.
+    let scenario = Scenario {
+        name: "incast-wave",
+        topo: TopologySpec::intra_rack(fan_in + 1),
+        pattern: Pattern::Incast { server: fan_in },
+        sizes: SizeDist::Fixed(BLOCK),
+        deadlines: None,
+        n_background: 0,
+        n_flows: 0,
+    };
+    let spec = RunSpec {
+        backstop_s: 30,
+        ..RunSpec::new(scheme, scenario, 1.0, 1)
+    };
+    let (m, sim) = spec.run_with(|_, hosts, flows| {
+        let receiver = hosts[fan_in];
+        for (i, &h) in hosts.iter().take(fan_in).enumerate() {
+            let id = FlowId(i as u64);
+            flows.push(FlowSpec::new(id, h, receiver, BLOCK, SimTime::ZERO));
+        }
+    });
+    if let Some(w) = backstop_warning(&spec, &m) {
+        panic!("{w}");
     }
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
-    assert_eq!(outcome, RunOutcome::MeasuredComplete, "{}", scheme.name());
     let last_done = sim
         .stats()
         .flows()
         .map(|r| r.completed.expect("completed"))
         .max()
         .expect("flows exist");
-    (last_done.as_millis_f64(), sim.stats().data_loss_rate())
+    (last_done.as_millis_f64(), m.loss_rate)
 }
 
 /// Regenerate the incast extension table.

@@ -22,16 +22,16 @@
 //!   (delegation subsumes pruning for aggregation–core requests, so the
 //!   sweep isolates the pruning knob the paper's §3.1.2 tunes).
 //!
-//! Metrics for the big runs stream through the GK quantile sketch
-//! ([`MetricsMode::Sketch`]) so the collector stays O(active flows) —
-//! exactly the path the scale refactor added.
+//! The big runs report their median and p99 from the GK quantile sketch
+//! ([`MetricsMode::Sketch`]), the path the scale refactor added.
 
 use netsim::prelude::*;
 use netsim::topology::NodeKind;
 use netsim::trace::HashTracer;
 use pase::tree::{Level, TreeInfo};
+use workloads::runner::backstop_warning;
 use workloads::{
-    collect_with, CasePlan, MetricsMode, Pattern, RunMetrics, Scenario, Scheme, SizeDist,
+    collect_with, CasePlan, MetricsMode, Pattern, RunMetrics, RunSpec, Scenario, Scheme, SizeDist,
     TopologySpec,
 };
 
@@ -113,37 +113,27 @@ fn scale_scenario(k: usize, n_flows: usize) -> Scenario {
     }
 }
 
-/// Build, (optionally) trace, run and audit one case on the fat-tree.
+/// Run one case on the fat-tree, (optionally) traced; it must complete
+/// with its invariants intact.
 fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> RunOut {
-    let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
-    sim.enable_invariants(InvariantConfig::default());
-    let digest = traced.then(|| {
-        let tracer = HashTracer::new();
-        let handle = tracer.digest();
-        sim.set_tracer(Box::new(tracer));
-        handle
+    let spec = RunSpec::new(scheme, *scenario, LOAD, seed);
+    let mut digest = None;
+    let (m, sim) = spec.run_with(|sim, _, _| {
+        if traced {
+            let tracer = HashTracer::new();
+            digest = Some(tracer.digest());
+            sim.set_tracer(Box::new(tracer));
+        }
     });
-    sim.add_flows(scenario.generate_flows(LOAD, seed, &hosts));
-    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
-    assert_eq!(
-        outcome,
-        RunOutcome::MeasuredComplete,
-        "{} must complete the scale run",
-        scheme.name()
-    );
-    let report = sim.check_invariants();
-    assert!(
-        report.is_clean(),
-        "{} scale run violated invariants:\n{report}",
-        scheme.name()
-    );
+    if let Some(w) = backstop_warning(&spec, &m) {
+        panic!("{} scale run: {w}", scheme.name());
+    }
     let tiers = TierLoad::measure(&sim);
     let sim_secs = sim.now().as_nanos() as f64 / 1e9;
     let pruned: u64 = sim.stats().arb_pruned_by_node().map(|(_, n)| n).sum();
     let climbed: u64 = sim.stats().arb_climbed_by_node().map(|(_, n)| n).sum();
-    // The big runs stream their FCTs through the quantile sketch so the
-    // collector never materializes a per-flow vector.
-    let metrics = collect_with(&sim, outcome, MetricsMode::Sketch);
+    // The big runs report their percentiles from the quantile sketch.
+    let metrics = collect_with(&sim, m.outcome, MetricsMode::Sketch);
     RunOut {
         metrics,
         tiers,

@@ -2,7 +2,7 @@
 //!
 //! The chaos harness ([`crate::chaos`]) throws randomized fault schedules
 //! at the simulator; this module is the oracle that says whether the run
-//! stayed sane. Five invariants are checked:
+//! stayed sane. Four invariants are checked:
 //!
 //! 1. **Conservation, once per [`Plane`].** Every data packet injected
 //!    and every control message sent is accounted for exactly once: by
@@ -23,12 +23,10 @@
 //!    ended in the terminal `Aborted` state count as complete — an
 //!    endpoint crash with a recorded abort reason is a legitimate
 //!    terminal outcome, not a stuck flow.
-//! 3. **Monotonic event time.** The clock never runs backwards while
-//!    processing events (checked online, every event).
-//! 4. **Bounded queues.** No port's queue occupancy ever exceeds a
+//! 3. **Bounded queues.** No port's queue occupancy ever exceeds a
 //!    configured packet bound (checked online, periodically, and once at
 //!    the end).
-//! 5. **Arena balance.** Every outstanding packet box is held by a port
+//! 4. **Arena balance.** Every outstanding packet box is held by a port
 //!    or rides a pending `Deliver` event.
 //!
 //! Online checks run inside [`crate::sim::Simulation::run`] once
@@ -95,8 +93,6 @@ pub enum Invariant {
     Conservation(Plane),
     /// An incomplete flow with no pending means of progress.
     StuckFlow,
-    /// The event clock ran backwards.
-    MonotonicTime,
     /// A port queue exceeded the configured occupancy bound.
     QueueBound,
     /// Arena-outstanding packet count disagrees with the packets actually
@@ -110,7 +106,6 @@ impl core::fmt::Display for Invariant {
             Invariant::Conservation(Plane::Data) => "conservation",
             Invariant::Conservation(Plane::Ctrl) => "ctrl-conservation",
             Invariant::StuckFlow => "stuck-flow",
-            Invariant::MonotonicTime => "monotonic-time",
             Invariant::QueueBound => "queue-bound",
             Invariant::ArenaBalance => "arena-balance",
         };
@@ -173,7 +168,6 @@ impl core::fmt::Display for InvariantReport {
 #[derive(Debug)]
 pub(crate) struct InvariantMonitor {
     pub(crate) cfg: InvariantConfig,
-    last_event_time: SimTime,
     events_seen: u64,
     pub(crate) violations: Vec<Violation>,
 }
@@ -182,23 +176,15 @@ impl InvariantMonitor {
     pub(crate) fn new(cfg: InvariantConfig) -> InvariantMonitor {
         InvariantMonitor {
             cfg,
-            last_event_time: SimTime::ZERO,
             events_seen: 0,
             violations: Vec::new(),
         }
     }
 
-    /// Record one executed event; checks clock monotonicity and reports
-    /// whether the periodic queue scan is due.
-    pub(crate) fn on_event(&mut self, now: SimTime) -> bool {
-        if now < self.last_event_time {
-            self.violations.push(Violation {
-                at: now,
-                invariant: Invariant::MonotonicTime,
-                detail: format!("clock went backwards: {} -> {now}", self.last_event_time),
-            });
-        }
-        self.last_event_time = now;
+    /// Record one executed event; reports whether the periodic queue scan
+    /// is due. (The clock cannot run backwards: the scheduler panics on
+    /// any event timestamped before `now`, in every build profile.)
+    pub(crate) fn on_event(&mut self) -> bool {
         self.events_seen += 1;
         self.events_seen
             .is_multiple_of(self.cfg.check_interval_events)
@@ -400,23 +386,12 @@ mod tests {
     }
 
     #[test]
-    fn monitor_flags_backwards_clock() {
-        let mut m = InvariantMonitor::new(InvariantConfig::default());
-        m.on_event(SimTime::from_micros(5));
-        m.on_event(SimTime::from_micros(3));
-        assert_eq!(m.violations.len(), 1);
-        assert_eq!(m.violations[0].invariant, Invariant::MonotonicTime);
-    }
-
-    #[test]
     fn monitor_scan_cadence() {
         let mut m = InvariantMonitor::new(InvariantConfig {
             max_queue_pkts: 10,
             check_interval_events: 4,
         });
-        let due: Vec<bool> = (0..8)
-            .map(|i| m.on_event(SimTime::from_micros(i)))
-            .collect();
+        let due: Vec<bool> = (0..8).map(|_| m.on_event()).collect();
         assert_eq!(
             due,
             vec![false, false, false, true, false, false, false, true]

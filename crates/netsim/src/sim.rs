@@ -235,9 +235,8 @@ impl Simulation {
             self.stats.events_executed += 1;
             self.stats.events_by_kind[kind.index()] += 1;
             if let Some(mon) = &mut self.invariants {
-                let now = self.sched.now();
-                if mon.on_event(now) {
-                    Self::scan_queues(&self.nodes, now, mon);
+                if mon.on_event() {
+                    Self::scan_queues(&self.nodes, self.sched.now(), mon);
                 }
             }
             let mut ctx = Ctx {
@@ -249,8 +248,8 @@ impl Simulation {
         }
     }
 
-    /// Turn on online invariant monitoring (clock monotonicity every
-    /// event, queue bounds periodically). Violations accumulate and are
+    /// Turn on online invariant monitoring (queue bounds, scanned every
+    /// `cfg.check_interval_events` events). Violations accumulate and are
     /// returned by [`Simulation::check_invariants`].
     pub fn enable_invariants(&mut self, cfg: InvariantConfig) {
         self.invariants = Some(InvariantMonitor::new(cfg));

@@ -82,10 +82,6 @@ pub struct TxEngine {
     /// The retransmission timer: one queued event however often an ACK
     /// pushes the deadline back.
     rto: SupersedingTimer,
-    /// A hold point: the engine will not send *new* data at or beyond this
-    /// sequence until the frontier reaches it (used by PASE's queue-move
-    /// reordering guard). `None` means no hold.
-    hold_at: Option<u64>,
     /// Loss event raised by ack/timer processing, consumed by the agent via
     /// [`TxEngine::take_loss_event`].
     pending_loss: Option<LossEvent>,
@@ -136,7 +132,6 @@ impl TxEngine {
             karn_until: 0,
             timer_restart: false,
             rto: SupersedingTimer::new(flow, slot::RTO),
-            hold_at: None,
             pending_loss: None,
             consecutive_rtos: 0,
             max_consecutive_rtos: DEFAULT_MAX_CONSECUTIVE_RTOS,
@@ -192,24 +187,6 @@ impl TxEngine {
         self.snd_nxt
     }
 
-    /// Install a hold point at the current send frontier: no new data will
-    /// be sent until everything outstanding is acknowledged. PASE uses this
-    /// when a flow moves to a higher-priority queue so old-priority packets
-    /// drain first (paper §3.2, packet reordering).
-    pub fn hold_until_drained(&mut self) {
-        if self.flight_bytes() > 0 {
-            self.hold_at = Some(self.snd_nxt);
-        }
-    }
-
-    /// Whether a hold point is currently blocking new data.
-    pub fn is_held(&self) -> bool {
-        match self.hold_at {
-            Some(h) => self.cum_ack < h,
-            None => false,
-        }
-    }
-
     /// Process a cumulative acknowledgment `ack_seq` (the receiver's next
     /// expected byte). Returns what the ACK meant; on the third duplicate
     /// the engine schedules a fast retransmit internally and reports it via
@@ -224,12 +201,6 @@ impl TxEngine {
                 // Receiver knows more than we sent? Impossible unless the
                 // counterpart acknowledged a retransmitted tail; clamp.
                 self.snd_nxt = ack_seq;
-            }
-            // Clear the hold point once the frontier reaches it.
-            if let Some(h) = self.hold_at {
-                if self.cum_ack >= h {
-                    self.hold_at = None;
-                }
             }
             // Exit recovery when the loss window is fully acknowledged;
             // NewReno partial ack: retransmit the next hole.
@@ -368,7 +339,7 @@ impl TxEngine {
         if self.rtx_head.is_some() {
             return true;
         }
-        if self.snd_nxt >= self.size || self.is_held() {
+        if self.snd_nxt >= self.size {
             return false;
         }
         self.flight_pkts() < window_pkts

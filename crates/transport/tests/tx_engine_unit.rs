@@ -1,6 +1,6 @@
 //! White-box tests of [`transport::TxEngine`]'s ACK processing, fast
-//! retransmit, recovery, timers and the reordering hold, using a minimal
-//! hand-built [`AgentCtx`] harness (no network).
+//! retransmit, recovery and timers, using a minimal hand-built
+//! [`AgentCtx`] harness (no network).
 
 use netsim::engine::{Ctx, Scheduler};
 use netsim::event::EventKind;
@@ -273,22 +273,6 @@ fn deferrals_count_against_the_give_up_budget() {
     }
     assert!(h.engine.gave_up());
     assert_eq!(h.pop_timer(), None, "no re-arm after give-up");
-}
-
-#[test]
-fn hold_blocks_new_data_until_drained() {
-    let mut h = Harness::new(100_000, 4.0);
-    h.pump();
-    h.engine.hold_until_drained();
-    assert!(h.engine.is_held());
-    assert_eq!(h.pump(), 0, "held engines send nothing new");
-    // Partial progress does not release the hold...
-    h.ack(1000);
-    assert!(h.engine.is_held());
-    // ...full drain does.
-    h.ack(4000);
-    assert!(!h.engine.is_held());
-    assert!(h.pump() > 0);
 }
 
 #[test]

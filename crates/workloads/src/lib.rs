@@ -24,7 +24,7 @@ pub mod topologies;
 pub use exec::{default_jobs, read_peak_rss, run_cases, CasePlan};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
 pub use metrics::{
-    collect, collect_with, events_by_kind_line, fct_cdf, percentile, MetricsMode, QuantileSketch,
+    collect, collect_with, events_by_kind_line, percentile, MetricsMode, QuantileSketch,
     RunMetrics, SKETCH_EPSILON,
 };
 pub use runner::RunSpec;

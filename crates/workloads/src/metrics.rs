@@ -11,6 +11,7 @@
 
 use netsim::engine::WheelStats;
 use netsim::event::EventKind;
+use netsim::invariants::InvariantReport;
 use netsim::sim::{RunOutcome, Simulation};
 
 /// How [`collect_with`] aggregates per-flow completion times.
@@ -22,9 +23,9 @@ pub enum MetricsMode {
     #[default]
     Exact,
     /// Stream FCTs into a [`QuantileSketch`] (ε = [`SKETCH_EPSILON`]).
-    /// `fcts_ms` stays empty (so [`fct_cdf`] yields no points), AFCT is
-    /// exact (running sum), and `median_ms`/`p99_ms` carry the sketch's
-    /// rank-error guarantee instead of exact order statistics.
+    /// `fcts_ms` stays empty, AFCT is exact (running sum), and
+    /// `median_ms`/`p99_ms` carry the sketch's rank-error guarantee
+    /// instead of exact order statistics.
     Sketch,
 }
 
@@ -229,6 +230,10 @@ pub struct RunMetrics {
     pub wheel: WheelStats,
     /// The busiest link's utilization over the run (switch ports only).
     pub max_link_utilization: f64,
+    /// The invariant oracle's audit of the run, recorded by
+    /// [`crate::RunSpec::run_with`] (which always audits); [`collect`]
+    /// alone does not audit and leaves it empty.
+    pub invariants: InvariantReport,
 }
 
 /// `Deliver 1234 (56.7 %), TxComplete ...`: one count and its share per
@@ -375,23 +380,8 @@ pub fn collect_with(sim: &Simulation, outcome: RunOutcome, mode: MetricsMode) ->
         wheel: sim.scheduler().wheel_stats(),
         max_link_utilization,
         fcts_ms,
+        invariants: InvariantReport::default(),
     }
-}
-
-/// An empirical CDF over FCTs: `(x_ms, fraction ≤ x)` points.
-pub fn fct_cdf(metrics: &RunMetrics, points: usize) -> Vec<(f64, f64)> {
-    let n = metrics.fcts_ms.len();
-    if n == 0 {
-        return vec![];
-    }
-    let points = points.max(2);
-    (0..=points)
-        .map(|i| {
-            let frac = i as f64 / points as f64;
-            let idx = ((frac * (n - 1) as f64).round() as usize).min(n - 1);
-            (metrics.fcts_ms[idx], (idx + 1) as f64 / n as f64)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -501,43 +491,5 @@ mod tests {
         for w in qs.windows(2) {
             assert!(w[0] <= w[1], "non-monotone quantiles: {qs:?}");
         }
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let m = RunMetrics {
-            outcome: RunOutcome::MeasuredComplete,
-            n_completed: 4,
-            n_flows: 4,
-            fcts_ms: vec![1.0, 2.0, 3.0, 10.0],
-            afct_ms: 4.0,
-            median_ms: 2.5,
-            p99_ms: 9.8,
-            app_throughput: None,
-            loss_rate: 0.0,
-            ctrl_pkts: 0,
-            ctrl_bytes: 0,
-            ctrl_per_sec: 0.0,
-            ctrl_processed: 0,
-            ctrl_shed: 0,
-            fallback_entries_silent: 0,
-            fallback_entries_shed: 0,
-            fallback_exits: 0,
-            timeouts: 0,
-            retransmitted_bytes: 0,
-            probes: 0,
-            sim_seconds: 1.0,
-            events: 0,
-            events_by_kind: Default::default(),
-            timer_arms_superseded: 0,
-            wheel: WheelStats::default(),
-            max_link_utilization: 0.0,
-        };
-        let cdf = fct_cdf(&m, 10);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(cdf.last().unwrap().1, 1.0);
     }
 }

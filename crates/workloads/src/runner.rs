@@ -5,8 +5,10 @@
 //! multi-case work scales with the machine while producing output
 //! byte-identical to a sequential run.
 
+use netsim::engine::EngineKind;
 use netsim::flow::FlowSpec;
 use netsim::ids::NodeId;
+use netsim::invariants::InvariantConfig;
 use netsim::sim::{RunLimit, RunOutcome, Simulation};
 use netsim::time::SimTime;
 
@@ -28,6 +30,9 @@ pub struct RunSpec {
     /// Wall-clock backstop in simulated seconds (runs also stop when all
     /// measured flows finish).
     pub backstop_s: u64,
+    /// The scheduler engine: the timing wheel, or the reference heap the
+    /// wheel is held to case for case (`engine_diff`).
+    pub engine: EngineKind,
 }
 
 impl RunSpec {
@@ -39,13 +44,14 @@ impl RunSpec {
             load,
             seed,
             backstop_s: 120,
+            engine: EngineKind::Wheel,
         }
     }
 
-    /// Execute the run and collect metrics. The run's [`RunOutcome`] is
-    /// recorded in [`RunMetrics::outcome`]; a `TimeLimit` there means
-    /// the backstop truncated the FCT population (sweeps surface this —
-    /// see [`backstop_warning`]).
+    /// Execute the run and collect metrics. The run's [`RunOutcome`] and
+    /// its invariant audit are recorded in [`RunMetrics::outcome`] and
+    /// [`RunMetrics::invariants`]; sweeps surface a truncated or violating
+    /// run through [`backstop_warning`].
     pub fn run(&self) -> RunMetrics {
         self.run_with(|_, _, _| {}).0
     }
@@ -53,20 +59,28 @@ impl RunSpec {
     /// [`RunSpec::run`] with a seam: `prepare` gets the built simulation,
     /// its hosts and the generated flow list before the flows are added —
     /// where a faulted run injects its plan, switches on health-aware
-    /// routing or adds a flash crowd. The finished simulation comes back
-    /// too, for counters [`RunMetrics`] does not carry.
+    /// routing, adds a flash crowd or installs a tracer. The finished
+    /// simulation comes back too, for counters [`RunMetrics`] does not
+    /// carry.
+    ///
+    /// This is the one path every experiment case runs: the invariant
+    /// monitor is always on, and [`Simulation::check_invariants`] is
+    /// always recorded.
     pub fn run_with(
         &self,
         prepare: impl FnOnce(&mut Simulation, &[NodeId], &mut Vec<FlowSpec>),
     ) -> (RunMetrics, Simulation) {
-        let (mut sim, hosts) = self.scheme.build_sim(&self.scenario.topo);
+        let (mut sim, hosts) = self.scheme.build_sim_on(self.engine, &self.scenario.topo);
+        sim.enable_invariants(InvariantConfig::default());
         let mut flows = self.scenario.generate_flows(self.load, self.seed, &hosts);
         prepare(&mut sim, &hosts, &mut flows);
         sim.add_flows(flows);
         let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(
             self.backstop_s,
         )));
-        (collect(&sim, outcome), sim)
+        let mut m = collect(&sim, outcome);
+        m.invariants = sim.check_invariants();
+        (m, sim)
     }
 
     /// One-line description of the case for diagnostics.
@@ -81,21 +95,38 @@ impl RunSpec {
     }
 }
 
-/// The warning line for a truncated run, or `None` when the run ended
-/// normally. Sweeps print/record this per affected case instead of
-/// silently averaging a truncated FCT population.
+/// The warning line for a run whose numbers cannot be trusted — its
+/// backstop truncated the FCT population, or it broke an invariant — or
+/// `None` for a clean run. Every caller of [`RunSpec::run_with`] acts on
+/// this one line: sweeps note it per affected case instead of silently
+/// averaging the run, the scale harnesses assert on it, chaos counts it
+/// as a violation and `pase-sim` exits non-zero on it.
 pub fn backstop_warning(spec: &RunSpec, m: &RunMetrics) -> Option<String> {
-    if m.outcome == RunOutcome::MeasuredComplete {
-        return None;
-    }
-    Some(format!(
-        "backstop hit ({:?} after {}s): {} finished only {}/{} measured flows",
-        m.outcome,
-        spec.backstop_s,
-        spec.describe(),
-        m.n_completed,
-        m.n_flows
-    ))
+    let truncated = (m.outcome != RunOutcome::MeasuredComplete).then(|| {
+        format!(
+            "backstop hit ({:?} after {}s): {} finished only {}/{} measured flows",
+            m.outcome,
+            spec.backstop_s,
+            spec.describe(),
+            m.n_completed,
+            m.n_flows
+        )
+    });
+    let violated = (!m.invariants.is_clean()).then(|| {
+        let found: Vec<String> = m
+            .invariants
+            .violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        format!(
+            "invariants violated by {}: {}",
+            spec.describe(),
+            found.join("; ")
+        )
+    });
+    let parts: Vec<String> = truncated.into_iter().chain(violated).collect();
+    (!parts.is_empty()).then(|| parts.join("; "))
 }
 
 #[cfg(test)]
@@ -109,6 +140,7 @@ mod tests {
         let m = spec.run();
         assert_eq!(m.n_completed, 30);
         assert_eq!(m.outcome, RunOutcome::MeasuredComplete);
+        assert!(m.invariants.is_clean(), "{}", m.invariants);
         assert!(m.afct_ms > 0.0 && m.afct_ms.is_finite());
         assert!(m.p99_ms >= m.median_ms);
         assert!(m.sim_seconds > 0.0);

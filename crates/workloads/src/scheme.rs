@@ -96,9 +96,9 @@ impl Scheme {
         self.build_sim_on(EngineKind::Wheel, topo)
     }
 
-    /// [`Scheme::build_sim`] on an explicit scheduler engine, for the
-    /// heap-vs-wheel differential.
-    pub fn build_sim_on(
+    /// [`Scheme::build_sim`] on an explicit scheduler engine: the one
+    /// place [`crate::RunSpec::engine`] takes effect.
+    pub(crate) fn build_sim_on(
         &self,
         engine: EngineKind,
         topo: &TopologySpec,

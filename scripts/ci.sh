@@ -60,9 +60,11 @@ echo "== scheduler differential (heap vs wheel, 8 seeds, quick, ${JOBS:-2} jobs)
 
 # Figure sweep: every registry figure at the quick profile, from a temp
 # dir so nothing lands in the repo; run_all exits non-zero if a cell came
-# from a truncated run. Every JSON file must match its line in the
-# committed scripts/figs_ci.digest (`sha256sum` output, one line per
-# file, byte-sorted), and the files written must be exactly the files
+# from a truncated run or from one that violated an invariant (every
+# case but fig03's toy runs under the invariant oracle). Every JSON file
+# must match its line in the committed scripts/figs_ci.digest
+# (`sha256sum` output, one line per file, byte-sorted), and the files
+# written must be exactly the files
 # listed — the one pin on every scheme's figure cells (PDQ, pFabric, TCP,
 # D2TCP and L2DCT run nowhere else in this gate). A mismatch names the
 # figure that moved. Byte-identical at any --jobs. A change that means to

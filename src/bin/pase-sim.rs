@@ -1,5 +1,7 @@
 //! `pase-sim` — run any (transport, scenario, load) combination from the
-//! command line and print the metrics.
+//! command line and print the metrics. A run whose numbers cannot be
+//! trusted — truncated by its backstop, or in breach of an invariant —
+//! prints the runner's warning on stderr and exits 1.
 //!
 //! ```sh
 //! pase-sim --scheme pase --scenario left-right --load 0.7 --flows 2000
@@ -8,6 +10,7 @@
 //! ```
 
 use pase_repro::workloads::cli::{self, Args};
+use pase_repro::workloads::runner::backstop_warning;
 use pase_repro::workloads::{events_by_kind_line, RunSpec, Scenario, Scheme};
 
 const USAGE: &str = "\
@@ -29,6 +32,9 @@ OPTIONS:
                          size (all-to-all), >= 2 [default: 20]
     --list               list schemes and scenarios, then exit
     --help               show this help
+
+Exits 1 (after the metrics, with a warning on stderr) when the backstop
+truncated the run or it broke a simulator invariant.
 ";
 
 const SCHEMES: [(&str, Scheme); 7] = [
@@ -121,7 +127,8 @@ fn main() {
         scenario.topo.n_hosts()
     );
     let started = std::time::Instant::now();
-    let m = RunSpec::new(scheme, scenario, load, seed).run();
+    let spec = RunSpec::new(scheme, scenario, load, seed);
+    let m = spec.run();
     let wall = started.elapsed().as_secs_f64();
 
     println!("flows completed   {} / {}", m.n_completed, m.n_flows);
@@ -164,6 +171,10 @@ fn main() {
         100.0 * w.filed_below_horizon as f64 / m.events.max(1) as f64,
         w.overflow_promoted
     );
+    if let Some(w) = backstop_warning(&spec, &m) {
+        eprintln!("warning: {w}");
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
