@@ -7,10 +7,11 @@
 
 use experiments::chaos::{replay_command, run_once, ChaosOpts};
 use netsim::engine::EngineKind;
+use workloads::run_cases;
 
 fn main() {
     let opts = ChaosOpts::from_env();
-    let pairs = opts.cases().execute(opts.jobs, |&case| {
+    let pairs = run_cases(&opts.cases(), opts.jobs, |&case| {
         [EngineKind::Heap, EngineKind::Wheel].map(|engine| run_once(engine, case, opts.quick))
     });
     let mut diverged = 0;

@@ -39,7 +39,7 @@ use netsim::prelude::*;
 use netsim::topology::NodeKind;
 use netsim::trace::{fnv1a, HashTracer, FNV1A_OFFSET};
 use workloads::runner::backstop_warning;
-use workloads::{cli, CasePlan, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::{cli, run_cases, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
 
 /// One cell of the sweep matrix; the seed drives both workload and fault
 /// schedule.
@@ -138,7 +138,7 @@ impl ChaosOpts {
 
     /// The sweep matrix in canonical case order: scheme → fault class →
     /// intensity → seed.
-    pub fn cases(&self) -> CasePlan<Case> {
+    pub fn cases(&self) -> Vec<Case> {
         let mut cases = Vec::new();
         for &scheme in &self.schemes {
             for &fault_class in &self.fault_classes {
@@ -149,7 +149,7 @@ impl ChaosOpts {
                 }
             }
         }
-        CasePlan::new(cases)
+        cases
     }
 }
 
@@ -558,11 +558,13 @@ pub fn replay_command(bin: &str, r: &CaseResult, quick: bool) -> String {
 /// count: results come back ordered by case index and reporting happens
 /// afterwards, in that order.
 pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
-    let out = opts
-        .cases()
-        .execute(opts.jobs, |&(scheme, fault_class, intensity, seed)| {
+    let out = run_cases(
+        &opts.cases(),
+        opts.jobs,
+        |&(scheme, fault_class, intensity, seed)| {
             run_case(scheme, intensity, fault_class, seed, opts.quick)
-        });
+        },
+    );
     for r in &out {
         if opts.verbose || !r.passed() {
             eprintln!(
@@ -693,7 +695,7 @@ mod tests {
             assert_eq!(o.jobs, 1, "replay pins single-threaded execution");
             assert!(o.verbose, "replay prints the per-case line");
             assert_eq!(
-                o.cases().cases(),
+                o.cases(),
                 [(Scheme::Pase, fault_class, ChaosIntensity::High, 17)]
             );
         }

@@ -10,8 +10,9 @@
 //! any `--jobs` value.
 
 use netsim::prelude::*;
+use netsim::topology::NodeKind;
 use workloads::runner::backstop_warning;
-use workloads::{CasePlan, RunMetrics, RunSpec, Scenario, Scheme};
+use workloads::{run_cases, RunMetrics, RunSpec, Scenario, Scheme};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
@@ -56,11 +57,15 @@ pub fn sweep<R: Send>(
     prepare: impl Fn(usize, &mut Simulation, &[NodeId], &mut Vec<FlowSpec>) + Sync,
     read: impl Fn(RunMetrics, Simulation) -> R + Sync,
 ) -> Vec<Vec<R>> {
-    let cases = lines.iter().enumerate().flat_map(|(i, line)| {
-        let spec = |&load| RunSpec::new(line.scheme, line.scenario, load, opts.seed);
-        loads.iter().map(move |load| (i, spec(load)))
-    });
-    let cells = CasePlan::new(cases.collect()).execute(opts.jobs, |&(i, spec)| {
+    let cases: Vec<_> = lines
+        .iter()
+        .enumerate()
+        .flat_map(|(i, line)| {
+            let spec = |&load| RunSpec::new(line.scheme, line.scenario, load, opts.seed);
+            loads.iter().map(move |load| (i, spec(load)))
+        })
+        .collect();
+    let cells = run_cases(&cases, opts.jobs, |&(i, spec)| {
         let (m, sim) = spec.run_with(|sim, hosts, flows| prepare(i, sim, hosts, flows));
         (backstop_warning(&spec, &m), read(m, sim))
     });
@@ -146,6 +151,15 @@ impl Row {
 /// The loads the options name: a [`Sweep::Loads`] that adds none.
 pub fn opts_loads(opts: &ExpOpts) -> Vec<f64> {
     opts.loads.clone()
+}
+
+/// The switches cabled to `node`, in port order: a ToR's or leaf's
+/// uplinks, where the fault tables aim their link faults.
+pub fn switch_peers(topo: &Topology, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    topo.neighbors(node)
+        .into_iter()
+        .map(|(_, peer, _, _)| peer)
+        .filter(|&peer| topo.kind(peer) == NodeKind::Switch)
 }
 
 /// How an untrustworthy cell's note starts.

@@ -16,7 +16,7 @@
 use netsim::prelude::*;
 use workloads::{Scenario, Scheme};
 
-use crate::figs::common::{lines_on, sweep, Line};
+use crate::figs::common::{lines_on, sweep, switch_peers, Line};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -116,13 +116,8 @@ fn inject_flaps(
 ) {
     let tor = sim.topo().host_tor(hosts[0]);
     // The ToR's single uplink is its unique switch neighbor.
-    let all_hosts = sim.topo().hosts();
-    let agg = sim
-        .topo()
-        .neighbors(tor)
-        .into_iter()
-        .map(|(_, peer, _, _)| peer)
-        .find(|peer| !all_hosts.contains(peer))
+    let agg = switch_peers(sim.topo(), tor)
+        .next()
         .expect("ToR must have an uplink");
     let mut plan = FaultPlan::new();
     let mut at = first;

@@ -13,7 +13,7 @@
 use netsim::prelude::*;
 use workloads::{Scenario, Scheme};
 
-use crate::figs::common::{lines_on, sweep};
+use crate::figs::common::{lines_on, sweep, switch_peers};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -39,13 +39,7 @@ fn inject_gray(gray: Option<GrayCase>, sim: &mut Simulation, hosts: &[NodeId]) {
         sim.enable_health_aware_routing();
     }
     let leaf = sim.topo().host_tor(hosts[0]);
-    let all_hosts = sim.topo().hosts();
-    let spine = sim
-        .topo()
-        .neighbors(leaf)
-        .into_iter()
-        .map(|(_, peer, _, _)| peer)
-        .filter(|peer| !all_hosts.contains(peer))
+    let spine = switch_peers(sim.topo(), leaf)
         .max()
         .expect("leaf must have spine uplinks");
     sim.inject_faults(

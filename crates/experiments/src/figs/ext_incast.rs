@@ -9,7 +9,7 @@
 
 use netsim::prelude::*;
 use workloads::runner::backstop_warning;
-use workloads::{CasePlan, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::{run_cases, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
@@ -68,13 +68,11 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         fan_ins.iter().map(|&n| n as f64).collect(),
     );
     let schemes = [Scheme::Pase, Scheme::Dctcp, Scheme::PFabric, Scheme::Tcp];
-    let plan = CasePlan::new(
-        schemes
-            .iter()
-            .flat_map(|&scheme| fan_ins.iter().map(move |&n| (scheme, n)))
-            .collect::<Vec<_>>(),
-    );
-    let waves = plan.execute(opts.jobs, |&(scheme, n)| run_wave(scheme, n));
+    let cases: Vec<_> = schemes
+        .iter()
+        .flat_map(|&scheme| fan_ins.iter().map(move |&n| (scheme, n)))
+        .collect();
+    let waves = run_cases(&cases, opts.jobs, |&(scheme, n)| run_wave(scheme, n));
     for (scheme, row) in schemes.iter().zip(waves.chunks(fan_ins.len())) {
         fig.push_series(scheme.name(), row.iter().map(|&(t, _)| t).collect());
         if *scheme == Scheme::PFabric || *scheme == Scheme::Tcp {

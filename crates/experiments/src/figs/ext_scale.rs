@@ -31,7 +31,7 @@ use netsim::trace::HashTracer;
 use pase::tree::{Level, TreeInfo};
 use workloads::runner::backstop_warning;
 use workloads::{
-    collect_with, CasePlan, MetricsMode, Pattern, RunMetrics, RunSpec, Scenario, Scheme, SizeDist,
+    collect_with, run_cases, MetricsMode, Pattern, RunMetrics, RunSpec, Scenario, Scheme, SizeDist,
     TopologySpec,
 };
 
@@ -220,8 +220,7 @@ pub fn run(opts: &ExpOpts) -> FigResult {
 
     // Pruning-effectiveness sweep: delegation off, depth varied.
     let sweep = scale_scenario(k, sweep_flows);
-    let plan = CasePlan::new(depths.clone());
-    let runs = plan.execute(opts.jobs, |&depth| {
+    let runs = run_cases(&depths, opts.jobs, |&depth| {
         let out = run_scale(pruning_scheme(&sweep.topo, depth), &sweep, opts.seed, false);
         (
             out.pruned,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use netsim::prelude::*;
 use pase::{install, pase_qdisc, PaseFactory};
 use pfabric::{PFabricFactory, PFabricQdisc};
-use workloads::{CasePlan, Scheme};
+use workloads::{run_cases, Scheme};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
@@ -106,8 +106,8 @@ fn run_toy(fabric: ToyFabric) -> (Vec<f64>, u64) {
 
 /// Regenerate Figure 3 (as per-flow FCTs under both fabrics).
 pub fn run(opts: &ExpOpts) -> FigResult {
-    let plan = CasePlan::new(vec![ToyFabric::PFabric, ToyFabric::Pase]);
-    let mut results = plan.execute(opts.jobs, |&fabric| run_toy(fabric));
+    let fabrics = [ToyFabric::PFabric, ToyFabric::Pase];
+    let mut results = run_cases(&fabrics, opts.jobs, |&fabric| run_toy(fabric));
     let (pase, pase_drops) = results.pop().expect("PASE case");
     let (pf, pf_drops) = results.pop().expect("pFabric case");
 

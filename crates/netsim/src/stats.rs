@@ -428,11 +428,6 @@ impl StatsCollector {
             .filter(|&(_, n)| n != 0)
     }
 
-    /// Number of aborted flows whose source was `host`.
-    pub fn aborts_on(&self, host: NodeId) -> u64 {
-        self.node(host).aborts
-    }
-
     /// Record a retransmission of `bytes` payload bytes.
     pub fn note_retransmit(&mut self, flow: FlowId, bytes: u64) {
         if let Some(rec) = self.flows.get_mut(&flow) {
@@ -545,11 +540,6 @@ impl StatsCollector {
         self.data_pkts_delivered += 1;
     }
 
-    /// Corrupted data packets discarded at `host`.
-    pub fn corrupted_on(&self, host: NodeId) -> u64 {
-        self.node(host).corrupted
-    }
-
     /// [`Fate::Processed`] at the arbitrator on `node`, without the
     /// packet.
     pub fn note_ctrl_processed(&mut self, node: NodeId) {
@@ -574,11 +564,6 @@ impl StatsCollector {
     /// up the hierarchy.
     pub fn note_arb_climbed(&mut self, node: NodeId) {
         self.node_mut(node).arb_climbed += 1;
-    }
-
-    /// Messages shed by the arbitrator on `node`.
-    pub fn ctrl_shed_on(&self, node: NodeId) -> u64 {
-        self.node(node).ctrl_shed
     }
 
     /// Per-arbitrator processed tallies: non-zero rows in node-id order.
@@ -736,8 +721,8 @@ mod tests {
         assert!(rec.aborted);
         assert_eq!(rec.abort_reason, Some(AbortReason::HostCrash));
         assert_eq!(rec.completed, Some(SimTime::from_millis(1)));
-        assert_eq!(st.aborts_on(NodeId(0)), 2, "both flows originate at n0");
-        assert_eq!(st.aborts_on(NodeId(1)), 0);
+        assert_eq!(st.node(NodeId(0)).aborts, 2, "both flows originate at n0");
+        assert_eq!(st.node(NodeId(1)).aborts, 0);
         assert!(st.all_measured_complete(), "aborts terminate the run");
     }
 
@@ -750,8 +735,8 @@ mod tests {
         charge(&mut st, &pkt, Fate::Corrupted, NodeId(1));
         assert_eq!(st.data_pkts_corrupted, 2);
         assert_eq!(st.data_pkts_dropped, 0, "corruption is not a queue drop");
-        assert_eq!(st.corrupted_on(NodeId(1)), 2);
-        assert_eq!(st.corrupted_on(NodeId(0)), 0);
+        assert_eq!(st.node(NodeId(1)).corrupted, 2);
+        assert_eq!(st.node(NodeId(0)).corrupted, 0);
         assert_eq!(st.flow(FlowId(0)).unwrap().drops, 2, "sender sees loss");
     }
 
@@ -768,8 +753,8 @@ mod tests {
         assert_eq!(st.ctrl_msgs_shed, 1);
         assert_eq!(st.node(NodeId(3)).ctrl_processed, 2);
         assert_eq!(st.node(NodeId(5)).ctrl_processed, 1);
-        assert_eq!(st.ctrl_shed_on(NodeId(3)), 1);
-        assert_eq!(st.ctrl_shed_on(NodeId(5)), 0);
+        assert_eq!(st.node(NodeId(3)).ctrl_shed, 1);
+        assert_eq!(st.node(NodeId(5)).ctrl_shed, 0);
         assert_eq!(st.node(NodeId(3)).ctrl_peak_epoch, 7, "peak, not last");
         assert_eq!(
             st.ctrl_processed_by_node().collect::<Vec<_>>(),
@@ -868,9 +853,6 @@ mod tests {
             for probe in model.keys().flat_map(|n| [*n, NodeId(n.0 + 1)]) {
                 let want = model.get(&probe).copied().unwrap_or_default();
                 assert_eq!(st.node(probe), want, "seed {seed} node {probe}");
-                assert_eq!(st.corrupted_on(probe), want.corrupted);
-                assert_eq!(st.aborts_on(probe), want.aborts);
-                assert_eq!(st.ctrl_shed_on(probe), want.ctrl_shed);
             }
         }
     }

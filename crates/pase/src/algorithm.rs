@@ -41,6 +41,20 @@ pub struct Decision {
     pub rate: Rate,
 }
 
+impl Decision {
+    /// The bottleneck rule (paper §3.1): a flow crossing several
+    /// arbitrated links takes the worst queue and the smallest rate any
+    /// of them assigned. Every arbitrator hop folds its decision into the
+    /// leg with it, and the sender merges its local and leg decisions
+    /// with it.
+    pub fn merge(self, other: Decision) -> Decision {
+        Decision {
+            queue: self.queue.max(other.queue),
+            rate: self.rate.min(other.rate),
+        }
+    }
+}
+
 /// A per-link arbitrator (Algorithm 1).
 #[derive(Debug)]
 pub struct LinkArbitrator {
@@ -203,6 +217,22 @@ mod tests {
 
     fn arb(capacity_mbps: u64) -> LinkArbitrator {
         LinkArbitrator::new(Rate::from_mbps(capacity_mbps), &PaseConfig::default())
+    }
+
+    #[test]
+    fn merge_takes_worst_queue_and_min_rate() {
+        let d = |queue, mbps| Decision {
+            queue,
+            rate: Rate::from_mbps(mbps),
+        };
+        let m = d(0, 1000).merge(d(2, 400));
+        assert_eq!(m, d(2, 400));
+        assert_eq!(
+            m.merge(d(1, 700)),
+            d(2, 400),
+            "queue only worsens, rate only shrinks"
+        );
+        assert_eq!(d(1, 700).merge(m), m, "order does not matter");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //!
 //! * **Arbitration** tells it a priority queue and a reference rate: the
 //!   local uplink decision is synchronous (same host); the sender- and
-//!   receiver-leg decisions arrive as control responses and are merged as
-//!   `queue = max`, `rate = min` (the bottleneck rules).
+//!   receiver-leg decisions arrive as control responses and are merged
+//!   by the bottleneck rule, [`Decision::merge`].
 //! * **Guided rate control** (Algorithm 2): top-queue flows set
 //!   `cwnd = Rref × RTT` instead of slow-starting; intermediate-queue
 //!   flows run DCTCP control laws; bottom-queue flows hold `cwnd = 1`.
-//!   A marked ACK always triggers the DCTCP decrease.
+//!   A marked ACK always triggers the DCTCP decrease. The whole law is
+//!   two functions of the queue: one for a queue change, one per ACK.
 //! * **Priority-aware loss recovery**: lower-queue flows answer timeouts
 //!   with header-only probes that distinguish "lost" from "parked behind
 //!   higher-priority traffic"; minimum RTOs are 10 ms (top queue) vs
@@ -60,8 +61,6 @@ pub struct PaseSender {
     /// matters only where the law grows the window: PASE-DCTCP mode
     /// (Fig. 13a), intermediate queues and fallback.
     win: DctcpWindow,
-    /// Algorithm 2's `isInterQueue` flag.
-    is_inter_queue: bool,
 
     // Reordering guard: while `Some(barrier)`, new data keeps the old
     // (lower) priority until everything sent before the promotion is
@@ -74,7 +73,6 @@ pub struct PaseSender {
     pace: Timer,
     /// The periodic arbitration refresh; eager.
     refresh: Timer,
-    started: bool,
     /// Control-channel health (graceful degradation, paper §3.1.3).
     health: ChannelHealth,
 }
@@ -83,10 +81,13 @@ impl PaseSender {
     /// Create a sender for `spec`.
     pub fn new(spec: &FlowSpec, cfg: PaseConfig) -> PaseSender {
         let rtt = RttEstimator::new(MIN_RTO_TOP, MAX_RTO);
+        // Algorithm 2 sets the window on every queue change from the
+        // lowest queue on; PASE-DCTCP starts at DCTCP's initial window.
+        let init_cwnd = if cfg.use_reference_rate { 1.0 } else { 2.0 };
         PaseSender {
             spec: spec.clone(),
             cfg,
-            engine: TxEngine::new(spec.id, spec.src, spec.dst, spec.size, MSS, 1.0, rtt),
+            engine: TxEngine::new(spec.id, spec.src, spec.dst, spec.size, MSS, init_cwnd, rtt),
             plan: ArbPlan {
                 sender_leg_to: None,
                 receiver_leg_to: None,
@@ -99,12 +100,10 @@ impl PaseSender {
             rref: cfg.base_rate(),
             tx_prio: cfg.lowest_queue(),
             win: DctcpWindow::new(DCTCP_G, f64::INFINITY),
-            is_inter_queue: false,
             reorder_barrier: None,
             recovery_probe: None,
             pace: Timer::new(slot::PACE),
             refresh: Timer::new(slot::REFRESH),
-            started: false,
             health: ChannelHealth::new(&cfg, SimTime::ZERO),
         }
     }
@@ -161,17 +160,13 @@ impl PaseSender {
         (bytes_per_rtt as f64 / (MSS as f64 + 40.0)).max(1.0)
     }
 
-    fn in_bottom_queue(&self) -> bool {
-        self.queue >= self.cfg.lowest_queue()
-    }
-
     /// Should data transmission be suppressed in favor of pacing probes?
     /// Never in fallback: with no arbitrator to promote us out of the
     /// bottom queue, probing instead of sending would stall forever.
     fn data_suppressed(&self) -> bool {
         !self.health.in_fallback()
             && self.cfg.probe_bottom_queue
-            && self.in_bottom_queue()
+            && band(&self.cfg, self.queue) == Band::Bottom
             && !self.spec.is_background()
             && self.cfg.end_to_end
     }
@@ -197,7 +192,6 @@ impl PaseSender {
         // sender leg are asked about the same flow state.
         let req = ArbRequest {
             flow: self.spec.id,
-            reply_to: self.spec.src,
             src: self.spec.src,
             dst: self.spec.dst,
             remaining: self.engine.remaining(),
@@ -209,8 +203,10 @@ impl PaseSender {
             task: self.spec.task,
             demand,
             leg: Leg::Receiver,
-            acc_queue: 0,
-            acc_rate: demand,
+            decision: Decision {
+                queue: 0,
+                rate: demand,
+            },
         };
         // The process and the stats it charges are borrowed side by side.
         let process = ctx.process.as_deref_mut();
@@ -239,7 +235,7 @@ impl PaseSender {
     }
 
     /// Merge the local and leg decisions into the effective queue/rate and
-    /// apply Algorithm 2's state transitions.
+    /// apply Algorithm 2's transition for the queue change.
     fn recompute_effective(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         if self.health.in_fallback() {
             // Fallback pins the flow to the lowest queue at base rate; the
@@ -256,15 +252,13 @@ impl PaseSender {
             Some(arb) => arb.leg_results(self.spec.id),
             None => Default::default(),
         };
-        let mut queue = self.local.queue;
-        let mut rref = self.local.rate;
-        for d in [legs.sender, legs.receiver].into_iter().flatten() {
-            queue = queue.max(d.queue);
-            rref = rref.min(d.rate);
-        }
+        let merged = [legs.sender, legs.receiver]
+            .into_iter()
+            .flatten()
+            .fold(self.local, Decision::merge);
         let old_queue = self.queue;
-        self.queue = queue.min(self.cfg.lowest_queue());
-        self.rref = rref;
+        self.queue = merged.queue.min(self.cfg.lowest_queue());
+        self.rref = merged.rate;
 
         if self.queue < old_queue && self.engine.flight_bytes() > 0 {
             // Promotion: keep sending at the old (lower) priority until
@@ -282,22 +276,10 @@ impl PaseSender {
             MIN_RTO_LOW
         };
         self.engine.rtt.set_min_rto(min_rto);
-
-        // Algorithm 2 state transitions on queue change.
-        if self.cfg.use_reference_rate && old_queue != self.queue {
-            if self.queue == 0 {
-                self.engine.cwnd = self.reference_cwnd_pkts();
-                self.is_inter_queue = false;
-            } else if self.in_bottom_queue() {
-                self.engine.cwnd = 1.0;
-                self.is_inter_queue = false;
-            } else if !self.is_inter_queue {
-                self.is_inter_queue = true;
-                self.engine.cwnd = 1.0;
-            }
-        }
+        // A queue change never grows the window: no bytes to credit.
+        self.set_window(window_on_move(&self.cfg, old_queue, self.queue), 0);
         // Entering the bottom queue with pacing probes: start the pacer.
-        if self.data_suppressed() && self.started {
+        if self.data_suppressed() {
             self.start_pace_probes(ctx);
         }
     }
@@ -334,38 +316,22 @@ impl PaseSender {
         if self.engine.in_recovery() {
             return;
         }
-        if self.health.in_fallback() || !self.cfg.use_reference_rate {
-            // Self-adjusting fallback (exactly as if no arbitrator had
-            // ever answered) and PASE-DCTCP (Fig. 13a): plain DCTCP
-            // growth, with the same delayed-ACK pacing real DCTCP stacks
-            // exhibit (half a packet of growth per acked packet).
-            self.grow(newly, 0.5);
-            return;
-        }
-        if self.queue == 0 {
-            // Top queue: the window tracks the reference rate.
-            self.engine.cwnd = self.reference_cwnd_pkts();
-            self.is_inter_queue = false;
-        } else if self.in_bottom_queue() {
-            self.engine.cwnd = 1.0;
-            self.is_inter_queue = false;
-        } else if self.is_inter_queue {
-            // Intermediate queues: DCTCP control laws. Algorithm 2 prints
-            // only the congestion-avoidance step, but DCTCP's laws include
-            // slow start below ssthresh; without it, flows parked at
-            // cwnd=1 cannot keep the fabric busy when the top queue
-            // drains, defeating the work-conservation role of the lower
-            // queues (paper §2.2).
-            self.grow(newly, 1.0);
-        } else {
-            self.is_inter_queue = true;
-            self.engine.cwnd = 1.0;
-        }
+        let law = window_on_ack(&self.cfg, self.queue, self.health.in_fallback());
+        self.set_window(law, newly);
     }
 
-    fn grow(&mut self, newly: u64, factor: f64) {
-        self.win
-            .grow(&mut self.engine.cwnd, newly, MSS, factor, 1.0);
+    /// Apply one of Algorithm 2's window laws; `newly` acknowledged bytes
+    /// are what [`WindowLaw::Grow`] credits.
+    fn set_window(&mut self, law: WindowLaw, newly: u64) {
+        match law {
+            WindowLaw::Keep => {}
+            WindowLaw::One => self.engine.cwnd = 1.0,
+            WindowLaw::Reference => self.engine.cwnd = self.reference_cwnd_pkts(),
+            WindowLaw::Grow(factor) => {
+                self.win
+                    .grow(&mut self.engine.cwnd, newly, MSS, factor, 1.0)
+            }
+        }
     }
 
     fn on_loss(&mut self, loss: LossEvent) {
@@ -462,7 +428,6 @@ impl PaseSender {
                 } else {
                     stats.fallback_entries_shed += 1;
                 }
-                self.is_inter_queue = false;
                 // Pins the lowest queue at base rate. A demotion applies
                 // immediately (no reordering risk). The flow keeps making
                 // progress with no control plane at all.
@@ -475,20 +440,12 @@ impl PaseSender {
 
 impl FlowAgent for PaseSender {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        self.started = true;
         // The first round's requests go out now.
         self.health = ChannelHealth::new(&self.cfg, ctx.now());
         // Every flow starts at once on the endpoint arbitrators' decision
         // and refines when the leg responses arrive (DESIGN.md, PASE
         // deviations: the paper's flows wait for the child arbitrator).
         self.arbitrate(ctx);
-        if self.cfg.use_reference_rate && self.queue == 0 {
-            self.engine.cwnd = self.reference_cwnd_pkts();
-        } else if !self.cfg.use_reference_rate {
-            self.engine.cwnd = 2.0; // DCTCP-style initial window
-        } else {
-            self.engine.cwnd = 1.0;
-        }
         self.pump(ctx);
         if !self.spec.is_background() {
             ctx.set_timer(self.health.refresh_delay(), self.refresh.arm());
@@ -600,5 +557,148 @@ impl FlowAgent for PaseSender {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
+    }
+}
+
+/// Algorithm 2's three kinds of queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Band {
+    Top,
+    Intermediate,
+    Bottom,
+}
+
+fn band(cfg: &PaseConfig, queue: u8) -> Band {
+    if queue == 0 {
+        Band::Top
+    } else if queue >= cfg.lowest_queue() {
+        Band::Bottom
+    } else {
+        Band::Intermediate
+    }
+}
+
+/// What Algorithm 2 does to the congestion window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum WindowLaw {
+    /// Leave the window as it is.
+    Keep,
+    /// `cwnd = 1` packet.
+    One,
+    /// `cwnd = Rref × RTT`.
+    Reference,
+    /// DCTCP growth at this per-ACK credit factor.
+    Grow(f64),
+}
+
+/// Algorithm 2's transition as the flow moves from queue `from` to `to`:
+/// the top queue starts at `Rref × RTT` instead of slow-starting, the
+/// bottom queue holds one packet, and entering the intermediate queues
+/// from either end restarts at one packet while moving among them keeps
+/// the window. PASE-DCTCP (Fig. 13a) never pins the window.
+fn window_on_move(cfg: &PaseConfig, from: u8, to: u8) -> WindowLaw {
+    if !cfg.use_reference_rate || from == to {
+        return WindowLaw::Keep;
+    }
+    match (band(cfg, from), band(cfg, to)) {
+        (_, Band::Top) => WindowLaw::Reference,
+        (_, Band::Bottom) => WindowLaw::One,
+        (Band::Intermediate, Band::Intermediate) => WindowLaw::Keep,
+        (_, Band::Intermediate) => WindowLaw::One,
+    }
+}
+
+/// Algorithm 2's per-ACK law in `queue` (a marked ACK's DCTCP decrease
+/// comes first, in every queue). The top queue tracks the reference
+/// rate and the bottom queue holds one packet. Intermediate queues run
+/// DCTCP's laws: Algorithm 2 prints only the congestion-avoidance step,
+/// but DCTCP's laws include slow start below `ssthresh`; without it,
+/// flows parked at `cwnd = 1` cannot keep the fabric busy when the top
+/// queue drains, defeating the work-conservation role of the lower
+/// queues (paper §2.2). Self-adjusting fallback (exactly as if no
+/// arbitrator had ever answered) and PASE-DCTCP run plain DCTCP growth
+/// with the delayed-ACK pacing real DCTCP stacks exhibit (half a packet
+/// of growth per acked packet).
+fn window_on_ack(cfg: &PaseConfig, queue: u8, fallback: bool) -> WindowLaw {
+    if fallback || !cfg.use_reference_rate {
+        return WindowLaw::Grow(0.5);
+    }
+    match band(cfg, queue) {
+        Band::Top => WindowLaw::Reference,
+        Band::Intermediate => WindowLaw::Grow(1.0),
+        Band::Bottom => WindowLaw::One,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use WindowLaw::{Grow, Keep, One, Reference};
+
+    /// Algorithm 2's transition table on the default eight queues (top 0,
+    /// intermediate 1..=6, bottom 7); PASE-DCTCP never pins the window.
+    #[test]
+    fn queue_changes_follow_algorithm_2() {
+        let pase = PaseConfig::default();
+        assert_eq!(pase.lowest_queue(), 7);
+        let table = [
+            // Entering an intermediate queue from either end restarts.
+            (0, 3, One),
+            (7, 3, One),
+            (0, 1, One),
+            (7, 6, One),
+            // Moving among intermediate queues keeps the window.
+            (2, 3, Keep),
+            (3, 2, Keep),
+            (1, 6, Keep),
+            // Top pins `Rref × RTT`, bottom pins one packet, from anywhere.
+            (3, 0, Reference),
+            (7, 0, Reference),
+            (3, 7, One),
+            (0, 7, One),
+            // No change, no transition.
+            (0, 0, Keep),
+            (3, 3, Keep),
+            (7, 7, Keep),
+        ];
+        for (from, to, law) in table {
+            assert_eq!(window_on_move(&pase, from, to), law, "{from} -> {to}");
+        }
+        let pase_dctcp = PaseConfig {
+            use_reference_rate: false,
+            ..pase
+        };
+        for (from, to, _) in table {
+            assert_eq!(
+                window_on_move(&pase_dctcp, from, to),
+                Keep,
+                "{from} -> {to}"
+            );
+        }
+    }
+
+    /// Per ACK: the queue decides, except in fallback and PASE-DCTCP,
+    /// which grow like DCTCP at the delayed-ACK factor in every queue.
+    #[test]
+    fn acks_follow_the_queue() {
+        let pase = PaseConfig::default();
+        let pase_dctcp = PaseConfig {
+            use_reference_rate: false,
+            ..pase
+        };
+        for q in 0..=7 {
+            let law = match q {
+                0 => Reference,
+                7 => One,
+                _ => Grow(1.0),
+            };
+            assert_eq!(window_on_ack(&pase, q, false), law, "queue {q}");
+            assert_eq!(
+                window_on_ack(&pase, q, true),
+                Grow(0.5),
+                "fallback, queue {q}"
+            );
+            assert_eq!(window_on_ack(&pase_dctcp, q, false), Grow(0.5), "queue {q}");
+        }
     }
 }

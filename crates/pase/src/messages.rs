@@ -8,7 +8,7 @@ use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
 use netsim::time::{Rate, SimTime};
 
-use crate::algorithm::FlowEntry;
+use crate::algorithm::{Decision, FlowEntry};
 
 /// Which half of the path a request/response covers (paper Fig. 5: the
 /// end-to-end path is split at the root; each leaf initiates its half).
@@ -25,9 +25,7 @@ pub enum Leg {
 pub struct ArbRequest {
     /// The flow being arbitrated.
     pub flow: FlowId,
-    /// Where the response must be sent (the flow's source host).
-    pub reply_to: NodeId,
-    /// The flow's source host.
+    /// The flow's source host, where the response goes.
     pub src: NodeId,
     /// The flow's destination host.
     pub dst: NodeId,
@@ -41,19 +39,12 @@ pub struct ArbRequest {
     pub demand: Rate,
     /// Which half of the path this request covers.
     pub leg: Leg,
-    /// Worst (highest-index) queue assigned so far along this leg.
-    pub acc_queue: u8,
-    /// Smallest reference rate assigned so far along this leg.
-    pub acc_rate: Rate,
+    /// The leg's bottleneck so far: every decision along it folded by
+    /// [`Decision::merge`].
+    pub decision: Decision,
 }
 
 impl ArbRequest {
-    /// Fold one arbitrator's decision into the accumulators.
-    pub fn accumulate(&mut self, queue: u8, rate: Rate) {
-        self.acc_queue = self.acc_queue.max(queue);
-        self.acc_rate = self.acc_rate.min(rate);
-    }
-
     /// The arbitrator table entry this request inserts or refreshes.
     pub fn entry(&self, now: SimTime) -> FlowEntry {
         FlowEntry {
@@ -65,15 +56,14 @@ impl ArbRequest {
         }
     }
 
-    /// The answer to the source: what the leg accumulated so far, plus the
+    /// The answer to the source: the leg's decision so far, plus the
     /// load-shed signal when an overloaded arbitrator answers without
     /// arbitrating.
     pub fn response(&self, shedding: bool) -> ArbMsg {
         ArbMsg::Response(ArbResponse {
             flow: self.flow,
             leg: self.leg,
-            queue: self.acc_queue,
-            rate: self.acc_rate,
+            decision: self.decision,
             shedding,
         })
     }
@@ -86,10 +76,8 @@ pub struct ArbResponse {
     pub flow: FlowId,
     /// Which leg this response covers.
     pub leg: Leg,
-    /// The leg's queue assignment (worst along the leg).
-    pub queue: u8,
-    /// The leg's reference rate (smallest along the leg).
-    pub rate: Rate,
+    /// The leg's bottleneck decision (worst queue, smallest rate).
+    pub decision: Decision,
     /// Load-shed signal, piggybacked free of charge (control packets are
     /// fixed 40-byte): an arbitrator along the leg was over its per-epoch
     /// budget and answered without arbitrating. Senders seeing this back
@@ -140,33 +128,5 @@ impl ArbMsg {
     /// (unpacked by [`crate::shed::ArbFrontEnd::admit`]).
     pub fn packet(self, flow: FlowId, src: NodeId, dst: NodeId) -> Packet {
         Packet::ctrl(flow, src, dst, Box::new(self))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accumulate_takes_worst_queue_and_min_rate() {
-        let mut r = ArbRequest {
-            flow: FlowId(1),
-            reply_to: NodeId(0),
-            src: NodeId(0),
-            dst: NodeId(9),
-            remaining: 50_000,
-            deadline: None,
-            task: None,
-            demand: Rate::from_gbps(1),
-            leg: Leg::Sender,
-            acc_queue: 0,
-            acc_rate: Rate::from_gbps(1),
-        };
-        r.accumulate(2, Rate::from_mbps(400));
-        assert_eq!(r.acc_queue, 2);
-        assert_eq!(r.acc_rate, Rate::from_mbps(400));
-        r.accumulate(1, Rate::from_mbps(700));
-        assert_eq!(r.acc_queue, 2, "queue only worsens");
-        assert_eq!(r.acc_rate, Rate::from_mbps(400), "rate only shrinks");
     }
 }

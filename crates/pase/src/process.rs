@@ -185,19 +185,17 @@ impl ArbProcess {
         stats: &mut StatsCollector,
     ) -> (Decision, Option<(NodeId, ArbRequest)>) {
         self.legs.entry(req.flow).or_default();
-        // Nothing accumulated yet: the leg starts at this host's uplink.
+        // Nothing decided yet: the leg starts at this host's uplink.
         let mut leg = ArbRequest {
             leg: Leg::Sender,
-            acc_queue: 0,
-            acc_rate: Rate::from_bps(u64::MAX),
+            decision: Decision {
+                queue: 0,
+                rate: Rate::from_bps(u64::MAX),
+            },
             ..*req
         };
         let next = self.arbitrate(&mut leg, now, stats);
-        let local = Decision {
-            queue: leg.acc_queue,
-            rate: leg.acc_rate,
-        };
-        (local, next.map(|to| (to, leg)))
+        (leg.decision, next.map(|to| (to, leg)))
     }
 
     /// Remove a finished local flow: its uplink entry and cached legs.
@@ -267,10 +265,10 @@ impl ArbProcess {
         for arb in arbs.into_iter().flatten() {
             arb.gc(now, expiry);
             let d = arb.update_and_decide(req.flow, req.entry(now));
-            req.accumulate(d.queue, d.rate);
+            req.decision = req.decision.merge(d);
         }
         let next = next?;
-        if self.cfg.early_pruning && req.acc_queue >= self.cfg.prune_depth {
+        if self.cfg.early_pruning && req.decision.queue >= self.cfg.prune_depth {
             stats.note_arb_pruned(self.me);
             return None;
         }
@@ -279,10 +277,7 @@ impl ArbProcess {
     }
 
     fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut ProcIo<'_, '_>) {
-        io.send(
-            req.response(shedding)
-                .packet(req.flow, self.me, req.reply_to),
-        );
+        io.send(req.response(shedding).packet(req.flow, self.me, req.src));
     }
 
     /// Host: cache a leg response for the local sender and wake it.
@@ -295,10 +290,7 @@ impl ArbProcess {
         // allocation held across a backed-off refresh gap would keep
         // throttling or suppressing the flow long after the burst has
         // drained.
-        let decision = (!resp.shedding).then_some(Decision {
-            queue: resp.queue,
-            rate: resp.rate,
-        });
+        let decision = (!resp.shedding).then_some(resp.decision);
         match resp.leg {
             Leg::Sender => slot.sender = decision,
             Leg::Receiver => slot.receiver = decision,

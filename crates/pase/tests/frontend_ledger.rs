@@ -12,7 +12,7 @@ use netsim::fault::FaultDirective;
 use netsim::packet::Packet;
 use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
-use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Leg, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Decision, Leg, PaseConfig, PaseFactory};
 
 const BUDGET: u32 = 4;
 
@@ -80,7 +80,6 @@ fn message(kind: Kind, n: &Net, leg: Leg) -> Box<dyn std::any::Any + Send> {
     let (src, dst) = (n.hosts[0], n.hosts[1]);
     let req = ArbRequest {
         flow: FLOW,
-        reply_to: src,
         src,
         dst,
         remaining: 50_000,
@@ -88,8 +87,10 @@ fn message(kind: Kind, n: &Net, leg: Leg) -> Box<dyn std::any::Any + Send> {
         task: None,
         demand: Rate::from_gbps(1),
         leg,
-        acc_queue: 0,
-        acc_rate: Rate::from_gbps(1),
+        decision: Decision {
+            queue: 0,
+            rate: Rate::from_gbps(1),
+        },
     };
     Box::new(match kind {
         Kind::Request => ArbMsg::Request(req),

@@ -530,7 +530,11 @@ fn crashed_host_lease_expiry_frees_the_top_queue() {
     // shared path has expired the dead flow's lease and the survivor is
     // solo again.
     sim.run(until(6));
-    assert_eq!(sim.stats().aborts_on(hosts[0]), 1, "crash aborts the flow");
+    assert_eq!(
+        sim.stats().node(hosts[0]).aborts,
+        1,
+        "crash aborts the flow"
+    );
     let tor = sim.topo().host_tor(hosts[1]);
     {
         let process = sim.node_mut(tor).process_as::<ArbProcess>().unwrap();
@@ -644,7 +648,7 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
         "the storm must shed requests"
     );
     assert!(
-        sim.stats().ctrl_shed_on(hosts[3]) > 0,
+        sim.stats().node(hosts[3]).ctrl_shed > 0,
         "shedding happens at the stormed arbitrator"
     );
     {

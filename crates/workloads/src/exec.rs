@@ -6,9 +6,8 @@
 //! [`netsim::sim::Simulation`] from a seed and runs it to completion, so
 //! cases share no mutable state and each one is deterministic in
 //! isolation. This module turns that observation into wall-clock speed:
-//! a [`CasePlan`] is an *ordered* list of such cases, and
-//! [`CasePlan::execute`] runs it on a dependency-free [`std::thread`]
-//! work pool.
+//! [`run_cases`] runs an *ordered* slice of such cases on a
+//! dependency-free [`std::thread`] work pool.
 //!
 //! **Determinism contract.** Workers pull case *indices* from a shared
 //! atomic counter and write each result into the slot reserved for that
@@ -18,7 +17,7 @@
 //! byte-identical to a sequential (`jobs = 1`) execution at any thread
 //! count — `tests/parallel_determinism.rs` asserts exactly this on a
 //! figure sweep and a chaos slice. Anything order-dependent (progress
-//! printing, failure reporting) must happen *after* `execute` returns,
+//! printing, failure reporting) must happen *after* `run_cases` returns,
 //! over the ordered results, never inside the case closure.
 //!
 //! The worker count is [`default_jobs`]
@@ -56,55 +55,12 @@ pub fn read_peak_rss() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// An ordered list of fully specified, independent cases.
-///
-/// The plan is *flat*: a sweep over a (scheme × load × seed …) grid is
-/// expressed by enumerating the grid in its canonical order, and the
-/// result vector from [`CasePlan::execute`] lines up index-for-index
-/// with [`CasePlan::cases`], so callers re-chunk rows with
-/// `results.chunks(row_len)`.
-#[derive(Debug, Clone)]
-pub struct CasePlan<C> {
-    cases: Vec<C>,
-}
-
-impl<C> CasePlan<C> {
-    /// Wrap an ordered case list.
-    pub fn new(cases: Vec<C>) -> CasePlan<C> {
-        CasePlan { cases }
-    }
-
-    /// Number of cases.
-    pub fn len(&self) -> usize {
-        self.cases.len()
-    }
-
-    /// Is the plan empty?
-    pub fn is_empty(&self) -> bool {
-        self.cases.is_empty()
-    }
-
-    /// The cases, in execution-index order.
-    pub fn cases(&self) -> &[C] {
-        &self.cases
-    }
-
-    /// Execute every case on `jobs` worker threads and return the
-    /// results **ordered by case index** (see the module docs for the
-    /// determinism contract). `jobs` is clamped to `[1, len]`; a panic
-    /// inside any case propagates after all workers have stopped.
-    pub fn execute<R, F>(&self, jobs: usize, f: F) -> Vec<R>
-    where
-        C: Sync,
-        R: Send,
-        F: Fn(&C) -> R + Sync,
-    {
-        run_cases(&self.cases, jobs, f)
-    }
-}
-
-/// [`CasePlan::execute`] without the wrapper type: run `f` over `cases`
-/// on `jobs` threads, results ordered by case index.
+/// Run `f` over `cases` on `jobs` worker threads and return the results
+/// **ordered by case index** (see the module docs for the determinism
+/// contract). A sweep over a (scheme × load × seed …) grid enumerates
+/// the grid in its canonical order, so callers re-chunk rows with
+/// `results.chunks(row_len)`. `jobs` is clamped to `[1, len]`; a panic
+/// inside any case propagates after all workers have stopped.
 pub fn run_cases<C, R, F>(cases: &[C], jobs: usize, f: F) -> Vec<R>
 where
     C: Sync,
@@ -154,17 +110,14 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_on_simulations() {
         let scenario = Scenario::all_to_all_intra(5, 12);
-        let plan = CasePlan::new(
-            [
-                (Scheme::Dctcp, 0.3),
-                (Scheme::Dctcp, 0.6),
-                (Scheme::Pase, 0.5),
-            ]
-            .map(|(scheme, load)| RunSpec::new(scheme, scenario, load, 7))
-            .to_vec(),
-        );
-        let seq = plan.execute(1, RunSpec::run);
-        let par = plan.execute(4, RunSpec::run);
+        let cases = [
+            (Scheme::Dctcp, 0.3),
+            (Scheme::Dctcp, 0.6),
+            (Scheme::Pase, 0.5),
+        ]
+        .map(|(scheme, load)| RunSpec::new(scheme, scenario, load, 7));
+        let seq = run_cases(&cases, 1, RunSpec::run);
+        let par = run_cases(&cases, 4, RunSpec::run);
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.fcts_ms, b.fcts_ms);
             assert_eq!(a.events, b.events);
@@ -179,7 +132,6 @@ mod tests {
         assert_eq!(out, vec![1, 2]);
         let empty: Vec<i32> = run_cases(&[], 8, |c: &i32| *c);
         assert!(empty.is_empty());
-        assert!(CasePlan::<i32>::new(vec![]).is_empty());
     }
 
     #[test]

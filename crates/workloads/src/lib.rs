@@ -21,7 +21,7 @@ pub mod scenarios;
 pub mod scheme;
 pub mod topologies;
 
-pub use exec::{default_jobs, read_peak_rss, run_cases, CasePlan};
+pub use exec::{default_jobs, read_peak_rss, run_cases};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
 pub use metrics::{
     collect, collect_with, events_by_kind_line, percentile, MetricsMode, QuantileSketch,

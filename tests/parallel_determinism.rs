@@ -64,7 +64,7 @@ fn assert_bitwise_identical(a: &FigResult, b: &FigResult) {
 #[test]
 fn figure_sweep_is_bitwise_identical_across_job_counts() {
     // fig02 runs the full scheme grid through the row driver; ext_incast
-    // uses a hand-built CasePlan; fig03 exercises the 2-case toy plan.
+    // runs its own scheme × fan-in case list; fig03 runs the 2-case toy.
     let run = |jobs| {
         let only = ["fig02", "ext_incast", "fig03"].map(String::from).to_vec();
         figs::all(&ExpOpts { only, ..tiny(jobs) })
