@@ -40,13 +40,7 @@ pub fn prune_depth(opts: &ExpOpts) -> FigResult {
     ]
     .map(|(label, depth)| {
         let mut cfg = base;
-        match depth {
-            Some(d) => {
-                cfg.early_pruning = true;
-                cfg.prune_depth = d;
-            }
-            None => cfg.early_pruning = false,
-        }
+        cfg.prune_depth = depth;
         (label, Scheme::PaseWith(cfg))
     })
     .to_vec();

@@ -152,8 +152,7 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
 fn pruning_scheme(topo: &TopologySpec, depth: u8) -> Scheme {
     let mut cfg = Scheme::pase_config_for(topo);
     cfg.delegation = false;
-    cfg.early_pruning = true;
-    cfg.prune_depth = depth;
+    cfg.prune_depth = Some(depth);
     Scheme::PaseWith(cfg)
 }
 

@@ -378,8 +378,7 @@ pub const FIGURES: &[Figure] = &[
             let scenario = all_to_all(o);
             let on = Scheme::pase_config_for(&scenario.topo);
             let off = PaseConfig {
-                probe_bottom_queue: false,
-                probe_on_timeout: false,
+                probing: false,
                 ..on
             };
             let entries = [

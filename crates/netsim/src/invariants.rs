@@ -16,13 +16,10 @@
 //!    progress: a pending event referencing it (timer, delivery, start),
 //!    one of its packets still in the network, or a control-plane timer
 //!    pending at its endpoints. A flow with none of these will never
-//!    finish — a lost-wakeup bug, not congestion. Background maintenance
-//!    timers (tokens at or above
-//!    [`crate::timer::MAINTENANCE_TIMER_BASE`]) are *not* progress
-//!    evidence: a perpetual GC tick can never advance a flow. Flows that
-//!    ended in the terminal `Aborted` state count as complete — an
-//!    endpoint crash with a recorded abort reason is a legitimate
-//!    terminal outcome, not a stuck flow.
+//!    finish — a lost-wakeup bug, not congestion. Flows that ended in
+//!    the terminal `Aborted` state count as complete — an endpoint
+//!    crash with a recorded abort reason is a legitimate terminal
+//!    outcome, not a stuck flow.
 //! 3. **Bounded queues.** No port's queue occupancy ever exceeds a
 //!    configured packet bound (checked online, periodically, and once at
 //!    the end).
@@ -235,9 +232,6 @@ impl ProgressEvidence {
             EventKind::Deliver(pkt) => self.note_flow(pkt.flow),
             EventKind::AgentTimer { flow, .. } => self.note_flow(*flow),
             EventKind::FlowStart(spec) => self.note_flow(spec.id),
-            // Maintenance ticks (state GC) recur forever and advance no
-            // flow; counting them would blind the stuck-flow check.
-            EventKind::PluginTimer(token) if *token >= crate::timer::MAINTENANCE_TIMER_BASE => {}
             EventKind::PluginTimer(_) => self.note_plugin_timer(target),
             // A pending TxComplete proves a port will drain, but the
             // packet it carries is already counted via the port walk;
@@ -407,21 +401,6 @@ mod tests {
         // No direct reference, but a control timer pends at the source.
         assert!(ev.can_progress(FlowId(2), NodeId(9), NodeId(3)));
         assert!(!ev.can_progress(FlowId(2), NodeId(0), NodeId(3)));
-    }
-
-    #[test]
-    fn maintenance_timers_are_not_progress_evidence() {
-        use crate::timer::MAINTENANCE_TIMER_BASE;
-        let mut ev = ProgressEvidence::default();
-        ev.note_event(NodeId(4), &EventKind::PluginTimer(MAINTENANCE_TIMER_BASE));
-        ev.note_event(
-            NodeId(4),
-            &EventKind::PluginTimer(MAINTENANCE_TIMER_BASE + 17),
-        );
-        assert!(!ev.can_progress(FlowId(0), NodeId(4), NodeId(5)));
-        // An ordinary control timer below the base still counts.
-        ev.note_event(NodeId(4), &EventKind::PluginTimer(1));
-        assert!(ev.can_progress(FlowId(0), NodeId(4), NodeId(5)));
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //! and [`Timer::is_current`] is the whole liveness test. One layout
 //! serves every owner and both timer channels (`AgentTimer` for flow
 //! agents, `PluginTimer` for node processes).
-//! Maintenance slots sit at or above [`MAINTENANCE_TIMER_BASE`], which
-//! the stuck-flow oracle ([`crate::invariants`]) reads as background
-//! work, not flow progress.
 //!
 //! # Superseding timers
 //!
@@ -60,8 +57,7 @@ const EPOCH_BITS: u32 = 56;
 
 /// The slot of every timer in the workspace. Timers of one owner must sit
 /// in distinct slots; naming them here keeps the owners that share a
-/// channel apart (PASE's sender and the `TxEngine` inside it, an
-/// arbitrator process's two loops).
+/// channel apart (PASE's sender and the `TxEngine` inside it).
 pub mod slot {
     /// A sender's retransmission timeout.
     pub const RTO: u8 = 0;
@@ -73,18 +69,7 @@ pub mod slot {
     pub const REFRESH: u8 = 3;
     /// PASE's delegation report loop.
     pub const DELEGATION: u8 = 4;
-    /// Background maintenance (PASE's lease GC): the first slot at
-    /// [`super::MAINTENANCE_TIMER_BASE`].
-    pub const MAINTENANCE: u8 = 0x40;
 }
-
-/// Plugin-timer tokens at or above this mark *background maintenance*
-/// work (periodic state GC, bookkeeping) rather than forward progress on
-/// any flow. The stuck-flow oracle ([`crate::invariants`]) ignores pending
-/// `PluginTimer` events in this range when deciding whether an incomplete
-/// flow can still advance — a perpetual GC tick must not masquerade as
-/// progress evidence.
-pub const MAINTENANCE_TIMER_BASE: u64 = (slot::MAINTENANCE as u64) << EPOCH_BITS;
 
 /// Marks a disarmed timer's stored token: the epoch's top bit, which no
 /// arm reaches, so a disarmed timer matches no token an event carries.
@@ -491,7 +476,6 @@ mod tests {
 
     #[test]
     fn tokens_name_their_slot_and_arm() {
-        assert_eq!(MAINTENANCE_TIMER_BASE, 1 << 62);
         let (mut a, mut b) = (Timer::new(slot::PACE), Timer::new(slot::PROBE));
         assert!(!a.is_current(0), "a fresh timer is disarmed");
         let (ta, tb) = (a.arm(), b.arm());
@@ -504,7 +488,5 @@ mod tests {
         );
         a.disarm();
         assert!(!a.is_current(ta2));
-        let mut gc = Timer::new(slot::MAINTENANCE);
-        assert!(gc.arm() >= MAINTENANCE_TIMER_BASE && ta2 < MAINTENANCE_TIMER_BASE);
     }
 }

@@ -13,9 +13,15 @@
 use std::collections::HashMap;
 
 use netsim::ids::FlowId;
-use netsim::time::{Rate, SimTime};
+use netsim::time::{Rate, SimDuration, SimTime};
 
 use crate::config::{Criterion, PaseConfig};
+
+/// The lease rule (paper §3.1.3: arbitrator state is soft): an entry
+/// refreshed no longer than `expiry` before `now` still arbitrates.
+fn live(e: &FlowEntry, now: SimTime, expiry: SimDuration) -> bool {
+    e.last_update + expiry >= now
+}
 
 /// One flow's entry in a link arbitrator.
 #[derive(Debug, Clone, Copy)]
@@ -93,12 +99,13 @@ impl LinkArbitrator {
         self.flows.len()
     }
 
-    /// Whether the arbitrator holds a live entry for `flow`. A request
-    /// for a known flow is a *refresh* — the cheapest thing an overloaded
-    /// arbitrator can shed, because the existing entry keeps arbitrating
-    /// until it expires.
-    pub fn contains(&self, flow: FlowId) -> bool {
-        self.flows.contains_key(&flow)
+    /// Whether the arbitrator holds an unexpired lease for `flow` at
+    /// `now`. A request for such a flow is a *refresh* — the cheapest
+    /// thing an overloaded arbitrator can shed, because the existing entry
+    /// keeps arbitrating until it expires. A lease past `expiry` is absent
+    /// here whether or not [`LinkArbitrator::gc`] has collected it yet.
+    pub fn has_lease(&self, flow: FlowId, now: SimTime, expiry: SimDuration) -> bool {
+        self.flows.get(&flow).is_some_and(|e| live(e, now, expiry))
     }
 
     /// Priority key: lower sorts first (more critical).
@@ -131,8 +138,8 @@ impl LinkArbitrator {
     }
 
     /// Drop entries older than `expiry` before `now`.
-    pub fn gc(&mut self, now: SimTime, expiry: netsim::time::SimDuration) {
-        self.flows.retain(|_, e| e.last_update + expiry >= now);
+    pub fn gc(&mut self, now: SimTime, expiry: SimDuration) {
+        self.flows.retain(|_, e| live(e, now, expiry));
     }
 
     /// Step 2 of Algorithm 1: compute the flow's queue and reference rate.
@@ -180,7 +187,8 @@ impl LinkArbitrator {
 
     /// Aggregate demand of flows currently mapped to the top queue — the
     /// quantity a child arbitrator reports to its parent for delegation
-    /// rebalancing.
+    /// rebalancing. Counts every entry held: the report
+    /// [`LinkArbitrator::gc`]s expired leases first.
     pub fn top_queue_demand(&self) -> Rate {
         // Flows sorted by key take capacity in order; the top queue holds
         // those whose prefix demand is below capacity.
@@ -203,7 +211,6 @@ impl LinkArbitrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::time::SimDuration;
 
     fn entry(remaining: u64, demand_mbps: u64) -> FlowEntry {
         FlowEntry {

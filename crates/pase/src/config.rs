@@ -41,9 +41,12 @@ pub const BASE_RATE_PKTS_PER_RTT: u32 = 1;
 /// self-adjusting mode (lowest queue, DCTCP control laws) until answers
 /// resume. At least 2, so one lost round is tolerated.
 pub const WATCHDOG_K: u32 = 4;
-/// Arbitrator leases last this many refresh periods: a flow entry not
-/// refreshed for that long is dropped (covers lost FlowDone messages),
-/// and the lease GC runs at that cadence ([`PaseConfig::arb_expiry`]).
+/// Arbitrator leases last this many refresh periods
+/// ([`PaseConfig::arb_expiry`]): a flow entry not refreshed for that long
+/// is dead (covers lost FlowDone messages and crashed endpoints). The rule
+/// is applied when the entry is read — before every decision, by the shed
+/// path's staleness test and before a delegation report — so no timer
+/// collects leases.
 pub const LEASE_REFRESHES: u64 = 4;
 /// Cap on the channel-health strike integrator, and so on the exponent of
 /// the refresh backoff: a backed-off or fallen-back flow re-requests every
@@ -69,24 +72,22 @@ pub struct PaseConfig {
     /// Fig. 12a ablates this).
     pub end_to_end: bool,
     /// Early pruning: forward a request to the parent arbitrator only when
-    /// the flow is mapped within the top `prune_depth` queues so far.
-    pub early_pruning: bool,
-    /// Number of top queues that survive pruning (paper §3.1.2: "sending
-    /// flows belonging to the top two queues upwards ... provides the
-    /// right balance").
-    pub prune_depth: u8,
+    /// the flow is mapped within the top `Some(depth)` queues so far;
+    /// `None` forwards every request (paper §3.1.2: "sending flows
+    /// belonging to the top two queues upwards ... provides the right
+    /// balance").
+    pub prune_depth: Option<u8>,
     /// Delegation: aggregation–core capacity is split into virtual links
     /// owned by the child ToR arbitrators.
     pub delegation: bool,
     /// Use the arbitrator's reference rate to set the window (false =
     /// PASE-DCTCP of Fig. 13a: queues only, DCTCP rate control).
     pub use_reference_rate: bool,
-    /// Probe-based loss recovery for flows in lower-priority queues
-    /// (§3.2): on timeout, send a probe to distinguish loss from delay.
-    pub probe_on_timeout: bool,
-    /// Bottom-queue probing (§4.3.2): flows in the lowest queue send a
-    /// header-only probe per RTT instead of a full data packet.
-    pub probe_bottom_queue: bool,
+    /// Probing (§3.2, §4.3.2): flows in lower-priority queues answer a
+    /// timeout with a probe that tells loss from delay, and flows in the
+    /// lowest queue send a header-only probe per RTT instead of a full
+    /// data packet.
+    pub probing: bool,
     /// Per-epoch control-message budget of every arbitrator (host and
     /// switch processes alike). An epoch is one `arb_refresh` window;
     /// messages beyond the budget are shed with an explicit load-shed
@@ -111,12 +112,10 @@ impl Default for PaseConfig {
             base_rtt: SimDuration::from_micros(300),
             arb_refresh: SimDuration::from_micros(300),
             end_to_end: true,
-            early_pruning: true,
-            prune_depth: 2,
+            prune_depth: Some(2),
             delegation: true,
             use_reference_rate: true,
-            probe_on_timeout: true,
-            probe_bottom_queue: true,
+            probing: true,
             ctrl_budget_per_epoch: 512,
             shed_enabled: true,
         }
@@ -144,7 +143,7 @@ impl PaseConfig {
 
     /// Switch off every control-plane optimization (Fig. 11 baseline).
     pub fn without_optimizations(mut self) -> Self {
-        self.early_pruning = false;
+        self.prune_depth = None;
         self.delegation = false;
         self
     }
@@ -179,8 +178,8 @@ mod tests {
         assert_eq!(c.n_queues, 8);
         assert_eq!(MIN_RTO_TOP, SimDuration::from_millis(10));
         assert_eq!(MIN_RTO_LOW, SimDuration::from_millis(200));
-        assert!(c.end_to_end && c.early_pruning && c.delegation);
-        assert_eq!(c.prune_depth, 2);
+        assert!(c.end_to_end && c.delegation && c.probing);
+        assert_eq!(c.prune_depth, Some(2));
         assert_eq!(c.arb_expiry(), SimDuration::from_micros(1200));
     }
 
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn ablation_helpers() {
         let c = PaseConfig::default().without_optimizations();
-        assert!(!c.early_pruning && !c.delegation);
+        assert!(c.prune_depth.is_none() && !c.delegation);
         assert!(!PaseConfig::default().local_only().end_to_end);
         assert!(
             !PaseConfig::default()

@@ -33,7 +33,7 @@ use netsim::host::{AgentCtx, FlowAgent};
 use netsim::ids::NodeId;
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
-use netsim::timer::{slot, Timer};
+use netsim::timer::{slot, SupersedingTimer, Timer};
 use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine, DCTCP_G, MAX_RTO, MSS};
 
 use crate::algorithm::Decision;
@@ -69,8 +69,9 @@ pub struct PaseSender {
     // Probe-based loss recovery: `Some(acked_at_send)` while a recovery
     // probe is outstanding.
     recovery_probe: Option<u64>,
-    /// Bottom-queue pacing probes; eager, one event per probe.
-    pace: Timer,
+    /// Bottom-queue pacing probes. Re-armed by every queue recompute
+    /// while data is suppressed, so only the newest arm keeps an event.
+    pace: SupersedingTimer,
     /// The periodic arbitration refresh; eager.
     refresh: Timer,
     /// Control-channel health (graceful degradation, paper §3.1.3).
@@ -102,7 +103,7 @@ impl PaseSender {
             win: DctcpWindow::new(DCTCP_G, f64::INFINITY),
             reorder_barrier: None,
             recovery_probe: None,
-            pace: Timer::new(slot::PACE),
+            pace: SupersedingTimer::new(spec.id, slot::PACE),
             refresh: Timer::new(slot::REFRESH),
             health: ChannelHealth::new(&cfg, SimTime::ZERO),
         }
@@ -165,7 +166,7 @@ impl PaseSender {
     /// bottom queue, probing instead of sending would stall forever.
     fn data_suppressed(&self) -> bool {
         !self.health.in_fallback()
-            && self.cfg.probe_bottom_queue
+            && self.cfg.probing
             && band(&self.cfg, self.queue) == Band::Bottom
             && !self.spec.is_background()
             && self.cfg.end_to_end
@@ -285,7 +286,7 @@ impl PaseSender {
     }
 
     fn start_pace_probes(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        ctx.set_timer(self.srtt(), self.pace.arm());
+        self.pace.arm(ctx.sim, self.srtt());
     }
 
     /// Send a header-only probe at the current wire priority (a
@@ -507,10 +508,10 @@ impl FlowAgent for PaseSender {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut AgentCtx<'_, '_>) {
-        if self.pace.is_current(token) {
+        if self.pace.fire(ctx.sim, token) {
             if self.data_suppressed() {
                 self.send_probe(ctx);
-                ctx.set_timer(self.srtt(), self.pace.arm());
+                self.start_pace_probes(ctx);
             }
         } else if self.refresh.is_current(token) {
             let heard = ctx
@@ -524,7 +525,7 @@ impl FlowAgent for PaseSender {
             self.pump(ctx);
             ctx.set_timer(self.health.refresh_delay(), self.refresh.arm());
         } else if self.engine.rto_fired(token, ctx) {
-            if self.cfg.probe_on_timeout && self.queue > 0 && self.recovery_probe.is_none() {
+            if self.cfg.probing && self.queue > 0 && self.recovery_probe.is_none() {
                 // Probe instead of retransmitting: the data may simply be
                 // parked behind higher-priority traffic.
                 ctx.sim.stats.note_timeout(self.spec.id);

@@ -21,6 +21,12 @@
 //! What differs by node kind stays in one place each: hosts cache the leg
 //! responses their local senders read ([`LegResults`]); switches run the
 //! delegation report loop and its grants.
+//!
+//! Leases expire when read: an entry its flow stopped refreshing (crashed
+//! endpoint, lost `FlowDone`) is dropped before every decision, is no
+//! refresh to the shed path and is left out of the delegation report once
+//! it is `arb_expiry` old. No timer collects it, so the only timer a
+//! process runs is a delegating ToR's report loop.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -74,8 +80,8 @@ pub struct ArbProcess {
     cfg: PaseConfig,
     me: NodeId,
     tree: Arc<TreeInfo>,
-    /// Crash state, lease-GC epoch and the metered inbox shared by every
-    /// arbitrator the process owns.
+    /// Crash state and the metered inbox shared by every arbitrator the
+    /// process owns.
     front: ArbFrontEnd,
     /// Arbitrates my link upward (`host → ToR`, `switch → parent`) for
     /// sender legs.
@@ -88,7 +94,8 @@ pub struct ArbProcess {
     deleg_down: Option<LinkArbitrator>,
     /// Host: the latest leg responses of its own flows.
     legs: HashMap<FlowId, LegResults>,
-    /// ToR with delegation: the agg it reports its slices' demand to.
+    /// ToR with a delegated slice: the agg it reports the slice's demand
+    /// to. Set exactly when `deleg_up` and `deleg_down` are.
     deleg_parent: Option<NodeId>,
     /// ToR with delegation: the report loop's timer. A restart re-arms it,
     /// so a tick still pending from before the crash cannot double the
@@ -103,15 +110,17 @@ impl ArbProcess {
     /// host's access link, or a switch's link to its parent (`None` for a
     /// switch without one).
     pub fn new(cfg: PaseConfig, me: NodeId, link: Option<Rate>, tree: Arc<TreeInfo>) -> Self {
-        let deleg_parent = (cfg.delegation && tree.is_tor(me))
-            .then(|| tree.parent(me))
-            .flatten();
         // A ToR under an agg that itself has a core uplink gets delegated
         // slices of the agg–core links: an equal share per child to start.
-        let slice = deleg_parent.and_then(|agg| {
-            let share = 1.0 / tree.children(agg).len().max(1) as f64;
-            tree.uplink_rate(agg).map(|rate| rate.mul_f64(share))
-        });
+        let delegated = (cfg.delegation && tree.is_tor(me))
+            .then(|| tree.parent(me))
+            .flatten()
+            .and_then(|agg| {
+                let share = 1.0 / tree.children(agg).len().max(1) as f64;
+                let rate = tree.uplink_rate(agg)?;
+                Some((agg, rate.mul_f64(share)))
+            });
+        let slice = delegated.map(|(_, rate)| rate);
         let arbitrate = |rate: Option<Rate>| rate.map(|r| LinkArbitrator::new(r, &cfg));
         ArbProcess {
             cfg,
@@ -123,7 +132,7 @@ impl ArbProcess {
             deleg_up: arbitrate(slice),
             deleg_down: arbitrate(slice),
             legs: HashMap::new(),
-            deleg_parent,
+            deleg_parent: delegated.map(|(agg, _)| agg),
             deleg: Timer::new(slot::DELEGATION),
             child_demands: HashMap::new(),
         }
@@ -134,14 +143,12 @@ impl ArbProcess {
         self.front.is_crashed()
     }
 
-    /// Arm the periodic loops — the delegation report on a ToR with a
-    /// parent to report to, then the lease GC — and return each first
-    /// tick as `(delay, token)`, in the order to queue them. At install
-    /// and on every restart; arming stales any tick still pending.
-    pub(crate) fn arm_loops(&mut self) -> impl Iterator<Item = (SimDuration, u64)> {
-        let report = self.deleg_parent.map(|_| (DELEG_PERIOD, self.deleg.arm()));
-        let gc = (self.cfg.arb_expiry(), self.front.arm_maintenance());
-        report.into_iter().chain([gc])
+    /// Arm the delegation report loop of a ToR that owns a delegated
+    /// slice and return its first tick as `(delay, token)`; `None` for
+    /// every other process, which runs no timer. At install and on every
+    /// restart; arming stales any tick still pending.
+    pub(crate) fn arm_report(&mut self) -> Option<(SimDuration, u64)> {
+        self.deleg_parent.map(|_| (DELEG_PERIOD, self.deleg.arm()))
     }
 
     /// The arbitrators this process runs on `leg`: its own link's, then
@@ -268,7 +275,7 @@ impl ArbProcess {
             req.decision = req.decision.merge(d);
         }
         let next = next?;
-        if self.cfg.early_pruning && req.decision.queue >= self.cfg.prune_depth {
+        if matches!(self.cfg.prune_depth, Some(depth) if req.decision.queue >= depth) {
             stats.note_arb_pruned(self.me);
             return None;
         }
@@ -341,9 +348,10 @@ impl Process for ArbProcess {
         if let ArbMsg::Request(req) = &*msg {
             // A request is a *stale refresh* — the first thing an
             // overloaded arbitrator sheds — when an arbitrator on its leg
-            // already holds a live entry for the flow.
+            // already holds an unexpired lease for the flow.
+            let expiry = self.cfg.arb_expiry();
             let mut arbs = self.leg_arbitrators(req.leg).into_iter().flatten();
-            let stale = arbs.any(|a| a.contains(req.flow));
+            let stale = arbs.any(|a| a.has_lease(req.flow, now, expiry));
             if self
                 .front
                 .shed_request(&pkt, stale, depth, io.sim.stats, now)
@@ -396,41 +404,30 @@ impl Process for ArbProcess {
     }
 
     fn on_timer(&mut self, token: u64, io: &mut ProcIo<'_, '_>) {
-        if self.front.maintenance_due(token) {
-            // Periodic lease GC on every arbitrator the process owns:
-            // entries whose owner stopped refreshing (crashed endpoint,
-            // lost FlowDone) expire after `arb_expiry` even when no request
-            // traffic touches the arbitrator in the meantime, so a dead flow
-            // cannot wedge the top priority queue.
-            let (now, expiry) = (io.now(), self.cfg.arb_expiry());
-            self.arbitrators_mut().for_each(|arb| arb.gc(now, expiry));
-            io.set_timer(expiry, self.front.arm_maintenance());
-            return;
-        }
         if self.front.is_crashed() || !self.deleg.is_current(token) {
             return;
         }
-        let Some(parent) = self.deleg_parent else {
+        let (Some(parent), Some(up), Some(down)) = (
+            self.deleg_parent,
+            self.deleg_up.as_mut(),
+            self.deleg_down.as_mut(),
+        ) else {
             return;
         };
         // Report demand on the delegated slices so the parent can
         // rebalance; only aggregate information travels (paper §3.1.2).
-        if self.deleg_up.is_some() || self.deleg_down.is_some() {
-            let up_demand = self
-                .deleg_up
-                .as_ref()
-                .map_or(Rate::ZERO, |a| a.top_queue_demand());
-            let down_demand = self
-                .deleg_down
-                .as_ref()
-                .map_or(Rate::ZERO, |a| a.top_queue_demand());
-            let update = ArbMsg::DelegUpdate {
-                child: self.me,
-                up_demand,
-                down_demand,
-            };
-            io.send(update.packet(NO_FLOW, self.me, parent));
-        }
+        // Expired leases are collected first: a dead flow claims no share.
+        let (now, expiry) = (io.now(), self.cfg.arb_expiry());
+        let demand = |arb: &mut LinkArbitrator| {
+            arb.gc(now, expiry);
+            arb.top_queue_demand()
+        };
+        let update = ArbMsg::DelegUpdate {
+            child: self.me,
+            up_demand: demand(up),
+            down_demand: demand(down),
+        };
+        io.send(update.packet(NO_FLOW, self.me, parent));
         io.set_timer(DELEG_PERIOD, self.deleg.arm());
     }
 
@@ -448,8 +445,8 @@ impl Process for ArbProcess {
             }
             FaultEffect::Rearm => {
                 // The fresh process re-learns purely from the next refresh
-                // round (within `arb_expiry`); its loops start afresh.
-                for (delay, token) in self.arm_loops() {
+                // round (within `arb_expiry`); its report loop starts afresh.
+                if let Some((delay, token)) = self.arm_report() {
                     io.set_timer(delay, token);
                 }
             }

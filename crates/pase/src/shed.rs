@@ -13,8 +13,11 @@
 //! is charged `amplify`× its normal weight, modelling a flash
 //! crowd of senders hammering the same arbitrator. When the weighted
 //! depth crosses the budget the arbitrator *sheds* instead of queueing
-//! without bound: stale refreshes first (a request for a flow it already
-//! arbitrates), then — past twice the budget — fresh requests too.
+//! without bound: stale refreshes first (a request for a flow it holds an
+//! unexpired lease for), then — past twice the budget — fresh requests
+//! too. A lease past `arb_expiry` makes a request fresh again whether or
+//! not the arbitrator has collected it yet
+//! ([`crate::LinkArbitrator::has_lease`]).
 //! Responses, `FlowDone` releases and delegation traffic are never shed:
 //! dropping a release leaks arbitrator state, and responses are the very
 //! signal that lets senders back off.
@@ -24,7 +27,6 @@ use netsim::ids::NodeId;
 use netsim::packet::Packet;
 use netsim::stats::{Fate, StatsCollector};
 use netsim::time::{SimDuration, SimTime};
-use netsim::timer::{slot, Timer};
 use netsim::trace::TraceEvent;
 
 use crate::config::PaseConfig;
@@ -105,7 +107,7 @@ impl InboxBudget {
     }
 
     /// Shed verdict for a *request* arriving at weighted depth `depth`.
-    /// `stale` marks a refresh of a flow the arbitrator already holds.
+    /// `stale` marks a refresh of a flow the arbitrator holds a lease for.
     /// Past the budget, stale refreshes are shed (the live entry keeps
     /// arbitrating until it expires); past twice the budget, fresh
     /// requests are shed too. Non-request messages are never shed — do
@@ -136,15 +138,15 @@ pub enum FaultEffect {
     /// The process died: wipe every arbitrator and cache — all soft state
     /// dies with it and only the endpoints' periodic refreshes rebuild it.
     Wipe,
-    /// A fresh, empty process came up: re-arm the periodic loops (the
-    /// lease GC with [`ArbFrontEnd::arm_maintenance`]). Arming stales a
-    /// tick still pending from before the crash.
+    /// A fresh, empty process came up: re-arm its delegation report loop,
+    /// if it runs one. Arming stales a tick still pending from before the
+    /// crash.
     Rearm,
 }
 
 /// The part of an arbitrator process that does not depend on which links
-/// it arbitrates: crash state, the lease-GC tick's generation, and the
-/// metered inbox with its shed policy and ledger accounting.
+/// it arbitrates: crash state and the metered inbox with its shed policy
+/// and ledger accounting.
 #[derive(Debug, Clone)]
 pub struct ArbFrontEnd {
     me: NodeId,
@@ -152,9 +154,6 @@ pub struct ArbFrontEnd {
     /// traffic and timers until restarted (on a switch the data plane
     /// keeps forwarding — only the co-located control process dies).
     crashed: bool,
-    /// The periodic lease-GC tick. Infrastructure, not flow progress: its
-    /// maintenance slot keeps the stuck-flow oracle from counting it.
-    maintenance: Timer,
     /// Control-inbox meter shared by every arbitrator the process owns.
     budget: InboxBudget,
 }
@@ -165,7 +164,6 @@ impl ArbFrontEnd {
         ArbFrontEnd {
             me,
             crashed: false,
-            maintenance: Timer::new(slot::MAINTENANCE),
             budget: InboxBudget::new(cfg),
         }
     }
@@ -173,19 +171,6 @@ impl ArbFrontEnd {
     /// Whether an injected crash currently has the process down.
     pub fn is_crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Arm the next lease-GC tick; the token its timer event carries.
-    /// Every earlier tick goes stale.
-    pub fn arm_maintenance(&mut self) -> u64 {
-        self.maintenance.arm()
-    }
-
-    /// Whether `token` is the live lease-GC tick of a running process. A
-    /// crashed process skips the tick (its state is already gone), which
-    /// ends the loop until the restart path re-arms it.
-    pub fn maintenance_due(&self, token: u64) -> bool {
-        !self.crashed && self.maintenance.is_current(token)
     }
 
     /// Take one control packet off the wire. `None` when the message goes
@@ -225,7 +210,7 @@ impl ArbFrontEnd {
     }
 
     /// Overloaded: shed the request `pkt` carried instead of arbitrating?
-    /// `stale` marks a refresh of a flow the arbitrator already holds. On
+    /// `stale` marks a refresh of a flow the arbitrator holds a lease for. On
     /// `true` the shed is already counted and traced and the owner
     /// answers with `req.response(true)`: the reply carries whatever the
     /// leg accumulated so far plus the load-shed signal, so the sender

@@ -12,8 +12,9 @@ use crate::process::ArbProcess;
 use crate::tree::{Level, TreeInfo};
 
 /// Install the PASE control plane on every host and switch of `sim`: an
-/// [`ArbProcess`] on every host and every ToR and aggregation switch, each
-/// with its periodic lease GC, and the delegation report loop on ToRs.
+/// [`ArbProcess`] on every host and every ToR and aggregation switch, and
+/// the delegation report loop on each ToR that owns a delegated slice —
+/// the only timer the control plane queues (leases expire when read).
 ///
 /// Call after [`netsim::topology::TopologyBuilder::build`] and before
 /// scheduling flows.
@@ -33,8 +34,8 @@ pub fn install(sim: &mut Simulation, cfg: PaseConfig) -> Arc<TreeInfo> {
     let nodes: Vec<(NodeId, Option<Rate>)> = hosts.chain(switches).collect();
     for (node, link) in nodes {
         let mut process = ArbProcess::new(cfg, node, link, Arc::clone(&tree));
-        // Each process's loops start with their timers' first tokens.
-        for (delay, token) in process.arm_loops() {
+        // A delegating ToR's report loop starts with its first token.
+        if let Some((delay, token)) = process.arm_report() {
             let tick = EventKind::PluginTimer(token);
             sim.scheduler_mut().schedule_in(delay, node, tick);
         }

@@ -120,7 +120,7 @@ fn per_node_control_books_are_pinned() {
                     t.active_nodes > topo.n_hosts(),
                     "{name} {label}: no switch arbitrated"
                 );
-                if cfg.early_pruning {
+                if cfg.prune_depth.is_some() {
                     assert!(t.pruned > 0, "{name} {label}: nothing pruned");
                 }
             } else {

@@ -9,7 +9,11 @@
 //!
 //! The same runs' event counts are pinned too: which timers supersede
 //! and which stay eager is part of the model's cost, and a timer that
-//! silently switches between the two moves these and nothing else.
+//! silently switches between the two moves these and nothing else. Every
+//! RTO supersedes, and so does PASE's bottom-queue pacer; PASE's refresh
+//! and PDQ's pacer and probes stay eager, one event per arm. PASE queues
+//! no `PluginTimer` here: its leases expire when read, and the one-rack
+//! fabric has no delegating ToR.
 
 use pase_repro::netsim::fault::{DegradeProfile, FaultPlan};
 use pase_repro::netsim::sim::{RunLimit, RunOutcome};
@@ -97,7 +101,10 @@ fn run(scheme: Scheme) -> Run {
 /// recorded on the commit before every endpoint timer became a
 /// `netsim::timer` value. PASE's row was re-recorded when one
 /// channel-health estimator replaced three detectors: the old ones put
-/// one flow of this lossy run in fallback, the estimator none.
+/// one flow of this lossy run in fallback, the estimator none. Its events
+/// were re-recorded, digest unchanged, when the lease-GC tick went
+/// (`PluginTimer` 3 942 → 0) and its pacer began to supersede
+/// (`AgentTimer` 17 642 → 17 561).
 #[test]
 fn per_flow_records_match_the_eager_timers() {
     #[rustfmt::skip]
@@ -108,7 +115,7 @@ fn per_flow_records_match_the_eager_timers() {
         (Scheme::L2dct, 0x39b1_4f8a_201d_0c42, [71_911, 35_701, 35_933, 151, 0, 122, 4, 8_119]),
         (Scheme::Pdq, 0x3f58_1035_b575_2c58, [162_312, 71_756, 72_185, 18_245, 0, 122, 4, 28_898]),
         (Scheme::PFabric, 0x3faa_b172_f081_a940, [75_860, 37_466, 37_775, 493, 0, 122, 4, 8_819]),
-        (Scheme::Pase, 0xc14e_4e32_4590_bc8d, [228_898, 102_996, 104_192, 17_642, 3_942, 122, 4, 7_826]),
+        (Scheme::Pase, 0xc14e_4e32_4590_bc8d, [224_875, 102_996, 104_192, 17_561, 0, 122, 4, 7_942]),
     ];
     let mut moved = Vec::new();
     for (scheme, digest, events) in pinned {
@@ -131,4 +138,37 @@ fn per_flow_records_match_the_eager_timers() {
         }
     }
     assert!(moved.is_empty(), "pins moved:\n{}", moved.join("\n"));
+}
+
+/// PASE's leases expire when read, so the only timer its control plane
+/// runs is the delegation report of a ToR that owns a delegated slice.
+/// A leaf–spine fabric has none (a spine has no uplink to slice) and
+/// neither has one rack, so a PASE run there never runs a node-process
+/// timer and leaves none pending.
+#[test]
+fn pase_runs_no_process_timer_without_a_delegated_slice() {
+    use pase_repro::netsim::event::EventKind;
+    use pase_repro::workloads::TopologySpec;
+
+    for topo in [
+        TopologySpec::small_leaf_spine(2),
+        TopologySpec::intra_rack(8),
+    ] {
+        let scenario = Scenario {
+            topo,
+            ..Scenario::all_to_all_intra(8, 40)
+        };
+        let (mut sim, hosts) = Scheme::Pase.build_sim(&scenario.topo);
+        sim.add_flows(scenario.generate_flows(0.8, 1, &hosts));
+        let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(10)));
+        assert_eq!(outcome, RunOutcome::MeasuredComplete, "{topo:?}");
+        let plugin = EventKind::KINDS.iter().position(|&k| k == "PluginTimer");
+        let ran = sim.stats().events_by_kind[plugin.unwrap()];
+        let pending = sim
+            .scheduler()
+            .pending_events()
+            .filter(|(_, _, kind)| matches!(kind, EventKind::PluginTimer(_)))
+            .count();
+        assert_eq!((ran, pending), (0, 0), "{topo:?}");
+    }
 }
