@@ -1,7 +1,7 @@
 //! Algorithm 1: per-link arbitration.
 //!
-//! Every arbitrated link keeps a list of the flows traversing it, sorted
-//! by the scheduling criterion. For one flow the arbitrator computes:
+//! Every arbitrated link keeps the flows traversing it, ranked by the
+//! scheduling criterion. For one flow the arbitrator computes:
 //!
 //! * `ADH` — the aggregate demand of flows with higher priority;
 //! * the priority queue: the top queue if `ADH < C`, otherwise
@@ -9,8 +9,6 @@
 //!   queue "accommodates flows with an aggregate demand of C";
 //! * the reference rate: `min(demand, C − ADH)` when the flow makes the
 //!   top queue, otherwise the base rate (one packet per RTT).
-
-use std::collections::HashMap;
 
 use netsim::ids::FlowId;
 use netsim::time::{Rate, SimDuration, SimTime};
@@ -21,6 +19,20 @@ use crate::config::{Criterion, PaseConfig};
 /// refreshed no longer than `expiry` before `now` still arbitrates.
 fn live(e: &FlowEntry, now: SimTime, expiry: SimDuration) -> bool {
     e.last_update + expiry >= now
+}
+
+/// Priority key under `criterion`: lower sorts first (more critical). The
+/// flow id makes it a total order.
+fn key(criterion: Criterion, id: FlowId, e: &FlowEntry) -> (u64, u64, u64) {
+    match criterion {
+        Criterion::SrptSize => (0, e.remaining, id.0),
+        Criterion::Edf => (
+            e.deadline.map_or(u64::MAX, |d| d.as_nanos()),
+            e.remaining,
+            id.0,
+        ),
+        Criterion::TaskAware => (e.task.unwrap_or(u64::MAX), e.remaining, id.0),
+    }
 }
 
 /// One flow's entry in a link arbitrator.
@@ -61,12 +73,15 @@ impl Decision {
     }
 }
 
-/// A per-link arbitrator (Algorithm 1).
-#[derive(Debug)]
+/// A per-link arbitrator (Algorithm 1). Its entries sit in one unsorted
+/// `Vec`, one per flow: an arbitrator holds a handful, every request reads
+/// all of them, and ADH — a saturating sum of non-negative demands — does
+/// not depend on the order they are read in.
+#[derive(Debug, Clone)]
 pub struct LinkArbitrator {
     /// The link's (possibly virtual/delegated) capacity.
     capacity: Rate,
-    flows: HashMap<FlowId, FlowEntry>,
+    flows: Vec<(FlowId, FlowEntry)>,
     criterion: Criterion,
     n_queues: u8,
     base_rate: Rate,
@@ -77,7 +92,7 @@ impl LinkArbitrator {
     pub fn new(capacity: Rate, cfg: &PaseConfig) -> LinkArbitrator {
         LinkArbitrator {
             capacity,
-            flows: HashMap::new(),
+            flows: Vec::new(),
             criterion: cfg.criterion,
             n_queues: cfg.n_queues,
             base_rate: cfg.base_rate(),
@@ -103,32 +118,23 @@ impl LinkArbitrator {
     /// `now`. A request for such a flow is a *refresh* — the cheapest
     /// thing an overloaded arbitrator can shed, because the existing entry
     /// keeps arbitrating until it expires. A lease past `expiry` is absent
-    /// here whether or not [`LinkArbitrator::gc`] has collected it yet.
+    /// here whether or not it has been dropped yet.
     pub fn has_lease(&self, flow: FlowId, now: SimTime, expiry: SimDuration) -> bool {
-        self.flows.get(&flow).is_some_and(|e| live(e, now, expiry))
-    }
-
-    /// Priority key: lower sorts first (more critical).
-    fn key(&self, id: FlowId, e: &FlowEntry) -> (u64, u64, u64) {
-        match self.criterion {
-            Criterion::SrptSize => (0, e.remaining, id.0),
-            Criterion::Edf => (
-                e.deadline.map_or(u64::MAX, |d| d.as_nanos()),
-                e.remaining,
-                id.0,
-            ),
-            Criterion::TaskAware => (e.task.unwrap_or(u64::MAX), e.remaining, id.0),
-        }
+        self.flows
+            .iter()
+            .any(|(id, e)| *id == flow && live(e, now, expiry))
     }
 
     /// Step 1 of Algorithm 1: insert or refresh the flow's entry.
     pub fn update(&mut self, flow: FlowId, entry: FlowEntry) {
-        self.flows.insert(flow, entry);
+        self.pass(flow, entry, None);
     }
 
     /// Remove a finished flow.
     pub fn remove(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
+        if let Some(i) = self.flows.iter().position(|(id, _)| *id == flow) {
+            self.flows.swap_remove(i);
+        }
     }
 
     /// Forget every flow (an arbitrator crash wipes all soft state; the
@@ -139,7 +145,7 @@ impl LinkArbitrator {
 
     /// Drop entries older than `expiry` before `now`.
     pub fn gc(&mut self, now: SimTime, expiry: SimDuration) {
-        self.flows.retain(|_, e| live(e, now, expiry));
+        self.flows.retain(|(_, e)| live(e, now, expiry));
     }
 
     /// Step 2 of Algorithm 1: compute the flow's queue and reference rate.
@@ -147,14 +153,49 @@ impl LinkArbitrator {
     /// # Panics
     /// The flow must have been [`LinkArbitrator::update`]d first.
     pub fn decide(&self, flow: FlowId) -> Decision {
-        let me = &self.flows[&flow];
-        let my_key = self.key(flow, me);
-        // ADH: aggregate demand of strictly higher-priority flows.
+        let mut flows = self.flows.iter();
+        let (_, me) = flows
+            .find(|(id, _)| *id == flow)
+            .expect("decide: flow not arbitrated");
+        // Refreshing an entry with itself changes nothing: the pass decides.
+        self.clone().pass(flow, *me, None)
+    }
+
+    /// Convenience: update then decide.
+    pub fn update_and_decide(&mut self, flow: FlowId, entry: FlowEntry) -> Decision {
+        self.pass(flow, entry, None)
+    }
+
+    /// Algorithm 1 for a request arriving at `entry.last_update`, with the
+    /// lease rule applied on the way: the decision and the list it leaves
+    /// are those of [`LinkArbitrator::gc`] at that time followed by
+    /// [`LinkArbitrator::update_and_decide`], in one pass.
+    pub fn arbitrate(&mut self, flow: FlowId, entry: FlowEntry, expiry: SimDuration) -> Decision {
+        self.pass(flow, entry, Some(expiry))
+    }
+
+    /// The one pass over the list behind every update: refresh `flow`'s
+    /// entry in place (or append it), drop every other entry whose lease
+    /// expired by `entry.last_update` when an `expiry` is given, and sum
+    /// the demand of the kept flows that outrank it — its ADH.
+    fn pass(&mut self, flow: FlowId, entry: FlowEntry, expiry: Option<SimDuration>) -> Decision {
+        let (criterion, now) = (self.criterion, entry.last_update);
+        let mine = key(criterion, flow, &entry);
         let mut adh = Rate::ZERO;
-        for (id, e) in &self.flows {
-            if *id != flow && self.key(*id, e) < my_key {
+        let mut refreshed = false;
+        self.flows.retain_mut(|(id, e)| {
+            if *id == flow {
+                *e = entry;
+                refreshed = true;
+            } else if expiry.is_some_and(|expiry| !live(e, now, expiry)) {
+                return false;
+            } else if key(criterion, *id, e) < mine {
                 adh = adh.saturating_add(e.demand);
             }
+            true
+        });
+        if !refreshed {
+            self.flows.push((flow, entry));
         }
         let c = self.capacity.as_bps();
         if adh.as_bps() < c {
@@ -162,7 +203,7 @@ impl LinkArbitrator {
             let spare = Rate::from_bps(c - adh.as_bps());
             Decision {
                 queue: 0,
-                rate: me.demand.min(spare),
+                rate: entry.demand.min(spare),
             }
         } else {
             // PrioQue = ceil(ADH/C) (1-based, clamped to the lowest
@@ -179,12 +220,6 @@ impl LinkArbitrator {
         }
     }
 
-    /// Convenience: update then decide.
-    pub fn update_and_decide(&mut self, flow: FlowId, entry: FlowEntry) -> Decision {
-        self.update(flow, entry);
-        self.decide(flow)
-    }
-
     /// Aggregate demand of flows currently mapped to the top queue — the
     /// quantity a child arbitrator reports to its parent for delegation
     /// rebalancing. Counts every entry held: the report
@@ -192,8 +227,8 @@ impl LinkArbitrator {
     pub fn top_queue_demand(&self) -> Rate {
         // Flows sorted by key take capacity in order; the top queue holds
         // those whose prefix demand is below capacity.
-        let mut order: Vec<(&FlowId, &FlowEntry)> = self.flows.iter().collect();
-        order.sort_by_key(|(id, e)| self.key(**id, e));
+        let mut order: Vec<&(FlowId, FlowEntry)> = self.flows.iter().collect();
+        order.sort_by_key(|(id, e)| key(self.criterion, *id, e));
         let mut sum = Rate::ZERO;
         let mut top = Rate::ZERO;
         for (_, e) in order {

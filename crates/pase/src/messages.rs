@@ -129,4 +129,18 @@ impl ArbMsg {
     pub fn packet(self, flow: FlowId, src: NodeId, dst: NodeId) -> Packet {
         Packet::ctrl(flow, src, dst, Box::new(self))
     }
+
+    /// [`ArbMsg::packet`], but written into `slot` — the box a message
+    /// arrived in — instead of a fresh allocation: an arbitrator forwards
+    /// or answers a request in the box the request came in.
+    pub fn packet_in(
+        self,
+        mut slot: Box<ArbMsg>,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Packet {
+        *slot = self;
+        Packet::ctrl(flow, src, dst, slot)
+    }
 }

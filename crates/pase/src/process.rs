@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::fault::NodeFault;
-use netsim::ids::{FlowId, NodeId};
+use netsim::ids::{FlowId, IdHashBuilder, NodeId};
 use netsim::node::{ProcIo, Process};
 use netsim::packet::Packet;
 use netsim::stats::{Fate, StatsCollector};
@@ -93,7 +93,7 @@ pub struct ArbProcess {
     /// ToR with delegation: virtual slice of `core → agg`.
     deleg_down: Option<LinkArbitrator>,
     /// Host: the latest leg responses of its own flows.
-    legs: HashMap<FlowId, LegResults>,
+    legs: HashMap<FlowId, LegResults, IdHashBuilder>,
     /// ToR with a delegated slice: the agg it reports the slice's demand
     /// to. Set exactly when `deleg_up` and `deleg_down` are.
     deleg_parent: Option<NodeId>,
@@ -102,7 +102,7 @@ pub struct ArbProcess {
     /// reporting rate.
     deleg: Timer,
     /// Agg with delegation: its children's last reported demands.
-    child_demands: HashMap<NodeId, (Rate, Rate)>,
+    child_demands: HashMap<NodeId, (Rate, Rate), IdHashBuilder>,
 }
 
 impl ArbProcess {
@@ -131,10 +131,10 @@ impl ArbProcess {
             down: arbitrate(link),
             deleg_up: arbitrate(slice),
             deleg_down: arbitrate(slice),
-            legs: HashMap::new(),
+            legs: HashMap::default(),
             deleg_parent: delegated.map(|(agg, _)| agg),
             deleg: Timer::new(slot::DELEGATION),
-            child_demands: HashMap::new(),
+            child_demands: HashMap::default(),
         }
     }
 
@@ -270,8 +270,7 @@ impl ArbProcess {
         let expiry = self.cfg.arb_expiry();
         let (arbs, next) = self.route(req.leg, req.src, req.dst);
         for arb in arbs.into_iter().flatten() {
-            arb.gc(now, expiry);
-            let d = arb.update_and_decide(req.flow, req.entry(now));
+            let d = arb.arbitrate(req.flow, req.entry(now), expiry);
             req.decision = req.decision.merge(d);
         }
         let next = next?;
@@ -283,8 +282,12 @@ impl ArbProcess {
         Some(next)
     }
 
-    fn reply(&self, req: &ArbRequest, shedding: bool, io: &mut ProcIo<'_, '_>) {
-        io.send(req.response(shedding).packet(req.flow, self.me, req.src));
+    /// Answer `req` to its source in `slot`, the box it arrived in.
+    fn reply(&self, req: &ArbRequest, shedding: bool, slot: Box<ArbMsg>, io: &mut ProcIo<'_, '_>) {
+        io.send(
+            req.response(shedding)
+                .packet_in(slot, req.flow, self.me, req.src),
+        );
     }
 
     /// Host: cache a leg response for the local sender and wake it.
@@ -308,8 +311,14 @@ impl ArbProcess {
 
     /// Agg side: rebalance the delegated virtual links across children in
     /// proportion to their reported demands (with a minimum share so idle
-    /// children can ramp up).
-    fn rebalance_and_grant(&mut self, reporter: NodeId, io: &mut ProcIo<'_, '_>) {
+    /// children can ramp up), and grant the reporter its share in `slot`,
+    /// the box its report arrived in.
+    fn rebalance_and_grant(
+        &mut self,
+        reporter: NodeId,
+        slot: Box<ArbMsg>,
+        io: &mut ProcIo<'_, '_>,
+    ) {
         let Some(total) = self.tree.uplink_rate(self.me) else {
             return;
         };
@@ -335,7 +344,7 @@ impl ArbProcess {
             up_capacity,
             down_capacity,
         };
-        io.send(grant.packet(NO_FLOW, self.me, reporter));
+        io.send(grant.packet_in(slot, NO_FLOW, self.me, reporter));
     }
 }
 
@@ -345,26 +354,30 @@ impl Process for ArbProcess {
         let Some((msg, depth)) = self.front.admit(&mut pkt, io.sim.stats, now) else {
             return;
         };
-        if let ArbMsg::Request(req) = &*msg {
+        // Every reply and forward below goes out in `msg`'s box: one
+        // allocation per request, however many hops it climbs.
+        if let ArbMsg::Request(req) = *msg {
             // A request is a *stale refresh* — the first thing an
             // overloaded arbitrator sheds — when an arbitrator on its leg
             // already holds an unexpired lease for the flow.
             let expiry = self.cfg.arb_expiry();
-            let mut arbs = self.leg_arbitrators(req.leg).into_iter().flatten();
-            let stale = arbs.any(|a| a.has_lease(req.flow, now, expiry));
+            let stale = || {
+                let mut arbs = self.leg_arbitrators(req.leg).into_iter().flatten();
+                arbs.any(|a| a.has_lease(req.flow, now, expiry))
+            };
             if self
                 .front
                 .shed_request(&pkt, stale, depth, io.sim.stats, now)
             {
-                self.reply(req, true, io);
+                self.reply(&req, true, msg, io);
                 return;
             }
         }
         io.sim.stats.note_fate(&pkt, Fate::Processed, self.me, now);
         match *msg {
             ArbMsg::Request(mut req) => match self.arbitrate(&mut req, now, io.sim.stats) {
-                Some(next) => io.send(ArbMsg::Request(req).packet(req.flow, self.me, next)),
-                None => self.reply(&req, false, io),
+                Some(next) => io.send(ArbMsg::Request(req).packet_in(msg, req.flow, self.me, next)),
+                None => self.reply(&req, false, msg, io),
             },
             ArbMsg::Response(resp) => self.on_response(resp, io),
             ArbMsg::FlowDone {
@@ -378,7 +391,7 @@ impl Process for ArbProcess {
                 let (arbs, next) = self.route(leg, src, dst);
                 arbs.into_iter().flatten().for_each(|a| a.remove(flow));
                 if let Some(next) = next {
-                    io.send(msg.packet(flow, self.me, next));
+                    io.send(Packet::ctrl(flow, self.me, next, msg));
                 }
             }
             ArbMsg::DelegUpdate {
@@ -387,7 +400,7 @@ impl Process for ArbProcess {
                 down_demand,
             } => {
                 self.child_demands.insert(child, (up_demand, down_demand));
-                self.rebalance_and_grant(child, io);
+                self.rebalance_and_grant(child, msg, io);
             }
             ArbMsg::DelegGrant {
                 up_capacity,

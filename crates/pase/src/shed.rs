@@ -106,6 +106,11 @@ impl InboxBudget {
         depth > self.budget.saturating_mul(2)
     }
 
+    /// Whether `depth` is past the budget: below it nothing is shed.
+    pub(crate) fn over_budget(&self, depth: u64) -> bool {
+        depth > self.budget
+    }
+
     /// Shed verdict for a *request* arriving at weighted depth `depth`.
     /// `stale` marks a refresh of a flow the arbitrator holds a lease for.
     /// Past the budget, stale refreshes are shed (the live entry keeps
@@ -119,7 +124,7 @@ impl InboxBudget {
         if self.overflowed(depth) {
             return true;
         }
-        depth > self.budget && stale
+        self.over_budget(depth) && stale
     }
 
     /// Forget in-epoch state (arbitrator crash wipes soft state).
@@ -210,7 +215,9 @@ impl ArbFrontEnd {
     }
 
     /// Overloaded: shed the request `pkt` carried instead of arbitrating?
-    /// `stale` marks a refresh of a flow the arbitrator holds a lease for. On
+    /// `stale` tells whether it refreshes a flow the arbitrator holds a
+    /// lease for; it is asked only past the budget, the one place the
+    /// answer matters, so a request under budget reads no lease. On
     /// `true` the shed is already counted and traced and the owner
     /// answers with `req.response(true)`: the reply carries whatever the
     /// leg accumulated so far plus the load-shed signal, so the sender
@@ -220,11 +227,15 @@ impl ArbFrontEnd {
     pub fn shed_request(
         &self,
         pkt: &Packet,
-        stale: bool,
+        stale: impl FnOnce() -> bool,
         depth: u64,
         stats: &mut StatsCollector,
         now: SimTime,
     ) -> bool {
+        if !self.budget.over_budget(depth) {
+            return false;
+        }
+        let stale = stale();
         let shed = self.budget.should_shed(depth, stale);
         if shed {
             self.note_shed(pkt, stale, stats, now);

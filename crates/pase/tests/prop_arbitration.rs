@@ -3,10 +3,12 @@
 //! are generated from netsim's seeded [`Rng`] so the suite is
 //! deterministic and dependency-free.
 
+use std::collections::BTreeMap;
+
 use netsim::ids::FlowId;
 use netsim::rng::Rng;
-use netsim::time::{Rate, SimTime};
-use pase::{FlowEntry, LinkArbitrator, PaseConfig};
+use netsim::time::{Rate, SimDuration, SimTime};
+use pase::{Criterion, Decision, FlowEntry, LinkArbitrator, PaseConfig};
 
 fn entry(remaining: u64, demand_mbps: u64) -> FlowEntry {
     FlowEntry {
@@ -177,6 +179,134 @@ fn top_queue_demand_bounds() {
                 top, total,
                 "underloaded link should carry all demand on top"
             );
+        }
+    }
+}
+
+/// Algorithm 1 written out the slow way, as the paper states it: the
+/// live flows sorted by the criterion, ADH the demand ahead of the flow.
+struct Reference {
+    cfg: PaseConfig,
+    capacity: Rate,
+    flows: BTreeMap<FlowId, FlowEntry>,
+}
+
+impl Reference {
+    fn key(&self, id: FlowId, e: &FlowEntry) -> (u64, u64, u64) {
+        match self.cfg.criterion {
+            Criterion::SrptSize => (0, e.remaining, id.0),
+            Criterion::Edf => (
+                e.deadline.map_or(u64::MAX, |d| d.as_nanos()),
+                e.remaining,
+                id.0,
+            ),
+            Criterion::TaskAware => (e.task.unwrap_or(u64::MAX), e.remaining, id.0),
+        }
+    }
+
+    /// gc, then update, then decide.
+    fn request(&mut self, flow: FlowId, entry: FlowEntry, expiry: SimDuration) -> Decision {
+        let now = entry.last_update;
+        self.flows.retain(|_, e| e.last_update + expiry >= now);
+        self.flows.insert(flow, entry);
+        let mut order: Vec<_> = self.flows.iter().collect();
+        order.sort_by_key(|(id, e)| self.key(**id, e));
+        let ahead = order.iter().take_while(|(id, _)| **id != flow);
+        let adh: u64 = ahead.map(|(_, e)| e.demand.as_bps()).sum();
+        let c = self.capacity.as_bps();
+        if adh < c {
+            Decision {
+                queue: 0,
+                rate: entry.demand.min(Rate::from_bps(c - adh)),
+            }
+        } else {
+            let queue = (adh / c + 1).min(self.cfg.n_queues as u64) as u8 - 1;
+            Decision {
+                queue,
+                rate: self.cfg.base_rate(),
+            }
+        }
+    }
+}
+
+/// The request path's one pass (`LinkArbitrator::arbitrate`) decides
+/// exactly what `gc → update → decide` on a second arbitrator and the
+/// sorted-list reference decide, and leaves the same leases behind,
+/// over random request / remove / expiry / `set_capacity` sequences,
+/// under every criterion, with 1, 8 and 1 000 flows resident.
+#[test]
+fn one_pass_equals_gc_update_decide() {
+    let expiry = SimDuration::from_millis(1);
+    for criterion in [Criterion::SrptSize, Criterion::Edf, Criterion::TaskAware] {
+        for resident in [1u64, 8, 1000] {
+            let cfg = PaseConfig {
+                criterion,
+                ..PaseConfig::default()
+            };
+            let mut rng = Rng::seed_from_u64(0x1a55 ^ resident ^ (criterion as u64) << 32);
+            let capacity = Rate::from_mbps(cap_mbps(&mut rng));
+            let mut one_pass = LinkArbitrator::new(capacity, &cfg);
+            let mut composed = LinkArbitrator::new(capacity, &cfg);
+            let mut reference = Reference {
+                cfg,
+                capacity,
+                flows: BTreeMap::new(),
+            };
+            let mut now = SimTime::ZERO;
+            // Steps short enough that most of the `resident` flows keep
+            // their leases; a rare long silence lets a share of them lapse.
+            // Time moves in 100 ns units, so some leases are read exactly
+            // at expiry.
+            let steps = expiry.as_nanos() / (200 * resident);
+            for op in 0..4 * resident + 400 {
+                // Every flow requests once before anything else happens.
+                let flow = FlowId(if op < resident {
+                    op
+                } else {
+                    rng.gen_below(resident)
+                });
+                match rng.gen_below(100) {
+                    0..=1 if op >= resident => {
+                        one_pass.remove(flow);
+                        composed.remove(flow);
+                        reference.flows.remove(&flow);
+                    }
+                    2..=3 if op >= resident => {
+                        let capacity = Rate::from_mbps(cap_mbps(&mut rng));
+                        one_pass.set_capacity(capacity);
+                        composed.set_capacity(capacity);
+                        reference.capacity = capacity;
+                    }
+                    4 if op >= resident => {
+                        now += SimDuration::from_micros(rng.gen_range_inclusive(500, 1_500));
+                    }
+                    _ => {
+                        now += SimDuration::from_nanos(100 * rng.gen_below(steps));
+                        let entry = FlowEntry {
+                            remaining: rng.gen_range_inclusive(1, 99_999),
+                            deadline: (rng.gen_below(2) == 0)
+                                .then(|| SimTime::from_micros(rng.gen_below(5_000))),
+                            demand: Rate::from_mbps(rng.gen_range_inclusive(1, 999)),
+                            task: (rng.gen_below(2) == 0).then(|| rng.gen_below(4)),
+                            last_update: now,
+                        };
+                        let leased = one_pass.has_lease(flow, now, expiry);
+                        assert_eq!(leased, composed.has_lease(flow, now, expiry));
+                        let d = one_pass.arbitrate(flow, entry, expiry);
+                        composed.gc(now, expiry);
+                        composed.update(flow, entry);
+                        let what = format!("{criterion:?}, {resident} flows, op {op}");
+                        assert_eq!(d, composed.decide(flow), "{what}");
+                        assert_eq!(d, reference.request(flow, entry, expiry), "{what}");
+                        assert_eq!(one_pass.n_flows(), reference.flows.len(), "{what}");
+                        assert_eq!(composed.n_flows(), reference.flows.len(), "{what}");
+                    }
+                }
+                if op + 1 == resident {
+                    assert_eq!(one_pass.n_flows() as u64, resident);
+                }
+            }
+            assert_eq!(one_pass.top_queue_demand(), composed.top_queue_demand());
         }
     }
 }

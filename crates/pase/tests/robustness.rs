@@ -492,9 +492,11 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
 #[test]
 fn crashed_host_lease_expiry_frees_the_top_queue() {
     // A machine crash kills a top-queue flow without any FlowDone: only
-    // the lease GC can reclaim its PrioQue/Rref share. The demoted
-    // competitor must be promoted back to the top queue once the dead
-    // entry expires — a crashed host cannot wedge the priority ladder.
+    // lease expiry can reclaim its PrioQue/Rref share, and the next
+    // request the survivor's refresh brings to each arbitrator drops the
+    // expired entry. The demoted competitor must be promoted back to the
+    // top queue once the dead entry expires — a crashed host cannot
+    // wedge the priority ladder.
     let cfg = cfg();
     let (mut sim, hosts) = three_tier_sim(2, cfg);
     // Small cross-core flow: wins the top queue on every shared link.

@@ -38,6 +38,19 @@ impl ByteTracker {
         if end <= self.frontier {
             return false; // fully duplicate
         }
+        if start <= self.frontier && self.ooo.is_empty() {
+            // In order with nothing held above: extending the frontier
+            // is all the general path (`insert`) would do.
+            self.frontier = end;
+            return true;
+        }
+        self.insert(start, end)
+    }
+
+    /// The general path of [`ByteTracker::on_range`] for a range that
+    /// ends past the frontier: merge it into the held ranges, then
+    /// advance the frontier through any that became contiguous.
+    fn insert(&mut self, start: u64, end: u64) -> bool {
         let start = start.max(self.frontier);
         // Check whether [start, end) is fully covered by existing ranges.
         let mut new_bytes = false;
@@ -198,6 +211,53 @@ mod tests {
         assert!(!t.on_range(100, 100));
         assert_eq!(t.cum_ack(), 0);
         assert_eq!(t.bytes_received(), 0);
+    }
+
+    /// [`ByteTracker::on_range`] without its in-order fast path.
+    fn on_range_general(t: &mut ByteTracker, start: u64, end: u64) -> bool {
+        if start == end || end <= t.frontier {
+            return false;
+        }
+        t.insert(start, end)
+    }
+
+    #[test]
+    fn fast_path_matches_the_general_path() {
+        use netsim::rng::Rng;
+        const SEG: u64 = 1460;
+        // 0: in order; 1: adjacent segments swapped; 2: in order with
+        // duplicates and overlapping retransmissions mixed in.
+        for (seed, mode) in (0..96u64).map(|s| (s, s % 3)) {
+            let mut rng = Rng::seed_from_u64(0x7ac4 ^ seed);
+            let n = rng.gen_range_inclusive(1, 200);
+            let mut ranges: Vec<(u64, u64)> = (0..n).map(|i| (i * SEG, (i + 1) * SEG)).collect();
+            match mode {
+                1 => {
+                    for i in 1..ranges.len() {
+                        if rng.gen_below(3) == 0 {
+                            ranges.swap(i - 1, i);
+                        }
+                    }
+                }
+                2 => {
+                    for i in (0..ranges.len()).rev() {
+                        if rng.gen_below(3) == 0 {
+                            let (s, e) = ranges[rng.gen_index(i + 1)];
+                            let cut = rng.gen_below(e - s + 1);
+                            ranges.insert(i + 1, (s + cut, e + rng.gen_below(2 * SEG)));
+                        }
+                    }
+                }
+                _ => {}
+            }
+            let (mut fast, mut general) = (ByteTracker::new(), ByteTracker::new());
+            for (s, e) in ranges {
+                let new = fast.on_range(s, e);
+                assert_eq!(new, on_range_general(&mut general, s, e), "seed {seed}");
+                let state = |t: &ByteTracker| (t.cum_ack(), t.gaps(), t.bytes_received());
+                assert_eq!(state(&fast), state(&general), "seed {seed}, {s}..{e}");
+            }
+        }
     }
 
     #[test]

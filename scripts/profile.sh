@@ -14,9 +14,16 @@
 #     named SYMBOL (failing that, whose name contains it), each with its
 #     source line (`objdump -d -l`).
 # The sampler arms a 50 us CLOCK_MONOTONIC `timer_create` timer whose
-# SIGPROF handler records the interrupted RIP; the samples are written,
-# one file per process, when the process exits normally. A stalled
-# instruction is usually charged to the one after it. Build what you
+# SIGPROF handler records the interrupted RIP. The kernel hands each
+# tick to one thread of the process, a parked one too (a pool's joining
+# main thread in its futex wait): a sample whose thread burned under
+# half a period of CPU time since its own previous sample is counted on
+# one `parked` line and left out of every share, so the shares are of
+# running threads. (A CPU-clock timer would need no such test, but the
+# kernel fires those only at its scheduler tick, every few ms.) The
+# samples are written, one file per process, when the process exits
+# normally. A stalled instruction is usually charged to the one after
+# it. Build what you
 # profile with line tables, or only symbols resolve, e.g.
 #   CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
 #     cargo build --release --manifest-path perfbench/Cargo.toml
@@ -54,13 +61,24 @@ cc -O2 -shared -fPIC -o "$out/sampler.so" -DOUT="\"$out/samples\"" -x c - <<'EOF
 #include <unistd.h>
 
 #define MAX_SAMPLES (1L << 22)
+#define PERIOD_NS 50000L
 static unsigned long rips[MAX_SAMPLES];
-static long taken;
+static long taken, parked;
 static timer_t timer;
 static FILE *out;
 static int objects;
+/* The receiving thread's CPU time at its previous sample. */
+static __thread __attribute__((tls_model("initial-exec"))) long last_cpu_ns;
 
 static void on_prof(int sig, siginfo_t *si, void *uc) {
+    struct timespec cpu;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu);
+    long now = cpu.tv_sec * 1000000000L + cpu.tv_nsec, ran = now - last_cpu_ns;
+    last_cpu_ns = now;
+    if (ran < PERIOD_NS / 2) {
+        __atomic_fetch_add(&parked, 1, __ATOMIC_RELAXED);
+        return;
+    }
     long i = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
     if (i < MAX_SAMPLES) rips[i] = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
 }
@@ -68,7 +86,7 @@ static void on_prof(int sig, siginfo_t *si, void *uc) {
 __attribute__((constructor)) static void start(void) {
     struct sigaction sa = {.sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART};
     struct sigevent ev = {.sigev_notify = SIGEV_SIGNAL, .sigev_signo = SIGPROF};
-    struct itimerspec every = {{0, 50000}, {0, 50000}};
+    struct itimerspec every = {{0, PERIOD_NS}, {0, PERIOD_NS}};
     sigaction(SIGPROF, &sa, NULL);
     if (timer_create(CLOCK_MONOTONIC, &ev, &timer) == 0) timer_settime(timer, 0, &every, NULL);
 }
@@ -99,7 +117,7 @@ __attribute__((destructor)) static void stop(void) {
     timer_delete(timer);
     snprintf(path, sizeof path, "%s.%d", OUT, (int)getpid());
     if (!(out = fopen(path, "w"))) return;
-    fprintf(out, "taken %ld\n", taken);
+    fprintf(out, "taken %ld\nparked %ld\n", taken, parked);
     dl_iterate_phdr(write_object, NULL);
     fclose(out);
 }
@@ -110,9 +128,10 @@ LD_PRELOAD="$out/sampler.so" "$@" || echo "profile: the command exited with stat
 # "<count> <object path> <address>", one line per sampled address, over
 # every process that ran.
 for f in "$out"/samples.*; do
-    awk '$1 == "object" { path[$2] = $3; next } $1 != "taken" { print path[$1], $2 }' "$f"
+    awk '$1 == "object" { path[$2] = $3; next } $2 ~ /^0x/ { print path[$1], $2 }' "$f"
 done | sort | uniq -c | sort -k2,2 -k3,3 >"$out/counts"
 total=$(awk '$1 == "taken" { s += $2 } END { print s + 0 }' "$out"/samples.*)
+parked=$(awk '$1 == "parked" { s += $2 } END { print s + 0 }' "$out"/samples.*)
 [ "$total" -gt 0 ] || { echo "profile: no samples (did the command exit normally?)" >&2; exit 1; }
 
 # Resolve every address, one row each:
@@ -136,6 +155,7 @@ for obj in $(awk '{ print $2 }' "$out/counts" | sort -u); do
 done >"$out/resolved"
 
 echo "profile: $total samples at 50 us ($(ls "$out"/samples.* | wc -l) process(es)); raw data in $out"
+echo "parked: $parked samples taken by threads that were not running, left out of the shares"
 # Top lists end in `awk 'NR <= n'`, not `head`: a `head` that exits
 # early kills `sort` with SIGPIPE, which `pipefail` turns into an exit.
 rank() { # $1 = column of resolved to rank by, $2 = heading
