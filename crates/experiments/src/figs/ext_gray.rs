@@ -29,10 +29,11 @@ struct GrayCase {
 
 /// Degrade the highest-id spine uplink of the first leaf.
 ///
-/// The *highest*-id spine is deliberate: PASE's control plane treats the
-/// lowest-id spine as each leaf's arbitration parent, so degrading the
-/// other one isolates the data-path effect for every scheme (PASE on a
-/// gray control channel is exercised in `pase`'s robustness tests).
+/// The *highest*-id spine is deliberate: the first leaf's arbitration
+/// parent is the lowest-id spine (its rank among the leaves is 0), so
+/// degrading the other one isolates the data-path effect for every scheme
+/// (PASE on a gray control channel is exercised in `pase`'s robustness
+/// tests).
 fn inject_gray(gray: Option<GrayCase>, sim: &mut Simulation, hosts: &[NodeId]) {
     let Some(g) = gray else { return };
     if g.health_aware {

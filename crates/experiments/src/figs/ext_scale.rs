@@ -9,11 +9,15 @@
 //! 1024 hosts, ≥100k flows in the full profile) and reports what the
 //! three-tier hierarchy actually does:
 //!
-//! - headline: PASE vs DCTCP AFCT on the same fabric and workload, with
-//!   invariants enabled and the PASE run executed twice under the
-//!   dual-run byte-identical-trace discipline (a [`HashTracer`] digest
-//!   per run, asserted equal — the scale refactor must not cost
-//!   determinism);
+//! - headline: PASE vs DCTCP and pFabric (the in-repo near-ideal
+//!   reference) AFCT on the same fabric and workload, with invariants
+//!   enabled and the PASE run executed twice under the dual-run
+//!   byte-identical-trace discipline (a [`HashTracer`] digest per run,
+//!   asserted equal — the scale refactor must not cost determinism);
+//! - link utilisation per fabric tier (ToR–agg, agg–core), max and mean
+//!   over the tier's links: PASE arbitrates each tier as one virtual
+//!   uplink of the summed capacity, which is only as honest as the
+//!   per-flow ECMP spread beneath it;
 //! - per-tier control-plane load: arbitration messages processed per
 //!   second per arbitrator at the ToR, aggregation and core tiers;
 //! - pruning effectiveness vs `prune_depth`: the fraction of
@@ -25,6 +29,7 @@
 //! The big runs report their median and p99 from the GK quantile sketch
 //! ([`MetricsMode::Sketch`]), the path the scale refactor added.
 
+use netsim::node::Node;
 use netsim::prelude::*;
 use netsim::topology::NodeKind;
 use netsim::trace::HashTracer;
@@ -60,8 +65,7 @@ impl TierLoad {
     /// Group the per-arbitrator processed tallies by tree tier. Host
     /// arbitrators are excluded: the tiers under test are the switch
     /// hierarchy (ToR → agg → core).
-    fn measure(sim: &Simulation) -> TierLoad {
-        let tree = TreeInfo::from_topology(sim.topo());
+    fn measure(sim: &Simulation, tree: &TreeInfo) -> TierLoad {
         let mut out = TierLoad::default();
         for sw in sim.topo().switches() {
             out.arbs[Self::tier(tree.level(sw))] += 1;
@@ -83,10 +87,49 @@ impl TierLoad {
     }
 }
 
+/// Link utilisation over a whole run in the two switch-to-switch tiers,
+/// ToR–agg and agg–core (both directions of every link): `(max, mean)`
+/// per tier, as fractions.
+#[derive(Debug, Clone, Copy, Default)]
+struct TierUtil([(f64, f64); 2]);
+
+impl TierUtil {
+    fn measure(sim: &Simulation, tree: &TreeInfo) -> TierUtil {
+        let mut sums = [(0.0f64, 0.0f64, 0u32); 2];
+        for node in sim.nodes() {
+            let Node::Switch(sw) = node else { continue };
+            for port in sw.ports() {
+                if sim.topo().kind(port.peer) != NodeKind::Switch {
+                    continue;
+                }
+                let levels = [tree.level(sw.id()), tree.level(port.peer)];
+                let (max, sum, n) = &mut sums[levels.contains(&Level::Core) as usize];
+                let u = port.utilization(sim.now());
+                (*max, *sum, *n) = (max.max(u), *sum + u, *n + 1);
+            }
+        }
+        TierUtil(sums.map(|(max, sum, n)| (max, sum / f64::from(n.max(1)))))
+    }
+
+    /// "ToR–agg max …% / mean …%, agg–core …".
+    fn describe(&self) -> String {
+        let [tor_agg, agg_core] = self.0.map(|(max, mean)| {
+            format!(
+                "max {:.1}% / mean {:.1}% ({:.2}x)",
+                100.0 * max,
+                100.0 * mean,
+                max / mean.max(f64::MIN_POSITIVE)
+            )
+        });
+        format!("ToR–agg {tor_agg}, agg–core {agg_core}")
+    }
+}
+
 /// What one run produced, beyond its flow metrics.
 struct RunOut {
     metrics: RunMetrics,
     tiers: TierLoad,
+    util: TierUtil,
     /// Simulated seconds actually elapsed (denominator for msgs/sec).
     sim_secs: f64,
     /// Total requests answered locally by pruning / forwarded upward.
@@ -128,7 +171,9 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
     if let Some(w) = backstop_warning(&spec, &m) {
         panic!("{} scale run: {w}", scheme.name());
     }
-    let tiers = TierLoad::measure(&sim);
+    let tree = TreeInfo::from_topology(sim.topo());
+    let tiers = TierLoad::measure(&sim, &tree);
+    let util = TierUtil::measure(&sim, &tree);
     let sim_secs = sim.now().as_nanos() as f64 / 1e9;
     let pruned: u64 = sim.stats().arb_pruned_by_node().map(|(_, n)| n).sum();
     let climbed: u64 = sim.stats().arb_climbed_by_node().map(|(_, n)| n).sum();
@@ -137,6 +182,7 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
     RunOut {
         metrics,
         tiers,
+        util,
         sim_secs,
         pruned,
         climbed,
@@ -157,8 +203,9 @@ fn pruning_scheme(topo: &TopologySpec, depth: u8) -> Scheme {
 }
 
 /// Regenerate the scale extension: pruning effectiveness and per-tier
-/// arbitration load vs prune depth, with the PASE-vs-DCTCP headline
-/// (dual-run determinism included) in the notes.
+/// arbitration load vs prune depth, with the PASE / DCTCP / pFabric
+/// headline (dual-run determinism included) and each tier's link
+/// utilisation in the notes.
 pub fn run(opts: &ExpOpts) -> FigResult {
     let (k, headline_flows, depths): (usize, usize, Vec<u8>) = if opts.quick {
         (4, opts.flows.max(300), vec![1, 2, 8])
@@ -184,7 +231,8 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         depths.iter().map(|&d| d as f64).collect(),
     );
 
-    // Headline: PASE twice (dual-run trace discipline), DCTCP once.
+    // Headline: PASE twice (dual-run trace discipline), DCTCP and
+    // pFabric once.
     let pase = run_scale(Scheme::Pase, &headline, opts.seed, true);
     let replay = run_scale(Scheme::Pase, &headline, opts.seed, true);
     assert_eq!(
@@ -192,20 +240,23 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         "PASE dual-run trace digests diverged at k={k}"
     );
     let dctcp = run_scale(Scheme::Dctcp, &headline, opts.seed, false);
+    let pfabric = run_scale(Scheme::PFabric, &headline, opts.seed, false);
     fig.note(format!(
         "headline fabric: k={k} fat-tree, {n_hosts} hosts, {headline_flows} flows at load \
          {LOAD}; invariants enabled; PASE executed twice with byte-identical trace digests \
          ({:#018x})",
         pase.digest.unwrap_or(0)
     ));
-    fig.note(format!(
-        "PASE: AFCT {:.3} ms, p99 {:.3} ms, {} flows completed (metrics via GK sketch)",
-        pase.metrics.afct_ms, pase.metrics.p99_ms, pase.metrics.n_completed
-    ));
-    fig.note(format!(
-        "DCTCP: AFCT {:.3} ms, p99 {:.3} ms, {} flows completed",
-        dctcp.metrics.afct_ms, dctcp.metrics.p99_ms, dctcp.metrics.n_completed
-    ));
+    for (name, out) in [("PASE", &pase), ("DCTCP", &dctcp), ("pFabric", &pfabric)] {
+        fig.note(format!(
+            "{name}: AFCT {:.3} ms, p99 {:.3} ms, {} flows completed (metrics via GK sketch); \
+             link utilisation over the run: {}",
+            out.metrics.afct_ms,
+            out.metrics.p99_ms,
+            out.metrics.n_completed,
+            out.util.describe()
+        ));
+    }
     fig.note(format!(
         "PASE per-tier arbitration load (default config, delegation on): ToR {:.0} \
          msgs/s per arbitrator ({} arbs), agg {:.0} ({}), core {:.0} ({})",
@@ -304,5 +355,13 @@ mod tests {
             fig.notes.iter().any(|n| n.contains("byte-identical")),
             "the dual-run determinism note must be present"
         );
+        for scheme in ["PASE", "DCTCP", "pFabric"] {
+            let note = fig
+                .notes
+                .iter()
+                .find(|n| n.starts_with(&format!("{scheme}: AFCT")));
+            let note = note.unwrap_or_else(|| panic!("no {scheme} headline note"));
+            assert!(note.contains("ToR–agg max") && note.contains("agg–core max"));
+        }
     }
 }

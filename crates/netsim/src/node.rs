@@ -17,7 +17,7 @@ use crate::fault::NodeFault;
 use crate::host::{Host, HostCore};
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::Packet;
-use crate::switch::Switch;
+use crate::switch::{live_rate, Switch};
 use crate::time::{Rate, SimDuration, SimTime};
 
 /// A node in the simulated network.
@@ -192,5 +192,16 @@ impl<'a, 'b> ProcIo<'a, 'b> {
             Egress::Switch(switch) => switch.ports(),
         };
         ports[port.index()].rate
+    }
+
+    /// The capacity this node can still route over when `ports` are the
+    /// equal-cost set: the summed rate of those that forwarding would pick
+    /// among — up, and healthy under health-aware routing — or zero when
+    /// none is up.
+    pub fn live_rate(&self, ports: &[PortId]) -> Rate {
+        match &self.egress {
+            Egress::Host { core, .. } => live_rate(ports, std::slice::from_ref(&core.port), false),
+            Egress::Switch(switch) => live_rate(ports, switch.ports(), switch.health_aware()),
+        }
     }
 }

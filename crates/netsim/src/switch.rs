@@ -22,6 +22,7 @@ use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
 use crate::rng::mix64;
 use crate::stats::Fate;
+use crate::time::Rate;
 
 /// A compact per-switch forwarding table.
 ///
@@ -228,6 +229,29 @@ fn route_live(
         .filter(|p| ports[p.index()].is_up())
         .nth(k)
         .copied()
+}
+
+/// The capacity [`route_live`] spreads flows over when `entry` is their
+/// equal-cost set: the summed rate of the ports it picks among — the live
+/// ones, narrowed to the healthy ones under health-aware routing while any
+/// is healthy — or zero when no port of `entry` is up.
+pub(crate) fn live_rate(entry: &[PortId], ports: &[Port], health_aware: bool) -> Rate {
+    let sum = |eligible: fn(&Port) -> bool| {
+        let eligible_ports = entry
+            .iter()
+            .map(|p| &ports[p.index()])
+            .filter(|p| eligible(p));
+        eligible_ports.fold(Rate::ZERO, |sum, p| sum + p.rate)
+    };
+    let healthy = match health_aware {
+        true => sum(|p| p.is_up() && p.is_healthy()),
+        false => Rate::ZERO,
+    };
+    if healthy.is_zero() {
+        sum(Port::is_up)
+    } else {
+        healthy
+    }
 }
 
 /// A store-and-forward switch.

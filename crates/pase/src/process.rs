@@ -4,12 +4,14 @@
 //! their own links to the switch", and in the switches for the rest).
 //!
 //! Every process arbitrates one link in both directions — a host its
-//! access link, a switch its link to its parent — for sender legs on the
-//! way up and receiver legs on the way down. A ToR with **delegation**
-//! also owns a virtual slice of the `agg → core` and `core → agg` links
-//! above it, so a flow that crosses the core gets its whole leg decided one
-//! hop from its endpoint (§3.1.2); an aggregation switch rebalances those
-//! slices among its ToRs.
+//! access link, a switch its virtual uplink (all of its links one tier up,
+//! see [`TreeInfo`]) — for sender legs on the way up and receiver legs on
+//! the way down. A switch sizes that uplink when it uses it, from the
+//! upper links routing can still take (`ArbProcess::live_uplink`). A ToR
+//! with **delegation** also owns a virtual slice of its parent's `agg →
+//! core` and `core → agg` uplink, so a flow that crosses the core gets its
+//! whole leg decided one hop from its endpoint (§3.1.2); an aggregation
+//! switch rebalances those slices among its ToRs.
 //!
 //! A leg starts at its end host — the source's sender leg synchronously,
 //! inside the sender agent, so intra-rack flows pay no arbitration latency;
@@ -83,8 +85,8 @@ pub struct ArbProcess {
     /// Crash state and the metered inbox shared by every arbitrator the
     /// process owns.
     front: ArbFrontEnd,
-    /// Arbitrates my link upward (`host → ToR`, `switch → parent`) for
-    /// sender legs.
+    /// Arbitrates my link upward (`host → ToR`, a switch's virtual
+    /// uplink) for sender legs.
     up: Option<LinkArbitrator>,
     /// Arbitrates the same link downward for receiver legs.
     down: Option<LinkArbitrator>,
@@ -107,11 +109,12 @@ pub struct ArbProcess {
 
 impl ArbProcess {
     /// The process on node `me`, arbitrating `link` in both directions: a
-    /// host's access link, or a switch's link to its parent (`None` for a
-    /// switch without one).
+    /// host's access link, or a switch's virtual uplink at its full
+    /// capacity (`None` for a switch without one).
     pub fn new(cfg: PaseConfig, me: NodeId, link: Option<Rate>, tree: Arc<TreeInfo>) -> Self {
-        // A ToR under an agg that itself has a core uplink gets delegated
-        // slices of the agg–core links: an equal share per child to start.
+        // A ToR under an agg that itself has core uplinks gets delegated
+        // slices of the agg's virtual uplink: an equal share per child to
+        // start.
         let delegated = (cfg.delegation && tree.is_tor(me))
             .then(|| tree.parent(me))
             .flatten()
@@ -256,6 +259,17 @@ impl ArbProcess {
         }
     }
 
+    /// A switch's virtual uplink at the capacity routing can still use:
+    /// its upper links that are up (and healthy, under health-aware
+    /// routing), summed — or all of them when none is, so a switch with
+    /// one upper link arbitrates that link's rate whatever its state.
+    /// `None` for a node without upper links.
+    fn live_uplink(&self, io: &ProcIo<'_, '_>) -> Option<Rate> {
+        let all = self.tree.uplink_rate(self.me)?;
+        let live = io.live_rate(self.tree.uplinks(self.me));
+        Some(if live.is_zero() { all } else { live })
+    }
+
     /// Decide `req` on every arbitrator its leg crosses here, folding each
     /// decision into it, and return where the leg goes next: `None` when
     /// it ends here or early pruning stops it — the flow already falls
@@ -319,7 +333,7 @@ impl ArbProcess {
         slot: Box<ArbMsg>,
         io: &mut ProcIo<'_, '_>,
     ) {
-        let Some(total) = self.tree.uplink_rate(self.me) else {
+        let Some(total) = self.live_uplink(io) else {
             return;
         };
         let floor_up =
@@ -375,10 +389,19 @@ impl Process for ArbProcess {
         }
         io.sim.stats.note_fate(&pkt, Fate::Processed, self.me, now);
         match *msg {
-            ArbMsg::Request(mut req) => match self.arbitrate(&mut req, now, io.sim.stats) {
-                Some(next) => io.send(ArbMsg::Request(req).packet_in(msg, req.flow, self.me, next)),
-                None => self.reply(&req, false, msg, io),
-            },
+            ArbMsg::Request(mut req) => {
+                if let Some(capacity) = self.live_uplink(io) {
+                    for arb in [self.up.as_mut(), self.down.as_mut()].into_iter().flatten() {
+                        arb.set_capacity(capacity);
+                    }
+                }
+                match self.arbitrate(&mut req, now, io.sim.stats) {
+                    Some(next) => {
+                        io.send(ArbMsg::Request(req).packet_in(msg, req.flow, self.me, next))
+                    }
+                    None => self.reply(&req, false, msg, io),
+                }
+            }
             ArbMsg::Response(resp) => self.on_response(resp, io),
             ArbMsg::FlowDone {
                 flow,

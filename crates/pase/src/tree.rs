@@ -3,9 +3,17 @@
 //! PASE's control plane "exploits the typical tree structure of data
 //! center topologies" (paper §3.1.2). [`TreeInfo`] extracts that structure
 //! from an arbitrary [`netsim::topology::Topology`]: which ToR a host
-//! hangs off, which aggregation switch parents a ToR, and which core
-//! switch parents an aggregation switch. One-, two- and three-tier trees
-//! are all supported (missing levels simply have no parent).
+//! hangs off, which aggregation switches are above a ToR, and which core
+//! switches are above an aggregation switch. One-, two- and three-tier
+//! trees are all supported (missing levels simply have no uplinks).
+//!
+//! A switch arbitrates all of its upper links as one virtual uplink whose
+//! capacity is their sum, so a multi-rooted tier (leaf–spine, fat-tree)
+//! is arbitrated against the capacity it has. Its *parent* — the
+//! arbitrator its legs climb to and its delegation reports go to — is one
+//! of its upper neighbours, spread deterministically over them. On a
+//! single-rooted tree every switch has one upper link, which is both its
+//! uplink and its parent.
 //!
 //! Node ids are dense, so every per-node attribute lives in a flat vector
 //! indexed by [`NodeId::index`] — on a k=32 fat-tree (9.5k nodes) the
@@ -13,7 +21,9 @@
 //! lookups on the arbitration hot path (`tor_of`, `level`, `same_rack`)
 //! are plain indexed loads instead of hash probes.
 
-use netsim::ids::NodeId;
+use std::collections::BTreeMap;
+
+use netsim::ids::{NodeId, PortId};
 use netsim::time::Rate;
 use netsim::topology::{NodeKind, Topology};
 
@@ -22,7 +32,7 @@ use netsim::topology::{NodeKind, Topology};
 pub enum Level {
     /// Top-of-rack: has at least one host neighbor.
     Tor,
-    /// Aggregation: neighbors are ToRs below and (optionally) a core above.
+    /// Aggregation: neighbors are ToRs below and (optionally) cores above.
     Agg,
     /// Core: neighbors are aggregation switches only.
     Core,
@@ -30,17 +40,23 @@ pub enum Level {
 
 /// Extracted tree structure. All vectors are indexed by dense node id;
 /// entries for nodes a given attribute does not apply to (a switch in
-/// `host_tor`, a host in `level`) are `None`.
+/// `host_tor`, a host in `level`) are `None` or empty.
 #[derive(Debug, Clone)]
 pub struct TreeInfo {
     /// Each host's ToR.
     host_tor: Vec<Option<NodeId>>,
     /// Each switch's level.
     level: Vec<Option<Level>>,
-    /// Each switch's parent (ToR → agg, agg → core).
+    /// Each switch's parent: one of its upper neighbours (ToR → agg,
+    /// agg → core).
     parent: Vec<Option<NodeId>>,
-    /// Capacity of the link `switch -> parent`.
+    /// The switch's ports toward its upper neighbours.
+    uplinks: Vec<Vec<PortId>>,
+    /// Summed capacity of those links: the switch's virtual uplink.
     uplink_rate: Vec<Option<Rate>>,
+    /// Which upper-neighbour set the switch has, as a dense index:
+    /// switches with the same set head the same subtree.
+    upper_set: Vec<Option<u32>>,
     /// Children of each switch (aggs of a core, ToRs of an agg), sorted.
     children: Vec<Vec<NodeId>>,
 }
@@ -84,32 +100,43 @@ impl TreeInfo {
             level[sw.index()].get_or_insert(Level::Core);
         }
 
-        // Parents: a ToR's agg neighbor; an agg's core neighbor. A node
-        // with several upper neighbors keeps the lowest id (deterministic)
-        // — multi-rooted trees are approximated by a single parent per
-        // child for control-plane purposes.
+        // Upper links: a ToR's agg neighbours, an agg's core neighbours.
+        // A child's parent is spread over them: its rank among the
+        // switches with the same upper-neighbour set, modulo the set's
+        // size (index 0 where there is one upper neighbour).
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut uplinks: Vec<Vec<PortId>> = vec![Vec::new(); n];
         let mut uplink_rate: Vec<Option<Rate>> = vec![None; n];
+        let mut upper_set: Vec<Option<u32>> = vec![None; n];
         let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        // Upper-neighbour set → (its index, children ranked so far).
+        let mut sets: BTreeMap<Vec<NodeId>, (u32, usize)> = BTreeMap::new();
         for sw in topo.switches() {
-            let my_level = level[sw.index()].expect("switch classified");
-            let want = match my_level {
+            let want = match level[sw.index()].expect("switch classified") {
                 Level::Tor => Level::Agg,
                 Level::Agg => Level::Core,
                 Level::Core => continue,
             };
-            let mut ups: Vec<(NodeId, Rate)> = topo
+            let mut ups: Vec<(NodeId, PortId, Rate)> = topo
                 .neighbors(sw)
-                .iter()
-                .filter(|&&(_, peer, _, _)| level[peer.index()] == Some(want))
-                .map(|&(_, peer, rate, _)| (peer, rate))
+                .into_iter()
+                .filter(|&(_, peer, _, _)| level[peer.index()] == Some(want))
+                .map(|(port, peer, rate, _)| (peer, port, rate))
                 .collect();
-            ups.sort_by_key(|(id, _)| *id);
-            if let Some(&(up, rate)) = ups.first() {
-                parent[sw.index()] = Some(up);
-                uplink_rate[sw.index()] = Some(rate);
-                children[up.index()].push(sw);
+            if ups.is_empty() {
+                continue;
             }
+            ups.sort_by_key(|&(peer, port, _)| (peer, port));
+            let set = ups.iter().map(|&(peer, ..)| peer).collect();
+            let next_index = sets.len() as u32;
+            let (index, rank) = sets.entry(set).or_insert((next_index, 0));
+            let up = ups[*rank % ups.len()].0;
+            *rank += 1;
+            parent[sw.index()] = Some(up);
+            children[up.index()].push(sw);
+            upper_set[sw.index()] = Some(*index);
+            uplinks[sw.index()] = ups.iter().map(|&(_, port, _)| port).collect();
+            uplink_rate[sw.index()] = Some(ups.iter().fold(Rate::ZERO, |sum, &(.., r)| sum + r));
         }
         for kids in &mut children {
             kids.sort();
@@ -118,7 +145,9 @@ impl TreeInfo {
             host_tor,
             level,
             parent,
+            uplinks,
             uplink_rate,
+            upper_set,
             children,
         }
     }
@@ -138,14 +167,22 @@ impl TreeInfo {
         self.level[node.index()] == Some(Level::Tor)
     }
 
-    /// A switch's parent in the tree, if any.
+    /// A switch's parent in the tree, if any: the upper neighbour its legs
+    /// climb to and its delegation reports go to.
     pub fn parent(&self, sw: NodeId) -> Option<NodeId> {
         self.parent[sw.index()]
     }
 
-    /// Capacity of the link from `sw` to its parent.
+    /// Capacity of a switch's virtual uplink: the sum of its links one
+    /// tier up (`None` without any).
     pub fn uplink_rate(&self, sw: NodeId) -> Option<Rate> {
         self.uplink_rate[sw.index()]
+    }
+
+    /// A switch's ports toward its upper neighbours: what its virtual
+    /// uplink is made of.
+    pub fn uplinks(&self, sw: NodeId) -> &[PortId] {
+        &self.uplinks[sw.index()]
     }
 
     /// The children of a switch (ToRs of an agg; aggs of a core).
@@ -158,15 +195,16 @@ impl TreeInfo {
         self.tor_of(a) == self.tor_of(b)
     }
 
-    /// Do two hosts share an aggregation subtree (i.e. the path between
-    /// them does not cross the core)?
+    /// Do two hosts share an aggregation subtree — do their ToRs have the
+    /// same upper-neighbour set, so the path between them does not cross
+    /// the tier above the aggregation switches?
     pub fn same_agg_subtree(&self, a: NodeId, b: NodeId) -> bool {
         if self.same_rack(a, b) {
             return true;
         }
         let (ta, tb) = (self.tor_of(a), self.tor_of(b));
-        match (self.parent[ta.index()], self.parent[tb.index()]) {
-            (Some(pa), Some(pb)) => pa == pb,
+        match (self.upper_set[ta.index()], self.upper_set[tb.index()]) {
+            (Some(sa), Some(sb)) => sa == sb,
             _ => true, // no aggregation level: single subtree
         }
     }
@@ -261,6 +299,78 @@ mod tests {
         assert_eq!(tree.parent(core), None);
         assert_eq!(tree.children(aggs[0]), &[tors[0], tors[1]]);
         assert_eq!(tree.uplink_rate(tors[0]), Some(Rate::from_gbps(10)));
+        assert_eq!(tree.uplinks(tors[0]).len(), 1);
+        assert_eq!(tree.uplink_rate(core), None);
+    }
+
+    /// A `k`-ary fat-tree in the workloads builder's layout (cores, then
+    /// per pod its aggs, then each ToR with its hosts): the topology, and
+    /// each pod's aggs, ToRs and hosts.
+    fn fat_tree(k: usize) -> (Topology, Vec<NodeId>, Vec<[Vec<NodeId>; 3]>) {
+        let half = k / 2;
+        let (fabric, access) = (Rate::from_gbps(10), Rate::from_gbps(1));
+        let delay = SimDuration::from_micros(25);
+        let mut b = TopologyBuilder::new();
+        let cores: Vec<NodeId> = (0..half * half).map(|_| b.add_switch()).collect();
+        let mut pods = vec![];
+        for _ in 0..k {
+            let aggs: Vec<NodeId> = (0..half).map(|_| b.add_switch()).collect();
+            for (j, &agg) in aggs.iter().enumerate() {
+                for &core in &cores[j * half..(j + 1) * half] {
+                    b.connect(agg, core, fabric, delay);
+                }
+            }
+            let (mut tors, mut hosts) = (vec![], vec![]);
+            for _ in 0..half {
+                let tor = b.add_switch();
+                for &agg in &aggs {
+                    b.connect(tor, agg, fabric, delay);
+                }
+                for _ in 0..half {
+                    let h = b.add_host();
+                    b.connect(h, tor, access, delay);
+                    hosts.push(h);
+                }
+                tors.push(tor);
+            }
+            pods.push([aggs, tors, hosts]);
+        }
+        let net = b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)));
+        (net.topo, cores, pods)
+    }
+
+    #[test]
+    fn fat_tree_uplinks_sum_and_parents_spread() {
+        let (topo, cores, pods) = fat_tree(4);
+        let tree = TreeInfo::from_topology(&topo);
+        for (p, [aggs, tors, hosts]) in pods.iter().enumerate() {
+            // Every ToR of a pod sees the pod's two aggs; ToR t reports to
+            // agg t, so each agg parents one ToR.
+            for (t, &tor) in tors.iter().enumerate() {
+                assert_eq!(tree.uplink_rate(tor), Some(Rate::from_gbps(20)));
+                assert_eq!(tree.uplinks(tor).len(), 2);
+                assert_eq!(tree.parent(tor), Some(aggs[t]));
+                assert_eq!(tree.children(aggs[t]), &[tor]);
+            }
+            // Agg j of every pod sees core row j; pod p's reports to the
+            // row's core p mod 2, so each core parents two aggs.
+            for (j, &agg) in aggs.iter().enumerate() {
+                assert_eq!(tree.uplink_rate(agg), Some(Rate::from_gbps(20)));
+                assert_eq!(tree.parent(agg), Some(cores[2 * j + p % 2]));
+            }
+            // Same pod ⇔ same subtree.
+            for (q, [.., others]) in pods.iter().enumerate() {
+                for &a in hosts {
+                    for &b in others {
+                        assert_eq!(tree.same_agg_subtree(a, b), p == q, "pods {p}, {q}");
+                    }
+                }
+            }
+        }
+        for &core in &cores {
+            assert_eq!(tree.children(core).len(), 2);
+            assert_eq!(tree.parent(core), None);
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@ use crate::tree::{Level, TreeInfo};
 /// scheduling flows.
 pub fn install(sim: &mut Simulation, cfg: PaseConfig) -> Arc<TreeInfo> {
     let tree = Arc::new(TreeInfo::from_topology(sim.topo()));
-    // Hosts arbitrate their own access links; ToRs and aggs their links
-    // to their parents (the core needs none: all of its links are
-    // arbitrated from below).
+    // Hosts arbitrate their own access links; ToRs and aggs their
+    // virtual uplinks, every link one tier up (the core needs none: all of
+    // its links are arbitrated from below).
     let hosts = sim.topo().hosts().into_iter().map(|h| {
         let access = sim.topo().link_rate(h, sim.topo().host_tor(h));
         (h, Some(access.expect("host access link")))

@@ -418,7 +418,8 @@ fn task_aware_scheduling_serializes_tasks() {
 #[test]
 fn tree_extraction_handles_multi_rooted_fabrics() {
     // A 2-spine leaf-spine: TreeInfo should classify leaves as ToRs,
-    // spines as aggs, and give each leaf a deterministic single parent.
+    // spines as aggs, arbitrate each leaf's two spine links as one
+    // uplink, and spread the leaves' parents over the spines.
     use pase::{Level, TreeInfo};
     let mut b = TopologyBuilder::new();
     let spines = [b.add_switch(), b.add_switch()];
@@ -439,16 +440,17 @@ fn tree_extraction_handles_multi_rooted_fabrics() {
         Box::new(pase_qdisc(&cfg, 100, 20))
     });
     let tree = TreeInfo::from_topology(&net.topo);
-    for &l in &leaves {
+    for (rank, &l) in leaves.iter().enumerate() {
         assert_eq!(tree.level(l), Level::Tor);
-        // Deterministic single parent: the lowest-id spine.
-        assert_eq!(tree.parent(l), Some(spines[0]));
+        assert_eq!(tree.uplink_rate(l), Some(Rate::from_gbps(20)));
+        // The leaf's rank among leaves with the same spines, modulo 2.
+        assert_eq!(tree.parent(l), Some(spines[rank % 2]));
     }
     assert_eq!(tree.level(spines[0]), Level::Agg);
     assert_eq!(tree.level(spines[1]), Level::Agg);
     assert!(!tree.same_rack(hosts[0], hosts[1]));
     assert!(
         tree.same_agg_subtree(hosts[0], hosts[1]),
-        "one shared parent"
+        "one shared set of spines"
     );
 }

@@ -214,7 +214,7 @@ mod tests {
         let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
         assert_eq!(outcome, RunOutcome::MeasuredComplete);
         sim.check_invariants().assert_clean();
-        assert_eq!(sim.stats().events_executed, 474_430);
+        assert_eq!(sim.stats().events_executed, 468_707);
         assert_eq!(sim.stats().data_pkts_delivered, 17_979);
     }
 

@@ -39,9 +39,9 @@ pub enum TopologySpec {
     /// A two-tier leaf–spine fabric (extension beyond the paper's tree):
     /// every leaf connects to every spine, so inter-rack flows have
     /// `spines` equal-cost paths and the simulator's deterministic
-    /// per-flow ECMP spreads them. PASE's control plane treats the
-    /// lowest-id spine as each leaf's parent (a single-parent
-    /// approximation of the multi-rooted fabric).
+    /// per-flow ECMP spreads them. PASE's control plane arbitrates each
+    /// leaf's spine links as one virtual uplink of their summed capacity
+    /// and spreads the leaves' parents over the spines (`pase::tree`).
     LeafSpine {
         /// Number of leaf (rack) switches.
         leaves: usize,

@@ -96,8 +96,8 @@ fn per_node_control_books_are_pinned() {
             0xbbff_060d_ff7b_3b41,
         ],
         [
-            0x2bca_826f_2698_14e6,
-            0x561e_2f64_6add_a52e,
+            0xcfe4_84a0_24f9_4e06,
+            0xaf23_80d9_4918_82cd,
             0x2f3c_4b0a_696d_66df,
         ],
     ];
