@@ -45,7 +45,7 @@ const PEAK_PENDING_BUDGET: usize = 3_000;
 /// move it updates all three on purpose and says why. The incast's
 /// bottleneck is the server's access link, so how the fabric's tiers are
 /// arbitrated moves the digest but not the counts.
-const PINNED: (u64, u64, u64) = (0x34bd_e984_915f_2ae8, 140_497, 4_132_852);
+const PINNED: (u64, u64, u64) = (0x08a5_272a_967e_44ca, 140_517, 4_133_353);
 
 /// Route-table audit: every switch carries a compact interval FIB
 /// covering the whole fabric in far fewer intervals than nodes.

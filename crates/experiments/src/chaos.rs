@@ -591,15 +591,22 @@ pub fn sweep(opts: &ChaosOpts) -> Vec<CaseResult> {
             eprintln!("  replay: {}", replay_command("chaos", r, opts.quick));
         }
     }
-    if opts.verbose {
-        let by_kind = std::array::from_fn(|k| out.iter().map(|r| r.events_by_kind[k]).sum());
-        let superseded: u64 = out.iter().map(|r| r.timer_arms_superseded).sum();
-        eprintln!(
-            "events by kind: {}; {superseded} timer arms superseded",
-            workloads::events_by_kind_line(&by_kind)
-        );
-    }
     out
+}
+
+/// Where a sweep's events went: by kind, the timer arms that queued no
+/// event, and the events spent per delivered data packet.
+pub fn event_budget_line(results: &[CaseResult]) -> String {
+    let by_kind = std::array::from_fn(|k| results.iter().map(|r| r.events_by_kind[k]).sum());
+    let superseded: u64 = results.iter().map(|r| r.timer_arms_superseded).sum();
+    let events: u64 = results.iter().map(|r| r.events).sum();
+    let delivered: u64 = results.iter().map(|r| r.delivered).sum();
+    format!(
+        "events by kind: {}; {superseded} timer arms superseded; {delivered} data packets \
+         delivered, {:.1} events per delivered packet",
+        workloads::events_by_kind_line(&by_kind),
+        events as f64 / delivered.max(1) as f64
+    )
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! PASE configuration.
 //!
-//! Defaults follow Table 3 of the paper: 8 priority queues, 10 ms minimum
-//! RTO for top-queue flows and 200 ms for the rest, 500-packet switch
-//! buffers (set where topologies are built).
+//! Defaults follow Table 3 of the paper: 8 priority queues and 500-packet
+//! switch buffers (set where topologies are built). One deviation: every
+//! queue runs [`transport::MIN_RTO`] (10 ms), where Table 3 gives the
+//! lower queues 200 ms; the recovery probe, not the floor, tells a parked
+//! flow from a lost one (DESIGN §7b.11).
 
 use netsim::time::{Rate, SimDuration};
 use transport::MSS;
@@ -24,10 +26,6 @@ pub enum Criterion {
     TaskAware,
 }
 
-/// Minimum RTO for flows in the top queue (Table 3: 10 ms).
-pub const MIN_RTO_TOP: SimDuration = SimDuration::from_millis(10);
-/// Minimum RTO for flows in lower queues (Table 3: 200 ms).
-pub const MIN_RTO_LOW: SimDuration = SimDuration::from_millis(200);
 /// How often delegated virtual-link capacities are rebalanced.
 pub const DELEG_PERIOD: SimDuration = SimDuration::from_millis(1);
 /// Minimum share of a delegated link any child keeps (so a previously
@@ -176,8 +174,9 @@ mod tests {
     fn defaults_match_table3() {
         let c = PaseConfig::default();
         assert_eq!(c.n_queues, 8);
-        assert_eq!(MIN_RTO_TOP, SimDuration::from_millis(10));
-        assert_eq!(MIN_RTO_LOW, SimDuration::from_millis(200));
+        // One minimum RTO in every queue, not Table 3's 10 ms / 200 ms
+        // split (DESIGN §7b.11).
+        assert_eq!(transport::MIN_RTO, SimDuration::from_millis(10));
         assert!(c.end_to_end && c.delegation && c.probing);
         assert_eq!(c.prune_depth, Some(2));
         assert_eq!(c.arb_expiry(), SimDuration::from_micros(1200));

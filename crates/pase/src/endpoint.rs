@@ -13,9 +13,10 @@
 //!   two functions of the queue: one for a queue change, one per ACK.
 //! * **Priority-aware loss recovery**: lower-queue flows answer timeouts
 //!   with header-only probes that distinguish "lost" from "parked behind
-//!   higher-priority traffic"; minimum RTOs are 10 ms (top queue) vs
-//!   200 ms (rest). Optionally, bottom-queue flows replace their
-//!   1-packet-per-RTT trickle with probes entirely (§4.3.2).
+//!   higher-priority traffic"; every queue's minimum RTO is 10 ms
+//!   (DESIGN §7b.11: Table 3 gives the lower queues 200 ms). Optionally,
+//!   bottom-queue flows replace their 1-packet-per-RTT trickle with
+//!   probes entirely (§4.3.2).
 //! * **Reordering guard**: on a queue promotion the sender drains
 //!   in-flight lower-priority packets before sending at the new priority.
 //! * **Graceful degradation**: [`ChannelHealth`] judges each refresh
@@ -34,10 +35,12 @@ use netsim::ids::NodeId;
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::timer::{slot, SupersedingTimer, Timer};
-use transport::{AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine, DCTCP_G, MAX_RTO, MSS};
+use transport::{
+    AckKind, DctcpWindow, LossEvent, RttEstimator, TxEngine, DCTCP_G, MAX_RTO, MIN_RTO, MSS,
+};
 
 use crate::algorithm::Decision;
-use crate::config::{PaseConfig, MIN_RTO_LOW, MIN_RTO_TOP};
+use crate::config::PaseConfig;
 use crate::health::{Cause, ChannelHealth, Transition};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
 use crate::process::{ArbPlan, ArbProcess};
@@ -81,7 +84,7 @@ pub struct PaseSender {
 impl PaseSender {
     /// Create a sender for `spec`.
     pub fn new(spec: &FlowSpec, cfg: PaseConfig) -> PaseSender {
-        let rtt = RttEstimator::new(MIN_RTO_TOP, MAX_RTO);
+        let rtt = RttEstimator::new(MIN_RTO, MAX_RTO);
         // Algorithm 2 sets the window on every queue change from the
         // lowest queue on; PASE-DCTCP starts at DCTCP's initial window.
         let init_cwnd = if cfg.use_reference_rate { 1.0 } else { 2.0 };
@@ -246,7 +249,6 @@ impl PaseSender {
             self.queue = self.cfg.lowest_queue();
             self.rref = self.cfg.base_rate();
             self.sync_tx_prio();
-            self.engine.rtt.set_min_rto(MIN_RTO_LOW);
             return;
         }
         let legs = match ctx.process::<ArbProcess>() {
@@ -270,13 +272,6 @@ impl PaseSender {
             self.reorder_barrier = Some(self.engine.snd_nxt());
         }
         self.sync_tx_prio();
-        // Per-queue minimum RTO (Table 3).
-        let min_rto = if self.queue == 0 {
-            MIN_RTO_TOP
-        } else {
-            MIN_RTO_LOW
-        };
-        self.engine.rtt.set_min_rto(min_rto);
         // A queue change never grows the window: no bytes to credit.
         self.set_window(window_on_move(&self.cfg, old_queue, self.queue), 0);
         // Entering the bottom queue with pacing probes: start the pacer.

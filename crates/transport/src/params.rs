@@ -18,8 +18,8 @@ pub const INIT_CWND: f64 = 2.0;
 /// receiver-side ACK coalescing.
 pub const ACK_GROWTH_FACTOR: f64 = 0.5;
 /// Minimum retransmission timeout (Table 3: 10 ms for L2DCT; we apply the
-/// same floor across the family and to PDQ — ns2's default 200 ms floor
-/// would dominate FCTs at data-center RTTs).
+/// same floor across the family, to PDQ and to every PASE queue — ns2's
+/// default 200 ms floor would dominate FCTs at data-center RTTs).
 pub const MIN_RTO: SimDuration = SimDuration::from_millis(10);
 /// Maximum retransmission timeout of every RTT-estimating sender.
 pub const MAX_RTO: SimDuration = SimDuration::from_secs(2);

@@ -6,7 +6,8 @@ use netsim::time::SimDuration;
 ///
 /// Follows the classic SRTT/RTTVAR update (RFC 6298) with configurable
 /// minimum RTO — data-center transports use very small minimum RTOs
-/// (Table 3: 10 ms for L2DCT/PASE top-queue flows, 1 ms for pFabric).
+/// (10 ms for the DCTCP family, PDQ and every PASE queue; 1 ms for
+/// pFabric).
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
@@ -104,17 +105,6 @@ impl RttEstimator {
     pub fn backoff(&self) -> u32 {
         self.backoff
     }
-
-    /// The configured minimum RTO.
-    pub fn min_rto(&self) -> SimDuration {
-        self.min_rto
-    }
-
-    /// Replace the minimum RTO (PASE changes it when a flow moves between
-    /// the top queue and lower queues).
-    pub fn set_min_rto(&mut self, min_rto: SimDuration) {
-        self.min_rto = min_rto.min(self.max_rto);
-    }
 }
 
 #[cfg(test)]
@@ -197,14 +187,5 @@ mod tests {
     fn backoff_cap_never_exceeds_the_default() {
         let r = RttEstimator::new(us(100), SimDuration::from_secs(1)).with_backoff_cap(99);
         assert_eq!(r.backoff_cap(), super::DEFAULT_BACKOFF_CAP);
-    }
-
-    #[test]
-    fn min_rto_can_be_changed() {
-        let mut r = RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(10));
-        r.on_sample(us(300));
-        assert_eq!(r.rto(), SimDuration::from_millis(200));
-        r.set_min_rto(SimDuration::from_millis(10));
-        assert_eq!(r.rto(), SimDuration::from_millis(10));
     }
 }

@@ -14,12 +14,16 @@
 //! and PDQ's pacer and probes stay eager, one event per arm. PASE queues
 //! no `PluginTimer` here: its leases expire when read, and the one-rack
 //! fabric has no delegating ToR.
+//!
+//! The same lossy run over seven flow seeds is also the check on PASE's
+//! priority-aware loss recovery: a lower-queue timeout is answered by a
+//! probe, so no flow waits out a long minimum RTO (DESIGN §7b.11).
 
 use pase_repro::netsim::fault::{DegradeProfile, FaultPlan};
-use pase_repro::netsim::sim::{RunLimit, RunOutcome};
+use pase_repro::netsim::sim::{RunLimit, RunOutcome, Simulation};
 use pase_repro::netsim::time::SimTime;
 use pase_repro::netsim::trace::{fnv1a, FNV1A_OFFSET};
-use pase_repro::workloads::{Scenario, Scheme};
+use pase_repro::workloads::{collect, Scenario, Scheme};
 
 /// What one pinned run of a scheme leaves behind.
 struct Run {
@@ -32,11 +36,12 @@ struct Run {
     events: [u64; 8],
 }
 
-/// The pinned run of `scheme`.
-fn run(scheme: Scheme) -> Run {
+/// `scheme` run to completion on the lossy all-to-all with the flows of
+/// `seed`: two access links drop 3 % of their packets throughout.
+fn lossy_run(scheme: Scheme, seed: u64) -> Simulation {
     let scenario = Scenario::all_to_all_intra(8, 120);
     let (mut sim, hosts) = scheme.build_sim(&scenario.topo);
-    sim.add_flows(scenario.generate_flows(0.8, 7, &hosts));
+    sim.add_flows(scenario.generate_flows(0.8, seed, &hosts));
     let mut plan = FaultPlan::new();
     for (i, &h) in hosts[..2].iter().enumerate() {
         let profile = DegradeProfile {
@@ -49,6 +54,12 @@ fn run(scheme: Scheme) -> Run {
     sim.inject_faults(&plan);
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(120)));
     assert_eq!(outcome, RunOutcome::MeasuredComplete, "{}", scheme.name());
+    sim
+}
+
+/// The pinned run of `scheme`: flow seed 7.
+fn run(scheme: Scheme) -> Run {
+    let sim = lossy_run(scheme, 7);
     let st = sim.stats();
     let mut h = FNV1A_OFFSET;
     let mut timeouts = 0;
@@ -104,7 +115,8 @@ fn run(scheme: Scheme) -> Run {
 /// one flow of this lossy run in fallback, the estimator none. Its events
 /// were re-recorded, digest unchanged, when the lease-GC tick went
 /// (`PluginTimer` 3 942 → 0) and its pacer began to supersede
-/// (`AgentTimer` 17 642 → 17 561).
+/// (`AgentTimer` 17 642 → 17 561), and re-recorded when lower queues
+/// dropped their 200 ms minimum RTO for the top queue's 10 ms.
 #[test]
 fn per_flow_records_match_the_eager_timers() {
     #[rustfmt::skip]
@@ -115,7 +127,7 @@ fn per_flow_records_match_the_eager_timers() {
         (Scheme::L2dct, 0x39b1_4f8a_201d_0c42, [71_911, 35_701, 35_933, 151, 0, 122, 4, 8_119]),
         (Scheme::Pdq, 0x3f58_1035_b575_2c58, [162_312, 71_756, 72_185, 18_245, 0, 122, 4, 28_898]),
         (Scheme::PFabric, 0x3faa_b172_f081_a940, [75_860, 37_466, 37_775, 493, 0, 122, 4, 8_819]),
-        (Scheme::Pase, 0xc14e_4e32_4590_bc8d, [224_875, 102_996, 104_192, 17_561, 0, 122, 4, 7_942]),
+        (Scheme::Pase, 0x3208_61ec_a242_2ed7, [97_667, 46_413, 46_802, 4_326, 0, 122, 4, 6_540]),
     ];
     let mut moved = Vec::new();
     for (scheme, digest, events) in pinned {
@@ -138,6 +150,32 @@ fn per_flow_records_match_the_eager_timers() {
         }
     }
     assert!(moved.is_empty(), "pins moved:\n{}", moved.join("\n"));
+}
+
+/// On every flow seed, PASE's lower-queue losses recover by probe within
+/// the 10 ms minimum RTO rather than stalling a tail flow for 200 ms, and
+/// PASE's AFCT stays below DCTCP's on the lossy links.
+#[test]
+fn lossy_links_cost_pase_no_long_rto_stall() {
+    for seed in 1..=7 {
+        let pase = collect(&lossy_run(Scheme::Pase, seed), RunOutcome::MeasuredComplete);
+        let dctcp = collect(
+            &lossy_run(Scheme::Dctcp, seed),
+            RunOutcome::MeasuredComplete,
+        );
+        assert!(pase.timeouts > 0, "seed {seed}: PASE took no RTO");
+        assert!(
+            pase.p99_ms < 50.0,
+            "seed {seed}: PASE p99 {:.1} ms",
+            pase.p99_ms
+        );
+        assert!(
+            pase.afct_ms < dctcp.afct_ms,
+            "seed {seed}: PASE AFCT {:.2} ms, DCTCP {:.2} ms",
+            pase.afct_ms,
+            dctcp.afct_ms
+        );
+    }
 }
 
 /// PASE's leases expire when read, so the only timer its control plane
