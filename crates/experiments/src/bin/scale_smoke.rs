@@ -89,6 +89,7 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats
         audit_fibs(sim);
         sim.set_tracer(Box::new(tracer));
     });
+    let d = *digest.lock().unwrap();
     // The run must complete with the invariant oracle (packet
     // conservation included) clean.
     if let Some(w) = backstop_warning(&spec, &m) {
@@ -103,8 +104,6 @@ fn run_once(scenario: &Scenario, seed: u64) -> (u64, u64, usize, u64, WheelStats
 
     let delivered = sim.stats().data_pkts_delivered;
     let peak_pending = sim.scheduler().peak_pending();
-    drop(sim); // flush the tracer
-    let d = *digest.lock().unwrap();
     (d, delivered, peak_pending, m.events, m.wheel)
 }
 

@@ -1,13 +1,17 @@
 //! The row driver and the helpers every figure shares.
 //!
 //! A load-sweep or FCT-CDF figure is a [`Row`], which [`Row::run`]
-//! sweeps through [`sweep_grid`]. Every figure but fig03 expresses its
-//! cases as lines × loads and runs them through [`sweep`] — plain runs
-//! through [`sweep_grid`], faulted ones with a `prepare` step — on
+//! sweeps through [`sweep_grid`]. Most figures express their cases as
+//! lines × loads and run them through [`sweep`] — plain runs through
+//! [`sweep_grid`], faulted ones with a `prepare` step — on
 //! `workloads::exec`, each case through `RunSpec::run_with` and its
-//! invariant audit; no figure hand-rolls case iteration. Results come
-//! back ordered by case index, so figure output is byte-identical at
-//! any `--jobs` value.
+//! invariant audit, and note a truncated or invariant-breaking case on
+//! the figure as a warning. Three run their own cases on `run_cases`:
+//! fig03 its toy fabrics, and `ext_incast` (fan-in waves) and
+//! `ext_scale` (fat-tree runs), which take each case through
+//! `RunSpec::run_with` and panic on a backstop warning instead of noting
+//! it. Results come back ordered by case index, so figure output is
+//! byte-identical at any `--jobs` value.
 
 use netsim::prelude::*;
 use netsim::topology::NodeKind;

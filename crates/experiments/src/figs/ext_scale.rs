@@ -168,6 +168,7 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
             sim.set_tracer(Box::new(tracer));
         }
     });
+    let digest = digest.map(|h| *h.lock().unwrap());
     if let Some(w) = backstop_warning(&spec, &m) {
         panic!("{} scale run: {w}", scheme.name());
     }
@@ -186,10 +187,7 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
         sim_secs,
         pruned,
         climbed,
-        digest: digest.map(|h| {
-            drop(sim); // flush the tracer (publish-on-drop)
-            *h.lock().unwrap()
-        }),
+        digest,
     }
 }
 

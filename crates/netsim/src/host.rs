@@ -52,11 +52,10 @@ pub trait FlowAgent: Send {
         let _ = (token, ctx);
     }
 
-    /// The host's process woke this flow ([`ProcIo::wake_flow`]), e.g.
-    /// because arbitration state changed and the flow should re-evaluate
-    /// its rate.
-    fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        let _ = ctx;
+    /// The host's process handed this flow `msg` ([`ProcIo::wake_flow`]),
+    /// e.g. an arbitration answer the flow re-evaluates its rate by.
+    fn on_wake(&mut self, msg: Box<dyn Any + Send>, ctx: &mut AgentCtx<'_, '_>) {
+        let _ = (msg, ctx);
     }
 
     /// Downcast support for white-box tests and cross-layer inspection.
@@ -456,9 +455,9 @@ impl Host {
             &mut ProcIo::host(&mut self.core, &mut wakeups, ctx),
         );
         self.process = Some(process);
-        for flow in wakeups {
-            // A wake-up for an already-collected agent is a no-op.
-            self.run_agent(flow, ctx, |agent, actx| agent.on_wake(actx));
+        for (flow, msg) in wakeups {
+            // A hand-off to a retired agent is dropped with its message.
+            self.run_agent(flow, ctx, |agent, actx| agent.on_wake(msg, actx));
         }
     }
 }

@@ -112,11 +112,11 @@ pub trait Process: Send {
 
 /// How a packet a process sends leaves its node.
 enum Egress<'a> {
-    /// Out of a host's access port; flow wake-ups wait for the process to
-    /// return.
+    /// Out of a host's access port; flow wake-ups, each with the message
+    /// it hands over, wait for the process to return.
     Host {
         core: &'a mut HostCore,
-        wakeups: &'a mut Vec<FlowId>,
+        wakeups: &'a mut Vec<(FlowId, Box<dyn Any + Send>)>,
     },
     /// Through a switch's forwarding table (its process detached).
     Switch(&'a mut Switch),
@@ -134,7 +134,7 @@ pub struct ProcIo<'a, 'b> {
 impl<'a, 'b> ProcIo<'a, 'b> {
     pub(crate) fn host(
         core: &'a mut HostCore,
-        wakeups: &'a mut Vec<FlowId>,
+        wakeups: &'a mut Vec<(FlowId, Box<dyn Any + Send>)>,
         sim: &'a mut Ctx<'b>,
     ) -> Self {
         let id = core.id;
@@ -174,13 +174,14 @@ impl<'a, 'b> ProcIo<'a, 'b> {
         self.sim.schedule_self(delay, EventKind::PluginTimer(token));
     }
 
-    /// Ask the host to invoke [`crate::host::FlowAgent::on_wake`] on a
-    /// flow's agent after the process returns (e.g. arbitration state
-    /// changed and the flow should re-evaluate its rate). Flows live on
-    /// hosts: a switch has none to wake.
-    pub fn wake_flow(&mut self, flow: FlowId) {
+    /// Hand `msg` to a flow's agent: the host invokes
+    /// [`crate::host::FlowAgent::on_wake`] with it after the process
+    /// returns (e.g. an arbitration answer the flow acts on), or drops it
+    /// when the flow's agent has retired. Flows live on hosts: a switch
+    /// has none to wake.
+    pub fn wake_flow(&mut self, flow: FlowId, msg: Box<dyn Any + Send>) {
         match &mut self.egress {
-            Egress::Host { wakeups, .. } => wakeups.push(flow),
+            Egress::Host { wakeups, .. } => wakeups.push((flow, msg)),
             Egress::Switch(_) => debug_assert!(false, "{flow} woken on switch {}", self.id),
         }
     }

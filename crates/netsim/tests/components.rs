@@ -13,8 +13,9 @@ use netsim::node::{Node, ProcIo, Process};
 use netsim::packet::{Packet, PacketKind};
 use netsim::prelude::*;
 
-/// A sender that transmits one data packet per `on_start`, records every
-/// ack/timer in shared counters, and completes on the first ack.
+/// A sender that transmits one data packet per `on_start`, counts its
+/// acks, sums the `u32` messages its wake-ups hand it, and completes on
+/// the first ack.
 struct OneShotSender {
     spec: FlowSpec,
     acks: Arc<AtomicU64>,
@@ -35,8 +36,9 @@ impl FlowAgent for OneShotSender {
         }
     }
 
-    fn on_wake(&mut self, _ctx: &mut AgentCtx<'_, '_>) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    fn on_wake(&mut self, msg: Box<dyn Any + Send>, _ctx: &mut AgentCtx<'_, '_>) {
+        let value = msg.downcast::<u32>().expect("a u32 message");
+        self.wakeups.fetch_add(u64::from(*value), Ordering::Relaxed);
     }
 }
 
@@ -170,7 +172,8 @@ enum Seen {
 #[derive(Default)]
 struct Recorder {
     seen: Vec<Seen>,
-    /// Wake the flow a control packet is tagged with (hosts only).
+    /// Hand each control packet's payload to the flow it is tagged with
+    /// (hosts only).
     wake: bool,
     /// Re-arm each timer until this many have fired.
     ticks: usize,
@@ -183,10 +186,10 @@ impl Recorder {
 }
 
 impl Process for Recorder {
-    fn on_ctrl(&mut self, pkt: Packet, io: &mut ProcIo<'_, '_>) {
+    fn on_ctrl(&mut self, mut pkt: Packet, io: &mut ProcIo<'_, '_>) {
         self.seen.push(Seen::Ctrl(pkt.flow));
         if self.wake {
-            io.wake_flow(pkt.flow);
+            io.wake_flow(pkt.flow, pkt.proto.take().expect("a payload"));
         }
     }
 
@@ -238,19 +241,39 @@ fn ctrl_packets_route_to_service_and_wake_agents() {
     ));
     // Two ctrl packets addressed to host 0, tagged with flow 3 (delivered
     // directly, as if they had just crossed host 0's access link).
+    let ctrl = |payload: Box<dyn Any + Send>| Packet::ctrl(FlowId(3), hosts[1], hosts[0], payload);
     for (t, payload) in [(1u64, 7u32), (2, 8)] {
         sim.scheduler_mut().schedule_deliver(
             SimTime::from_micros(t),
             hosts[0],
-            Packet::ctrl(FlowId(3), hosts[1], hosts[0], Box::new(payload)),
+            ctrl(Box::new(payload)),
         );
     }
-    sim.run(RunLimit::default());
-    assert!(recorder(&mut sim, hosts[0]).count(|s| matches!(s, Seen::Ctrl(_))) >= 1);
-    assert!(
-        wakeups.load(Ordering::Relaxed) >= 1,
-        "the process's wake_flow must reach the agent"
+    // A third lands after the flow completed: its hand-off finds no agent.
+    let marker = Arc::new(());
+    sim.scheduler_mut().schedule_deliver(
+        SimTime::from_millis(1),
+        hosts[0],
+        ctrl(Box::new(Arc::clone(&marker))),
     );
+    sim.run(RunLimit::default());
+    assert_eq!(acks.load(Ordering::Relaxed), 1, "the flow completed");
+    assert_eq!(
+        recorder(&mut sim, hosts[0]).count(|s| matches!(s, Seen::Ctrl(_))),
+        3
+    );
+    assert_eq!(
+        wakeups.load(Ordering::Relaxed),
+        7 + 8,
+        "the process's wake_flow must hand each message to the agent"
+    );
+    // The hand-off to the retired agent was dropped: the host keeps
+    // neither the agent nor the message.
+    assert_eq!(Arc::strong_count(&marker), 1, "the message was dropped");
+    let Node::Host(h) = sim.node(hosts[0]) else {
+        panic!()
+    };
+    assert_eq!(h.live_agents(), 0);
 }
 
 /// A sender that retransmits its single packet every millisecond until

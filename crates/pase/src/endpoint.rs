@@ -29,6 +29,8 @@
 //! The self-adjusting part is not a copy of DCTCP: the window law is
 //! [`transport::DctcpWindow`], the value `transport::FamilySender` runs.
 
+use std::any::Any;
+
 use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent};
 use netsim::ids::NodeId;
@@ -54,6 +56,15 @@ pub struct PaseSender {
 
     // Arbitration state.
     local: Decision,
+    /// The latest sender-leg answer (`None` before one arrives and after
+    /// a shed reply).
+    sender_leg: Option<Decision>,
+    /// The latest receiver-leg answer, likewise.
+    receiver_leg: Option<Decision>,
+    /// What landed since the last refresh round was judged: `Some(shed)`
+    /// once a leg response arrived, `shed` if one of them carried the
+    /// load-shed signal.
+    heard: Option<bool>,
     queue: u8,
     rref: Rate,
     /// Band actually written on outgoing data (lags `queue` during the
@@ -100,6 +111,9 @@ impl PaseSender {
                 queue: cfg.lowest_queue(),
                 rate: cfg.base_rate(),
             },
+            sender_leg: None,
+            receiver_leg: None,
+            heard: None,
             queue: cfg.lowest_queue(),
             rref: cfg.base_rate(),
             tx_prio: cfg.lowest_queue(),
@@ -251,11 +265,7 @@ impl PaseSender {
             self.sync_tx_prio();
             return;
         }
-        let legs = match ctx.process::<ArbProcess>() {
-            Some(arb) => arb.leg_results(self.spec.id),
-            None => Default::default(),
-        };
-        let merged = [legs.sender, legs.receiver]
+        let merged = [self.sender_leg, self.receiver_leg]
             .into_iter()
             .flatten()
             .fold(self.local, Decision::merge);
@@ -509,12 +519,9 @@ impl FlowAgent for PaseSender {
                 self.start_pace_probes(ctx);
             }
         } else if self.refresh.is_current(token) {
-            let heard = ctx
-                .process::<ArbProcess>()
-                .and_then(|arb| arb.take_heard(self.spec.id));
-            let verdict = self
-                .health
-                .on_refresh_round(ctx.now(), heard, self.reply_deadline());
+            let verdict =
+                self.health
+                    .on_refresh_round(ctx.now(), self.heard.take(), self.reply_deadline());
             self.apply(verdict, ctx);
             self.arbitrate(ctx);
             self.pump(ctx);
@@ -544,14 +551,30 @@ impl FlowAgent for PaseSender {
         }
     }
 
-    /// An arbitration response arrived: re-merge the leg decisions (the
-    /// next refresh judges the round by it).
-    fn on_wake(&mut self, ctx: &mut AgentCtx<'_, '_>) {
+    /// An arbitration response arrived: keep its leg's decision and
+    /// re-merge (the next refresh judges the round by it).
+    fn on_wake(&mut self, msg: Box<dyn Any + Send>, ctx: &mut AgentCtx<'_, '_>) {
+        let Some(&ArbMsg::Response(resp)) = msg.downcast_ref::<ArbMsg>() else {
+            return;
+        };
+        // A shed reply is backpressure, not a decision — its queue/rate
+        // merely echo what the sender already believed. Age the leg out so
+        // the flow rides its always-fresh local (uplink) arbitration until
+        // the overloaded arbitrator answers for real: a stale crowd-era
+        // allocation held across a backed-off refresh gap would keep
+        // throttling or suppressing the flow long after the burst has
+        // drained.
+        let decision = (!resp.shedding).then_some(resp.decision);
+        match resp.leg {
+            Leg::Sender => self.sender_leg = decision,
+            Leg::Receiver => self.receiver_leg = decision,
+        }
+        self.heard = Some(resp.shedding || self.heard == Some(true));
         self.recompute_effective(ctx);
         self.pump(ctx);
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
         Some(self)
     }
 }

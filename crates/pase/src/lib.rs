@@ -45,7 +45,7 @@ pub use config::{Criterion, PaseConfig};
 pub use endpoint::PaseSender;
 pub use health::{ChannelHealth, Transition};
 pub use messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
-pub use process::{ArbPlan, ArbProcess, LegResults};
+pub use process::{ArbPlan, ArbProcess};
 pub use shed::{ArbFrontEnd, FaultEffect, InboxBudget};
 pub use tree::{Level, TreeInfo};
 pub use wiring::install;

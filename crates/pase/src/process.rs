@@ -20,8 +20,9 @@
 //! decision into the request, until the leg ends or **early pruning**
 //! stops it; the last arbitrator answers the source. Requests, the sender
 //! leg and `FlowDone` releases all take one route (`ArbProcess::route`).
-//! What differs by node kind stays in one place each: hosts cache the leg
-//! responses their local senders read ([`LegResults`]); switches run the
+//! What differs by node kind stays in one place each: a host hands each
+//! leg response to its flow's sender agent, which keeps the flow's leg
+//! decisions ([`netsim::node::ProcIo::wake_flow`]); switches run the
 //! delegation report loop and its grants.
 //!
 //! Leases expire when read: an entry its flow stopped refreshing (crashed
@@ -44,25 +45,12 @@ use netsim::timer::{slot, Timer};
 
 use crate::algorithm::{Decision, LinkArbitrator};
 use crate::config::{PaseConfig, DELEG_MIN_SHARE, DELEG_PERIOD};
-use crate::messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
+use crate::messages::{ArbMsg, ArbRequest, Leg};
 use crate::shed::{ArbFrontEnd, FaultEffect};
 use crate::tree::TreeInfo;
 
 /// Flow id on delegation traffic, which concerns no flow.
 const NO_FLOW: FlowId = FlowId(u64::MAX);
-
-/// Cached per-flow results from the two legs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LegResults {
-    /// Latest sender-leg (network) response.
-    pub sender: Option<Decision>,
-    /// Latest receiver-leg response.
-    pub receiver: Option<Decision>,
-    /// What landed since the sender last judged a refresh round:
-    /// `Some(shed)` once a leg response arrived, `shed` if one of them
-    /// carried the load-shed signal (see [`ArbProcess::take_heard`]).
-    pub heard: Option<bool>,
-}
 
 /// Where a source must send its arbitration traffic for one flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +82,6 @@ pub struct ArbProcess {
     deleg_up: Option<LinkArbitrator>,
     /// ToR with delegation: virtual slice of `core → agg`.
     deleg_down: Option<LinkArbitrator>,
-    /// Host: the latest leg responses of its own flows.
-    legs: HashMap<FlowId, LegResults, IdHashBuilder>,
     /// ToR with a delegated slice: the agg it reports the slice's demand
     /// to. Set exactly when `deleg_up` and `deleg_down` are.
     deleg_parent: Option<NodeId>,
@@ -134,7 +120,6 @@ impl ArbProcess {
             down: arbitrate(link),
             deleg_up: arbitrate(slice),
             deleg_down: arbitrate(slice),
-            legs: HashMap::default(),
             deleg_parent: delegated.map(|(agg, _)| agg),
             deleg: Timer::new(slot::DELEGATION),
             child_demands: HashMap::default(),
@@ -194,7 +179,6 @@ impl ArbProcess {
         now: SimTime,
         stats: &mut StatsCollector,
     ) -> (Decision, Option<(NodeId, ArbRequest)>) {
-        self.legs.entry(req.flow).or_default();
         // Nothing decided yet: the leg starts at this host's uplink.
         let mut leg = ArbRequest {
             leg: Leg::Sender,
@@ -208,23 +192,11 @@ impl ArbProcess {
         (leg.decision, next.map(|to| (to, leg)))
     }
 
-    /// Remove a finished local flow: its uplink entry and cached legs.
+    /// Remove a finished local flow's uplink entry.
     pub fn local_remove(&mut self, flow: FlowId) {
         if let Some(up) = self.up.as_mut() {
             up.remove(flow);
         }
-        self.legs.remove(&flow);
-    }
-
-    /// Latest leg responses for a flow.
-    pub fn leg_results(&self, flow: FlowId) -> LegResults {
-        self.legs.get(&flow).copied().unwrap_or_default()
-    }
-
-    /// Read and clear what landed for `flow` (see [`LegResults::heard`]):
-    /// the local sender judges one refresh round by it.
-    pub fn take_heard(&mut self, flow: FlowId) -> Option<bool> {
-        self.legs.get_mut(&flow).and_then(|slot| slot.heard.take())
     }
 
     /// Where a leg of `src → dst` climbs after this process by the tree's
@@ -302,25 +274,6 @@ impl ArbProcess {
             req.response(shedding)
                 .packet_in(slot, req.flow, self.me, req.src),
         );
-    }
-
-    /// Host: cache a leg response for the local sender and wake it.
-    fn on_response(&mut self, resp: ArbResponse, io: &mut ProcIo<'_, '_>) {
-        let slot = self.legs.entry(resp.flow).or_default();
-        // A shed reply is backpressure, not a decision — its queue/rate
-        // merely echo what the sender already believed. Age the leg out so
-        // the flow rides its always-fresh local (uplink) arbitration until
-        // the overloaded arbitrator answers for real: a stale crowd-era
-        // allocation held across a backed-off refresh gap would keep
-        // throttling or suppressing the flow long after the burst has
-        // drained.
-        let decision = (!resp.shedding).then_some(resp.decision);
-        match resp.leg {
-            Leg::Sender => slot.sender = decision,
-            Leg::Receiver => slot.receiver = decision,
-        }
-        slot.heard = Some(resp.shedding || slot.heard == Some(true));
-        io.wake_flow(resp.flow);
     }
 
     /// Agg side: rebalance the delegated virtual links across children in
@@ -402,7 +355,8 @@ impl Process for ArbProcess {
                     None => self.reply(&req, false, msg, io),
                 }
             }
-            ArbMsg::Response(resp) => self.on_response(resp, io),
+            // Host: the flow's sender acts on the answer, in its box.
+            ArbMsg::Response(resp) => io.wake_flow(resp.flow, msg),
             ArbMsg::FlowDone {
                 flow,
                 src,
@@ -471,12 +425,13 @@ impl Process for ArbProcess {
         match self.front.on_fault(fault, io.now()) {
             FaultEffect::None => {}
             FaultEffect::Wipe => {
-                // The process loses everything: its arbitrators, a host's
-                // cached leg responses, an agg's delegation demands.
-                // Endpoints repopulate the arbitrators (and re-request the
-                // legs) on their next refresh once the process restarts.
+                // The process loses everything: its arbitrators and an
+                // agg's delegation demands. Endpoints repopulate the
+                // arbitrators on their next refresh once the process
+                // restarts. A host's senders keep the leg answers they
+                // already heard: they live in the agents, which survive a
+                // crash of the process alone.
                 self.arbitrators_mut().for_each(LinkArbitrator::clear);
-                self.legs.clear();
                 self.child_demands.clear();
             }
             FaultEffect::Rearm => {

@@ -3,6 +3,10 @@
 //! holds it. No timer collects leases, so both reads that do not run
 //! Algorithm 1 apply the rule themselves: the shed path's staleness test
 //! and a ToR's delegation report.
+//!
+//! Expiry is the fallback, not the rule: on a fault-free run every flow's
+//! `FlowDone` releases each lease it took, so no arbitrator holds an entry
+//! once the flows have ended and their control traffic has drained.
 
 use std::sync::Arc;
 
@@ -173,4 +177,133 @@ fn an_expired_lease_claims_no_delegated_share() {
     let (held, _, capacity) = n.tor0_slice(2_100);
     assert_eq!(held, 0, "the report collected the expired lease");
     assert_eq!(capacity, Rate::from_gbps(5), "expired lease reported");
+}
+
+/// Hosts, ToRs, aggs and cores of the released-lease runs: 1 Gb/s access,
+/// 10 Gb/s fabric, 25 µs per link (base RTT 300 µs across the core).
+const ACCESS: Rate = Rate::from_gbps(1);
+const FABRIC: Rate = Rate::from_gbps(10);
+const DELAY: SimDuration = SimDuration::from_micros(25);
+
+/// The paper's three-tier tree, scaled down: a core, two aggs, four racks
+/// of four hosts. Hosts rack-major.
+fn three_tier() -> (TopologyBuilder, Vec<NodeId>) {
+    let mut b = TopologyBuilder::new();
+    let core = b.add_switch();
+    let mut hosts = vec![];
+    for _ in 0..2 {
+        let agg = b.add_switch();
+        b.connect(agg, core, FABRIC, DELAY);
+        for _ in 0..2 {
+            let tor = b.add_switch();
+            b.connect(tor, agg, FABRIC, DELAY);
+            for _ in 0..4 {
+                let h = b.add_host();
+                b.connect(h, tor, ACCESS, DELAY);
+                hosts.push(h);
+            }
+        }
+    }
+    (b, hosts)
+}
+
+/// The k = 4 fat-tree: four cores, four pods of two aggs and two ToRs of
+/// two hosts each. Hosts rack-major.
+fn fat_tree_4() -> (TopologyBuilder, Vec<NodeId>) {
+    let mut b = TopologyBuilder::new();
+    let cores: Vec<NodeId> = (0..4).map(|_| b.add_switch()).collect();
+    let mut hosts = vec![];
+    for _ in 0..4 {
+        let aggs = [b.add_switch(), b.add_switch()];
+        for (j, agg) in aggs.into_iter().enumerate() {
+            for &core in &cores[2 * j..2 * j + 2] {
+                b.connect(agg, core, FABRIC, DELAY);
+            }
+        }
+        for _ in 0..2 {
+            let tor = b.add_switch();
+            for agg in aggs {
+                b.connect(tor, agg, FABRIC, DELAY);
+            }
+            for _ in 0..2 {
+                let h = b.add_host();
+                b.connect(h, tor, ACCESS, DELAY);
+                hosts.push(h);
+            }
+        }
+    }
+    (b, hosts)
+}
+
+/// Run `n` measured flows, one every 20 µs from a random host of `srcs`
+/// to a random other host of `dsts`, sized U[2 KB, 198 KB], under the
+/// default PASE configuration, to completion; then run 50 ms more for
+/// the control traffic in flight to drain. Returns the entries every
+/// arbitrator on every node holds at the end, nonzero ones only, as
+/// `(node, leg, entries)`.
+fn leases_left(
+    b: TopologyBuilder,
+    srcs: &[NodeId],
+    dsts: &[NodeId],
+    n: u64,
+) -> Vec<(NodeId, Leg, usize)> {
+    let cfg = PaseConfig::default();
+    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|spec| {
+        let k = if spec.rate >= FABRIC { 65 } else { 20 };
+        Box::new(pase_qdisc(&cfg, 250, k))
+    });
+    let mut sim = Simulation::new(net);
+    install(&mut sim, cfg);
+    let mut rng = Rng::seed_from_u64(1);
+    sim.add_flows((0..n).map(|i| {
+        let src = srcs[rng.gen_index(srcs.len())];
+        let dst = loop {
+            let dst = dsts[rng.gen_index(dsts.len())];
+            if dst != src {
+                break dst;
+            }
+        };
+        let size = rng.gen_range_inclusive(2_000, 198_000);
+        FlowSpec::new(FlowId(i), src, dst, size, SimTime::from_micros(20 * i))
+    }));
+    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(5)));
+    assert_eq!(outcome, RunOutcome::MeasuredComplete);
+    let processed = sim.stats().charged(Plane::Ctrl, Fate::Processed);
+    assert!(processed > 10 * n, "the control plane ran: {processed}");
+    sim.run(RunLimit {
+        max_time: Some(sim.now() + SimDuration::from_millis(50)),
+        max_events: None,
+        stop_when_measured_done: false,
+    });
+    let mut held = vec![];
+    for id in (0..sim.topo().n_nodes()).map(|i| NodeId(i as u32)) {
+        let Some(process) = sim.node_mut(id).process_as::<ArbProcess>() else {
+            continue;
+        };
+        for leg in [Leg::Sender, Leg::Receiver] {
+            let arbs = process.leg_arbitrators(leg).into_iter().flatten();
+            let entries: usize = arbs.map(|a| a.n_flows()).sum();
+            if entries > 0 {
+                held.push((id, leg, entries));
+            }
+        }
+    }
+    held
+}
+
+/// Left-right across the three-tier core: every flow's leases are
+/// released, on its hosts, its ToRs' own links and delegated slices, and
+/// its aggs.
+#[test]
+fn finished_flows_hold_no_lease_left_right() {
+    let (b, hosts) = three_tier();
+    let (left, right) = hosts.split_at(hosts.len() / 2);
+    assert_eq!(leases_left(b, left, right, 120), vec![]);
+}
+
+/// All-to-all on the multi-rooted k = 4 fat-tree: likewise.
+#[test]
+fn finished_flows_hold_no_lease_fat_tree() {
+    let (b, hosts) = fat_tree_4();
+    assert_eq!(leases_left(b, &hosts, &hosts, 120), vec![]);
 }

@@ -424,10 +424,11 @@ fn identical_fault_plans_give_byte_identical_traces() {
 #[test]
 fn host_arbitrator_crash_wipes_service_and_falls_back() {
     // Crash the control *process* on hosts[3] (not the machine): both of
-    // its leaf arbitrators and the cached legs are wiped, and every flow
-    // that depended on it — a remote sender waiting on its receiver leg
-    // and a local sender using its uplink arbitrator — goes unanswered
-    // and still completes in self-adjusting fallback.
+    // its leaf arbitrators are wiped (the leg answers its local sender
+    // already holds are not: they live in the agent), and every flow that
+    // depended on it — a remote sender waiting on its receiver leg and a
+    // local sender using its uplink arbitrator — goes unanswered and
+    // still completes in self-adjusting fallback.
     let cfg = cfg();
     let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     // Remote sender whose receiver leg terminates at hosts[3]...

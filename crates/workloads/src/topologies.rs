@@ -284,7 +284,7 @@ impl TopologySpec {
                 let mut b = TopologyBuilder::new();
                 let core = b.add_switch();
                 let mut host_ids = Vec::with_capacity(hosts_per_rack * racks);
-                for a in 0..2 {
+                for _ in 0..2 {
                     let agg = b.add_switch();
                     b.connect(agg, core, fabric, link_delay);
                     for _ in 0..racks / 2 {
@@ -296,7 +296,6 @@ impl TopologySpec {
                             host_ids.push(h);
                         }
                     }
-                    let _ = a;
                 }
                 (b.build(factory, qdisc_for), host_ids)
             }
