@@ -15,8 +15,6 @@ use crate::time::SimTime;
 
 /// Ethernet + IP + TCP-ish header overhead modeled on every packet, bytes.
 pub const HEADER_BYTES: u32 = 40;
-/// Default maximum payload per data packet (MSS), bytes.
-pub const DEFAULT_MSS: u32 = 1460;
 /// Wire size of a header-only packet (ACK, probe, control), bytes.
 pub const CONTROL_PKT_BYTES: u32 = 40;
 

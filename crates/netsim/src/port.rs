@@ -56,8 +56,9 @@ pub struct Port {
     /// Control packets still to be dropped on arrival by injected loss
     /// bursts (see [`Port::inject_ctrl_loss_burst`]).
     ctrl_loss_left: u64,
-    /// Control packets dropped by injected loss bursts so far; reported
-    /// as [`QdiscStats::forced_drops`].
+    /// Control packets dropped by injected loss bursts so far; part of
+    /// [`Port::synthetic_drops`] and folded into the queue's
+    /// `dropped_pkts` by [`Port::qdisc_stats`].
     ctrl_loss_drops: u64,
     /// The packet currently being serialized, if any.
     in_flight: Option<Box<Packet>>,
@@ -77,9 +78,8 @@ pub struct Port {
     /// ports, nearly all of them, carry a null pointer instead of 64 cold
     /// bytes between their hot fields).
     degrade: Option<Box<DegradeState>>,
-    /// Packets lost to link degradation (drawn at TX; part of the
-    /// synthetic-loss counter family together with
-    /// [`crate::queue::QdiscStats::forced_drops`]).
+    /// Packets lost to link degradation (drawn at TX; part of
+    /// [`Port::synthetic_drops`]).
     pub degrade_drops: u64,
     /// Packets corrupted by link degradation (stamped at TX, discarded by
     /// the destination's checksum).
@@ -228,11 +228,10 @@ impl Port {
     }
 
     /// Total synthetic (fault-injected) losses on this port: degrade
-    /// losses plus the forced drops of control-loss bursts and of a
-    /// wrapping [`crate::queue::LossyQdisc`]. One counter family for
-    /// every loss that is *not* congestion.
+    /// losses plus the control packets of injected loss bursts. One
+    /// counter family for every loss that is *not* congestion.
     pub fn synthetic_drops(&self) -> u64 {
-        self.degrade_drops + self.qdisc_stats().forced_drops
+        self.degrade_drops + self.ctrl_loss_drops
     }
 
     /// Fold one TX outcome into the EWMA health score.
@@ -331,11 +330,10 @@ impl Port {
     }
 
     /// Queue-discipline counters, with the control packets lost to
-    /// injected bursts counted as (forced) drops at the queue.
+    /// injected bursts counted as drops at the queue.
     pub fn qdisc_stats(&self) -> QdiscStats {
         let mut s = self.qdisc.stats();
         s.dropped_pkts += self.ctrl_loss_drops;
-        s.forced_drops += self.ctrl_loss_drops;
         s
     }
 
@@ -451,7 +449,7 @@ mod tests {
         // 1 ctrl in flight + 3 ctrl, 9 data and 9 ACKs queued.
         assert_eq!(port.queue_len_pkts(), 3 + 9 + 9);
         let qs = port.qdisc_stats();
-        assert_eq!((qs.dropped_pkts, qs.forced_drops), (7, 7));
+        assert_eq!(qs.dropped_pkts, 7);
         assert_eq!(qs.enqueued_pkts, 1 + 3 + 9 + 9);
         assert_eq!(port.synthetic_drops(), 7);
         assert_eq!(port.faults_injected, 3);

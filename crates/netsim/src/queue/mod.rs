@@ -11,14 +11,16 @@
 //!
 //! pFabric's rank-based scheduling/dropping queue lives in the `pfabric`
 //! crate and plugs in through the same [`Qdisc`] trait.
+//!
+//! No discipline here injects faults: every fault is a
+//! [`crate::fault::FaultPlan`] event, acted on by the port in front of
+//! its queue (see [`crate::port::Port`]).
 
 mod droptail;
-mod lossy;
 mod red;
 mod strict_prio;
 
 pub use droptail::DropTailQdisc;
-pub use lossy::LossyQdisc;
 pub use red::RedEcnQdisc;
 pub use strict_prio::StrictPrioQdisc;
 
@@ -56,10 +58,6 @@ pub struct QdiscStats {
     pub dropped_bytes: u64,
     /// Packets that received an ECN CE mark.
     pub marked_pkts: u64,
-    /// Of `dropped_pkts`, the drops forced by a fault injector (e.g.
-    /// [`LossyQdisc`]) rather than by queue overflow. Ports fold these
-    /// together with degraded-link losses into one synthetic-drop family.
-    pub forced_drops: u64,
 }
 
 /// A queue discipline on a switch/host output port.
@@ -107,7 +105,7 @@ pub trait Qdisc: Send + Any {
 /// inside the port, so their ring headers are at a fixed offset from the
 /// port instead of behind a `Box<dyn Qdisc>` (one dependent load less per
 /// enqueue and per dequeue, and no virtual call); anything else — pFabric's
-/// rank queue, a [`LossyQdisc`] wrapper — stays boxed. (Boxing the large
+/// rank queue — stays boxed. (Boxing the large
 /// variants, as clippy suggests, would undo exactly that.)
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum PortQueue {
@@ -168,19 +166,6 @@ impl PortQueue {
     pub(crate) fn stats(&self) -> QdiscStats {
         each_variant!(self, q => q.stats())
     }
-}
-
-/// A boxed constructor for a queue discipline, used by topology builders so
-/// one configuration can stamp out a fresh qdisc per port.
-pub type QdiscFactory = Box<dyn Fn() -> Box<dyn Qdisc> + Send + Sync>;
-
-/// Convenience: build a [`QdiscFactory`] from a closure.
-pub fn factory<F, Q>(f: F) -> QdiscFactory
-where
-    F: Fn() -> Q + Send + Sync + 'static,
-    Q: Qdisc + 'static,
-{
-    Box::new(move || Box::new(f()))
 }
 
 #[cfg(test)]

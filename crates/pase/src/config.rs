@@ -51,6 +51,13 @@ pub const LEASE_REFRESHES: u64 = 4;
 /// `arb_refresh × 2^strikes`, so a dead or overloaded control plane is not
 /// hammered every RTT.
 pub const REFRESH_BACKOFF_CAP: u32 = 5;
+/// Per-epoch control-message budget of every arbitrator (host and switch
+/// processes alike). An epoch is one `arb_refresh` window; messages beyond
+/// the budget are shed with an explicit load-shed reply rather than
+/// silently queued (see [`crate::shed`]). High enough that an unstormed
+/// arbitrator never sheds: only an injected control storm's amplification
+/// drives an inbox past it.
+pub const CTRL_BUDGET_PER_EPOCH: u32 = 512;
 
 /// Every knob of the PASE implementation that a figure, binary or test
 /// varies; the fixed parameters are the constants above.
@@ -86,12 +93,6 @@ pub struct PaseConfig {
     /// lowest queue send a header-only probe per RTT instead of a full
     /// data packet.
     pub probing: bool,
-    /// Per-epoch control-message budget of every arbitrator (host and
-    /// switch processes alike). An epoch is one `arb_refresh` window;
-    /// messages beyond the budget are shed with an explicit load-shed
-    /// reply rather than silently queued. High enough by default that an
-    /// unstormed arbitrator never sheds.
-    pub ctrl_budget_per_epoch: u32,
     /// Overload protection master switch. On, overloaded arbitrators
     /// shed priority-aware (stale refreshes first, never responses or
     /// releases) with an explicit load-shed reply that makes senders
@@ -114,7 +115,6 @@ impl Default for PaseConfig {
             delegation: true,
             use_reference_rate: true,
             probing: true,
-            ctrl_budget_per_epoch: 512,
             shed_enabled: true,
         }
     }
@@ -196,12 +196,13 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::assertions_on_constants)]
     fn shedding_defaults_protect_without_perturbing_normal_runs() {
         let c = PaseConfig::default();
         assert!(c.shed_enabled);
         // The budget must comfortably exceed what a healthy arbitrator
         // sees in one refresh window, so shedding only bites under storms.
-        assert!(c.ctrl_budget_per_epoch >= 128);
+        assert!(CTRL_BUDGET_PER_EPOCH >= 128);
         assert!(!PaseConfig::default().without_shedding().shed_enabled);
     }
 

@@ -29,14 +29,12 @@ use netsim::stats::{Fate, StatsCollector};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::TraceEvent;
 
-use crate::config::PaseConfig;
+use crate::config::{PaseConfig, CTRL_BUDGET_PER_EPOCH};
 use crate::messages::ArbMsg;
 
 /// A weighted per-epoch control-inbox meter.
 #[derive(Debug, Clone, Copy)]
 pub struct InboxBudget {
-    /// Messages (weight units) one epoch may absorb before shedding.
-    budget: u64,
     /// Epoch length (one `arb_refresh` window).
     epoch: SimDuration,
     /// Master switch ([`PaseConfig::shed_enabled`]).
@@ -50,10 +48,10 @@ pub struct InboxBudget {
 }
 
 impl InboxBudget {
-    /// A meter with the configured budget and epoch.
+    /// A meter with budget [`CTRL_BUDGET_PER_EPOCH`] and the configured
+    /// epoch.
     pub fn new(cfg: &PaseConfig) -> InboxBudget {
         InboxBudget {
-            budget: cfg.ctrl_budget_per_epoch as u64,
             epoch: cfg.arb_refresh,
             enabled: cfg.shed_enabled,
             amplify: 1,
@@ -103,12 +101,12 @@ impl InboxBudget {
     /// protected arbitrator sheds requests with a backpressure reply at
     /// this point; an unprotected one tail-drops whatever arrived.
     pub fn overflowed(&self, depth: u64) -> bool {
-        depth > self.budget.saturating_mul(2)
+        depth > 2 * CTRL_BUDGET_PER_EPOCH as u64
     }
 
     /// Whether `depth` is past the budget: below it nothing is shed.
     pub(crate) fn over_budget(&self, depth: u64) -> bool {
-        depth > self.budget
+        depth > CTRL_BUDGET_PER_EPOCH as u64
     }
 
     /// Shed verdict for a *request* arriving at weighted depth `depth`.
@@ -282,9 +280,10 @@ impl ArbFrontEnd {
 mod tests {
     use super::*;
 
-    fn tiny() -> InboxBudget {
+    const B: u64 = CTRL_BUDGET_PER_EPOCH as u64;
+
+    fn meter() -> InboxBudget {
         let cfg = PaseConfig {
-            ctrl_budget_per_epoch: 4,
             arb_refresh: SimDuration::from_micros(100),
             ..PaseConfig::default()
         };
@@ -293,14 +292,14 @@ mod tests {
 
     #[test]
     fn budget_resets_each_epoch() {
-        let mut b = tiny();
+        let mut b = meter();
         let t0 = SimTime::from_micros(1);
-        for _ in 0..4 {
+        for _ in 0..B {
             b.charge(t0);
         }
-        assert!(!b.should_shed(4, true), "within budget: nothing sheds");
+        assert!(!b.should_shed(B, true), "within budget: nothing sheds");
         let depth = b.charge(t0);
-        assert!(b.should_shed(depth, true), "5th stale refresh sheds");
+        assert!(b.should_shed(depth, true), "the next refresh sheds");
         // Next epoch: the meter starts over.
         let t1 = SimTime::from_micros(200);
         assert_eq!(b.charge(t1), 1);
@@ -309,13 +308,13 @@ mod tests {
 
     #[test]
     fn fresh_requests_survive_until_twice_the_budget() {
-        let mut b = tiny();
+        let mut b = meter();
         let t = SimTime::from_micros(1);
         let mut depth = 0;
-        for _ in 0..8 {
+        for _ in 0..2 * B {
             depth = b.charge(t);
         }
-        assert_eq!(depth, 8);
+        assert_eq!(depth, 2 * B);
         assert!(b.should_shed(depth, true), "stale refresh past budget");
         assert!(!b.should_shed(depth, false), "fresh request under 2x");
         depth = b.charge(t);
@@ -324,53 +323,38 @@ mod tests {
 
     #[test]
     fn storms_amplify_the_charge_and_end_cleanly() {
-        let mut b = tiny();
+        let mut b = meter();
         let t = SimTime::from_micros(1);
-        b.storm_start(8);
+        b.storm_start(2 * CTRL_BUDGET_PER_EPOCH);
         assert!(b.stormed());
-        assert_eq!(b.charge(t), 8, "one stormed arrival costs amplify");
-        assert!(b.should_shed(8, true), "a single stale refresh sheds");
+        assert_eq!(b.charge(t), 2 * B, "one stormed arrival costs amplify");
+        assert!(b.should_shed(2 * B, true), "a single stale refresh sheds");
         b.storm_end();
         assert!(!b.stormed());
-        assert_eq!(b.charge(t), 9, "post-storm arrivals cost 1 again");
+        assert_eq!(b.charge(t), 2 * B + 1, "post-storm arrivals cost 1 again");
     }
 
     #[test]
     fn unprotected_inbox_still_overflows_at_hard_capacity() {
-        let b = tiny();
-        let naive = {
-            let cfg = PaseConfig {
-                ctrl_budget_per_epoch: 4,
-                arb_refresh: SimDuration::from_micros(100),
-                ..PaseConfig::default()
-            }
-            .without_shedding();
-            InboxBudget::new(&cfg)
-        };
+        let b = meter();
+        let naive = InboxBudget::new(&PaseConfig::default().without_shedding());
         assert!(!naive.protected());
         assert!(b.protected());
         // Same hard capacity either way: the bound is physical, only the
         // policy (backpressure shed vs silent tail drop) differs.
-        for depth in [1, 8, 9, 100] {
-            assert_eq!(naive.overflowed(depth), depth > 8);
-            assert_eq!(b.overflowed(depth), depth > 8);
+        for depth in [1, 2 * B, 2 * B + 1, 25 * B] {
+            assert_eq!(naive.overflowed(depth), depth > 2 * B);
+            assert_eq!(b.overflowed(depth), depth > 2 * B);
         }
     }
 
     #[test]
     fn disabled_meter_never_sheds() {
-        let cfg = PaseConfig {
-            ctrl_budget_per_epoch: 1,
-            ..PaseConfig::default()
-        }
-        .without_shedding();
-        let mut b = InboxBudget::new(&cfg);
-        let t = SimTime::from_micros(1);
-        for _ in 0..100 {
-            b.charge(t);
-        }
+        let mut b = InboxBudget::new(&PaseConfig::default().without_shedding());
+        b.storm_start(100 * CTRL_BUDGET_PER_EPOCH);
+        let depth = b.charge(SimTime::from_micros(1));
         assert!(
-            !b.should_shed(100, true),
+            !b.should_shed(depth, true),
             "shedding off: process everything"
         );
     }

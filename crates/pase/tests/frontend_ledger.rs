@@ -14,11 +14,10 @@ use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
 use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Decision, Leg, PaseConfig, PaseFactory};
 
-const BUDGET: u32 = 4;
+const BUDGET: u32 = pase::config::CTRL_BUDGET_PER_EPOCH;
 
 fn cfg(protected: bool) -> PaseConfig {
     PaseConfig {
-        ctrl_budget_per_epoch: BUDGET,
         shed_enabled: protected,
         ..PaseConfig::default()
     }
@@ -215,7 +214,7 @@ fn every_message_meets_exactly_one_fate_on_host_and_switch_alike() {
         Kind::Foreign,
     ];
     // Within budget, past it, past the hard capacity (2× budget).
-    let depths = [1, BUDGET + 2, 2 * BUDGET + 1];
+    let depths = [1, BUDGET + BUDGET / 2, 2 * BUDGET + 1];
     let mut cases = 0;
     for (on_switch, kinds) in [(false, host_kinds), (true, switch_kinds)] {
         for crashed in [false, true] {

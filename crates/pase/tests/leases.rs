@@ -19,7 +19,7 @@ use pase::{
     install, pase_qdisc, ArbMsg, ArbProcess, ArbRequest, Decision, Leg, PaseConfig, PaseFactory,
 };
 
-const BUDGET: u32 = 4;
+const BUDGET: u32 = pase::config::CTRL_BUDGET_PER_EPOCH;
 const FLOW: FlowId = FlowId(7);
 
 /// core — agg0 — {tor0 — {h0, h1}, tor1 — h2}, core — agg1 — tor2 — h3:
@@ -33,10 +33,7 @@ struct Net {
 }
 
 fn net() -> Net {
-    let cfg = PaseConfig {
-        ctrl_budget_per_epoch: BUDGET,
-        ..PaseConfig::default()
-    };
+    let cfg = PaseConfig::default();
     let mut b = TopologyBuilder::new();
     let core = b.add_switch();
     let aggs = [b.add_switch(), b.add_switch()];
@@ -119,7 +116,7 @@ impl Net {
     /// From `us` on, a storm puts tor0's next arrival past its inbox
     /// budget, but not past twice it, where fresh requests shed too.
     fn storm(&mut self, us: u64) {
-        let amplify = BUDGET + 2;
+        let amplify = BUDGET + BUDGET / 2;
         let fault = EventKind::fault(FaultDirective::CtrlStormStart { amplify });
         let at = SimTime::from_micros(us);
         self.sim.scheduler_mut().schedule_at(at, self.tor0, fault);

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use netsim::node::Node;
 use netsim::packet::PacketKind;
 use netsim::prelude::*;
-use netsim::queue::LossyQdisc;
 use netsim::trace::{TextTracer, TraceEvent, TraceSink};
+use pase::config::CTRL_BUDGET_PER_EPOCH;
 use pase::{install, pase_qdisc, ArbProcess, Leg, PaseConfig, PaseFactory, PaseSender};
 
 /// Flows held by the arbitrator of a process's own link on `leg`.
@@ -25,21 +25,38 @@ fn cfg() -> PaseConfig {
     }
 }
 
-fn star_sim_with(
-    n: usize,
-    cfg: PaseConfig,
-    qdisc_for: &netsim::topology::QdiscChooser<'_>,
-) -> (Simulation, Vec<NodeId>) {
+/// `n` hosts on one switch, every port buffering `buf_pkts` packets.
+fn star_sim_with(n: usize, cfg: PaseConfig, buf_pkts: usize) -> (Simulation, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let sw = b.add_switch();
     let hosts = b.add_hosts(n);
     for &h in &hosts {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), qdisc_for);
+    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
+        Box::new(pase_qdisc(&cfg, buf_pkts, 20))
+    });
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     (sim, hosts)
+}
+
+/// A control-loss burst of `n` packets on every switch→host direction of
+/// a star, at each of `times`.
+fn ctrl_loss_on_downlinks(
+    sim: &Simulation,
+    hosts: &[NodeId],
+    times: impl Iterator<Item = SimTime>,
+    n: u64,
+) -> FaultPlan {
+    let sw = sim.topo().host_tor(hosts[0]);
+    let mut plan = FaultPlan::new();
+    for at in times {
+        for &h in hosts {
+            plan = plan.ctrl_loss_burst(at, sw, h, n);
+        }
+    }
+    plan
 }
 
 #[test]
@@ -48,7 +65,7 @@ fn algorithm2_window_states_white_box() {
     // responses arrive, the smallest flow must sit in the top queue with a
     // reference-rate window; the others in lower queues with cwnd ~1.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let (mut sim, hosts) = star_sim_with(4, cfg, 250);
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -144,7 +161,7 @@ fn queue_promotions_do_not_reorder_data_on_the_wire() {
     // order on the final hop (no retransmissions => any regression in seq
     // is a real reorder).
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(6, cfg, &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
+    let (mut sim, hosts) = star_sim_with(6, cfg, 500);
     let violations = Arc::new(std::sync::atomic::AtomicU64::new(0));
     sim.set_tracer(Box::new(OrderChecker {
         watch_port_node: NodeId(0), // the switch
@@ -179,19 +196,12 @@ fn queue_promotions_do_not_reorder_data_on_the_wire() {
 
 #[test]
 fn control_plane_loss_does_not_stall_flows() {
-    // Drop every 3rd control packet in the fabric: arbitration responses
-    // and FlowDone messages get lost. Flows must still complete (local
-    // decisions + periodic refresh are the fallback) and arbitrator state
-    // must still converge via expiry.
+    // A train of one-packet control-loss bursts on every switch→host
+    // direction: arbitration responses and FlowDone messages get lost.
+    // Flows must still complete (local decisions + periodic refresh are
+    // the fallback) and arbitrator state must still converge via expiry.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(6, cfg, &|spec| {
-        let inner = Box::new(pase_qdisc(&cfg, 250, 20));
-        if spec.node_is_host {
-            inner
-        } else {
-            Box::new(LossyQdisc::for_kind(inner, 3, PacketKind::Ctrl))
-        }
-    });
+    let (mut sim, hosts) = star_sim_with(6, cfg, 250);
     for i in 0..15u64 {
         let src = (i % 5) as usize;
         let dst = {
@@ -210,12 +220,26 @@ fn control_plane_loss_does_not_stall_flows() {
             SimTime::from_micros(i * 150),
         ));
     }
+    // One lost packet per direction every 175 µs until the last flow
+    // ends (~5.5 ms) costs about a third of all control packets (34 %).
+    let train = (0..34u64).map(|i| SimTime::from_micros(i * 175));
+    let plan = ctrl_loss_on_downlinks(&sim, &hosts, train, 1);
+    sim.inject_faults(&plan);
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(10)));
     assert_eq!(
         outcome,
         RunOutcome::MeasuredComplete,
         "flows must survive control-plane loss"
     );
+    let st = sim.stats();
+    let lost = st.ctrl_pkts_dropped as f64 / st.ctrl_pkts as f64;
+    println!(
+        "control packets lost: {} of {} ({:.1} %)",
+        st.ctrl_pkts_dropped,
+        st.ctrl_pkts,
+        100.0 * lost
+    );
+    assert!(st.ctrl_pkts_dropped > 0, "the loss train must fire");
 }
 
 /// Scaled-down 3-tier fabric (4 racks × `per_rack` hosts, 2 aggs, 1
@@ -430,7 +454,7 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
     // local sender using its uplink arbitrator — goes unanswered and
     // still completes in self-adjusting fallback.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let (mut sim, hosts) = star_sim_with(4, cfg, 250);
     // Remote sender whose receiver leg terminates at hosts[3]...
     sim.add_flow(FlowSpec::new(
         FlowId(0),
@@ -570,7 +594,7 @@ fn degraded_control_channel_trips_the_watchdog_and_flows_complete() {
     // receiver-side checksum discard and RTO/probe recovery get
     // exercised at full transmission rate once the lossy link heals.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let (mut sim, hosts) = star_sim_with(4, cfg, 250);
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -620,18 +644,15 @@ fn degraded_control_channel_trips_the_watchdog_and_flows_complete() {
 #[test]
 fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
     // A control storm amplifies the receiver-side arbitrator's inbox
-    // charge far past its (deliberately tiny) budget, so every refresh of
+    // charge to 16× its budget per message, so every refresh of
     // the remote flow draws a `shedding: true` reply instead of an
     // arbitration answer. The sender must stretch its refresh cadence
     // multiplicatively, then — after `WATCHDOG_K` net shed rounds —
     // degrade to self-adjusting fallback exactly like a dead control
     // channel. When the storm ends, clean responses resume, fallback
     // ends, and the flow completes.
-    let cfg = PaseConfig {
-        ctrl_budget_per_epoch: 4,
-        ..cfg()
-    };
-    let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let cfg = cfg();
+    let (mut sim, hosts) = star_sim_with(4, cfg, 250);
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -639,8 +660,9 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
         5_000_000,
         SimTime::ZERO,
     ));
+    let amplify = 16 * CTRL_BUDGET_PER_EPOCH;
     let plan = FaultPlan::new()
-        .ctrl_storm_start(SimTime::from_micros(500), hosts[3], 64)
+        .ctrl_storm_start(SimTime::from_micros(500), hosts[3], amplify)
         .ctrl_storm_end(SimTime::from_millis(10), hosts[3]);
     sim.inject_faults(&plan);
 
@@ -694,17 +716,11 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
 
 #[test]
 fn total_arbitration_blackout_still_completes() {
-    // Drop EVERY control packet: PASE degrades to endpoint-local
-    // arbitration plus self-adjustment, and still finishes.
+    // Drop every control packet the switch sends to a host: PASE degrades
+    // to endpoint-local arbitration plus self-adjustment, and still
+    // finishes.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(4, cfg, &|spec| {
-        let inner = Box::new(pase_qdisc(&cfg, 250, 20));
-        if spec.node_is_host {
-            inner
-        } else {
-            Box::new(LossyQdisc::for_kind(inner, 1, PacketKind::Ctrl))
-        }
-    });
+    let (mut sim, hosts) = star_sim_with(4, cfg, 250);
     for i in 0..6u64 {
         sim.add_flow(FlowSpec::new(
             FlowId(i),
@@ -714,6 +730,16 @@ fn total_arbitration_blackout_still_completes() {
             SimTime::from_micros(i * 100),
         ));
     }
+    let plan = ctrl_loss_on_downlinks(&sim, &hosts, std::iter::once(SimTime::ZERO), 1 << 40);
+    sim.inject_faults(&plan);
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(20)));
     assert_eq!(outcome, RunOutcome::MeasuredComplete);
+    assert!(sim.stats().ctrl_pkts_dropped > 0, "the blackout must fire");
+    for &h in &hosts {
+        assert_eq!(
+            sim.stats().node(h).ctrl_processed,
+            0,
+            "host {h} heard its arbitrators through the blackout"
+        );
+    }
 }

@@ -14,16 +14,13 @@ pub struct RttEstimator {
     rttvar: SimDuration,
     min_rto: SimDuration,
     max_rto: SimDuration,
-    /// Current backoff multiplier (power of two).
+    /// Current backoff exponent, at most [`DEFAULT_BACKOFF_CAP`].
     backoff: u32,
-    /// Ceiling on the backoff exponent. Consecutive timeouts never push
-    /// the RTO multiplier beyond `2^backoff_cap` (the `max_rto` clamp
-    /// still applies on top).
-    backoff_cap: u32,
 }
 
-/// Default ceiling on the RTO backoff exponent (a 65536× multiplier — in
-/// practice `max_rto` clamps long before this is reached).
+/// Ceiling on the RTO backoff exponent: consecutive timeouts never push
+/// the RTO multiplier beyond `2^16` (in practice `max_rto` clamps long
+/// before this is reached).
 pub const DEFAULT_BACKOFF_CAP: u32 = 16;
 
 impl RttEstimator {
@@ -36,23 +33,7 @@ impl RttEstimator {
             min_rto,
             max_rto,
             backoff: 0,
-            backoff_cap: DEFAULT_BACKOFF_CAP,
         }
-    }
-
-    /// Builder-style override of the backoff-exponent ceiling. Transports
-    /// that must stay responsive across long outages (e.g. a link that
-    /// comes back after seconds of blackout) cap the exponent low so the
-    /// first retransmission after recovery is not minutes away.
-    pub fn with_backoff_cap(mut self, cap: u32) -> Self {
-        self.backoff_cap = cap.min(DEFAULT_BACKOFF_CAP);
-        self.backoff = self.backoff.min(self.backoff_cap);
-        self
-    }
-
-    /// The current backoff-exponent ceiling.
-    pub fn backoff_cap(&self) -> u32 {
-        self.backoff_cap
     }
 
     /// Incorporate a new RTT sample (resets any timeout backoff).
@@ -90,7 +71,7 @@ impl RttEstimator {
     /// Current retransmission timeout, including backoff.
     pub fn rto(&self) -> SimDuration {
         let base = self.bound().unwrap_or(self.min_rto);
-        let backed_off = base.saturating_mul(1u64 << self.backoff.min(self.backoff_cap));
+        let backed_off = base.saturating_mul(1u64 << self.backoff);
         backed_off.max(self.min_rto).min(self.max_rto)
     }
 
@@ -98,7 +79,7 @@ impl RttEstimator {
     /// retransmitted segments are not taken, and backoff persists until a
     /// fresh sample arrives).
     pub fn on_timeout(&mut self) {
-        self.backoff = (self.backoff + 1).min(self.backoff_cap);
+        self.backoff = (self.backoff + 1).min(DEFAULT_BACKOFF_CAP);
     }
 
     /// Current backoff exponent (0 when no outstanding timeouts).
@@ -166,16 +147,15 @@ mod tests {
 
     #[test]
     fn backoff_cap_bounds_the_multiplier() {
-        let mut r = RttEstimator::new(us(100), SimDuration::from_secs(100)).with_backoff_cap(3);
-        assert_eq!(r.backoff_cap(), 3);
+        let mut r = RttEstimator::new(us(100), SimDuration::from_secs(100));
         r.on_sample(us(200)); // RTO = 200 + 4*100 = 600
         let base = r.rto();
-        for _ in 0..10 {
+        for _ in 0..DEFAULT_BACKOFF_CAP + 10 {
             r.on_timeout();
         }
-        // The exponent saturates at the cap: 600us * 2^3.
-        assert_eq!(r.backoff(), 3);
-        assert_eq!(r.rto(), base.saturating_mul(8));
+        // The exponent saturates at the cap: 600us * 2^16.
+        assert_eq!(r.backoff(), DEFAULT_BACKOFF_CAP);
+        assert_eq!(r.rto(), base.saturating_mul(1 << DEFAULT_BACKOFF_CAP));
         // A fresh sample still resets the backoff entirely (the smoothed
         // estimate shifts, so only the multiplier reset is asserted).
         r.on_sample(us(200));
@@ -185,7 +165,13 @@ mod tests {
 
     #[test]
     fn backoff_cap_never_exceeds_the_default() {
-        let r = RttEstimator::new(us(100), SimDuration::from_secs(1)).with_backoff_cap(99);
-        assert_eq!(r.backoff_cap(), super::DEFAULT_BACKOFF_CAP);
+        let mut r = RttEstimator::new(us(100), SimDuration::from_secs(1));
+        for _ in 0..3 * DEFAULT_BACKOFF_CAP {
+            r.on_timeout();
+            assert!(r.backoff() <= DEFAULT_BACKOFF_CAP);
+        }
+        assert_eq!(r.backoff(), DEFAULT_BACKOFF_CAP);
+        // `max_rto` clamps long before the exponent ceiling is reached.
+        assert_eq!(r.rto(), SimDuration::from_secs(1));
     }
 }

@@ -104,6 +104,13 @@ echo "figure sweep: $(wc -l <scripts/figs_ci.digest) files match scripts/figs_ci
 echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run; k=32 build) =="
 ./target/release/scale_smoke
 
+# Loss-recovery example: PASE flows on a one-switch fabric whose every
+# link loses 0 %, 0.1 %, 0.5 % and 2 % of its packets; the example
+# asserts that every flow completes at every loss rate (`cargo test`
+# only compiles it).
+echo "== fault_injection example (every flow completes at every loss rate) =="
+cargo run --release -q --example fault_injection
+
 # The repo benchmark is a package of its own compiled against the
 # crates' public API: build it and run its smoke tests here so API drift
 # fails this gate, not the benchmark run. The smoke profile runs all
