@@ -44,8 +44,10 @@ const PEAK_PENDING_BUDGET: usize = 3_000;
 /// is CI's identity check for the model at scale: a change that means to
 /// move it updates all three on purpose and says why. The incast's
 /// bottleneck is the server's access link, so how the fabric's tiers are
-/// arbitrated moves the digest but not the counts.
-const PINNED: (u64, u64, u64) = (0x08a5_272a_967e_44ca, 140_517, 4_133_353);
+/// arbitrated moves the digest but not the counts. A flow stalled on its
+/// RTO backing off its refresh (DESIGN §7b.12) moved the digest and the
+/// events (4 133 353 → 4 131 919), not the packets delivered.
+const PINNED: (u64, u64, u64) = (0x0575_4e5d_d907_0667, 140_517, 4_131_919);
 
 /// Route-table audit: every switch carries a compact interval FIB
 /// covering the whole fabric in far fewer intervals than nodes.

@@ -46,10 +46,14 @@ pub const WATCHDOG_K: u32 = 4;
 /// path's staleness test and before a delegation report — so no timer
 /// collects leases.
 pub const LEASE_REFRESHES: u64 = 4;
-/// Cap on the channel-health strike integrator, and so on the exponent of
-/// the refresh backoff: a backed-off or fallen-back flow re-requests every
-/// `arb_refresh × 2^strikes`, so a dead or overloaded control plane is not
-/// hammered every RTT.
+/// Cap on the channel-health strike integrator and on the exponent of the
+/// refresh backoff, which adds the strikes of a backed-off or fallen-back
+/// flow to its RTOs since its last new ACK
+/// ([`ChannelHealth::refresh_delay`](crate::health::ChannelHealth::refresh_delay)).
+/// So neither a dead or overloaded control plane nor a dead data path is
+/// hammered every RTT, while `arb_refresh × 2^cap` (9.6 ms at the default
+/// 300 µs) stays under the 10 ms minimum RTO: a stalled flow still
+/// refreshes at least once per RTO.
 pub const REFRESH_BACKOFF_CAP: u32 = 5;
 /// Per-epoch control-message budget of every arbitrator (host and switch
 /// processes alike). An epoch is one `arb_refresh` window; messages beyond
@@ -180,6 +184,10 @@ mod tests {
         assert!(c.end_to_end && c.delegation && c.probing);
         assert_eq!(c.prune_depth, Some(2));
         assert_eq!(c.arb_expiry(), SimDuration::from_micros(1200));
+        // The most backed-off refresh period still fits inside the
+        // shortest RTO, so a stalled flow takes at least one refresh round
+        // per RTO (DESIGN §7b.12).
+        assert!(c.arb_refresh.saturating_mul(1 << REFRESH_BACKOFF_CAP) < transport::MIN_RTO);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   unreachable the flow falls back to pure self-adjusting mode (lowest
 //!   queue, DCTCP laws, data never suppressed) with bounded exponential
 //!   backoff on re-requests, and re-attaches to its arbitrated
-//!   `PrioQue`/`Rref` assignment when clean answers resume.
+//!   `PrioQue`/`Rref` assignment when clean answers resume. A flow
+//!   stalled on its RTO backs its refresh off with its RTOs too, so a
+//!   dead receiver's flow stops renewing leases it cannot use.
 //!
 //! The self-adjusting part is not a copy of DCTCP: the window law is
 //! [`transport::DctcpWindow`], the value `transport::FamilySender` runs.
@@ -144,6 +146,12 @@ impl PaseSender {
     /// The control channel's health (tests/inspection).
     pub fn health(&self) -> &ChannelHealth {
         &self.health
+    }
+
+    /// RTOs fired since the last ACK for new data; the refresh backs off
+    /// with them.
+    pub fn stalled_rtos(&self) -> u32 {
+        self.engine.consecutive_rtos()
     }
 
     fn srtt(&self) -> SimDuration {
@@ -454,7 +462,10 @@ impl FlowAgent for PaseSender {
         self.arbitrate(ctx);
         self.pump(ctx);
         if !self.spec.is_background() {
-            ctx.set_timer(self.health.refresh_delay(), self.refresh.arm());
+            ctx.set_timer(
+                self.health.refresh_delay(self.stalled_rtos()),
+                self.refresh.arm(),
+            );
         }
         if self.data_suppressed() {
             self.start_pace_probes(ctx);
@@ -525,7 +536,10 @@ impl FlowAgent for PaseSender {
             self.apply(verdict, ctx);
             self.arbitrate(ctx);
             self.pump(ctx);
-            ctx.set_timer(self.health.refresh_delay(), self.refresh.arm());
+            ctx.set_timer(
+                self.health.refresh_delay(self.stalled_rtos()),
+                self.refresh.arm(),
+            );
         } else if self.engine.rto_fired(token, ctx) {
             if self.cfg.probing && self.queue > 0 && self.recovery_probe.is_none() {
                 // Probe instead of retransmitting: the data may simply be

@@ -15,7 +15,11 @@
 //! too, the silence may be a stalled path's (a receiver NIC busy with its
 //! own burst holds replies and ACKs alike), so each further silent round
 //! waits twice as long, like an RTO. One capped strike integrator turns
-//! verdicts into [`State`]s (DESIGN.md §5a).
+//! verdicts into [`State`]s (DESIGN.md §5a). The refresh period
+//! ([`refresh_delay`](ChannelHealth::refresh_delay)) backs off with the
+//! strikes and with the sender's RTOs since its last new ACK, so a flow
+//! whose data path is dead stops refreshing at full cadence (DESIGN.md
+//! §7b.12).
 
 use netsim::time::{SimDuration, SimTime};
 
@@ -36,14 +40,15 @@ pub enum Cause {
 /// Where a flow's control channel stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum State {
-    /// Arbitrated at the exact `arb_refresh` cadence; silent strikes below
-    /// [`WATCHDOG_K`] do not leave it (a late reply is not a dead channel).
+    /// Arbitrated at the exact `arb_refresh` cadence while the data path
+    /// makes progress; silent strikes below [`WATCHDOG_K`] do not leave
+    /// it (a late reply is not a dead channel).
     Attached,
-    /// Arbitrated, with shed replies stretching the cadence to
-    /// `arb_refresh × 2^strikes` so a storm's victims drain it.
+    /// Arbitrated, with shed replies stretching the cadence by
+    /// `2^strikes` so a storm's victims drain it.
     BackingOff,
-    /// Pure self-adjusting mode, re-requesting every `arb_refresh ×
-    /// 2^strikes`.
+    /// Pure self-adjusting mode, re-requesting with the cadence stretched
+    /// by `2^strikes`.
     Fallback(Cause),
 }
 
@@ -165,13 +170,23 @@ impl ChannelHealth {
         }
     }
 
-    /// The delay to arm the next refresh with: exactly `arb_refresh` while
-    /// attached, else backed off by `2^strikes`.
-    pub fn refresh_delay(&self) -> SimDuration {
-        match self.state {
-            State::Attached => self.arb_refresh,
-            _ => self.arb_refresh.saturating_mul(1 << self.strikes),
-        }
+    /// The delay to arm the next refresh with, given the sender's
+    /// `stalled_rtos` (RTOs fired since its last new ACK):
+    /// `arb_refresh × 2^min(e, REFRESH_BACKOFF_CAP)`, where `e` is the
+    /// strikes (none while attached) plus `stalled_rtos`. So the refresh
+    /// backs off with the RTO of a flow whose data path is dead, and a
+    /// healthy attached flow keeps the exact `arb_refresh` cadence. A
+    /// parked flow has nothing in flight, takes no RTO, and keeps its
+    /// cadence too.
+    pub fn refresh_delay(&self, stalled_rtos: u32) -> SimDuration {
+        let strikes = match self.state {
+            State::Attached => 0,
+            _ => self.strikes,
+        };
+        let e = strikes
+            .saturating_add(stalled_rtos)
+            .min(REFRESH_BACKOFF_CAP);
+        self.arb_refresh.saturating_mul(1 << e)
     }
 }
 
@@ -228,7 +243,7 @@ mod tests {
                 self.in_flight
                     .push((self.now + self.reply, obs == Obs::Shed));
             }
-            let armed = self.health.refresh_delay();
+            let armed = self.health.refresh_delay(0);
             self.now += armed;
             let now = self.now;
             let landed = self.in_flight.iter().filter(|(at, _)| *at <= now);
@@ -296,7 +311,7 @@ mod tests {
         h.on_ack(now - cfg.base_rtt);
         let stall = 3 * ((1 << WATCHDOG_K) - 1) - 1;
         for round in 1..=stall {
-            now += h.refresh_delay();
+            now += h.refresh_delay(0);
             assert_eq!(
                 h.on_refresh_round(now, None, Some(deadline)),
                 Transition::None
@@ -308,13 +323,13 @@ mod tests {
             assert_eq!(h.strikes as usize, strikes, "round {round}");
         }
         h.on_ack(now);
-        now += h.refresh_delay();
+        now += h.refresh_delay(0);
         assert_eq!(
             h.on_refresh_round(now, Some(false), Some(deadline)),
             Transition::None
         );
         assert_eq!(h.state(), State::Attached);
-        assert_eq!(h.refresh_delay(), cfg.arb_refresh);
+        assert_eq!(h.refresh_delay(0), cfg.arb_refresh);
     }
 
     #[test]
@@ -323,9 +338,9 @@ mod tests {
         let mut h = ChannelHealth::new(&cfg, SimTime::ZERO);
         let mut now = SimTime::ZERO;
         for _ in 0..100 {
-            now += h.refresh_delay();
+            now += h.refresh_delay(0);
             assert_eq!(h.on_refresh_round(now, None, None), Transition::None);
-            assert_eq!(h.refresh_delay(), cfg.arb_refresh);
+            assert_eq!(h.refresh_delay(0), cfg.arb_refresh);
         }
     }
 
@@ -404,6 +419,49 @@ mod tests {
         assert_eq!(delays[k], cfg.arb_refresh.saturating_mul(1 << k));
         let cap = cfg.arb_refresh.saturating_mul(1 << REFRESH_BACKOFF_CAP);
         assert_eq!(*delays.last().unwrap(), cap);
+    }
+
+    /// The refresh period is `arb_refresh × 2^min(e, REFRESH_BACKOFF_CAP)`,
+    /// `e` the strikes (none while attached) plus the sender's stalled
+    /// RTOs.
+    #[test]
+    fn refresh_delay_backs_off_with_strikes_and_stalled_rtos() {
+        let cfg = PaseConfig::default();
+        let (k, cap) = (WATCHDOG_K, REFRESH_BACKOFF_CAP);
+        let fallback = State::Fallback(Cause::Silent);
+        // (state, strikes, stalled RTOs, exponent)
+        let table = [
+            (State::Attached, 0, 0, 0),
+            // Strikes below `WATCHDOG_K` leave an attached flow's cadence.
+            (State::Attached, k - 1, 0, 0),
+            (State::Attached, 0, 1, 1),
+            (State::Attached, k - 1, 3, 3),
+            (State::Attached, 0, cap, cap),
+            (State::Attached, 0, 8, cap),
+            (State::Attached, 0, u32::MAX, cap),
+            (State::BackingOff, 1, 0, 1),
+            (State::BackingOff, 2, 2, 4),
+            (State::BackingOff, 3, 3, cap),
+            (fallback, k, 0, k),
+            (fallback, k, 1, k + 1),
+            (fallback, cap, 0, cap),
+            (fallback, cap, u32::MAX, cap),
+        ];
+        for (state, strikes, rtos, e) in table {
+            let h = ChannelHealth {
+                state,
+                strikes,
+                ..ChannelHealth::new(&cfg, SimTime::ZERO)
+            };
+            assert_eq!(
+                h.refresh_delay(rtos),
+                cfg.arb_refresh.saturating_mul(1 << e),
+                "{state:?}, {strikes} strikes, {rtos} RTOs"
+            );
+        }
+        // The fault-free cadence is exactly `arb_refresh`.
+        let h = ChannelHealth::new(&cfg, SimTime::ZERO);
+        assert_eq!(h.refresh_delay(0), cfg.arb_refresh);
     }
 
     /// Sustained shedding backs the cadence off from the first shed

@@ -1,15 +1,16 @@
 //! Robustness and white-box tests for the PASE endpoint:
 //! Algorithm 2's window state, the reorder guard observed on the wire,
-//! tolerance to control-plane packet loss, and recovery from injected
-//! arbitrator crashes (silent-channel fallback + re-attach).
+//! tolerance to control-plane packet loss, recovery from injected
+//! arbitrator crashes (silent-channel fallback + re-attach), and the
+//! refresh cadence of a flow stalled on its RTO and of a parked one.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use netsim::node::Node;
 use netsim::packet::PacketKind;
 use netsim::prelude::*;
-use netsim::trace::{TextTracer, TraceEvent, TraceSink};
-use pase::config::CTRL_BUDGET_PER_EPOCH;
+use netsim::trace::{AbortReason, TextTracer, TraceEvent, TraceSink};
+use pase::config::{CTRL_BUDGET_PER_EPOCH, REFRESH_BACKOFF_CAP};
 use pase::{install, pase_qdisc, ArbProcess, Leg, PaseConfig, PaseFactory, PaseSender};
 
 /// Flows held by the arbitrator of a process's own link on `leg`.
@@ -289,20 +290,27 @@ fn all_switches(sim: &Simulation, at: SimTime, restart: bool) -> FaultPlan {
 }
 
 fn until(ms: u64) -> RunLimit {
+    until_time(SimTime::from_millis(ms))
+}
+
+fn until_time(t: SimTime) -> RunLimit {
     RunLimit {
-        max_time: Some(SimTime::from_millis(ms)),
+        max_time: Some(t),
         max_events: None,
         stop_when_measured_done: false,
     }
 }
 
-fn sender_state(sim: &mut Simulation, host: NodeId, flow: u64) -> (bool, u8, Rate) {
+/// The live sender of `flow` on `host`, if it has not ended.
+fn sender(sim: &mut Simulation, host: NodeId, flow: u64) -> Option<&mut PaseSender> {
     let Node::Host(h) = sim.node_mut(host) else {
         panic!()
     };
-    let s = h
-        .agent_as::<PaseSender>(FlowId(flow))
-        .expect("sender still live");
+    h.agent_as::<PaseSender>(FlowId(flow))
+}
+
+fn sender_state(sim: &mut Simulation, host: NodeId, flow: u64) -> (bool, u8, Rate) {
+    let s = sender(sim, host, flow).expect("sender still live");
     (s.health().in_fallback(), s.queue(), s.rref())
 }
 
@@ -687,7 +695,7 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
             s.health().state()
         );
         assert!(
-            s.health().refresh_delay() > cfg.arb_refresh,
+            s.health().refresh_delay(0) > cfg.arb_refresh,
             "shed replies must stretch the refresh cadence"
         );
         assert_eq!(
@@ -742,4 +750,223 @@ fn total_arbitration_blackout_still_completes() {
             "host {h} heard its arbitrators through the blackout"
         );
     }
+}
+
+/// One flow as its sender's host saw it: when it put a control packet of
+/// the flow on the wire, and when and why the flow ended.
+#[derive(Default)]
+struct CtrlLog {
+    ctrl_tx: Vec<SimTime>,
+    done: Option<(SimTime, Option<AbortReason>)>,
+}
+
+/// Trace sink filling a [`CtrlLog`] for `flow`, sent from `host`.
+struct CtrlLogger {
+    host: NodeId,
+    flow: FlowId,
+    log: Arc<Mutex<CtrlLog>>,
+}
+
+impl TraceSink for CtrlLogger {
+    fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Tx {
+                node,
+                flow,
+                kind: PacketKind::Ctrl,
+                ..
+            } if node == self.host && flow == self.flow => {
+                self.log.lock().unwrap().ctrl_tx.push(now);
+            }
+            TraceEvent::FlowDone { flow, reason, .. } if flow == self.flow => {
+                self.log.lock().unwrap().done = Some((now, reason));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Logs `flow`'s control packets sent from `host` and its end.
+fn log_ctrl(sim: &mut Simulation, host: NodeId, flow: u64) -> Arc<Mutex<CtrlLog>> {
+    let log = Arc::new(Mutex::new(CtrlLog::default()));
+    sim.set_tracer(Box::new(CtrlLogger {
+        host,
+        flow: FlowId(flow),
+        log: log.clone(),
+    }));
+    log
+}
+
+#[test]
+fn a_dead_receiver_stops_holding_capacity() {
+    // Host `a` sends a small flow X to `r` in the other rack and a big
+    // flow Y to `l` beside `r`; `l`'s 10 Mbps access link keeps Y alive
+    // on few packets. X wins the top queue on `a`'s uplink, then `r`
+    // crashes for good. X's data path goes dark and it takes RTO after
+    // RTO until its budget runs out. Its sender leg climbs to live
+    // switches and keeps answering, so X stays attached: only its
+    // stalled RTOs back its refresh off (DESIGN §7b.12). Once a refresh
+    // period exceeds `arb_expiry`, X's lease lapses between its rounds
+    // and Y holds the top queue.
+    let cfg = cfg();
+    let mut b = TopologyBuilder::new();
+    let agg = b.add_switch();
+    let (tor_a, tor_r) = (b.add_switch(), b.add_switch());
+    let (a, r, l) = (b.add_host(), b.add_host(), b.add_host());
+    let us25 = SimDuration::from_micros(25);
+    for tor in [tor_a, tor_r] {
+        b.connect(tor, agg, Rate::from_gbps(10), us25);
+    }
+    b.connect(a, tor_a, Rate::from_gbps(1), us25);
+    b.connect(r, tor_r, Rate::from_gbps(1), us25);
+    b.connect(l, tor_r, Rate::from_mbps(10), us25);
+    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
+        Box::new(pase_qdisc(&cfg, 500, 20))
+    });
+    let mut sim = Simulation::new(net);
+    install(&mut sim, cfg);
+    sim.add_flow(FlowSpec::new(FlowId(0), a, r, 400_000, SimTime::ZERO));
+    sim.add_flow(FlowSpec::new(FlowId(1), a, l, 20_000_000, SimTime::ZERO));
+    let crash = SimTime::from_micros(1100);
+    sim.inject_faults(&FaultPlan::new().host_crash(crash, r));
+    let log = log_ctrl(&mut sim, a, 0);
+
+    sim.run(until(1));
+    assert_eq!(
+        sender(&mut sim, a, 0).unwrap().queue(),
+        0,
+        "X holds the top queue"
+    );
+    assert!(
+        sender(&mut sim, a, 1).unwrap().queue() > 0,
+        "Y starts demoted"
+    );
+
+    // Step on a grid that is no multiple of `arb_refresh`: note when X
+    // takes each RTO (`rto_at[k]`, the first step that sees `k`), and
+    // sample Y's queue from X's third RTO until X aborts.
+    let step = SimDuration::from_micros(130);
+    let mut now = SimTime::from_millis(1);
+    let mut rto_at = vec![crash];
+    let (mut samples, mut top) = (0u32, 0u32);
+    loop {
+        now += step;
+        sim.run(until_time(now));
+        let Some(x) = sender(&mut sim, a, 0) else {
+            break;
+        };
+        let rtos = x.stalled_rtos() as usize;
+        while rto_at.len() <= rtos {
+            rto_at.push(now);
+        }
+        if rtos >= 3 {
+            let y = sender(&mut sim, a, 1).expect("Y outlives X");
+            samples += 1;
+            top += (y.queue() == 0) as u32;
+        }
+    }
+    let log = log.lock().unwrap();
+    let (end, reason) = log.done.expect("X ended");
+    assert_eq!(
+        reason,
+        Some(AbortReason::MaxRtosExceeded),
+        "X still spends its RTO budget and aborts"
+    );
+    rto_at.push(end);
+
+    // Between its `k`-th and `k+1`-th RTO, X's rounds are at least
+    // `arb_refresh × 2^min(k, REFRESH_BACKOFF_CAP)` apart; the round armed
+    // before an RTO fired may come sooner. Each round sends two requests:
+    // the sender leg to `tor_a`, the receiver leg to `r`.
+    let rounds_bound: u64 = rto_at
+        .windows(2)
+        .enumerate()
+        .map(|(k, w)| {
+            let gap = (w[1] - w[0] + step).as_nanos();
+            let period = cfg
+                .arb_refresh
+                .saturating_mul(1 << (k as u32).min(REFRESH_BACKOFF_CAP));
+            gap / period.as_nanos() + 2
+        })
+        .sum();
+    let sent = log
+        .ctrl_tx
+        .iter()
+        .filter(|t| **t > crash && **t < end)
+        .count() as u64;
+    assert!(
+        sent <= 2 * rounds_bound,
+        "X sent {sent} requests in the {} ms after the crash, bound {}",
+        (end - crash).as_nanos() / 1_000_000,
+        2 * rounds_bound
+    );
+    // X's lease (`arb_expiry`) lapses between its backed-off rounds, so
+    // the capacity it cannot use goes to Y.
+    assert!(
+        2 * top > samples,
+        "Y held the top queue in {top} of {samples} samples after X's third RTO"
+    );
+}
+
+#[test]
+fn a_parked_flow_keeps_refreshing_and_is_promoted_at_once() {
+    // Two queues, so the flow behind the top one is parked in the bottom
+    // queue: its data is suppressed and it sends only pacing probes. It
+    // has nothing in flight, takes no RTO, and keeps refreshing every
+    // `arb_refresh`, which is how it learns of its promotion.
+    let cfg = PaseConfig {
+        n_queues: 2,
+        ..cfg()
+    };
+    let (mut sim, hosts) = star_sim_with(2, cfg, 250);
+    let (s, d) = (hosts[0], hosts[1]);
+    sim.add_flow(FlowSpec::new(FlowId(0), s, d, 1_000_000, SimTime::ZERO));
+    sim.add_flow(FlowSpec::new(
+        FlowId(1),
+        s,
+        d,
+        4_000_000,
+        SimTime::from_micros(10),
+    ));
+    let log = log_ctrl(&mut sim, s, 1);
+    let step = SimDuration::from_micros(10);
+    let mut now = SimTime::ZERO;
+    let mut top_done = None;
+    let promoted = loop {
+        now += step;
+        sim.run(until_time(now));
+        top_done = top_done.or(sim.stats().flow(FlowId(0)).unwrap().completed);
+        let p = sender(&mut sim, s, 1).expect("the parked flow is live");
+        if p.queue() == 0 {
+            break now;
+        }
+        assert_eq!(p.queue(), cfg.lowest_queue(), "at {now:?}");
+        assert_eq!(p.stalled_rtos(), 0, "a parked flow takes no RTO");
+        assert_eq!(
+            p.health().refresh_delay(p.stalled_rtos()),
+            cfg.arb_refresh,
+            "at {now:?}"
+        );
+    };
+    let top_done = top_done.expect("the top flow finished before the promotion");
+    // One request (the receiver leg to `d`) per refresh since its start.
+    let start = SimTime::from_micros(10);
+    let rounds = (top_done - start).as_nanos() / cfg.arb_refresh.as_nanos() + 1;
+    let sent = log
+        .lock()
+        .unwrap()
+        .ctrl_tx
+        .iter()
+        .filter(|t| **t <= top_done)
+        .count() as u64;
+    assert!(
+        (rounds - 1..=rounds + 1).contains(&sent),
+        "{sent} requests while parked, {rounds} refreshes"
+    );
+    // The next refresh finds the top flow gone from the local arbitrator
+    // and its receiver-leg reply comes back one round trip later.
+    assert!(
+        promoted <= top_done + cfg.arb_refresh + cfg.base_rtt,
+        "the top flow finished at {top_done:?}, the parked one was promoted at {promoted:?}"
+    );
 }

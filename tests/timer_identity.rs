@@ -115,8 +115,11 @@ fn run(scheme: Scheme) -> Run {
 /// one flow of this lossy run in fallback, the estimator none. Its events
 /// were re-recorded, digest unchanged, when the lease-GC tick went
 /// (`PluginTimer` 3 942 → 0) and its pacer began to supersede
-/// (`AgentTimer` 17 642 → 17 561), and re-recorded when lower queues
-/// dropped their 200 ms minimum RTO for the top queue's 10 ms.
+/// (`AgentTimer` 17 642 → 17 561), re-recorded when lower queues
+/// dropped their 200 ms minimum RTO for the top queue's 10 ms, and
+/// re-recorded when a flow stalled on its RTO began backing off its
+/// refresh too (DESIGN §7b.12: `AgentTimer` 4 326 → 3 533, events
+/// 97 667 → 89 486).
 #[test]
 fn per_flow_records_match_the_eager_timers() {
     #[rustfmt::skip]
@@ -127,7 +130,7 @@ fn per_flow_records_match_the_eager_timers() {
         (Scheme::L2dct, 0x39b1_4f8a_201d_0c42, [71_911, 35_701, 35_933, 151, 0, 122, 4, 8_119]),
         (Scheme::Pdq, 0x3f58_1035_b575_2c58, [162_312, 71_756, 72_185, 18_245, 0, 122, 4, 28_898]),
         (Scheme::PFabric, 0x3faa_b172_f081_a940, [75_860, 37_466, 37_775, 493, 0, 122, 4, 8_819]),
-        (Scheme::Pase, 0x3208_61ec_a242_2ed7, [97_667, 46_413, 46_802, 4_326, 0, 122, 4, 6_540]),
+        (Scheme::Pase, 0x39fa_17df_8e51_ae39, [89_486, 42_745, 43_082, 3_533, 0, 122, 4, 6_414]),
     ];
     let mut moved = Vec::new();
     for (scheme, digest, events) in pinned {
