@@ -13,22 +13,14 @@
 //!
 //! # Cost of a line
 //!
-//! A traced run renders one line per transmitted packet, so the renderer
-//! is a per-event cost. Lines are written by one private function,
-//! `render`, straight into a byte buffer: static strings are copied,
-//! integers are written digit by digit, and the timestamp is rounded to
-//! microseconds in integer arithmetic. Nothing on that path goes through
-//! `core::fmt`, with two exceptions that keep the output byte-identical
-//! to the `{:.6}`/`{:?}` formatting the text format was defined by: a
-//! timestamp whose nanoseconds end in exactly 500 (or that is not
-//! exactly representable as an `f64`) is formatted by [`SimTime`]'s
-//! `Display`, because only there can integer and float rounding differ,
-//! and the rare `FLT` lines keep the directive's derived `Debug`.
-//!
-//! [`TextTracer`] stages rendered lines in a private buffer and appends
-//! them to a shared `String` in `FLUSH_THRESHOLD`-byte batches (one
-//! mutex round trip per batch). It is for people who want to *read* a
-//! trace.
+//! A traced run renders one line per transmitted packet through
+//! `core::fmt`: one private function, `render`, holds the `writeln!`
+//! format string of every line type, and is the definition of the text
+//! format. That costs more per event than a digest, and no harness that
+//! only compares runs pays it (see below). [`TextTracer`] stages rendered
+//! lines in a private buffer and appends them to a shared `String` in
+//! `FLUSH_THRESHOLD`-byte batches (one mutex round trip per batch). It is
+//! for people who want to *read* a trace.
 //!
 //! # One digest tracer
 //!
@@ -43,7 +35,7 @@
 //! (called by [`crate::sim::Simulation::run`] before it returns) or when
 //! the sink is dropped; read the handle only after one of those points.
 
-use std::io::Write as _;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultDirective;
@@ -202,72 +194,10 @@ impl TraceEvent {
     }
 }
 
-/// `v` in decimal, zero-padded on the left to at least `min_digits`.
-fn push_uint(out: &mut Vec<u8>, mut v: u64, min_digits: usize) {
-    let mut buf = [b'0'; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&buf[i.min(buf.len() - min_digits)..]);
-}
-
-/// `now` exactly as [`SimTime`]'s `Display` prints it (`{:.6}` seconds).
-fn push_time(out: &mut Vec<u8>, now: SimTime) {
-    let ns = now.as_nanos();
-    // Below 2^53 ns the f64 quotient `ns / 1e9` is within 2^-30 s of the
-    // true value, under the 1 ns that separates any `ns % 1000 != 500`
-    // from a microsecond rounding boundary, so rounding the integer
-    // gives the digits `{:.6}` gives. On a boundary, or past 2^53, ask
-    // the float formatter itself.
-    if ns % 1000 == 500 || ns >= 1 << 53 {
-        let _ = write!(out, "{now}");
-        return;
-    }
-    let us = (ns + 500) / 1000;
-    push_uint(out, us / 1_000_000, 1);
-    out.push(b'.');
-    push_uint(out, us % 1_000_000, 6);
-    out.push(b's');
-}
-
-/// `kind` as its derived `Debug` prints it.
-fn kind_name(kind: PacketKind) -> &'static str {
-    match kind {
-        PacketKind::Data => "Data",
-        PacketKind::Ack => "Ack",
-        PacketKind::Probe => "Probe",
-        PacketKind::ProbeAck => "ProbeAck",
-        PacketKind::Ctrl => "Ctrl",
-    }
-}
-
-/// `tag` followed by `v` in decimal.
-fn push_field(out: &mut Vec<u8>, tag: &str, v: u64) {
-    out.extend_from_slice(tag.as_bytes());
-    push_uint(out, v, 1);
-}
-
-/// ` f<flow> <kind> seq=<seq>`: the tail four line types share.
-fn push_pkt(out: &mut Vec<u8>, flow: FlowId, kind: PacketKind, seq: u64) {
-    push_field(out, " f", flow.0);
-    out.push(b' ');
-    out.extend_from_slice(kind_name(kind).as_bytes());
-    push_field(out, " seq=", seq);
-}
-
-/// Append the text line for `event` at `now` to `out`. The single
-/// definition of the trace text format (see the module docs for why it
-/// does not use `core::fmt`); the test module keeps the `writeln!`
-/// rendering it replaced as an oracle.
-fn render(out: &mut Vec<u8>, now: SimTime, event: &TraceEvent) {
-    push_time(out, now);
-    match *event {
+/// Append the text line for `event` at `now` to `out`: the definition of
+/// the trace text format.
+fn render(out: &mut String, now: SimTime, event: &TraceEvent) {
+    let _ = match *event {
         TraceEvent::Tx {
             node,
             port,
@@ -276,64 +206,39 @@ fn render(out: &mut Vec<u8>, now: SimTime, event: &TraceEvent) {
             seq,
             wire_bytes,
             prio,
-        } => {
-            push_field(out, " TX   n", node.0 as u64);
-            push_field(out, ":p", port.0 as u64);
-            push_pkt(out, flow, kind, seq);
-            push_field(out, " len=", wire_bytes as u64);
-            push_field(out, " prio=", prio as u64);
-        }
+        } => writeln!(
+            out,
+            "{now} TX   {node}:{port} {flow} {kind:?} seq={seq} len={wire_bytes} prio={prio}"
+        ),
         TraceEvent::Drop { flow, kind, seq } => {
-            out.extend_from_slice(b" DROP");
-            push_pkt(out, flow, kind, seq);
+            writeln!(out, "{now} DROP {flow} {kind:?} seq={seq}")
         }
         TraceEvent::Blackhole {
             node,
             flow,
             kind,
             seq,
-        } => {
-            push_field(out, " BHOL n", node.0 as u64);
-            push_pkt(out, flow, kind, seq);
-        }
+        } => writeln!(out, "{now} BHOL {node} {flow} {kind:?} seq={seq}"),
         TraceEvent::FlowDone {
             flow,
             aborted,
             reason,
-        } => {
-            push_field(out, if aborted { " ABRT f" } else { " DONE f" }, flow.0);
-            if let (true, Some(reason)) = (aborted, reason) {
-                out.extend_from_slice(match reason {
-                    AbortReason::EarlyTermination => b" reason=EarlyTermination",
-                    AbortReason::MaxRtosExceeded => b" reason=MaxRtosExceeded",
-                    AbortReason::HostCrash => b" reason=HostCrash",
-                });
-            }
-        }
-        TraceEvent::Fault { node, fault } => {
-            push_field(out, " FLT  n", node.0 as u64);
-            let _ = write!(out, " {fault:?}");
-        }
+        } => match (aborted, reason) {
+            (true, Some(r)) => writeln!(out, "{now} ABRT {flow} reason={r:?}"),
+            (true, None) => writeln!(out, "{now} ABRT {flow}"),
+            (false, _) => writeln!(out, "{now} DONE {flow}"),
+        },
+        TraceEvent::Fault { node, fault } => writeln!(out, "{now} FLT  {node} {fault:?}"),
         TraceEvent::Corrupt {
             node,
             flow,
             kind,
             seq,
-        } => {
-            push_field(out, " CRPT n", node.0 as u64);
-            push_pkt(out, flow, kind, seq);
-        }
+        } => writeln!(out, "{now} CRPT {node} {flow} {kind:?} seq={seq}"),
         TraceEvent::Shed { node, flow, stale } => {
-            push_field(out, " SHED n", node.0 as u64);
-            push_field(out, " f", flow.0);
-            out.extend_from_slice(if stale {
-                b" stale=true"
-            } else {
-                b" stale=false"
-            });
+            writeln!(out, "{now} SHED {node} {flow} stale={stale}")
         }
-    }
-    out.push(b'\n');
+    };
 }
 
 /// A sink that renders events as text lines into a shared buffer.
@@ -348,7 +253,7 @@ fn render(out: &mut Vec<u8>, now: SimTime, event: &TraceEvent) {
 pub struct TextTracer {
     shared: Arc<Mutex<String>>,
     /// Staged lines not yet pushed to `shared`.
-    local: Vec<u8>,
+    local: String,
     /// Only record events for this flow, when set.
     filter_flow: Option<FlowId>,
 }
@@ -363,7 +268,7 @@ impl TextTracer {
     pub fn for_flow(flow: FlowId) -> TextTracer {
         TextTracer {
             shared: Arc::default(),
-            local: Vec::new(),
+            local: String::new(),
             filter_flow: Some(flow),
         }
     }
@@ -377,11 +282,10 @@ impl TextTracer {
         if self.local.is_empty() {
             return;
         }
-        let text = std::str::from_utf8(&self.local).expect("rendered trace lines are UTF-8");
         self.shared
             .lock()
             .expect("tracer buffer poisoned")
-            .push_str(text);
+            .push_str(&self.local);
         self.local.clear();
     }
 }
@@ -393,7 +297,7 @@ impl Clone for TextTracer {
     fn clone(&self) -> TextTracer {
         TextTracer {
             shared: Arc::clone(&self.shared),
-            local: Vec::new(),
+            local: String::new(),
             filter_flow: self.filter_flow,
         }
     }
@@ -599,67 +503,6 @@ mod tests {
         }
     }
 
-    /// The `core::fmt` rendering `render` replaced, kept as its oracle:
-    /// the text format is *defined* by these format strings.
-    fn render_reference(out: &mut String, now: SimTime, event: &TraceEvent) {
-        use std::fmt::Write as _;
-        let _ = match *event {
-            TraceEvent::Tx {
-                node,
-                port,
-                flow,
-                kind,
-                seq,
-                wire_bytes,
-                prio,
-            } => writeln!(
-                out,
-                "{now} TX   {node}:{port} {flow} {kind:?} seq={seq} len={wire_bytes} prio={prio}"
-            ),
-            TraceEvent::Drop { flow, kind, seq } => {
-                writeln!(out, "{now} DROP {flow} {kind:?} seq={seq}")
-            }
-            TraceEvent::Blackhole {
-                node,
-                flow,
-                kind,
-                seq,
-            } => writeln!(out, "{now} BHOL {node} {flow} {kind:?} seq={seq}"),
-            TraceEvent::FlowDone {
-                flow,
-                aborted,
-                reason,
-            } => match (aborted, reason) {
-                (true, Some(r)) => writeln!(out, "{now} ABRT {flow} reason={r:?}"),
-                (true, None) => writeln!(out, "{now} ABRT {flow}"),
-                (false, _) => writeln!(out, "{now} DONE {flow}"),
-            },
-            TraceEvent::Fault { node, fault } => writeln!(out, "{now} FLT  {node} {fault:?}"),
-            TraceEvent::Corrupt {
-                node,
-                flow,
-                kind,
-                seq,
-            } => writeln!(out, "{now} CRPT {node} {flow} {kind:?} seq={seq}"),
-            TraceEvent::Shed { node, flow, stale } => {
-                writeln!(out, "{now} SHED {node} {flow} stale={stale}")
-            }
-        };
-    }
-
-    fn assert_renders_like_reference(now: SimTime, event: &TraceEvent) {
-        let mut got = Vec::new();
-        render(&mut got, now, event);
-        let mut want = String::new();
-        render_reference(&mut want, now, event);
-        assert_eq!(
-            String::from_utf8(got).expect("rendered line is UTF-8"),
-            want,
-            "at {} ns, {event:?}",
-            now.as_nanos()
-        );
-    }
-
     /// Every event variant, with every `PacketKind`, `AbortReason` and
     /// bool it can carry, at the smallest, a typical and the largest
     /// value of each numeric field.
@@ -755,55 +598,10 @@ mod tests {
         out
     }
 
-    #[test]
-    fn render_matches_the_fmt_reference_for_every_event_shape() {
-        let times = [0, 1, 999, 1_000, 25_250, 1_000_000_500, 1 << 53, u64::MAX];
-        for event in every_event_shape() {
-            for ns in times {
-                assert_renders_like_reference(SimTime::from_nanos(ns), &event);
-            }
-        }
-    }
-
-    /// Integer microsecond rounding against `{:.6}` of the float seconds:
-    /// around every rounding boundary of the first 200 µs, at seeded
-    /// random instants over the whole exactly-representable range, and
-    /// across the 2^53 hand-over to the float path.
-    #[test]
-    fn render_matches_the_fmt_reference_for_every_timestamp_shape() {
-        let event = tx(1);
-        let edge = [0, 1, 499, 500, 501, 999, 1_000, 1_500];
-        let top = [(1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX];
-        let mut rng = crate::rng::Rng::seed_from_u64(0x7e57_71e5);
-        let random = (0..100_000).map(|i| {
-            // Half uniform below 2^53, half uniform in magnitude (so short
-            // runs' timestamps are as dense as long ones').
-            let v = rng.gen_below(1 << 53);
-            if i % 2 == 0 {
-                v
-            } else {
-                v >> rng.gen_below(53)
-            }
-        });
-        for ns in edge
-            .into_iter()
-            .chain(0..200_000)
-            .chain(random.collect::<Vec<_>>())
-            .chain(top)
-        {
-            assert_renders_like_reference(SimTime::from_nanos(ns), &event);
-        }
-        // The last exactly-representable instants, where the float
-        // quotient is coarsest (2^-30 s) and the 1 ns margin tightest.
-        for ns in (1u64 << 53) - 20_000..1 << 53 {
-            assert_renders_like_reference(SimTime::from_nanos(ns), &event);
-        }
-    }
-
     /// `(rendered line, HashTracer digest)` of a one-event trace.
-    fn line_and_digest(ns: u64, event: &TraceEvent) -> (Vec<u8>, u64) {
+    fn line_and_digest(ns: u64, event: &TraceEvent) -> (String, u64) {
         let now = SimTime::from_nanos(ns);
-        let mut line = Vec::new();
+        let mut line = String::new();
         render(&mut line, now, event);
         let mut t = HashTracer::new();
         let d = t.digest();
@@ -820,7 +618,7 @@ mod tests {
     #[test]
     fn hash_tracer_separates_everything_the_text_separates_and_more() {
         let times = [0, 1, 999, 1_000, 25_250, 1_000_000_500, 1 << 53, u64::MAX];
-        let mut by_digest: std::collections::HashMap<u64, Vec<u8>> = Default::default();
+        let mut by_digest: std::collections::HashMap<u64, String> = Default::default();
         let mut lines = std::collections::HashSet::new();
         for event in every_event_shape() {
             for ns in times {
@@ -828,8 +626,7 @@ mod tests {
                 lines.insert(line.clone());
                 if let Some(other) = by_digest.insert(digest, line.clone()) {
                     assert_eq!(
-                        String::from_utf8(other).unwrap(),
-                        String::from_utf8(line).unwrap(),
+                        other, line,
                         "two different lines share digest {digest:#018x}"
                     );
                 }

@@ -6,7 +6,7 @@
 //!
 //! | Strategy | Role in PASE | Module |
 //! |---|---|---|
-//! | Arbitration | coarse-grained inter-flow prioritization: per-link arbitrators assign each flow a priority queue and a reference rate (Algorithm 1); one arbitrator process ([`process`]) and front-end ([`shed`]) whether it sits on a host or a switch, climbing the tree by one rule ([`TreeInfo::next_arbitrator`]) | [`algorithm`], [`process`], [`shed`], [`tree`] |
+//! | Arbitration | coarse-grained inter-flow prioritization: per-link arbitrators assign each flow a priority queue and a reference rate (Algorithm 1); one arbitrator process ([`process`]) with one metered control inbox ([`shed`]) whether it sits on a host or a switch, climbing the tree by one rule ([`TreeInfo::next_arbitrator`]) | [`algorithm`], [`process`], [`shed`], [`tree`] |
 //! | In-network prioritization | per-packet, sub-RTT scheduling using the few strict-priority queues commodity switches already have | [`netsim::queue::StrictPrioQdisc`] |
 //! | Self-adjusting endpoints | discover spare capacity / back off via DCTCP control laws ([`transport::DctcpWindow`]), bootstrapped by the reference rate (Algorithm 2); fall back to them alone when [`health`] says arbitration is unreachable | [`endpoint`], [`health`] |
 //!
@@ -46,7 +46,7 @@ pub use endpoint::PaseSender;
 pub use health::{ChannelHealth, Transition};
 pub use messages::{ArbMsg, ArbRequest, ArbResponse, Leg};
 pub use process::{ArbPlan, ArbProcess};
-pub use shed::{ArbFrontEnd, FaultEffect, InboxBudget};
+pub use shed::InboxBudget;
 pub use tree::{Level, TreeInfo};
 pub use wiring::install;
 

@@ -105,10 +105,9 @@ pub enum ArbMsg {
     },
     /// Child → parent: aggregate top-queue demand on the delegated virtual
     /// link (paper §3.1.2: "only aggregate information about flows is sent
-    /// by the child arbitrators").
+    /// by the child arbitrators"). The reporting child is the packet's
+    /// source.
     DelegUpdate {
-        /// The reporting child arbitrator.
-        child: NodeId,
         /// Demand on the delegated uplink slice (toward the core).
         up_demand: Rate,
         /// Demand on the delegated downlink slice (from the core).
@@ -125,7 +124,7 @@ pub enum ArbMsg {
 
 impl ArbMsg {
     /// The control packet carrying this message from `src` to `dst`
-    /// (unpacked by [`crate::shed::ArbFrontEnd::admit`]).
+    /// (unpacked by the receiving [`crate::ArbProcess`]).
     pub fn packet(self, flow: FlowId, src: NodeId, dst: NodeId) -> Packet {
         Packet::ctrl(flow, src, dst, Box::new(self))
     }

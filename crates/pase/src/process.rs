@@ -42,11 +42,12 @@ use netsim::packet::Packet;
 use netsim::stats::{Fate, StatsCollector};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::timer::{slot, Timer};
+use netsim::trace::TraceEvent;
 
 use crate::algorithm::{Decision, LinkArbitrator};
 use crate::config::{PaseConfig, DELEG_MIN_SHARE, DELEG_PERIOD};
 use crate::messages::{ArbMsg, ArbRequest, Leg};
-use crate::shed::{ArbFrontEnd, FaultEffect};
+use crate::shed::{Admission, InboxBudget};
 use crate::tree::TreeInfo;
 
 /// Flow id on delegation traffic, which concerns no flow.
@@ -70,9 +71,12 @@ pub struct ArbProcess {
     cfg: PaseConfig,
     me: NodeId,
     tree: Arc<TreeInfo>,
-    /// Crash state and the metered inbox shared by every arbitrator the
-    /// process owns.
-    front: ArbFrontEnd,
+    /// Injected-fault state: a crashed process ignores all control traffic
+    /// and timers until restarted (on a switch the data plane keeps
+    /// forwarding — only the co-located control process dies).
+    crashed: bool,
+    /// The control inbox every arbitrator the process owns shares.
+    inbox: InboxBudget,
     /// Arbitrates my link upward (`host → ToR`, a switch's virtual
     /// uplink) for sender legs.
     up: Option<LinkArbitrator>,
@@ -115,7 +119,8 @@ impl ArbProcess {
             cfg,
             me,
             tree,
-            front: ArbFrontEnd::new(&cfg, me),
+            crashed: false,
+            inbox: InboxBudget::new(&cfg),
             up: arbitrate(link),
             down: arbitrate(link),
             deleg_up: arbitrate(slice),
@@ -126,9 +131,9 @@ impl ArbProcess {
         }
     }
 
-    /// Whether an injected crash currently has the process down (tests).
+    /// Whether an injected crash currently has the process down.
     pub fn is_crashed(&self) -> bool {
-        self.front.is_crashed()
+        self.crashed
     }
 
     /// Arm the delegation report loop of a ToR that owns a delegated
@@ -276,6 +281,17 @@ impl ArbProcess {
         );
     }
 
+    /// Enter a message the inbox turned away in the control ledger and,
+    /// when tracing, as a `SHED` event.
+    fn note_shed(&self, pkt: &Packet, stale: bool, stats: &mut StatsCollector, now: SimTime) {
+        let node = self.me;
+        stats.note_fate(pkt, Fate::Shed, node, now);
+        if stats.tracing() {
+            let flow = pkt.flow;
+            stats.trace_event(now, &TraceEvent::Shed { node, flow, stale });
+        }
+    }
+
     /// Agg side: rebalance the delegated virtual links across children in
     /// proportion to their reported demands (with a minimum share so idle
     /// children can ramp up), and grant the reporter its share in `slot`,
@@ -318,29 +334,57 @@ impl ArbProcess {
 impl Process for ArbProcess {
     fn on_ctrl(&mut self, mut pkt: Packet, io: &mut ProcIo<'_, '_>) {
         let now = io.now();
-        let Some((msg, depth)) = self.front.admit(&mut pkt, io.sim.stats, now) else {
+        if self.crashed {
+            // A crashed arbitrator is a black hole: the sending endpoints
+            // judge the silence (see `crate::health`).
+            io.sim
+                .stats
+                .note_fate(&pkt, Fate::LostToCrash, self.me, now);
+            return;
+        }
+        let Some(msg) = pkt.take_proto::<ArbMsg>() else {
+            io.sim.stats.note_fate(&pkt, Fate::Unattended, self.me, now);
             return;
         };
-        // Every reply and forward below goes out in `msg`'s box: one
-        // allocation per request, however many hops it climbs.
-        if let ArbMsg::Request(req) = *msg {
-            // A request is a *stale refresh* — the first thing an
-            // overloaded arbitrator sheds — when an arbitrator on its leg
-            // already holds an unexpired lease for the flow.
-            let expiry = self.cfg.arb_expiry();
-            let stale = || {
-                let mut arbs = self.leg_arbitrators(req.leg).into_iter().flatten();
+        let depth = self.inbox.charge(now);
+        io.sim.stats.note_ctrl_epoch_depth(self.me, depth);
+        // A request is a *stale refresh* — the first thing an overloaded
+        // arbitrator sheds — when an arbitrator on its leg already holds an
+        // unexpired lease for the flow.
+        let req = match *msg {
+            ArbMsg::Request(req) => Some(req),
+            _ => None,
+        };
+        let this = &*self;
+        let stale = req.map(|req| {
+            move || {
+                let expiry = this.cfg.arb_expiry();
+                let mut arbs = this.leg_arbitrators(req.leg).into_iter().flatten();
                 arbs.any(|a| a.has_lease(req.flow, now, expiry))
-            };
-            if self
-                .front
-                .shed_request(&pkt, stale, depth, io.sim.stats, now)
-            {
-                self.reply(&req, true, msg, io);
+            }
+        });
+        match self.inbox.admit(depth, stale) {
+            Admission::Process => {}
+            Admission::Shed { stale } => {
+                self.note_shed(&pkt, stale, io.sim.stats, now);
+                // The sender still gets an answer — whatever the leg
+                // accumulated so far plus the load-shed signal, in `msg`'s
+                // box — just not a fresh decision, and backs off.
+                if let Some(req) = req {
+                    self.reply(&req, true, msg, io);
+                }
                 return;
             }
+            // Unprotected full inbox: silent tail drop of whatever
+            // arrived — responses and FlowDone releases included, so
+            // leases leak until expiry and senders hear nothing but
+            // silence. This is the failure mode the priority-aware shed
+            // policy exists to prevent.
+            Admission::Dropped => return self.note_shed(&pkt, false, io.sim.stats, now),
         }
         io.sim.stats.note_fate(&pkt, Fate::Processed, self.me, now);
+        // Every reply and forward below goes out in `msg`'s box: one
+        // allocation per request, however many hops it climbs.
         match *msg {
             ArbMsg::Request(mut req) => {
                 if let Some(capacity) = self.live_uplink(io) {
@@ -372,10 +416,10 @@ impl Process for ArbProcess {
                 }
             }
             ArbMsg::DelegUpdate {
-                child,
                 up_demand,
                 down_demand,
             } => {
+                let child = pkt.src;
                 self.child_demands.insert(child, (up_demand, down_demand));
                 self.rebalance_and_grant(child, msg, io);
             }
@@ -394,7 +438,7 @@ impl Process for ArbProcess {
     }
 
     fn on_timer(&mut self, token: u64, io: &mut ProcIo<'_, '_>) {
-        if self.front.is_crashed() || !self.deleg.is_current(token) {
+        if self.crashed || !self.deleg.is_current(token) {
             return;
         }
         let (Some(parent), Some(up), Some(down)) = (
@@ -413,7 +457,6 @@ impl Process for ArbProcess {
             arb.top_queue_demand()
         };
         let update = ArbMsg::DelegUpdate {
-            child: self.me,
             up_demand: demand(up),
             down_demand: demand(down),
         };
@@ -422,25 +465,30 @@ impl Process for ArbProcess {
     }
 
     fn on_fault(&mut self, fault: NodeFault, io: &mut ProcIo<'_, '_>) {
-        match self.front.on_fault(fault, io.now()) {
-            FaultEffect::None => {}
-            FaultEffect::Wipe => {
-                // The process loses everything: its arbitrators and an
-                // agg's delegation demands. Endpoints repopulate the
+        match fault {
+            NodeFault::Crash => {
+                // The process loses everything: its inbox, its arbitrators
+                // and an agg's delegation demands. Endpoints repopulate the
                 // arbitrators on their next refresh once the process
                 // restarts. A host's senders keep the leg answers they
                 // already heard: they live in the agents, which survive a
                 // crash of the process alone.
+                self.crashed = true;
+                self.inbox.clear(io.now());
                 self.arbitrators_mut().for_each(LinkArbitrator::clear);
                 self.child_demands.clear();
             }
-            FaultEffect::Rearm => {
+            NodeFault::CtrlStormStart { amplify } => self.inbox.storm_start(amplify),
+            NodeFault::CtrlStormEnd => self.inbox.storm_end(),
+            NodeFault::Restart if self.crashed => {
                 // The fresh process re-learns purely from the next refresh
                 // round (within `arb_expiry`); its report loop starts afresh.
+                self.crashed = false;
                 if let Some((delay, token)) = self.arm_report() {
                     io.set_timer(delay, token);
                 }
             }
+            NodeFault::Restart => {}
         }
     }
 

@@ -1,8 +1,7 @@
-//! The arbitrator front-end: what every PASE arbitrator process does with
-//! an arriving control packet *before* arbitrating, and its crash /
-//! restart lifecycle — the same Algorithm 1 process whether it sits on a
-//! host or a ToR (paper §3.1), so [`ArbFrontEnd`] is the front of the one
-//! [`crate::ArbProcess`] every host and switch runs.
+//! The arbitrator's control inbox: a per-epoch budget and the one verdict
+//! it gives on each arriving control message, the same whether the
+//! [`crate::ArbProcess`] that meters it sits on a host or a ToR (paper
+//! §3.1).
 //!
 //! # Per-arbitrator control-inbox budgeting (overload protection)
 //!
@@ -22,15 +21,9 @@
 //! dropping a release leaks arbitrator state, and responses are the very
 //! signal that lets senders back off.
 
-use netsim::fault::NodeFault;
-use netsim::ids::NodeId;
-use netsim::packet::Packet;
-use netsim::stats::{Fate, StatsCollector};
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::TraceEvent;
 
 use crate::config::{PaseConfig, CTRL_BUDGET_PER_EPOCH};
-use crate::messages::ArbMsg;
 
 /// A weighted per-epoch control-inbox meter.
 #[derive(Debug, Clone, Copy)]
@@ -47,6 +40,21 @@ pub struct InboxBudget {
     depth: u64,
 }
 
+/// What the inbox does with one arriving control message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Arbitrate it.
+    Process,
+    /// Shed the request and answer it with a backpressure reply; `stale`
+    /// says whether it refreshed a flow the arbitrator holds a lease for.
+    Shed {
+        /// The request was a stale refresh rather than a fresh one.
+        stale: bool,
+    },
+    /// Tail-drop it silently: an unprotected inbox is full.
+    Dropped,
+}
+
 impl InboxBudget {
     /// A meter with budget [`CTRL_BUDGET_PER_EPOCH`] and the configured
     /// epoch.
@@ -61,25 +69,20 @@ impl InboxBudget {
     }
 
     /// An injected control storm began: arrivals now cost `amplify`×.
-    pub fn storm_start(&mut self, amplify: u32) {
+    pub(crate) fn storm_start(&mut self, amplify: u32) {
         self.amplify = amplify.max(2);
     }
 
     /// The storm ended; arrivals cost their normal weight again.
-    pub fn storm_end(&mut self) {
+    pub(crate) fn storm_end(&mut self) {
         self.amplify = 1;
-    }
-
-    /// Whether a storm is currently amplifying this inbox (tests).
-    pub fn stormed(&self) -> bool {
-        self.amplify > 1
     }
 
     /// Charge one arriving control message at `now`, rolling the epoch
     /// window when it has elapsed. Returns the weighted inbox depth after
     /// the arrival — feed it to
     /// [`netsim::stats::StatsCollector::note_ctrl_epoch_depth`] (which
-    /// keeps the per-node peak) and to [`InboxBudget::should_shed`].
+    /// keeps the per-node peak) and to [`InboxBudget::admit`].
     pub fn charge(&mut self, now: SimTime) -> u64 {
         if now >= self.epoch_start + self.epoch {
             self.epoch_start = now;
@@ -89,196 +92,43 @@ impl InboxBudget {
         self.depth
     }
 
-    /// Whether the priority-aware shed policy is active. When it is not,
-    /// the inbox is still bounded — [`InboxBudget::overflowed`] models a
-    /// naive arbitrator that silently tail-drops *any* overflow message,
-    /// responses and `FlowDone` releases included.
-    pub fn protected(&self) -> bool {
-        self.enabled
-    }
-
-    /// Hard inbox capacity: past twice the budget the inbox is full. A
-    /// protected arbitrator sheds requests with a backpressure reply at
-    /// this point; an unprotected one tail-drops whatever arrived.
-    pub fn overflowed(&self, depth: u64) -> bool {
-        depth > 2 * CTRL_BUDGET_PER_EPOCH as u64
-    }
-
-    /// Whether `depth` is past the budget: below it nothing is shed.
-    pub(crate) fn over_budget(&self, depth: u64) -> bool {
-        depth > CTRL_BUDGET_PER_EPOCH as u64
-    }
-
-    /// Shed verdict for a *request* arriving at weighted depth `depth`.
-    /// `stale` marks a refresh of a flow the arbitrator holds a lease for.
-    /// Past the budget, stale refreshes are shed (the live entry keeps
-    /// arbitrating until it expires); past twice the budget, fresh
-    /// requests are shed too. Non-request messages are never shed — do
-    /// not consult this for them.
-    pub fn should_shed(&self, depth: u64, stale: bool) -> bool {
+    /// The verdict on a message that arrived at weighted depth `depth`.
+    /// `stale` is `Some` for a request only: it answers whether the
+    /// request refreshes a flow the arbitrator holds a lease for, and is
+    /// asked only past the budget, the one place the answer matters.
+    ///
+    /// Past twice the budget the inbox is full. With the priority-aware
+    /// policy ([`PaseConfig::shed_enabled`]) stale refreshes are shed past
+    /// the budget and fresh requests once the inbox is full; nothing else
+    /// is ever shed. Without it a full inbox silently drops *whatever*
+    /// arrived, responses and `FlowDone` releases included.
+    pub fn admit(&self, depth: u64, stale: Option<impl FnOnce() -> bool>) -> Admission {
+        let budget = CTRL_BUDGET_PER_EPOCH as u64;
+        let full = depth > 2 * budget;
         if !self.enabled {
-            return false;
+            return if full {
+                Admission::Dropped
+            } else {
+                Admission::Process
+            };
         }
-        if self.overflowed(depth) {
-            return true;
+        match stale.filter(|_| depth > budget).map(|stale| stale()) {
+            Some(stale) if stale || full => Admission::Shed { stale },
+            _ => Admission::Process,
         }
-        self.over_budget(depth) && stale
     }
 
     /// Forget in-epoch state (arbitrator crash wipes soft state).
-    pub fn clear(&mut self, now: SimTime) {
+    pub(crate) fn clear(&mut self, now: SimTime) {
         self.epoch_start = now;
         self.depth = 0;
-    }
-}
-
-/// What an injected fault did to the arbitrator process, i.e. what its
-/// owner has to do about the state only the owner knows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEffect {
-    /// Nothing beyond the front-end's own bookkeeping.
-    None,
-    /// The process died: wipe every arbitrator and cache — all soft state
-    /// dies with it and only the endpoints' periodic refreshes rebuild it.
-    Wipe,
-    /// A fresh, empty process came up: re-arm its delegation report loop,
-    /// if it runs one. Arming stales a tick still pending from before the
-    /// crash.
-    Rearm,
-}
-
-/// The part of an arbitrator process that does not depend on which links
-/// it arbitrates: crash state and the metered inbox with its shed policy
-/// and ledger accounting.
-#[derive(Debug, Clone)]
-pub struct ArbFrontEnd {
-    me: NodeId,
-    /// Injected-fault state: a crashed arbitrator ignores all control
-    /// traffic and timers until restarted (on a switch the data plane
-    /// keeps forwarding — only the co-located control process dies).
-    crashed: bool,
-    /// Control-inbox meter shared by every arbitrator the process owns.
-    budget: InboxBudget,
-}
-
-impl ArbFrontEnd {
-    /// The front-end of the arbitrator process on node `me`.
-    pub fn new(cfg: &PaseConfig, me: NodeId) -> ArbFrontEnd {
-        ArbFrontEnd {
-            me,
-            crashed: false,
-            budget: InboxBudget::new(cfg),
-        }
-    }
-
-    /// Whether an injected crash currently has the process down.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// Take one control packet off the wire. `None` when the message goes
-    /// no further, with its fate already entered in the control ledger:
-    /// lost to a crash (a crashed arbitrator is a black hole — the
-    /// sending endpoints judge the silence, see [`crate::health`]),
-    /// unattended (not a PASE message), or tail-dropped by an
-    /// unprotected full inbox. Otherwise the message
-    /// and the weighted inbox depth it arrived at, for
-    /// [`ArbFrontEnd::shed_request`].
-    pub fn admit(
-        &mut self,
-        pkt: &mut Packet,
-        stats: &mut StatsCollector,
-        now: SimTime,
-    ) -> Option<(Box<ArbMsg>, u64)> {
-        if self.crashed {
-            stats.note_fate(pkt, Fate::LostToCrash, self.me, now);
-            return None;
-        }
-        let Some(msg) = pkt.take_proto::<ArbMsg>() else {
-            stats.note_fate(pkt, Fate::Unattended, self.me, now);
-            return None;
-        };
-        let depth = self.budget.charge(now);
-        stats.note_ctrl_epoch_depth(self.me, depth);
-        if !self.budget.protected() && self.budget.overflowed(depth) {
-            // Unprotected bounded inbox: silent tail drop of whatever
-            // arrived — responses and FlowDone releases included, so
-            // leases leak until expiry and senders hear nothing but
-            // silence. This is the failure mode the priority-aware shed
-            // policy exists to prevent.
-            self.note_shed(pkt, false, stats, now);
-            return None;
-        }
-        Some((msg, depth))
-    }
-
-    /// Overloaded: shed the request `pkt` carried instead of arbitrating?
-    /// `stale` tells whether it refreshes a flow the arbitrator holds a
-    /// lease for; it is asked only past the budget, the one place the
-    /// answer matters, so a request under budget reads no lease. On
-    /// `true` the shed is already counted and traced and the owner
-    /// answers with `req.response(true)`: the reply carries whatever the
-    /// leg accumulated so far plus the load-shed signal, so the sender
-    /// still gets an answer — just not a fresh decision — and backs off.
-    /// Releases (`FlowDone`), responses and delegation traffic are never
-    /// shed; do not consult this for them.
-    pub fn shed_request(
-        &self,
-        pkt: &Packet,
-        stale: impl FnOnce() -> bool,
-        depth: u64,
-        stats: &mut StatsCollector,
-        now: SimTime,
-    ) -> bool {
-        if !self.budget.over_budget(depth) {
-            return false;
-        }
-        let stale = stale();
-        let shed = self.budget.should_shed(depth, stale);
-        if shed {
-            self.note_shed(pkt, stale, stats, now);
-        }
-        shed
-    }
-
-    fn note_shed(&self, pkt: &Packet, stale: bool, stats: &mut StatsCollector, now: SimTime) {
-        let node = self.me;
-        stats.note_fate(pkt, Fate::Shed, node, now);
-        if stats.tracing() {
-            let flow = pkt.flow;
-            stats.trace_event(now, &TraceEvent::Shed { node, flow, stale });
-        }
-    }
-
-    /// Apply an injected fault to the process and tell the owner what is
-    /// left for it to do.
-    pub fn on_fault(&mut self, fault: NodeFault, now: SimTime) -> FaultEffect {
-        match fault {
-            NodeFault::Crash => {
-                self.crashed = true;
-                self.budget.clear(now);
-                FaultEffect::Wipe
-            }
-            NodeFault::CtrlStormStart { amplify } => {
-                self.budget.storm_start(amplify);
-                FaultEffect::None
-            }
-            NodeFault::CtrlStormEnd => {
-                self.budget.storm_end();
-                FaultEffect::None
-            }
-            NodeFault::Restart if self.crashed => {
-                self.crashed = false;
-                FaultEffect::Rearm
-            }
-            NodeFault::Restart => FaultEffect::None,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Admission::{Dropped, Process, Shed};
 
     const B: u64 = CTRL_BUDGET_PER_EPOCH as u64;
 
@@ -290,6 +140,16 @@ mod tests {
         InboxBudget::new(&cfg)
     }
 
+    /// The verdict on a request, `stale` or fresh.
+    fn request(b: &InboxBudget, depth: u64, stale: bool) -> Admission {
+        b.admit(depth, Some(|| stale))
+    }
+
+    /// The verdict on anything but a request.
+    fn other(b: &InboxBudget, depth: u64) -> Admission {
+        b.admit(depth, None::<fn() -> bool>)
+    }
+
     #[test]
     fn budget_resets_each_epoch() {
         let mut b = meter();
@@ -297,13 +157,13 @@ mod tests {
         for _ in 0..B {
             b.charge(t0);
         }
-        assert!(!b.should_shed(B, true), "within budget: nothing sheds");
+        assert_eq!(request(&b, B, true), Process, "within budget");
         let depth = b.charge(t0);
-        assert!(b.should_shed(depth, true), "the next refresh sheds");
+        assert_eq!(request(&b, depth, true), Shed { stale: true });
         // Next epoch: the meter starts over.
         let t1 = SimTime::from_micros(200);
         assert_eq!(b.charge(t1), 1);
-        assert!(!b.should_shed(1, true));
+        assert_eq!(request(&b, 1, true), Process);
     }
 
     #[test]
@@ -315,10 +175,11 @@ mod tests {
             depth = b.charge(t);
         }
         assert_eq!(depth, 2 * B);
-        assert!(b.should_shed(depth, true), "stale refresh past budget");
-        assert!(!b.should_shed(depth, false), "fresh request under 2x");
+        assert_eq!(request(&b, depth, true), Shed { stale: true });
+        assert_eq!(request(&b, depth, false), Process, "fresh under 2x");
         depth = b.charge(t);
-        assert!(b.should_shed(depth, false), "fresh request past 2x budget");
+        assert_eq!(request(&b, depth, false), Shed { stale: false });
+        assert_eq!(other(&b, depth), Process, "only requests are shed");
     }
 
     #[test]
@@ -326,11 +187,9 @@ mod tests {
         let mut b = meter();
         let t = SimTime::from_micros(1);
         b.storm_start(2 * CTRL_BUDGET_PER_EPOCH);
-        assert!(b.stormed());
         assert_eq!(b.charge(t), 2 * B, "one stormed arrival costs amplify");
-        assert!(b.should_shed(2 * B, true), "a single stale refresh sheds");
+        assert_eq!(request(&b, 2 * B, true), Shed { stale: true });
         b.storm_end();
-        assert!(!b.stormed());
         assert_eq!(b.charge(t), 2 * B + 1, "post-storm arrivals cost 1 again");
     }
 
@@ -338,24 +197,27 @@ mod tests {
     fn unprotected_inbox_still_overflows_at_hard_capacity() {
         let b = meter();
         let naive = InboxBudget::new(&PaseConfig::default().without_shedding());
-        assert!(!naive.protected());
-        assert!(b.protected());
         // Same hard capacity either way: the bound is physical, only the
         // policy (backpressure shed vs silent tail drop) differs.
         for depth in [1, 2 * B, 2 * B + 1, 25 * B] {
-            assert_eq!(naive.overflowed(depth), depth > 2 * B);
-            assert_eq!(b.overflowed(depth), depth > 2 * B);
+            let full = depth > 2 * B;
+            let dropped = if full { Dropped } else { Process };
+            assert_eq!(request(&naive, depth, false), dropped);
+            assert_eq!(other(&naive, depth), dropped);
+            let shed = if full { Shed { stale: false } } else { Process };
+            assert_eq!(request(&b, depth, false), shed);
+            assert_eq!(other(&b, depth), Process);
         }
     }
 
     #[test]
     fn disabled_meter_never_sheds() {
         let mut b = InboxBudget::new(&PaseConfig::default().without_shedding());
-        b.storm_start(100 * CTRL_BUDGET_PER_EPOCH);
-        let depth = b.charge(SimTime::from_micros(1));
-        assert!(
-            !b.should_shed(depth, true),
-            "shedding off: process everything"
-        );
+        b.storm_start(CTRL_BUDGET_PER_EPOCH + CTRL_BUDGET_PER_EPOCH / 2);
+        let t = SimTime::from_micros(1);
+        let depth = b.charge(t);
+        assert_eq!(request(&b, depth, true), Process, "past budget: no shed");
+        let depth = b.charge(t);
+        assert_eq!(request(&b, depth, true), Dropped, "full: tail drop");
     }
 }

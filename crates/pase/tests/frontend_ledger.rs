@@ -1,17 +1,19 @@
-//! The arbitrator front-end's ledger, through the real `on_ctrl` of the
-//! arbitrator process: every control message that reaches one meets
+//! The arbitrator's control-inbox ledger, through the real `on_ctrl` of
+//! the arbitrator process: every control message that reaches one meets
 //! exactly one fate — lost to a crash, unattended, shed, or processed (the
-//! arbitrator-side terms of the control conservation law) — and the fate
-//! depends only on (crashed, protected, inbox depth, message kind, stale),
-//! identically on a host and on a switch.
+//! arbitrator-side terms of the control conservation law) — and the fate,
+//! with the `stale` flag a shed traces, depends only on (crashed,
+//! protected, inbox depth, message kind, stale), identically on a host and
+//! on a switch.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use netsim::event::EventKind;
 use netsim::fault::FaultDirective;
 use netsim::packet::Packet;
 use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
+use netsim::trace::{TraceEvent, TraceSink};
 use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Decision, Leg, PaseConfig, PaseFactory};
 
 const BUDGET: u32 = pase::config::CTRL_BUDGET_PER_EPOCH;
@@ -28,8 +30,20 @@ fn cfg(protected: bool) -> PaseConfig {
 struct Net {
     sim: Simulation,
     tor: NodeId,
-    agg: NodeId,
     hosts: Vec<NodeId>,
+    /// The `stale` flag of every `SHED` event traced so far.
+    sheds: Arc<Mutex<Vec<bool>>>,
+}
+
+/// Trace sink collecting the `stale` flag of every `SHED` event.
+struct ShedLog(Arc<Mutex<Vec<bool>>>);
+
+impl TraceSink for ShedLog {
+    fn on_event(&mut self, _: SimTime, event: &TraceEvent) {
+        if let TraceEvent::Shed { stale, .. } = *event {
+            self.0.lock().unwrap().push(stale);
+        }
+    }
 }
 
 fn net(cfg: PaseConfig) -> Net {
@@ -46,11 +60,13 @@ fn net(cfg: PaseConfig) -> Net {
     });
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
+    let sheds = Arc::default();
+    sim.set_tracer(Box::new(ShedLog(Arc::clone(&sheds))));
     Net {
         sim,
         tor,
-        agg,
         hosts,
+        sheds,
     }
 }
 
@@ -101,7 +117,6 @@ fn message(kind: Kind, n: &Net, leg: Leg) -> Box<dyn std::any::Any + Send> {
             leg,
         },
         Kind::DelegUpdate => ArbMsg::DelegUpdate {
-            child: n.agg,
             up_demand: Rate::ZERO,
             down_demand: Rate::ZERO,
         },
@@ -114,7 +129,8 @@ fn message(kind: Kind, n: &Net, leg: Leg) -> Box<dyn std::any::Any + Send> {
 }
 
 /// Deliver one `kind` message to `target` at inbox depth `depth` and
-/// report which ledger term moved (asserting that exactly one did).
+/// report which ledger term moved (asserting that exactly one did) and the
+/// `stale` flag of the `SHED` event it traced, if any.
 fn fate(
     on_switch: bool,
     crashed: bool,
@@ -122,7 +138,7 @@ fn fate(
     depth: u32,
     kind: Kind,
     stale: bool,
-) -> Fate {
+) -> (Fate, Option<bool>) {
     let mut n = net(cfg(protected));
     let (target, leg) = if on_switch {
         (n.tor, Leg::Sender)
@@ -162,6 +178,7 @@ fn fate(
     until(&mut n, at(950));
     let ledger = |n: &Net| ARB_FATES.map(|f| n.sim.stats().charged(Plane::Ctrl, f));
     let before = ledger(&n);
+    let traced = n.sheds.lock().unwrap().len();
     deliver(&mut n, at(1000), kind);
     // Only the arrival's own instant: whatever the target sends on is
     // still on the wire, so no other node's books move.
@@ -173,25 +190,35 @@ fn fate(
         1,
         "exactly one ledger term moves: {moved:?}"
     );
-    ARB_FATES[moved.iter().position(|m| *m == 1).unwrap()]
+    let sheds = n.sheds.lock().unwrap()[traced..].to_vec();
+    assert!(sheds.len() <= 1, "one arrival, one SHED at most: {sheds:?}");
+    let fate = ARB_FATES[moved.iter().position(|m| *m == 1).unwrap()];
+    (fate, sheds.first().copied())
 }
 
-/// What the front-end's contract says the fate is.
-fn expected(crashed: bool, protected: bool, depth: u32, kind: Kind, stale: bool) -> Fate {
+/// What the inbox's contract says the fate and the traced `SHED` flag are.
+fn expected(
+    crashed: bool,
+    protected: bool,
+    depth: u32,
+    kind: Kind,
+    stale: bool,
+) -> (Fate, Option<bool>) {
     let (over, full) = (depth > BUDGET, depth > 2 * BUDGET);
     if crashed {
-        Fate::LostToCrash
+        (Fate::LostToCrash, None)
     } else if kind == Kind::Foreign {
-        Fate::Unattended
+        (Fate::Unattended, None)
     } else if !protected && full {
-        // Naive tail drop: whatever arrived, releases and responses too.
-        Fate::Shed
+        // Naive tail drop: whatever arrived, releases and responses too,
+        // and a refresh is never told from a fresh request.
+        (Fate::Shed, Some(false))
     } else if protected && kind == Kind::Request && (full || (over && stale)) {
         // Priority-aware: stale refreshes first, then fresh requests;
         // never releases, responses or delegation traffic.
-        Fate::Shed
+        (Fate::Shed, Some(stale))
     } else {
-        Fate::Processed
+        (Fate::Processed, None)
     }
 }
 

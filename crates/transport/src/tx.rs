@@ -86,21 +86,22 @@ pub struct TxEngine {
     /// [`TxEngine::take_loss_event`].
     pending_loss: Option<LossEvent>,
     /// RTOs fired (or deferred) since the last ACK for new data. When this
-    /// reaches [`TxEngine::max_consecutive_rtos`] the engine gives up: the
+    /// reaches [`DEFAULT_MAX_CONSECUTIVE_RTOS`] the engine gives up: the
     /// peer is unreachable (crashed host, partitioned rack) and retrying
     /// forever would just keep a dead flow alive.
     consecutive_rtos: u32,
-    /// Give-up threshold; see [`DEFAULT_MAX_CONSECUTIVE_RTOS`].
-    pub max_consecutive_rtos: u32,
     /// Set once the give-up threshold is crossed; the engine stops sending
     /// and arming timers. The agent should abort the flow.
     gave_up: bool,
 }
 
-/// Default bound on consecutive RTOs before a sender gives up on its peer.
-/// With exponential backoff capped at `max_rto` this puts the give-up point
-/// seconds out — far beyond any transient fabric fault, so only a genuinely
-/// dead endpoint trips it.
+/// Bound on consecutive RTOs before a sender gives up on its peer. Where
+/// that puts the give-up point depends on the path: the backoff doubles
+/// the unfloored `srtt + 4·rttvar` before the `min_rto` clamp (see
+/// [`RttEstimator::rto`]), so on a sub-millisecond fabric the first
+/// five timeouts all sit at the 10 ms floor and a sender gives up about
+/// 130 ms after its peer goes dark, not the ~2.5 s that doubling from the
+/// floor would take.
 pub const DEFAULT_MAX_CONSECUTIVE_RTOS: u32 = 8;
 
 impl TxEngine {
@@ -134,7 +135,6 @@ impl TxEngine {
             rto: SupersedingTimer::new(flow, slot::RTO),
             pending_loss: None,
             consecutive_rtos: 0,
-            max_consecutive_rtos: DEFAULT_MAX_CONSECUTIVE_RTOS,
             gave_up: false,
         }
     }
@@ -288,7 +288,7 @@ impl TxEngine {
     fn back_off(&mut self) -> bool {
         self.rtt.on_timeout();
         self.consecutive_rtos += 1;
-        if self.consecutive_rtos >= self.max_consecutive_rtos {
+        if self.consecutive_rtos >= DEFAULT_MAX_CONSECUTIVE_RTOS {
             self.gave_up = true;
         }
         !self.gave_up

@@ -11,7 +11,7 @@ use netsim::port::Port;
 use netsim::queue::DropTailQdisc;
 use netsim::stats::StatsCollector;
 use netsim::time::{Rate, SimDuration};
-use transport::{AckKind, LossEvent, RttEstimator, TxEngine};
+use transport::{AckKind, LossEvent, RttEstimator, TxEngine, DEFAULT_MAX_CONSECUTIVE_RTOS};
 
 /// Drives a TxEngine against a scaffolded host context. Packets the engine
 /// "sends" go into the port queue and are simply counted.
@@ -220,7 +220,7 @@ fn deferred_timeout_keeps_data_outstanding() {
 fn consecutive_rtos_exhaust_into_give_up() {
     let mut h = Harness::new(50_000, 4.0);
     h.pump();
-    let max = h.engine.max_consecutive_rtos;
+    let max = DEFAULT_MAX_CONSECUTIVE_RTOS;
     // Every RTO up to the budget rewinds and retries as before.
     for i in 1..max {
         assert!(h.expire(), "RTO {i} still retries");
@@ -265,7 +265,7 @@ fn deferrals_count_against_the_give_up_budget() {
     h.pump();
     // A prober deferring every timeout (PASE asks the receiver before
     // retransmitting) must still run out of budget against a dead peer.
-    let max = h.engine.max_consecutive_rtos;
+    let max = DEFAULT_MAX_CONSECUTIVE_RTOS;
     for _ in 0..max {
         assert!(!h.engine.gave_up());
         assert!(h.pop_timer().expect("armed").1);

@@ -14,11 +14,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-# Includes the oracles the fast paths are held to: the trace renderer
-# against the `core::fmt` formatting it replaced, the hash tracer against
-# the rendered text, the superseding timer against the eager idiom, and
-# the wheel's structural audit after every op of the heap-vs-wheel
-# differential.
+# Includes the oracles the fast paths are held to: the hash tracer
+# against the rendered text, the superseding timer against the eager
+# idiom, and the wheel's structural audit after every op of the
+# heap-vs-wheel differential.
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
