@@ -2,7 +2,7 @@
 //! invariant oracle. Non-zero exit if any case fails; each failing case
 //! prints the command that replays just that seed.
 
-use experiments::chaos::{event_budget_line, sweep, sweep_digest, ChaosOpts};
+use experiments::chaos::{event_budget_line, stats_digest, sweep, sweep_digest, ChaosOpts};
 
 fn main() {
     let opts = ChaosOpts::from_env();
@@ -28,6 +28,7 @@ fn main() {
         aborted
     );
     println!("{}", event_budget_line(&results));
+    println!("stats_digest={:#018x}", stats_digest(&results));
     println!("sweep_digest={:#018x}", sweep_digest(&results));
     if failed > 0 {
         eprintln!("chaos: {failed} case(s) FAILED");

@@ -524,6 +524,15 @@ pub fn sweep_digest(results: &[CaseResult]) -> u64 {
     })
 }
 
+/// The sweep's model without its trace: FNV-1a over every case's
+/// `stats_hash` in case order. A change to the trace format alone moves
+/// [`sweep_digest`] and leaves this.
+pub fn stats_digest(results: &[CaseResult]) -> u64 {
+    results
+        .iter()
+        .fold(FNV1A_OFFSET, |h, r| fnv1a(h, &r.stats_hash.to_le_bytes()))
+}
+
 /// The command replaying one case on `bin` (`chaos`, or `engine_diff`,
 /// which takes the same flags).
 pub fn replay_command(bin: &str, r: &CaseResult, quick: bool) -> String {

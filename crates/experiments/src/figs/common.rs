@@ -6,12 +6,11 @@
 //! [`sweep_grid`], faulted ones with a `prepare` step — on
 //! `workloads::exec`, each case through `RunSpec::run_with` and its
 //! invariant audit, and note a truncated or invariant-breaking case on
-//! the figure as a warning. Three run their own cases on `run_cases`:
-//! fig03 its toy fabrics, and `ext_incast` (fan-in waves) and
-//! `ext_scale` (fat-tree runs), which take each case through
-//! `RunSpec::run_with` and panic on a backstop warning instead of noting
-//! it. Results come back ordered by case index, so figure output is
-//! byte-identical at any `--jobs` value.
+//! the figure as a warning. Two run their own cases on `run_cases`:
+//! fig03 its toy fabrics, and `ext_scale` (fat-tree runs), which takes
+//! each case through `RunSpec::run_with` and panics on a backstop
+//! warning instead of noting it. Results come back ordered by case index,
+//! so figure output is byte-identical at any `--jobs` value.
 
 use netsim::prelude::*;
 use netsim::topology::NodeKind;
@@ -169,9 +168,9 @@ pub fn switch_peers(topo: &Topology, node: NodeId) -> impl Iterator<Item = NodeI
 /// How an untrustworthy cell's note starts.
 const BACKSTOP_WARNING: &str = "WARNING: ";
 
-/// Whether any cell of `fig` was computed from a run its `TimeLimit` /
-/// `EventLimit` backstop truncated or that broke an invariant: the gate
-/// `run_all` exits 1 on.
+/// Whether any cell of `fig` was computed from a run its `TimeLimit`
+/// backstop truncated or that broke an invariant: the gate `run_all`
+/// exits 1 on.
 pub fn hit_backstop(fig: &FigResult) -> bool {
     fig.notes.iter().any(|n| n.starts_with(BACKSTOP_WARNING))
 }

@@ -8,20 +8,20 @@
 //! designs stall on timeouts, ECN/arbitration designs absorb the wave.
 
 use netsim::prelude::*;
-use workloads::runner::backstop_warning;
-use workloads::{run_cases, Pattern, RunSpec, Scenario, Scheme, SizeDist, TopologySpec};
+use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
+use super::common::{sweep, Line};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
 /// Block size each sender contributes.
 const BLOCK: u64 = 64_000;
 
-/// One incast wave of `fan_in` senders; returns (completion ms, loss).
-fn run_wave(scheme: Scheme, fan_in: usize) -> (f64, f64) {
-    // The scenario generates no flows of its own: the wave is added by
-    // hand, every sender starting at t = 0.
-    let scenario = Scenario {
+/// The rack one wave of `fan_in` senders runs on, its last host the
+/// receiver. It generates no flows of its own: the sweep's `prepare` adds
+/// the wave, every sender starting at t = 0.
+fn wave_rack(fan_in: usize) -> Scenario {
+    Scenario {
         name: "incast-wave",
         topo: TopologySpec::intra_rack(fan_in + 1),
         pattern: Pattern::Incast { server: fan_in },
@@ -29,28 +29,7 @@ fn run_wave(scheme: Scheme, fan_in: usize) -> (f64, f64) {
         deadlines: None,
         n_background: 0,
         n_flows: 0,
-    };
-    let spec = RunSpec {
-        backstop_s: 30,
-        ..RunSpec::new(scheme, scenario, 1.0, 1)
-    };
-    let (m, sim) = spec.run_with(|_, hosts, flows| {
-        let receiver = hosts[fan_in];
-        for (i, &h) in hosts.iter().take(fan_in).enumerate() {
-            let id = FlowId(i as u64);
-            flows.push(FlowSpec::new(id, h, receiver, BLOCK, SimTime::ZERO));
-        }
-    });
-    if let Some(w) = backstop_warning(&spec, &m) {
-        panic!("{w}");
     }
-    let last_done = sim
-        .stats()
-        .flows()
-        .map(|r| r.completed.expect("completed"))
-        .max()
-        .expect("flows exist");
-    (last_done.as_millis_f64(), m.loss_rate)
 }
 
 /// Regenerate the incast extension table.
@@ -68,17 +47,43 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         fan_ins.iter().map(|&n| n as f64).collect(),
     );
     let schemes = [Scheme::Pase, Scheme::Dctcp, Scheme::PFabric, Scheme::Tcp];
-    let cases: Vec<_> = schemes
+    let lines: Vec<Line> = schemes
         .iter()
-        .flat_map(|&scheme| fan_ins.iter().map(move |&n| (scheme, n)))
+        .flat_map(|&scheme| {
+            fan_ins.iter().map(move |&n| Line {
+                label: format!("{} fan-in {n}", scheme.name()),
+                scheme,
+                scenario: wave_rack(n),
+            })
+        })
         .collect();
-    let waves = run_cases(&cases, opts.jobs, |&(scheme, n)| run_wave(scheme, n));
+    // Each wave's completion (the last block's landing, or the clock
+    // where a truncated run stopped) and its loss rate.
+    let waves = sweep(
+        &mut [&mut fig],
+        &lines,
+        &[1.0],
+        opts,
+        |_, _, hosts, flows| {
+            let (&receiver, senders) = hosts.split_last().expect("a rack has hosts");
+            for (f, &h) in senders.iter().enumerate() {
+                let id = FlowId(f as u64);
+                flows.push(FlowSpec::new(id, h, receiver, BLOCK, SimTime::ZERO));
+            }
+        },
+        |m, sim| {
+            let flows = sim.stats().flows();
+            let last_done = flows.filter_map(|r| r.completed).max();
+            let last_done = last_done.unwrap_or(sim.now());
+            (last_done.as_millis_f64(), m.loss_rate)
+        },
+    );
     for (scheme, row) in schemes.iter().zip(waves.chunks(fan_ins.len())) {
-        fig.push_series(scheme.name(), row.iter().map(|&(t, _)| t).collect());
+        fig.push_series(scheme.name(), row.iter().map(|w| w[0].0).collect());
         if *scheme == Scheme::PFabric || *scheme == Scheme::Tcp {
             fig.push_series(
                 format!("{} loss(%)", scheme.name()),
-                row.iter().map(|&(_, l)| l * 100.0).collect(),
+                row.iter().map(|w| w[0].1 * 100.0).collect(),
             );
         }
     }

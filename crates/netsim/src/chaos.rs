@@ -432,26 +432,11 @@ pub fn generate(topo: &Topology, cfg: &ChaosConfig) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowSpec, ReceiverHint};
-    use crate::host::{AgentCtx, AgentFactory, FlowAgent};
     use crate::queue::DropTailQdisc;
     use crate::time::Rate;
+    use crate::topology::tests::NullFactory;
     use crate::topology::TopologyBuilder;
     use std::sync::Arc;
-
-    struct NullFactory;
-    struct NullAgent;
-    impl FlowAgent for NullAgent {
-        fn on_packet(&mut self, _: crate::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
-    }
-    impl AgentFactory for NullFactory {
-        fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-        fn receiver(&self, _: ReceiverHint) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-    }
 
     /// 2 spines, 2 leaves, 2 hosts per leaf — smallest multi-path fabric.
     fn leaf_spine() -> Topology {

@@ -1,6 +1,6 @@
 //! Simulation events.
 
-use crate::fault::FaultDirective;
+use crate::fault::FaultEvent;
 use crate::flow::FlowSpec;
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::Packet;
@@ -8,14 +8,14 @@ use crate::time::SimTime;
 
 /// What happens when an event fires. Every event targets exactly one node.
 ///
-/// The three large payloads ([`Packet`], [`FlowSpec`], [`FaultDirective`])
-/// are boxed so the enum — and with it every `ScheduledEvent` the wheel
-/// files, sorts and pops — stays at 24 bytes, the 16-byte
-/// [`EventKind::AgentTimer`] plus the discriminant, instead of inheriting
-/// the 112-byte packet or the 32-byte degrade directive inline. Packets
-/// already live on the heap for their whole wire-to-delivery lifetime, so
-/// the box is one allocation per packet, not one per hop; a fault is
-/// boxed once per injected directive, which no hot path sees.
+/// The three large payloads ([`Packet`], [`FlowSpec`], a [`FaultEvent`]
+/// with its port) are boxed so the enum — and with it every
+/// `ScheduledEvent` the wheel files, sorts and pops — stays at 24 bytes,
+/// the 16-byte [`EventKind::AgentTimer`] plus the discriminant, instead of
+/// inheriting the 112-byte packet or the 48-byte degrade fault inline.
+/// Packets already live on the heap for their whole wire-to-delivery
+/// lifetime, so the box is one allocation per packet, not one per hop; a
+/// fault is boxed once per node it fires at, which no hot path sees.
 #[derive(Debug)]
 pub enum EventKind {
     /// A packet finishes propagating across a link and arrives at the node.
@@ -35,8 +35,9 @@ pub enum EventKind {
     PluginTimer(u64),
     /// A new flow arrives at its source host.
     FlowStart(Box<FlowSpec>),
-    /// An injected fault fires at the node (see [`crate::fault`]).
-    Fault(Box<FaultDirective>),
+    /// An injected fault fires at the node (see [`crate::fault`]), with
+    /// the node's port on the faulted link (`None` for a node fault).
+    Fault(Box<(FaultEvent, Option<PortId>)>),
 }
 
 impl EventKind {
@@ -54,10 +55,10 @@ impl EventKind {
         EventKind::FlowStart(Box::new(spec))
     }
 
-    /// Build a [`EventKind::Fault`] from a directive by value (see
-    /// [`EventKind::deliver`] for why this indirection exists).
-    pub fn fault(directive: FaultDirective) -> EventKind {
-        EventKind::Fault(Box::new(directive))
+    /// Build a [`EventKind::Fault`] from a fault and the node's port on
+    /// it (see [`EventKind::deliver`] for why this indirection exists).
+    pub fn fault(fault: FaultEvent, port: Option<PortId>) -> EventKind {
+        EventKind::Fault(Box::new((fault, port)))
     }
 
     /// The variant names, in [`EventKind::index`] order.
@@ -155,7 +156,7 @@ mod tests {
         assert!(
             kind <= 24,
             "EventKind grew to {kind} bytes: box the new variant's payload, as \
-             Deliver(Box<Packet>), FlowStart(Box<FlowSpec>) and Fault(Box<FaultDirective>) do"
+             Deliver(Box<Packet>), FlowStart(Box<FlowSpec>) and Fault(Box<(FaultEvent, Option<PortId>)>) do"
         );
         assert_eq!(
             core::mem::size_of::<ScheduledEvent>(),

@@ -3,10 +3,14 @@
 //! A [`FaultPlan`] is a schedule of [`FaultEvent`]s — link failures and
 //! repairs, control-plane (arbitrator) crashes and restarts, and bursts of
 //! control-packet loss. [`crate::sim::Simulation::inject_faults`] resolves
-//! each event against the topology and enqueues per-node
-//! [`FaultDirective`]s through the ordinary event queue, so a faulty run
-//! is exactly as reproducible as a healthy one: same seed + same plan =
-//! same trace.
+//! each event against the topology ([`FaultEvent::resolve`]) and enqueues
+//! the same event at every node it fires at, with that node's port on a
+//! faulted link, through the ordinary event queue, so a faulty run is
+//! exactly as reproducible as a healthy one: same seed + same plan = same
+//! trace. A node acts on its port, a host crashes or restarts itself, and
+//! then the node tells its control process
+//! ([`crate::node::Process::on_fault`]) every fault it received; the
+//! process ignores those it does not act on.
 //!
 //! Semantics:
 //!
@@ -46,10 +50,11 @@ use crate::trace::TraceEvent;
 /// How a degraded (gray-failing) link misbehaves. All fields are
 /// per-packet odds or bounds; `seed` makes the misbehaviour reproducible.
 ///
-/// `Copy`, so directives are plain values. Carrying it makes
-/// [`FaultDirective`] 32 bytes, the largest event payload, which is why
-/// [`crate::event::EventKind::Fault`] boxes the directive: the scheduler's
-/// events stay at 48 bytes whatever a profile holds.
+/// `Copy`, so fault events are plain values. Carrying it makes
+/// [`FaultEvent`] 40 bytes, and 48 with the port it is delivered with, the
+/// largest event payload, which is why [`crate::event::EventKind::Fault`]
+/// boxes the pair: the scheduler's events stay at 48 bytes whatever a
+/// profile holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradeProfile {
     /// Seed for the per-direction degradation RNG. Each port salts it
@@ -69,7 +74,9 @@ pub struct DegradeProfile {
     pub jitter_ns: u32,
 }
 
-/// One scheduled fault, in topology terms (nodes and links).
+/// One scheduled fault, in topology terms (nodes and links). The same
+/// value travels from the plan to every node it fires at, to the trace and
+/// to the node's process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Both directions of the link between `a` and `b` go down.
@@ -144,7 +151,7 @@ pub enum FaultEvent {
     /// control message it handles is charged `amplify`× against its
     /// per-epoch processing budget, modeling a flash crowd of arbitration
     /// traffic competing for the same control CPU. The data plane is
-    /// unaffected; protocols without a budget ignore the directive.
+    /// unaffected; protocols without a budget ignore the event.
     CtrlStormStart {
         /// The overloaded arbitrator's node.
         node: NodeId,
@@ -192,7 +199,7 @@ pub enum Pairing {
 pub enum Subject {
     /// Both directions of the link between two adjacent nodes, in the
     /// order the event names them (that order decides which end's
-    /// directive is scheduled first).
+    /// event is scheduled first).
     Link(NodeId, NodeId),
     /// The `from → to` direction of a link.
     Direction(NodeId, NodeId),
@@ -245,38 +252,13 @@ impl FaultEvent {
         }
     }
 
-    /// What one end of the subject is told. `port` is that end's output
-    /// port toward the other end; a node fault has none.
-    fn directive(self, port: Option<PortId>) -> FaultDirective {
-        let port = || port.expect("a link fault resolves to a port");
-        match self {
-            FaultEvent::LinkDown { .. } => FaultDirective::PortDown(port()),
-            FaultEvent::LinkUp { .. } => FaultDirective::PortUp(port()),
-            FaultEvent::LinkDegrade { profile, .. } => FaultDirective::PortDegrade {
-                port: port(),
-                profile,
-            },
-            FaultEvent::LinkRestore { .. } => FaultDirective::PortRestore(port()),
-            FaultEvent::ArbitratorCrash { .. } => FaultDirective::Crash,
-            FaultEvent::ArbitratorRestart { .. } => FaultDirective::Restart,
-            FaultEvent::HostCrash { .. } => FaultDirective::HostCrash,
-            FaultEvent::HostRestart { .. } => FaultDirective::HostRestart,
-            FaultEvent::CtrlStormStart { amplify, .. } => {
-                FaultDirective::CtrlStormStart { amplify }
-            }
-            FaultEvent::CtrlStormEnd { .. } => FaultDirective::CtrlStormEnd,
-            FaultEvent::CtrlLossBurst { n, .. } => {
-                FaultDirective::CtrlLossBurst { port: port(), n }
-            }
-        }
-    }
-
-    /// Resolve the event against `topo` into the per-node directives it
-    /// delivers, in scheduling order: both ends of a link (first-named end
-    /// first), the transmitting end of a direction, or the one node.
+    /// Resolve the event against `topo` into the nodes it fires at, in
+    /// scheduling order, each with its port on the faulted link: both
+    /// ends of a link (first-named end first), the transmitting end of a
+    /// direction, or the one node, which has no port.
     ///
     /// Panics if the event names a link that does not exist.
-    pub fn resolve(self, topo: &Topology) -> impl Iterator<Item = (NodeId, FaultDirective)> {
+    pub fn resolve(self, topo: &Topology) -> impl Iterator<Item = (NodeId, Option<PortId>)> {
         let port = |from: NodeId, to: NodeId| {
             let port = topo.port_between(from, to);
             Some(port.unwrap_or_else(|| panic!("no link {from} -> {to} in fault plan")))
@@ -286,9 +268,40 @@ impl FaultEvent {
             Subject::Direction(from, to) => [Some((from, port(from, to))), None],
             Subject::Node(node) => [Some((node, None)), None],
         };
-        ends.into_iter()
-            .flatten()
-            .map(move |(node, port)| (node, self.directive(port)))
+        ends.into_iter().flatten()
+    }
+
+    /// The one fault path hosts and switches share: record the event at
+    /// `node` on the trace and act on `port`, the node's end of a link
+    /// fault (an index into `ports`). A node fault has no port; the node
+    /// acts on it itself.
+    pub(crate) fn apply(
+        self,
+        node: NodeId,
+        port: Option<PortId>,
+        ports: &mut [Port],
+        ctx: &mut Ctx<'_>,
+    ) {
+        let now = ctx.now();
+        ctx.stats
+            .trace_event(now, &TraceEvent::Fault { node, fault: self });
+        let Some(port) = port else {
+            return;
+        };
+        let port = &mut ports[port.index()];
+        match self {
+            FaultEvent::LinkDown { .. } => port.set_down(ctx),
+            FaultEvent::LinkUp { .. } => port.set_up(),
+            FaultEvent::CtrlLossBurst { n, .. } => port.inject_ctrl_loss_burst(n),
+            FaultEvent::LinkDegrade { profile, .. } => port.set_degraded(node, profile),
+            FaultEvent::LinkRestore { .. } => port.set_restored(),
+            FaultEvent::ArbitratorCrash { .. }
+            | FaultEvent::ArbitratorRestart { .. }
+            | FaultEvent::HostCrash { .. }
+            | FaultEvent::HostRestart { .. }
+            | FaultEvent::CtrlStormStart { .. }
+            | FaultEvent::CtrlStormEnd { .. } => {}
+        }
     }
 }
 
@@ -456,135 +469,14 @@ impl FaultPlan {
     }
 }
 
-/// A fault resolved to one node, carried by
-/// [`crate::event::EventKind::Fault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDirective {
-    /// Take the node's output port down.
-    PortDown(PortId),
-    /// Bring the node's output port back up.
-    PortUp(PortId),
-    /// Crash the node's control process.
-    Crash,
-    /// Restart the node's control process.
-    Restart,
-    /// Drop the next `n` control packets offered to `port`.
-    CtrlLossBurst {
-        /// The affected output port.
-        port: PortId,
-        /// How many control packets die.
-        n: u64,
-    },
-    /// Crash the whole end host: agents, process, in-flight deliveries.
-    HostCrash,
-    /// Bring the crashed end host back empty with a new incarnation.
-    HostRestart,
-    /// Degrade the node's output port per the profile (gray failure).
-    PortDegrade {
-        /// The affected output port.
-        port: PortId,
-        /// How the port misbehaves while degraded.
-        profile: DegradeProfile,
-    },
-    /// Restore the node's output port to nominal behaviour.
-    PortRestore(PortId),
-    /// Begin an overload storm at the node's control process: each
-    /// handled control message costs `amplify`× budget.
-    CtrlStormStart {
-        /// Budget-cost multiplier while the storm lasts.
-        amplify: u32,
-    },
-    /// End the overload storm at the node's control process.
-    CtrlStormEnd,
-}
-
-/// What is left of a [`FaultDirective`] for its node once
-/// [`FaultDirective::apply`] has run the part hosts and switches share.
-pub(crate) enum FaultRest {
-    /// Nothing: the directive acted on a port.
-    Done,
-    /// Tell the node's process.
-    Process(NodeFault),
-    /// The whole host crashes (hosts only).
-    HostCrash,
-    /// The crashed host comes back (hosts only).
-    HostRestart,
-}
-
-impl FaultDirective {
-    /// The one fault path hosts and switches share: record the directive
-    /// at `node` on the trace, apply the five port directives to the
-    /// named one of `ports`, and map the rest onto what the node does
-    /// next.
-    pub(crate) fn apply(self, node: NodeId, ports: &mut [Port], ctx: &mut Ctx<'_>) -> FaultRest {
-        let now = ctx.now();
-        let fault = TraceEvent::Fault { node, fault: self };
-        ctx.stats.trace_event(now, &fault);
-        match self {
-            FaultDirective::PortDown(port) => ports[port.index()].set_down(ctx),
-            FaultDirective::PortUp(port) => ports[port.index()].set_up(),
-            FaultDirective::CtrlLossBurst { port, n } => {
-                ports[port.index()].inject_ctrl_loss_burst(n);
-            }
-            FaultDirective::PortDegrade { port, profile } => {
-                ports[port.index()].set_degraded(node, profile);
-            }
-            FaultDirective::PortRestore(port) => ports[port.index()].set_restored(),
-            FaultDirective::Crash => return FaultRest::Process(NodeFault::Crash),
-            FaultDirective::Restart => return FaultRest::Process(NodeFault::Restart),
-            FaultDirective::CtrlStormStart { amplify } => {
-                return FaultRest::Process(NodeFault::CtrlStormStart { amplify });
-            }
-            FaultDirective::CtrlStormEnd => return FaultRest::Process(NodeFault::CtrlStormEnd),
-            FaultDirective::HostCrash => return FaultRest::HostCrash,
-            FaultDirective::HostRestart => return FaultRest::HostRestart,
-        }
-        FaultRest::Done
-    }
-}
-
-/// What a node's control process is told when its control plane faults
-/// (see [`crate::node::Process::on_fault`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeFault {
-    /// The control process died: lose all soft state; stop responding.
-    Crash,
-    /// The control process came back, empty.
-    Restart,
-    /// A control-plane overload storm begins: each handled message costs
-    /// `amplify`× against the per-epoch budget. Protocols without budget
-    /// accounting may ignore this.
-    CtrlStormStart {
-        /// Budget-cost multiplier while the storm lasts.
-        amplify: u32,
-    },
-    /// The overload storm subsides: message cost returns to 1.
-    CtrlStormEnd,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowSpec, ReceiverHint};
-    use crate::host::{AgentCtx, AgentFactory, FlowAgent};
     use crate::queue::DropTailQdisc;
     use crate::time::{Rate, SimDuration};
+    use crate::topology::tests::NullFactory;
     use crate::topology::TopologyBuilder;
     use std::sync::Arc;
-
-    struct NullFactory;
-    struct NullAgent;
-    impl FlowAgent for NullAgent {
-        fn on_packet(&mut self, _: crate::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
-    }
-    impl AgentFactory for NullFactory {
-        fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-        fn receiver(&self, _: ReceiverHint) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-    }
 
     /// s0 — s1, with hosts h2 and h3 hanging off s1.
     fn tiny_topo() -> Topology {

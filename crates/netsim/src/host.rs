@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use crate::engine::Ctx;
 use crate::event::EventKind;
-use crate::fault::{FaultDirective, FaultRest, NodeFault};
+use crate::fault::FaultEvent;
 use crate::flow::{FlowSpec, ReceiverHint};
-use crate::ids::{FlowId, IdHashBuilder, NodeId};
+use crate::ids::{FlowId, IdHashBuilder, NodeId, PortId};
 use crate::node::{ProcIo, Process};
 use crate::packet::{Packet, PacketKind};
 use crate::port::Port;
@@ -83,7 +83,7 @@ pub struct HostCore {
     pub port: Port,
     /// Crash/restart generation counter, stamped onto every packet this
     /// host sends ([`crate::packet::Packet::incarnation`]). Bumped by
-    /// [`crate::fault::FaultDirective::HostRestart`].
+    /// [`FaultEvent::HostRestart`].
     pub incarnation: u32,
 }
 
@@ -112,8 +112,8 @@ pub struct Host {
     /// map sorts its keys first, so the hasher never leaks into event
     /// order.
     agents: HashMap<FlowId, Box<dyn FlowAgent>, IdHashBuilder>,
-    /// Set by [`crate::fault::FaultDirective::HostCrash`]: the machine is
-    /// down. Nothing is consumed or started until the matching restart.
+    /// Set by [`FaultEvent::HostCrash`]: the machine is down. Nothing is
+    /// consumed or started until the matching restart.
     crashed: bool,
 }
 
@@ -283,18 +283,19 @@ impl Host {
             EventKind::PluginTimer(token) => {
                 self.run_process(ctx, |p, io| p.on_timer(token, io));
             }
-            EventKind::Fault(directive) => self.apply_fault(*directive, ctx),
+            EventKind::Fault(fault) => self.apply_fault(*fault, ctx),
         }
     }
 
-    /// Apply an injected fault directive to this host: the shared path
-    /// ([`FaultDirective::apply`]), then the whole-host directives.
-    fn apply_fault(&mut self, directive: FaultDirective, ctx: &mut Ctx<'_>) {
+    /// Apply an injected fault to this host: the shared path
+    /// ([`FaultEvent::apply`]), the whole-machine crash or restart, then
+    /// the process. A crash of a crashed host and a restart of a live one
+    /// are no-ops its process never hears of.
+    fn apply_fault(&mut self, (fault, port): (FaultEvent, Option<PortId>), ctx: &mut Ctx<'_>) {
         let ports = std::slice::from_mut(&mut self.core.port);
-        let fault = match directive.apply(self.core.id, ports, ctx) {
-            FaultRest::Done => return,
-            FaultRest::Process(fault) => fault,
-            FaultRest::HostCrash => {
+        fault.apply(self.core.id, port, ports, ctx);
+        match fault {
+            FaultEvent::HostCrash { .. } => {
                 if self.crashed {
                     return;
                 }
@@ -315,9 +316,8 @@ impl Host {
                             .flow_aborted(flow, now, crate::trace::AbortReason::HostCrash);
                     }
                 }
-                NodeFault::Crash
             }
-            FaultRest::HostRestart => {
+            FaultEvent::HostRestart { .. } => {
                 if !self.crashed {
                     return;
                 }
@@ -325,9 +325,9 @@ impl Host {
                 // New incarnation: receivers can tell post-restart traffic
                 // from pre-crash segments still in flight.
                 self.core.incarnation += 1;
-                NodeFault::Restart
             }
-        };
+            _ => {}
+        }
         self.run_process(ctx, |p, io| p.on_fault(fault, io));
     }
 

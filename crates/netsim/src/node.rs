@@ -13,7 +13,7 @@ use std::any::Any;
 
 use crate::engine::Ctx;
 use crate::event::EventKind;
-use crate::fault::NodeFault;
+use crate::fault::FaultEvent;
 use crate::host::{Host, HostCore};
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::Packet;
@@ -93,9 +93,12 @@ pub trait Process: Send {
         let _ = (token, io);
     }
 
-    /// An injected control-plane fault hit this node (see
-    /// [`crate::fault`]). The default process ignores faults.
-    fn on_fault(&mut self, fault: NodeFault, io: &mut ProcIo<'_, '_>) {
+    /// An injected fault hit this node (see [`crate::fault`]): the node
+    /// has already acted on its port or, on a host, crashed or restarted
+    /// the machine. A node tells its process every fault it receives, so
+    /// a process ignores those it does not act on; the default process
+    /// ignores them all.
+    fn on_fault(&mut self, fault: FaultEvent, io: &mut ProcIo<'_, '_>) {
         let _ = (fault, io);
     }
 

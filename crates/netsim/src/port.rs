@@ -32,7 +32,7 @@ const HEALTH_GAIN_GOOD: f64 = 1.0 / 512.0;
 
 /// Live degradation state of a gray-failing port: the profile plus the
 /// per-direction RNG its misbehaviour is drawn from. Created when the
-/// degrade directive lands, dropped on restore — healthy ports carry no
+/// degrade fault lands, dropped on restore — healthy ports carry no
 /// RNG and consume no randomness.
 #[derive(Debug)]
 struct DegradeState {
@@ -69,7 +69,7 @@ pub struct Port {
     pub tx_pkts: u64,
     /// Bytes transmitted onto the wire.
     pub tx_bytes: u64,
-    /// Fault directives applied to this port (down, up, ctrl bursts).
+    /// Faults applied to this port (down, up, ctrl bursts).
     pub faults_injected: u64,
     /// Packets dropped because the link was down (flushed, rejected on
     /// arrival, or caught mid-serialization).

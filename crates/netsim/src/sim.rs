@@ -21,8 +21,6 @@ use crate::topology::{Network, Topology};
 pub struct RunLimit {
     /// Stop once the clock passes this time.
     pub max_time: Option<SimTime>,
-    /// Stop after this many events.
-    pub max_events: Option<u64>,
     /// Stop as soon as every measured flow has completed (the usual
     /// experiment termination: background flows never finish).
     pub stop_when_measured_done: bool,
@@ -33,7 +31,6 @@ impl RunLimit {
     pub fn until_measured_done(backstop: SimTime) -> RunLimit {
         RunLimit {
             max_time: Some(backstop),
-            max_events: None,
             stop_when_measured_done: true,
         }
     }
@@ -48,8 +45,6 @@ pub enum RunOutcome {
     MeasuredComplete,
     /// The time limit was hit.
     TimeLimit,
-    /// The event limit was hit.
-    EventLimit,
 }
 
 /// A runnable simulation.
@@ -167,9 +162,9 @@ impl Simulation {
     /// Panics if the plan names a link that does not exist.
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
         for &(at, event) in plan.events() {
-            for (node, directive) in event.resolve(&self.topo) {
+            for (node, port) in event.resolve(&self.topo) {
                 self.sched
-                    .schedule_at(at, node, EventKind::fault(directive));
+                    .schedule_at(at, node, EventKind::fault(event, port));
             }
         }
     }
@@ -218,11 +213,6 @@ impl Simulation {
         loop {
             if limit.stop_when_measured_done && self.stats.all_measured_complete() {
                 return RunOutcome::MeasuredComplete;
-            }
-            if let Some(max_ev) = limit.max_events {
-                if self.stats.events_executed >= max_ev {
-                    return RunOutcome::EventLimit;
-                }
             }
             let Some(ScheduledEvent { target, kind, .. }) = self.sched.pop_due(max_time) else {
                 // Whatever is still pending lies past the limit.

@@ -15,7 +15,7 @@
 
 use crate::engine::Ctx;
 use crate::event::EventKind;
-use crate::fault::{FaultDirective, FaultRest};
+use crate::fault::FaultEvent;
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::node::{ProcIo, Process};
 use crate::packet::{Packet, PacketKind};
@@ -272,7 +272,7 @@ pub struct Switch {
     /// distinct deterministic salt per switch so successive tiers make
     /// independent equal-cost choices (all (k/2)² core paths get used).
     ecmp_salt: u64,
-    /// Whether every port is up, re-derived whenever a fault directive
+    /// Whether every port is up, re-derived whenever a fault event
     /// lands (the only way a switch port changes state), so
     /// healthy-fabric routing never reads a port.
     all_ports_up: bool,
@@ -340,25 +340,20 @@ impl Switch {
             EventKind::PluginTimer(token) => {
                 self.run_process(ctx, |p, io| p.on_timer(token, io));
             }
-            EventKind::Fault(directive) => self.apply_fault(*directive, ctx),
+            EventKind::Fault(fault) => self.apply_fault(*fault, ctx),
             EventKind::FlowStart(_) | EventKind::AgentTimer { .. } => {
                 debug_assert!(false, "host event delivered to switch {}", self.id);
             }
         }
     }
 
-    /// Apply an injected fault directive to this switch: the shared path
-    /// ([`FaultDirective::apply`]), then the `all_ports_up` upkeep.
-    fn apply_fault(&mut self, directive: FaultDirective, ctx: &mut Ctx<'_>) {
-        let rest = directive.apply(self.id, &mut self.ports, ctx);
+    /// Apply an injected fault to this switch: the shared path
+    /// ([`FaultEvent::apply`]), the `all_ports_up` upkeep, then the
+    /// process.
+    fn apply_fault(&mut self, (fault, port): (FaultEvent, Option<PortId>), ctx: &mut Ctx<'_>) {
+        fault.apply(self.id, port, &mut self.ports, ctx);
         self.all_ports_up = self.ports.iter().all(Port::is_up);
-        match rest {
-            FaultRest::Done => {}
-            FaultRest::Process(fault) => self.run_process(ctx, |p, io| p.on_fault(fault, io)),
-            FaultRest::HostCrash | FaultRest::HostRestart => {
-                debug_assert!(false, "host fault {directive:?} at switch {}", self.id);
-            }
-        }
+        self.run_process(ctx, |p, io| p.on_fault(fault, io));
     }
 
     fn deliver(&mut self, mut pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
@@ -442,9 +437,14 @@ impl core::fmt::Debug for Switch {
 mod tests {
     use super::*;
     use crate::engine::Scheduler;
+    use crate::fault::FaultPlan;
     use crate::queue::DropTailQdisc;
+    use crate::sim::{RunLimit, Simulation};
     use crate::stats::StatsCollector;
     use crate::time::{Rate, SimDuration};
+    use crate::topology::tests::NullFactory;
+    use crate::topology::TopologyBuilder;
+    use std::sync::Arc;
 
     /// A switch with two equal-cost ports (to n1 and n2) toward dst n5.
     fn two_way_switch() -> Switch {
@@ -468,75 +468,99 @@ mod tests {
             .collect()
     }
 
+    /// A fabric in which switch n0 reaches switches n1–n4 on ports 0–3,
+    /// and through them host n5 over ports 1 and 3, host n6 over all four
+    /// ports and host n7 over port 2 alone. Its own id has no route.
+    fn fabric() -> Simulation {
+        let mut b = TopologyBuilder::new();
+        let s0 = b.add_switch();
+        let mids: Vec<NodeId> = (0..4).map(|_| b.add_switch()).collect();
+        let hosts = b.add_hosts(3);
+        let (pair, far) = (b.add_switch(), b.add_switch());
+        let mut link = |x, y| b.connect(x, y, Rate::from_gbps(1), SimDuration::from_micros(10));
+        for &m in &mids {
+            link(s0, m);
+            link(m, far);
+        }
+        link(mids[1], pair);
+        link(mids[3], pair);
+        link(hosts[0], pair);
+        link(hosts[1], far);
+        link(hosts[2], mids[2]);
+        let net = b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)));
+        Simulation::new(net)
+    }
+
+    const S0: NodeId = NodeId(0);
+
+    fn switch(sim: &mut Simulation, id: NodeId) -> &mut Switch {
+        let crate::node::Node::Switch(sw) = sim.node_mut(id) else {
+            panic!("{id} is not a switch")
+        };
+        sw
+    }
+
+    /// Fire `fault` through a plan 1 µs from now and run until the queue
+    /// drains.
+    fn inject(sim: &mut Simulation, fault: FaultEvent) {
+        let mut plan = FaultPlan::new();
+        plan.push(sim.now() + SimDuration::from_micros(1), fault);
+        sim.inject_faults(&plan);
+        sim.run(RunLimit::default());
+    }
+
+    /// The s0 end of the link to n1–n4 on `port`.
+    fn link_of(port: PortId) -> (NodeId, NodeId) {
+        (S0, NodeId(port.0 + 1))
+    }
+
     #[test]
     fn reroute_prunes_dead_ecmp_sibling_and_restores() {
-        let mut sw = two_way_switch();
-        let mut sched = Scheduler::new();
-        let mut stats = StatsCollector::new();
-        assert_eq!(routes_used(&sw).len(), 2, "healthy ECMP uses both ports");
-        {
-            let mut ctx = Ctx {
-                node: NodeId(10),
-                sched: &mut sched,
-                stats: &mut stats,
-            };
-            sw.handle(
-                EventKind::fault(FaultDirective::PortDown(PortId(0))),
-                &mut ctx,
-            );
-        }
-        let live = routes_used(&sw);
+        let mut sim = fabric();
+        assert_eq!(
+            routes_used(switch(&mut sim, S0)).len(),
+            2,
+            "healthy ECMP uses both ports"
+        );
+        let (a, b) = link_of(PortId(1));
+        inject(&mut sim, FaultEvent::LinkDown { a, b });
+        let live = routes_used(switch(&mut sim, S0));
         assert_eq!(
             live.into_iter().collect::<Vec<_>>(),
-            vec![PortId(1)],
+            vec![PortId(3)],
             "all flows re-hash onto the surviving sibling"
         );
-        {
-            let mut ctx = Ctx {
-                node: NodeId(10),
-                sched: &mut sched,
-                stats: &mut stats,
-            };
-            sw.handle(
-                EventKind::fault(FaultDirective::PortUp(PortId(0))),
-                &mut ctx,
-            );
-        }
-        assert_eq!(routes_used(&sw).len(), 2, "recovery restores the spread");
-        assert_eq!(stats.node(NodeId(10)).blackholed, 0);
+        inject(&mut sim, FaultEvent::LinkUp { a, b });
+        assert_eq!(
+            routes_used(switch(&mut sim, S0)).len(),
+            2,
+            "recovery restores the spread"
+        );
+        assert_eq!(sim.stats().node(S0).blackholed, 0);
     }
 
     #[test]
     fn no_live_route_is_a_counted_blackhole() {
-        let mut sw = two_way_switch();
-        let mut sched = Scheduler::new();
-        let mut stats = StatsCollector::new();
+        let mut sim = fabric();
         let tracer = crate::trace::TextTracer::new();
         let buf = tracer.buffer();
-        stats.set_tracer(Box::new(tracer));
-        let mut ctx = Ctx {
-            node: NodeId(10),
-            sched: &mut sched,
-            stats: &mut stats,
-        };
-        sw.handle(
-            EventKind::fault(FaultDirective::PortDown(PortId(0))),
-            &mut ctx,
-        );
-        sw.handle(
-            EventKind::fault(FaultDirective::PortDown(PortId(1))),
-            &mut ctx,
-        );
-        assert_eq!(sw.route(NodeId(5), FlowId(7)), None);
-        let pkt = Packet::data(FlowId(7), NodeId(3), NodeId(5), 0, 1460);
-        sw.handle(EventKind::deliver(pkt), &mut ctx);
-        ctx.stats.flush_tracer();
-        assert_eq!(stats.node(NodeId(10)).blackholed, 1);
+        sim.set_tracer(Box::new(tracer));
+        for port in [PortId(1), PortId(3)] {
+            let (a, b) = link_of(port);
+            inject(&mut sim, FaultEvent::LinkDown { a, b });
+        }
+        assert_eq!(switch(&mut sim, S0).route(NodeId(5), FlowId(7)), None);
+        let pkt = Packet::data(FlowId(7), NodeId(6), NodeId(5), 0, 1460);
+        let at = sim.now() + SimDuration::from_micros(1);
+        sim.scheduler_mut().schedule_deliver(at, S0, pkt);
+        sim.run(RunLimit::default());
+        let stats = sim.stats();
+        assert_eq!(stats.node(S0).blackholed, 1);
         assert_eq!(stats.blackhole_pkts, 1);
         assert_eq!(stats.data_pkts_blackholed, 1);
         assert_eq!(stats.data_pkts_dropped, 0, "blackholes are not queue drops");
         let out = buf.lock().unwrap().clone();
-        assert!(out.contains("BHOL n10 f7 Data seq=0"), "{out}");
+        assert!(out.contains("BHOL n0 f7 Data seq=0"), "{out}");
     }
 
     /// Push `n` data packets through one of the switch's ports, servicing
@@ -633,58 +657,45 @@ mod tests {
 
     #[test]
     fn route_matches_the_port_filter_through_any_fault_sequence() {
-        let ports = (0..4)
-            .map(|i| {
-                Port::new(
-                    PortId(i),
-                    NodeId(i),
-                    Rate::from_gbps(1),
-                    SimDuration::from_micros(10),
-                    Box::new(DropTailQdisc::new(16)),
-                )
-            })
-            .collect();
         // No route, 4-way ECMP, a single next hop, 2-way ECMP.
-        let p = |ids: &[u32]| ids.iter().map(|&i| PortId(i)).collect::<Vec<_>>();
-        let rows = [p(&[]), p(&[0, 1, 2, 3]), p(&[2]), p(&[1, 3])];
-        let mut sw = Switch::new(NodeId(10), ports, Fib::from_rows(&rows));
-        sw.set_ecmp_salt(0x5a17);
-        let mut sched = Scheduler::new();
-        let mut stats = StatsCollector::new();
+        let dsts = [S0, NodeId(6), NodeId(7), NodeId(5)];
+        let mut sim = fabric();
+        let sizes = dsts.map(|dst| switch(&mut sim, S0).fib.entry(dst).len());
+        assert_eq!(sizes, [0, 4, 1, 2]);
+        switch(&mut sim, S0).set_ecmp_salt(0x5a17);
         let mut rng = crate::rng::Rng::seed_from_u64(0xd0_0b);
         let mut seen = [[false; 2]; 2];
         for step in 0..80 {
             let port = PortId(rng.gen_below(4) as u32);
+            let (a, b) = link_of(port);
             let fault = match rng.gen_below(6) {
                 // Down twice and up without down both occur.
-                0 | 1 => FaultDirective::PortDown(port),
-                2 | 3 => FaultDirective::PortUp(port),
-                4 => FaultDirective::PortDegrade {
-                    port,
+                0 | 1 => FaultEvent::LinkDown { a, b },
+                2 | 3 => FaultEvent::LinkUp { a, b },
+                4 => FaultEvent::LinkDegrade {
+                    a,
+                    b,
                     profile: all_loss(),
                 },
-                _ => FaultDirective::PortRestore(port),
+                _ => FaultEvent::LinkRestore { a, b },
             };
             if rng.gen_below(4) == 0 {
+                let sw = switch(&mut sim, S0);
                 sw.set_health_aware(!sw.health_aware());
             }
-            let mut ctx = Ctx {
-                node: NodeId(10),
-                sched: &mut sched,
-                stats: &mut stats,
-            };
-            sw.handle(EventKind::fault(fault), &mut ctx);
+            inject(&mut sim, fault);
+            let sw = switch(&mut sim, S0);
             // Let the port's health follow its new state: ten lossy
             // packets sink it, ~1,100 clean ones earn it back.
             let degraded = sw.ports[port.index()].is_degraded();
-            drive_port(&mut sw, port.index(), if degraded { 10 } else { 1200 });
+            drive_port(sw, port.index(), if degraded { 10 } else { 1200 });
             let all_up = sw.ports.iter().all(Port::is_up);
             assert_eq!(sw.all_ports_up, all_up, "step {step}");
             let all_healthy = sw.ports.iter().all(Port::is_healthy);
             seen[all_up as usize][(sw.health_aware && !all_healthy) as usize] = true;
             for i in 0..1000u64 {
-                let (dst, flow) = (NodeId((i % 4) as u32), FlowId(i * 7919));
-                let want = route_by_filter(&sw, dst, flow);
+                let (dst, flow) = (dsts[(i % 4) as usize], FlowId(i * 7919));
+                let want = route_by_filter(sw, dst, flow);
                 assert_eq!(sw.route(dst, flow), want, "step {step} {dst} {flow:?}");
             }
         }

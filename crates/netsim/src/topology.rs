@@ -408,14 +408,15 @@ pub struct Network {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::flow::{FlowSpec, ReceiverHint};
     use crate::host::{AgentCtx, FlowAgent};
     use crate::queue::DropTailQdisc;
 
-    /// A do-nothing agent factory for topology tests.
-    struct NullFactory;
+    /// A do-nothing agent factory for the crate's topology-building
+    /// tests.
+    pub(crate) struct NullFactory;
     struct NullAgent;
     impl FlowAgent for NullAgent {
         fn on_packet(&mut self, _: crate::packet::Packet, _: &mut AgentCtx<'_, '_>) {}

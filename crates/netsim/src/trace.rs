@@ -38,7 +38,7 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::fault::FaultDirective;
+use crate::fault::FaultEvent;
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::{Packet, PacketKind};
 use crate::rng::mix64;
@@ -135,8 +135,8 @@ pub enum TraceEvent {
     Fault {
         /// The node the fault fired at.
         node: NodeId,
-        /// The resolved per-node directive.
-        fault: FaultDirective,
+        /// The fault, as the plan scheduled it.
+        fault: FaultEvent,
     },
     /// A corrupted packet was detected and discarded by the checksum at
     /// its destination node (gray failure; see [`crate::fault`]).
@@ -441,9 +441,9 @@ impl TraceSink for HashTracer {
             TraceEvent::Fault { node, fault } => {
                 self.mix(5);
                 self.mix(node.0 as u64);
-                // Directives are rare (injected faults, not per-packet),
-                // so hashing the Debug rendering keeps this exhaustive
-                // over the directive's payload without a Hash impl.
+                // Faults are rare (injected, not per-packet), so hashing
+                // the Debug rendering keeps this exhaustive over the
+                // event's payload without a Hash impl.
                 for b in format!("{fault:?}").bytes() {
                     self.mix(b as u64);
                 }
@@ -528,24 +528,26 @@ mod tests {
             extra_delay_ns: 1_500,
             jitter_ns: u32::MAX,
         };
+        let (a, b) = (NodeId(1), NodeId(u32::MAX));
         let faults = [
-            FaultDirective::PortDown(PortId(1)),
-            FaultDirective::PortUp(PortId(u32::MAX)),
-            FaultDirective::Crash,
-            FaultDirective::Restart,
-            FaultDirective::CtrlLossBurst {
-                port: PortId(3),
+            FaultEvent::LinkDown { a, b },
+            FaultEvent::LinkUp { a: b, b: a },
+            FaultEvent::ArbitratorCrash { node: a },
+            FaultEvent::ArbitratorRestart { node: b },
+            FaultEvent::CtrlLossBurst {
+                from: a,
+                to: b,
                 n: u64::MAX,
             },
-            FaultDirective::HostCrash,
-            FaultDirective::HostRestart,
-            FaultDirective::PortDegrade {
-                port: PortId(2),
-                profile,
+            FaultEvent::HostCrash { node: NodeId(0) },
+            FaultEvent::HostRestart { node: a },
+            FaultEvent::LinkDegrade { a, b, profile },
+            FaultEvent::LinkRestore { a: b, b: a },
+            FaultEvent::CtrlStormStart {
+                node: b,
+                amplify: 8,
             },
-            FaultDirective::PortRestore(PortId(0)),
-            FaultDirective::CtrlStormStart { amplify: 8 },
-            FaultDirective::CtrlStormEnd,
+            FaultEvent::CtrlStormEnd { node: NodeId(0) },
         ];
         let mut out = Vec::new();
         for (small, mid, big) in [(0u64, 0u64, 0u64), (7, 1460, 123_456_789), (!0, !0, !0)] {
@@ -709,13 +711,19 @@ mod tests {
             SimTime::from_micros(3),
             &TraceEvent::Fault {
                 node: NodeId(2),
-                fault: FaultDirective::PortDown(PortId(1)),
+                fault: FaultEvent::LinkDown {
+                    a: NodeId(2),
+                    b: NodeId(4),
+                },
             },
         );
         t.flush();
         let out = buf.lock().unwrap().clone();
         assert_eq!(out.lines().count(), 1);
-        assert!(out.contains("FLT  n2 PortDown"), "{out}");
+        assert!(
+            out.contains("FLT  n2 LinkDown { a: NodeId(2), b: NodeId(4) }"),
+            "{out}"
+        );
     }
 
     #[test]

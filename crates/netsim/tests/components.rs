@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netsim::event::EventKind;
-use netsim::fault::{FaultDirective, NodeFault};
 use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentCtx, AgentFactory, FlowAgent};
 use netsim::node::{Node, ProcIo, Process};
@@ -164,7 +163,7 @@ fn sender_completes_and_is_garbage_collected_stale_timer_ignored() {
 enum Seen {
     Ctrl(FlowId),
     Timer(u64),
-    Fault(NodeFault),
+    Fault(FaultEvent),
     Transit(PacketKind),
 }
 
@@ -200,7 +199,7 @@ impl Process for Recorder {
         }
     }
 
-    fn on_fault(&mut self, fault: NodeFault, _io: &mut ProcIo<'_, '_>) {
+    fn on_fault(&mut self, fault: FaultEvent, _io: &mut ProcIo<'_, '_>) {
         self.seen.push(Seen::Fault(fault));
     }
 
@@ -432,75 +431,86 @@ fn plugin_sees_transit_packets_and_runs_timers() {
 }
 
 /// One process type runs on both node kinds: the same control packet,
-/// timer and control-plane faults reach it the same way on a host and on
-/// a switch, and only the switch hands it transiting packets. A host maps
-/// its whole-machine crash and restart onto the process's own.
+/// timer and faults reach it the same way on a host and on a switch, and
+/// only the switch hands it transiting packets. A node tells its process
+/// every fault it receives: a link fault at both ends, a control-loss
+/// burst at its sending end only, and a host's whole-machine crash and
+/// restart once each, however often they are injected.
 #[test]
 fn one_process_type_runs_on_hosts_and_switches() {
     let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
     let (h0, h1) = (hosts[0], hosts[1]);
+    let us = SimTime::from_micros;
+    let node_faults = |node| {
+        [
+            FaultEvent::ArbitratorCrash { node },
+            FaultEvent::ArbitratorRestart { node },
+            FaultEvent::CtrlStormStart { node, amplify: 3 },
+            FaultEvent::CtrlStormEnd { node },
+        ]
+    };
+    let mut plan = FaultPlan::new();
     for node in [h0, sw] {
         sim.node_mut(node)
             .set_process(Box::new(Recorder::default()));
-    }
-    let faults = [
-        FaultDirective::Crash,
-        FaultDirective::Restart,
-        FaultDirective::CtrlStormStart { amplify: 3 },
-        FaultDirective::CtrlStormEnd,
-    ];
-    for node in [h0, sw] {
         let ctrl = Packet::ctrl(FlowId(4), h1, node, Box::new(0u32));
         let sched = sim.scheduler_mut();
-        sched.schedule_deliver(SimTime::from_micros(1), node, ctrl);
-        sched.schedule_at(SimTime::from_micros(2), node, EventKind::PluginTimer(7));
-        for (i, &fault) in faults.iter().enumerate() {
-            let at = SimTime::from_micros(3 + i as u64);
-            sched.schedule_at(at, node, EventKind::fault(fault));
+        sched.schedule_deliver(us(1), node, ctrl);
+        sched.schedule_at(us(2), node, EventKind::PluginTimer(7));
+        for (i, fault) in node_faults(node).into_iter().enumerate() {
+            plan.push(us(3 + i as u64), fault);
         }
     }
     // A data packet crosses the switch and its ack crosses back.
     let data = Packet::data(FlowId(5), h1, h0, 0, 1000);
-    sim.scheduler_mut()
-        .schedule_deliver(SimTime::from_micros(10), sw, data);
-    // The whole host goes down, again while down, and comes back.
-    for (us, fault) in [
-        (100, FaultDirective::HostCrash),
-        (101, FaultDirective::HostCrash),
-        (102, FaultDirective::HostRestart),
-    ] {
-        let at = SimTime::from_micros(us);
-        sim.scheduler_mut()
-            .schedule_at(at, h0, EventKind::fault(fault));
-    }
-    sim.run(RunLimit::default());
-    let shared = vec![
-        Seen::Ctrl(FlowId(4)),
-        Seen::Timer(7),
-        Seen::Fault(NodeFault::Crash),
-        Seen::Fault(NodeFault::Restart),
-        Seen::Fault(NodeFault::CtrlStormStart { amplify: 3 }),
-        Seen::Fault(NodeFault::CtrlStormEnd),
+    sim.scheduler_mut().schedule_deliver(us(10), sw, data);
+    // Once both have passed, the h0–sw link fails and recovers, a burst
+    // hits each end's outgoing direction, and the whole host goes down,
+    // again while down, and comes back.
+    let link = [
+        FaultEvent::LinkDown { a: h0, b: sw },
+        FaultEvent::LinkUp { a: sw, b: h0 },
     ];
+    let burst = |from, to| FaultEvent::CtrlLossBurst { from, to, n: 2 };
+    let machine = [
+        FaultEvent::HostCrash { node: h0 },
+        FaultEvent::HostCrash { node: h0 },
+        FaultEvent::HostRestart { node: h0 },
+    ];
+    let later = link
+        .into_iter()
+        .chain([burst(h0, sw), burst(sw, h1)])
+        .chain(machine);
+    for (i, fault) in later.enumerate() {
+        plan.push(us(100 + i as u64), fault);
+    }
+    sim.inject_faults(&plan);
+    sim.run(RunLimit::default());
+    let heard = |faults: &[FaultEvent]| {
+        let mut seen = vec![Seen::Ctrl(FlowId(4)), Seen::Timer(7)];
+        seen.extend(faults.iter().map(|&f| Seen::Fault(f)));
+        seen
+    };
     let at_switch = recorder(&mut sim, sw).seen.clone();
     let (transits, rest): (Vec<Seen>, Vec<Seen>) = at_switch
         .into_iter()
         .partition(|s| matches!(s, Seen::Transit(_)));
-    assert_eq!(rest, shared, "the switch's process");
+    let want = [&node_faults(sw)[..], &link, &[burst(sw, h1)]].concat();
+    assert_eq!(rest, heard(&want), "the switch's process");
     let kinds = [
         Seen::Transit(PacketKind::Data),
         Seen::Transit(PacketKind::Ack),
     ];
     assert_eq!(transits, kinds, "only the switch sees transits");
-    let at_host = &recorder(&mut sim, h0).seen;
-    let (common, machine) = at_host.split_at(shared.len().min(at_host.len()));
-    assert_eq!(common, shared, "the host's process");
-    let crash_restart = [
-        Seen::Fault(NodeFault::Crash),
-        Seen::Fault(NodeFault::Restart),
-    ];
+    let want = [
+        &node_faults(h0)[..],
+        &link,
+        &[burst(h0, sw), machine[0], machine[2]],
+    ]
+    .concat();
     assert_eq!(
-        machine, crash_restart,
-        "one Crash for two HostCrashes, one Restart for the HostRestart"
+        recorder(&mut sim, h0).seen,
+        heard(&want),
+        "the host's process: one HostCrash for two, then the HostRestart"
     );
 }

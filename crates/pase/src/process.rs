@@ -35,7 +35,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use netsim::fault::NodeFault;
+use netsim::fault::FaultEvent;
 use netsim::ids::{FlowId, IdHashBuilder, NodeId};
 use netsim::node::{ProcIo, Process};
 use netsim::packet::Packet;
@@ -464,9 +464,9 @@ impl Process for ArbProcess {
         io.set_timer(DELEG_PERIOD, self.deleg.arm());
     }
 
-    fn on_fault(&mut self, fault: NodeFault, io: &mut ProcIo<'_, '_>) {
+    fn on_fault(&mut self, fault: FaultEvent, io: &mut ProcIo<'_, '_>) {
         match fault {
-            NodeFault::Crash => {
+            FaultEvent::ArbitratorCrash { .. } | FaultEvent::HostCrash { .. } => {
                 // The process loses everything: its inbox, its arbitrators
                 // and an agg's delegation demands. Endpoints repopulate the
                 // arbitrators on their next refresh once the process
@@ -478,9 +478,11 @@ impl Process for ArbProcess {
                 self.arbitrators_mut().for_each(LinkArbitrator::clear);
                 self.child_demands.clear();
             }
-            NodeFault::CtrlStormStart { amplify } => self.inbox.storm_start(amplify),
-            NodeFault::CtrlStormEnd => self.inbox.storm_end(),
-            NodeFault::Restart if self.crashed => {
+            FaultEvent::CtrlStormStart { amplify, .. } => self.inbox.storm_start(amplify),
+            FaultEvent::CtrlStormEnd { .. } => self.inbox.storm_end(),
+            FaultEvent::ArbitratorRestart { .. } | FaultEvent::HostRestart { .. }
+                if self.crashed =>
+            {
                 // The fresh process re-learns purely from the next refresh
                 // round (within `arb_expiry`); its report loop starts afresh.
                 self.crashed = false;
@@ -488,7 +490,9 @@ impl Process for ArbProcess {
                     io.set_timer(delay, token);
                 }
             }
-            NodeFault::Restart => {}
+            // A restart of a live process, and the link faults the node
+            // has already acted on.
+            _ => {}
         }
     }
 

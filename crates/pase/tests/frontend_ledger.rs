@@ -8,8 +8,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use netsim::event::EventKind;
-use netsim::fault::FaultDirective;
 use netsim::packet::Packet;
 use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
@@ -154,7 +152,6 @@ fn fate(
     let until = |n: &mut Net, t: SimTime| {
         n.sim.run(RunLimit {
             max_time: Some(t),
-            max_events: None,
             stop_when_measured_done: false,
         });
     };
@@ -164,17 +161,14 @@ fn fate(
     }
     // The probe lands in a later epoch, so its depth is exactly the
     // storm's amplification (1 when unstormed).
-    let fault = |n: &mut Net, d: FaultDirective| {
-        n.sim
-            .scheduler_mut()
-            .schedule_at(at(900), target, EventKind::fault(d));
-    };
+    let mut plan = FaultPlan::new();
     if depth > 1 {
-        fault(&mut n, FaultDirective::CtrlStormStart { amplify: depth });
+        plan = plan.ctrl_storm_start(at(900), target, depth);
     }
     if crashed {
-        fault(&mut n, FaultDirective::Crash);
+        plan = plan.arbitrator_crash(at(900), target);
     }
+    n.sim.inject_faults(&plan);
     until(&mut n, at(950));
     let ledger = |n: &Net| ARB_FATES.map(|f| n.sim.stats().charged(Plane::Ctrl, f));
     let before = ledger(&n);

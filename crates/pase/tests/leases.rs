@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use netsim::event::EventKind;
-use netsim::fault::FaultDirective;
 use netsim::packet::Packet;
 use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
@@ -94,7 +92,6 @@ impl Net {
     fn run_until(&mut self, us: u64) {
         self.sim.run(RunLimit {
             max_time: Some(SimTime::from_micros(us)),
-            max_events: None,
             stop_when_measured_done: false,
         });
     }
@@ -116,10 +113,9 @@ impl Net {
     /// From `us` on, a storm puts tor0's next arrival past its inbox
     /// budget, but not past twice it, where fresh requests shed too.
     fn storm(&mut self, us: u64) {
-        let amplify = BUDGET + BUDGET / 2;
-        let fault = EventKind::fault(FaultDirective::CtrlStormStart { amplify });
         let at = SimTime::from_micros(us);
-        self.sim.scheduler_mut().schedule_at(at, self.tor0, fault);
+        let plan = FaultPlan::new().ctrl_storm_start(at, self.tor0, BUDGET + BUDGET / 2);
+        self.sim.inject_faults(&plan);
     }
 
     /// Whether a second request for `FLOW` landing on tor0 at `us` is
@@ -269,7 +265,6 @@ fn leases_left(
     assert!(processed > 10 * n, "the control plane ran: {processed}");
     sim.run(RunLimit {
         max_time: Some(sim.now() + SimDuration::from_millis(50)),
-        max_events: None,
         stop_when_measured_done: false,
     });
     let mut held = vec![];

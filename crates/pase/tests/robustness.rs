@@ -92,7 +92,6 @@ fn algorithm2_window_states_white_box() {
     // completion (~1 ms).
     sim.run(RunLimit {
         max_time: Some(SimTime::from_millis(1)),
-        max_events: None,
         stop_when_measured_done: false,
     });
     // Inspect the live senders.
@@ -296,7 +295,6 @@ fn until(ms: u64) -> RunLimit {
 fn until_time(t: SimTime) -> RunLimit {
     RunLimit {
         max_time: Some(t),
-        max_events: None,
         stop_when_measured_done: false,
     }
 }
@@ -486,10 +484,7 @@ fn host_arbitrator_crash_wipes_service_and_falls_back() {
     {
         let process = sim.node_mut(hosts[3]).process_as::<ArbProcess>();
         let process = process.unwrap();
-        assert!(
-            process.is_crashed(),
-            "crash directive must reach the process"
-        );
+        assert!(process.is_crashed(), "the crash must reach the process");
         assert_eq!(
             own_flows(process, Leg::Sender),
             0,

@@ -12,7 +12,7 @@ use netsim::host::{AgentCtx, FlowAgent};
 use netsim::packet::{Packet, PacketKind};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::timer::{slot, SupersedingTimer, Timer};
-use transport::{segment_len, ByteTracker, RttEstimator, MAX_RTO, MIN_RTO, MSS};
+use transport::{segment_len, RttEstimator, SimpleReceiver, MAX_RTO, MIN_RTO, MSS};
 
 use crate::config::{
     PdqConfig, PROBE_INTERVAL_MAX_RTTS, PROBE_INTERVAL_RTTS, PROBE_SUPPRESS_FACTOR,
@@ -240,55 +240,33 @@ impl FlowAgent for PdqSender {
     }
 }
 
-/// PDQ receiver: cumulative ACKs that echo the (switch-clamped) scheduling
-/// header back to the sender.
+/// PDQ receiver: the shared receiver's cumulative ACKs
+/// ([`SimpleReceiver::acknowledge`]), each echoing the (switch-clamped)
+/// scheduling header back to the sender, and none for a terminating
+/// packet.
 #[derive(Debug)]
 pub struct PdqReceiver {
-    hint: ReceiverHint,
-    tracker: ByteTracker,
+    rx: SimpleReceiver,
 }
 
 impl PdqReceiver {
     /// Create a receiver for the flow identified by `hint`.
     pub fn new(hint: ReceiverHint) -> PdqReceiver {
         PdqReceiver {
-            hint,
-            tracker: ByteTracker::new(),
+            rx: SimpleReceiver::new(hint),
         }
     }
 }
 
 impl FlowAgent for PdqReceiver {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
-        let (is_data, is_probe) = match pkt.kind {
-            PacketKind::Data => (true, false),
-            PacketKind::Probe => (false, true),
-            _ => return,
+        let Some(mut ack) = self.rx.acknowledge(&pkt) else {
+            return;
         };
-        if is_data {
-            self.tracker.on_range(pkt.seq, pkt.seq_end());
-        }
         let hdr = pkt.proto_ref::<PdqHeader>().copied();
         if hdr.is_some_and(|h| h.term) {
             return; // nothing to acknowledge on termination
         }
-        let mut ack = if is_probe {
-            Packet::probe_ack(
-                self.hint.flow,
-                self.hint.dst,
-                self.hint.src,
-                self.tracker.cum_ack(),
-            )
-        } else {
-            Packet::ack(
-                self.hint.flow,
-                self.hint.dst,
-                self.hint.src,
-                self.tracker.cum_ack(),
-            )
-        };
-        ack.ts_echo = Some(pkt.ts);
-        ack.sack = Some(pkt.seq);
         if let Some(h) = hdr {
             ack.proto = Some(Box::new(h));
         }

@@ -69,25 +69,28 @@ impl SimpleReceiver {
         self.tracker.bytes_received()
     }
 
-    fn make_ack(&self, data: &Packet, kind: PacketKind) -> Packet {
-        let mut ack = match kind {
-            PacketKind::ProbeAck => Packet::probe_ack(
-                self.hint.flow,
-                self.hint.dst,
-                self.hint.src,
-                self.tracker.cum_ack(),
-            ),
-            _ => Packet::ack(
-                self.hint.flow,
-                self.hint.dst,
-                self.hint.src,
-                self.tracker.cum_ack(),
-            ),
+    /// Take in a data packet or a probe and return its acknowledgment: a
+    /// cumulative ACK (a probe-ACK for a probe) echoing the packet's CE
+    /// mark, timestamp and sequence. `None` for a packet of an older
+    /// sender incarnation, which any ACK would confuse, and for the kinds
+    /// a receiver does not answer. A scheme's own receiver builds on this
+    /// and sends the ACK itself.
+    pub fn acknowledge(&mut self, pkt: &Packet) -> Option<Packet> {
+        if !matches!(pkt.kind, PacketKind::Data | PacketKind::Probe) || !self.admit(pkt) {
+            return None;
+        }
+        if pkt.kind == PacketKind::Data {
+            self.tracker.on_range(pkt.seq, pkt.seq_end());
+        }
+        let (hint, cum_ack) = (&self.hint, self.tracker.cum_ack());
+        let mut ack = match pkt.kind {
+            PacketKind::Probe => Packet::probe_ack(hint.flow, hint.dst, hint.src, cum_ack),
+            _ => Packet::ack(hint.flow, hint.dst, hint.src, cum_ack),
         };
-        ack.ece = data.ecn_ce;
-        ack.ts_echo = Some(data.ts);
-        ack.sack = Some(data.seq);
-        ack
+        ack.ece = pkt.ecn_ce;
+        ack.ts_echo = Some(pkt.ts);
+        ack.sack = Some(pkt.seq);
+        Some(ack)
     }
 }
 
@@ -96,25 +99,8 @@ impl SimpleReceiver {
 /// know the flow size.
 impl FlowAgent for SimpleReceiver {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut AgentCtx<'_, '_>) {
-        match pkt.kind {
-            PacketKind::Data => {
-                if !self.admit(&pkt) {
-                    return;
-                }
-                self.tracker.on_range(pkt.seq, pkt.seq_end());
-                let ack = self.make_ack(&pkt, PacketKind::Ack);
-                ctx.send(ack);
-            }
-            PacketKind::Probe => {
-                if !self.admit(&pkt) {
-                    return;
-                }
-                let ack = self.make_ack(&pkt, PacketKind::ProbeAck);
-                ctx.send(ack);
-            }
-            PacketKind::Ack | PacketKind::ProbeAck | PacketKind::Ctrl => {
-                // Not receiver business; ignore.
-            }
+        if let Some(ack) = self.acknowledge(&pkt) {
+            ctx.send(ack);
         }
     }
 }

@@ -34,21 +34,23 @@ cargo test --workspace -q
 # case (all 128 cases run in well under a minute at one job).
 # JOBS is pinned (default 2) rather than auto-detected so CI timing is
 # reproducible across machines; results are byte-identical either way.
-# The last line, `sweep_digest=0x...`, hashes every case's trace and stats
-# hashes in case order (event counts are in neither); the line before it
-# gives the sweep's events by kind, the timer arms superseded and the
-# data packets delivered. Both must equal the committed
-# scripts/chaos_ci.digest, so a change that claims "model identical"
-# fails here if it is not, and so does one that spends more events on
-# the same model (the event budget, as scale_smoke pins its own). A
-# change that means to move either updates that file and says why.
+# The last three lines: the sweep's events by kind, the timer arms
+# superseded and the data packets delivered; `stats_digest=0x...`, every
+# case's stats hash in case order; `sweep_digest=0x...`, every case's
+# trace and stats hashes in case order (event counts are in neither
+# digest). All three must equal the committed scripts/chaos_ci.digest,
+# so a change that claims "model identical" fails here if it is not, and
+# so does one that spends more events on the same model (the event
+# budget, as scale_smoke pins its own). A change to the trace format
+# alone moves only `sweep_digest`. A change that means to move any of
+# them updates that file and says why.
 echo "== chaos smoke (8 seeds, fabric+host+gray+overload, quick, ${JOBS:-2} jobs) =="
 chaos_out=$(./target/release/chaos --seeds 8 --faults all --quick --jobs "${JOBS:-2}")
 echo "$chaos_out"
-if [ "$(echo "$chaos_out" | tail -n 2)" != "$(cat scripts/chaos_ci.digest)" ]; then
-    echo "chaos smoke: event budget or sweep digest differs from" \
-        "scripts/chaos_ci.digest: the model or its event count changed" >&2
-    diff <(cat scripts/chaos_ci.digest) <(echo "$chaos_out" | tail -n 2) >&2 || true
+if [ "$(echo "$chaos_out" | tail -n 3)" != "$(cat scripts/chaos_ci.digest)" ]; then
+    echo "chaos smoke: event budget, stats digest or sweep digest differs from" \
+        "scripts/chaos_ci.digest: the model, its event count or its trace changed" >&2
+    diff <(cat scripts/chaos_ci.digest) <(echo "$chaos_out" | tail -n 3) >&2 || true
     exit 1
 fi
 

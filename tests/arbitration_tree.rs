@@ -249,7 +249,6 @@ fn multi_rooted_legs_arbitrate_one_parent_per_tier() {
 fn run_to(sim: &mut Simulation, ms: u64) {
     sim.run(RunLimit {
         max_time: Some(SimTime::from_millis(ms)),
-        max_events: None,
         stop_when_measured_done: false,
     });
 }

@@ -64,7 +64,8 @@ fn assert_bitwise_identical(a: &FigResult, b: &FigResult) {
 #[test]
 fn figure_sweep_is_bitwise_identical_across_job_counts() {
     // fig02 runs the full scheme grid through the row driver; ext_incast
-    // runs its own scheme × fan-in case list; fig03 runs the 2-case toy.
+    // sweeps one line per scheme × fan-in with a `prepare` step; fig03
+    // runs the 2-case toy on its own case list.
     let run = |jobs| {
         let only = ["fig02", "ext_incast", "fig03"].map(String::from).to_vec();
         figs::all(&ExpOpts { only, ..tiny(jobs) })
