@@ -9,6 +9,7 @@
 //! across every figure sweep; the emitted tables are byte-identical at
 //! any job count. `--only id[,id...]` (ids of `experiments::figs::FIGURES`)
 //! prints and saves just those figures and leaves `EXPERIMENTS.md` alone.
+//! Each figure prints as the Markdown table `EXPERIMENTS.md` gets.
 //! Exits 1 when any figure cell comes from a run its backstop truncated
 //! or that broke a simulator invariant.
 
@@ -42,9 +43,9 @@ fn main() {
     );
     eprintln!("run_all: {} jobs", opts.jobs);
     for fig in &figs {
-        fig.print();
-        println!();
-        md.push_str(&fig.to_markdown());
+        let table = fig.to_markdown();
+        print!("{table}");
+        md.push_str(&table);
         if let Some(dir) = &opts.out_dir {
             fig.save_json(dir).expect("write JSON result");
         }

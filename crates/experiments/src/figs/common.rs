@@ -6,11 +6,10 @@
 //! [`sweep_grid`], faulted ones with a `prepare` step — on
 //! `workloads::exec`, each case through `RunSpec::run_with` and its
 //! invariant audit, and note a truncated or invariant-breaking case on
-//! the figure as a warning. Two run their own cases on `run_cases`:
-//! fig03 its toy fabrics, and `ext_scale` (fat-tree runs), which takes
-//! each case through `RunSpec::run_with` and panics on a backstop
-//! warning instead of noting it. Results come back ordered by case index,
-//! so figure output is byte-identical at any `--jobs` value.
+//! the figure as a warning. Only fig03 runs its own cases, on `run_cases`:
+//! its pFabric toy needs a 24-packet queue no `Scheme` carries. Results
+//! come back ordered by case index, so figure output is byte-identical
+//! at any `--jobs` value.
 
 use netsim::prelude::*;
 use netsim::topology::NodeKind;
@@ -256,20 +255,22 @@ mod tests {
             ..ExpOpts::quick()
         };
         let scenario = workloads::Scenario::all_to_all_intra(5, opts.flows);
+        // One sweep may mix scenarios (`ext_scale` runs two trees).
+        let other = workloads::Scenario::all_to_all_intra(7, opts.flows);
+        let mut lines = lines_on(scenario, &[("DCTCP", Scheme::Dctcp), ("TCP", Scheme::Tcp)]);
+        lines.extend(lines_on(other, &[("DCTCP 7", Scheme::Dctcp)]));
         let mut fig = FigResult::new("t", "t", "x", "y", vec![30.0, 60.0]);
-        let rows = sweep_grid(
-            &mut [&mut fig],
-            &lines_on(scenario, &[("DCTCP", Scheme::Dctcp), ("TCP", Scheme::Tcp)]),
-            &[0.3, 0.6],
-            &opts,
-        );
-        assert_eq!(rows.len(), 2);
+        let rows = sweep_grid(&mut [&mut fig], &lines, &[0.3, 0.6], &opts);
+        assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.len() == 2));
         assert!(fig.notes.is_empty(), "{:?}", fig.notes);
-        // Row 0 really is DCTCP at loads [0.3, 0.6]: spot-check against a
-        // direct sequential run.
+        // Rows 0 and 2 really are DCTCP at loads [0.3, 0.6] on their own
+        // racks: spot-check against direct sequential runs.
         let direct = RunSpec::new(Scheme::Dctcp, scenario, 0.6, opts.seed).run();
         assert_eq!(rows[0][1].fcts_ms, direct.fcts_ms);
+        let direct = RunSpec::new(Scheme::Dctcp, other, 0.3, opts.seed).run();
+        assert_eq!(rows[2][0].fcts_ms, direct.fcts_ms);
+        assert_ne!(rows[2][0].fcts_ms, rows[0][0].fcts_ms);
     }
 
     #[test]

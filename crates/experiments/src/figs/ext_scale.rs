@@ -26,20 +26,25 @@
 //!   (delegation subsumes pruning for aggregation–core requests, so the
 //!   sweep isolates the pruning knob the paper's §3.1.2 tunes).
 //!
-//! The big runs report their median and p99 from the GK quantile sketch
+//! Every run — the four headline cases and one per prune depth — is one
+//! line of a single [`super::common::sweep`] at load `LOAD`, so the
+//! heavy headline runs share the `--jobs` pool, and a truncated or
+//! invariant-breaking run is a `WARNING:` note `run_all` exits 1 on. The
+//! big runs report their median and p99 from the GK quantile sketch
 //! ([`MetricsMode::Sketch`]), the path the scale refactor added.
+
+use std::sync::{Arc, Mutex, OnceLock};
 
 use netsim::node::Node;
 use netsim::prelude::*;
 use netsim::topology::NodeKind;
 use netsim::trace::HashTracer;
 use pase::tree::{Level, TreeInfo};
-use workloads::runner::backstop_warning;
 use workloads::{
-    collect_with, run_cases, MetricsMode, Pattern, RunMetrics, RunSpec, Scenario, Scheme, SizeDist,
-    TopologySpec,
+    collect_with, MetricsMode, Pattern, RunMetrics, Scenario, Scheme, SizeDist, TopologySpec,
 };
 
+use super::common::{lines_on, sweep, Line};
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
 
@@ -135,8 +140,22 @@ struct RunOut {
     /// Total requests answered locally by pruning / forwarded upward.
     pruned: u64,
     climbed: u64,
-    /// Trace digest, when a tracer was installed.
-    digest: Option<u64>,
+}
+
+impl RunOut {
+    /// Read a finished run: its per-tier load and utilisation, the
+    /// pruning tallies and, from the quantile sketch, its flow metrics.
+    fn read(m: RunMetrics, sim: Simulation) -> RunOut {
+        let tree = TreeInfo::from_topology(sim.topo());
+        RunOut {
+            metrics: collect_with(&sim, m.outcome, MetricsMode::Sketch),
+            tiers: TierLoad::measure(&sim, &tree),
+            util: TierUtil::measure(&sim, &tree),
+            sim_secs: sim.now().as_nanos() as f64 / 1e9,
+            pruned: sim.stats().arb_pruned_by_node().map(|(_, n)| n).sum(),
+            climbed: sim.stats().arb_climbed_by_node().map(|(_, n)| n).sum(),
+        }
+    }
 }
 
 /// The scale workload: all-to-all on the k-ary fat-tree, the paper's
@@ -153,41 +172,6 @@ fn scale_scenario(k: usize, n_flows: usize) -> Scenario {
         deadlines: None,
         n_background: 0,
         n_flows,
-    }
-}
-
-/// Run one case on the fat-tree, (optionally) traced; it must complete
-/// with its invariants intact.
-fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> RunOut {
-    let spec = RunSpec::new(scheme, *scenario, LOAD, seed);
-    let mut digest = None;
-    let (m, sim) = spec.run_with(|sim, _, _| {
-        if traced {
-            let tracer = HashTracer::new();
-            digest = Some(tracer.digest());
-            sim.set_tracer(Box::new(tracer));
-        }
-    });
-    let digest = digest.map(|h| *h.lock().unwrap());
-    if let Some(w) = backstop_warning(&spec, &m) {
-        panic!("{} scale run: {w}", scheme.name());
-    }
-    let tree = TreeInfo::from_topology(sim.topo());
-    let tiers = TierLoad::measure(&sim, &tree);
-    let util = TierUtil::measure(&sim, &tree);
-    let sim_secs = sim.now().as_nanos() as f64 / 1e9;
-    let pruned: u64 = sim.stats().arb_pruned_by_node().map(|(_, n)| n).sum();
-    let climbed: u64 = sim.stats().arb_climbed_by_node().map(|(_, n)| n).sum();
-    // The big runs report their percentiles from the quantile sketch.
-    let metrics = collect_with(&sim, m.outcome, MetricsMode::Sketch);
-    RunOut {
-        metrics,
-        tiers,
-        util,
-        sim_secs,
-        pruned,
-        climbed,
-        digest,
     }
 }
 
@@ -229,23 +213,54 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         depths.iter().map(|&d| d as f64).collect(),
     );
 
-    // Headline: PASE twice (dual-run trace discipline), DCTCP and
-    // pFabric once.
-    let pase = run_scale(Scheme::Pase, &headline, opts.seed, true);
-    let replay = run_scale(Scheme::Pase, &headline, opts.seed, true);
+    // Headline: PASE twice (dual-run trace discipline, a tracer on each),
+    // DCTCP and pFabric once; then the pruning-effectiveness sweep,
+    // delegation off and the depth varied. One sweep runs them all.
+    let mut lines = lines_on(
+        headline,
+        &[
+            ("PASE", Scheme::Pase),
+            ("PASE replay", Scheme::Pase),
+            ("DCTCP", Scheme::Dctcp),
+            ("pFabric", Scheme::PFabric),
+        ],
+    );
+    let sweep_scenario = scale_scenario(k, sweep_flows);
+    lines.extend(depths.iter().map(|&depth| Line {
+        label: format!("depth {depth}"),
+        scheme: pruning_scheme(&sweep_scenario.topo, depth),
+        scenario: sweep_scenario,
+    }));
+    let digests: [OnceLock<Arc<Mutex<u64>>>; 2] = Default::default();
+    let trace = |i: usize, sim: &mut Simulation, _: &[NodeId], _: &mut Vec<FlowSpec>| {
+        if let Some(slot) = digests.get(i) {
+            let tracer = HashTracer::new();
+            slot.set(tracer.digest()).expect("one run per traced line");
+            sim.set_tracer(Box::new(tracer));
+        }
+    };
+    let rows = sweep(&mut [&mut fig], &lines, &[LOAD], opts, trace, RunOut::read);
+    let [pase, replay] = digests.map(|d| {
+        let digest = d.into_inner().expect("a traced PASE run");
+        let value = *digest.lock().expect("no run panicked holding its tracer");
+        value
+    });
     assert_eq!(
-        pase.digest, replay.digest,
+        pase, replay,
         "PASE dual-run trace digests diverged at k={k}"
     );
-    let dctcp = run_scale(Scheme::Dctcp, &headline, opts.seed, false);
-    let pfabric = run_scale(Scheme::PFabric, &headline, opts.seed, false);
+    let runs: Vec<RunOut> = rows.into_iter().flatten().collect();
+    let (headline_runs, runs) = runs.split_at(4);
+    let [pase_run, _, dctcp, pfabric] = headline_runs else {
+        unreachable!("four headline lines");
+    };
+
     fig.note(format!(
         "headline fabric: k={k} fat-tree, {n_hosts} hosts, {headline_flows} flows at load \
          {LOAD}; invariants enabled; PASE executed twice with byte-identical trace digests \
-         ({:#018x})",
-        pase.digest.unwrap_or(0)
+         ({pase:#018x})"
     ));
-    for (name, out) in [("PASE", &pase), ("DCTCP", &dctcp), ("pFabric", &pfabric)] {
+    for (name, out) in [("PASE", pase_run), ("DCTCP", dctcp), ("pFabric", pfabric)] {
         fig.note(format!(
             "{name}: AFCT {:.3} ms, p99 {:.3} ms, {} flows completed (metrics via GK sketch); \
              link utilisation over the run: {}",
@@ -255,40 +270,27 @@ pub fn run(opts: &ExpOpts) -> FigResult {
             out.util.describe()
         ));
     }
+    let tiers = &pase_run.tiers;
     fig.note(format!(
         "PASE per-tier arbitration load (default config, delegation on): ToR {:.0} \
          msgs/s per arbitrator ({} arbs), agg {:.0} ({}), core {:.0} ({})",
-        pase.tiers.per_arb_per_sec(0, pase.sim_secs),
-        pase.tiers.arbs[0],
-        pase.tiers.per_arb_per_sec(1, pase.sim_secs),
-        pase.tiers.arbs[1],
-        pase.tiers.per_arb_per_sec(2, pase.sim_secs),
-        pase.tiers.arbs[2],
+        tiers.per_arb_per_sec(0, pase_run.sim_secs),
+        tiers.arbs[0],
+        tiers.per_arb_per_sec(1, pase_run.sim_secs),
+        tiers.arbs[1],
+        tiers.per_arb_per_sec(2, pase_run.sim_secs),
+        tiers.arbs[2],
     ));
 
-    // Pruning-effectiveness sweep: delegation off, depth varied.
-    let sweep = scale_scenario(k, sweep_flows);
-    let runs = run_cases(&depths, opts.jobs, |&depth| {
-        let out = run_scale(pruning_scheme(&sweep.topo, depth), &sweep, opts.seed, false);
-        (
-            out.pruned,
-            out.climbed,
-            out.tiers,
-            out.sim_secs,
-            out.metrics.afct_ms,
-        )
-    });
-    let frac = |pruned: u64, climbed: u64| {
+    let frac = |out: &RunOut| {
+        let (pruned, climbed) = (out.pruned, out.climbed);
         if pruned + climbed == 0 {
             0.0
         } else {
             100.0 * pruned as f64 / (pruned + climbed) as f64
         }
     };
-    fig.push_series(
-        "prune fraction (%)",
-        runs.iter().map(|&(p, c, ..)| frac(p, c)).collect(),
-    );
+    fig.push_series("prune fraction (%)", runs.iter().map(frac).collect());
     for (tier, name) in [
         (0, "ToR msgs/s per arb"),
         (1, "agg msgs/s per arb"),
@@ -297,16 +299,19 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         fig.push_series(
             name,
             runs.iter()
-                .map(|&(_, _, t, secs, _)| t.per_arb_per_sec(tier, secs))
+                .map(|out| out.tiers.per_arb_per_sec(tier, out.sim_secs))
                 .collect(),
         );
     }
-    for (&depth, &(pruned, climbed, _, _, afct)) in depths.iter().zip(&runs) {
+    for (depth, out) in depths.iter().zip(runs) {
         fig.note(format!(
-            "depth {depth}: {pruned} requests answered locally instead of climbing, \
-             {climbed} forwarded upward ({:.1}% pruned), AFCT {afct:.3} ms \
+            "depth {depth}: {} requests answered locally instead of climbing, \
+             {} forwarded upward ({:.1}% pruned), AFCT {:.3} ms \
              ({sweep_flows} flows, delegation off)",
-            frac(pruned, climbed)
+            out.pruned,
+            out.climbed,
+            frac(out),
+            out.metrics.afct_ms
         ));
     }
     fig.note(
@@ -322,11 +327,13 @@ pub fn run(opts: &ExpOpts) -> FigResult {
 
 #[cfg(test)]
 mod tests {
+    use super::super::common::hit_backstop;
     use super::*;
 
-    /// The acceptance bar at smoke scale: the dual-run digests match
-    /// (asserted inside `run`), pruning actually fires and weakens as
-    /// the depth grows, and every tier carries arbitration load.
+    /// The acceptance bar at smoke scale: every run completes with its
+    /// invariants intact, the dual-run digests match (asserted inside
+    /// `run`), pruning actually fires and weakens as the depth grows, and
+    /// every tier carries arbitration load.
     #[test]
     fn pruning_and_tier_load_behave_at_smoke_scale() {
         let opts = ExpOpts {
@@ -334,6 +341,7 @@ mod tests {
             ..ExpOpts::quick()
         };
         let fig = run(&opts);
+        assert!(!hit_backstop(&fig), "{:?}", fig.notes);
         let series = |name: &str| fig.ys(name);
         let prune = series("prune fraction (%)");
         assert!(

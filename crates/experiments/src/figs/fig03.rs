@@ -12,9 +12,8 @@
 use std::sync::Arc;
 
 use netsim::prelude::*;
-use pase::{install, pase_qdisc, PaseFactory};
 use pfabric::{PFabricFactory, PFabricQdisc};
-use workloads::{run_cases, Scheme};
+use workloads::{run_cases, Scheme, TopologySpec};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
@@ -24,42 +23,14 @@ const MB: u64 = 1_000_000;
 /// Flow sizes: flow 1 smallest (highest priority) ... flow 3 largest.
 const SIZES: [u64; 3] = [MB, 2 * MB, 3 * MB];
 
-fn toy_topology(
-    factory: Arc<dyn netsim::host::AgentFactory>,
-    qdisc: &netsim::topology::QdiscChooser<'_>,
-) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(4); // src1, src2, dst1, dst2
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    (Simulation::new(b.build(factory, qdisc)), hosts)
-}
-
+/// The three flows on the rack's hosts src1, src2, dst1, dst2.
 fn add_toy_flows(sim: &mut Simulation, hosts: &[NodeId]) {
     let (src1, src2, dst1, dst2) = (hosts[0], hosts[1], hosts[2], hosts[3]);
-    sim.add_flow(FlowSpec::new(
-        FlowId(0),
-        src1,
-        dst1,
-        SIZES[0],
-        SimTime::ZERO,
-    ));
-    sim.add_flow(FlowSpec::new(
-        FlowId(1),
-        src2,
-        dst1,
-        SIZES[1],
-        SimTime::ZERO,
-    ));
-    sim.add_flow(FlowSpec::new(
-        FlowId(2),
-        src2,
-        dst2,
-        SIZES[2],
-        SimTime::ZERO,
-    ));
+    let pairs = [(src1, dst1), (src2, dst1), (src2, dst2)];
+    for (i, (src, dst)) in pairs.into_iter().enumerate() {
+        let id = FlowId(i as u64);
+        sim.add_flow(FlowSpec::new(id, src, dst, SIZES[i], SimTime::ZERO));
+    }
 }
 
 fn fcts_ms(sim: &Simulation) -> Vec<f64> {
@@ -80,24 +51,20 @@ enum ToyFabric {
     Pase,
 }
 
-/// One toy case end to end: (per-flow FCTs ms, data packets dropped).
+/// One toy case end to end on a four-host rack: (per-flow FCTs ms, data
+/// packets dropped).
 fn run_toy(fabric: ToyFabric) -> (Vec<f64>, u64) {
+    let rack = TopologySpec::intra_rack(4);
     let (mut sim, hosts) = match fabric {
         ToyFabric::PFabric => {
-            // Table 3's defaults: a 38-packet window, a 1 ms RTO.
-            toy_topology(Arc::new(PFabricFactory::default()), &|_| {
+            // Table 3's defaults (a 38-packet window, a 1 ms RTO) on a
+            // 24-packet queue, which no `Scheme` carries.
+            let (net, hosts) = rack.build(Arc::new(PFabricFactory::default()), &|_| {
                 Box::new(PFabricQdisc::new(24))
-            })
-        }
-        ToyFabric::Pase => {
-            let cfg = Scheme::pase_config_for(&workloads::TopologySpec::intra_rack(4));
-            let built = toy_topology(Arc::new(PaseFactory::new(cfg)), &|_| {
-                Box::new(pase_qdisc(&cfg, 500, 20))
             });
-            let (mut sim, hosts) = built;
-            install(&mut sim, cfg);
-            (sim, hosts)
+            (Simulation::new(net), hosts)
         }
+        ToyFabric::Pase => Scheme::Pase.build_sim(&rack),
     };
     add_toy_flows(&mut sim, &hosts);
     sim.run(RunLimit::until_measured_done(SimTime::from_secs(60)));

@@ -1,4 +1,4 @@
-//! Result containers, table printing and JSON output.
+//! Result containers and their Markdown and JSON renderings.
 
 use std::io::Write;
 use std::path::Path;
@@ -67,39 +67,6 @@ impl FigResult {
             .ys
     }
 
-    /// Render as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} — {} ==\n", self.id, self.title));
-        out.push_str(&format!("{:>12}", self.x_label));
-        for s in &self.series {
-            out.push_str(&format!(" {:>14}", s.name));
-        }
-        out.push('\n');
-        for (i, x) in self.xs.iter().enumerate() {
-            out.push_str(&format!("{x:>12.2}"));
-            for s in &self.series {
-                let y = s.ys[i];
-                if y.is_nan() {
-                    out.push_str(&format!(" {:>14}", "-"));
-                } else {
-                    out.push_str(&format!(" {y:>14.4}"));
-                }
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("(y: {})\n", self.y_label));
-        for n in &self.notes {
-            out.push_str(&format!("note: {n}\n"));
-        }
-        out
-    }
-
-    /// Print the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.to_table());
-    }
-
     /// Write the result as JSON into `dir/<id>.json`.
     pub fn save_json(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
@@ -118,7 +85,7 @@ impl FigResult {
         out.push_str(&format!("  \"x_label\": {},\n", json_str(&self.x_label)));
         out.push_str(&format!("  \"y_label\": {},\n", json_str(&self.y_label)));
         out.push_str("  \"xs\": ");
-        out.push_str(&json_f64_array(&self.xs, 2));
+        out.push_str(&json_f64_array(&self.xs));
         out.push_str(",\n  \"series\": [");
         for (i, s) in self.series.iter().enumerate() {
             if i > 0 {
@@ -127,7 +94,7 @@ impl FigResult {
             out.push_str("\n    {\n");
             out.push_str(&format!("      \"name\": {},\n", json_str(&s.name)));
             out.push_str("      \"ys\": ");
-            out.push_str(&json_f64_array(&s.ys, 6));
+            out.push_str(&json_f64_array(&s.ys));
             out.push_str("\n    }");
         }
         out.push_str(if self.series.is_empty() {
@@ -219,7 +186,7 @@ fn json_f64(y: f64) -> String {
 }
 
 /// A flat float array on one line: `[1.0, 2.5, null]`.
-fn json_f64_array(ys: &[f64], _indent: usize) -> String {
+fn json_f64_array(ys: &[f64]) -> String {
     let body: Vec<String> = ys.iter().map(|&y| json_f64(y)).collect();
     format!("[{}]", body.join(", "))
 }
@@ -237,20 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn table_contains_all_cells() {
-        let t = sample().to_table();
-        assert!(t.contains("PASE"));
-        assert!(t.contains("DCTCP"));
-        assert!(t.contains("3.0000"));
-        assert!(t.contains("note: hello"));
-    }
-
-    #[test]
     fn markdown_has_header_separator() {
         let md = sample().to_markdown();
         assert!(md.contains("|---|---|---|"));
         assert!(md.contains("| 0.10 |"));
         assert!(md.contains(" - |"), "NaN renders as dash");
+        assert!(md.contains("| PASE | DCTCP |"));
+        assert!(md.contains("3.0000"));
+        assert!(md.contains("- hello"));
     }
 
     #[test]
@@ -277,6 +238,6 @@ mod tests {
         assert_eq!(json_f64(0.25), "0.25");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64_array(&[1.0, f64::NAN], 0), "[1.0, null]");
+        assert_eq!(json_f64_array(&[1.0, f64::NAN]), "[1.0, null]");
     }
 }

@@ -13,9 +13,9 @@
 //!    [`Plane::law`] renders them; DESIGN.md §7e tabulates where each
 //!    fate is charged.
 //! 2. **No stuck flow.** An incomplete flow must have *some* way to make
-//!    progress: a pending event referencing it (timer, delivery, start),
-//!    one of its packets still in the network, or a control-plane timer
-//!    pending at its endpoints. A flow with none of these will never
+//!    progress: a pending event referencing it (timer, delivery, start)
+//!    or one of its packets still in the network. A process timer names
+//!    no flow and is no evidence. A flow with none of these will never
 //!    finish — a lost-wakeup bug, not congestion. Flows that ended in
 //!    the terminal `Aborted` state count as complete — an endpoint
 //!    crash with a recorded abort reason is a legitimate terminal
@@ -205,17 +205,15 @@ impl InNetwork {
     }
 }
 
-/// Evidence that an incomplete flow can still make progress.
+/// Evidence that an incomplete flow can still make progress: the flows
+/// referenced by a pending event or an in-network packet.
 ///
 /// Built once per audit by scanning the pending event queue and the
 /// in-network packet population; the stuck-flow check then queries it per
 /// flow.
 #[derive(Debug, Default)]
 pub(crate) struct ProgressEvidence {
-    /// Flows referenced by a pending event or an in-network packet.
     flows: BTreeSet<FlowId>,
-    /// Nodes with a pending control-plane (process) timer.
-    plugin_timer_nodes: BTreeSet<NodeId>,
 }
 
 impl ProgressEvidence {
@@ -223,28 +221,22 @@ impl ProgressEvidence {
         self.flows.insert(flow);
     }
 
-    pub(crate) fn note_plugin_timer(&mut self, node: NodeId) {
-        self.plugin_timer_nodes.insert(node);
-    }
-
-    pub(crate) fn note_event(&mut self, target: NodeId, kind: &EventKind) {
+    pub(crate) fn note_event(&mut self, kind: &EventKind) {
         match kind {
             EventKind::Deliver(pkt) => self.note_flow(pkt.flow),
             EventKind::AgentTimer { flow, .. } => self.note_flow(*flow),
             EventKind::FlowStart(spec) => self.note_flow(spec.id),
-            EventKind::PluginTimer(_) => self.note_plugin_timer(target),
             // A pending TxComplete proves a port will drain, but the
             // packet it carries is already counted via the port walk;
-            // faults reference no flow.
-            EventKind::TxComplete(_) | EventKind::Fault(_) => {}
+            // a process timer (an arbitrator's report loop) and a fault
+            // reference no flow.
+            EventKind::TxComplete(_) | EventKind::PluginTimer(_) | EventKind::Fault(_) => {}
         }
     }
 
-    /// Can `flow` (between `src` and `dst`) still make progress?
-    pub(crate) fn can_progress(&self, flow: FlowId, src: NodeId, dst: NodeId) -> bool {
+    /// Can `flow` still make progress?
+    pub(crate) fn can_progress(&self, flow: FlowId) -> bool {
         self.flows.contains(&flow)
-            || self.plugin_timer_nodes.contains(&src)
-            || self.plugin_timer_nodes.contains(&dst)
     }
 }
 
@@ -396,11 +388,16 @@ mod tests {
     fn progress_evidence_covers_timers_and_packets() {
         let mut ev = ProgressEvidence::default();
         ev.note_flow(FlowId(1));
-        ev.note_plugin_timer(NodeId(9));
-        assert!(ev.can_progress(FlowId(1), NodeId(0), NodeId(2)));
-        // No direct reference, but a control timer pends at the source.
-        assert!(ev.can_progress(FlowId(2), NodeId(9), NodeId(3)));
-        assert!(!ev.can_progress(FlowId(2), NodeId(0), NodeId(3)));
+        ev.note_event(&EventKind::AgentTimer {
+            flow: FlowId(2),
+            token: 0,
+        });
+        assert!(ev.can_progress(FlowId(1)));
+        assert!(ev.can_progress(FlowId(2)));
+        // A process timer pending at a flow's endpoint is not evidence:
+        // it references no flow, so it cannot advance one.
+        ev.note_event(&EventKind::PluginTimer(0));
+        assert!(!ev.can_progress(FlowId(3)));
     }
 
     #[test]

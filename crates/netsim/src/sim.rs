@@ -279,8 +279,8 @@ impl Simulation {
             violations.extend(cfg.queue_violation(now, node, port.queue_len_pkts()));
         });
         let mut on_wire_total = 0u64;
-        for (_, target, kind) in self.sched.pending_events() {
-            evidence.note_event(target, kind);
+        for (_, _, kind) in self.sched.pending_events() {
+            evidence.note_event(kind);
             if let EventKind::Deliver(pkt) = kind {
                 on_wire_total += 1;
                 if let Some(plane) = Plane::of(pkt.kind) {
@@ -306,15 +306,13 @@ impl Simulation {
         }
 
         for rec in self.stats.flows() {
-            if rec.completed.is_none()
-                && !evidence.can_progress(rec.spec.id, rec.spec.src, rec.spec.dst)
-            {
+            if rec.completed.is_none() && !evidence.can_progress(rec.spec.id) {
                 violations.push(Violation {
                     at: now,
                     invariant: Invariant::StuckFlow,
                     detail: format!(
-                        "{} ({} -> {}) incomplete with no pending event, packet, \
-                         or control timer that could advance it",
+                        "{} ({} -> {}) incomplete with no pending event or packet \
+                         that could advance it",
                         rec.spec.id, rec.spec.src, rec.spec.dst
                     ),
                 });

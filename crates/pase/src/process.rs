@@ -82,19 +82,24 @@ pub struct ArbProcess {
     up: Option<LinkArbitrator>,
     /// Arbitrates the same link downward for receiver legs.
     down: Option<LinkArbitrator>,
-    /// ToR with delegation: virtual slice of `agg → core`.
-    deleg_up: Option<LinkArbitrator>,
-    /// ToR with delegation: virtual slice of `core → agg`.
-    deleg_down: Option<LinkArbitrator>,
-    /// ToR with a delegated slice: the agg it reports the slice's demand
-    /// to. Set exactly when `deleg_up` and `deleg_down` are.
-    deleg_parent: Option<NodeId>,
-    /// ToR with delegation: the report loop's timer. A restart re-arms it,
-    /// so a tick still pending from before the crash cannot double the
-    /// reporting rate.
-    deleg: Timer,
+    /// ToR with delegation: its slice of the parent's uplink.
+    deleg: Option<Slice>,
     /// Agg with delegation: its children's last reported demands.
     child_demands: HashMap<NodeId, (Rate, Rate), IdHashBuilder>,
+}
+
+/// A delegating ToR's slice of its parent agg's virtual uplink, in both
+/// directions, and the loop that reports the slice's demand upward.
+struct Slice {
+    /// The agg the slice's demand is reported to.
+    parent: NodeId,
+    /// Virtual slice of `agg → core`.
+    up: LinkArbitrator,
+    /// Virtual slice of `core → agg`.
+    down: LinkArbitrator,
+    /// The report loop's timer. A restart re-arms it, so a tick still
+    /// pending from before the crash cannot double the reporting rate.
+    report: Timer,
 }
 
 impl ArbProcess {
@@ -105,15 +110,19 @@ impl ArbProcess {
         // A ToR under an agg that itself has core uplinks gets delegated
         // slices of the agg's virtual uplink: an equal share per child to
         // start.
-        let delegated = (cfg.delegation && tree.is_tor(me))
+        let deleg = (cfg.delegation && tree.is_tor(me))
             .then(|| tree.parent(me))
             .flatten()
-            .and_then(|agg| {
-                let share = 1.0 / tree.children(agg).len().max(1) as f64;
-                let rate = tree.uplink_rate(agg)?;
-                Some((agg, rate.mul_f64(share)))
+            .and_then(|parent| {
+                let share = 1.0 / tree.children(parent).len().max(1) as f64;
+                let rate = tree.uplink_rate(parent)?.mul_f64(share);
+                Some(Slice {
+                    parent,
+                    up: LinkArbitrator::new(rate, &cfg),
+                    down: LinkArbitrator::new(rate, &cfg),
+                    report: Timer::new(slot::DELEGATION),
+                })
             });
-        let slice = delegated.map(|(_, rate)| rate);
         let arbitrate = |rate: Option<Rate>| rate.map(|r| LinkArbitrator::new(r, &cfg));
         ArbProcess {
             cfg,
@@ -123,10 +132,7 @@ impl ArbProcess {
             inbox: InboxBudget::new(&cfg),
             up: arbitrate(link),
             down: arbitrate(link),
-            deleg_up: arbitrate(slice),
-            deleg_down: arbitrate(slice),
-            deleg_parent: delegated.map(|(agg, _)| agg),
-            deleg: Timer::new(slot::DELEGATION),
+            deleg,
             child_demands: HashMap::default(),
         }
     }
@@ -141,28 +147,26 @@ impl ArbProcess {
     /// every other process, which runs no timer. At install and on every
     /// restart; arming stales any tick still pending.
     pub(crate) fn arm_report(&mut self) -> Option<(SimDuration, u64)> {
-        self.deleg_parent.map(|_| (DELEG_PERIOD, self.deleg.arm()))
+        let slice = self.deleg.as_mut()?;
+        Some((DELEG_PERIOD, slice.report.arm()))
     }
 
     /// The arbitrators this process runs on `leg`: its own link's, then
     /// the delegated slice's (tests, inspection).
     pub fn leg_arbitrators(&self, leg: Leg) -> [Option<&LinkArbitrator>; 2] {
         match leg {
-            Leg::Sender => [self.up.as_ref(), self.deleg_up.as_ref()],
-            Leg::Receiver => [self.down.as_ref(), self.deleg_down.as_ref()],
+            Leg::Sender => [self.up.as_ref(), self.deleg.as_ref().map(|s| &s.up)],
+            Leg::Receiver => [self.down.as_ref(), self.deleg.as_ref().map(|s| &s.down)],
         }
     }
 
     /// Every arbitrator this process owns.
     fn arbitrators_mut(&mut self) -> impl Iterator<Item = &mut LinkArbitrator> {
-        [
-            self.up.as_mut(),
-            self.down.as_mut(),
-            self.deleg_up.as_mut(),
-            self.deleg_down.as_mut(),
-        ]
-        .into_iter()
-        .flatten()
+        let slice = self.deleg.iter_mut().flat_map(|s| [&mut s.up, &mut s.down]);
+        [self.up.as_mut(), self.down.as_mut()]
+            .into_iter()
+            .flatten()
+            .chain(slice)
     }
 
     /// The control-plane plan for a flow sourced at this host.
@@ -227,8 +231,8 @@ impl ArbProcess {
     ) -> ([Option<&mut LinkArbitrator>; 2], Option<NodeId>) {
         let next = self.next_hop(src, dst);
         let (own, slice) = match leg {
-            Leg::Sender => (self.up.as_mut(), self.deleg_up.as_mut()),
-            Leg::Receiver => (self.down.as_mut(), self.deleg_down.as_mut()),
+            Leg::Sender => (self.up.as_mut(), self.deleg.as_mut().map(|s| &mut s.up)),
+            Leg::Receiver => (self.down.as_mut(), self.deleg.as_mut().map(|s| &mut s.down)),
         };
         match (next, slice) {
             (Some(_), Some(slice)) => ([own, Some(slice)], None),
@@ -427,25 +431,19 @@ impl Process for ArbProcess {
                 up_capacity,
                 down_capacity,
             } => {
-                if let Some(a) = self.deleg_up.as_mut() {
-                    a.set_capacity(up_capacity);
-                }
-                if let Some(a) = self.deleg_down.as_mut() {
-                    a.set_capacity(down_capacity);
+                if let Some(slice) = self.deleg.as_mut() {
+                    slice.up.set_capacity(up_capacity);
+                    slice.down.set_capacity(down_capacity);
                 }
             }
         }
     }
 
     fn on_timer(&mut self, token: u64, io: &mut ProcIo<'_, '_>) {
-        if self.crashed || !self.deleg.is_current(token) {
+        if self.crashed {
             return;
         }
-        let (Some(parent), Some(up), Some(down)) = (
-            self.deleg_parent,
-            self.deleg_up.as_mut(),
-            self.deleg_down.as_mut(),
-        ) else {
+        let Some(slice) = self.deleg.as_mut().filter(|s| s.report.is_current(token)) else {
             return;
         };
         // Report demand on the delegated slices so the parent can
@@ -457,11 +455,11 @@ impl Process for ArbProcess {
             arb.top_queue_demand()
         };
         let update = ArbMsg::DelegUpdate {
-            up_demand: demand(up),
-            down_demand: demand(down),
+            up_demand: demand(&mut slice.up),
+            down_demand: demand(&mut slice.down),
         };
-        io.send(update.packet(NO_FLOW, self.me, parent));
-        io.set_timer(DELEG_PERIOD, self.deleg.arm());
+        io.send(update.packet(NO_FLOW, self.me, slice.parent));
+        io.set_timer(DELEG_PERIOD, slice.report.arm());
     }
 
     fn on_fault(&mut self, fault: FaultEvent, io: &mut ProcIo<'_, '_>) {

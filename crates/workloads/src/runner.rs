@@ -98,9 +98,9 @@ impl RunSpec {
 /// The warning line for a run whose numbers cannot be trusted — its
 /// backstop truncated the FCT population, or it broke an invariant — or
 /// `None` for a clean run. Every caller of [`RunSpec::run_with`] acts on
-/// this one line: sweeps note it per affected case instead of silently
-/// averaging the run, the scale harnesses assert on it, chaos counts it
-/// as a violation and `pase-sim` exits non-zero on it.
+/// this one line: figure sweeps note it per affected case instead of
+/// silently averaging the run, `scale_smoke` asserts on it, chaos counts
+/// it as a violation and `pase-sim` exits non-zero on it.
 pub fn backstop_warning(spec: &RunSpec, m: &RunMetrics) -> Option<String> {
     let truncated = (m.outcome != RunOutcome::MeasuredComplete).then(|| {
         format!(

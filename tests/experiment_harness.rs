@@ -90,15 +90,8 @@ fn all_figures_produce_well_formed_results() {
             fig.notes
         );
         // Rendering must not panic and must contain the series names.
-        let table = fig.to_table();
         let md = fig.to_markdown();
         for s in &fig.series {
-            assert!(
-                table.contains(&s.name),
-                "{}: table missing {}",
-                fig.id,
-                s.name
-            );
             assert!(
                 md.contains(&s.name),
                 "{}: markdown missing {}",
