@@ -9,10 +9,8 @@
 //! link with flow 1, gets stalled. PASE's arbitration assigns flow 2 a
 //! low queue end-to-end, letting flow 3 run in parallel with flow 1.
 
-use std::sync::Arc;
-
 use netsim::prelude::*;
-use pfabric::{PFabricFactory, PFabricQdisc};
+use pfabric::{PFabricConfig, PFabricQdisc};
 use workloads::{run_cases, Scheme, TopologySpec};
 
 use crate::opts::ExpOpts;
@@ -59,7 +57,7 @@ fn run_toy(fabric: ToyFabric) -> (Vec<f64>, u64) {
         ToyFabric::PFabric => {
             // Table 3's defaults (a 38-packet window, a 1 ms RTO) on a
             // 24-packet queue, which no `Scheme` carries.
-            let (net, hosts) = rack.build(Arc::new(PFabricFactory::default()), &|_| {
+            let (net, hosts) = rack.build(pfabric::agents(PFabricConfig::default()), &|_| {
                 Box::new(PFabricQdisc::new(24))
             });
             (Simulation::new(net), hosts)

@@ -434,9 +434,8 @@ mod tests {
     use super::*;
     use crate::queue::DropTailQdisc;
     use crate::time::Rate;
-    use crate::topology::tests::NullFactory;
+    use crate::topology::tests::null_agents;
     use crate::topology::TopologyBuilder;
-    use std::sync::Arc;
 
     /// 2 spines, 2 leaves, 2 hosts per leaf — smallest multi-path fabric.
     fn leaf_spine() -> Topology {
@@ -451,7 +450,7 @@ mod tests {
                 b.connect(h, leaf, Rate::from_gbps(10), SimDuration::from_micros(1));
             }
         }
-        b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)))
+        b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)))
             .topo
     }
 

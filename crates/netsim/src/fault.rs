@@ -474,9 +474,8 @@ mod tests {
     use super::*;
     use crate::queue::DropTailQdisc;
     use crate::time::{Rate, SimDuration};
-    use crate::topology::tests::NullFactory;
+    use crate::topology::tests::null_agents;
     use crate::topology::TopologyBuilder;
-    use std::sync::Arc;
 
     /// s0 — s1, with hosts h2 and h3 hanging off s1.
     fn tiny_topo() -> Topology {
@@ -487,7 +486,7 @@ mod tests {
         for h in b.add_hosts(2) {
             b.connect(h, s1, Rate::from_gbps(10), SimDuration::from_micros(1));
         }
-        b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)))
+        b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)))
             .topo
     }
 

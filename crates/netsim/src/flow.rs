@@ -2,11 +2,11 @@
 //!
 //! A [`FlowSpec`] describes one transfer (who, how much, when, with what
 //! deadline). Protocol crates implement [`crate::host::FlowAgent`] for their
-//! sender and receiver endpoint state machines and expose an
-//! [`crate::host::AgentFactory`] that the
-//! workload layer installs on every host; the host instantiates a sender
-//! agent when a flow starts and a receiver agent when the first packet of
-//! an unknown flow arrives.
+//! sender and receiver endpoint state machines and pair their two
+//! constructors in one [`crate::host::AgentFactory`] value that the
+//! topology hands every host; the host instantiates a sender agent when a
+//! flow starts and a receiver agent when the first packet of an unknown
+//! flow arrives.
 
 use crate::ids::{FlowId, NodeId};
 use crate::time::{SimDuration, SimTime};

@@ -2,7 +2,8 @@
 //!
 //! A [`Host`] owns one access port and a set of per-flow endpoint agents.
 //! Protocol crates implement [`FlowAgent`] (the sender/receiver state
-//! machines) and [`AgentFactory`] (how to build them); hosts instantiate a
+//! machines) and pair their two constructors in one [`AgentFactory`]
+//! value (`transport::agents`, `pase::agents`, ...); hosts instantiate a
 //! sender agent when a [`crate::event::EventKind::FlowStart`] fires and a
 //! receiver agent lazily when the first packet of an unknown flow arrives.
 //!
@@ -65,13 +66,41 @@ pub trait FlowAgent: Send {
     }
 }
 
-/// Builds the endpoint agents for one transport scheme.
-pub trait AgentFactory: Send + Sync {
-    /// Create the sender-side agent for a flow originating at this host.
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent>;
-    /// Create the receiver-side agent when the first packet of an unknown
-    /// flow arrives.
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent>;
+/// Builds a flow's sender agent from its spec.
+pub type SenderFn = Box<dyn Fn(&FlowSpec) -> Box<dyn FlowAgent> + Send + Sync>;
+
+/// Builds a flow's receiver agent from the first packet's hint.
+pub type ReceiverFn = Box<dyn Fn(ReceiverHint) -> Box<dyn FlowAgent> + Send + Sync>;
+
+/// One transport scheme's endpoints: how every host builds a flow's
+/// sender and its receiver.
+pub struct AgentFactory {
+    sender: SenderFn,
+    receiver: ReceiverFn,
+}
+
+impl AgentFactory {
+    /// The scheme whose senders `sender` builds from a flow's spec and
+    /// whose receivers `receiver` builds from the first packet's hint.
+    pub fn new<S: FlowAgent + 'static, R: FlowAgent + 'static>(
+        sender: impl Fn(&FlowSpec) -> S + Send + Sync + 'static,
+        receiver: impl Fn(ReceiverHint) -> R + Send + Sync + 'static,
+    ) -> AgentFactory {
+        AgentFactory {
+            sender: Box::new(move |spec| Box::new(sender(spec))),
+            receiver: Box::new(move |hint| Box::new(receiver(hint))),
+        }
+    }
+
+    /// The sender-side agent for a flow originating at this host.
+    pub fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
+        (self.sender)(spec)
+    }
+
+    /// The receiver-side agent for the first packet of an unknown flow.
+    pub fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
+        (self.receiver)(hint)
+    }
 }
 
 /// Everything on a host except the agents and the process — what an
@@ -105,7 +134,7 @@ impl HostCore {
 /// An end host: one access port, per-flow agents, optional process.
 pub struct Host {
     core: HostCore,
-    factory: Arc<dyn AgentFactory>,
+    factory: Arc<AgentFactory>,
     pub(crate) process: Option<Box<dyn Process>>,
     /// Live agents, keyed by flow. The deterministic [`IdHashBuilder`]
     /// keeps the per-packet lookup off SipHash; every iteration over this
@@ -204,7 +233,7 @@ impl<'a, 'b> AgentCtx<'a, 'b> {
 impl Host {
     /// Create a host with the given access port and agent factory (and
     /// no process: see [`crate::node::Node::set_process`]).
-    pub fn new(id: NodeId, port: Port, factory: Arc<dyn AgentFactory>) -> Host {
+    pub fn new(id: NodeId, port: Port, factory: Arc<AgentFactory>) -> Host {
         Host {
             core: HostCore {
                 id,

@@ -22,15 +22,6 @@ pub struct PortId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
-/// Identifies a unidirectional link `(node, port)` — the transmit side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LinkId {
-    /// The transmitting node.
-    pub node: NodeId,
-    /// The output port on that node.
-    pub port: PortId,
-}
-
 impl NodeId {
     /// The underlying dense index.
     pub fn index(self) -> usize {
@@ -122,12 +113,6 @@ impl fmt::Display for FlowId {
     }
 }
 
-impl fmt::Display for LinkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.node, self.port)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,16 +122,7 @@ mod tests {
         assert!(NodeId(1) < NodeId(2));
         assert!(FlowId(10) > FlowId(9));
         assert_eq!(format!("{}", NodeId(3)), "n3");
-        assert_eq!(
-            format!(
-                "{}",
-                LinkId {
-                    node: NodeId(3),
-                    port: PortId(1)
-                }
-            ),
-            "n3:p1"
-        );
+        assert_eq!(format!("{}", PortId(1)), "p1");
     }
 
     #[test]

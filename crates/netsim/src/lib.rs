@@ -33,7 +33,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use std::sync::Arc;
+//! use netsim::host::AgentFactory;
 //! use netsim::prelude::*;
 //!
 //! // Two hosts behind one switch.
@@ -43,19 +43,19 @@
 //! for &h in &hosts {
 //!     b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
 //! }
-//! # struct F;
-//! # struct A;
-//! # use netsim::host::{AgentCtx, FlowAgent, AgentFactory};
-//! # use netsim::flow::ReceiverHint;
-//! # impl FlowAgent for A {
+//! # struct Sender;
+//! # struct Receiver;
+//! # use netsim::host::{AgentCtx, FlowAgent};
+//! # impl FlowAgent for Sender {
 //! #     fn on_packet(&mut self, _: netsim::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
 //! # }
-//! # impl AgentFactory for F {
-//! #     fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> { Box::new(A) }
-//! #     fn receiver(&self, _: ReceiverHint) -> Box<dyn FlowAgent> { Box::new(A) }
+//! # impl FlowAgent for Receiver {
+//! #     fn on_packet(&mut self, _: netsim::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
 //! # }
-//! # let my_factory = Arc::new(F);
-//! let net = b.build(my_factory, &|_port| Box::new(DropTailQdisc::new(100)));
+//! // A scheme's endpoints: its sender and receiver constructors, paired
+//! // (a protocol crate hands out its own, e.g. `pase::agents(cfg)`).
+//! let agents = AgentFactory::new(|_: &FlowSpec| Sender, |_hint| Receiver);
+//! let net = b.build(agents, &|_port| Box::new(DropTailQdisc::new(100)));
 //! let mut sim = Simulation::new(net);
 //! sim.add_flow(FlowSpec::new(FlowId(0), hosts[0], hosts[1], 100_000, SimTime::ZERO));
 //! sim.run(RunLimit::until_measured_done(SimTime::from_secs(10)));
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::engine::{EngineKind, Scheduler};
     pub use crate::fault::{DegradeProfile, FaultEvent, FaultPlan};
     pub use crate::flow::FlowSpec;
-    pub use crate::ids::{FlowId, LinkId, NodeId, PortId};
+    pub use crate::ids::{FlowId, NodeId, PortId};
     pub use crate::invariants::{InvariantConfig, InvariantReport};
     pub use crate::packet::{ArenaStats, Packet, PacketArena, PacketKind};
     pub use crate::queue::{DropTailQdisc, Qdisc, RedEcnQdisc, StrictPrioQdisc};

@@ -29,8 +29,6 @@ use crate::trace::{AbortReason, TraceEvent, TraceSink};
 pub struct FlowRecord {
     /// The flow's specification.
     pub spec: FlowSpec,
-    /// When the sender agent was instantiated.
-    pub started: SimTime,
     /// When the sender observed the final acknowledgment, if completed.
     pub completed: Option<SimTime>,
     /// Whether the flow was aborted (e.g. PDQ early termination) rather
@@ -342,7 +340,6 @@ impl StatsCollector {
             spec.id,
             FlowRecord {
                 spec: spec.clone(),
-                started: spec.start,
                 completed: None,
                 aborted: false,
                 abort_reason: None,

@@ -211,47 +211,49 @@ fn route_live(
             _ => Some(entry[mix64(flow.0 ^ salt) as usize % entry.len()]),
         };
     }
-    if health_aware {
-        let eligible = |p: &&PortId| ports[p.index()].is_up() && ports[p.index()].is_healthy();
-        let healthy = entry.iter().filter(eligible).count();
-        if healthy > 0 {
-            let k = mix64(flow.0 ^ salt) as usize % healthy;
-            return entry.iter().filter(eligible).nth(k).copied();
-        }
-    }
-    let live = entry.iter().filter(|p| ports[p.index()].is_up()).count();
-    if live == 0 {
+    let (eligible, n) = eligibility(entry, ports, health_aware);
+    if n == 0 {
         return None;
     }
-    let k = mix64(flow.0 ^ salt) as usize % live;
+    let k = mix64(flow.0 ^ salt) as usize % n;
     entry
         .iter()
-        .filter(|p| ports[p.index()].is_up())
+        .filter(|p| eligible(&ports[p.index()]))
         .nth(k)
         .copied()
 }
 
-/// The capacity [`route_live`] spreads flows over when `entry` is their
-/// equal-cost set: the summed rate of the ports it picks among — the live
-/// ones, narrowed to the healthy ones under health-aware routing while any
-/// is healthy — or zero when no port of `entry` is up.
-pub(crate) fn live_rate(entry: &[PortId], ports: &[Port], health_aware: bool) -> Rate {
-    let sum = |eligible: fn(&Port) -> bool| {
-        let eligible_ports = entry
-            .iter()
-            .map(|p| &ports[p.index()])
-            .filter(|p| eligible(p));
-        eligible_ports.fold(Rate::ZERO, |sum, p| sum + p.rate)
+/// The one ECMP eligibility rule, which [`route_live`] hashes over and
+/// [`live_rate`] sums: the ports of `entry` that are up, narrowed to the
+/// healthy ones under health-aware routing while any is healthy. Returns
+/// the rule and how many ports of `entry` pass it.
+fn eligibility(
+    entry: &[PortId],
+    ports: &[Port],
+    health_aware: bool,
+) -> (impl Fn(&Port) -> bool, usize) {
+    let rule = |healthy_only: bool| move |p: &Port| p.is_up() && (p.is_healthy() || !healthy_only);
+    let count = |healthy_only| {
+        let eligible = rule(healthy_only);
+        entry.iter().filter(|p| eligible(&ports[p.index()])).count()
     };
-    let healthy = match health_aware {
-        true => sum(|p| p.is_up() && p.is_healthy()),
-        false => Rate::ZERO,
-    };
-    if healthy.is_zero() {
-        sum(Port::is_up)
-    } else {
-        healthy
+    let healthy = if health_aware { count(true) } else { 0 };
+    match healthy {
+        0 => (rule(false), count(false)),
+        n => (rule(true), n),
     }
+}
+
+/// The capacity [`route_live`] spreads flows over when `entry` is their
+/// equal-cost set: the summed rate of the ports it picks among, or zero
+/// when no port of `entry` is up.
+pub(crate) fn live_rate(entry: &[PortId], ports: &[Port], health_aware: bool) -> Rate {
+    let (eligible, _) = eligibility(entry, ports, health_aware);
+    let eligible_ports = entry
+        .iter()
+        .map(|p| &ports[p.index()])
+        .filter(|p| eligible(p));
+    eligible_ports.fold(Rate::ZERO, |sum, p| sum + p.rate)
 }
 
 /// A store-and-forward switch.
@@ -442,9 +444,8 @@ mod tests {
     use crate::sim::{RunLimit, Simulation};
     use crate::stats::StatsCollector;
     use crate::time::{Rate, SimDuration};
-    use crate::topology::tests::NullFactory;
+    use crate::topology::tests::null_agents;
     use crate::topology::TopologyBuilder;
-    use std::sync::Arc;
 
     /// A switch with two equal-cost ports (to n1 and n2) toward dst n5.
     fn two_way_switch() -> Switch {
@@ -487,7 +488,7 @@ mod tests {
         link(hosts[0], pair);
         link(hosts[1], far);
         link(hosts[2], mids[2]);
-        let net = b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)));
+        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
         Simulation::new(net)
     }
 
@@ -633,26 +634,28 @@ mod tests {
         );
     }
 
-    /// What `route_live` computed before the switch kept `all_ports_up`:
-    /// count the eligible ports of the entry, hash, take the `nth`.
-    fn route_by_filter(sw: &Switch, dst: NodeId, flow: FlowId) -> Option<PortId> {
+    /// The ports of `dst`'s entry that ECMP picks among, filtered afresh:
+    /// the healthy ones under health-aware routing while any is, else the
+    /// live ones.
+    fn eligible_by_filter(sw: &Switch, dst: NodeId) -> Vec<PortId> {
         let entry = sw.fib.entry(dst);
-        let pick = |eligible: &dyn Fn(&Port) -> bool| {
-            let live = || entry.iter().filter(|p| eligible(&sw.ports[p.index()]));
-            let n = live().count();
-            (n > 0).then(|| {
-                *live()
-                    .nth(mix64(flow.0 ^ sw.ecmp_salt) as usize % n)
-                    .unwrap()
-            })
+        let pick = |eligible: &dyn Fn(&Port) -> bool| -> Vec<PortId> {
+            let ports = entry.iter().filter(|p| eligible(&sw.ports[p.index()]));
+            ports.copied().collect()
         };
-        let healthy = |p: &Port| p.is_up() && p.is_healthy();
-        (if sw.health_aware {
-            pick(&healthy)
-        } else {
-            None
-        })
-        .or_else(|| pick(&Port::is_up))
+        let healthy = pick(&|p: &Port| p.is_up() && p.is_healthy());
+        match sw.health_aware && !healthy.is_empty() {
+            true => healthy,
+            false => pick(&Port::is_up),
+        }
+    }
+
+    /// What `route_live` computed before the switch kept `all_ports_up`:
+    /// hash over the eligible ports of the entry, take the `nth`.
+    fn route_by_filter(sw: &Switch, dst: NodeId, flow: FlowId) -> Option<PortId> {
+        let eligible = eligible_by_filter(sw, dst);
+        let k = mix64(flow.0 ^ sw.ecmp_salt) as usize;
+        (!eligible.is_empty()).then(|| eligible[k % eligible.len()])
     }
 
     #[test]
@@ -697,6 +700,14 @@ mod tests {
                 let (dst, flow) = (dsts[(i % 4) as usize], FlowId(i * 7919));
                 let want = route_by_filter(sw, dst, flow);
                 assert_eq!(sw.route(dst, flow), want, "step {step} {dst} {flow:?}");
+            }
+            // The capacity PASE sizes a virtual uplink by is the capacity
+            // ECMP spreads flows over.
+            for dst in dsts {
+                let eligible = eligible_by_filter(sw, dst).into_iter();
+                let want = eligible.fold(Rate::ZERO, |sum, p| sum + sw.ports[p.index()].rate);
+                let got = live_rate(sw.fib.entry(dst), &sw.ports, sw.health_aware);
+                assert_eq!(got, want, "step {step} {dst}");
             }
         }
         assert_eq!(

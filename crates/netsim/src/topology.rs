@@ -95,7 +95,8 @@ impl TopologyBuilder {
     ///
     /// `factory` builds each host's flow agents; `qdisc_for` chooses a
     /// queue discipline per output port.
-    pub fn build(&self, factory: Arc<dyn AgentFactory>, qdisc_for: &QdiscChooser<'_>) -> Network {
+    pub fn build(&self, factory: AgentFactory, qdisc_for: &QdiscChooser<'_>) -> Network {
+        let factory = Arc::new(factory);
         let n = self.kinds.len();
         assert!(n > 0, "empty topology");
         for (i, kind) in self.kinds.iter().enumerate() {
@@ -410,24 +411,18 @@ pub struct Network {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::flow::{FlowSpec, ReceiverHint};
+    use crate::flow::FlowSpec;
     use crate::host::{AgentCtx, FlowAgent};
     use crate::queue::DropTailQdisc;
 
-    /// A do-nothing agent factory for the crate's topology-building
-    /// tests.
-    pub(crate) struct NullFactory;
     struct NullAgent;
     impl FlowAgent for NullAgent {
         fn on_packet(&mut self, _: crate::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
     }
-    impl AgentFactory for NullFactory {
-        fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-        fn receiver(&self, _: ReceiverHint) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
+
+    /// Do-nothing endpoints for the crate's topology-building tests.
+    pub(crate) fn null_agents() -> AgentFactory {
+        AgentFactory::new(|_: &FlowSpec| NullAgent, |_| NullAgent)
     }
 
     fn star(n_hosts: usize) -> (TopologyBuilder, Vec<NodeId>, NodeId) {
@@ -441,7 +436,7 @@ pub(crate) mod tests {
     }
 
     fn build(b: &TopologyBuilder) -> Network {
-        b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)))
+        b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)))
     }
 
     #[test]

@@ -58,25 +58,19 @@ impl FlowAgent for Echoer {
     }
 }
 
-struct TestFactory {
-    acks: Arc<AtomicU64>,
-    wakeups: Arc<AtomicU64>,
-}
-
-impl AgentFactory for TestFactory {
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(OneShotSender {
+/// One-shot senders counting into `acks` and `wakeups`, echoing receivers.
+fn one_shot_agents(acks: Arc<AtomicU64>, wakeups: Arc<AtomicU64>) -> AgentFactory {
+    AgentFactory::new(
+        move |spec: &FlowSpec| OneShotSender {
             spec: spec.clone(),
-            acks: Arc::clone(&self.acks),
-            wakeups: Arc::clone(&self.wakeups),
-        })
-    }
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(Echoer { hint })
-    }
+            acks: Arc::clone(&acks),
+            wakeups: Arc::clone(&wakeups),
+        },
+        |hint| Echoer { hint },
+    )
 }
 
-fn two_hosts(factory: Arc<dyn AgentFactory>) -> (Simulation, Vec<NodeId>, NodeId) {
+fn two_hosts(factory: AgentFactory) -> (Simulation, Vec<NodeId>, NodeId) {
     let mut b = TopologyBuilder::new();
     let sw = b.add_switch();
     let hosts = b.add_hosts(2);
@@ -95,10 +89,7 @@ fn two_hosts(factory: Arc<dyn AgentFactory>) -> (Simulation, Vec<NodeId>, NodeId
 /// the last event it fired; with nothing left it reports `Drained`.
 #[test]
 fn run_tells_a_time_limit_from_a_drained_queue() {
-    let (mut sim, hosts, _) = two_hosts(Arc::new(TestFactory {
-        acks: Arc::default(),
-        wakeups: Arc::default(),
-    }));
+    let (mut sim, hosts, _) = two_hosts(one_shot_agents(Arc::default(), Arc::default()));
     // Timers of a flow the host never started: handled as stale.
     for (us, token) in [(10, 0), (20, 1)] {
         let kind = EventKind::AgentTimer {
@@ -128,10 +119,7 @@ fn run_tells_a_time_limit_from_a_drained_queue() {
 fn sender_completes_and_is_garbage_collected_stale_timer_ignored() {
     let acks = Arc::new(AtomicU64::new(0));
     let wakeups = Arc::new(AtomicU64::new(0));
-    let (mut sim, hosts, _) = two_hosts(Arc::new(TestFactory {
-        acks: Arc::clone(&acks),
-        wakeups: Arc::clone(&wakeups),
-    }));
+    let (mut sim, hosts, _) = two_hosts(one_shot_agents(Arc::clone(&acks), Arc::clone(&wakeups)));
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -222,10 +210,7 @@ fn recorder(sim: &mut Simulation, node: NodeId) -> &mut Recorder {
 fn ctrl_packets_route_to_service_and_wake_agents() {
     let acks = Arc::new(AtomicU64::new(0));
     let wakeups = Arc::new(AtomicU64::new(0));
-    let (mut sim, hosts, _) = two_hosts(Arc::new(TestFactory {
-        acks: Arc::clone(&acks),
-        wakeups: Arc::clone(&wakeups),
-    }));
+    let (mut sim, hosts, _) = two_hosts(one_shot_agents(Arc::clone(&acks), Arc::clone(&wakeups)));
     sim.node_mut(hosts[0]).set_process(Box::new(Recorder {
         wake: true,
         ..Recorder::default()
@@ -313,20 +298,17 @@ impl FlowAgent for RetrySender {
     }
 }
 
-struct RetryFactory;
-
-impl AgentFactory for RetryFactory {
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(RetrySender { spec: spec.clone() })
-    }
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(Echoer { hint })
-    }
+/// Retrying senders, echoing receivers.
+fn retry_agents() -> AgentFactory {
+    AgentFactory::new(
+        |spec: &FlowSpec| RetrySender { spec: spec.clone() },
+        |hint| Echoer { hint },
+    )
 }
 
 #[test]
 fn link_outage_drops_offered_packets_and_recovery_completes_the_flow() {
-    let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
+    let (mut sim, hosts, sw) = two_hosts(retry_agents());
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -359,7 +341,7 @@ fn link_outage_drops_offered_packets_and_recovery_completes_the_flow() {
 
 #[test]
 fn ctrl_loss_burst_kills_exactly_the_burst_window() {
-    let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
+    let (mut sim, hosts, sw) = two_hosts(retry_agents());
     sim.node_mut(hosts[1])
         .set_process(Box::new(Recorder::default()));
     // Arm a 2-packet ctrl burst on the switch's port toward host 1, then
@@ -390,7 +372,7 @@ fn ctrl_loss_burst_kills_exactly_the_burst_window() {
 fn plugin_sees_transit_packets_and_runs_timers() {
     let acks = Arc::new(AtomicU64::new(0));
     let wakeups = Arc::new(AtomicU64::new(0));
-    let (mut sim, hosts, sw) = two_hosts(Arc::new(TestFactory { acks, wakeups }));
+    let (mut sim, hosts, sw) = two_hosts(one_shot_agents(acks, wakeups));
     sim.node_mut(sw).set_process(Box::new(Recorder {
         ticks: 3,
         ..Recorder::default()
@@ -438,7 +420,7 @@ fn plugin_sees_transit_packets_and_runs_timers() {
 /// restart once each, however often they are injected.
 #[test]
 fn one_process_type_runs_on_hosts_and_switches() {
-    let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
+    let (mut sim, hosts, sw) = two_hosts(retry_agents());
     let (h0, h1) = (hosts[0], hosts[1]);
     let us = SimTime::from_micros;
     let node_faults = |node| {

@@ -4,8 +4,6 @@
 //! crashed host move to the terminal Aborted state, and a restart brings
 //! the host back empty under a new incarnation.
 
-use std::sync::Arc;
-
 use netsim::flow::{FlowSpec, ReceiverHint};
 use netsim::host::{AgentCtx, AgentFactory, FlowAgent};
 use netsim::node::Node;
@@ -68,17 +66,6 @@ impl FlowAgent for Echoer {
     }
 }
 
-struct RetryFactory;
-
-impl AgentFactory for RetryFactory {
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(RetrySender { spec: spec.clone() })
-    }
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(Echoer { hint })
-    }
-}
-
 fn two_hosts() -> (Simulation, Vec<NodeId>, NodeId) {
     let mut b = TopologyBuilder::new();
     let sw = b.add_switch();
@@ -87,9 +74,13 @@ fn two_hosts() -> (Simulation, Vec<NodeId>, NodeId) {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(10));
     }
     (
-        Simulation::new(b.build(Arc::new(RetryFactory), &|_| {
-            Box::new(DropTailQdisc::new(64))
-        })),
+        Simulation::new(b.build(
+            AgentFactory::new(
+                |spec: &FlowSpec| RetrySender { spec: spec.clone() },
+                |hint| Echoer { hint },
+            ),
+            &|_| Box::new(DropTailQdisc::new(64)),
+        )),
         hosts,
         sw,
     )

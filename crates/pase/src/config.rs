@@ -6,6 +6,7 @@
 //! lower queues 200 ms; the recovery probe, not the floor, tells a parked
 //! flow from a lost one (DESIGN §7b.11).
 
+use netsim::packet::HEADER_BYTES;
 use netsim::time::{Rate, SimDuration};
 use transport::MSS;
 
@@ -127,7 +128,7 @@ impl Default for PaseConfig {
 impl PaseConfig {
     /// The paper's "base rate" (one packet per RTT) as a [`Rate`].
     pub fn base_rate(&self) -> Rate {
-        let bits = (MSS as u64 + 40) * 8 * BASE_RATE_PKTS_PER_RTT as u64;
+        let bits = (MSS + HEADER_BYTES) as u64 * 8 * BASE_RATE_PKTS_PER_RTT as u64;
         let rtt_s = self.base_rtt.as_secs_f64();
         Rate::from_bps((bits as f64 / rtt_s) as u64)
     }

@@ -36,7 +36,7 @@ use std::any::Any;
 use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent};
 use netsim::ids::NodeId;
-use netsim::packet::{Packet, PacketKind};
+use netsim::packet::{Packet, PacketKind, HEADER_BYTES};
 use netsim::time::{Rate, SimDuration, SimTime};
 use netsim::timer::{slot, SupersedingTimer, Timer};
 use transport::{
@@ -174,8 +174,8 @@ impl PaseSender {
     /// (paper §3.1.1: "for short flows ... this is set to a lower value").
     fn demand(&self, ctx: &AgentCtx<'_, '_>) -> Rate {
         let nic = ctx.host.port.rate;
-        let remaining_wire =
-            self.engine.remaining() + (self.engine.remaining() / MSS as u64 + 1) * 40;
+        let remaining_wire = self.engine.remaining()
+            + (self.engine.remaining() / MSS as u64 + 1) * HEADER_BYTES as u64;
         let per_rtt =
             Rate::from_bps((remaining_wire as f64 * 8.0 / self.cfg.base_rtt.as_secs_f64()) as u64);
         nic.min(per_rtt)
@@ -183,7 +183,7 @@ impl PaseSender {
 
     fn reference_cwnd_pkts(&self) -> f64 {
         let bytes_per_rtt = self.rref.bytes_in(self.srtt());
-        (bytes_per_rtt as f64 / (MSS as f64 + 40.0)).max(1.0)
+        (bytes_per_rtt as f64 / (MSS + HEADER_BYTES) as f64).max(1.0)
     }
 
     /// Should data transmission be suppressed in favor of pacing probes?

@@ -20,7 +20,7 @@
 //! ## Usage
 //!
 //! ```ignore
-//! let net = topology_builder.build(Arc::new(PaseFactory::new(cfg)), &qdisc_chooser);
+//! let net = topology_builder.build(pase::agents(cfg), &qdisc_chooser);
 //! let mut sim = Simulation::new(net);
 //! pase::install(&mut sim, cfg);          // arbitrators + delegation timers
 //! sim.add_flow(...);
@@ -50,32 +50,13 @@ pub use shed::InboxBudget;
 pub use tree::{Level, TreeInfo};
 pub use wiring::install;
 
-use netsim::flow::{FlowSpec, ReceiverHint};
-use netsim::host::{AgentFactory, FlowAgent};
+use netsim::host::AgentFactory;
 use netsim::queue::StrictPrioQdisc;
 use transport::SimpleReceiver;
 
-/// Builds PASE senders and receivers.
-#[derive(Debug, Clone, Default)]
-pub struct PaseFactory {
-    cfg: PaseConfig,
-}
-
-impl PaseFactory {
-    /// A factory with the given parameters.
-    pub fn new(cfg: PaseConfig) -> PaseFactory {
-        PaseFactory { cfg }
-    }
-}
-
-impl AgentFactory for PaseFactory {
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(PaseSender::new(spec, self.cfg))
-    }
-
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(SimpleReceiver::new(hint))
-    }
+/// PASE's endpoints: its senders, the shared receiver.
+pub fn agents(cfg: PaseConfig) -> AgentFactory {
+    AgentFactory::new(move |spec| PaseSender::new(spec, cfg), SimpleReceiver::new)
 }
 
 /// The switch queue discipline PASE assumes: `n` strict-priority bands

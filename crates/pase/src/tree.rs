@@ -236,25 +236,19 @@ impl TreeInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::flow::{FlowSpec, ReceiverHint};
+    use netsim::flow::FlowSpec;
     use netsim::host::{AgentCtx, AgentFactory, FlowAgent};
     use netsim::queue::DropTailQdisc;
     use netsim::time::SimDuration;
     use netsim::topology::TopologyBuilder;
-    use std::sync::Arc;
 
-    struct NullFactory;
     struct NullAgent;
     impl FlowAgent for NullAgent {
         fn on_packet(&mut self, _: netsim::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
     }
-    impl AgentFactory for NullFactory {
-        fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-        fn receiver(&self, _: ReceiverHint) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
+
+    fn null_agents() -> AgentFactory {
+        AgentFactory::new(|_: &FlowSpec| NullAgent, |_| NullAgent)
     }
 
     /// The paper's baseline: 3-tier, `tors` racks of `n` hosts, 2 aggs.
@@ -277,7 +271,7 @@ mod tests {
             }
             b.connect(agg, core, Rate::from_gbps(10), SimDuration::from_micros(25));
         }
-        let net = b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)));
+        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
         (net.topo, hosts, tors, aggs, core)
     }
 
@@ -335,7 +329,7 @@ mod tests {
             }
             pods.push([aggs, tors, hosts]);
         }
-        let net = b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)));
+        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
         (net.topo, cores, pods)
     }
 
@@ -412,7 +406,7 @@ mod tests {
         for &h in &hosts {
             b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
         }
-        let net = b.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(16)));
+        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
         let tree = TreeInfo::from_topology(&net.topo);
         assert_eq!(tree.level(sw), Level::Tor);
         assert_eq!(tree.parent(sw), None);

@@ -12,7 +12,7 @@ use netsim::packet::Packet;
 use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
 use netsim::trace::{TraceEvent, TraceSink};
-use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Decision, Leg, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, ArbMsg, ArbRequest, Decision, Leg, PaseConfig};
 
 const BUDGET: u32 = pase::config::CTRL_BUDGET_PER_EPOCH;
 
@@ -53,9 +53,7 @@ fn net(cfg: PaseConfig) -> Net {
     for &h in &hosts {
         b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(5));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 250, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     let sheds = Arc::default();

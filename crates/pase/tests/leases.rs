@@ -8,14 +8,10 @@
 //! `FlowDone` releases each lease it took, so no arbitrator holds an entry
 //! once the flows have ended and their control traffic has drained.
 
-use std::sync::Arc;
-
 use netsim::packet::Packet;
 use netsim::prelude::*;
 use netsim::stats::{Fate, Plane};
-use pase::{
-    install, pase_qdisc, ArbMsg, ArbProcess, ArbRequest, Decision, Leg, PaseConfig, PaseFactory,
-};
+use pase::{install, pase_qdisc, ArbMsg, ArbProcess, ArbRequest, Decision, Leg, PaseConfig};
 
 const BUDGET: u32 = pase::config::CTRL_BUDGET_PER_EPOCH;
 const FLOW: FlowId = FlowId(7);
@@ -49,9 +45,7 @@ fn net() -> Net {
     for (h, tor) in hosts.iter().zip([tors[0], tors[0], tors[1], tors[2]]) {
         b.connect(*h, tor, Rate::from_gbps(1), SimDuration::from_micros(5));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 250, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     Net {
@@ -241,7 +235,7 @@ fn leases_left(
     n: u64,
 ) -> Vec<(NodeId, Leg, usize)> {
     let cfg = PaseConfig::default();
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|spec| {
+    let net = b.build(pase::agents(cfg), &|spec| {
         let k = if spec.rate >= FABRIC { 65 } else { 20 };
         Box::new(pase_qdisc(&cfg, 250, k))
     });

@@ -1,9 +1,7 @@
 //! End-to-end PASE behaviour: intra-rack, inter-rack, optimizations.
 
-use std::sync::Arc;
-
 use netsim::prelude::*;
-use pase::{install, pase_qdisc, Leg, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, Leg, PaseConfig};
 
 fn cfg_intra() -> PaseConfig {
     PaseConfig {
@@ -21,9 +19,7 @@ fn star_sim(n: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>) {
     for &h in &hosts {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 250, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     (sim, hosts)
@@ -49,7 +45,7 @@ fn three_tier_sim(per_rack: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>)
         }
         let _ = a;
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|spec| {
+    let net = b.build(pase::agents(cfg), &|spec| {
         let k = if spec.rate.as_bps() >= 10_000_000_000 {
             65
         } else {
@@ -436,9 +432,7 @@ fn tree_extraction_handles_multi_rooted_fabrics() {
         hosts.push(h);
     }
     let cfg = PaseConfig::default();
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 100, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 100, 20)));
     let tree = TreeInfo::from_topology(&net.topo);
     for (rank, &l) in leaves.iter().enumerate() {
         assert_eq!(tree.level(l), Level::Tor);

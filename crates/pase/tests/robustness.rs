@@ -11,7 +11,7 @@ use netsim::packet::PacketKind;
 use netsim::prelude::*;
 use netsim::trace::{AbortReason, TextTracer, TraceEvent, TraceSink};
 use pase::config::{CTRL_BUDGET_PER_EPOCH, REFRESH_BACKOFF_CAP};
-use pase::{install, pase_qdisc, ArbProcess, Leg, PaseConfig, PaseFactory, PaseSender};
+use pase::{install, pase_qdisc, ArbProcess, Leg, PaseConfig, PaseSender};
 
 /// Flows held by the arbitrator of a process's own link on `leg`.
 fn own_flows(process: &ArbProcess, leg: Leg) -> usize {
@@ -34,7 +34,7 @@ fn star_sim_with(n: usize, cfg: PaseConfig, buf_pkts: usize) -> (Simulation, Vec
     for &h in &hosts {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
+    let net = b.build(pase::agents(cfg), &|_| {
         Box::new(pase_qdisc(&cfg, buf_pkts, 20))
     });
     let mut sim = Simulation::new(net);
@@ -262,7 +262,7 @@ fn three_tier_sim(per_rack: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>)
             }
         }
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|spec| {
+    let net = b.build(pase::agents(cfg), &|spec| {
         let k = if spec.rate.as_bps() >= 10_000_000_000 {
             65
         } else {
@@ -815,9 +815,7 @@ fn a_dead_receiver_stops_holding_capacity() {
     b.connect(a, tor_a, Rate::from_gbps(1), us25);
     b.connect(r, tor_r, Rate::from_gbps(1), us25);
     b.connect(l, tor_r, Rate::from_mbps(10), us25);
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 500, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     sim.add_flow(FlowSpec::new(FlowId(0), a, r, 400_000, SimTime::ZERO));

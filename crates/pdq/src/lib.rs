@@ -27,31 +27,12 @@ pub use endpoint::{PdqReceiver, PdqSender};
 pub use header::PdqHeader;
 pub use switch::PdqSwitchPlugin;
 
-use netsim::flow::{FlowSpec, ReceiverHint};
-use netsim::host::{AgentFactory, FlowAgent};
+use netsim::host::AgentFactory;
 use netsim::sim::Simulation;
 
-/// Builds PDQ senders and receivers.
-#[derive(Debug, Clone, Default)]
-pub struct PdqFactory {
-    cfg: PdqConfig,
-}
-
-impl PdqFactory {
-    /// A factory with the given parameters.
-    pub fn new(cfg: PdqConfig) -> PdqFactory {
-        PdqFactory { cfg }
-    }
-}
-
-impl AgentFactory for PdqFactory {
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(PdqSender::new(spec, self.cfg))
-    }
-
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(PdqReceiver::new(hint))
-    }
+/// PDQ's endpoints: its senders and its own receivers.
+pub fn agents(cfg: PdqConfig) -> AgentFactory {
+    AgentFactory::new(move |spec| PdqSender::new(spec, cfg), PdqReceiver::new)
 }
 
 /// Install PDQ arbitration on every switch of a built simulation. Each

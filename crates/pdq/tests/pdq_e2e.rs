@@ -1,9 +1,7 @@
 //! End-to-end PDQ behaviour over the simulated network.
 
-use std::sync::Arc;
-
 use netsim::prelude::*;
-use pdq::{install_switch_plugins, PdqConfig, PdqFactory};
+use pdq::{install_switch_plugins, PdqConfig};
 
 fn star_sim(n: usize, cfg: PdqConfig) -> (Simulation, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
@@ -14,9 +12,7 @@ fn star_sim(n: usize, cfg: PdqConfig) -> (Simulation, Vec<NodeId>) {
     }
     // PDQ runs over plain drop-tail FIFO queues; rates are arbitrated so
     // queues stay short, but Early Start can briefly oversubscribe.
-    let net = b.build(Arc::new(PdqFactory::new(cfg)), &|_| {
-        Box::new(DropTailQdisc::new(200))
-    });
+    let net = b.build(pdq::agents(cfg), &|_| Box::new(DropTailQdisc::new(200)));
     let mut sim = Simulation::new(net);
     install_switch_plugins(&mut sim, cfg);
     let _ = sw;

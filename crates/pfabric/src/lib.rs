@@ -23,29 +23,13 @@ mod sender;
 pub use qdisc::PFabricQdisc;
 pub use sender::{PFabricConfig, PFabricSender, CWND_PKTS, TIMEOUTS_BEFORE_PROBE};
 
-use netsim::flow::{FlowSpec, ReceiverHint};
-use netsim::host::{AgentFactory, FlowAgent};
+use netsim::host::AgentFactory;
 use transport::SimpleReceiver;
 
-/// Builds pFabric senders and receivers.
-#[derive(Debug, Clone, Default)]
-pub struct PFabricFactory {
-    cfg: PFabricConfig,
-}
-
-impl PFabricFactory {
-    /// A factory with the given endpoint parameters.
-    pub fn new(cfg: PFabricConfig) -> PFabricFactory {
-        PFabricFactory { cfg }
-    }
-}
-
-impl AgentFactory for PFabricFactory {
-    fn sender(&self, spec: &FlowSpec) -> Box<dyn FlowAgent> {
-        Box::new(PFabricSender::new(spec, self.cfg))
-    }
-
-    fn receiver(&self, hint: ReceiverHint) -> Box<dyn FlowAgent> {
-        Box::new(SimpleReceiver::new(hint))
-    }
+/// pFabric's endpoints: its senders, the shared receiver.
+pub fn agents(cfg: PFabricConfig) -> AgentFactory {
+    AgentFactory::new(
+        move |spec| PFabricSender::new(spec, cfg),
+        SimpleReceiver::new,
+    )
 }

@@ -1,10 +1,8 @@
 //! End-to-end pFabric behaviour, including the paper's Figure 3 toy case.
 
-use std::sync::Arc;
-
 use netsim::node::Node;
 use netsim::prelude::*;
-use pfabric::{PFabricConfig, PFabricFactory, PFabricQdisc};
+use pfabric::{PFabricConfig, PFabricQdisc};
 
 /// Star topology with pFabric queues everywhere.
 fn star_sim(n: usize, qcap: usize, cfg: PFabricConfig) -> (Simulation, Vec<NodeId>, NodeId) {
@@ -14,9 +12,7 @@ fn star_sim(n: usize, qcap: usize, cfg: PFabricConfig) -> (Simulation, Vec<NodeI
     for &h in &hosts {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PFabricFactory::new(cfg)), &|_| {
-        Box::new(PFabricQdisc::new(qcap))
-    });
+    let net = b.build(pfabric::agents(cfg), &|_| Box::new(PFabricQdisc::new(qcap)));
     (Simulation::new(net), hosts, sw)
 }
 

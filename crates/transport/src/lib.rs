@@ -9,7 +9,8 @@
 //! * the four *self-adjusting endpoint* transports the paper evaluates
 //!   against: TCP (Reno), DCTCP, D2TCP and L2DCT
 //!   ([`dctcp_family::FamilySender`]), over the one DCTCP window law
-//!   ([`window::DctcpWindow`]) that PASE's sender also runs.
+//!   ([`window::DctcpWindow`]) that PASE's sender also runs; [`agents`]
+//!   pairs each flavor's sender with the shared receiver.
 //!
 //! The arbitration-based (PDQ) and in-network-prioritization (pFabric)
 //! schemes and PASE itself live in their own crates, all building on the
@@ -19,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dctcp_family;
-pub mod factory;
 pub mod params;
 pub mod receiver;
 pub mod rtt;
@@ -28,10 +28,20 @@ pub mod tx;
 pub mod window;
 
 pub use dctcp_family::{FamilySender, Flavor};
-pub use factory::FamilyFactory;
 pub use params::{DCTCP_G, MAX_RTO, MIN_RTO, MSS};
 pub use receiver::SimpleReceiver;
 pub use rtt::{RttEstimator, DEFAULT_BACKOFF_CAP};
 pub use tracker::ByteTracker;
 pub use tx::{segment_len, AckKind, LossEvent, TxEngine, DEFAULT_MAX_CONSECUTIVE_RTOS};
 pub use window::DctcpWindow;
+
+use netsim::host::AgentFactory;
+
+/// The endpoints of one DCTCP-family flavor: its senders, the shared
+/// receiver.
+pub fn agents(flavor: Flavor) -> AgentFactory {
+    AgentFactory::new(
+        move |spec| FamilySender::new(spec, flavor),
+        SimpleReceiver::new,
+    )
+}

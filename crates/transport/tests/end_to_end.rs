@@ -1,28 +1,28 @@
 //! End-to-end tests: DCTCP-family flows over a real simulated network.
 
-use std::sync::Arc;
-
 use netsim::prelude::*;
 use netsim::queue::RedEcnQdisc;
-use transport::FamilyFactory;
+use transport::Flavor;
 
 const MSS_WIRE: u32 = 1500;
 
 /// Single-rack star: `n` hosts behind one switch, 1 Gbps, 25 us links.
-fn star_sim(n: usize, factory: FamilyFactory, qcap: usize, k: usize) -> (Simulation, Vec<NodeId>) {
+fn star_sim(n: usize, flavor: Flavor, qcap: usize, k: usize) -> (Simulation, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let sw = b.add_switch();
     let hosts = b.add_hosts(n);
     for &h in &hosts {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(factory), &|_| Box::new(RedEcnQdisc::new(qcap, k)));
+    let net = b.build(transport::agents(flavor), &|_| {
+        Box::new(RedEcnQdisc::new(qcap, k))
+    });
     (Simulation::new(net), hosts)
 }
 
 #[test]
 fn single_dctcp_flow_completes_with_sane_fct() {
-    let (mut sim, hosts) = star_sim(2, FamilyFactory::dctcp(), 225, 20);
+    let (mut sim, hosts) = star_sim(2, Flavor::Dctcp, 225, 20);
     let size = 100_000;
     sim.add_flow(FlowSpec::new(
         FlowId(0),
@@ -52,7 +52,7 @@ fn single_dctcp_flow_completes_with_sane_fct() {
 #[test]
 fn dctcp_flow_is_deterministic() {
     let run = || {
-        let (mut sim, hosts) = star_sim(4, FamilyFactory::dctcp(), 225, 20);
+        let (mut sim, hosts) = star_sim(4, Flavor::Dctcp, 225, 20);
         for i in 0..3u64 {
             sim.add_flow(FlowSpec::new(
                 FlowId(i),
@@ -77,7 +77,7 @@ fn dctcp_flow_is_deterministic() {
 
 #[test]
 fn competing_dctcp_flows_share_and_complete() {
-    let (mut sim, hosts) = star_sim(3, FamilyFactory::dctcp(), 225, 20);
+    let (mut sim, hosts) = star_sim(3, Flavor::Dctcp, 225, 20);
     // Both senders target host 2: the receiver downlink is the bottleneck.
     let size = 500_000u64;
     sim.add_flow(FlowSpec::new(
@@ -110,7 +110,7 @@ fn competing_dctcp_flows_share_and_complete() {
 
 #[test]
 fn dctcp_keeps_queues_bounded_by_ecn() {
-    let (mut sim, hosts) = star_sim(3, FamilyFactory::dctcp(), 225, 20);
+    let (mut sim, hosts) = star_sim(3, Flavor::Dctcp, 225, 20);
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -150,7 +150,7 @@ fn reno_survives_drop_tail_losses() {
     for &h in &hosts {
         b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(FamilyFactory::reno()), &|_| {
+    let net = b.build(transport::agents(Flavor::Reno), &|_| {
         Box::new(DropTailQdisc::new(8))
     });
     let mut sim = Simulation::new(net);
@@ -178,8 +178,8 @@ fn reno_survives_drop_tail_losses() {
 
 #[test]
 fn d2tcp_and_l2dct_complete() {
-    for factory in [FamilyFactory::d2tcp(), FamilyFactory::l2dct()] {
-        let (mut sim, hosts) = star_sim(4, factory, 225, 20);
+    for flavor in [Flavor::D2tcp, Flavor::L2dct] {
+        let (mut sim, hosts) = star_sim(4, flavor, 225, 20);
         for i in 0..3u64 {
             sim.add_flow(
                 FlowSpec::new(
@@ -202,7 +202,7 @@ fn l2dct_prefers_short_flows_over_long() {
     // One long flow started first, one short flow arriving later. Under
     // L2DCT the short flow should finish in a small multiple of its ideal
     // time despite the long flow, because the long flow's weight decays.
-    let (mut sim, hosts) = star_sim(3, FamilyFactory::l2dct(), 225, 20);
+    let (mut sim, hosts) = star_sim(3, Flavor::L2dct, 225, 20);
     sim.add_flow(FlowSpec::new(
         FlowId(0),
         hosts[0],
@@ -227,7 +227,7 @@ fn l2dct_prefers_short_flows_over_long() {
 
 #[test]
 fn background_flow_does_not_block_termination() {
-    let (mut sim, hosts) = star_sim(3, FamilyFactory::dctcp(), 225, 20);
+    let (mut sim, hosts) = star_sim(3, Flavor::Dctcp, 225, 20);
     sim.add_flow(FlowSpec::background(
         FlowId(0),
         hosts[0],
@@ -260,7 +260,7 @@ fn cross_rack_flow_traverses_tree() {
     b.connect(h1, tor1, Rate::from_gbps(1), SimDuration::from_micros(25));
     b.connect(tor0, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
     b.connect(tor1, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
-    let net = b.build(Arc::new(FamilyFactory::dctcp()), &|spec| {
+    let net = b.build(transport::agents(Flavor::Dctcp), &|spec| {
         let k = if spec.rate.as_bps() >= 10_000_000_000 {
             65
         } else {

@@ -3,6 +3,7 @@
 //! All randomness is drawn from a caller-seeded [`Rng`], so every
 //! experiment is reproducible from its `(scenario, load, seed)` triple.
 
+use netsim::packet::HEADER_BYTES;
 use netsim::rng::Rng;
 use netsim::time::{Rate, SimDuration, SimTime};
 
@@ -118,7 +119,7 @@ impl PoissonArrivals {
 /// per-packet header overhead.
 pub fn arrival_rate(load: f64, capacity: Rate, mean_bytes: f64, mss: u32) -> f64 {
     assert!((0.0..=1.5).contains(&load), "unreasonable load {load}");
-    let wire_factor = (mss as f64 + 40.0) / mss as f64;
+    let wire_factor = (mss + HEADER_BYTES) as f64 / mss as f64;
     let bytes_per_sec = capacity.as_bps() as f64 / 8.0 * load;
     bytes_per_sec / (mean_bytes * wire_factor)
 }

@@ -8,6 +8,7 @@ use netsim::flow::FlowSpec;
 use netsim::ids::{FlowId, NodeId};
 use netsim::rng::Rng;
 use netsim::time::{Rate, SimTime};
+use transport::MSS;
 
 use crate::flowgen::{arrival_rate, DeadlineDist, PoissonArrivals, SizeDist};
 use crate::topologies::TopologySpec;
@@ -199,7 +200,7 @@ impl Scenario {
 
     /// Flow arrival rate for an offered load.
     pub fn arrivals_per_sec(&self, load: f64) -> f64 {
-        let base = arrival_rate(load, self.load_capacity(), self.sizes.mean_bytes(), 1460);
+        let base = arrival_rate(load, self.load_capacity(), self.sizes.mean_bytes(), MSS);
         match self.pattern {
             // All-to-all load is per access link: with n uniform sources
             // each link sees 1/n of the total arrivals.

@@ -1,11 +1,9 @@
 //! Transport schemes: building a ready-to-run simulation for any of the
 //! paper's protocols on any topology.
 //!
-//! Each scheme bundles its endpoint factory, its switch queue discipline
-//! and (for PDQ/PASE) its switch-resident control logic, with parameters
-//! from Table 3 adapted to the topology's base RTT.
-
-use std::sync::Arc;
+//! Each scheme bundles its endpoints (its protocol crate's `agents`), its
+//! switch queue discipline and (for PDQ/PASE) its switch-resident control
+//! logic, with parameters from Table 3 adapted to the topology's base RTT.
 
 use netsim::engine::EngineKind;
 use netsim::ids::NodeId;
@@ -14,10 +12,10 @@ use netsim::sim::Simulation;
 use netsim::time::{Rate, SimDuration};
 use netsim::topology::PortSpec;
 
-use pase::{PaseConfig, PaseFactory};
-use pdq::{PdqConfig, PdqFactory};
-use pfabric::{PFabricConfig, PFabricFactory, PFabricQdisc};
-use transport::FamilyFactory;
+use pase::PaseConfig;
+use pdq::PdqConfig;
+use pfabric::{PFabricConfig, PFabricQdisc};
+use transport::Flavor;
 
 use crate::topologies::TopologySpec;
 
@@ -90,7 +88,7 @@ impl Scheme {
         }
     }
 
-    /// Build a ready-to-run simulation on `topo`: endpoint factories,
+    /// Build a ready-to-run simulation on `topo`: every host's endpoints,
     /// queue disciplines, node processes and control-plane timers.
     pub fn build_sim(&self, topo: &TopologySpec) -> (Simulation, Vec<NodeId>) {
         self.build_sim_on(EngineKind::Wheel, topo)
@@ -107,19 +105,19 @@ impl Scheme {
         match self {
             Scheme::Tcp => {
                 let q = |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(DropTailQdisc::new(225)) };
-                let (net, hosts) = topo.build(Arc::new(FamilyFactory::reno()), &q);
+                let (net, hosts) = topo.build(transport::agents(Flavor::Reno), &q);
                 (Simulation::with_engine(net, engine), hosts)
             }
             Scheme::Dctcp | Scheme::D2tcp | Scheme::L2dct => {
-                let factory = match self {
-                    Scheme::Dctcp => FamilyFactory::dctcp(),
-                    Scheme::D2tcp => FamilyFactory::d2tcp(),
-                    _ => FamilyFactory::l2dct(),
+                let flavor = match self {
+                    Scheme::Dctcp => Flavor::Dctcp,
+                    Scheme::D2tcp => Flavor::D2tcp,
+                    _ => Flavor::L2dct,
                 };
                 let q = |spec: &PortSpec| -> Box<dyn Qdisc> {
                     Box::new(RedEcnQdisc::new(225, Self::mark_thresh(spec.rate)))
                 };
-                let (net, hosts) = topo.build(Arc::new(factory), &q);
+                let (net, hosts) = topo.build(transport::agents(flavor), &q);
                 (Simulation::with_engine(net, engine), hosts)
             }
             Scheme::Pdq => {
@@ -128,7 +126,7 @@ impl Scheme {
                     ..PdqConfig::default()
                 };
                 let q = |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(DropTailQdisc::new(225)) };
-                let (net, hosts) = topo.build(Arc::new(PdqFactory::new(cfg)), &q);
+                let (net, hosts) = topo.build(pdq::agents(cfg), &q);
                 let mut sim = Simulation::with_engine(net, engine);
                 pdq::install_switch_plugins(&mut sim, cfg);
                 (sim, hosts)
@@ -144,7 +142,7 @@ impl Scheme {
                     rto: base_rtt.mul_f64(3.3).max(SimDuration::from_millis(1)),
                 };
                 let q = move |_: &PortSpec| -> Box<dyn Qdisc> { Box::new(PFabricQdisc::new(76)) };
-                let (net, hosts) = topo.build(Arc::new(PFabricFactory::new(cfg)), &q);
+                let (net, hosts) = topo.build(pfabric::agents(cfg), &q);
                 (Simulation::with_engine(net, engine), hosts)
             }
             Scheme::Pase => {
@@ -158,7 +156,7 @@ impl Scheme {
                 let q = move |spec: &PortSpec| -> Box<dyn Qdisc> {
                     Box::new(pase::pase_qdisc(&cfg, 500, Self::mark_thresh(spec.rate)))
                 };
-                let (net, hosts) = topo.build(Arc::new(PaseFactory::new(cfg)), &q);
+                let (net, hosts) = topo.build(pase::agents(cfg), &q);
                 let mut sim = Simulation::with_engine(net, engine);
                 pase::install(&mut sim, cfg);
                 (sim, hosts)

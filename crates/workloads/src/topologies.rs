@@ -1,11 +1,11 @@
 //! Canonical topologies from the paper's evaluation (§4.1, Fig. 8).
 
-use std::sync::Arc;
-
 use netsim::host::AgentFactory;
 use netsim::ids::{NodeId, PortId};
+use netsim::packet::{CONTROL_PKT_BYTES, HEADER_BYTES};
 use netsim::time::{Rate, SimDuration};
 use netsim::topology::{Network, QdiscChooser, TopologyBuilder};
+use transport::MSS;
 
 /// A topology recipe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,8 +219,8 @@ impl TopologySpec {
             } else {
                 fabric
             };
-            rtt += delay + rate.tx_time(1500);
-            rtt += delay + rate.tx_time(40);
+            rtt += delay + rate.tx_time(u64::from(MSS + HEADER_BYTES));
+            rtt += delay + rate.tx_time(u64::from(CONTROL_PKT_BYTES));
         }
         rtt
     }
@@ -229,7 +229,7 @@ impl TopologySpec {
     /// `0..hosts_per_rack` in rack 0, and so on).
     pub fn build(
         &self,
-        factory: Arc<dyn AgentFactory>,
+        factory: AgentFactory,
         qdisc_for: &QdiscChooser<'_>,
     ) -> (Network, Vec<NodeId>) {
         match *self {
@@ -421,29 +421,24 @@ pub fn fat_tree_ports_toward(k: usize, sw: NodeId, dst: NodeId) -> Vec<PortId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::flow::{FlowSpec, ReceiverHint};
+    use netsim::flow::FlowSpec;
     use netsim::host::{AgentCtx, FlowAgent};
     use netsim::queue::DropTailQdisc;
 
-    struct NullFactory;
     struct NullAgent;
     impl FlowAgent for NullAgent {
         fn on_packet(&mut self, _: netsim::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
     }
-    impl AgentFactory for NullFactory {
-        fn sender(&self, _: &FlowSpec) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
-        fn receiver(&self, _: ReceiverHint) -> Box<dyn FlowAgent> {
-            Box::new(NullAgent)
-        }
+
+    fn null_agents() -> AgentFactory {
+        AgentFactory::new(|_: &FlowSpec| NullAgent, |_| NullAgent)
     }
 
     #[test]
     fn baseline_matches_paper() {
         let t = TopologySpec::paper_baseline();
         assert_eq!(t.n_hosts(), 160);
-        let (net, hosts) = t.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(8)));
+        let (net, hosts) = t.build(null_agents(), &|_| Box::new(DropTailQdisc::new(8)));
         assert_eq!(hosts.len(), 160);
         // 160 hosts + 4 ToR + 2 agg + 1 core.
         assert_eq!(net.topo.n_nodes(), 167);
@@ -467,7 +462,7 @@ mod tests {
     fn leaf_spine_uses_ecmp_across_spines() {
         let t = TopologySpec::small_leaf_spine(3);
         assert_eq!(t.n_hosts(), 12);
-        let (net, hosts) = t.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(8)));
+        let (net, hosts) = t.build(null_agents(), &|_| Box::new(DropTailQdisc::new(8)));
         // Inter-leaf distance is 4 hops (host-leaf-spine-leaf-host).
         assert_eq!(net.topo.hop_count(hosts[0], hosts[11]), Some(4));
         // A leaf must hold two equal-cost uplinks toward a remote host.
@@ -483,7 +478,7 @@ mod tests {
     }
 
     fn build(t: &TopologySpec) -> (Network, Vec<NodeId>) {
-        t.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(8)))
+        t.build(null_agents(), &|_| Box::new(DropTailQdisc::new(8)))
     }
 
     /// Every spec the repo defines, including both fat-tree scale points
@@ -671,7 +666,7 @@ mod tests {
     #[test]
     fn rack_major_host_order() {
         let t = TopologySpec::small_three_tier(3);
-        let (net, hosts) = t.build(Arc::new(NullFactory), &|_| Box::new(DropTailQdisc::new(8)));
+        let (net, hosts) = t.build(null_agents(), &|_| Box::new(DropTailQdisc::new(8)));
         // Hosts 0-2 share a ToR; 0 and 3 do not.
         assert_eq!(net.topo.host_tor(hosts[0]), net.topo.host_tor(hosts[2]));
         assert_ne!(net.topo.host_tor(hosts[0]), net.topo.host_tor(hosts[3]));

@@ -13,9 +13,7 @@
 //! first (§3.2), so injected loss degrades FCTs smoothly. Asserts that
 //! every flow completes at every loss rate.
 
-use std::sync::Arc;
-
-use pase::{install, pase_qdisc, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, PaseConfig};
 use pase_repro::netsim::prelude::*;
 
 fn run(loss_ppm: u32) -> (f64, u64, u64, u64) {
@@ -30,9 +28,7 @@ fn run(loss_ppm: u32) -> (f64, u64, u64, u64) {
     for &h in &hosts {
         b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 500, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     let lossy = DegradeProfile {

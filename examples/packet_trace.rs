@@ -10,9 +10,7 @@
 //! each data packet rode in, which makes PASE's queue transitions
 //! directly visible.
 
-use std::sync::Arc;
-
-use pase::{install, pase_qdisc, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, PaseConfig};
 use pase_repro::netsim::prelude::*;
 use pase_repro::netsim::trace::TextTracer;
 
@@ -28,9 +26,7 @@ fn main() {
     for &h in &hosts {
         b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 250, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
 

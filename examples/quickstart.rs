@@ -9,9 +9,7 @@
 //! background flow, and shows that completion order follows the arbitrated
 //! (shortest-remaining-first) priorities.
 
-use std::sync::Arc;
-
-use pase::{install, pase_qdisc, PaseConfig, PaseFactory};
+use pase::{install, pase_qdisc, PaseConfig};
 use pase_repro::netsim::prelude::*;
 
 fn main() {
@@ -31,9 +29,7 @@ fn main() {
     }
     // Every port gets PASE's switch configuration: 8 strict-priority
     // bands with per-band RED/ECN marking at K=20.
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
-        Box::new(pase_qdisc(&cfg, 500, 20))
-    });
+    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
 
     // 3. Install the control plane: endpoint arbitrators on every host
     // (intra-rack flows need nothing else).

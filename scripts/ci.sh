@@ -109,12 +109,19 @@ echo "figure sweep: $(wc -l <scripts/figs_ci.digest) files match scripts/figs_ci
 echo "== scale smoke (k=8 fat-tree, 2k-flow incast, dual-run; k=32 build) =="
 ./target/release/scale_smoke
 
-# Loss-recovery example: PASE flows on a one-switch fabric whose every
-# link loses 0 %, 0.1 %, 0.5 % and 2 % of its packets; the example
-# asserts that every flow completes at every loss rate (`cargo test`
-# only compiles it).
+# The examples that assert (`cargo test` only compiles them):
+# fault_injection runs PASE flows on a one-switch fabric whose every
+# link loses 0 %, 0.1 %, 0.5 % and 2 % of its packets and asserts that
+# every flow completes at every loss rate; quickstart asserts that a
+# rack's flows complete in SRPT order; deadline_search asserts that PASE
+# meets at least as many deadlines as DCTCP and as pFabric (~1 s
+# together).
 echo "== fault_injection example (every flow completes at every loss rate) =="
 cargo run --release -q --example fault_injection
+echo "== quickstart example (flows complete in SRPT order) =="
+cargo run --release -q --example quickstart
+echo "== deadline_search example (PASE meets >= DCTCP's and pFabric's deadlines) =="
+cargo run --release -q --example deadline_search
 
 # The repo benchmark is a package of its own compiled against the
 # crates' public API: build it and run its smoke tests here so API drift
