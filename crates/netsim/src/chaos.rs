@@ -435,23 +435,21 @@ mod tests {
     use crate::queue::DropTailQdisc;
     use crate::time::Rate;
     use crate::topology::tests::null_agents;
-    use crate::topology::TopologyBuilder;
+    use crate::topology::TopologySpec;
 
     /// 2 spines, 2 leaves, 2 hosts per leaf — smallest multi-path fabric.
+    /// Plans are drawn from its structure alone, not its rates or delays.
     fn leaf_spine() -> Topology {
-        let mut b = TopologyBuilder::new();
-        let spines = [b.add_switch(), b.add_switch()];
-        for _ in 0..2 {
-            let leaf = b.add_switch();
-            for s in spines {
-                b.connect(leaf, s, Rate::from_gbps(40), SimDuration::from_micros(2));
-            }
-            for h in b.add_hosts(2) {
-                b.connect(h, leaf, Rate::from_gbps(10), SimDuration::from_micros(1));
-            }
-        }
-        b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)))
-            .topo
+        let fabric = TopologySpec::LeafSpine {
+            leaves: 2,
+            hosts_per_leaf: 2,
+            spines: 2,
+            access: Rate::from_gbps(10),
+            fabric: Rate::from_gbps(40),
+            link_delay: SimDuration::from_micros(1),
+        };
+        let (net, _) = fabric.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
+        net.topo
     }
 
     fn cfg(seed: u64, intensity: ChaosIntensity, class: FaultClass) -> ChaosConfig {

@@ -36,13 +36,8 @@
 //! use netsim::host::AgentFactory;
 //! use netsim::prelude::*;
 //!
-//! // Two hosts behind one switch.
-//! let mut b = TopologyBuilder::new();
-//! let sw = b.add_switch();
-//! let hosts = b.add_hosts(2);
-//! for &h in &hosts {
-//!     b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-//! }
+//! // Two hosts behind one switch: 1 Gbps links, 25 us each.
+//! let rack = TopologySpec::intra_rack(2);
 //! # struct Sender;
 //! # struct Receiver;
 //! # use netsim::host::{AgentCtx, FlowAgent};
@@ -55,7 +50,7 @@
 //! // A scheme's endpoints: its sender and receiver constructors, paired
 //! // (a protocol crate hands out its own, e.g. `pase::agents(cfg)`).
 //! let agents = AgentFactory::new(|_: &FlowSpec| Sender, |_hint| Receiver);
-//! let net = b.build(agents, &|_port| Box::new(DropTailQdisc::new(100)));
+//! let (net, hosts) = rack.build(agents, &|_port| Box::new(DropTailQdisc::new(100)));
 //! let mut sim = Simulation::new(net);
 //! sim.add_flow(FlowSpec::new(FlowId(0), hosts[0], hosts[1], 100_000, SimTime::ZERO));
 //! sim.run(RunLimit::until_measured_done(SimTime::from_secs(10)));
@@ -99,6 +94,6 @@ pub mod prelude {
     pub use crate::rng::Rng;
     pub use crate::sim::{RunLimit, RunOutcome, Simulation};
     pub use crate::time::{Rate, SimDuration, SimTime};
-    pub use crate::topology::{Network, Topology, TopologyBuilder};
+    pub use crate::topology::{Network, Topology, TopologyBuilder, TopologySpec};
     pub use crate::trace::AbortReason;
 }

@@ -13,6 +13,9 @@ use std::any::Any;
 use crate::ids::{FlowId, NodeId};
 use crate::time::SimTime;
 
+/// Maximum segment payload, bytes: what every scheme's senders put in a
+/// full-size data packet (`MSS + HEADER_BYTES` = 1500 B on the wire).
+pub const MSS: u32 = 1460;
 /// Ethernet + IP + TCP-ish header overhead modeled on every packet, bytes.
 pub const HEADER_BYTES: u32 = 40;
 /// Wire size of a header-only packet (ACK, probe, control), bytes.

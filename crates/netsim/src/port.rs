@@ -81,9 +81,6 @@ pub struct Port {
     /// Packets lost to link degradation (drawn at TX; part of
     /// [`Port::synthetic_drops`]).
     pub degrade_drops: u64,
-    /// Packets corrupted by link degradation (stamped at TX, discarded by
-    /// the destination's checksum).
-    pub degrade_corrupts: u64,
     /// EWMA health score over TX outcomes: 1.0 = pristine, dips on every
     /// observed loss/corruption. See [`HEALTHY_THRESHOLD`].
     health: f64,
@@ -115,7 +112,6 @@ impl Port {
             drops_while_down: 0,
             degrade: None,
             degrade_drops: 0,
-            degrade_corrupts: 0,
             health: 1.0,
         }
     }
@@ -293,7 +289,6 @@ impl Port {
             extra_delay = SimDuration::from_nanos(p.extra_delay_ns as u64 + jitter);
         }
         if corrupt {
-            self.degrade_corrupts += 1;
             pkt.corrupted = true;
         }
         self.note_health_sample(!corrupt);
@@ -311,11 +306,6 @@ impl Port {
     /// Queue occupancy in packets (excluding the in-flight packet).
     pub fn queue_len_pkts(&self) -> usize {
         self.qdisc.len_pkts()
-    }
-
-    /// Is the serializer currently busy?
-    pub fn is_busy(&self) -> bool {
-        self.in_flight.is_some()
     }
 
     /// Visit every packet currently held by this port: queued in the
@@ -357,7 +347,7 @@ impl core::fmt::Debug for Port {
             .field("rate", &self.rate)
             .field("delay", &self.delay)
             .field("queued_pkts", &self.qdisc.len_pkts())
-            .field("busy", &self.is_busy())
+            .field("busy", &self.in_flight.is_some())
             .field("up", &self.up)
             .finish()
     }
@@ -477,7 +467,7 @@ mod tests {
         assert!(matches!(port.qdisc, PortQueue::DropTail(_)));
         assert_eq!(port.ctrl_loss_left, 0);
         port.send(ctrl(99), &mut ctx);
-        assert!(port.is_busy());
+        assert!(port.in_flight.is_some());
         assert_eq!(port.qdisc_stats().enqueued_pkts, 1);
     }
 
@@ -494,7 +484,7 @@ mod tests {
             };
             port.send(data(0), &mut ctx);
         }
-        assert!(port.is_busy());
+        assert!(port.in_flight.is_some());
         // 1500 B at 1 Gbps = 12 us serialization.
         let (target, kind) = sched.pop().unwrap();
         assert_eq!(sched.now(), SimTime::from_micros(12));
@@ -541,7 +531,7 @@ mod tests {
             };
             port.on_tx_complete(&mut ctx);
         }
-        assert!(port.is_busy());
+        assert!(port.in_flight.is_some());
         // Events now pending: Deliver(pkt0) at 22us, TxComplete(pkt1) at 24us.
         let mut times = vec![];
         while let Some((_, _)) = sched.pop() {
@@ -654,9 +644,9 @@ mod tests {
         assert_eq!(port.drops_while_down, 1);
     }
 
-    /// Drive `n` packets through the port, returning how many deliveries
-    /// were scheduled and at what times.
-    fn drive(port: &mut Port, n: u64) -> Vec<SimTime> {
+    /// Drive `n` packets through the port, returning the deliveries it
+    /// scheduled: when each lands and whether it arrives corrupted.
+    fn drive(port: &mut Port, n: u64) -> Vec<(SimTime, bool)> {
         let mut sched = Scheduler::new();
         let mut stats = StatsCollector::new();
         let mut deliveries = vec![];
@@ -677,9 +667,9 @@ mod tests {
                         };
                         port.on_tx_complete(&mut ctx);
                     }
-                    EventKind::Deliver(_) => {
+                    EventKind::Deliver(pkt) => {
                         assert_eq!(target, NodeId(1));
-                        deliveries.push(sched.now());
+                        deliveries.push((sched.now(), pkt.corrupted));
                     }
                     _ => {}
                 }
@@ -708,20 +698,19 @@ mod tests {
         let db = drive(&mut b, 400);
         assert_eq!(da, db, "same seed, same behaviour");
         assert_eq!(a.degrade_drops, b.degrade_drops);
-        assert_eq!(a.degrade_corrupts, b.degrade_corrupts);
         // At 25 % each over 400 packets, both odds certainly fire.
         assert!(a.degrade_drops > 0, "no losses in 400 packets");
-        assert!(a.degrade_corrupts > 0, "no corruptions in 400 packets");
+        assert!(
+            da.iter().any(|&(_, corrupted)| corrupted),
+            "no corruptions in 400 packets"
+        );
         assert_eq!(da.len() as u64 + a.degrade_drops, 400);
         assert_eq!(a.synthetic_drops(), a.degrade_drops);
         // A different seed draws a different sequence.
         let mut c = mk_port();
         c.set_degraded(NodeId(0), heavy_profile(43));
-        drive(&mut c, 400);
-        assert!(
-            c.degrade_drops != a.degrade_drops || c.degrade_corrupts != a.degrade_corrupts,
-            "different seeds should diverge"
-        );
+        let dc = drive(&mut c, 400);
+        assert_ne!(dc, da, "different seeds should diverge");
     }
 
     #[test]
@@ -739,7 +728,7 @@ mod tests {
         );
         let deliveries = drive(&mut port, 1);
         // 12 us serialization + 10 us propagation + 5 us inflation.
-        assert_eq!(deliveries, vec![SimTime::from_micros(27)]);
+        assert_eq!(deliveries, vec![(SimTime::from_micros(27), false)]);
         assert_eq!(port.degrade_drops, 0);
         assert_eq!(port.tx_pkts, 1);
     }
@@ -784,7 +773,10 @@ mod tests {
         port.set_up();
         assert!(port.is_up());
         port.send(data(1), &mut ctx);
-        assert!(port.is_busy(), "transmission resumes after recovery");
+        assert!(
+            port.in_flight.is_some(),
+            "transmission resumes after recovery"
+        );
         assert_eq!(port.faults_injected, 2);
     }
 }

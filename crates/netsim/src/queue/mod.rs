@@ -21,7 +21,7 @@ mod red;
 mod strict_prio;
 
 pub use droptail::DropTailQdisc;
-pub use red::RedEcnQdisc;
+pub use red::{dctcp_mark_thresh, RedEcnQdisc};
 pub use strict_prio::StrictPrioQdisc;
 
 use std::any::Any;

@@ -11,7 +11,19 @@ use std::collections::VecDeque;
 
 use super::{Enqueued, Qdisc, QdiscStats};
 use crate::packet::Packet;
-use crate::time::SimTime;
+use crate::time::{Rate, SimTime};
+
+/// DCTCP's marking threshold `K` for a link of `rate`: 20 packets below
+/// 10 Gbps, 65 at 10 Gbps and above (the DCTCP paper's guideline,
+/// ~RTT × C). Every RED/ECN and strict-priority port in the workspace
+/// takes its `K` from here.
+pub fn dctcp_mark_thresh(rate: Rate) -> usize {
+    if rate >= Rate::from_gbps(10) {
+        65
+    } else {
+        20
+    }
+}
 
 /// FIFO queue with threshold ECN marking on instantaneous occupancy.
 #[derive(Debug)]

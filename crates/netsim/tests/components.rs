@@ -71,17 +71,14 @@ fn one_shot_agents(acks: Arc<AtomicU64>, wakeups: Arc<AtomicU64>) -> AgentFactor
 }
 
 fn two_hosts(factory: AgentFactory) -> (Simulation, Vec<NodeId>, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(2);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(10));
-    }
-    (
-        Simulation::new(b.build(factory, &|_| Box::new(DropTailQdisc::new(64)))),
-        hosts,
-        sw,
-    )
+    let rack = TopologySpec::SingleRack {
+        hosts: 2,
+        access: Rate::from_gbps(1),
+        link_delay: SimDuration::from_micros(10),
+    };
+    let (net, hosts) = rack.build(factory, &|_| Box::new(DropTailQdisc::new(64)));
+    let sw = net.topo.host_tor(hosts[0]);
+    (Simulation::new(net), hosts, sw)
 }
 
 /// `run` stops at `max_time` with `TimeLimit` while later events are

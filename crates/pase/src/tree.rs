@@ -239,40 +239,35 @@ mod tests {
     use netsim::flow::FlowSpec;
     use netsim::host::{AgentCtx, AgentFactory, FlowAgent};
     use netsim::queue::DropTailQdisc;
-    use netsim::time::SimDuration;
-    use netsim::topology::TopologyBuilder;
+    use netsim::topology::{fat_tree_ports_toward, TopologySpec};
 
     struct NullAgent;
     impl FlowAgent for NullAgent {
         fn on_packet(&mut self, _: netsim::packet::Packet, _: &mut AgentCtx<'_, '_>) {}
     }
 
-    fn null_agents() -> AgentFactory {
-        AgentFactory::new(|_: &FlowSpec| NullAgent, |_| NullAgent)
+    /// A recipe's topology and hosts (rack-major).
+    fn build(spec: TopologySpec) -> (Topology, Vec<NodeId>) {
+        let agents = AgentFactory::new(|_: &FlowSpec| NullAgent, |_| NullAgent);
+        let (net, hosts) = spec.build(agents, &|_| Box::new(DropTailQdisc::new(16)));
+        (net.topo, hosts)
     }
 
-    /// The paper's baseline: 3-tier, `tors` racks of `n` hosts, 2 aggs.
+    /// The paper's baseline, scaled down: four racks of `n` hosts, two
+    /// aggs, one core. The topology, its hosts, its ToRs and aggs in rack
+    /// order, and its core, all read off the graph.
     fn three_tier(n: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>, Vec<NodeId>, NodeId) {
-        let mut b = TopologyBuilder::new();
-        let core = b.add_switch();
-        let aggs = vec![b.add_switch(), b.add_switch()];
-        let mut tors = vec![];
-        let mut hosts = vec![];
-        for &agg in &aggs {
-            for _ in 0..2 {
-                let tor = b.add_switch();
-                tors.push(tor);
-                b.connect(tor, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
-                for _ in 0..n {
-                    let h = b.add_host();
-                    hosts.push(h);
-                    b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
-                }
-            }
-            b.connect(agg, core, Rate::from_gbps(10), SimDuration::from_micros(25));
-        }
-        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
-        (net.topo, hosts, tors, aggs, core)
+        let (topo, hosts) = build(TopologySpec::small_three_tier(n));
+        let tors: Vec<NodeId> = hosts.iter().step_by(n).map(|&h| topo.host_tor(h)).collect();
+        // A ToR's one switch neighbour is its agg.
+        let agg_of = |tor: NodeId| {
+            let mut peers = topo.neighbors(tor).into_iter().map(|(_, peer, ..)| peer);
+            peers.find(|&p| topo.kind(p) == NodeKind::Switch).unwrap()
+        };
+        let aggs = vec![agg_of(tors[0]), agg_of(tors[2])];
+        let mut switches = topo.switches().into_iter();
+        let core = switches.find(|sw| !tors.contains(sw) && !aggs.contains(sw));
+        (topo, hosts, tors, aggs, core.unwrap())
     }
 
     #[test]
@@ -297,73 +292,61 @@ mod tests {
         assert_eq!(tree.uplink_rate(core), None);
     }
 
-    /// A `k`-ary fat-tree in the workloads builder's layout (cores, then
-    /// per pod its aggs, then each ToR with its hosts): the topology, and
-    /// each pod's aggs, ToRs and hosts.
-    fn fat_tree(k: usize) -> (Topology, Vec<NodeId>, Vec<[Vec<NodeId>; 3]>) {
-        let half = k / 2;
-        let (fabric, access) = (Rate::from_gbps(10), Rate::from_gbps(1));
-        let delay = SimDuration::from_micros(25);
-        let mut b = TopologyBuilder::new();
-        let cores: Vec<NodeId> = (0..half * half).map(|_| b.add_switch()).collect();
-        let mut pods = vec![];
-        for _ in 0..k {
-            let aggs: Vec<NodeId> = (0..half).map(|_| b.add_switch()).collect();
-            for (j, &agg) in aggs.iter().enumerate() {
-                for &core in &cores[j * half..(j + 1) * half] {
-                    b.connect(agg, core, fabric, delay);
-                }
-            }
-            let (mut tors, mut hosts) = (vec![], vec![]);
-            for _ in 0..half {
-                let tor = b.add_switch();
-                for &agg in &aggs {
-                    b.connect(tor, agg, fabric, delay);
-                }
-                for _ in 0..half {
-                    let h = b.add_host();
-                    b.connect(h, tor, access, delay);
-                    hosts.push(h);
-                }
-                tors.push(tor);
-            }
-            pods.push([aggs, tors, hosts]);
-        }
-        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
-        (net.topo, cores, pods)
-    }
-
+    /// On `fat_tree(k)`, every ToR and agg arbitrates its k/2 upper links
+    /// (the up-ports Al-Fares routing forwards a packet for another pod
+    /// on) as one uplink of k/2 × 10 Gb/s, and parents spread evenly: a
+    /// pod's k/2 ToRs over its k/2 aggs, one each, and the k aggs that
+    /// share a row of k/2 cores over that row, two each.
     #[test]
     fn fat_tree_uplinks_sum_and_parents_spread() {
-        let (topo, cores, pods) = fat_tree(4);
-        let tree = TreeInfo::from_topology(&topo);
-        for (p, [aggs, tors, hosts]) in pods.iter().enumerate() {
-            // Every ToR of a pod sees the pod's two aggs; ToR t reports to
-            // agg t, so each agg parents one ToR.
-            for (t, &tor) in tors.iter().enumerate() {
-                assert_eq!(tree.uplink_rate(tor), Some(Rate::from_gbps(20)));
-                assert_eq!(tree.uplinks(tor).len(), 2);
-                assert_eq!(tree.parent(tor), Some(aggs[t]));
-                assert_eq!(tree.children(aggs[t]), &[tor]);
-            }
-            // Agg j of every pod sees core row j; pod p's reports to the
-            // row's core p mod 2, so each core parents two aggs.
-            for (j, &agg) in aggs.iter().enumerate() {
-                assert_eq!(tree.uplink_rate(agg), Some(Rate::from_gbps(20)));
-                assert_eq!(tree.parent(agg), Some(cores[2 * j + p % 2]));
-            }
-            // Same pod ⇔ same subtree.
-            for (q, [.., others]) in pods.iter().enumerate() {
-                for &a in hosts {
-                    for &b in others {
-                        assert_eq!(tree.same_agg_subtree(a, b), p == q, "pods {p}, {q}");
+        for k in [4usize, 8] {
+            let half = k / 2;
+            let (topo, hosts) = build(TopologySpec::fat_tree(k));
+            let tree = TreeInfo::from_topology(&topo);
+            let pod_hosts = hosts.len() / k;
+            // Each ToR's pod from its hosts, each agg's from the ToRs
+            // below it.
+            let mut pod = vec![None; topo.n_nodes()];
+            for (i, &h) in hosts.iter().enumerate() {
+                let tor = tree.tor_of(h);
+                pod[tor.index()] = Some(i / pod_hosts);
+                for (_, peer, ..) in topo.neighbors(tor) {
+                    if topo.kind(peer) == NodeKind::Switch {
+                        pod[peer.index()] = Some(i / pod_hosts);
                     }
                 }
             }
-        }
-        for &core in &cores {
-            assert_eq!(tree.children(core).len(), 2);
-            assert_eq!(tree.parent(core), None);
+            let mut census = [0; 3];
+            for sw in topo.switches() {
+                let level = tree.level(sw);
+                census[level as usize] += 1;
+                let kids = tree.children(sw).len();
+                let Some(p) = pod[sw.index()] else {
+                    assert_eq!(level, Level::Core, "k={k} {sw}");
+                    assert_eq!((kids, tree.parent(sw)), (2, None), "k={k} core {sw}");
+                    continue;
+                };
+                let elsewhere = hosts[(p + 1) % k * pod_hosts];
+                let ups = fat_tree_ports_toward(k, sw, elsewhere);
+                assert_eq!(tree.uplinks(sw), ups, "k={k} {level:?} {sw}");
+                let uplink = Rate::from_gbps(10 * half as u64);
+                assert_eq!(tree.uplink_rate(sw), Some(uplink), "k={k} {sw}");
+                let parent = topo.port_between(sw, tree.parent(sw).unwrap());
+                assert!(
+                    ups.contains(&parent.unwrap()),
+                    "k={k} {sw}: parent not above"
+                );
+                let want = if level == Level::Agg { 1 } else { 0 };
+                assert_eq!(kids, want, "k={k} {level:?} {sw} parents {kids}");
+            }
+            assert_eq!(census, [k * half, k * half, half * half], "k={k}");
+            // Same pod ⇔ same subtree.
+            for (i, &a) in hosts.iter().enumerate() {
+                for (j, &b) in hosts.iter().enumerate() {
+                    let same_pod = i / pod_hosts == j / pod_hosts;
+                    assert_eq!(tree.same_agg_subtree(a, b), same_pod, "k={k} {a} {b}");
+                }
+            }
         }
     }
 
@@ -400,14 +383,9 @@ mod tests {
 
     #[test]
     fn single_rack_has_no_parents() {
-        let mut b = TopologyBuilder::new();
-        let sw = b.add_switch();
-        let hosts = b.add_hosts(4);
-        for &h in &hosts {
-            b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-        }
-        let net = b.build(null_agents(), &|_| Box::new(DropTailQdisc::new(16)));
-        let tree = TreeInfo::from_topology(&net.topo);
+        let (topo, hosts) = build(TopologySpec::intra_rack(4));
+        let tree = TreeInfo::from_topology(&topo);
+        let sw = topo.host_tor(hosts[0]);
         assert_eq!(tree.level(sw), Level::Tor);
         assert_eq!(tree.parent(sw), None);
         assert!(tree.same_rack(hosts[0], hosts[3]));

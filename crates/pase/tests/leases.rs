@@ -8,8 +8,11 @@
 //! `FlowDone` releases each lease it took, so no arbitrator holds an entry
 //! once the flows have ended and their control traffic has drained.
 
+use std::ops::Range;
+
 use netsim::packet::Packet;
 use netsim::prelude::*;
+use netsim::queue::dctcp_mark_thresh;
 use netsim::stats::{Fate, Plane};
 use pase::{install, pase_qdisc, ArbMsg, ArbProcess, ArbRequest, Decision, Leg, PaseConfig};
 
@@ -166,79 +169,23 @@ fn an_expired_lease_claims_no_delegated_share() {
     assert_eq!(capacity, Rate::from_gbps(5), "expired lease reported");
 }
 
-/// Hosts, ToRs, aggs and cores of the released-lease runs: 1 Gb/s access,
-/// 10 Gb/s fabric, 25 µs per link (base RTT 300 µs across the core).
-const ACCESS: Rate = Rate::from_gbps(1);
-const FABRIC: Rate = Rate::from_gbps(10);
-const DELAY: SimDuration = SimDuration::from_micros(25);
-
-/// The paper's three-tier tree, scaled down: a core, two aggs, four racks
-/// of four hosts. Hosts rack-major.
-fn three_tier() -> (TopologyBuilder, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let core = b.add_switch();
-    let mut hosts = vec![];
-    for _ in 0..2 {
-        let agg = b.add_switch();
-        b.connect(agg, core, FABRIC, DELAY);
-        for _ in 0..2 {
-            let tor = b.add_switch();
-            b.connect(tor, agg, FABRIC, DELAY);
-            for _ in 0..4 {
-                let h = b.add_host();
-                b.connect(h, tor, ACCESS, DELAY);
-                hosts.push(h);
-            }
-        }
-    }
-    (b, hosts)
-}
-
-/// The k = 4 fat-tree: four cores, four pods of two aggs and two ToRs of
-/// two hosts each. Hosts rack-major.
-fn fat_tree_4() -> (TopologyBuilder, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let cores: Vec<NodeId> = (0..4).map(|_| b.add_switch()).collect();
-    let mut hosts = vec![];
-    for _ in 0..4 {
-        let aggs = [b.add_switch(), b.add_switch()];
-        for (j, agg) in aggs.into_iter().enumerate() {
-            for &core in &cores[2 * j..2 * j + 2] {
-                b.connect(agg, core, FABRIC, DELAY);
-            }
-        }
-        for _ in 0..2 {
-            let tor = b.add_switch();
-            for agg in aggs {
-                b.connect(tor, agg, FABRIC, DELAY);
-            }
-            for _ in 0..2 {
-                let h = b.add_host();
-                b.connect(h, tor, ACCESS, DELAY);
-                hosts.push(h);
-            }
-        }
-    }
-    (b, hosts)
-}
-
-/// Run `n` measured flows, one every 20 µs from a random host of `srcs`
-/// to a random other host of `dsts`, sized U[2 KB, 198 KB], under the
-/// default PASE configuration, to completion; then run 50 ms more for
-/// the control traffic in flight to drain. Returns the entries every
-/// arbitrator on every node holds at the end, nonzero ones only, as
-/// `(node, leg, entries)`.
+/// Run `n` measured flows on `topo`, one every 20 µs from a random host
+/// of `srcs` to a random other host of `dsts` (rack-major host indices),
+/// sized U[2 KB, 198 KB], under the default PASE configuration, to
+/// completion; then run 50 ms more for the control traffic in flight to
+/// drain. Returns the entries every arbitrator on every node holds at the
+/// end, nonzero ones only, as `(node, leg, entries)`.
 fn leases_left(
-    b: TopologyBuilder,
-    srcs: &[NodeId],
-    dsts: &[NodeId],
+    topo: TopologySpec,
+    srcs: Range<usize>,
+    dsts: Range<usize>,
     n: u64,
 ) -> Vec<(NodeId, Leg, usize)> {
     let cfg = PaseConfig::default();
-    let net = b.build(pase::agents(cfg), &|spec| {
-        let k = if spec.rate >= FABRIC { 65 } else { 20 };
-        Box::new(pase_qdisc(&cfg, 250, k))
+    let (net, hosts) = topo.build(pase::agents(cfg), &|spec| {
+        Box::new(pase_qdisc(&cfg, 250, dctcp_mark_thresh(spec.rate)))
     });
+    let (srcs, dsts) = (&hosts[srcs], &hosts[dsts]);
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     let mut rng = Rng::seed_from_u64(1);
@@ -282,14 +229,15 @@ fn leases_left(
 /// its aggs.
 #[test]
 fn finished_flows_hold_no_lease_left_right() {
-    let (b, hosts) = three_tier();
-    let (left, right) = hosts.split_at(hosts.len() / 2);
-    assert_eq!(leases_left(b, left, right, 120), vec![]);
+    let topo = TopologySpec::small_three_tier(4);
+    assert_eq!(leases_left(topo, 0..8, 8..16, 120), vec![]);
 }
 
 /// All-to-all on the multi-rooted k = 4 fat-tree: likewise.
 #[test]
 fn finished_flows_hold_no_lease_fat_tree() {
-    let (b, hosts) = fat_tree_4();
-    assert_eq!(leases_left(b, &hosts, &hosts, 120), vec![]);
+    assert_eq!(
+        leases_left(TopologySpec::fat_tree(4), 0..16, 0..16, 120),
+        vec![]
+    );
 }

@@ -1,6 +1,7 @@
 //! End-to-end PASE behaviour: intra-rack, inter-rack, optimizations.
 
 use netsim::prelude::*;
+use netsim::queue::dctcp_mark_thresh;
 use pase::{install, pase_qdisc, Leg, PaseConfig};
 
 fn cfg_intra() -> PaseConfig {
@@ -13,13 +14,8 @@ fn cfg_intra() -> PaseConfig {
 
 /// Single rack of `n` hosts.
 fn star_sim(n: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(n);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let (net, hosts) = TopologySpec::intra_rack(n)
+        .build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     (sim, hosts)
@@ -28,30 +24,8 @@ fn star_sim(n: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>) {
 /// The paper's 3-tier baseline, scaled down: `per_rack` hosts × 4 racks,
 /// 2 aggs, 1 core; 1 Gbps access, 10 Gbps up.
 fn three_tier_sim(per_rack: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let core = b.add_switch();
-    let mut hosts = vec![];
-    for a in 0..2 {
-        let agg = b.add_switch();
-        b.connect(agg, core, Rate::from_gbps(10), SimDuration::from_micros(25));
-        for _ in 0..2 {
-            let tor = b.add_switch();
-            b.connect(tor, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
-            for _ in 0..per_rack {
-                let h = b.add_host();
-                b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
-                hosts.push(h);
-            }
-        }
-        let _ = a;
-    }
-    let net = b.build(pase::agents(cfg), &|spec| {
-        let k = if spec.rate.as_bps() >= 10_000_000_000 {
-            65
-        } else {
-            20
-        };
-        Box::new(pase_qdisc(&cfg, 500, k))
+    let (net, hosts) = TopologySpec::small_three_tier(per_rack).build(pase::agents(cfg), &|spec| {
+        Box::new(pase_qdisc(&cfg, 500, dctcp_mark_thresh(spec.rate)))
     });
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
@@ -417,24 +391,21 @@ fn tree_extraction_handles_multi_rooted_fabrics() {
     // spines as aggs, arbitrate each leaf's two spine links as one
     // uplink, and spread the leaves' parents over the spines.
     use pase::{Level, TreeInfo};
-    let mut b = TopologyBuilder::new();
-    let spines = [b.add_switch(), b.add_switch()];
-    let mut leaves = vec![];
-    let mut hosts = vec![];
-    for _ in 0..3 {
-        let leaf = b.add_switch();
-        for &s in &spines {
-            b.connect(leaf, s, Rate::from_gbps(10), SimDuration::from_micros(25));
-        }
-        let h = b.add_host();
-        b.connect(h, leaf, Rate::from_gbps(1), SimDuration::from_micros(25));
-        leaves.push(leaf);
-        hosts.push(h);
-    }
+    let fabric = TopologySpec::LeafSpine {
+        leaves: 3,
+        hosts_per_leaf: 1,
+        spines: 2,
+        access: Rate::from_gbps(1),
+        fabric: Rate::from_gbps(10),
+        link_delay: SimDuration::from_micros(25),
+    };
     let cfg = PaseConfig::default();
-    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 100, 20)));
+    let (net, hosts) = fabric.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 100, 20)));
+    // The recipe adds the spines first.
+    let spines = [NodeId(0), NodeId(1)];
     let tree = TreeInfo::from_topology(&net.topo);
-    for (rank, &l) in leaves.iter().enumerate() {
+    let leaves = hosts.iter().map(|&h| tree.tor_of(h));
+    for (rank, l) in leaves.enumerate() {
         assert_eq!(tree.level(l), Level::Tor);
         assert_eq!(tree.uplink_rate(l), Some(Rate::from_gbps(20)));
         // The leaf's rank among leaves with the same spines, modulo 2.

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex};
 use netsim::node::Node;
 use netsim::packet::PacketKind;
 use netsim::prelude::*;
+use netsim::queue::dctcp_mark_thresh;
 use netsim::trace::{AbortReason, TextTracer, TraceEvent, TraceSink};
 use pase::config::{CTRL_BUDGET_PER_EPOCH, REFRESH_BACKOFF_CAP};
 use pase::{install, pase_qdisc, ArbProcess, Leg, PaseConfig, PaseSender};
@@ -28,13 +29,7 @@ fn cfg() -> PaseConfig {
 
 /// `n` hosts on one switch, every port buffering `buf_pkts` packets.
 fn star_sim_with(n: usize, cfg: PaseConfig, buf_pkts: usize) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(n);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(pase::agents(cfg), &|_| {
+    let (net, hosts) = TopologySpec::intra_rack(n).build(pase::agents(cfg), &|_| {
         Box::new(pase_qdisc(&cfg, buf_pkts, 20))
     });
     let mut sim = Simulation::new(net);
@@ -246,29 +241,8 @@ fn control_plane_loss_does_not_stall_flows() {
 /// core): the smallest topology where switch-resident arbitrators carry
 /// real state, so crashing them means something.
 fn three_tier_sim(per_rack: usize, cfg: PaseConfig) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let core = b.add_switch();
-    let mut hosts = vec![];
-    for _ in 0..2 {
-        let agg = b.add_switch();
-        b.connect(agg, core, Rate::from_gbps(10), SimDuration::from_micros(25));
-        for _ in 0..2 {
-            let tor = b.add_switch();
-            b.connect(tor, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
-            for _ in 0..per_rack {
-                let h = b.add_host();
-                b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
-                hosts.push(h);
-            }
-        }
-    }
-    let net = b.build(pase::agents(cfg), &|spec| {
-        let k = if spec.rate.as_bps() >= 10_000_000_000 {
-            65
-        } else {
-            20
-        };
-        Box::new(pase_qdisc(&cfg, 500, k))
+    let (net, hosts) = TopologySpec::small_three_tier(per_rack).build(pase::agents(cfg), &|spec| {
+        Box::new(pase_qdisc(&cfg, 500, dctcp_mark_thresh(spec.rate)))
     });
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);

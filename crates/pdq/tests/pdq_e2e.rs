@@ -4,18 +4,12 @@ use netsim::prelude::*;
 use pdq::{install_switch_plugins, PdqConfig};
 
 fn star_sim(n: usize, cfg: PdqConfig) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(n);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
     // PDQ runs over plain drop-tail FIFO queues; rates are arbitrated so
     // queues stay short, but Early Start can briefly oversubscribe.
-    let net = b.build(pdq::agents(cfg), &|_| Box::new(DropTailQdisc::new(200)));
+    let (net, hosts) =
+        TopologySpec::intra_rack(n).build(pdq::agents(cfg), &|_| Box::new(DropTailQdisc::new(200)));
     let mut sim = Simulation::new(net);
     install_switch_plugins(&mut sim, cfg);
-    let _ = sw;
     (sim, hosts)
 }
 

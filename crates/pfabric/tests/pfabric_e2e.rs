@@ -6,13 +6,9 @@ use pfabric::{PFabricConfig, PFabricQdisc};
 
 /// Star topology with pFabric queues everywhere.
 fn star_sim(n: usize, qcap: usize, cfg: PFabricConfig) -> (Simulation, Vec<NodeId>, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(n);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(pfabric::agents(cfg), &|_| Box::new(PFabricQdisc::new(qcap)));
+    let (net, hosts) = TopologySpec::intra_rack(n)
+        .build(pfabric::agents(cfg), &|_| Box::new(PFabricQdisc::new(qcap)));
+    let sw = net.topo.host_tor(hosts[0]);
     (Simulation::new(net), hosts, sw)
 }
 

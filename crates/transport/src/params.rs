@@ -1,14 +1,14 @@
 //! The fixed parameters of the DCTCP-family transports, and the segment
-//! size every transport in the workspace sends.
+//! size every transport in the workspace sends (defined beside the header
+//! sizes in [`netsim::packet`]).
 //!
 //! Values follow Table 3 of the paper where given, and the respective
 //! protocol papers otherwise. No figure, binary or test varies them, so
 //! they are constants rather than a config struct.
 
+pub use netsim::packet::MSS;
 use netsim::time::SimDuration;
 
-/// Maximum segment payload, bytes (every scheme's senders).
-pub const MSS: u32 = 1460;
 /// Initial congestion window, packets.
 pub const INIT_CWND: f64 = 2.0;
 /// Window growth per acknowledged packet. Real DCTCP-family stacks run

@@ -123,10 +123,10 @@ impl DctcpWindow {
 mod tests {
     use super::*;
     use crate::dctcp_family::Flavor;
+    use crate::params::MSS;
     use netsim::rng::Rng;
 
     const G: f64 = 1.0 / 16.0;
-    const MSS: u32 = 1460;
     const STEPS: usize = 100_000;
 
     /// What one ACK shows the law.

@@ -1,20 +1,12 @@
 //! End-to-end tests: DCTCP-family flows over a real simulated network.
 
 use netsim::prelude::*;
-use netsim::queue::RedEcnQdisc;
+use netsim::queue::{dctcp_mark_thresh, RedEcnQdisc};
 use transport::Flavor;
-
-const MSS_WIRE: u32 = 1500;
 
 /// Single-rack star: `n` hosts behind one switch, 1 Gbps, 25 us links.
 fn star_sim(n: usize, flavor: Flavor, qcap: usize, k: usize) -> (Simulation, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(n);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(transport::agents(flavor), &|_| {
+    let (net, hosts) = TopologySpec::intra_rack(n).build(transport::agents(flavor), &|_| {
         Box::new(RedEcnQdisc::new(qcap, k))
     });
     (Simulation::new(net), hosts)
@@ -144,13 +136,7 @@ fn dctcp_keeps_queues_bounded_by_ecn() {
 fn reno_survives_drop_tail_losses() {
     // Tiny queue to force real drops; Reno must still complete via fast
     // retransmit / RTO.
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch();
-    let hosts = b.add_hosts(3);
-    for &h in &hosts {
-        b.connect(h, sw, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(transport::agents(Flavor::Reno), &|_| {
+    let (net, hosts) = TopologySpec::intra_rack(3).build(transport::agents(Flavor::Reno), &|_| {
         Box::new(DropTailQdisc::new(8))
     });
     let mut sim = Simulation::new(net);
@@ -261,12 +247,7 @@ fn cross_rack_flow_traverses_tree() {
     b.connect(tor0, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
     b.connect(tor1, agg, Rate::from_gbps(10), SimDuration::from_micros(25));
     let net = b.build(transport::agents(Flavor::Dctcp), &|spec| {
-        let k = if spec.rate.as_bps() >= 10_000_000_000 {
-            65
-        } else {
-            20
-        };
-        Box::new(RedEcnQdisc::new(225, k))
+        Box::new(RedEcnQdisc::new(225, dctcp_mark_thresh(spec.rate)))
     });
     let mut sim = Simulation::new(net);
     sim.add_flow(FlowSpec::new(FlowId(0), h0, h1, 300_000, SimTime::ZERO));
@@ -277,5 +258,4 @@ fn cross_rack_flow_traverses_tree() {
         panic!()
     };
     assert!(aggsw.ports().iter().map(|p| p.tx_pkts).sum::<u64>() > 200);
-    let _ = MSS_WIRE;
 }

@@ -15,9 +15,7 @@ use netsim::port::Port;
 use netsim::queue::DropTailQdisc;
 use netsim::stats::StatsCollector;
 use netsim::time::{Rate, SimDuration};
-use transport::SimpleReceiver;
-
-const MSS: u32 = 1460;
+use transport::{SimpleReceiver, MSS};
 
 /// A receiver host whose access port we can drain for emitted ACKs.
 struct Rig {

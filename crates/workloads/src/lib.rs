@@ -1,10 +1,11 @@
 //! # workloads — the paper's evaluation scenarios, end to end
 //!
-//! Ready-made topologies ([`topologies`]), traffic workloads
-//! ([`flowgen`], [`scenarios`]), scheme wiring ([`scheme`]) and metric
-//! collection ([`metrics`]): everything needed to run
-//! "(protocol, scenario, load, seed) → AFCT / tail FCT / deadlines /
-//! loss / control overhead" in one call ([`runner::RunSpec::run`]).
+//! Traffic workloads ([`flowgen`], [`scenarios`]), scheme wiring
+//! ([`scheme`]) and metric collection ([`metrics`]) over the paper's
+//! topology recipes ([`TopologySpec`], which `netsim` owns and this crate
+//! re-exports): everything needed to run "(protocol, scenario, load,
+//! seed) → AFCT / tail FCT / deadlines / loss / control overhead" in one
+//! call ([`runner::RunSpec::run`]).
 //! Sweeps over many such cases go through the deterministic parallel
 //! execution engine in [`exec`]; every binary's flags go through the
 //! argument cursor in [`cli`].
@@ -19,7 +20,6 @@ pub mod metrics;
 pub mod runner;
 pub mod scenarios;
 pub mod scheme;
-pub mod topologies;
 
 pub use exec::{default_jobs, read_peak_rss, run_cases};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
@@ -27,7 +27,7 @@ pub use metrics::{
     collect, collect_with, events_by_kind_line, percentile, MetricsMode, QuantileSketch,
     RunMetrics, SKETCH_EPSILON,
 };
+pub use netsim::topology::{fat_tree_ports_toward, TopologySpec};
 pub use runner::RunSpec;
 pub use scenarios::{Pattern, Scenario};
 pub use scheme::Scheme;
-pub use topologies::{fat_tree_ports_toward, TopologySpec};

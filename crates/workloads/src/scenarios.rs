@@ -8,10 +8,10 @@ use netsim::flow::FlowSpec;
 use netsim::ids::{FlowId, NodeId};
 use netsim::rng::Rng;
 use netsim::time::{Rate, SimTime};
+use netsim::topology::TopologySpec;
 use transport::MSS;
 
 use crate::flowgen::{arrival_rate, DeadlineDist, PoissonArrivals, SizeDist};
-use crate::topologies::TopologySpec;
 
 /// Who talks to whom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,17 +7,15 @@
 
 use netsim::engine::EngineKind;
 use netsim::ids::NodeId;
-use netsim::queue::{DropTailQdisc, Qdisc, RedEcnQdisc};
+use netsim::queue::{dctcp_mark_thresh, DropTailQdisc, Qdisc, RedEcnQdisc};
 use netsim::sim::Simulation;
-use netsim::time::{Rate, SimDuration};
-use netsim::topology::PortSpec;
+use netsim::time::SimDuration;
+use netsim::topology::{PortSpec, TopologySpec};
 
 use pase::PaseConfig;
 use pdq::PdqConfig;
 use pfabric::{PFabricConfig, PFabricQdisc};
 use transport::Flavor;
-
-use crate::topologies::TopologySpec;
 
 /// The transports evaluated by the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,16 +76,6 @@ impl Scheme {
         }
     }
 
-    /// DCTCP-style marking threshold for a link rate: K = 20 packets at
-    /// 1 Gbps, 65 at 10 Gbps (the DCTCP paper's guideline, ~RTT × C).
-    fn mark_thresh(rate: Rate) -> usize {
-        if rate.as_bps() >= 10_000_000_000 {
-            65
-        } else {
-            20
-        }
-    }
-
     /// Build a ready-to-run simulation on `topo`: every host's endpoints,
     /// queue disciplines, node processes and control-plane timers.
     pub fn build_sim(&self, topo: &TopologySpec) -> (Simulation, Vec<NodeId>) {
@@ -115,7 +103,7 @@ impl Scheme {
                     _ => Flavor::L2dct,
                 };
                 let q = |spec: &PortSpec| -> Box<dyn Qdisc> {
-                    Box::new(RedEcnQdisc::new(225, Self::mark_thresh(spec.rate)))
+                    Box::new(RedEcnQdisc::new(225, dctcp_mark_thresh(spec.rate)))
                 };
                 let (net, hosts) = topo.build(transport::agents(flavor), &q);
                 (Simulation::with_engine(net, engine), hosts)
@@ -154,7 +142,7 @@ impl Scheme {
                 // give each band the full budget (commodity shared
                 // buffers) and mark per band.
                 let q = move |spec: &PortSpec| -> Box<dyn Qdisc> {
-                    Box::new(pase::pase_qdisc(&cfg, 500, Self::mark_thresh(spec.rate)))
+                    Box::new(pase::pase_qdisc(&cfg, 500, dctcp_mark_thresh(spec.rate)))
                 };
                 let (net, hosts) = topo.build(pase::agents(cfg), &q);
                 let mut sim = Simulation::with_engine(net, engine);

@@ -22,13 +22,9 @@ fn run(loss_ppm: u32) -> (f64, u64, u64, u64) {
         arb_refresh: SimDuration::from_micros(100),
         ..PaseConfig::default()
     };
-    let mut b = TopologyBuilder::new();
-    let tor = b.add_switch();
-    let hosts = b.add_hosts(8);
-    for &h in &hosts {
-        b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
+    let (net, hosts) = TopologySpec::intra_rack(8)
+        .build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
+    let tor = net.topo.host_tor(hosts[0]);
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
     let lossy = DegradeProfile {

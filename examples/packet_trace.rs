@@ -20,13 +20,8 @@ fn main() {
         arb_refresh: SimDuration::from_micros(100),
         ..PaseConfig::default()
     };
-    let mut b = TopologyBuilder::new();
-    let tor = b.add_switch();
-    let hosts = b.add_hosts(3);
-    for &h in &hosts {
-        b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let (net, hosts) = TopologySpec::intra_rack(3)
+        .build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
 

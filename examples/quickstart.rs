@@ -20,16 +20,11 @@ fn main() {
         ..PaseConfig::default()
     };
 
-    // 2. Build a single rack: 6 hosts behind one ToR, 1 Gbps links.
-    let mut b = TopologyBuilder::new();
-    let tor = b.add_switch();
-    let hosts = b.add_hosts(6);
-    for &h in &hosts {
-        b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
-    }
-    // Every port gets PASE's switch configuration: 8 strict-priority
-    // bands with per-band RED/ECN marking at K=20.
-    let net = b.build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
+    // 2. Build a single rack: 6 hosts behind one ToR, 1 Gbps links. Every
+    // port gets PASE's switch configuration: 8 strict-priority bands with
+    // per-band RED/ECN marking at K=20.
+    let (net, hosts) = TopologySpec::intra_rack(6)
+        .build(pase::agents(cfg), &|_| Box::new(pase_qdisc(&cfg, 500, 20)));
 
     // 3. Install the control plane: endpoint arbitrators on every host
     // (intra-rack flows need nothing else).

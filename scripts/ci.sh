@@ -2,7 +2,8 @@
 # Tier-1 gate: everything a PR must keep green.
 #
 #   scripts/ci.sh   # build + tests, chaos / engine-differential / scale
-#                   # smokes, the pinned quick figure sweep, perfbench
+#                   # smokes, the pinned quick figure sweep, the asserting
+#                   # examples and the pinned packet trace, perfbench
 #                   # build + smoke tests, the frozen-paths guard, the
 #                   # rustdoc gate (+ fmt/clippy when installed)
 #
@@ -122,6 +123,19 @@ echo "== quickstart example (flows complete in SRPT order) =="
 cargo run --release -q --example quickstart
 echo "== deadline_search example (PASE meets >= DCTCP's and pFabric's deadlines) =="
 cargo run --release -q --example deadline_search
+
+# The one traced example: packet_trace prints every event of one PASE
+# flow on a rack (115 lines), so its stdout pins the model, the trace
+# format and the rack recipe's node ids and ports at once. Its sha256
+# must equal the committed scripts/packet_trace.sha256; a change that
+# means to move that trace updates the file and says why.
+echo "== packet_trace example (stdout pinned by scripts/packet_trace.sha256) =="
+trace_sum=$(cargo run --release -q --example packet_trace | sha256sum | cut -d' ' -f1)
+if [ "$trace_sum" != "$(cat scripts/packet_trace.sha256)" ]; then
+    echo "packet_trace: stdout sha256 $trace_sum differs from" \
+        "scripts/packet_trace.sha256: the model, its trace or the rack changed" >&2
+    exit 1
+fi
 
 # The repo benchmark is a package of its own compiled against the
 # crates' public API: build it and run its smoke tests here so API drift
