@@ -228,6 +228,34 @@ impl core::fmt::Display for Subject {
     }
 }
 
+/// Every field the `Debug` rendering shows, with node ids spelled as in
+/// the rest of a trace line (`n2`, not `NodeId(2)`).
+impl core::fmt::Display for FaultEvent {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            FaultEvent::LinkDown { a, b } => write!(f, "LinkDown {{ a: {a}, b: {b} }}"),
+            FaultEvent::LinkUp { a, b } => write!(f, "LinkUp {{ a: {a}, b: {b} }}"),
+            FaultEvent::ArbitratorCrash { node } => write!(f, "ArbitratorCrash {{ node: {node} }}"),
+            FaultEvent::ArbitratorRestart { node } => {
+                write!(f, "ArbitratorRestart {{ node: {node} }}")
+            }
+            FaultEvent::CtrlLossBurst { from, to, n } => {
+                write!(f, "CtrlLossBurst {{ from: {from}, to: {to}, n: {n} }}")
+            }
+            FaultEvent::HostCrash { node } => write!(f, "HostCrash {{ node: {node} }}"),
+            FaultEvent::HostRestart { node } => write!(f, "HostRestart {{ node: {node} }}"),
+            FaultEvent::LinkDegrade { a, b, profile } => {
+                write!(f, "LinkDegrade {{ a: {a}, b: {b}, profile: {profile:?} }}")
+            }
+            FaultEvent::LinkRestore { a, b } => write!(f, "LinkRestore {{ a: {a}, b: {b} }}"),
+            FaultEvent::CtrlStormStart { node, amplify } => {
+                write!(f, "CtrlStormStart {{ node: {node}, amplify: {amplify} }}")
+            }
+            FaultEvent::CtrlStormEnd { node } => write!(f, "CtrlStormEnd {{ node: {node} }}"),
+        }
+    }
+}
+
 impl FaultEvent {
     /// The fault vocabulary, declared once: how the event pairs up and
     /// what it happens to. [`FaultPlan::validate`], injection, the chaos
@@ -492,6 +520,41 @@ mod tests {
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_millis(n)
+    }
+
+    #[test]
+    fn display_is_the_debug_rendering_with_trace_node_ids() {
+        let (a, b) = (NodeId(2), NodeId(40));
+        let profile = DegradeProfile {
+            seed: 7,
+            jitter_ns: 9,
+            ..DegradeProfile::default()
+        };
+        for fault in [
+            FaultEvent::LinkDown { a, b },
+            FaultEvent::LinkUp { a, b },
+            FaultEvent::ArbitratorCrash { node: a },
+            FaultEvent::ArbitratorRestart { node: b },
+            FaultEvent::CtrlLossBurst {
+                from: a,
+                to: b,
+                n: 3,
+            },
+            FaultEvent::HostCrash { node: a },
+            FaultEvent::HostRestart { node: b },
+            FaultEvent::LinkDegrade { a, b, profile },
+            FaultEvent::LinkRestore { a, b },
+            FaultEvent::CtrlStormStart {
+                node: a,
+                amplify: 8,
+            },
+            FaultEvent::CtrlStormEnd { node: b },
+        ] {
+            let debug = format!("{fault:?}")
+                .replace("NodeId(2)", "n2")
+                .replace("NodeId(40)", "n40");
+            assert_eq!(fault.to_string(), debug);
+        }
     }
 
     #[test]

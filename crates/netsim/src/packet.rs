@@ -132,24 +132,12 @@ impl Packet {
     /// `cum_ack`.
     pub fn ack(flow: FlowId, src: NodeId, dst: NodeId, cum_ack: u64) -> Packet {
         Packet {
-            flow,
-            src,
-            dst,
             kind: PacketKind::Ack,
             seq: cum_ack,
-            sack: None,
-            payload_len: 0,
             wire_bytes: CONTROL_PKT_BYTES,
-            prio: 0,
-            rank: 0,
             ecn_capable: false,
-            ecn_ce: false,
-            ece: false,
-            incarnation: 0,
-            ts: SimTime::ZERO,
-            ts_echo: None,
             proto: None,
-            corrupted: false,
+            ..Packet::data(flow, src, dst, 0, 0)
         }
     }
 
@@ -173,24 +161,12 @@ impl Packet {
     /// Build a control packet carrying a protocol-specific payload.
     pub fn ctrl(flow: FlowId, src: NodeId, dst: NodeId, proto: Box<dyn Any + Send>) -> Packet {
         Packet {
-            flow,
-            src,
-            dst,
             kind: PacketKind::Ctrl,
             seq: 0,
-            sack: None,
-            payload_len: 0,
             wire_bytes: CONTROL_PKT_BYTES,
-            prio: 0,
-            rank: 0,
             ecn_capable: false,
-            ecn_ce: false,
-            ece: false,
-            incarnation: 0,
-            ts: SimTime::ZERO,
-            ts_echo: None,
             proto: Some(proto),
-            corrupted: false,
+            ..Packet::data(flow, src, dst, 0, 0)
         }
     }
 

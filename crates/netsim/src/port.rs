@@ -305,7 +305,7 @@ impl Port {
 
     /// Queue occupancy in packets (excluding the in-flight packet).
     pub fn queue_len_pkts(&self) -> usize {
-        self.qdisc.len_pkts()
+        self.qdisc.get().len_pkts()
     }
 
     /// Visit every packet currently held by this port: queued in the
@@ -313,7 +313,7 @@ impl Port {
     /// [`crate::invariants`] conservation walk to count in-network
     /// packets.
     pub fn for_each_held(&self, f: &mut dyn FnMut(&Packet)) {
-        self.qdisc.for_each_queued(f);
+        self.qdisc.get().for_each_queued(f);
         if let Some(p) = &self.in_flight {
             f(p);
         }
@@ -322,7 +322,7 @@ impl Port {
     /// Queue-discipline counters, with the control packets lost to
     /// injected bursts counted as drops at the queue.
     pub fn qdisc_stats(&self) -> QdiscStats {
-        let mut s = self.qdisc.stats();
+        let mut s = self.qdisc.get().stats();
         s.dropped_pkts += self.ctrl_loss_drops;
         s
     }
@@ -346,7 +346,7 @@ impl core::fmt::Debug for Port {
             .field("peer", &self.peer)
             .field("rate", &self.rate)
             .field("delay", &self.delay)
-            .field("queued_pkts", &self.qdisc.len_pkts())
+            .field("queued_pkts", &self.qdisc.get().len_pkts())
             .field("busy", &self.in_flight.is_some())
             .field("up", &self.up)
             .finish()
@@ -396,7 +396,7 @@ mod tests {
         // back between them, or the port doubling in lines, puts a
         // dependent miss per hop back at k=16 (DESIGN §8).
         let size = core::mem::size_of::<Port>();
-        assert!(size <= 512, "Port grew to {size} bytes (measured: 464)");
+        assert!(size <= 512, "Port grew to {size} bytes (measured: 424)");
     }
 
     #[test]
@@ -461,10 +461,10 @@ mod tests {
             port.send(ctrl(burst), &mut ctx);
         }
         assert_eq!(ctx.stats.ctrl_pkts_dropped, 20);
-        // Nothing accreted: the queue is still the inline drop-tail the
+        // Nothing accreted: the queue is still the inline band queue the
         // port was built with, and the next control packet goes straight
         // into it.
-        assert!(matches!(port.qdisc, PortQueue::DropTail(_)));
+        assert!(matches!(port.qdisc, PortQueue::Bands(_)));
         assert_eq!(port.ctrl_loss_left, 0);
         port.send(ctrl(99), &mut ctx);
         assert!(port.in_flight.is_some());

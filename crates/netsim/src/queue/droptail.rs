@@ -1,84 +1,32 @@
-//! FIFO drop-tail queue.
+//! The drop-tail shape: one FIFO band that never marks.
 
-use std::collections::VecDeque;
+use super::strict_prio::Bands;
 
-use super::{Enqueued, Qdisc, QdiscStats};
-use crate::packet::Packet;
-use crate::time::SimTime;
+/// Shape of [`DropTailQdisc`].
+#[derive(Debug)]
+pub enum DropTail {}
 
-/// A plain FIFO queue that drops arriving packets when full.
+/// A plain FIFO queue that drops arriving packets when full: one band
+/// whose marking threshold is its capacity, so the overflow drop comes
+/// first and no packet is ever marked.
 ///
 /// Capacity is expressed in packets, matching how the paper reports queue
 /// sizes (Table 3: e.g. `qSize = 225 pkts` for DCTCP).
-#[derive(Debug)]
-pub struct DropTailQdisc {
-    queue: VecDeque<Box<Packet>>,
-    cap_pkts: usize,
-    bytes: u64,
-    stats: QdiscStats,
-}
+pub type DropTailQdisc = Bands<DropTail>;
 
 impl DropTailQdisc {
     /// Create a drop-tail queue holding at most `cap_pkts` packets.
     pub fn new(cap_pkts: usize) -> Self {
-        assert!(cap_pkts > 0, "queue capacity must be positive");
-        DropTailQdisc {
-            queue: VecDeque::new(),
-            cap_pkts,
-            bytes: 0,
-            stats: QdiscStats::default(),
-        }
-    }
-
-    /// The configured capacity in packets.
-    pub fn capacity(&self) -> usize {
-        self.cap_pkts
-    }
-}
-
-impl Qdisc for DropTailQdisc {
-    fn enqueue(&mut self, pkt: Box<Packet>, _now: SimTime) -> Enqueued {
-        if self.queue.len() >= self.cap_pkts {
-            self.stats.dropped_pkts += 1;
-            self.stats.dropped_bytes += pkt.wire_bytes as u64;
-            return Enqueued::RejectedArrival(pkt);
-        }
-        self.bytes += pkt.wire_bytes as u64;
-        self.stats.enqueued_pkts += 1;
-        self.stats.enqueued_bytes += pkt.wire_bytes as u64;
-        self.queue.push_back(pkt);
-        Enqueued::Ok
-    }
-
-    fn dequeue(&mut self, _now: SimTime) -> Option<Box<Packet>> {
-        let pkt = self.queue.pop_front()?;
-        self.bytes -= pkt.wire_bytes as u64;
-        Some(pkt)
-    }
-
-    fn len_pkts(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn for_each_queued(&self, f: &mut dyn FnMut(&Packet)) {
-        for p in &self.queue {
-            f(p);
-        }
-    }
-
-    fn stats(&self) -> QdiscStats {
-        self.stats
+        Bands::build(1, cap_pkts, cap_pkts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_util::pkt;
+    use super::super::{Enqueued, Qdisc};
     use super::*;
+    use crate::time::SimTime;
 
     #[test]
     fn fifo_order() {
@@ -113,16 +61,6 @@ mod tests {
         assert_eq!(q.stats().dropped_pkts, 1);
         assert_eq!(q.stats().enqueued_pkts, 2);
         assert_eq!(q.len_pkts(), 2);
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let mut q = DropTailQdisc::new(4);
-        q.enqueue(pkt(0, 0, 0), SimTime::ZERO);
-        q.enqueue(pkt(1, 0, 0), SimTime::ZERO);
-        assert_eq!(q.len_bytes(), 2 * 1500);
-        q.dequeue(SimTime::ZERO);
-        assert_eq!(q.len_bytes(), 1500);
     }
 
     #[test]

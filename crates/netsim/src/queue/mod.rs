@@ -1,13 +1,16 @@
 //! Queue disciplines for switch output ports.
 //!
-//! The paper's evaluation exercises three families of queueing behaviour:
+//! One FIFO-band discipline, [`Bands`], serves the paper's three families
+//! of queueing behaviour under three names, one shape each:
 //!
-//! * plain FIFO drop-tail ([`DropTailQdisc`]) — baseline TCP;
+//! * strict priority scheduling over a small number of bands, each with
+//!   DCTCP-style RED/ECN marking ([`StrictPrioQdisc`]) — PASE's use of the
+//!   4–10 hardware priority queues that commodity switches expose (paper
+//!   Table 2);
 //! * RED/ECN marking on instantaneous queue length ([`RedEcnQdisc`]) — the
-//!   DCTCP family and each band of PASE's priority queues;
-//! * strict priority scheduling over a small number of bands
-//!   ([`StrictPrioQdisc`]) — PASE's use of the 4–10 hardware priority
-//!   queues that commodity switches expose (paper Table 2).
+//!   DCTCP family: the same discipline with one band;
+//! * plain FIFO drop-tail ([`DropTailQdisc`]) — baseline TCP and PDQ: one
+//!   band whose marking threshold is its capacity, so it never marks.
 //!
 //! pFabric's rank-based scheduling/dropping queue lives in the `pfabric`
 //! crate and plugs in through the same [`Qdisc`] trait.
@@ -20,9 +23,9 @@ mod droptail;
 mod red;
 mod strict_prio;
 
-pub use droptail::DropTailQdisc;
-pub use red::{dctcp_mark_thresh, RedEcnQdisc};
-pub use strict_prio::StrictPrioQdisc;
+pub use droptail::{DropTail, DropTailQdisc};
+pub use red::{Red, RedEcnQdisc};
+pub use strict_prio::{dctcp_mark_thresh, Bands, StrictPrio, StrictPrioQdisc};
 
 use std::any::Any;
 
@@ -50,12 +53,8 @@ pub enum Enqueued {
 pub struct QdiscStats {
     /// Packets accepted into the queue.
     pub enqueued_pkts: u64,
-    /// Bytes accepted into the queue.
-    pub enqueued_bytes: u64,
     /// Packets dropped (on arrival or by eviction).
     pub dropped_pkts: u64,
-    /// Bytes dropped.
-    pub dropped_bytes: u64,
     /// Packets that received an ECN CE mark.
     pub marked_pkts: u64,
 }
@@ -70,8 +69,8 @@ pub struct QdiscStats {
 /// queue, in-flight slot and `Deliver` event until it is consumed, so
 /// queue churn shuffles pointers instead of ~140-byte payloads.
 ///
-/// `Any` lets a [`crate::port::Port`] recognise the disciplines of this
-/// module when it is handed one as a `Box<dyn Qdisc>`, and hold them
+/// `Any` lets a [`crate::port::Port`] recognise the discipline of this
+/// module when it is handed one as a `Box<dyn Qdisc>`, and hold it
 /// inline instead of behind the box.
 pub trait Qdisc: Send + Any {
     /// Offer `pkt` to the queue at time `now`.
@@ -82,9 +81,6 @@ pub trait Qdisc: Send + Any {
 
     /// Number of packets currently queued.
     fn len_pkts(&self) -> usize;
-
-    /// Number of bytes currently queued.
-    fn len_bytes(&self) -> u64;
 
     /// Whether the queue is empty.
     fn is_empty(&self) -> bool {
@@ -101,70 +97,60 @@ pub trait Qdisc: Send + Any {
     fn stats(&self) -> QdiscStats;
 }
 
-/// A port's own queue. The FIFO and band disciplines of this module sit
-/// inside the port, so their ring headers are at a fixed offset from the
-/// port instead of behind a `Box<dyn Qdisc>` (one dependent load less per
-/// enqueue and per dequeue, and no virtual call); anything else — pFabric's
-/// rank queue — stays boxed. (Boxing the large
-/// variants, as clippy suggests, would undo exactly that.)
+/// A port's own queue. This module's band discipline, whatever shape it
+/// was built as (held as `Bands<()>`: past its constructor a shape
+/// changes nothing), sits inside the port, so its ring headers are at a fixed
+/// offset from the port instead of behind a `Box<dyn Qdisc>` (one
+/// dependent load less per enqueue and per dequeue, and no virtual call);
+/// anything else — pFabric's rank queue — stays boxed. (Boxing the large
+/// variant, as clippy suggests, would undo exactly that.)
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum PortQueue {
-    DropTail(DropTailQdisc),
-    Red(RedEcnQdisc),
-    StrictPrio(StrictPrioQdisc),
+    Bands(Bands<()>),
     Boxed(Box<dyn Qdisc>),
 }
 
-/// Run `$body` with `$q` bound to whichever discipline `$self` holds.
-macro_rules! each_variant {
-    ($self:expr, $q:ident => $body:expr) => {
-        match $self {
-            PortQueue::DropTail($q) => $body,
-            PortQueue::Red($q) => $body,
-            PortQueue::StrictPrio($q) => $body,
-            PortQueue::Boxed($q) => $body,
-        }
-    };
-}
-
 impl PortQueue {
-    /// Unbox `q` when it is one of this module's inline disciplines.
+    /// Unbox `q` when it is one of this module's shapes.
     pub(crate) fn new(q: Box<dyn Qdisc>) -> PortQueue {
-        fn unbox<T: Qdisc>(q: Box<dyn Qdisc>) -> Result<T, Box<dyn Qdisc>> {
-            if (&*q as &dyn Any).is::<T>() {
+        fn unbox<S: Send + 'static>(q: Box<dyn Qdisc>) -> Result<Bands<()>, Box<dyn Qdisc>> {
+            if (&*q as &dyn Any).is::<Bands<S>>() {
                 let q: Box<dyn Any> = q;
-                Ok(*q.downcast::<T>().expect("type checked above"))
+                Ok(q.downcast::<Bands<S>>()
+                    .expect("type checked above")
+                    .reshape())
             } else {
                 Err(q)
             }
         }
-        unbox(q)
-            .map(PortQueue::StrictPrio)
-            .or_else(|q| unbox(q).map(PortQueue::Red))
-            .or_else(|q| unbox(q).map(PortQueue::DropTail))
-            .unwrap_or_else(PortQueue::Boxed)
+        unbox::<StrictPrio>(q)
+            .or_else(unbox::<Red>)
+            .or_else(unbox::<DropTail>)
+            .map_or_else(PortQueue::Boxed, PortQueue::Bands)
     }
 
     #[inline]
     pub(crate) fn enqueue(&mut self, pkt: Box<Packet>, now: SimTime) -> Enqueued {
-        each_variant!(self, q => q.enqueue(pkt, now))
+        match self {
+            PortQueue::Bands(q) => q.enqueue(pkt, now),
+            PortQueue::Boxed(q) => q.enqueue(pkt, now),
+        }
     }
 
     #[inline]
     pub(crate) fn dequeue(&mut self, now: SimTime) -> Option<Box<Packet>> {
-        each_variant!(self, q => q.dequeue(now))
+        match self {
+            PortQueue::Bands(q) => q.dequeue(now),
+            PortQueue::Boxed(q) => q.dequeue(now),
+        }
     }
 
-    pub(crate) fn len_pkts(&self) -> usize {
-        each_variant!(self, q => q.len_pkts())
-    }
-
-    pub(crate) fn for_each_queued(&self, f: &mut dyn FnMut(&Packet)) {
-        each_variant!(self, q => q.for_each_queued(f))
-    }
-
-    pub(crate) fn stats(&self) -> QdiscStats {
-        each_variant!(self, q => q.stats())
+    /// The queue, for the calls off the per-packet path.
+    pub(crate) fn get(&self) -> &dyn Qdisc {
+        match self {
+            PortQueue::Bands(q) => q,
+            PortQueue::Boxed(q) => &**q,
+        }
     }
 }
 

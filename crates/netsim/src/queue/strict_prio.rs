@@ -1,22 +1,38 @@
-//! Strict-priority scheduling over a small number of bands.
+//! The one FIFO-band discipline: strict priority over a few bands, each
+//! with DCTCP's RED/ECN marking.
 //!
 //! Models the PRIO + per-class RED/ECN configuration PASE uses on commodity
 //! switches (paper §3.3): packets are classified into one of `n` bands by
 //! their `prio` field (0 = highest); dequeue always serves the lowest
 //! non-empty band index; each band is a FIFO with its own occupancy limit
-//! and DCTCP-style marking on its own instantaneous occupancy (the
-//! [`super::RedEcnQdisc`] law, with one capacity and one `K` shared by
-//! every band).
+//! and DCTCP-style marking on its own instantaneous occupancy, with one
+//! capacity and one `K` shared by every band.
+//!
+//! DCTCP's queue is this discipline with one band ([`super::RedEcnQdisc`]),
+//! and drop-tail is one band that never marks ([`super::DropTailQdisc`]).
 //!
 //! Preemption between bands is what gives PASE its seamless flow switching:
 //! as soon as the top band drains, the next band's head packet is eligible
 //! on the very next transmission opportunity — no control-plane round trip.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 use super::{Enqueued, Qdisc, QdiscStats};
 use crate::packet::Packet;
-use crate::time::SimTime;
+use crate::time::{Rate, SimTime};
+
+/// DCTCP's marking threshold `K` for a link of `rate`: 20 packets below
+/// 10 Gbps, 65 at 10 Gbps and above (the DCTCP paper's guideline,
+/// ~RTT × C). Every RED/ECN and strict-priority port in the workspace
+/// takes its `K` from here.
+pub fn dctcp_mark_thresh(rate: Rate) -> usize {
+    if rate >= Rate::from_gbps(10) {
+        65
+    } else {
+        20
+    }
+}
 
 /// How many bands live inside the qdisc itself. Commodity switches expose
 /// 3–10 queues per port (paper Table 2) and every shipped configuration
@@ -31,14 +47,20 @@ type Band = VecDeque<Box<Packet>>;
 /// The size skew between the variants is the point of the inline one.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-enum Bands {
+enum Rings {
     Inline([Band; INLINE_BANDS]),
     Spilled(Vec<Band>),
 }
 
-/// Strict-priority qdisc with per-band RED/ECN.
+/// Shape of [`StrictPrioQdisc`]: `n` RED/ECN bands.
 #[derive(Debug)]
-pub struct StrictPrioQdisc {
+pub enum StrictPrio {}
+
+/// Strict-priority FIFO bands with per-band RED/ECN. `S` names the shape
+/// it was built as ([`StrictPrio`], [`super::Red`], [`super::DropTail`]);
+/// it selects the constructor and nothing else.
+#[derive(Debug)]
+pub struct Bands<S> {
     /// Bit `b` is set iff band `b` holds a packet, so dequeue finds the
     /// band to serve with one `trailing_zeros` instead of a scan.
     nonempty: u64,
@@ -47,11 +69,13 @@ pub struct StrictPrioQdisc {
     cap_pkts: usize,
     /// Per-band marking threshold `K` in packets.
     mark_thresh: usize,
-    /// Bytes queued over all bands.
-    bytes: u64,
     stats: QdiscStats,
-    bands: Bands,
+    rings: Rings,
+    shape: PhantomData<S>,
 }
+
+/// Strict-priority qdisc with per-band RED/ECN.
+pub type StrictPrioQdisc = Bands<StrictPrio>;
 
 impl StrictPrioQdisc {
     /// Create `n_bands` bands, each holding up to `band_cap_pkts` packets
@@ -60,6 +84,12 @@ impl StrictPrioQdisc {
     /// Commodity switches expose 3–10 such queues per port (paper Table 2);
     /// the paper's PASE configuration uses 8 bands and a 500-packet buffer.
     pub fn new(n_bands: usize, band_cap_pkts: usize, mark_thresh: usize) -> Self {
+        Bands::build(n_bands, band_cap_pkts, mark_thresh)
+    }
+}
+
+impl<S> Bands<S> {
+    pub(super) fn build(n_bands: usize, band_cap_pkts: usize, mark_thresh: usize) -> Self {
         assert!(n_bands > 0, "need at least one band");
         assert!(n_bands <= 64, "unreasonable number of priority bands");
         assert!(band_cap_pkts > 0, "queue capacity must be positive");
@@ -67,18 +97,18 @@ impl StrictPrioQdisc {
             mark_thresh <= band_cap_pkts,
             "marking threshold {mark_thresh} exceeds capacity {band_cap_pkts}"
         );
-        StrictPrioQdisc {
+        Bands {
             nonempty: 0,
             n_bands,
             cap_pkts: band_cap_pkts,
             mark_thresh,
-            bytes: 0,
             stats: QdiscStats::default(),
-            bands: if n_bands <= INLINE_BANDS {
-                Bands::Inline(Default::default())
+            rings: if n_bands <= INLINE_BANDS {
+                Rings::Inline(Default::default())
             } else {
-                Bands::Spilled((0..n_bands).map(|_| Band::new()).collect())
+                Rings::Spilled((0..n_bands).map(|_| Band::new()).collect())
             },
+            shape: PhantomData,
         }
     }
 
@@ -93,41 +123,58 @@ impl StrictPrioQdisc {
     }
 
     fn bands(&self) -> &[Band] {
-        match &self.bands {
-            Bands::Inline(a) => &a[..self.n_bands],
-            Bands::Spilled(v) => v,
+        match &self.rings {
+            Rings::Inline(a) => &a[..self.n_bands],
+            Rings::Spilled(v) => v,
+        }
+    }
+
+    /// The same queue under another shape's name.
+    pub(crate) fn reshape<T>(self) -> Bands<T> {
+        Bands {
+            nonempty: self.nonempty,
+            n_bands: self.n_bands,
+            cap_pkts: self.cap_pkts,
+            mark_thresh: self.mark_thresh,
+            stats: self.stats,
+            rings: self.rings,
+            shape: PhantomData,
         }
     }
 }
 
-impl Bands {
+impl Rings {
     fn get_mut(&mut self, band: usize) -> &mut Band {
         match self {
-            Bands::Inline(a) => &mut a[band],
-            Bands::Spilled(v) => &mut v[band],
+            Rings::Inline(a) => &mut a[band],
+            Rings::Spilled(v) => &mut v[band],
         }
     }
 }
 
-impl Qdisc for StrictPrioQdisc {
+impl<S: Send + 'static> Qdisc for Bands<S> {
     fn enqueue(&mut self, mut pkt: Box<Packet>, _now: SimTime) -> Enqueued {
-        // Out-of-range priorities clamp to the lowest band.
-        let band = (pkt.prio as usize).min(self.n_bands - 1);
-        let q = self.bands.get_mut(band);
+        // Out-of-range priorities clamp to the lowest band. A one-band
+        // queue does not read `prio`: the band's address then does not
+        // wait on the packet's line.
+        let band = match self.n_bands {
+            1 => 0,
+            n => (pkt.prio as usize).min(n - 1),
+        };
+        let q = self.rings.get_mut(band);
         let occupancy = q.len();
         if occupancy >= self.cap_pkts {
             self.stats.dropped_pkts += 1;
-            self.stats.dropped_bytes += pkt.wire_bytes as u64;
             return Enqueued::RejectedArrival(pkt);
         }
         // Mark on the band's instantaneous occupancy at arrival (DCTCP).
+        // With `K` = capacity (drop-tail) the test above has already
+        // refused every packet this would mark.
         if pkt.ecn_capable && occupancy >= self.mark_thresh {
             pkt.ecn_ce = true;
             self.stats.marked_pkts += 1;
         }
-        self.bytes += pkt.wire_bytes as u64;
         self.stats.enqueued_pkts += 1;
-        self.stats.enqueued_bytes += pkt.wire_bytes as u64;
         q.push_back(pkt);
         self.nonempty |= 1 << band;
         Enqueued::Ok
@@ -138,21 +185,16 @@ impl Qdisc for StrictPrioQdisc {
             return None;
         }
         let band = self.nonempty.trailing_zeros() as usize;
-        let q = self.bands.get_mut(band);
+        let q = self.rings.get_mut(band);
         let pkt = q.pop_front().expect("nonempty bit set on an empty band");
         if q.is_empty() {
             self.nonempty &= !(1 << band);
         }
-        self.bytes -= pkt.wire_bytes as u64;
         Some(pkt)
     }
 
     fn len_pkts(&self) -> usize {
         self.bands().iter().map(Band::len).sum()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.bytes
     }
 
     fn for_each_queued(&self, f: &mut dyn FnMut(&Packet)) {
@@ -184,7 +226,7 @@ mod tests {
         let qdisc = core::mem::size_of::<StrictPrioQdisc>();
         assert!(
             qdisc <= 352,
-            "StrictPrioQdisc grew to {qdisc} bytes (measured: 344)"
+            "StrictPrioQdisc grew to {qdisc} bytes (measured: 312)"
         );
     }
 
@@ -250,7 +292,6 @@ mod tests {
         q.enqueue(pkt(0, 0, 0), SimTime::ZERO);
         q.enqueue(pkt(1, 2, 0), SimTime::ZERO);
         assert_eq!(q.len_pkts(), 2);
-        assert_eq!(q.len_bytes(), 3000);
         assert_eq!(q.band_len_pkts(0), 1);
         assert_eq!(q.band_len_pkts(1), 0);
         assert_eq!(q.band_len_pkts(2), 1);

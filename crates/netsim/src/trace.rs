@@ -228,7 +228,7 @@ fn render(out: &mut String, now: SimTime, event: &TraceEvent) {
             (true, None) => writeln!(out, "{now} ABRT {flow}"),
             (false, _) => writeln!(out, "{now} DONE {flow}"),
         },
-        TraceEvent::Fault { node, fault } => writeln!(out, "{now} FLT  {node} {fault:?}"),
+        TraceEvent::Fault { node, fault } => writeln!(out, "{now} FLT  {node} {fault}"),
         TraceEvent::Corrupt {
             node,
             flow,
@@ -720,10 +720,7 @@ mod tests {
         t.flush();
         let out = buf.lock().unwrap().clone();
         assert_eq!(out.lines().count(), 1);
-        assert!(
-            out.contains("FLT  n2 LinkDown { a: NodeId(2), b: NodeId(4) }"),
-            "{out}"
-        );
+        assert!(out.contains("FLT  n2 LinkDown { a: n2, b: n4 }"), "{out}");
     }
 
     #[test]

@@ -5,7 +5,11 @@
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
-use netsim::queue::{DropTailQdisc, Enqueued, Qdisc, QdiscStats, RedEcnQdisc, StrictPrioQdisc};
+use std::collections::VecDeque;
+
+use netsim::queue::{
+    Bands, DropTailQdisc, Enqueued, Qdisc, QdiscStats, RedEcnQdisc, StrictPrioQdisc,
+};
 use netsim::rng::Rng;
 use netsim::time::SimTime;
 
@@ -41,8 +45,7 @@ fn mk_pkt(flow: u64, prio: u8, len: u16) -> Box<Packet> {
 }
 
 /// Run an op sequence, checking the universal qdisc invariants:
-/// * packet and byte occupancy never go negative or exceed what entered;
-/// * `len_pkts == 0` iff `len_bytes == 0`;
+/// * occupancy never exceeds what entered;
 /// * conservation: enqueued = dequeued + dropped + still-queued.
 fn check_invariants(mut q: Box<dyn Qdisc>, ops: Vec<Op>, cap: usize) {
     let now = SimTime::ZERO;
@@ -66,7 +69,6 @@ fn check_invariants(mut q: Box<dyn Qdisc>, ops: Vec<Op>, cap: usize) {
             }
         }
         assert!(q.len_pkts() <= cap * 16, "occupancy explosion");
-        assert_eq!(q.len_pkts() == 0, q.len_bytes() == 0, "byte/pkt mismatch");
     }
     // Conservation.
     assert_eq!(
@@ -80,7 +82,6 @@ fn check_invariants(mut q: Box<dyn Qdisc>, ops: Vec<Op>, cap: usize) {
         drained += 1;
     }
     assert_eq!(drained, in_count - out_count);
-    assert_eq!(q.len_bytes(), 0);
     let stats = q.stats();
     assert_eq!(stats.dropped_pkts, drop_count);
 }
@@ -152,116 +153,148 @@ fn strict_prio_always_serves_highest_band() {
     }
 }
 
-/// The strict-priority discipline as it was before it kept its bands
-/// inline: one independent [`RedEcnQdisc`] per band, dequeue scanning for
-/// the first non-empty one, every aggregate a sum over bands.
-struct BandPerQdisc(Vec<RedEcnQdisc>);
+/// Strict priority over RED/ECN bands, written from the law rather than
+/// from the library: one FIFO per band holding at most `cap` packets; an
+/// arrival at a full band is refused, and an ECN-capable arrival that
+/// finds `k` or more packets in its band is marked CE; dequeue serves the
+/// first non-empty band.
+struct BandPerQdisc {
+    bands: Vec<VecDeque<Box<Packet>>>,
+    cap: usize,
+    k: usize,
+    stats: QdiscStats,
+}
 
 impl BandPerQdisc {
     fn new(n_bands: usize, cap: usize, k: usize) -> Self {
-        BandPerQdisc((0..n_bands).map(|_| RedEcnQdisc::new(cap, k)).collect())
-    }
-
-    fn enqueue(&mut self, pkt: Box<Packet>, now: SimTime) -> Enqueued {
-        let band = (pkt.prio as usize).min(self.0.len() - 1);
-        self.0[band].enqueue(pkt, now)
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Box<Packet>> {
-        self.0.iter_mut().find(|b| !b.is_empty())?.dequeue(now)
-    }
-
-    fn stats(&self) -> QdiscStats {
-        let mut total = QdiscStats::default();
-        for s in self.0.iter().map(Qdisc::stats) {
-            total.enqueued_pkts += s.enqueued_pkts;
-            total.enqueued_bytes += s.enqueued_bytes;
-            total.dropped_pkts += s.dropped_pkts;
-            total.dropped_bytes += s.dropped_bytes;
-            total.marked_pkts += s.marked_pkts;
+        BandPerQdisc {
+            bands: (0..n_bands).map(|_| VecDeque::new()).collect(),
+            cap,
+            k,
+            stats: QdiscStats::default(),
         }
-        total
+    }
+
+    fn enqueue(&mut self, mut pkt: Box<Packet>) -> Enqueued {
+        let last = self.bands.len() - 1;
+        let band = &mut self.bands[(pkt.prio as usize).min(last)];
+        if band.len() == self.cap {
+            self.stats.dropped_pkts += 1;
+            return Enqueued::RejectedArrival(pkt);
+        }
+        if pkt.ecn_capable && band.len() >= self.k {
+            pkt.ecn_ce = true;
+            self.stats.marked_pkts += 1;
+        }
+        self.stats.enqueued_pkts += 1;
+        band.push_back(pkt);
+        Enqueued::Ok
+    }
+
+    fn dequeue(&mut self) -> Option<Box<Packet>> {
+        self.bands.iter_mut().find_map(VecDeque::pop_front)
     }
 }
 
-/// `(flow, seq, ecn_ce)` of every queued packet, in visiting order.
-fn queued(visit: impl Fn(&mut dyn FnMut(&Packet))) -> Vec<(u64, u64, bool)> {
-    let mut v = Vec::new();
-    visit(&mut |p| v.push((p.flow.0, p.seq, p.ecn_ce)));
-    v
+/// Replay one seeded script of 1,000 ops (fill-biased and drain-biased
+/// phases, so bands overflow and run dry) on `new` and on a
+/// [`BandPerQdisc`] of the same shape, comparing every outcome, band
+/// occupancy, visiting order and counter after every op.
+fn replay<S: Send + 'static>(mut new: Bands<S>, cap: usize, k: usize, ecn_share: u64, seed: u64) {
+    let now = SimTime::ZERO;
+    let n_bands = new.n_bands();
+    let mut old = BandPerQdisc::new(n_bands, cap, k);
+    let mut rng = Rng::seed_from_u64(0x5d1f ^ seed);
+    let what = format!(
+        "{} bands {n_bands} cap {cap} K {k} script {seed}",
+        core::any::type_name::<S>()
+    );
+    for op in 0..1000u64 {
+        // Alternate phases that fill and phases that drain.
+        let enqueue_bias = if (op / 100) % 2 == 0 { 3 } else { 1 };
+        if rng.gen_below(4) < enqueue_bias {
+            // Priorities beyond the last band clamp to it.
+            let prio = rng.gen_below(n_bands as u64 + 2) as u8;
+            let len = rng.gen_range_inclusive(1, 1459) as u16;
+            let mk = |ecn: bool| {
+                let mut p = mk_pkt(seed, prio, len);
+                p.seq = op;
+                p.ecn_capable = ecn;
+                p
+            };
+            let ecn = rng.gen_below(4) < ecn_share;
+            let kind = |e: Enqueued| match e {
+                Enqueued::Ok => (0, None),
+                Enqueued::RejectedArrival(p) => (1, Some(p.seq)),
+                Enqueued::Evicted(p) => (2, Some(p.seq)),
+            };
+            assert_eq!(
+                kind(new.enqueue(mk(ecn), now)),
+                kind(old.enqueue(mk(ecn))),
+                "{what} op {op}: enqueue outcome"
+            );
+        } else {
+            let id = |p: Option<Box<Packet>>| p.map(|p| (p.seq, p.prio, p.ecn_ce));
+            assert_eq!(
+                id(new.dequeue(now)),
+                id(old.dequeue()),
+                "{what} op {op}: dequeued packet"
+            );
+        }
+        let old_lens: Vec<usize> = old.bands.iter().map(VecDeque::len).collect();
+        let new_lens: Vec<usize> = (0..n_bands).map(|b| new.band_len_pkts(b)).collect();
+        assert_eq!(new_lens, old_lens, "{what} op {op}: band occupancy");
+        assert_eq!(new.len_pkts(), old_lens.iter().sum::<usize>());
+        // `(flow, seq, ecn_ce)` of every queued packet, in visiting order.
+        let mut visited = Vec::new();
+        new.for_each_queued(&mut |p| visited.push((p.flow.0, p.seq, p.ecn_ce)));
+        let expected: Vec<_> = (old.bands.iter().flatten())
+            .map(|p| (p.flow.0, p.seq, p.ecn_ce))
+            .collect();
+        assert_eq!(visited, expected, "{what} op {op}: visiting order");
+        assert_eq!(new.stats(), old.stats, "{what} op {op}: counters");
+    }
+    if k == cap {
+        // A full band refuses the arrival before the mark test could fire.
+        assert_eq!(new.stats().marked_pkts, 0, "{what}: K = cap marked");
+    }
 }
 
-/// [`StrictPrioQdisc`] against [`BandPerQdisc`], op by op: 126 seeded
-/// scripts of 1,000 ops (fill-biased and drain-biased phases, so bands
-/// overflow and run dry) over inline and spilled band counts, marking
-/// thresholds at both ends, and ECN-capable and plain packets mixed.
+/// The one band discipline against [`BandPerQdisc`], op by op, in all
+/// three shapes: 126 strict-priority scripts over inline and spilled band
+/// counts, marking thresholds at both ends, and ECN-capable and plain
+/// packets mixed; the one-band scripts again as [`RedEcnQdisc`], and
+/// those with `K` = cap again as [`DropTailQdisc`].
 #[test]
 fn strict_prio_matches_one_red_queue_per_band() {
-    let now = SimTime::ZERO;
     let mut script = 0u64;
+    let mut shapes = [0u64; 3];
     for n_bands in [1usize, 2, 4, 8, 9, 32, 64] {
         for cap in [1usize, 3, 12] {
             for k in [0, 1, cap] {
                 for ecn_share in [0, 3] {
                     script += 1;
-                    let mut rng = Rng::seed_from_u64(0x5d1f ^ script);
-                    let mut new = StrictPrioQdisc::new(n_bands, cap, k);
-                    let mut old = BandPerQdisc::new(n_bands, cap, k);
-                    let what = format!("bands {n_bands} cap {cap} K {k} script {script}");
-                    for op in 0..1000u64 {
-                        // Alternate phases that fill and phases that drain.
-                        let enqueue_bias = if (op / 100) % 2 == 0 { 3 } else { 1 };
-                        if rng.gen_below(4) < enqueue_bias {
-                            // Priorities beyond the last band clamp to it.
-                            let prio = rng.gen_below(n_bands as u64 + 2) as u8;
-                            let len = rng.gen_range_inclusive(1, 1459) as u16;
-                            let mk = |ecn: bool| {
-                                let mut p = mk_pkt(script, prio, len);
-                                p.seq = op;
-                                p.ecn_capable = ecn;
-                                p
-                            };
-                            let ecn = rng.gen_below(4) < ecn_share;
-                            let kind = |e: Enqueued| match e {
-                                Enqueued::Ok => (0, None),
-                                Enqueued::RejectedArrival(p) => (1, Some(p.seq)),
-                                Enqueued::Evicted(p) => (2, Some(p.seq)),
-                            };
-                            assert_eq!(
-                                kind(new.enqueue(mk(ecn), now)),
-                                kind(old.enqueue(mk(ecn), now)),
-                                "{what} op {op}: enqueue outcome"
-                            );
-                        } else {
-                            let id = |p: Option<Box<Packet>>| p.map(|p| (p.seq, p.prio, p.ecn_ce));
-                            assert_eq!(
-                                id(new.dequeue(now)),
-                                id(old.dequeue(now)),
-                                "{what} op {op}: dequeued packet"
-                            );
-                        }
-                        let old_lens: Vec<usize> = old.0.iter().map(Qdisc::len_pkts).collect();
-                        let new_lens: Vec<usize> =
-                            (0..n_bands).map(|b| new.band_len_pkts(b)).collect();
-                        assert_eq!(new_lens, old_lens, "{what} op {op}: band occupancy");
-                        assert_eq!(new.len_pkts(), old_lens.iter().sum::<usize>());
-                        assert_eq!(
-                            new.len_bytes(),
-                            old.0.iter().map(Qdisc::len_bytes).sum::<u64>(),
-                            "{what} op {op}: bytes queued"
-                        );
-                        assert_eq!(
-                            queued(|f| new.for_each_queued(f)),
-                            queued(|f| old.0.iter().for_each(|b| b.for_each_queued(f))),
-                            "{what} op {op}: visiting order"
-                        );
-                        assert_eq!(new.stats(), old.stats(), "{what} op {op}: counters");
+                    replay(
+                        StrictPrioQdisc::new(n_bands, cap, k),
+                        cap,
+                        k,
+                        ecn_share,
+                        script,
+                    );
+                    shapes[0] += 1;
+                    if n_bands == 1 {
+                        replay(RedEcnQdisc::new(cap, k), cap, k, ecn_share, script);
+                        shapes[1] += 1;
+                    }
+                    if n_bands == 1 && k == cap {
+                        replay(DropTailQdisc::new(cap), cap, k, ecn_share, script);
+                        shapes[2] += 1;
                     }
                 }
             }
         }
     }
-    assert!(script * 1000 >= 100_000);
+    assert_eq!(shapes, [126, 18, 8]);
 }
 
 /// RED marking threshold: CE only ever set when occupancy at arrival was
@@ -287,9 +320,10 @@ fn red_marks_only_above_threshold() {
     }
 }
 
-/// The three FIFO-ring disciplines at a given capacity; the strict-prio
-/// one is exercised through a single band (every packet below is
-/// `prio` 1), which follows the `RedEcnQdisc` law behind the classifier.
+/// The band discipline in its three shapes at a given capacity; the
+/// strict-priority one is exercised through a single band (every packet
+/// below is `prio` 1), which follows the RED/ECN law behind the
+/// classifier.
 fn ring_qdiscs(cap: usize) -> [(&'static str, Box<dyn Qdisc>); 3] {
     [
         ("droptail", Box::new(DropTailQdisc::new(cap))),
@@ -329,7 +363,6 @@ fn capacity_boundary_is_cap_pkts_exactly() {
                 Enqueued::RejectedArrival(_)
             ));
             assert_eq!(q.len_pkts(), cap);
-            assert_eq!(q.len_bytes(), cap as u64 * 140);
             let st = q.stats();
             assert_eq!((st.enqueued_pkts, st.dropped_pkts), (cap as u64 + 1, 2));
         }
@@ -338,9 +371,12 @@ fn capacity_boundary_is_cap_pkts_exactly() {
 
 /// A fixed 20k-op sequence (seeded; bursts long enough to fill a
 /// 64-packet queue and drains long enough to empty it) must leave every
-/// observable — the `len_pkts`/`len_bytes` trajectory, the dequeue
-/// order, the final counters — exactly where the pre-sized rings left
-/// it. The constants were recorded on the parent commit.
+/// observable — the `len_pkts` trajectory, the dequeue order, the final
+/// counters — exactly where the pre-sized rings left it. The constants
+/// were recorded on the three separate implementations, with the byte
+/// terms (queued bytes, byte counters) left out of the fold and the
+/// tuple once queues stopped counting bytes; the packet counters are the
+/// ones recorded with them.
 #[test]
 fn fixed_sequence_accounting_is_pinned() {
     let now = SimTime::ZERO;
@@ -369,32 +405,15 @@ fn fixed_sequence_accounting_is_pinned() {
                 );
             }
             fold(q.len_pkts() as u64);
-            fold(q.len_bytes());
         }
         let st = q.stats();
-        observed.push((
-            name,
-            h,
-            q.len_bytes(),
-            [
-                st.enqueued_pkts,
-                st.enqueued_bytes,
-                st.dropped_pkts,
-                st.dropped_bytes,
-                st.marked_pkts,
-            ],
-        ));
+        observed.push((name, h, [st.enqueued_pkts, st.dropped_pkts, st.marked_pkts]));
     }
-    let red = [6252, 4_843_286, 3678, 2_872_922, 3109];
+    let red = [6252, 3678, 3109];
     let pinned = [
-        (
-            "droptail",
-            9_424_791_011_941_112_161,
-            45_875,
-            [6252, 4_843_286, 3678, 2_872_922, 0],
-        ),
-        ("red", 13_835_062_245_854_645_474, 45_875, red),
-        ("strict-prio band", 13_835_062_245_854_645_474, 45_875, red),
+        ("droptail", 10_817_788_291_250_163_901, [6252, 3678, 0]),
+        ("red", 7_637_861_828_058_622_480, red),
+        ("strict-prio band", 7_637_861_828_058_622_480, red),
     ];
     assert_eq!(observed, pinned);
 }

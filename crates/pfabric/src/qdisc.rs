@@ -27,7 +27,6 @@ pub struct PFabricQdisc {
     /// Packets in arrival order (index 0 = oldest).
     queue: VecDeque<Box<Packet>>,
     cap_pkts: usize,
-    bytes: u64,
     stats: QdiscStats,
 }
 
@@ -38,7 +37,6 @@ impl PFabricQdisc {
         PFabricQdisc {
             queue: VecDeque::with_capacity(cap_pkts),
             cap_pkts,
-            bytes: 0,
             stats: QdiscStats::default(),
         }
     }
@@ -56,15 +54,8 @@ impl PFabricQdisc {
     }
 
     fn accept(&mut self, pkt: Box<Packet>) {
-        self.bytes += pkt.wire_bytes as u64;
         self.stats.enqueued_pkts += 1;
-        self.stats.enqueued_bytes += pkt.wire_bytes as u64;
         self.queue.push_back(pkt);
-    }
-
-    fn count_drop(&mut self, pkt: &Packet) {
-        self.stats.dropped_pkts += 1;
-        self.stats.dropped_bytes += pkt.wire_bytes as u64;
     }
 }
 
@@ -78,12 +69,11 @@ impl Qdisc for PFabricQdisc {
         let worst = self.worst_idx().expect("full queue has a worst packet");
         if pkt.rank < self.queue[worst].rank {
             let victim = self.queue.remove(worst).expect("index in range");
-            self.bytes -= victim.wire_bytes as u64;
-            self.count_drop(&victim);
+            self.stats.dropped_pkts += 1;
             self.accept(pkt);
             Enqueued::Evicted(victim)
         } else {
-            self.count_drop(&pkt);
+            self.stats.dropped_pkts += 1;
             Enqueued::RejectedArrival(pkt)
         }
     }
@@ -105,17 +95,11 @@ impl Qdisc for PFabricQdisc {
             .iter()
             .position(|p| p.flow == best_flow)
             .expect("flow present");
-        let pkt = self.queue.remove(idx).expect("index in range");
-        self.bytes -= pkt.wire_bytes as u64;
-        Some(pkt)
+        self.queue.remove(idx)
     }
 
     fn len_pkts(&self) -> usize {
         self.queue.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.bytes
     }
 
     fn for_each_queued(&self, f: &mut dyn FnMut(&Packet)) {
@@ -203,18 +187,5 @@ mod tests {
             Enqueued::Evicted(victim) => assert_eq!(victim.flow.0, 2),
             other => panic!("expected eviction, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn byte_accounting_tracks_contents() {
-        let mut q = PFabricQdisc::new(4);
-        q.enqueue(pkt(1, 0, 1), SimTime::ZERO);
-        q.enqueue(pkt(2, 0, 2), SimTime::ZERO);
-        assert_eq!(q.len_bytes(), 3000);
-        q.dequeue(SimTime::ZERO);
-        assert_eq!(q.len_bytes(), 1500);
-        q.dequeue(SimTime::ZERO);
-        assert_eq!(q.len_bytes(), 0);
-        assert!(q.dequeue(SimTime::ZERO).is_none());
     }
 }

@@ -17,8 +17,10 @@ cargo build --release --workspace
 
 # Includes the oracles the fast paths are held to: the hash tracer
 # against the rendered text, the superseding timer against the eager
-# idiom, and the wheel's structural audit after every op of the
-# heap-vs-wheel differential.
+# idiom, the wheel's structural audit after every op of the
+# heap-vs-wheel differential, and the band queue discipline, in each of
+# its three shapes, against a reference FIFO per band written from the
+# RED/ECN law (prop_qdiscs.rs).
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
