@@ -62,6 +62,9 @@ pub struct Port {
     ctrl_loss_drops: u64,
     /// The packet currently being serialized, if any.
     in_flight: Option<Box<Packet>>,
+    /// The place in the tie order `start_tx` reserved for the in-flight
+    /// packet's `Deliver`.
+    deliver_seq: u64,
     /// Whether the link is up. Downed ports drop everything offered to
     /// them (see [`Port::set_down`]).
     up: bool,
@@ -105,6 +108,7 @@ impl Port {
             ctrl_loss_left: 0,
             ctrl_loss_drops: 0,
             in_flight: None,
+            deliver_seq: 0,
             up: true,
             tx_pkts: 0,
             tx_bytes: 0,
@@ -241,20 +245,33 @@ impl Port {
         }
     }
 
-    /// Begin serializing the next queued packet, if any.
-    /// Schedules a [`EventKind::TxComplete`] for this port.
+    /// Begin serializing the next queued packet, if any: reserve its two
+    /// places in the tie order, the completion's and then the `Deliver`'s,
+    /// write its `Tx` trace line and schedule a [`EventKind::TxComplete`]
+    /// for this port.
     fn start_tx(&mut self, ctx: &mut Ctx<'_>) {
         debug_assert!(self.in_flight.is_none());
-        if let Some(pkt) = self.qdisc.dequeue(ctx.now()) {
-            let tx_time = self.rate.tx_time(pkt.wire_bytes as u64);
-            self.in_flight = Some(pkt);
-            ctx.schedule_self(tx_time, EventKind::TxComplete(self.id));
+        let now = ctx.now();
+        let Some(pkt) = self.qdisc.dequeue(now) else {
+            return;
+        };
+        let done = now + self.rate.tx_time(pkt.wire_bytes as u64);
+        let completion = ctx.sched.reserve_seq();
+        self.deliver_seq = ctx.sched.reserve_seq();
+        if ctx.stats.tracing() {
+            let ev = crate::trace::tx_event(ctx.node, self.id, &pkt);
+            ctx.stats.trace_event(now, &ev);
         }
+        self.in_flight = Some(pkt);
+        let kind = EventKind::TxComplete(self.id);
+        ctx.sched
+            .schedule_reserved(done, completion, ctx.node, kind);
     }
 
     /// Handle the completion of serialization: put the packet on the wire
-    /// (schedule delivery at the peer after propagation) and start on the
-    /// next queued packet. If the link went down mid-serialization, the
+    /// (schedule delivery at the peer after propagation, in the place in
+    /// the tie order `start_tx` reserved for it) and start on the next
+    /// queued packet. If the link went down mid-serialization, the
     /// packet dies here instead of being delivered. A degraded link may
     /// lose the packet, corrupt it, or inflate its propagation delay.
     pub fn on_tx_complete(&mut self, ctx: &mut Ctx<'_>) {
@@ -294,12 +311,10 @@ impl Port {
         self.note_health_sample(!corrupt);
         self.tx_pkts += 1;
         self.tx_bytes += pkt.wire_bytes as u64;
-        if ctx.stats.tracing() {
-            let now = ctx.now();
-            let ev = crate::trace::tx_event(ctx.node, self.id, &pkt);
-            ctx.stats.trace_event(now, &ev);
-        }
-        ctx.schedule(self.delay + extra_delay, self.peer, EventKind::Deliver(pkt));
+        let at = ctx.now() + self.delay + extra_delay;
+        let kind = EventKind::Deliver(pkt);
+        ctx.sched
+            .schedule_reserved(at, self.deliver_seq, self.peer, kind);
         self.start_tx(ctx);
     }
 

@@ -82,7 +82,7 @@ pub enum AbortReason {
 /// One trace event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
-    /// A packet finished serializing onto a link.
+    /// A packet began serializing onto a link.
     Tx {
         /// Transmitting node.
         node: NodeId,
