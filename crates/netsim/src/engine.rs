@@ -218,6 +218,14 @@ impl Scheduler {
         self.push(at, seq, target, kind);
     }
 
+    /// Whether the pop frontier has reached `(at, seq)`: an event queued
+    /// under that key would have popped by now. How a port that queued no
+    /// completion for its packet tells whether it is still serializing.
+    #[inline]
+    pub(crate) fn passed(&self, at: SimTime, seq: u64) -> bool {
+        at < self.now || (at == self.now && self.popped_seq.is_some_and(|popped| popped >= seq))
+    }
+
     fn push(&mut self, at: SimTime, seq: u64, target: NodeId, kind: EventKind) {
         assert!(
             at >= self.now,

@@ -268,6 +268,11 @@ impl Host {
         &self.core.port
     }
 
+    /// The host's one port, as a slice.
+    pub(crate) fn ports_mut(&mut self) -> &mut [Port] {
+        std::slice::from_mut(&mut self.core.port)
+    }
+
     /// Number of live agents (senders not yet garbage-collected plus
     /// receivers).
     pub fn live_agents(&self) -> usize {

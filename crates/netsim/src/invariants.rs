@@ -192,9 +192,10 @@ impl InvariantMonitor {
 /// walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InNetwork {
-    /// Packets queued or mid-serialization on ports.
+    /// Packets queued on ports, or mid-serialization on a two-event hop.
     pub in_ports: u64,
-    /// Packets propagating (pending `Deliver` events).
+    /// Packets propagating, or mid-serialization on a one-event hop
+    /// (pending `Deliver` events).
     pub on_wire: u64,
 }
 
@@ -226,9 +227,11 @@ impl ProgressEvidence {
             EventKind::Deliver(pkt) => self.note_flow(pkt.flow),
             EventKind::AgentTimer { flow, .. } => self.note_flow(*flow),
             EventKind::FlowStart(spec) => self.note_flow(spec.id),
-            // A pending TxComplete proves a port will drain, but the
-            // packet it carries is already counted via the port walk;
-            // a process timer (an arbitrator's report loop) and a fault
+            // A pending TxComplete proves a port will drain; the packet
+            // being sent is counted by the port walk (two-event hop) or
+            // rides its own pending Deliver (one-event hop), and a port
+            // with packets queued always has its TxComplete pending. A
+            // process timer (an arbitrator's report loop) and a fault
             // reference no flow.
             EventKind::TxComplete(_) | EventKind::PluginTimer(_) | EventKind::Fault(_) => {}
         }

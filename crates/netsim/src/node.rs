@@ -17,6 +17,7 @@ use crate::fault::FaultEvent;
 use crate::host::{Host, HostCore};
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::packet::Packet;
+use crate::port::Port;
 use crate::switch::{live_rate, Switch};
 use crate::time::{Rate, SimDuration, SimTime};
 
@@ -54,6 +55,14 @@ impl Node {
         match self {
             Node::Host(h) => h.handle(kind, ctx),
             Node::Switch(s) => s.handle(kind, ctx),
+        }
+    }
+
+    /// The node's output ports.
+    pub(crate) fn ports_mut(&mut self) -> &mut [Port] {
+        match self {
+            Node::Host(h) => h.ports_mut(),
+            Node::Switch(s) => s.ports_mut(),
         }
     }
 

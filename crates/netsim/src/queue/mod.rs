@@ -145,6 +145,14 @@ impl PortQueue {
         }
     }
 
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        match self {
+            PortQueue::Bands(q) => q.is_empty(),
+            PortQueue::Boxed(q) => q.is_empty(),
+        }
+    }
+
     /// The queue, for the calls off the per-packet path.
     pub(crate) fn get(&self) -> &dyn Qdisc {
         match self {

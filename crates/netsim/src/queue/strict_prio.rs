@@ -197,6 +197,10 @@ impl<S: Send + 'static> Qdisc for Bands<S> {
         self.bands().iter().map(Band::len).sum()
     }
 
+    fn is_empty(&self) -> bool {
+        self.nonempty == 0
+    }
+
     fn for_each_queued(&self, f: &mut dyn FnMut(&Packet)) {
         for p in self.bands().iter().flatten() {
             f(p);

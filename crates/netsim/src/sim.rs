@@ -3,7 +3,7 @@
 
 use crate::engine::{Ctx, EngineKind, Scheduler};
 use crate::event::{EventKind, ScheduledEvent};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultEvent, FaultPlan};
 use crate::flow::FlowSpec;
 use crate::ids::NodeId;
 use crate::invariants::{
@@ -65,10 +65,17 @@ impl Simulation {
     /// Wrap a constructed network on an explicit scheduler engine (the
     /// heap-vs-wheel differential; wiring schedules timers at build
     /// time, so the engine is fixed here and not swappable later).
+    ///
+    /// Every port runs the one-event hop until a plan names it in a fault
+    /// that reads the completion (see [`Simulation::inject_faults`]).
     pub fn with_engine(net: Network, engine: EngineKind) -> Simulation {
+        let mut nodes = net.nodes;
+        for port in nodes.iter_mut().flat_map(Node::ports_mut) {
+            port.set_one_event_hop(true);
+        }
         Simulation {
             sched: Scheduler::with_engine(engine),
-            nodes: net.nodes,
+            nodes,
             topo: net.topo,
             stats: StatsCollector::new(),
             invariants: None,
@@ -159,10 +166,32 @@ impl Simulation {
     /// [`Simulation::run`] calls; injection uses the ordinary event queue,
     /// so determinism is preserved.
     ///
-    /// Panics if the plan names a link that does not exist.
+    /// A port the plan takes down or degrades goes back to the two-event
+    /// hop here, for the whole run: those two faults act on a packet when
+    /// its serialization completes.
+    ///
+    /// Panics if the plan names a link that does not exist, or if such a
+    /// fault lands on a port before the one-event serialization it is in
+    /// the middle of ends.
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
         for &(at, event) in plan.events() {
+            let reads_completion = matches!(
+                event,
+                FaultEvent::LinkDown { .. } | FaultEvent::LinkDegrade { .. }
+            );
             for (node, port) in event.resolve(&self.topo) {
+                if let (true, Some(id)) = (reads_completion, port) {
+                    let port = &mut self.nodes[node.index()].ports_mut()[id.index()];
+                    // That packet's `Deliver` is queued, out of the fault's reach.
+                    if let Some(done) = port.one_event_busy_until(&self.sched) {
+                        assert!(
+                            at >= done,
+                            "port {node}:{id} is mid one-event serialization until {done}, \
+                             past its planned fault at {at}"
+                        );
+                    }
+                    port.set_one_event_hop(false);
+                }
                 self.sched
                     .schedule_at(at, node, EventKind::fault(event, port));
             }

@@ -332,6 +332,10 @@ impl Switch {
         &self.ports
     }
 
+    pub(crate) fn ports_mut(&mut self) -> &mut [Port] {
+        &mut self.ports
+    }
+
     /// Dispatch an event to this switch.
     pub fn handle(&mut self, kind: EventKind, ctx: &mut Ctx<'_>) {
         match kind {
@@ -668,6 +672,11 @@ mod tests {
         switch(&mut sim, S0).set_ecmp_salt(0x5a17);
         let mut rng = crate::rng::Rng::seed_from_u64(0xd0_0b);
         let mut seen = [[false; 2]; 2];
+        // S0's ports are driven by hand below, each time on a scheduler
+        // of its own, as a hand-built port is: on the two-event hop.
+        for port in switch(&mut sim, S0).ports_mut() {
+            port.set_one_event_hop(false);
+        }
         for step in 0..80 {
             let port = PortId(rng.gen_below(4) as u32);
             let (a, b) = link_of(port);

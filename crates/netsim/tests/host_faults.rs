@@ -281,3 +281,74 @@ fn nic_flap_on_the_access_link_drops_and_recovers() {
     assert!(h.port().drops_while_down > 0);
     sim.check_invariants().assert_clean();
 }
+
+/// The host's first packet, 1000 B of payload at 1 Gbps, serializes over
+/// the first 8.x µs of the run.
+fn one_flow_at_zero() -> (Simulation, Vec<NodeId>, NodeId) {
+    let (mut sim, hosts, sw) = two_hosts();
+    sim.add_flow(FlowSpec::new(
+        FlowId(0),
+        hosts[0],
+        hosts[1],
+        1000,
+        SimTime::ZERO,
+    ));
+    (sim, hosts, sw)
+}
+
+#[test]
+fn a_planned_link_down_mid_serialization_still_kills_the_packet() {
+    // The plan puts the access port back on the two-event hop, so the
+    // link that fails 2 µs into the first packet's serialization kills
+    // it at completion; only the retry at 1 ms gets through.
+    let (mut sim, hosts, sw) = one_flow_at_zero();
+    sim.inject_faults(
+        &FaultPlan::new()
+            .link_down(SimTime::from_micros(2), hosts[0], sw)
+            .link_up(SimTime::from_micros(500), hosts[0], sw),
+    );
+    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(1)));
+    assert_eq!(outcome, RunOutcome::MeasuredComplete);
+    let Node::Host(h) = sim.node(hosts[0]) else {
+        panic!()
+    };
+    assert_eq!(h.port().drops_while_down, 1, "the packet being sent died");
+    assert_eq!(sim.stats().data_pkts_dropped, 1);
+    let done = sim.stats().flow(FlowId(0)).unwrap().completed.unwrap();
+    assert!(done > SimTime::from_millis(1), "completed at {done}");
+    sim.check_invariants().assert_clean();
+}
+
+#[test]
+fn a_fault_planned_after_the_serialization_in_progress_is_accepted() {
+    let (mut sim, hosts, sw) = one_flow_at_zero();
+    let limit = RunLimit {
+        max_time: Some(SimTime::ZERO),
+        stop_when_measured_done: false,
+    };
+    assert_eq!(sim.run(limit), RunOutcome::TimeLimit);
+    sim.inject_faults(
+        &FaultPlan::new()
+            .link_down(SimTime::from_micros(100), hosts[0], sw)
+            .link_up(SimTime::from_micros(200), hosts[0], sw),
+    );
+    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(1)));
+    assert_eq!(outcome, RunOutcome::MeasuredComplete);
+    assert_eq!(sim.stats().data_pkts_dropped, 0);
+    sim.check_invariants().assert_clean();
+}
+
+#[test]
+#[should_panic(expected = "is mid one-event serialization until")]
+fn a_fault_planned_inside_a_one_event_serialization_panics() {
+    // Stopped at 0 with the first packet on its one-event hop: its
+    // `Deliver` is queued, so a link failure planned 2 µs in could not
+    // reach it.
+    let (mut sim, hosts, sw) = one_flow_at_zero();
+    let limit = RunLimit {
+        max_time: Some(SimTime::ZERO),
+        stop_when_measured_done: false,
+    };
+    assert_eq!(sim.run(limit), RunOutcome::TimeLimit);
+    sim.inject_faults(&FaultPlan::new().link_down(SimTime::from_micros(2), hosts[0], sw));
+}
