@@ -20,7 +20,9 @@ use crate::time::SimTime;
 pub enum EventKind {
     /// A packet finishes propagating across a link and arrives at the node.
     Deliver(Box<Packet>),
-    /// The node's output port finishes serializing its in-flight packet.
+    /// The node's output port finishes serializing a packet: queued for
+    /// every packet on a two-event hop, and on a one-event hop only while
+    /// a packet waits behind it (see [`crate::port`]).
     TxComplete(PortId),
     /// A timer set by one of the node's flow agents fires.
     AgentTimer {

@@ -268,7 +268,7 @@ impl Host {
         &self.core.port
     }
 
-    /// The host's one port, as a slice.
+    /// The host's one port, as a slice, for the simulation to set its hop.
     pub(crate) fn ports_mut(&mut self) -> &mut [Port] {
         std::slice::from_mut(&mut self.core.port)
     }

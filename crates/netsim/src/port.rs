@@ -171,29 +171,24 @@ impl Port {
         } else {
             self.qdisc.enqueue(pkt, ctx.now())
         };
-        let accepted = match outcome {
+        match outcome {
             Enqueued::Ok => {
                 if is_data {
                     ctx.stats.note_data_enqueued();
                 }
-                true
             }
-            Enqueued::RejectedArrival(dropped) => {
-                ctx.retire(dropped, Fate::Dropped);
-                false
-            }
+            Enqueued::RejectedArrival(dropped) => ctx.retire(dropped, Fate::Dropped),
             Enqueued::Evicted(victim) => {
                 // The arrival was accepted; a resident was pushed out.
                 if is_data {
                     ctx.stats.note_data_enqueued();
                 }
                 ctx.retire(victim, Fate::Dropped);
-                true
             }
-        };
+        }
         if !self.is_serializing(ctx.sched) {
             self.start_tx(ctx);
-        } else if accepted && !self.completion_filed {
+        } else if !self.completion_filed && !self.qdisc.is_empty() {
             // The first packet to wait behind a one-event hop: the
             // completion that starts it must fire after all.
             self.file_completion(ctx);

@@ -182,7 +182,8 @@ impl Simulation {
             for (node, port) in event.resolve(&self.topo) {
                 if let (true, Some(id)) = (reads_completion, port) {
                     let port = &mut self.nodes[node.index()].ports_mut()[id.index()];
-                    // That packet's `Deliver` is queued, out of the fault's reach.
+                    // A one-event serialization under way has queued its
+                    // `Deliver`: a fault landing before it ends misses it.
                     if let Some(done) = port.one_event_busy_until(&self.sched) {
                         assert!(
                             at >= done,

@@ -332,6 +332,7 @@ impl Switch {
         &self.ports
     }
 
+    /// The switch's output ports, for the simulation to set their hop.
     pub(crate) fn ports_mut(&mut self) -> &mut [Port] {
         &mut self.ports
     }
